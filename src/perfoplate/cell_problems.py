@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import fem
-from .fem import FluidProperties, SolverError
+from .fem import FluidProperties
 from .flow import FlowField
 
 
@@ -43,58 +42,20 @@ class CellOperator:
         self.mesh = mesh
         self.flow = flow
         self.properties = props
-        self.residual_tol = residual_tol
         self.xi = fem.xi_measure(mesh)
-        self.stiffness = fem.stiffness_matrix(mesh)
+        stiffness = fem.stiffness_matrix(mesh)
         if speed > 0.0:
-            self.advection, _ = fem.advection_matrices(mesh, flow.velocity)
+            advection, _ = fem.advection_matrices(mesh, flow.velocity)
         else:
-            self.advection = sp.csr_matrix(self.stiffness.shape)
-        self.matrix = (self.stiffness
-                       - (props.tau / props.c ** 2) * self.advection) / self.xi
-        self.reduction = fem.periodic_reduction(mesh)
-        T = self.reduction
-        self._mean = (T.T @ fem.lumped_volume_vector(mesh)) / self.xi
-        reduced = (T.T @ self.matrix @ T).tocsr()
-        n = reduced.shape[0]
-        aug = sp.bmat([[reduced, self._mean.reshape(-1, 1)],
-                       [self._mean.reshape(1, -1), None]], format='csc')
-        self._reduced = reduced
-        self._lu = spla.splu(aug)
-        self._n_reduced = n
-        # absolute scale below which a right side counts as identically zero
-        self._zero_floor = 1e-13 * abs(reduced).max() * np.sqrt(n)
+            advection = sp.csr_matrix(stiffness.shape)
+        self.matrix = (stiffness - (props.tau / props.c ** 2) * advection) / self.xi
+        self._solver = fem.ZeroMeanSolver(mesh, self.matrix, residual_tol,
+                                          scale=self.xi)
+        self.reduction = self._solver.reduction
 
     def solve(self, rhs_full):
-        """Zero-mean periodic solution of (operator) u = rhs.
-
-        The right side must be compatible (orthogonal to constants) within
-        1e-10 relative; this holds identically for the corrector loads and
-        is asserted, not fixed up.
-        """
-        rhs = self.reduction.T @ np.asarray(rhs_full, dtype=float)
-        norm = np.linalg.norm(rhs)
-        if norm <= self._zero_floor:
-            return np.zeros(self.mesh.num_nodes)
-        defect = abs(rhs.sum())
-        if defect / norm > 1e-10:
-            raise SolverError(
-                f"corrector right side incompatible: defect {defect / norm:.3e}")
-        scale = norm
-        aug_rhs = np.concatenate([rhs, [0.0]])
-        x = self._lu.solve(aug_rhs)
-        resid = np.linalg.norm(self._reduced @ x[:-1] + self._mean * x[-1] - rhs)
-        if not np.isfinite(resid) or resid / scale > self.residual_tol:
-            raise SolverError(f"cell solve residual {resid / scale:.3e} exceeds "
-                              f"{self.residual_tol:.1e}")
-        return self.reduction @ x[:-1]
-
-    def apply(self, u):
-        return self.matrix @ np.asarray(u, dtype=float)
-
-    def pair(self, u, v):
-        """Cell-averaged operator pairing of two full nodal fields."""
-        return float(np.asarray(u) @ (self.matrix @ np.asarray(v)))
+        """Zero-mean periodic solution of (operator) u = rhs."""
+        return self._solver.solve(rhs_full)
 
 
 def assemble_Aw(mesh, flow, properties=None, residual_tol=1e-10) -> CellOperator:
@@ -152,7 +113,7 @@ class CellSolutionSet:
     pi_P: np.ndarray
     flow: FlowField
     properties: FluidProperties
-    operator: CellOperator | None = field(default=None, repr=False)
+    operator: CellOperator = field(repr=False)
 
 
 def solve_cell_problems(mesh, flow, properties=None, residual_tol=1e-10) -> CellSolutionSet:

@@ -9,9 +9,7 @@ nonzero exit code.  Outputs are deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -19,10 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from . import coefficients as coefmod
 from .cell_mesh import generate_unit_cell_mesh
 from .cell_problems import export_solution_fields
-from .coefficients import (CSV_HEADER, cell_pipeline, rows_to_csv,
+from .coefficients import (_num, cell_pipeline, rows_to_csv,
                            sweep_coefficients, verify_symmetries)
 from .duct_mesh import generate_waveguide_mesh
 from .mesh import save_mesh
@@ -30,10 +27,6 @@ from .pipeline import setup_waveguide_run, tl_curve
 from .waveguide import solve_frequency
 
 JOBS_ENV_VAR = "PERFOPLATE_JOBS"
-
-
-def _num(v):
-    return format(float(v), ".17g")
 
 
 def _write(path: Path, text: str):

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import fem
 from .cell_mesh import generate_unit_cell_mesh
-from .cell_problems import CellSolutionSet, solve_cell_problems
-from .fem import FluidProperties
-from .flow import solve_cell_potential_flow
+from .cell_problems import CellSolutionSet, MachBoundError, solve_cell_problems
+from .fem import FluidProperties, SolverError
+from .flow import FlowError, solve_cell_potential_flow
 from .geometry import CellGeometry
 
 CSV_HEADER = ("phi_deg,U3,A11,A12,A22,B1,B2,Bp1,Bp2,F,Mw,Tw,Twp,W1,W2,"
@@ -61,12 +61,6 @@ class HomogenizedCoefficients:
                 self.zeta_star, defect]
 
 
-def static_like(coeffs: HomogenizedCoefficients) -> HomogenizedCoefficients:
-    """Copy with every flow-dependent coefficient removed (oracle helper)."""
-    z = np.zeros(2)
-    return replace(coeffs, Mw=0.0, Tw=0.0, Twp=0.0, Wbar=z, Wbarp=z, Qw=z)
-
-
 def empty_cell_coefficients(kappa=1.0, provenance=None) -> HomogenizedCoefficients:
     """Analytic no-plate, no-flow coefficients (fully transparent layer)."""
     z = np.zeros(2)
@@ -81,9 +75,6 @@ def compute_coefficients(mesh, flow, sols: CellSolutionSet, properties=None,
     """Evaluate all interface coefficients from one cell solution set."""
     props = properties or sols.properties
     op = sols.operator
-    if op is None or op.mesh is not mesh:
-        from .cell_problems import assemble_Aw
-        op = assemble_Aw(mesh, flow, props)
     xi_m = op.xi
     c2 = props.c ** 2
     theta = props.theta
@@ -246,7 +237,7 @@ def _sweep_one_angle(args):
             report = verify_symmetries(coeffs, tol, properties,
                                        speed_scale=max(flw.max_speed(), abs(u3)))
             rows.append((geom.hole_slope_deg, u3, coeffs, report.max_defect, None))
-        except Exception as exc:  # record, keep sweeping
+        except (MachBoundError, SolverError, FlowError) as exc:  # record, keep sweeping
             rows.append((geom.hole_slope_deg, u3, None, math.nan, str(exc)))
     return rows
 

@@ -70,7 +70,6 @@ _SCHEMA = {
         "source_side": (str, "in"),
     },
     "run": {
-        "seed": (int, 0),
         "jobs": (int, 1),
         "residual_tol": (float, 1e-10),
     },

@@ -1,7 +1,8 @@
-"""P1 finite-element assembly and sparse direct solution.
+"""P1 element matrices, periodic reduction and the zero-mean solver.
 
-Real and complex scalar problems on simplex meshes, with periodic and
-zero-mean constraints.  Element gradients are cell-constant; products with
+Scalar P1 matrices and loads on simplex meshes, and one sparse direct
+solver for pure-Neumann problems under periodic and zero-mean
+constraints.  Element gradients are cell-constant; products with
 nodal velocity fields are integrated with second-order quadrature, which is
 exact for the quadratic integrands that occur here.
 """
@@ -54,52 +55,6 @@ class FluidProperties:
         return self.c / math.sqrt(self.tau) if self.tau > 0 else math.inf
 
 
-# -- form vocabulary ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class GradGrad:
-    weight: complex = 1.0
-
-
-@dataclass(frozen=True)
-class Mass:
-    weight: complex = 1.0
-
-
-@dataclass(frozen=True)
-class AdvAdv:
-    weight: complex = 1.0
-
-
-@dataclass(frozen=True)
-class AdvSkew:
-    weight: complex = 1.0
-
-
-@dataclass(frozen=True)
-class BoundaryMass:
-    group: str
-    weight: complex = 1.0
-
-
-@dataclass(frozen=True)
-class BoundaryAverageLoad:
-    """Load ``weight * (1/|group|) * integral_group(test)`` on the rhs."""
-
-    group: str
-    weight: complex = 1.0
-
-
-class LinearSystem:
-    """Assembled sparse system plus the constraints it is solved under."""
-
-    def __init__(self, matrix, rhs, mesh, periodic=False):
-        self.matrix = matrix.tocsr()
-        self.rhs = np.asarray(rhs)
-        self.mesh = mesh
-        self.periodic = periodic
-
-
 # -- geometry tables ---------------------------------------------------------
 
 def p1_geometry(mesh):
@@ -135,23 +90,12 @@ _QUAD2 = {
         np.array([0.25, 0.25, 0.25, 0.25])),
 }
 
-# degree-4 rule on the reference triangle (6 points), for manufactured loads
-_TRI_Q4_L = np.array([
-    [0.816847572980459, 0.091576213509771, 0.091576213509771],
-    [0.091576213509771, 0.816847572980459, 0.091576213509771],
-    [0.091576213509771, 0.091576213509771, 0.816847572980459],
-    [0.108103018168070, 0.445948490915965, 0.445948490915965],
-    [0.445948490915965, 0.108103018168070, 0.445948490915965],
-    [0.445948490915965, 0.445948490915965, 0.108103018168070]])
-_TRI_Q4_W = np.array([0.109951743655322, 0.109951743655322, 0.109951743655322,
-                      0.223381589678011, 0.223381589678011, 0.223381589678011])
 
-
-def _scatter(mesh, elem, dtype=float):
+def _scatter(mesh, elem):
     n = mesh.dim + 1
     rows = np.repeat(mesh.cells, n, axis=1).reshape(-1)
     cols = np.tile(mesh.cells, (1, n)).reshape(-1)
-    mat = sp.coo_matrix((elem.reshape(-1).astype(dtype), (rows, cols)),
+    mat = sp.coo_matrix((elem.reshape(-1).astype(float), (rows, cols)),
                         shape=(mesh.num_nodes, mesh.num_nodes))
     return mat.tocsr()
 
@@ -221,40 +165,6 @@ def lumped_volume_vector(mesh):
     return out
 
 
-def assemble(mesh, terms, flow=None):
-    """Assemble a FormSpec (list of term objects) into a LinearSystem."""
-    needs_flow = any(isinstance(t, (AdvAdv, AdvSkew)) for t in terms)
-    velocity = None
-    if needs_flow:
-        if flow is None:
-            raise AssemblyError("form contains advection terms but no flow was given")
-        velocity = flow if isinstance(flow, np.ndarray) else flow.velocity
-    is_complex = any(np.iscomplexobj(np.asarray(t.weight)) for t in terms)
-    dtype = complex if is_complex else float
-    A = sp.csr_matrix((mesh.num_nodes, mesh.num_nodes), dtype=dtype)
-    b = np.zeros(mesh.num_nodes, dtype=dtype)
-    W = C = None
-    for t in terms:
-        if isinstance(t, GradGrad):
-            A = A + t.weight * stiffness_matrix(mesh)
-        elif isinstance(t, Mass):
-            A = A + t.weight * mass_matrix(mesh)
-        elif isinstance(t, (AdvAdv, AdvSkew)):
-            if W is None:
-                W, C = advection_matrices(mesh, velocity)
-            if isinstance(t, AdvAdv):
-                A = A + t.weight * W
-            else:
-                A = A + t.weight * (C - C.T)
-        elif isinstance(t, BoundaryMass):
-            A = A + t.weight * boundary_mass_matrix(mesh, t.group)
-        elif isinstance(t, BoundaryAverageLoad):
-            b += (t.weight / mesh.group_measure(t.group)) * boundary_load_vector(mesh, t.group)
-        else:
-            raise AssemblyError(f"unknown form term {t!r}")
-    return LinearSystem(A, b, mesh, periodic=bool(mesh.periodic_pairs))
-
-
 # -- constraints -------------------------------------------------------------
 
 def periodic_reduction(mesh, pairings=None):
@@ -285,72 +195,49 @@ def periodic_reduction(mesh, pairings=None):
     return T
 
 
-def _direct_solve(A, b, residual_tol):
-    lu = spla.splu(A.tocsc())
-    x = lu.solve(b)
-    resid = np.linalg.norm(A @ x - b)
-    scale = max(np.linalg.norm(b), 1e-300)
-    if not np.isfinite(resid) or resid / scale > residual_tol:
-        raise SolverError(f"direct solve residual {resid / scale:.3e} exceeds "
-                          f"{residual_tol:.1e}")
-    return x
+class ZeroMeanSolver:
+    """Periodic, zero-mean solutions of one pure-Neumann matrix.
 
-
-def solve(system, constraint=None, dirichlet=None, residual_tol=1e-10):
-    """Solve a LinearSystem under the requested constraint.
-
-    constraint: None, or "zero_mean" (one Lagrange multiplier fixing the
-    exact integral mean to zero; the unconstrained rhs must be compatible).
-    dirichlet: optional (nodes, values) fixing nodal values.
-    Returns the full nodal solution (periodic slaves filled from masters).
+    The matrix is reduced to the periodic classes and bordered by the exact
+    integral mean divided by ``scale`` (one Lagrange multiplier); the
+    bordered matrix is factored once and shared by every right side.
     """
-    mesh = system.mesh
-    dtype = np.promote_types(system.matrix.dtype, system.rhs.dtype)
-    A = system.matrix.astype(dtype)
-    b = system.rhs.astype(dtype)
-    if system.periodic:
-        T = periodic_reduction(mesh)
-        A = (T.T @ A @ T).tocsr()
-        b = T.T @ b
-    else:
-        T = None
 
-    if dirichlet is not None:
-        nodes, values = dirichlet
-        nodes = np.asarray(nodes, dtype=np.int64)
-        values = np.asarray(values, dtype=A.dtype)
-        if T is not None:
-            raise AssemblyError("combined periodic and Dirichlet constraints "
-                                "are not supported")
-        free = np.setdiff1d(np.arange(mesh.num_nodes), nodes)
-        x = np.zeros(mesh.num_nodes, dtype=A.dtype)
-        x[nodes] = values
-        rhs = b[free] - A[free][:, nodes] @ values
-        x[free] = _direct_solve(A[free][:, free].tocsr(), rhs, residual_tol)
-        return x
+    def __init__(self, mesh, matrix, residual_tol, scale=1.0):
+        self.mesh = mesh
+        self.residual_tol = residual_tol
+        self.reduction = periodic_reduction(mesh)
+        T = self.reduction
+        self._mean = (T.T @ lumped_volume_vector(mesh)) / scale
+        reduced = (T.T @ matrix @ T).tocsr()
+        n = reduced.shape[0]
+        aug = sp.bmat([[reduced, self._mean.reshape(-1, 1)],
+                       [self._mean.reshape(1, -1), None]], format='csc')
+        self._reduced = reduced
+        self._lu = spla.splu(aug)
+        # absolute scale below which a right side counts as identically zero
+        self._zero_floor = 1e-13 * abs(reduced).max() * np.sqrt(n)
 
-    if constraint == "zero_mean":
-        m = lumped_volume_vector(mesh)
-        if T is not None:
-            m = T.T @ m
-        comp = abs(np.ones(len(b)) @ b)
-        scale = max(np.linalg.norm(b), 1e-300)
-        if comp / scale > 1e-10:
+    def solve(self, rhs_full):
+        """Full nodal zero-mean periodic solution of (matrix) u = rhs.
+
+        The right side must be compatible (orthogonal to constants) within
+        1e-10 relative; this is asserted, not fixed up.
+        """
+        rhs = self.reduction.T @ np.asarray(rhs_full, dtype=float)
+        norm = np.linalg.norm(rhs)
+        if norm <= self._zero_floor:
+            return np.zeros(self.mesh.num_nodes)
+        defect = abs(rhs.sum())
+        if defect / norm > 1e-10:
             raise SolverError(
-                f"pure-Neumann right side incompatible: defect {comp / scale:.3e}")
-        n = A.shape[0]
-        aug = sp.bmat([[A, m.reshape(-1, 1).astype(A.dtype)],
-                       [m.reshape(1, -1).astype(A.dtype), None]], format='csc')
-        rhs = np.concatenate([b, [0.0]])
-        x = _direct_solve(aug, rhs, residual_tol)[:n]
-    elif constraint is None:
-        x = _direct_solve(A.tocsc(), b, residual_tol)
-    else:
-        raise AssemblyError(f"unknown constraint {constraint!r}")
-
-    if T is not None:
-        x = T @ x
-    return x
+                f"pure-Neumann right side incompatible: defect {defect / norm:.3e}")
+        x = self._lu.solve(np.concatenate([rhs, [0.0]]))
+        resid = np.linalg.norm(self._reduced @ x[:-1] + self._mean * x[-1] - rhs)
+        if not np.isfinite(resid) or resid / norm > self.residual_tol:
+            raise SolverError(f"zero-mean solve residual {resid / norm:.3e} "
+                              f"exceeds {self.residual_tol:.1e}")
+        return self.reduction @ x[:-1]
 
 
 # -- integration -------------------------------------------------------------
@@ -375,13 +262,6 @@ def integrate(mesh, field=None, group=None):
     return (meas * vals.mean(axis=1)).sum()
 
 
-def integrate_gradient(mesh, field):
-    """Vector integral of the (cell-constant) gradient of a nodal field."""
-    grads, vols = p1_geometry(mesh)
-    vals = np.asarray(field)[mesh.cells]
-    return np.einsum('m,mi,mid->d', vols, vals, grads)
-
-
 def xi_measure(mesh):
     """In-plane cell measure |Xi|, read off the top-face group."""
     return mesh.group_measure("I+")
@@ -398,45 +278,3 @@ def cell_gradients(mesh, field):
     grads, _ = p1_geometry(mesh)
     vals = np.asarray(field)[mesh.cells]
     return np.einsum('mi,mid->md', vals, grads)
-
-
-def recover_nodal_gradient(mesh, field):
-    """Volume-weighted average of adjacent cell gradients at each node."""
-    g = cell_gradients(mesh, field)
-    _, vols = p1_geometry(mesh)
-    num = np.zeros((mesh.num_nodes, mesh.dim))
-    den = np.zeros(mesh.num_nodes)
-    idx = mesh.cells.reshape(-1)
-    np.add.at(num, idx, np.repeat(g * vols[:, None], mesh.dim + 1, axis=0))
-    np.add.at(den, idx, np.repeat(vols, mesh.dim + 1))
-    return num / den[:, None]
-
-
-def function_load_vector(mesh, fn):
-    """Load vector int f phi_i with a degree-4 rule (2D only)."""
-    if mesh.dim != 2:
-        raise AssemblyError("function loads are only provided on 2D meshes")
-    _, vols = p1_geometry(mesh)
-    x = mesh.nodes[mesh.cells]
-    out = np.zeros(mesh.num_nodes, dtype=complex)
-    for lam, wt in zip(_TRI_Q4_L, _TRI_Q4_W):
-        pts = np.einsum('i,mid->md', lam, x)
-        f = fn(pts)
-        contrib = wt * vols * f
-        for i in range(3):
-            np.add.at(out, mesh.cells[:, i], lam[i] * contrib)
-    return out
-
-
-def l2_error(mesh, field, exact_fn):
-    """L2 distance between a P1 field and an exact function (2D)."""
-    _, vols = p1_geometry(mesh)
-    x = mesh.nodes[mesh.cells]
-    vals = np.asarray(field)[mesh.cells]
-    acc = 0.0
-    for lam, wt in zip(_TRI_Q4_L, _TRI_Q4_W):
-        pts = np.einsum('i,mid->md', lam, x)
-        uh = np.einsum('i,mi->m', lam, vals)
-        diff = np.abs(uh - exact_fn(pts)) ** 2
-        acc += (wt * vols * diff).sum()
-    return math.sqrt(acc)

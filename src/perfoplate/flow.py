@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fem
 from .duct_mesh import GROUP_IN, GROUP_OUT, GROUP_IFACE_PLUS, interface_nodes
-from .fem import FluidProperties, SolverError
+from .fem import FluidProperties
 
 
 class FlowError(RuntimeError):
@@ -84,10 +84,10 @@ def solve_cell_potential_flow(mesh, u3, properties=None, residual_tol=1e-10):
     if u3 == 0.0:
         zero = np.zeros(mesh.num_nodes)
         return FlowField(mesh, np.zeros((mesh.num_nodes, 3)), zero, props)
-    system = fem.assemble(mesh, [fem.GradGrad(1.0)])
-    system.rhs = -u3 * (fem.boundary_load_vector(mesh, "I+")
-                        - fem.boundary_load_vector(mesh, "I-"))
-    pot = fem.solve(system, constraint="zero_mean", residual_tol=residual_tol)
+    rhs = -u3 * (fem.boundary_load_vector(mesh, "I+")
+                 - fem.boundary_load_vector(mesh, "I-"))
+    solver = fem.ZeroMeanSolver(mesh, fem.stiffness_matrix(mesh), residual_tol)
+    pot = solver.solve(rhs)
     vel = _recover_velocity(mesh, pot)
     return FlowField(mesh, vel, pot, props)
 
@@ -175,10 +175,10 @@ def solve_macro_potential_flow(mesh, u_in, properties=None, residual_tol=1e-10):
         raise FlowError(
             f"incompatible inlet/outlet flux: |Gamma_in|={area_in:.6g} "
             f"vs |Gamma_out|={area_out:.6g}")
-    system = fem.assemble(mesh, [fem.GradGrad(1.0)])
-    system.rhs = u_in * (fem.boundary_load_vector(mesh, GROUP_IN)
-                         - fem.boundary_load_vector(mesh, GROUP_OUT))
-    pot = fem.solve(system, constraint="zero_mean", residual_tol=residual_tol)
+    rhs = u_in * (fem.boundary_load_vector(mesh, GROUP_IN)
+                  - fem.boundary_load_vector(mesh, GROUP_OUT))
+    solver = fem.ZeroMeanSolver(mesh, fem.stiffness_matrix(mesh), residual_tol)
+    pot = solver.solve(rhs)
     vel = _recover_velocity(mesh, pot)
     x, u3, total = _interface_profile(mesh, pot)
     return MacroFlowField(mesh, vel, pot, u_in, x, u3, props)

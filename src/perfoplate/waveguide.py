@@ -20,15 +20,14 @@ reflection, pure phase delay), which fixes every sign here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fem
-from .duct_mesh import (GROUP_IN, GROUP_OUT, GROUP_IFACE_MINUS,
-                        GROUP_IFACE_PLUS, interface_nodes)
+from .duct_mesh import GROUP_IN, GROUP_OUT, interface_nodes
 from .coefficients import HomogenizedCoefficients
 from .fem import FluidProperties, SolverError
 
@@ -74,7 +73,6 @@ class MacroProblem:
     outer_advection: bool = True
     impedance_flow_correction: bool = False
     source_side: str = "in"
-    interface_mode: str = "coupled"
     residual_tol: float = 1e-10
 
     def __post_init__(self):
@@ -82,15 +80,11 @@ class MacroProblem:
             raise MacroAssemblyError("eps0 must be positive")
         if self.source_side not in ("in", "out"):
             raise MacroAssemblyError("source_side must be 'in' or 'out'")
-        if self.interface_mode not in ("coupled", "blocked", "none"):
-            raise MacroAssemblyError(
-                "interface_mode must be 'coupled', 'blocked' or 'none'")
         if "iface" in self.mesh.periodic_pairs:
             self.index = InterfaceIndex(*interface_nodes(self.mesh))
         else:
             # unsplit mesh: plain duct without interface unknowns
             self.index = None
-            self.interface_mode = "none"
 
     def element_coefficients(self):
         coeffs = self.interface_coeffs
@@ -199,15 +193,34 @@ def _boundary_impedance_factor(problem, group):
     mesh = problem.mesh
     nodes = mesh.group_nodes(group)
     vel = problem.flow.velocity[nodes]
-    facets = mesh.facet_group(group)
-    a, b = facets[0]
-    t = mesh.nodes[b] - mesh.nodes[a]
     # boundary groups are vertical lines; outward normal is +-e1
     xmid = mesh.nodes[nodes, 0].mean()
     interior_x = mesh.nodes[:, 0].mean()
     n1 = 1.0 if xmid > interior_x else -1.0
     wn = float(vel[:, 0].mean()) * n1
     return 1.0 + wn / problem.properties.c
+
+
+def interface_element_blocks(co, L, omega, properties):
+    """Dense 2x2 blocks of one interface element of length L.
+
+    Returns (me, p, g, p2, f): the 1D mass matrix, the layer-balance
+    pressure and flux blocks, and the coupling pressure and flux blocks.
+    """
+    c2 = properties.c ** 2
+    theta = properties.theta
+    iw = 1j * omega
+    me = _mass1d(L)
+    ke = _stiff1d(L)
+    mass_c = co.mass_factor + co.Mw
+    p = (c2 * co.A[0, 0] * ke
+         - omega ** 2 * mass_c * me
+         + iw * theta * (co.Wbar[0] * _TEST_DTRIAL
+                         + co.Wbarp[0] * _DTEST_TRIAL))
+    g = iw * c2 * co.B[0] * _DTEST_TRIAL - omega ** 2 * theta * co.Tw * me
+    p2 = co.Bp[0] * _TEST_DTRIAL + iw * co.Twp * me
+    f = -iw * co.F * me
+    return me, p, g, p2, f
 
 
 def assemble_coupled_system(problem: MacroProblem, omega: float):
@@ -224,8 +237,7 @@ def assemble_coupled_system(problem: MacroProblem, omega: float):
     iw = 1j * omega
 
     nP = mesh.num_nodes
-    coupled = problem.interface_mode == "coupled"
-    nG = idx.n if coupled else 0
+    nG = idx.n if idx is not None else 0
     n = nP + 2 * nG
     og, om = nP, nP + nG  # offsets of G+ and G- columns / M1, M2 rows
 
@@ -250,7 +262,7 @@ def assemble_coupled_system(problem: MacroProblem, omega: float):
             rhs[:nP] += 2.0 * iw * c * problem.amplitude \
                 * fem.boundary_load_vector(mesh, group)
 
-    if coupled:
+    if idx is not None:
         # trace coupling to the interface fluxes: d_nw P(+/-) = -i w G(+/-)
         lengths = idx.element_lengths()
         for e in range(idx.n_elements):
@@ -264,75 +276,26 @@ def assemble_coupled_system(problem: MacroProblem, omega: float):
         coeffs = problem.element_coefficients()
         eps0 = problem.eps0
         for e in range(idx.n_elements):
-            co = coeffs[e]
-            L = lengths[e]
-            me = _mass1d(L)
-            ke = _stiff1d(L)
+            me, p_block, g_block, p2_block, f_block = interface_element_blocks(
+                coeffs[e], lengths[e], omega, props)
             rows1 = [og + e, og + e + 1]      # layer balance rows
             rows2 = [om + e, om + e + 1]      # coupling rows
             pp = [idx.plus[e], idx.plus[e + 1]]
             pm = [idx.minus[e], idx.minus[e + 1]]
             gp = [og + e, og + e + 1]
             gm = [om + e, om + e + 1]
-
-            mass_c = co.mass_factor + co.Mw
-            p_block = (c2 * co.A[0, 0] * ke
-                       - omega ** 2 * mass_c * me
-                       + iw * theta * (co.Wbar[0] * _TEST_DTRIAL
-                                       + co.Wbarp[0] * _DTEST_TRIAL))
             for cols in (pp, pm):
                 acc.add(rows1, cols, 0.5 * p_block)
-            g_block = iw * c2 * co.B[0] * _DTEST_TRIAL - omega ** 2 * theta * co.Tw * me
             for cols in (gp, gm):
                 acc.add(rows1, cols, 0.5 * g_block)
             acc.add(rows1, gp, (iw * c2 / eps0) * me)
             acc.add(rows1, gm, -(iw * c2 / eps0) * me)
-
-            p2_block = co.Bp[0] * _TEST_DTRIAL + iw * co.Twp * me
             acc.add(rows2, pp, 0.5 * p2_block - me / eps0)
             acc.add(rows2, pm, 0.5 * p2_block + me / eps0)
-            f_block = -iw * co.F * me
             for cols in (gp, gm):
                 acc.add(rows2, cols, 0.5 * f_block)
 
     return acc.build(n), rhs, nP
-
-
-def interface_block_structure(problem: MacroProblem, omega: float):
-    """Small dense interface blocks for structure inspection in tests.
-
-    Returns the layer-balance pressure block (whose real part must be
-    symmetric and imaginary part skew after the coefficient symmetries),
-    the two advective coupling blocks (negative transposes of each other),
-    and the flux/pressure mass blocks whose ratio encodes the duality
-    between the through-flux and flow-pressure couplings.
-    """
-    idx = problem.index
-    props = problem.properties
-    c2 = props.c ** 2
-    theta = props.theta
-    iw = 1j * omega
-    nG = idx.n
-    coeffs = problem.element_coefficients()
-    lengths = idx.element_lengths()
-    p_block = np.zeros((nG, nG), dtype=complex)
-    w_block = np.zeros((nG, nG))
-    wp_block = np.zeros((nG, nG))
-    tw_block = np.zeros((nG, nG))
-    twp_block = np.zeros((nG, nG), dtype=complex)
-    for e, co in enumerate(coeffs):
-        L = lengths[e]
-        sl = slice(e, e + 2)
-        me, ke = _mass1d(L), _stiff1d(L)
-        mass_c = co.mass_factor + co.Mw
-        p_block[sl, sl] += (c2 * co.A[0, 0] * ke - omega ** 2 * mass_c * me
-                            + iw * theta * (co.Wbar[0] * _TEST_DTRIAL
-                                            + co.Wbarp[0] * _DTEST_TRIAL))
-        w_block[sl, sl] += co.Wbar[0] * _TEST_DTRIAL
-        wp_block[sl, sl] += co.Wbarp[0] * _DTEST_TRIAL
-        tw_block[sl, sl] += -omega ** 2 * theta * co.Tw * me
-        twp_block[sl, sl] += iw * co.Twp * me
-    return dict(p0=p_block, W=w_block, Wp=wp_block, Tw=tw_block, Twp=twp_block)
 
 
 def solve_frequency(problem: MacroProblem, omega: float) -> MacroSolution:
@@ -348,13 +311,12 @@ def solve_frequency(problem: MacroProblem, omega: float) -> MacroSolution:
     if not np.isfinite(resid) or resid / scale > problem.residual_tol:
         raise SolverError(
             f"coupled solve at omega={omega:.6g}: residual {resid / scale:.3e}")
-    if problem.interface_mode == "coupled":
+    if problem.index is not None:
         nG = problem.index.n
         Gp = x[nP:nP + nG]
         Gm = x[nP + nG:nP + 2 * nG]
     else:
-        nG = problem.index.n if problem.index is not None else 0
-        Gp = Gm = np.zeros(nG, dtype=complex)
+        Gp = Gm = np.zeros(0, dtype=complex)
     return MacroSolution(omega, x[:nP], Gp, Gm, problem.index, problem.mesh)
 
 
@@ -390,7 +352,7 @@ def frequency_sweep(problem: MacroProblem, omegas):
             sol = solve_frequency(problem, omega)
             tl, e_in, e_out = transmission_loss(sol, problem)
             rows.append([omega, omega / (2 * math.pi), tl, e_in, e_out])
-        except Exception as exc:
+        except (SolverError, MacroAssemblyError, ZeroDivisionError) as exc:
             failures.append((omega, str(exc)))
     return rows, failures
 

@@ -49,6 +49,9 @@ def test_config_rejects_unknown_keys():
         parse_config("[nosuch]\na = 1\n")
     with pytest.raises(ConfigError):
         parse_config("[flow]\nmode = sideways\n")
+    # the unread [run] seed key of older echoes is gone
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config("[run]\nseed = 0\n")
 
 
 def test_config_grids():

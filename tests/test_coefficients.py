@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from perfoplate import coefficients
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.cell_problems import solve_cell_problems
 from perfoplate.coefficients import (CSV_HEADER, cell_pipeline,
@@ -159,6 +160,16 @@ def test_sweep_records_failures_and_continues(props):
     rows, failures = sweep_coefficients(geom, [60.0], [0.0, 50.0], 0.12, props)
     assert len(rows) == 1 and rows[0][1] == 0.0
     assert len(failures) == 1 and failures[0][1] == 50.0
+
+
+def test_sweep_propagates_programming_errors(props, monkeypatch):
+    # only solver and guard failures are sweep rows; a bug must surface
+    def broken(*args, **kwargs):
+        raise IndexError("index 7 is out of bounds")
+
+    monkeypatch.setattr(coefficients, "cell_pipeline", broken)
+    with pytest.raises(IndexError):
+        sweep_coefficients(CellGeometry(), [0.0], [1.0], 0.15, props)
 
 
 def test_empty_cell_helper_matches_computed(empty_cell_mesh, props):

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import structured_square_mesh
 from perfoplate import fem
-from perfoplate.fem import (AdvAdv, AdvSkew, AssemblyError, BoundaryAverageLoad,
-                            BoundaryMass, FluidProperties, GradGrad, Mass,
-                            SolverError)
+from perfoplate.fem import AssemblyError, FluidProperties, SolverError
 from perfoplate.flow import uniform_flow
 from perfoplate.mesh import Mesh
 
@@ -44,8 +45,9 @@ def test_mass_sum_equals_measure(straight_cell_mesh):
 
 
 def test_symmetry_without_flow(straight_cell_mesh):
-    sys = fem.assemble(straight_cell_mesh, [GradGrad(2.0), Mass(-3.0)])
-    diff = (sys.matrix - sys.matrix.T)
+    A = (2.0 * fem.stiffness_matrix(straight_cell_mesh)
+         - 3.0 * fem.mass_matrix(straight_cell_mesh))
+    diff = (A - A.T)
     assert abs(diff).max() < 1e-13
 
 
@@ -81,37 +83,63 @@ def test_periodic_reduction_preserves_symmetry_class(straight_cell_mesh, props):
 
 def test_missing_flow_rejected(straight_cell_mesh):
     with pytest.raises(AssemblyError):
-        fem.assemble(straight_cell_mesh, [AdvAdv(1.0)])
+        fem.advection_matrices(straight_cell_mesh, None)
 
 
 def test_unknown_group_rejected(straight_cell_mesh):
     with pytest.raises(Exception) as err:
-        fem.assemble(straight_cell_mesh, [BoundaryMass("nope", 1.0)])
+        fem.boundary_mass_matrix(straight_cell_mesh, "nope")
     assert "nope" in str(err.value)
 
 
+def laplace_solver(mesh):
+    return fem.ZeroMeanSolver(mesh, fem.stiffness_matrix(mesh), 1e-10)
+
+
+def face_average_load(mesh, group):
+    """Load (1/|group|) * int_group phi_i."""
+    return fem.boundary_load_vector(mesh, group) / mesh.group_measure(group)
+
+
 def test_zero_rhs_zero_mean_solution(straight_cell_mesh):
-    sys = fem.assemble(straight_cell_mesh, [GradGrad(1.0)])
-    x = fem.solve(sys, constraint="zero_mean")
+    x = laplace_solver(straight_cell_mesh).solve(np.zeros(straight_cell_mesh.num_nodes))
     assert np.abs(x).max() < 1e-12
 
 
 def test_incompatible_neumann_rejected(straight_cell_mesh):
-    sys = fem.assemble(straight_cell_mesh, [GradGrad(1.0),
-                                            BoundaryAverageLoad("I+", 1.0)])
     with pytest.raises(SolverError) as err:
-        fem.solve(sys, constraint="zero_mean")
+        laplace_solver(straight_cell_mesh).solve(
+            face_average_load(straight_cell_mesh, "I+"))
     assert "incompatible" in str(err.value)
 
 
 def test_zero_mean_contract(straight_cell_mesh):
-    sys = fem.assemble(straight_cell_mesh,
-                       [GradGrad(1.0),
-                        BoundaryAverageLoad("I+", -1.0),
-                        BoundaryAverageLoad("I-", 1.0)])
-    x = fem.solve(sys, constraint="zero_mean")
-    mean = fem.integrate(straight_cell_mesh, x) / fem.integrate(straight_cell_mesh)
+    m = straight_cell_mesh
+    x = laplace_solver(m).solve(face_average_load(m, "I-")
+                                - face_average_load(m, "I+"))
+    mean = fem.integrate(m, x) / fem.integrate(m)
     assert abs(mean) <= 1e-12 * np.linalg.norm(x)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-6, 1e6))
+def test_zero_mean_solver_properties(straight_cell_mesh, seed, scale):
+    m = straight_cell_mesh
+    solver = laplace_solver(m)
+    T = solver.reduction
+    # a random load on the periodic classes with its sum removed, spread
+    # evenly over each class's nodes: a compatible right side
+    red = scale * np.random.default_rng(seed).standard_normal(T.shape[1])
+    red -= red.mean()
+    rhs = T @ (red / np.asarray(T.sum(axis=0)).ravel())
+    x = solver.solve(rhs)
+    assert abs(fem.integrate(m, x)) <= 1e-12 * fem.integrate(m) * np.abs(x).max()
+    for pairs in m.periodic_pairs.values():
+        np.testing.assert_array_equal(x[pairs[:, 0]], x[pairs[:, 1]])
+    resid = T.T @ (fem.stiffness_matrix(m) @ x - rhs)
+    assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(T.T @ rhs)
+    with pytest.raises(SolverError, match="incompatible"):
+        solver.solve(rhs + np.linalg.norm(red) * face_average_load(m, "I+"))
 
 
 def test_integrate_and_averages(straight_cell_mesh):
@@ -137,13 +165,55 @@ def test_empty_group_rejected():
 
 # -- manufactured-solution convergence ---------------------------------------
 
-def _dirichlet_solve(mesh, terms, flow, exact, forcing):
-    sys = fem.assemble(mesh, terms, flow=flow)
-    rhs = fem.function_load_vector(mesh, forcing)
-    sys.rhs = rhs
+# degree-4 rule on the reference triangle (6 points), for manufactured loads
+TRI_Q4_L = np.array([
+    [0.816847572980459, 0.091576213509771, 0.091576213509771],
+    [0.091576213509771, 0.816847572980459, 0.091576213509771],
+    [0.091576213509771, 0.091576213509771, 0.816847572980459],
+    [0.108103018168070, 0.445948490915965, 0.445948490915965],
+    [0.445948490915965, 0.108103018168070, 0.445948490915965],
+    [0.445948490915965, 0.445948490915965, 0.108103018168070]])
+TRI_Q4_W = np.array([0.109951743655322, 0.109951743655322, 0.109951743655322,
+                     0.223381589678011, 0.223381589678011, 0.223381589678011])
+
+
+def function_load_vector(mesh, fn):
+    """Load vector int f phi_i on a 2D mesh, with the degree-4 rule."""
+    _, vols = fem.p1_geometry(mesh)
+    x = mesh.nodes[mesh.cells]
+    out = np.zeros(mesh.num_nodes, dtype=complex)
+    for lam, wt in zip(TRI_Q4_L, TRI_Q4_W):
+        pts = np.einsum('i,mid->md', lam, x)
+        contrib = wt * vols * fn(pts)
+        for i in range(3):
+            np.add.at(out, mesh.cells[:, i], lam[i] * contrib)
+    return out
+
+
+def l2_error(mesh, field, exact_fn):
+    """L2 distance between a P1 field and an exact function (2D)."""
+    _, vols = fem.p1_geometry(mesh)
+    x = mesh.nodes[mesh.cells]
+    vals = np.asarray(field)[mesh.cells]
+    acc = 0.0
+    for lam, wt in zip(TRI_Q4_L, TRI_Q4_W):
+        pts = np.einsum('i,mid->md', lam, x)
+        uh = np.einsum('i,mi->m', lam, vals)
+        acc += (wt * vols * np.abs(uh - exact_fn(pts)) ** 2).sum()
+    return math.sqrt(acc)
+
+
+def _dirichlet_solve(mesh, matrix, exact, forcing):
+    """Eliminate the exact boundary values and solve for the interior."""
+    A = matrix.tocsr().astype(complex)
+    rhs = function_load_vector(mesh, forcing)
     boundary = np.unique(mesh.boundary_facets())
-    values = exact(mesh.nodes[boundary])
-    return fem.solve(sys, dirichlet=(boundary, values))
+    free = np.setdiff1d(np.arange(mesh.num_nodes), boundary)
+    x = np.zeros(mesh.num_nodes, dtype=complex)
+    x[boundary] = exact(mesh.nodes[boundary])
+    load = rhs[free] - A[free][:, boundary] @ x[boundary]
+    x[free] = spla.splu(A[free][:, free].tocsc()).solve(load)
+    return x
 
 
 def convergence_order(errors):
@@ -161,8 +231,8 @@ def test_laplace_convergence_order():
     errors = []
     for n in (8, 16, 32):
         mesh = structured_square_mesh(n, groups=False)
-        u = _dirichlet_solve(mesh, [GradGrad(1.0)], None, exact, forcing)
-        errors.append(fem.l2_error(mesh, u, exact))
+        u = _dirichlet_solve(mesh, fem.stiffness_matrix(mesh), exact, forcing)
+        errors.append(l2_error(mesh, u, exact))
     assert convergence_order(errors) >= 1.9
 
 
@@ -194,10 +264,11 @@ def extended_helmholtz_error(n, props, omega, w_vec):
 
     mesh = structured_square_mesh(n, groups=False)
     flow = uniform_flow(mesh, w_vec, props)
-    terms = [GradGrad(c2), Mass(-omega ** 2), AdvSkew(1j * omega * props.theta),
-             AdvAdv(-tau)]
-    u = _dirichlet_solve(mesh, terms, flow, exact, forcing)
-    return fem.l2_error(mesh, u, exact)
+    W, C = fem.advection_matrices(mesh, flow.velocity)
+    A = (c2 * fem.stiffness_matrix(mesh) - omega ** 2 * fem.mass_matrix(mesh)
+         + 1j * omega * theta * (C - C.T) - tau * W)
+    u = _dirichlet_solve(mesh, A, exact, forcing)
+    return l2_error(mesh, u, exact)
 
 
 def test_extended_helmholtz_convergence_order(props):

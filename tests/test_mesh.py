@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfoplate.geometry import CellGeometry, GeometryError, WaveguideGeometry
 from perfoplate.mesh import (Mesh, MeshError, MeshFormatError,
@@ -64,6 +69,52 @@ def test_complex_field_roundtrip(tmp_path):
     save_mesh(m, tmp_path / "b.msh")
     m2 = load_mesh(tmp_path / "b.msh")
     np.testing.assert_array_equal(m2.fields["p"], m.fields["p"])
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+names = st.from_regex(r"[A-Za-z][A-Za-z0-9_+-]{0,6}", fullmatch=True)
+
+
+@st.composite
+def small_meshes(draw):
+    """Random small meshes with groups, pairs and real and complex fields."""
+    dim = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(dim + 1, 8))
+    index = st.integers(0, n - 1)
+    nodes = draw(st.lists(st.lists(finite, min_size=dim, max_size=dim),
+                          min_size=n, max_size=n))
+    cells = draw(st.lists(st.lists(index, min_size=dim + 1, max_size=dim + 1),
+                          max_size=5))
+    facets = st.lists(st.lists(index, min_size=dim, max_size=dim), max_size=4)
+    pairs = st.lists(st.lists(index, min_size=2, max_size=2), max_size=4)
+    groups = draw(st.dictionaries(names, facets, max_size=3))
+    periodic = draw(st.dictionaries(names, pairs, max_size=2))
+    real = draw(st.dictionaries(names, st.lists(finite, min_size=n, max_size=n),
+                                max_size=2))
+    cplx = draw(st.dictionaries(names, st.lists(st.complex_numbers(
+        allow_nan=False, allow_infinity=False), min_size=n, max_size=n), max_size=2))
+    fields = {k: np.array(v, dtype=float) for k, v in real.items()}
+    fields.update({"c" + k: np.array(v, dtype=complex) for k, v in cplx.items()})
+    return Mesh(dim, np.array(nodes), np.array(cells, dtype=np.int64).reshape(-1, dim + 1),
+                groups, periodic, fields)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mesh=small_meshes())
+def test_roundtrip_random_meshes(mesh):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.msh"
+        save_mesh(mesh, path)
+        back = load_mesh(path)
+    assert back.dim == mesh.dim
+    np.testing.assert_array_equal(back.nodes, mesh.nodes)
+    np.testing.assert_array_equal(back.cells, mesh.cells)
+    for attr in ("facet_groups", "periodic_pairs", "fields"):
+        got, want = getattr(back, attr), getattr(mesh, attr)
+        assert set(got) == set(want)
+        for k in want:
+            np.testing.assert_array_equal(got[k], want[k])
+            assert np.iscomplexobj(got[k]) == np.iscomplexobj(want[k])
 
 
 def test_truncated_file_reports_line(tmp_path):

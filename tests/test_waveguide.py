@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from static_reference import solve_static_reference, static_transmission_loss
+from perfoplate import fem, waveguide
 from perfoplate.coefficients import empty_cell_coefficients, cell_pipeline
 from perfoplate.duct_mesh import GROUP_IN, GROUP_OUT
-from perfoplate.fem import FluidProperties
 from perfoplate.flow import solve_macro_potential_flow, uniform_macro_flow
 from perfoplate.geometry import CellGeometry
 from perfoplate.waveguide import (MacroAssemblyError, MacroProblem,
                                   MacroSolution, assemble_coupled_system,
-                                  boundary_energy, interface_block_structure,
+                                  boundary_energy, interface_element_blocks,
                                   reconstruct_micro_pressure, solve_frequency,
                                   frequency_sweep, transmission_loss)
 
@@ -23,26 +23,6 @@ OMEGA = 2 * math.pi * 400.0
 def slant_coeffs(props):
     _, _, _, co = cell_pipeline(CellGeometry(hole_slope_deg=30.0), 0.0, 0.1, props)
     return co
-
-
-def test_blocked_mode_decouples(duct_mesh, props):
-    prob = MacroProblem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025,
-                        interface_mode="blocked")
-    A, rhs, nP = assemble_coupled_system(prob, OMEGA)
-    assert A.shape == (duct_mesh.num_nodes, duct_mesh.num_nodes)
-    # no matrix entry couples the two sides of the interface
-    pairs = duct_mesh.periodic_pairs["iface"]
-    s = duct_mesh.nodes[pairs[0, 0], 1]
-    below = duct_mesh.nodes[:, 1] <= s + 1e-12
-    below[pairs[:, 1]] = False  # upper-side interface copies
-    coo = A.tocoo()
-    cross = below[coo.row] ^ below[coo.col]
-    assert not np.any(cross & (coo.data != 0))
-    sol = solve_frequency(prob, OMEGA)
-    # nothing is transmitted into the outlet side
-    e_out = boundary_energy(duct_mesh, sol.P, GROUP_OUT)
-    e_in = boundary_energy(duct_mesh, sol.P, GROUP_IN)
-    assert e_out <= 1e-18 * e_in
 
 
 def test_static_assembly_matches_reference_entrywise(duct_mesh, props,
@@ -194,22 +174,25 @@ def test_energy_conservation_at_rest(duct_mesh, props, slant_coeffs):
     assert abs(power_in - power_out) <= 1e-9 * max(abs(power_in), abs(power_out))
 
 
-def test_interface_block_structure(duct_mesh, props):
+def test_interface_element_blocks(duct_mesh, props):
     _, _, _, co = cell_pipeline(CellGeometry(hole_slope_deg=30.0), 3.0, 0.1,
                                 props)
     prob = MacroProblem(duct_mesh, props, co, eps0=0.025)
-    blocks = interface_block_structure(prob, OMEGA)
-    p0 = blocks["p0"]
-    scale = np.abs(p0).max()
-    assert np.abs(p0.real - p0.real.T).max() <= 1e-10 * scale
-    assert np.abs(p0.imag + p0.imag.T).max() <= 1e-10 * scale
-    # advective coupling blocks are negative transposes
-    assert np.abs(blocks["W"] + blocks["Wp"].T).max() <= \
-        1e-10 * max(np.abs(blocks["W"]).max(), 1e-30)
-    # the flux/pressure mass blocks encode the duality ratio
     ratio = 1j / (OMEGA * props.c ** 2)
-    np.testing.assert_allclose(blocks["Twp"], ratio * blocks["Tw"],
-                               atol=1e-12 * np.abs(blocks["Tw"]).max())
+    for L, co in zip(prob.index.element_lengths(), prob.element_coefficients()):
+        _, p, _, _, _ = interface_element_blocks(co, L, OMEGA, props)
+        # real part symmetric; imaginary part skew, which needs W' = -W
+        # because the advective block sum TD + TD^T does not vanish
+        scale = np.abs(p).max()
+        assert np.abs(p.real - p.real.T).max() <= 1e-10 * scale
+        assert np.abs(p.imag + p.imag.T).max() <= 1e-10 * scale
+        # without the through-flux couplings the flux/pressure blocks keep
+        # only the Tw and T'w mass terms, whose ratio encodes the duality
+        _, _, g, p2, _ = interface_element_blocks(replace(co, B=np.zeros(2),
+                                                          Bp=np.zeros(2)),
+                                                  L, OMEGA, props)
+        np.testing.assert_allclose(p2, ratio * g, rtol=0,
+                                   atol=1e-10 * np.abs(p2).max())
 
 
 def test_reciprocity_at_rest_on_symmetric_duct(duct_mesh, props, slant_coeffs):
@@ -254,6 +237,38 @@ def test_frequency_sweep_records_failures(duct_mesh, props):
     prob = MacroProblem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025)
     rows, failures = frequency_sweep(prob, [OMEGA, float("nan")])
     assert len(rows) == 1 and len(failures) == 1
+
+
+def test_frequency_sweep_propagates_programming_errors(duct_mesh, props,
+                                                       monkeypatch):
+    def broken(problem, omega):
+        raise IndexError("index 7 is out of bounds")
+
+    monkeypatch.setattr(waveguide, "solve_frequency", broken)
+    prob = MacroProblem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025)
+    with pytest.raises(IndexError):
+        frequency_sweep(prob, [OMEGA])
+
+
+def test_impedance_flow_correction(duct_mesh, props):
+    """The correction scales each port's radiation mass by 1 + w.n/c."""
+    u = 15.0
+    mf = uniform_macro_flow(duct_mesh, u, props)
+    co = empty_cell_coefficients()
+    on = MacroProblem(duct_mesh, props, co, eps0=0.025, flow=mf,
+                      impedance_flow_correction=True)
+    off = MacroProblem(duct_mesh, props, co, eps0=0.025, flow=mf)
+    A_on, _, nP = assemble_coupled_system(on, OMEGA)
+    A_off, _, _ = assemble_coupled_system(off, OMEGA)
+    # inflow through Gamma_in (w.n = -u), outflow through Gamma_out (+u)
+    iwc = 1j * OMEGA * props.c
+    expected = (iwc * (-u / props.c) * fem.boundary_mass_matrix(duct_mesh, GROUP_IN)
+                + iwc * (u / props.c) * fem.boundary_mass_matrix(duct_mesh, GROUP_OUT))
+    change = (A_on - A_off).tocsr()
+    assert abs(expected).max() > 0
+    assert abs(change[:nP, :nP] - expected).max() <= 1e-12 * abs(expected).max()
+    assert change[nP:, :].count_nonzero() == 0
+    assert change[:, nP:].count_nonzero() == 0
 
 
 # -- micro reconstruction -----------------------------------------------------
