@@ -253,9 +253,7 @@ def generate_unit_cell_mesh(geom: CellGeometry, resolution: float = 0.08) -> Mes
     tets = np.array(tets, dtype=np.int64)
 
     # fix tet orientation (swap two nodes where the signed volume is negative)
-    e = coords[tets[:, 1:]] - coords[tets[:, :1]]
-    vols = np.linalg.det(e) / 6.0
-    flip = vols < 0
+    flip = Mesh(3, coords, tets).cell_volumes() < 0
     tets[flip] = tets[flip][:, [0, 1, 3, 2]]
 
     def quad_facets(u, v, lo_layer):

@@ -51,7 +51,6 @@ class CellOperator:
         self.matrix = (stiffness - (props.tau / props.c ** 2) * advection) / self.xi
         self._solver = fem.ZeroMeanSolver(mesh, self.matrix, residual_tol,
                                           scale=self.xi)
-        self.reduction = self._solver.reduction
 
     def solve(self, rhs_full):
         """Zero-mean periodic solution of (operator) u = rhs."""

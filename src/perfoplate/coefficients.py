@@ -18,7 +18,7 @@ import csv
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class HomogenizedCoefficients:
     Qw: np.ndarray
     zeta_star: float
     kappa: float
-    provenance: dict = field(default_factory=dict)
 
     @property
     def mass_factor(self) -> float:
@@ -61,17 +60,17 @@ class HomogenizedCoefficients:
                 self.zeta_star, defect]
 
 
-def empty_cell_coefficients(kappa=1.0, provenance=None) -> HomogenizedCoefficients:
+def empty_cell_coefficients(kappa=1.0) -> HomogenizedCoefficients:
     """Analytic no-plate, no-flow coefficients (fully transparent layer)."""
     z = np.zeros(2)
     return HomogenizedCoefficients(
         A=kappa * np.eye(2), B=z.copy(), Bp=z.copy(), F=kappa, Mw=0.0,
         Tw=0.0, Twp=0.0, Wbar=z.copy(), Wbarp=z.copy(), Qw=z.copy(),
-        zeta_star=1.0, kappa=kappa, provenance=provenance or {})
+        zeta_star=1.0, kappa=kappa)
 
 
-def compute_coefficients(mesh, flow, sols: CellSolutionSet, properties=None,
-                         provenance=None) -> HomogenizedCoefficients:
+def compute_coefficients(mesh, flow, sols: CellSolutionSet,
+                         properties=None) -> HomogenizedCoefficients:
     """Evaluate all interface coefficients from one cell solution set."""
     props = properties or sols.properties
     op = sols.operator
@@ -94,16 +93,16 @@ def compute_coefficients(mesh, flow, sols: CellSolutionSet, properties=None,
     F = -_face_jump(mesh, sols.xi, xi_m)
     Twp = _face_jump(mesh, sols.pi_P, xi_m)
 
-    wmean, vols, gradsum = _flow_tables(mesh, flow)
-    Tw = _advective_average(mesh, flow, sols.xi, wmean, vols) / xi_m
-    Mw = theta * _advective_average(mesh, flow, sols.pi_P, wmean, vols) / xi_m
+    wmean = flow.velocity[mesh.cells].mean(axis=1)
+    Tw = _advective_average(mesh, sols.xi, wmean) / xi_m
+    Mw = theta * _advective_average(mesh, sols.pi_P, wmean) / xi_m
     Wbar = np.array([
-        (_flow_component_integral(wmean, vols, b)
-         + _advective_average(mesh, flow, pis[b], wmean, vols)) / xi_m
+        (_flow_component_integral(mesh, wmean, b)
+         + _advective_average(mesh, pis[b], wmean)) / xi_m
         for b in range(2)])
     Qw = np.array([
         c2 * (y[b] @ (op.matrix @ sols.pi_P))
-        - theta * _flow_component_integral(wmean, vols, b) / xi_m
+        - theta * _flow_component_integral(mesh, wmean, b) / xi_m
         for b in range(2)])
     Wbarp = Qw / theta
 
@@ -113,9 +112,7 @@ def compute_coefficients(mesh, flow, sols: CellSolutionSet, properties=None,
 
     return HomogenizedCoefficients(
         A=A, B=B, Bp=Bp, F=F, Mw=Mw, Tw=Tw, Twp=Twp, Wbar=Wbar, Wbarp=Wbarp,
-        Qw=Qw, zeta_star=zeta, kappa=kappa,
-        provenance=dict(provenance or {},
-                        mesh=f"{mesh.num_nodes}n/{mesh.num_cells}c"))
+        Qw=Qw, zeta_star=zeta, kappa=kappa)
 
 
 def _face_jump(mesh, nodal, xi_m):
@@ -123,20 +120,14 @@ def _face_jump(mesh, nodal, xi_m):
             - fem.integrate(mesh, nodal, group="I-")) / xi_m
 
 
-def _flow_tables(mesh, flow):
-    grads, vols = fem.p1_geometry(mesh)
-    wmean = flow.velocity[mesh.cells].mean(axis=1)
-    return wmean, vols, grads
-
-
-def _advective_average(mesh, flow, nodal, wmean, vols):
+def _advective_average(mesh, nodal, wmean):
     """Integral of w . grad(field) (exact for nodal w, P1 field)."""
     g = fem.cell_gradients(mesh, nodal)
-    return float(np.einsum('m,md,md->', vols, wmean, g))
+    return float(np.einsum('m,md,md->', mesh.cell_volumes(), wmean, g))
 
 
-def _flow_component_integral(wmean, vols, b):
-    return float((vols * wmean[:, b]).sum())
+def _flow_component_integral(mesh, wmean, b):
+    return float((mesh.cell_volumes() * wmean[:, b]).sum())
 
 
 # -- symmetry verification ---------------------------------------------------
@@ -220,9 +211,7 @@ def cell_pipeline(geom: CellGeometry, u3, resolution, properties,
         mesh = generate_unit_cell_mesh(geom, resolution)
     flw = solve_cell_potential_flow(mesh, u3, properties, residual_tol)
     sols = solve_cell_problems(mesh, flw, properties, residual_tol)
-    prov = dict(phi_deg=geom.hole_slope_deg, u3=u3,
-                theta=properties.theta, c=properties.c)
-    coeffs = compute_coefficients(mesh, flw, sols, properties, prov)
+    coeffs = compute_coefficients(mesh, flw, sols, properties)
     return mesh, flw, sols, coeffs
 
 

@@ -16,6 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .mesh import per_mesh
+
 
 class AssemblyError(ValueError):
     """Invalid assembly request (missing flow, unknown group, ...)."""
@@ -57,25 +59,25 @@ class FluidProperties:
 
 # -- geometry tables ---------------------------------------------------------
 
+@per_mesh
 def p1_geometry(mesh):
     """Per-cell shape gradients and measures: (grads (M, n, d), vols (M,))."""
+    vols = mesh.cell_volumes()
     x = mesh.nodes[mesh.cells]
     e = x[:, 1:, :] - x[:, :1, :]
     if mesh.dim == 2:
-        det = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
-        vols = 0.5 * det
+        det = 2.0 * vols
         inv = np.empty_like(e)
         inv[:, 0, 0] = e[:, 1, 1] / det
         inv[:, 0, 1] = -e[:, 0, 1] / det
         inv[:, 1, 0] = -e[:, 1, 0] / det
         inv[:, 1, 1] = e[:, 0, 0] / det
     else:
-        det = np.linalg.det(e)
-        vols = det / 6.0
         inv = np.linalg.inv(e)
     grads = np.empty((len(mesh.cells), mesh.dim + 1, mesh.dim))
     grads[:, 1:, :] = np.transpose(inv, (0, 2, 1))
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
+    grads.flags.writeable = False
     return grads, vols
 
 
@@ -109,7 +111,7 @@ def stiffness_matrix(mesh):
 def mass_matrix(mesh):
     n = mesh.dim + 1
     base = (np.ones((n, n)) + np.eye(n)) / (n * (n + 1))
-    _, vols = p1_geometry(mesh)
+    vols = mesh.cell_volumes()
     elem = vols[:, None, None] * base[None, :, :]
     return _scatter(mesh, elem)
 
@@ -158,7 +160,7 @@ def boundary_load_vector(mesh, group):
 
 def lumped_volume_vector(mesh):
     """Vector of int phi_i (exact for P1)."""
-    _, vols = p1_geometry(mesh)
+    vols = mesh.cell_volumes()
     out = np.zeros(mesh.num_nodes)
     np.add.at(out, mesh.cells.reshape(-1),
               np.repeat(vols / (mesh.dim + 1), mesh.dim + 1))
@@ -167,7 +169,8 @@ def lumped_volume_vector(mesh):
 
 # -- constraints -------------------------------------------------------------
 
-def periodic_reduction(mesh, pairings=None):
+@per_mesh
+def periodic_reduction(mesh):
     """Prolongation matrix T (full dofs from reduced dofs) for periodic pairs.
 
     Chained pairs (edge and corner nodes) are resolved by union-find; the
@@ -182,8 +185,7 @@ def periodic_reduction(mesh, pairings=None):
             i = parent[i]
         return i
 
-    pairs = mesh.periodic_pairs if pairings is None else pairings
-    for arr in pairs.values():
+    for arr in mesh.periodic_pairs.values():
         for m, s in arr:
             rm, rs = find(m), find(s)
             if rm != rs:
@@ -192,6 +194,8 @@ def periodic_reduction(mesh, pairings=None):
     root = np.array([find(i) for i in range(n)])
     uniq, red = np.unique(root, return_inverse=True)
     T = sp.coo_matrix((np.ones(n), (np.arange(n), red)), shape=(n, len(uniq))).tocsr()
+    for a in (T.data, T.indices, T.indptr):
+        a.flags.writeable = False
     return T
 
 
@@ -250,7 +254,7 @@ def integrate(mesh, field=None, group=None):
     if group is None:
         if field is None:
             return float(np.abs(mesh.cell_volumes()).sum())
-        _, vols = p1_geometry(mesh)
+        vols = mesh.cell_volumes()
         vals = np.asarray(field)[mesh.cells]
         return (vols * vals.mean(axis=1)).sum()
     meas = mesh.facet_measures(group)

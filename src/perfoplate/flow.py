@@ -59,17 +59,14 @@ def uniform_flow(mesh, w_vec, properties=None):
 def _recover_velocity(mesh, potential):
     """Nodal w = -grad(potential), averaged across periodic identifications."""
     g = fem.cell_gradients(mesh, potential)
-    _, vols = fem.p1_geometry(mesh)
+    vols = mesh.cell_volumes()
     num = np.zeros((mesh.num_nodes, mesh.dim))
     den = np.zeros(mesh.num_nodes)
     idx = mesh.cells.reshape(-1)
     np.add.at(num, idx, np.repeat(-g * vols[:, None], mesh.dim + 1, axis=0))
     np.add.at(den, idx, np.repeat(vols, mesh.dim + 1))
-    if mesh.periodic_pairs:
-        T = fem.periodic_reduction(mesh)
-        num = T @ (T.T @ num)
-        den = T @ (T.T @ den)
-    return num / den[:, None]
+    T = fem.periodic_reduction(mesh)
+    return (T @ (T.T @ num)) / (T @ (T.T @ den))[:, None]
 
 
 def solve_cell_potential_flow(mesh, u3, properties=None, residual_tol=1e-10):
@@ -99,15 +96,9 @@ def boundary_flux(flow, group):
     weak flux), folded across periodic identifications.
     """
     mesh = flow.mesh
-    r = fem.stiffness_matrix(mesh) @ flow.potential
-    if mesh.periodic_pairs:
-        T = fem.periodic_reduction(mesh)
-        red_of = np.asarray(T.tocsr().indices)
-        rr = T.T @ r
-    else:
-        red_of = np.arange(mesh.num_nodes)
-        rr = r
-    red = np.unique(red_of[mesh.group_nodes(group)])
+    T = fem.periodic_reduction(mesh)
+    rr = T.T @ (fem.stiffness_matrix(mesh) @ flow.potential)
+    red = np.unique(T.indices[mesh.group_nodes(group)])
     return -float(rr[red].sum())
 
 

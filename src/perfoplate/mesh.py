@@ -1,4 +1,4 @@
-"""Simplex meshes with tagged facet groups, periodic pairings and field IO.
+"""Simplex meshes with tagged facet groups, periodic node pairs and field IO.
 
 Meshes are plain containers: nodes, simplex connectivity (triangles in 2D,
 tetrahedra in 3D), named facet groups (node tuples) and per-direction
@@ -12,6 +12,8 @@ values.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -32,8 +34,23 @@ class MeshFormatError(ValueError):
         self.line = line
 
 
+def per_mesh(build):
+    """Decorator: ``build(mesh)`` runs once per mesh instance; its result,
+    made of read-only arrays, is kept on the mesh and shared by all callers."""
+    key = f"{build.__module__}.{build.__qualname__}"
+
+    @functools.wraps(build)
+    def cached(mesh):
+        if key not in mesh._cache:
+            mesh._cache[key] = build(mesh)
+        return mesh._cache[key]
+    return cached
+
+
 class Mesh:
     """Conforming simplex mesh (P1 geometry).
+
+    Immutable after construction; the data ``per_mesh`` caches on it relies on this.
 
     Parameters
     ----------
@@ -62,8 +79,6 @@ class Mesh:
             raise MeshError(f"nodes must have shape (N, {dim})")
         if self.cells.ndim != 2 or self.cells.shape[1] != dim + 1:
             raise MeshError(f"cells must have shape (M, {dim + 1})")
-        if self.cells.size and (self.cells.min() < 0 or self.cells.max() >= len(self.nodes)):
-            raise MeshError("cell connectivity references nodes out of range")
         self.facet_groups = {
             name: np.ascontiguousarray(f, dtype=np.int64).reshape(-1, dim)
             for name, f in (facet_groups or {}).items()
@@ -72,7 +87,17 @@ class Mesh:
             name: np.ascontiguousarray(p, dtype=np.int64).reshape(-1, 2)
             for name, p in (periodic_pairs or {}).items()
         }
+        self._check_range("cell connectivity", self.cells)
+        for name, facets in self.facet_groups.items():
+            self._check_range(f"facet group {name!r}", facets)
+        for name, pairs in self.periodic_pairs.items():
+            self._check_range(f"periodic pairing {name!r}", pairs)
         self.fields = dict(fields or {})
+        self._cache = {}
+
+    def _check_range(self, what, index):
+        if index.size and (index.min() < 0 or index.max() >= len(self.nodes)):
+            raise MeshError(f"{what} references nodes out of range")
 
     # -- basic queries -----------------------------------------------------
 
@@ -84,14 +109,17 @@ class Mesh:
     def num_cells(self):
         return len(self.cells)
 
+    @per_mesh
     def cell_volumes(self):
-        """Signed simplex measures (areas in 2D, volumes in 3D)."""
+        """Signed simplex measures (areas in 2D, volumes in 3D), read-only."""
         x = self.nodes[self.cells]
         e = x[:, 1:, :] - x[:, :1, :]
         if self.dim == 2:
-            return 0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
-        det = np.linalg.det(e)
-        return det / 6.0
+            vols = 0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
+        else:
+            vols = np.linalg.det(e) / 6.0
+        vols.flags.writeable = False
+        return vols
 
     def facet_measures(self, name):
         """Lengths (2D) or areas (3D) of the facets in a group."""
@@ -156,11 +184,6 @@ class Mesh:
         lo = self.nodes.min(axis=0)
         hi = self.nodes.max(axis=0)
         return float(np.linalg.norm(hi - lo))
-
-    def with_nodes(self, nodes):
-        """Copy of the mesh with transformed node coordinates."""
-        return Mesh(self.dim, nodes, self.cells, self.facet_groups,
-                    self.periodic_pairs, self.fields)
 
     def with_fields(self, **fields):
         merged = dict(self.fields)
@@ -279,6 +302,33 @@ class _Reader:
             return None
         return self.lines[self.pos].strip()
 
+    def header(self, usage):
+        """Block header shaped like ``usage`` ('group <name> K'): (names, count)."""
+        keyword = usage.split()[0]
+        text, ln = self.next(f"{keyword} header")
+        parts = text.split()
+        if len(parts) != len(usage.split()) or parts[0] != keyword:
+            raise MeshFormatError(f"expected '{usage}', got {text!r}", line=ln)
+        try:
+            return parts[1:-1], int(parts[-1])
+        except ValueError:
+            raise MeshFormatError(f"bad count in {text!r}", line=ln) from None
+
+    def rows(self, count, width, convert, what):
+        """``count`` lines of ``width`` values each, converted by ``convert``."""
+        out = []
+        for _ in range(count):
+            text, ln = self.next(what)
+            vals = text.split()
+            if len(vals) != width:
+                raise MeshFormatError(f"{what} needs {width} values, got {len(vals)}",
+                                      line=ln)
+            try:
+                out.append([convert(v) for v in vals])
+            except ValueError as exc:
+                raise MeshFormatError(f"bad {what} {text!r}: {exc}", line=ln) from None
+        return out
+
 
 def load_mesh(path):
     """Read a perfomesh v1 file back into a Mesh."""
@@ -286,103 +336,41 @@ def load_mesh(path):
     header, ln = r.next("format header")
     if header != FORMAT_HEADER:
         raise MeshFormatError(f"unsupported format header {header!r}", line=ln)
-
-    def expect_count(keyword):
-        text, ln = r.next(f"{keyword} count")
-        parts = text.split()
-        if len(parts) != 2 or parts[0] != keyword:
-            raise MeshFormatError(f"expected '{keyword} N', got {text!r}", line=ln)
-        try:
-            return int(parts[1])
-        except ValueError:
-            raise MeshFormatError(f"bad count in {text!r}", line=ln) from None
-
-    n_nodes = expect_count("nodes")
-    coords = []
-    dim = None
-    for _ in range(n_nodes):
-        text, ln = r.next("node coordinates")
-        vals = text.split()
-        if dim is None:
-            dim = len(vals)
-            if dim not in (2, 3):
-                raise MeshFormatError(f"nodes must have 2 or 3 coordinates, got {dim}", line=ln)
-        if len(vals) != dim:
-            raise MeshFormatError(f"expected {dim} coordinates, got {len(vals)}", line=ln)
-        try:
-            coords.append([float(v) for v in vals])
-        except ValueError:
-            raise MeshFormatError(f"bad coordinate in {text!r}", line=ln) from None
-    if dim is None:
+    _, n_nodes = r.header("nodes N")
+    if n_nodes <= 0 or r.peek() is None:
         raise MeshFormatError("mesh has no nodes", line=r.pos)
+    dim = len(r.peek().split())
+    if dim not in (2, 3):
+        raise MeshFormatError(f"nodes must have 2 or 3 coordinates, got {dim}",
+                              line=r.pos + 1)
+    coords = r.rows(n_nodes, dim, float, "node")
 
-    n_cells = expect_count("cells")
-    cells = []
-    for _ in range(n_cells):
-        text, ln = r.next("cell connectivity")
-        vals = text.split()
-        if len(vals) != dim + 1:
-            raise MeshFormatError(f"expected {dim + 1} node indices, got {len(vals)}", line=ln)
-        try:
-            cells.append([int(v) for v in vals])
-        except ValueError:
-            raise MeshFormatError(f"bad index in {text!r}", line=ln) from None
+    def index(v):
+        i = int(v)
+        if not 0 <= i < n_nodes:
+            raise ValueError(f"node {i} out of range")
+        return i
 
+    cells = r.rows(r.header("cells N")[1], dim + 1, index, "cell")
     groups, periodic, fields = {}, {}, {}
-    while True:
-        head = r.peek()
-        if head is None:
-            break
-        parts = head.split()
-        keyword = parts[0]
+    while (head := r.peek()) is not None:
+        keyword = head.split()[0]
         if keyword == "group":
-            _, ln = r.next("group header")
-            if len(parts) != 3:
-                raise MeshFormatError(f"expected 'group <name> K', got {head!r}", line=ln)
-            name, count = parts[1], int(parts[2])
-            facets = []
-            for _ in range(count):
-                text, ln = r.next("facet")
-                vals = text.split()
-                if len(vals) != dim:
-                    raise MeshFormatError(f"facet needs {dim} indices, got {len(vals)}", line=ln)
-                facets.append([int(v) for v in vals])
-            groups[name] = np.array(facets, dtype=np.int64).reshape(-1, dim)
+            (name,), count = r.header("group <name> K")
+            groups[name] = np.array(r.rows(count, dim, index, "facet"),
+                                    dtype=np.int64).reshape(-1, dim)
         elif keyword == "periodic":
-            _, ln = r.next("periodic header")
-            if len(parts) != 3:
-                raise MeshFormatError(f"expected 'periodic <dir> K', got {head!r}", line=ln)
-            name, count = parts[1], int(parts[2])
-            pairs = []
-            for _ in range(count):
-                text, ln = r.next("periodic pair")
-                vals = text.split()
-                if len(vals) != 2:
-                    raise MeshFormatError("periodic pair needs 2 indices", line=ln)
-                pairs.append([int(v) for v in vals])
-            periodic[name] = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+            (name,), count = r.header("periodic <dir> K")
+            periodic[name] = np.array(r.rows(count, 2, index, "periodic pair"),
+                                      dtype=np.int64).reshape(-1, 2)
         elif keyword == "field":
-            _, ln = r.next("field header")
-            if len(parts) != 4:
-                raise MeshFormatError(f"expected 'field <name> <kind> N', got {head!r}", line=ln)
-            name, kind, count = parts[1], parts[2], int(parts[3])
-            if kind not in ("real", "complex"):
-                raise MeshFormatError(f"unknown field kind {kind!r}", line=ln)
-            vals = []
-            for _ in range(count):
-                text, ln = r.next("field value")
-                toks = text.split()
-                try:
-                    if kind == "complex":
-                        if len(toks) != 2:
-                            raise ValueError
-                        vals.append(complex(float(toks[0]), float(toks[1])))
-                    else:
-                        if len(toks) != 1:
-                            raise ValueError
-                        vals.append(float(toks[0]))
-                except ValueError:
-                    raise MeshFormatError(f"bad field value {text!r}", line=ln) from None
+            (name, kind), count = r.header("field <name> <kind> N")
+            if kind == "complex":
+                vals = [complex(re, im) for re, im in r.rows(count, 2, float, "field value")]
+            elif kind == "real":
+                vals = [v for (v,) in r.rows(count, 1, float, "field value")]
+            else:
+                raise MeshFormatError(f"unknown field kind {kind!r}", line=r.pos)
             fields[name] = np.array(vals)
         else:
             raise MeshFormatError(f"unknown block {head!r}", line=r.pos + 1)

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cell_mesh import generate_unit_cell_mesh
-from .cell_problems import solve_cell_problems
-from .coefficients import compute_coefficients, verify_symmetries
+from .coefficients import cell_pipeline
 from .fem import FluidProperties
-from .flow import solve_cell_potential_flow, solve_macro_potential_flow, uniform_macro_flow
+from .flow import solve_macro_potential_flow, uniform_macro_flow
 from .geometry import CellGeometry, WaveguideGeometry
 from .duct_mesh import generate_waveguide_mesh
 from .waveguide import MacroProblem, frequency_sweep
@@ -51,12 +50,9 @@ def build_interface_coefficients(cell_geom: CellGeometry, element_u3,
     q = quantize_speeds(element_u3, quantum)
     mesh = cell_mesh if cell_mesh is not None else \
         generate_unit_cell_mesh(cell_geom, resolution)
-    by_speed = {}
-    for u3 in sorted(set(q.tolist())):
-        flw = solve_cell_potential_flow(mesh, u3, props, residual_tol)
-        sols = solve_cell_problems(mesh, flw, props, residual_tol)
-        prov = dict(phi_deg=cell_geom.hole_slope_deg, u3=u3)
-        by_speed[u3] = compute_coefficients(mesh, flw, sols, props, prov)
+    by_speed = {u3: cell_pipeline(cell_geom, u3, resolution, props, residual_tol,
+                                  mesh=mesh)[3]
+                for u3 in sorted(set(q.tolist()))}
     coeffs = [by_speed[u3] for u3 in q]
     return InterfaceCoefficientTable(element_u3, q, coeffs, by_speed)
 

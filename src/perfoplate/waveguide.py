@@ -138,13 +138,6 @@ class MacroSolution:
     def g0(self):
         return 0.5 * (self.Gp + self.Gm)
 
-    @property
-    def pressure_jump(self):
-        return self.trace_plus - self.trace_minus
-
-    def flux_jump(self, eps0):
-        return (self.Gp - self.Gm) / eps0
-
 
 # 1D P1 element matrices on a segment of length L
 def _mass1d(L):

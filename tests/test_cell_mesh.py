@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from perfoplate import fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
-from perfoplate.geometry import CellGeometry
+from perfoplate.geometry import CellGeometry, GeometryError
+from perfoplate.mesh import Mesh
 
 
 def fluid_volume_formula(geom):
@@ -91,3 +95,25 @@ def test_opposite_slants_are_mirror_meshes():
     flipped[:, 0] = 1.0 - flipped[:, 0]
     np.testing.assert_allclose(np.sort(mp.nodes[:, 0]), np.sort(flipped[:, 0]),
                                atol=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(b1=st.floats(0.5, 2.0), b2=st.floats(0.5, 2.0),
+       hole_diameter=st.floats(0.05, 0.6), slope=st.floats(-60.0, 60.0))
+def test_periodic_pairing_on_random_cells(b1, b2, hole_diameter, slope):
+    try:
+        geom = CellGeometry(b1=b1, b2=b2, hole_diameter=hole_diameter,
+                            hole_slope_deg=slope)
+        m = generate_unit_cell_mesh(geom, 0.2)
+    except GeometryError:
+        assume(False)
+    tol = 1e-9 * m.diameter()
+    for key, shift in (("d1", (b1, 0.0, 0.0)), ("d2", (0.0, b2, 0.0))):
+        pairs = m.periodic_pairs[key]
+        gap = m.nodes[pairs[:, 1]] - m.nodes[pairs[:, 0]] - shift
+        assert np.abs(gap).max() <= tol
+    T = fem.periodic_reduction(m)
+    assert set(np.asarray(T.sum(axis=0)).ravel().tolist()) <= {1.0, 2.0, 4.0}
+    fresh = fem.periodic_reduction(Mesh(3, m.nodes, m.cells, m.facet_groups,
+                                        m.periodic_pairs))
+    assert fresh is not T and fresh.shape == T.shape and (fresh != T).nnz == 0

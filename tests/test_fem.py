@@ -69,6 +69,23 @@ def test_advadv_keeps_stiffness_psd(straight_cell_mesh, props):
     assert eigs.min() > -1e-10 * abs(eigs).max()
 
 
+def test_mesh_geometry_computed_once_and_read_only(straight_cell_mesh):
+    m = straight_cell_mesh
+    grads, vols = fem.p1_geometry(m)
+    T = fem.periodic_reduction(m)
+    again = fem.p1_geometry(m)
+    assert again[0] is grads and again[1] is vols and m.cell_volumes() is vols
+    assert fem.periodic_reduction(m) is T
+    for arr in (grads, vols, T.data, T.indices, T.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    copy = m.with_fields(extra=np.zeros(m.num_nodes))
+    grads2, vols2 = fem.p1_geometry(copy)
+    assert grads2 is not grads and vols2 is not vols
+    assert fem.periodic_reduction(copy) is not T
+    np.testing.assert_array_equal(grads2, grads)
+
+
 def test_periodic_reduction_preserves_symmetry_class(straight_cell_mesh, props):
     T = fem.periodic_reduction(straight_cell_mesh)
     K = fem.stiffness_matrix(straight_cell_mesh)

@@ -205,6 +205,69 @@ def test_pairing_complete_and_disjoint(straight_cell_mesh):
     assert paired == set(lateral.tolist())
 
 
+TRIANGLE_NODES = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+TET_NODES = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+
+
+@pytest.mark.parametrize("dim, nodes, cell", [
+    (2, TRIANGLE_NODES, [0, 2, 1]),                                   # inverted
+    (2, [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [0, 1, 2]),            # zero area
+    (3, TET_NODES, [0, 2, 1, 3]),                                     # inverted
+    (3, TET_NODES[:3] + [(1.0, 1.0, 0.0)], [0, 1, 2, 3]),             # zero volume
+])
+def test_validate_rejects_non_positive_volume(dim, nodes, cell):
+    with pytest.raises(MeshError, match="non-positive volume"):
+        Mesh(dim, np.array(nodes), np.array([cell])).validate()
+
+
+@pytest.mark.parametrize("kwargs", [dict(facet_groups={"g": [[0, 3]]}),
+                                    dict(periodic_pairs={"d": [[0, 3]]}),
+                                    dict(periodic_pairs={"d": [[-1, 0]]})])
+def test_mesh_rejects_node_indices_out_of_range(kwargs):
+    with pytest.raises(MeshError, match="out of range"):
+        Mesh(2, np.array(TRIANGLE_NODES), np.array([[0, 1, 2]]), **kwargs)
+
+
+SMALL_MESH_TEXT = """perfomesh v1
+nodes 3
+0 0
+1 0
+0 1
+cells 1
+0 1 2
+group g 1
+0 1
+periodic d 1
+0 2
+field f real 3
+0
+1
+2
+"""
+
+
+@pytest.mark.parametrize("line, text", [
+    (8, "group g x"),          # non-integer counts
+    (10, "periodic d x"),
+    (12, "field f real x"),
+    (9, "0 x"),                # non-integer indices
+    (11, "0 x"),
+    (9, "0 9"),                # indices beyond the node range
+    (11, "9 0"),
+])
+def test_malformed_block_reports_line(tmp_path, line, text):
+    path = tmp_path / "m.msh"
+    path.write_text(SMALL_MESH_TEXT)
+    assert load_mesh(path).periodic_pairs["d"].tolist() == [[0, 2]]
+    lines = SMALL_MESH_TEXT.splitlines()
+    lines[line - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshFormatError) as err:
+        load_mesh(path)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: ")
+
+
 def test_validate_catches_group_overlap():
     m = box_with_lateral_groups()
     groups = dict(m.facet_groups)
