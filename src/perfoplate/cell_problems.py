@@ -15,11 +15,20 @@ import scipy.sparse as sp
 
 from . import fem
 from .fem import FluidProperties
-from .flow import FlowField
+from .flow import FlowField, unit_cell_flow
+from .mesh import per_mesh
 
 
 class MachBoundError(RuntimeError):
     """Advection too fast for the flow-modified operator to stay coercive."""
+
+
+@per_mesh
+def unit_advection_matrix(mesh):
+    """W of the mesh's u3 = 1 cell flow, read-only; the flow u3 * w1 has W = u3^2 * W1."""
+    _, velocity, _ = unit_cell_flow(mesh)
+    advection, _ = fem.advection_matrices(mesh, velocity)
+    return fem.read_only(advection)
 
 
 class CellOperator:
@@ -43,11 +52,13 @@ class CellOperator:
         self.flow = flow
         self.properties = props
         self.xi = fem.xi_measure(mesh)
-        stiffness = fem.stiffness_matrix(mesh)
-        if speed > 0.0:
-            advection, _ = fem.advection_matrices(mesh, flow.velocity)
-        else:
+        stiffness = fem.shared_stiffness_matrix(mesh)
+        if speed == 0.0:
             advection = sp.csr_matrix(stiffness.shape)
+        elif flow.unit_scale is not None:
+            advection = flow.unit_scale ** 2 * unit_advection_matrix(flow.mesh)
+        else:
+            advection, _ = fem.advection_matrices(mesh, flow.velocity)
         self.matrix = (stiffness - (props.tau / props.c ** 2) * advection) / self.xi
         self._solver = fem.ZeroMeanSolver(mesh, self.matrix, residual_tol,
                                           scale=self.xi)

@@ -221,8 +221,10 @@ def _sweep_one_angle(args):
     rows = []
     for u3 in u3_values:
         try:
-            _, flw, _, coeffs = cell_pipeline(geom, u3, resolution, properties,
-                                              mesh=mesh)
+            # keep only the flow and the coefficients: the solution set holds
+            # the factorization, which must be freed before the next point
+            flw, coeffs = cell_pipeline(geom, u3, resolution, properties,
+                                        mesh=mesh)[1::2]
             report = verify_symmetries(coeffs, tol, properties,
                                        speed_scale=max(flw.max_speed(), abs(u3)))
             rows.append((geom.hole_slope_deg, u3, coeffs, report.max_defect, None))

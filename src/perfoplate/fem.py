@@ -108,6 +108,20 @@ def stiffness_matrix(mesh):
     return _scatter(mesh, elem)
 
 
+@per_mesh
+def shared_stiffness_matrix(mesh):
+    """``stiffness_matrix(mesh)`` built once per mesh, with read-only arrays:
+    the cell flow and every cell operator on the mesh reuse it."""
+    return read_only(stiffness_matrix(mesh))
+
+
+def read_only(matrix):
+    """Mark the arrays of a CSR matrix read-only (for per-mesh caching)."""
+    for a in (matrix.data, matrix.indices, matrix.indptr):
+        a.flags.writeable = False
+    return matrix
+
+
 def mass_matrix(mesh):
     n = mesh.dim + 1
     base = (np.ones((n, n)) + np.eye(n)) / (n * (n + 1))
@@ -193,10 +207,8 @@ def periodic_reduction(mesh):
                 parent[hi] = lo
     root = np.array([find(i) for i in range(n)])
     uniq, red = np.unique(root, return_inverse=True)
-    T = sp.coo_matrix((np.ones(n), (np.arange(n), red)), shape=(n, len(uniq))).tocsr()
-    for a in (T.data, T.indices, T.indptr):
-        a.flags.writeable = False
-    return T
+    return read_only(
+        sp.coo_matrix((np.ones(n), (np.arange(n), red)), shape=(n, len(uniq))).tocsr())
 
 
 class ZeroMeanSolver:
@@ -226,22 +238,33 @@ class ZeroMeanSolver:
         """Full nodal zero-mean periodic solution of (matrix) u = rhs.
 
         The right side must be compatible (orthogonal to constants) within
-        1e-10 relative; this is asserted, not fixed up.
+        1e-10 relative; this is asserted, not fixed up.  The relative
+        residual must be within ``residual_tol``.
         """
+        u, residual = self.solve_with_residual(rhs_full)
+        check_residual(residual, self.residual_tol)
+        return u
+
+    def solve_with_residual(self, rhs_full):
+        """``solve`` without the residual check: (solution, relative residual)."""
         rhs = self.reduction.T @ np.asarray(rhs_full, dtype=float)
         norm = np.linalg.norm(rhs)
         if norm <= self._zero_floor:
-            return np.zeros(self.mesh.num_nodes)
+            return np.zeros(self.mesh.num_nodes), 0.0
         defect = abs(rhs.sum())
         if defect / norm > 1e-10:
             raise SolverError(
                 f"pure-Neumann right side incompatible: defect {defect / norm:.3e}")
         x = self._lu.solve(np.concatenate([rhs, [0.0]]))
         resid = np.linalg.norm(self._reduced @ x[:-1] + self._mean * x[-1] - rhs)
-        if not np.isfinite(resid) or resid / norm > self.residual_tol:
-            raise SolverError(f"zero-mean solve residual {resid / norm:.3e} "
-                              f"exceeds {self.residual_tol:.1e}")
-        return self.reduction @ x[:-1]
+        return self.reduction @ x[:-1], resid / norm
+
+
+def check_residual(residual, residual_tol):
+    """Raise SolverError unless a relative residual is finite and within tolerance."""
+    if not np.isfinite(residual) or residual > residual_tol:
+        raise SolverError(f"zero-mean solve residual {residual:.3e} "
+                          f"exceeds {residual_tol:.1e}")
 
 
 # -- integration -------------------------------------------------------------

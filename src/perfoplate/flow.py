@@ -6,10 +6,13 @@ recovery by volume-weighted cell-gradient averaging.  Flux bookkeeping uses
 variationally consistent (residual-based) boundary fluxes, which satisfy
 discrete conservation to solver precision; pointwise surface integrals of
 the recovered nodal field only conserve up to discretization error.
+The cell flow is linear in the through-flow speed u3, so it is solved once
+per cell mesh at u3 = 1 and scaled.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +20,7 @@ import numpy as np
 from . import fem
 from .duct_mesh import GROUP_IN, GROUP_OUT, GROUP_IFACE_PLUS, interface_nodes
 from .fem import FluidProperties
+from .mesh import per_mesh
 
 
 class FlowError(RuntimeError):
@@ -25,12 +29,19 @@ class FlowError(RuntimeError):
 
 @dataclass
 class FlowField:
-    """Nodal advection velocity and its potential on a mesh."""
+    """Nodal advection velocity and its potential on a mesh.
+
+    ``unit_scale`` is None, or the factor s for which this field is s times
+    the u3 = 1 cell flow of its mesh (``unit_cell_flow``); the cell operator
+    then scales that flow's per-mesh advection matrix instead of assembling
+    one.  Only ``solve_cell_potential_flow`` and ``scaled`` set it.
+    """
 
     mesh: object
     velocity: np.ndarray
     potential: np.ndarray
     properties: FluidProperties = field(default_factory=FluidProperties)
+    unit_scale: float | None = None
 
     def max_speed(self) -> float:
         return float(np.linalg.norm(self.velocity, axis=1).max(initial=0.0))
@@ -41,8 +52,9 @@ class FlowField:
         return self.max_speed() < self.properties.mach_speed_limit
 
     def scaled(self, factor):
+        unit_scale = None if self.unit_scale is None else factor * self.unit_scale
         return FlowField(self.mesh, factor * self.velocity,
-                         factor * self.potential, self.properties)
+                         factor * self.potential, self.properties, unit_scale)
 
 
 def uniform_flow(mesh, w_vec, properties=None):
@@ -69,37 +81,39 @@ def _recover_velocity(mesh, potential):
     return (T @ (T.T @ num)) / (T @ (T.T @ den))[:, None]
 
 
-def solve_cell_potential_flow(mesh, u3, properties=None, residual_tol=1e-10):
-    """Xi-periodic cell flow driven by transverse speed u3 through I+/I-.
+@per_mesh
+def unit_cell_flow(mesh):
+    """The u3 = 1 cell flow of a mesh: (potential, velocity, relative residual).
 
-    The potential solves a pure-Neumann Laplace problem with w.n = +u3 on
-    I+ and -u3 on I- (net upward through-flow) and impermeable plate walls.
+    The potential solves a pure-Neumann Laplace problem with w.n = +1 on
+    I+ and -1 on I- (net upward through-flow) and impermeable plate walls.
+    The problem is linear in u3, so every other speed scales this flow.
+    Only the fields are kept; the factorization is dropped on return.
     """
+    rhs = -(fem.boundary_load_vector(mesh, "I+")
+            - fem.boundary_load_vector(mesh, "I-"))
+    # the solver (and its factorization) is freed as soon as the solve
+    # returns; each caller checks the residual against its own tolerance
+    pot, residual = fem.ZeroMeanSolver(
+        mesh, fem.shared_stiffness_matrix(mesh), math.inf).solve_with_residual(rhs)
+    vel = _recover_velocity(mesh, pot)
+    pot.flags.writeable = False
+    vel.flags.writeable = False
+    return pot, vel, residual
+
+
+def solve_cell_potential_flow(mesh, u3, properties=None, residual_tol=1e-10):
+    """Xi-periodic cell flow driven by transverse speed u3 through I+/I-:
+    the mesh's ``unit_cell_flow`` scaled by u3."""
     props = properties or FluidProperties()
     if not np.isfinite(u3):
         raise FlowError("u3 must be finite")
     if u3 == 0.0:
         zero = np.zeros(mesh.num_nodes)
         return FlowField(mesh, np.zeros((mesh.num_nodes, 3)), zero, props)
-    rhs = -u3 * (fem.boundary_load_vector(mesh, "I+")
-                 - fem.boundary_load_vector(mesh, "I-"))
-    solver = fem.ZeroMeanSolver(mesh, fem.stiffness_matrix(mesh), residual_tol)
-    pot = solver.solve(rhs)
-    vel = _recover_velocity(mesh, pot)
-    return FlowField(mesh, vel, pot, props)
-
-
-def boundary_flux(flow, group):
-    """Consistent outward flux of w through a facet group.
-
-    Computed from the stiffness residual of the potential (the discrete
-    weak flux), folded across periodic identifications.
-    """
-    mesh = flow.mesh
-    T = fem.periodic_reduction(mesh)
-    rr = T.T @ (fem.stiffness_matrix(mesh) @ flow.potential)
-    red = np.unique(T.indices[mesh.group_nodes(group)])
-    return -float(rr[red].sum())
+    pot, vel, residual = unit_cell_flow(mesh)
+    fem.check_residual(residual, residual_tol)
+    return FlowField(mesh, vel, pot, props, unit_scale=1.0).scaled(u3)
 
 
 # -- waveguide ---------------------------------------------------------------

@@ -26,6 +26,16 @@ def test_operator_symmetric_exactly(slant_cell_mesh, props):
     assert abs(op.matrix - op.matrix.T).max() < 1e-14 * abs(op.matrix).max()
 
 
+@pytest.mark.parametrize("u3", [-2.0, 3.0])
+def test_operator_from_unit_advection_matches_assembly(slant_cell_mesh, props, u3):
+    flow = solve_cell_potential_flow(slant_cell_mesh, u3, props)
+    op = assemble_Aw(slant_cell_mesh, flow, props)
+    W, _ = fem.advection_matrices(slant_cell_mesh, flow.velocity)
+    fresh = (fem.stiffness_matrix(slant_cell_mesh)
+             - (props.tau / props.c ** 2) * W) / op.xi
+    assert abs(op.matrix - fresh).max() <= 1e-13 * abs(fresh).max()
+
+
 def test_operator_psd_near_bound(straight_cell_mesh, props):
     speed = 0.99 * props.mach_speed_limit
     flow = uniform_flow(straight_cell_mesh, (0.0, 0.0, speed), props)

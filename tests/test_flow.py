@@ -2,14 +2,29 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from perfoplate import fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.duct_mesh import interface_nodes
-from perfoplate.flow import (FlowError, boundary_flux, solve_cell_potential_flow,
+from perfoplate.fem import SolverError
+from perfoplate.flow import (FlowError, _recover_velocity, solve_cell_potential_flow,
                              solve_macro_potential_flow, uniform_flow,
-                             uniform_macro_flow)
+                             uniform_macro_flow, unit_cell_flow)
 from perfoplate.geometry import CellGeometry
+
+
+def boundary_flux(flow, group):
+    """Consistent outward flux of w through a facet group.
+
+    Computed from the stiffness residual of the potential (the discrete
+    weak flux), folded across periodic identifications.
+    """
+    mesh = flow.mesh
+    T = fem.periodic_reduction(mesh)
+    rr = T.T @ (fem.stiffness_matrix(mesh) @ flow.potential)
+    red = np.unique(T.indices[mesh.group_nodes(group)])
+    return -float(rr[red].sum())
 
 
 def test_zero_speed_gives_zero_field(straight_cell_mesh, props):
@@ -72,6 +87,64 @@ def test_linearity(straight_cell_mesh, props):
     f1 = solve_cell_potential_flow(straight_cell_mesh, 1.0, props)
     f3 = solve_cell_potential_flow(straight_cell_mesh, 3.0, props)
     np.testing.assert_allclose(f3.velocity, 3.0 * f1.velocity, atol=1e-9)
+
+
+@pytest.mark.parametrize("u3", [-2.0, 0.5, 3.0])
+def test_scaled_unit_flow_matches_direct_solve(slant_cell_mesh, props, u3):
+    m = slant_cell_mesh
+    f = solve_cell_potential_flow(m, u3, props)
+    rhs = -u3 * (fem.boundary_load_vector(m, "I+") - fem.boundary_load_vector(m, "I-"))
+    pot = fem.ZeroMeanSolver(m, fem.stiffness_matrix(m), 1e-10).solve(rhs)
+    vel = _recover_velocity(m, pot)
+    assert np.linalg.norm(f.potential - pot) <= 1e-12 * np.linalg.norm(pot)
+    assert np.linalg.norm(f.velocity - vel) <= 1e-12 * np.linalg.norm(vel)
+    assert f.unit_scale == u3 and f.properties is props
+
+
+@pytest.fixture
+def fresh_cell_mesh():
+    """A cell mesh no other test has touched, so its per-mesh cache is empty."""
+    return generate_unit_cell_mesh(CellGeometry(), 0.15)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    calls = []
+    real = spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(spla, "splu", counting)
+    return calls
+
+
+def test_second_speed_reuses_unit_flow(fresh_cell_mesh, props, splu_calls):
+    m = fresh_cell_mesh
+    first = solve_cell_potential_flow(m, 1.5, props)
+    assert len(splu_calls) == 1
+    second = solve_cell_potential_flow(m, -2.5, props)
+    assert len(splu_calls) == 1
+    pot, vel, _ = unit_cell_flow(m)
+    np.testing.assert_array_equal(first.velocity, 1.5 * vel)
+    np.testing.assert_array_equal(second.potential, -2.5 * pot)
+    K = fem.shared_stiffness_matrix(m)
+    for a in (pot, vel, K.data, K.indices, K.indptr):
+        assert not a.flags.writeable
+    assert second.velocity.flags.writeable and second.potential.flags.writeable
+
+
+def test_zero_speed_builds_no_unit_flow(fresh_cell_mesh, props, splu_calls):
+    m = fresh_cell_mesh
+    before = set(m._cache)
+    solve_cell_potential_flow(m, 0.0, props)
+    assert set(m._cache) == before and not splu_calls
+
+
+def test_residual_contract_holds_on_cached_flow(straight_cell_mesh, props):
+    solve_cell_potential_flow(straight_cell_mesh, 1.0, props)  # fills the cache
+    with pytest.raises(SolverError, match="residual"):
+        solve_cell_potential_flow(straight_cell_mesh, 2.0, props, residual_tol=1e-30)
 
 
 def test_throat_speed_mass_conservation():
