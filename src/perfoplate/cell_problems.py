@@ -42,6 +42,8 @@ class CellOperator:
 
     def __init__(self, mesh, flow: FlowField, properties: FluidProperties | None = None,
                  residual_tol: float = 1e-10):
+        if flow.mesh is not mesh:
+            raise fem.AssemblyError("the flow must live on the operator's mesh")
         props = properties or flow.properties
         speed = flow.max_speed()
         if speed >= props.mach_speed_limit:
@@ -52,11 +54,11 @@ class CellOperator:
         self.flow = flow
         self.properties = props
         self.xi = fem.xi_measure(mesh)
-        stiffness = fem.shared_stiffness_matrix(mesh)
+        stiffness = fem.stiffness_matrix(mesh)
         if speed == 0.0:
             advection = sp.csr_matrix(stiffness.shape)
         elif flow.unit_scale is not None:
-            advection = flow.unit_scale ** 2 * unit_advection_matrix(flow.mesh)
+            advection = flow.unit_scale ** 2 * unit_advection_matrix(mesh)
         else:
             advection, _ = fem.advection_matrices(mesh, flow.velocity)
         self.matrix = (stiffness - (props.tau / props.c ** 2) * advection) / self.xi

@@ -70,7 +70,8 @@ def cmd_sweep(cfg, out: Path, jobs=1):
     props = cfg.fluid_properties()
     rows, failures = sweep_coefficients(
         cfg.cell_geometry(), cfg.sweep_phis(), cfg.sweep_u3(),
-        cfg["cell.resolution"], props, jobs=jobs)
+        cfg["cell.resolution"], props, jobs=jobs,
+        residual_tol=cfg["run.residual_tol"])
     _write(out / "coefficients.csv", rows_to_csv(rows))
     written = ["coefficients.csv"]
     if failures:
@@ -149,7 +150,7 @@ def build_parser():
     parser.add_argument("--jobs", type=int, default=None,
                         help=f"worker processes (default: ${JOBS_ENV_VAR} or 1)")
     parser.add_argument("--tol", type=float, default=None,
-                        help="override solver residual tolerance")
+                        help="override the residual tolerance of every linear solve")
     return parser
 
 

@@ -60,15 +60,6 @@ class HomogenizedCoefficients:
                 self.zeta_star, defect]
 
 
-def empty_cell_coefficients(kappa=1.0) -> HomogenizedCoefficients:
-    """Analytic no-plate, no-flow coefficients (fully transparent layer)."""
-    z = np.zeros(2)
-    return HomogenizedCoefficients(
-        A=kappa * np.eye(2), B=z.copy(), Bp=z.copy(), F=kappa, Mw=0.0,
-        Tw=0.0, Twp=0.0, Wbar=z.copy(), Wbarp=z.copy(), Qw=z.copy(),
-        zeta_star=1.0, kappa=kappa)
-
-
 def compute_coefficients(mesh, flow, sols: CellSolutionSet,
                          properties=None) -> HomogenizedCoefficients:
     """Evaluate all interface coefficients from one cell solution set."""
@@ -216,7 +207,7 @@ def cell_pipeline(geom: CellGeometry, u3, resolution, properties,
 
 
 def _sweep_one_angle(args):
-    geom, u3_values, resolution, properties, tol = args
+    geom, u3_values, resolution, properties, tol, residual_tol = args
     mesh = generate_unit_cell_mesh(geom, resolution)
     rows = []
     for u3 in u3_values:
@@ -224,7 +215,7 @@ def _sweep_one_angle(args):
             # keep only the flow and the coefficients: the solution set holds
             # the factorization, which must be freed before the next point
             flw, coeffs = cell_pipeline(geom, u3, resolution, properties,
-                                        mesh=mesh)[1::2]
+                                        residual_tol, mesh=mesh)[1::2]
             report = verify_symmetries(coeffs, tol, properties,
                                        speed_scale=max(flw.max_speed(), abs(u3)))
             rows.append((geom.hole_slope_deg, u3, coeffs, report.max_defect, None))
@@ -234,7 +225,8 @@ def _sweep_one_angle(args):
 
 
 def sweep_coefficients(base_geom: CellGeometry, phi_degrees, u3_values,
-                       resolution, properties, tol=1e-8, jobs=1):
+                       resolution, properties, tol=1e-8, jobs=1,
+                       residual_tol=1e-10):
     """Coefficient table over hole slopes and through-flow speeds.
 
     Returns (rows, failures): rows are CSV-ready lists in deterministic
@@ -243,7 +235,8 @@ def sweep_coefficients(base_geom: CellGeometry, phi_degrees, u3_values,
     tasks = []
     for phi in phi_degrees:
         geom = replace(base_geom, hole_slope_deg=phi)
-        tasks.append((geom, list(u3_values), resolution, properties, tol))
+        tasks.append((geom, list(u3_values), resolution, properties, tol,
+                      residual_tol))
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_one_angle, tasks))

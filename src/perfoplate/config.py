@@ -106,23 +106,12 @@ class RunConfig:
 
     def frequencies_hz(self):
         f = self.values["frequencies"]
-        n = f["count"]
-        if n < 1:
-            raise ConfigError("frequency count must be >= 1")
-        if n == 1:
-            return [f["f_min"]]
-        step = (f["f_max"] - f["f_min"]) / (n - 1)
-        return [f["f_min"] + i * step for i in range(n)]
+        return _even_grid(f["f_min"], f["f_max"], f["count"], "frequency count")
 
     def sweep_u3(self):
         s = self.values["sweep"]
-        n = s["u3_count"]
-        if n < 1:
-            raise ConfigError("sweep u3_count must be >= 1")
-        if n == 1:
-            return [s["u3_start"]]
-        step = (s["u3_stop"] - s["u3_start"]) / (n - 1)
-        return [s["u3_start"] + i * step for i in range(n)]
+        return _even_grid(s["u3_start"], s["u3_stop"], s["u3_count"],
+                          "sweep u3_count")
 
     def sweep_phis(self):
         text = self.values["sweep"]["phi_list"]
@@ -130,6 +119,16 @@ class RunConfig:
             return [float(p) for p in text.split(",") if p.strip()]
         except ValueError:
             raise ConfigError(f"bad phi_list {text!r}") from None
+
+
+def _even_grid(start, stop, n, what):
+    """``n`` evenly spaced values from start to stop (just start when n == 1)."""
+    if n < 1:
+        raise ConfigError(f"{what} must be >= 1")
+    if n == 1:
+        return [start]
+    step = (stop - start) / (n - 1)
+    return [start + i * step for i in range(n)]
 
 
 def _coerce(section, key, kind, raw):

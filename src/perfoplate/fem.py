@@ -44,14 +44,6 @@ class FluidProperties:
         return (1.0 + self.tau) / 2.0
 
     @property
-    def bulk_modulus(self) -> float:
-        return self.rho0 * self.c * self.c
-
-    @property
-    def compressibility(self) -> float:
-        return 1.0 / self.bulk_modulus
-
-    @property
     def mach_speed_limit(self) -> float:
         """Largest advection speed with a coercive flow-modified operator."""
         return self.c / math.sqrt(self.tau) if self.tau > 0 else math.inf
@@ -93,26 +85,36 @@ _QUAD2 = {
 }
 
 
-def _scatter(mesh, elem):
-    n = mesh.dim + 1
-    rows = np.repeat(mesh.cells, n, axis=1).reshape(-1)
-    cols = np.tile(mesh.cells, (1, n)).reshape(-1)
-    mat = sp.coo_matrix((elem.reshape(-1).astype(float), (rows, cols)),
-                        shape=(mesh.num_nodes, mesh.num_nodes))
-    return mat.tocsr()
+def _scatter(simplices, elem, n_nodes):
+    """Sum dense element blocks, one per simplex, into a CSR matrix."""
+    n = simplices.shape[1]
+    rows = np.repeat(simplices, n, axis=1).reshape(-1)
+    cols = np.tile(simplices, (1, n)).reshape(-1)
+    return sp.coo_matrix((elem.reshape(-1), (rows, cols)),
+                         shape=(n_nodes, n_nodes)).tocsr()
 
 
-def stiffness_matrix(mesh):
-    grads, vols = p1_geometry(mesh)
-    elem = np.einsum('m,mid,mjd->mij', vols, grads, grads)
-    return _scatter(mesh, elem)
+def _simplex_mass(simplices, measures, n_nodes):
+    """P1 mass matrix over a set of simplices (cells or boundary facets)."""
+    n = simplices.shape[1]
+    base = (np.ones((n, n)) + np.eye(n)) / (n * (n + 1))
+    return _scatter(simplices, measures[:, None, None] * base[None, :, :], n_nodes)
+
+
+def _simplex_load(simplices, measures, n_nodes):
+    """Vector of int phi_i over a set of simplices (exact for P1)."""
+    n = simplices.shape[1]
+    out = np.zeros(n_nodes)
+    np.add.at(out, simplices.reshape(-1), np.repeat(measures / n, n))
+    return out
 
 
 @per_mesh
-def shared_stiffness_matrix(mesh):
-    """``stiffness_matrix(mesh)`` built once per mesh, with read-only arrays:
-    the cell flow and every cell operator on the mesh reuse it."""
-    return read_only(stiffness_matrix(mesh))
+def stiffness_matrix(mesh):
+    """P1 stiffness matrix, built once per mesh with read-only arrays."""
+    grads, vols = p1_geometry(mesh)
+    elem = np.einsum('m,mid,mjd->mij', vols, grads, grads)
+    return read_only(_scatter(mesh.cells, elem, mesh.num_nodes))
 
 
 def read_only(matrix):
@@ -123,11 +125,7 @@ def read_only(matrix):
 
 
 def mass_matrix(mesh):
-    n = mesh.dim + 1
-    base = (np.ones((n, n)) + np.eye(n)) / (n * (n + 1))
-    vols = mesh.cell_volumes()
-    elem = vols[:, None, None] * base[None, :, :]
-    return _scatter(mesh, elem)
+    return _simplex_mass(mesh.cells, mesh.cell_volumes(), mesh.num_nodes)
 
 
 def advection_matrices(mesh, velocity):
@@ -147,38 +145,24 @@ def advection_matrices(mesh, velocity):
         scale = wts[q] * vols
         Welem += np.einsum('m,mi,mj->mij', scale, dq, dq)
         Celem += np.einsum('m,i,mj->mij', scale, lam[q], dq)
-    return _scatter(mesh, Welem), _scatter(mesh, Celem)
+    return (_scatter(mesh.cells, Welem, mesh.num_nodes),
+            _scatter(mesh.cells, Celem, mesh.num_nodes))
 
 
 def boundary_mass_matrix(mesh, group):
-    facets = mesh.facet_group(group)
-    meas = mesh.facet_measures(group)
-    n = mesh.dim
-    base = (np.ones((n, n)) + np.eye(n)) / (n * (n + 1))
-    elem = meas[:, None, None] * base[None, :, :]
-    rows = np.repeat(facets, n, axis=1).reshape(-1)
-    cols = np.tile(facets, (1, n)).reshape(-1)
-    return sp.coo_matrix((elem.reshape(-1), (rows, cols)),
-                         shape=(mesh.num_nodes, mesh.num_nodes)).tocsr()
+    return _simplex_mass(mesh.facet_group(group), mesh.facet_measures(group),
+                         mesh.num_nodes)
 
 
 def boundary_load_vector(mesh, group):
     """Vector of int_group phi_i."""
-    facets = mesh.facet_group(group)
-    meas = mesh.facet_measures(group)
-    out = np.zeros(mesh.num_nodes)
-    np.add.at(out, facets.reshape(-1),
-              np.repeat(meas / mesh.dim, mesh.dim))
-    return out
+    return _simplex_load(mesh.facet_group(group), mesh.facet_measures(group),
+                         mesh.num_nodes)
 
 
 def lumped_volume_vector(mesh):
     """Vector of int phi_i (exact for P1)."""
-    vols = mesh.cell_volumes()
-    out = np.zeros(mesh.num_nodes)
-    np.add.at(out, mesh.cells.reshape(-1),
-              np.repeat(vols / (mesh.dim + 1), mesh.dim + 1))
-    return out
+    return _simplex_load(mesh.cells, mesh.cell_volumes(), mesh.num_nodes)
 
 
 # -- constraints -------------------------------------------------------------
@@ -292,12 +276,6 @@ def integrate(mesh, field=None, group=None):
 def xi_measure(mesh):
     """In-plane cell measure |Xi|, read off the top-face group."""
     return mesh.group_measure("I+")
-
-
-def fint(mesh, field=None, group=None, xi=None):
-    """Cell average: any integral over the cell normalized by |Xi|."""
-    xi = xi_measure(mesh) if xi is None else xi
-    return integrate(mesh, field, group) / xi
 
 
 def cell_gradients(mesh, field):

@@ -46,26 +46,10 @@ class FlowField:
     def max_speed(self) -> float:
         return float(np.linalg.norm(self.velocity, axis=1).max(initial=0.0))
 
-    @property
-    def mach_bound_ok(self) -> bool:
-        """True when tau * |w|_inf^2 < c^2 holds for the nodal field."""
-        return self.max_speed() < self.properties.mach_speed_limit
-
     def scaled(self, factor):
         unit_scale = None if self.unit_scale is None else factor * self.unit_scale
         return FlowField(self.mesh, factor * self.velocity,
                          factor * self.potential, self.properties, unit_scale)
-
-
-def uniform_flow(mesh, w_vec, properties=None):
-    """Constant nodal velocity field (test fixture)."""
-    props = properties or FluidProperties()
-    w_vec = np.asarray(w_vec, dtype=float)
-    if w_vec.shape != (mesh.dim,):
-        raise FlowError(f"velocity vector must have {mesh.dim} components")
-    vel = np.tile(w_vec, (mesh.num_nodes, 1))
-    pot = -mesh.nodes @ w_vec
-    return FlowField(mesh, vel, pot, props)
 
 
 def _recover_velocity(mesh, potential):
@@ -95,7 +79,7 @@ def unit_cell_flow(mesh):
     # the solver (and its factorization) is freed as soon as the solve
     # returns; each caller checks the residual against its own tolerance
     pot, residual = fem.ZeroMeanSolver(
-        mesh, fem.shared_stiffness_matrix(mesh), math.inf).solve_with_residual(rhs)
+        mesh, fem.stiffness_matrix(mesh), math.inf).solve_with_residual(rhs)
     vel = _recover_velocity(mesh, pot)
     pot.flags.writeable = False
     vel.flags.writeable = False
@@ -133,10 +117,6 @@ class MacroFlowField:
     def max_speed(self) -> float:
         return float(np.linalg.norm(self.velocity, axis=1).max(initial=0.0))
 
-    @property
-    def mach_bound_ok(self) -> bool:
-        return self.max_speed() < self.properties.mach_speed_limit
-
     def element_u3(self):
         """Per-interface-element transverse speed (endpoint averages)."""
         return 0.5 * (self.interface_u3[:-1] + self.interface_u3[1:])
@@ -155,8 +135,7 @@ def _interface_profile(mesh, potential):
     contrib = np.einsum('m,mid,md->mi', vols[upper], grads[upper], g)
     np.add.at(r, mesh.cells[upper].reshape(-1), contrib.reshape(-1))
     lump = fem.boundary_load_vector(mesh, GROUP_IFACE_PLUS)
-    u3 = r[plus] / lump[plus]
-    return x, u3, float(r[plus].sum())
+    return x, r[plus] / lump[plus]
 
 
 def solve_macro_potential_flow(mesh, u_in, properties=None, residual_tol=1e-10):
@@ -185,7 +164,7 @@ def solve_macro_potential_flow(mesh, u_in, properties=None, residual_tol=1e-10):
     solver = fem.ZeroMeanSolver(mesh, fem.stiffness_matrix(mesh), residual_tol)
     pot = solver.solve(rhs)
     vel = _recover_velocity(mesh, pot)
-    x, u3, total = _interface_profile(mesh, pot)
+    x, u3 = _interface_profile(mesh, pot)
     return MacroFlowField(mesh, vel, pot, u_in, x, u3, props)
 
 

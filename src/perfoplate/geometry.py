@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class GeometryError(ValueError):
@@ -60,11 +60,6 @@ class CellGeometry:
     def thickness(self) -> float:
         """Dimensionless plate thickness (fraction of kappa times kappa)."""
         return self.plate_thickness * self.kappa
-
-    @property
-    def xi_area(self) -> float:
-        """In-plane cell area |Xi| = b1*b2."""
-        return self.b1 * self.b2
 
     @property
     def has_plate(self) -> bool:

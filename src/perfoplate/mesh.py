@@ -47,10 +47,19 @@ def per_mesh(build):
     return cached
 
 
+def _frozen(values, dtype):
+    """Read-only C-ordered copy of an array."""
+    out = np.array(values, dtype=dtype, order="C")
+    out.flags.writeable = False
+    return out
+
+
 class Mesh:
     """Conforming simplex mesh (P1 geometry).
 
-    Immutable after construction; the data ``per_mesh`` caches on it relies on this.
+    Immutable after construction: the node, cell, facet and pair arrays are
+    read-only copies of the caller's, so the data ``per_mesh`` caches on the
+    mesh cannot go stale.
 
     Parameters
     ----------
@@ -73,20 +82,16 @@ class Mesh:
         if dim not in (2, 3):
             raise MeshError(f"dim must be 2 or 3, got {dim}")
         self.dim = int(dim)
-        self.nodes = np.ascontiguousarray(nodes, dtype=float)
-        self.cells = np.ascontiguousarray(cells, dtype=np.int64)
+        self.nodes = _frozen(nodes, float)
+        self.cells = _frozen(cells, np.int64)
         if self.nodes.ndim != 2 or self.nodes.shape[1] != dim:
             raise MeshError(f"nodes must have shape (N, {dim})")
         if self.cells.ndim != 2 or self.cells.shape[1] != dim + 1:
             raise MeshError(f"cells must have shape (M, {dim + 1})")
-        self.facet_groups = {
-            name: np.ascontiguousarray(f, dtype=np.int64).reshape(-1, dim)
-            for name, f in (facet_groups or {}).items()
-        }
-        self.periodic_pairs = {
-            name: np.ascontiguousarray(p, dtype=np.int64).reshape(-1, 2)
-            for name, p in (periodic_pairs or {}).items()
-        }
+        self.facet_groups = {name: _frozen(f, np.int64).reshape(-1, dim)
+                             for name, f in (facet_groups or {}).items()}
+        self.periodic_pairs = {name: _frozen(p, np.int64).reshape(-1, 2)
+                               for name, p in (periodic_pairs or {}).items()}
         self._check_range("cell connectivity", self.cells)
         for name, facets in self.facet_groups.items():
             self._check_range(f"facet group {name!r}", facets)
@@ -192,7 +197,7 @@ class Mesh:
                     self.periodic_pairs, merged)
 
 
-def detect_periodic_pairs(mesh, group_pairs, tol=None):
+def detect_periodic_pairs(mesh, group_pairs):
     """Match nodes of opposite lateral faces up to a translation.
 
     Parameters
@@ -201,16 +206,14 @@ def detect_periodic_pairs(mesh, group_pairs, tol=None):
     group_pairs : dict[str, (str, str)]
         Maps a direction label to (master group, slave group).  The
         translation vector is inferred as the difference of the group node
-        centroids, which is exact for translated facet sets.
-    tol : float, optional
-        Absolute matching tolerance; defaults to ``1e-9 * mesh.diameter()``.
+        centroids, which is exact for translated facet sets.  Nodes match
+        within ``1e-9 * mesh.diameter()``.
 
     Returns
     -------
     dict[str, (P, 2) int array] of (master, slave) node index pairs.
     """
-    if tol is None:
-        tol = 1e-9 * mesh.diameter()
+    tol = 1e-9 * mesh.diameter()
     out = {}
     for direction, (master_group, slave_group) in group_pairs.items():
         masters = mesh.group_nodes(master_group)

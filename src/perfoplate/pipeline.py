@@ -27,7 +27,6 @@ class InterfaceCoefficientTable:
     """Per-element coefficients plus the distinct cell solves behind them."""
 
     element_u3: np.ndarray
-    quantized_u3: np.ndarray
     coefficients: list
     by_speed: dict = field(default_factory=dict)
 
@@ -54,17 +53,17 @@ def build_interface_coefficients(cell_geom: CellGeometry, element_u3,
                                   mesh=mesh)[3]
                 for u3 in sorted(set(q.tolist()))}
     coeffs = [by_speed[u3] for u3 in q]
-    return InterfaceCoefficientTable(element_u3, q, coeffs, by_speed)
+    return InterfaceCoefficientTable(element_u3, coeffs, by_speed)
 
 
-def macro_flow_for_mode(mesh, mode, u_in, properties):
+def macro_flow_for_mode(mesh, mode, u_in, properties, residual_tol=1e-10):
     """Mean-flow field per the configured mode: none, uniform or potential."""
     if mode == "none" or u_in == 0.0:
         return None
     if mode == "uniform":
         return uniform_macro_flow(mesh, u_in, properties)
     if mode == "potential":
-        return solve_macro_potential_flow(mesh, u_in, properties)
+        return solve_macro_potential_flow(mesh, u_in, properties, residual_tol)
     raise ValueError(f"unknown flow mode {mode!r}")
 
 
@@ -89,7 +88,7 @@ def setup_waveguide_run(duct_geom: WaveguideGeometry, cell_geom: CellGeometry,
     props = properties or FluidProperties()
     mesh = duct_mesh if duct_mesh is not None else \
         generate_waveguide_mesh(duct_geom, duct_resolution)
-    mf = macro_flow_for_mode(mesh, flow_mode, u_in, props)
+    mf = macro_flow_for_mode(mesh, flow_mode, u_in, props, residual_tol)
     n_elem = len(mesh.periodic_pairs["iface"]) - 1
     if mf is None:
         element_u3 = np.zeros(n_elem)

@@ -113,7 +113,7 @@ class MacroProblem:
 
 @dataclass
 class MacroSolution:
-    """Fields of one frequency solve; derived quantities are recomputed."""
+    """Fields of one frequency solve."""
 
     omega: float
     P: np.ndarray
@@ -121,22 +121,6 @@ class MacroSolution:
     Gm: np.ndarray
     index: InterfaceIndex
     mesh: object
-
-    @property
-    def trace_plus(self):
-        return self.P[self.index.plus]
-
-    @property
-    def trace_minus(self):
-        return self.P[self.index.minus]
-
-    @property
-    def p0(self):
-        return 0.5 * (self.trace_plus + self.trace_minus)
-
-    @property
-    def g0(self):
-        return 0.5 * (self.Gp + self.Gm)
 
 
 # 1D P1 element matrices on a segment of length L
@@ -348,25 +332,3 @@ def frequency_sweep(problem: MacroProblem, omegas):
         except (SolverError, MacroAssemblyError, ZeroDivisionError) as exc:
             failures.append((omega, str(exc)))
     return rows, failures
-
-
-def reconstruct_micro_pressure(sol: MacroSolution, problem: MacroProblem,
-                               x1: float, cell_mesh, cell_sols):
-    """Two-scale pressure reconstruction on the cell at interface position x1.
-
-    Combines the leading interface pressure with the corrector fields
-    scaled by the local macroscopic gradients and flux.
-    """
-    idx = sol.index
-    if not idx.x[0] <= x1 <= idx.x[-1]:
-        raise MacroAssemblyError(f"x1={x1:.6g} lies outside the interface")
-    e = min(np.searchsorted(idx.x, x1, side="right") - 1, idx.n_elements - 1)
-    L = idx.x[e + 1] - idx.x[e]
-    t = (x1 - idx.x[e]) / L
-    p0 = (1 - t) * sol.p0[e] + t * sol.p0[e + 1]
-    g0 = (1 - t) * sol.g0[e] + t * sol.g0[e + 1]
-    dp0 = (sol.p0[e + 1] - sol.p0[e]) / L
-    iw = 1j * sol.omega
-    return (p0
-            + problem.eps0 * (cell_sols.pi1 * dp0
-                              + iw * (cell_sols.xi * g0 + cell_sols.pi_P * p0)))

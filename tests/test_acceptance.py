@@ -34,6 +34,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fixtures import uniform_flow
 from static_reference import solve_static_reference, static_transmission_loss
 from test_fem import convergence_order, extended_helmholtz_error
 
@@ -44,8 +45,7 @@ from perfoplate.coefficients import (cell_pipeline, sweep_coefficients,
                                      verify_symmetries)
 from perfoplate.duct_mesh import generate_waveguide_mesh
 from perfoplate.fem import FluidProperties
-from perfoplate.flow import (solve_cell_potential_flow,
-                             solve_macro_potential_flow, uniform_flow)
+from perfoplate.flow import solve_cell_potential_flow, solve_macro_potential_flow
 from perfoplate.geometry import CellGeometry, WaveguideGeometry
 from perfoplate.mesh import Mesh
 from perfoplate.pipeline import quantize_speeds, setup_waveguide_run, tl_curve
@@ -71,7 +71,7 @@ def mass_conservation_bound(geom, u3):
     phi = math.radians(geom.hole_slope_deg)
     assert r * math.cos(phi) * abs(math.sin(phi)) <= geom.thickness / 2.0, \
         "hole section across the axis leaves the plate band"
-    return abs(u3) * geom.xi_area / (math.pi * r ** 2 * math.cos(phi))
+    return abs(u3) * geom.b1 * geom.b2 / (math.pi * r ** 2 * math.cos(phi))
 
 
 def outside_model(geom, u3, error, props):

@@ -13,7 +13,7 @@ from perfoplate.mesh import Mesh
 
 def fluid_volume_formula(geom):
     hole = math.pi * geom.hole_diameter ** 2 / 4.0
-    return geom.b1 * geom.b2 * geom.kappa - geom.thickness * (geom.xi_area - hole)
+    return geom.b1 * geom.b2 * geom.kappa - geom.thickness * (geom.b1 * geom.b2 - hole)
 
 
 def test_empty_cell_is_plain_box(empty_cell_mesh):
@@ -49,8 +49,8 @@ def test_positive_volumes_after_shear(phi):
 
 def test_face_areas_match_cell_section(straight_cell_mesh):
     geom = CellGeometry()
-    assert straight_cell_mesh.group_measure("I+") == pytest.approx(geom.xi_area, rel=1e-12)
-    assert straight_cell_mesh.group_measure("I-") == pytest.approx(geom.xi_area, rel=1e-12)
+    assert straight_cell_mesh.group_measure("I+") == pytest.approx(geom.b1 * geom.b2, rel=1e-12)
+    assert straight_cell_mesh.group_measure("I-") == pytest.approx(geom.b1 * geom.b2, rel=1e-12)
 
 
 def test_groups_partition_boundary(slant_cell_mesh):

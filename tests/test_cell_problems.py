@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from fixtures import uniform_flow
 from perfoplate import fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
-from perfoplate.cell_problems import (MachBoundError, assemble_Aw,
+from perfoplate.cell_problems import (CellOperator, MachBoundError, assemble_Aw,
                                       solve_cell_problems, solve_pi_P,
                                       solve_pi_beta, solve_xi)
-from perfoplate.flow import solve_cell_potential_flow, uniform_flow
+from perfoplate.flow import solve_cell_potential_flow
 from perfoplate.geometry import CellGeometry
 
 
@@ -34,6 +35,17 @@ def test_operator_from_unit_advection_matches_assembly(slant_cell_mesh, props, u
     fresh = (fem.stiffness_matrix(slant_cell_mesh)
              - (props.tau / props.c ** 2) * W) / op.xi
     assert abs(op.matrix - fresh).max() <= 1e-13 * abs(fresh).max()
+
+
+def test_operator_rejects_flow_of_another_mesh(props):
+    # the two slants give meshes of equal size (294 nodes at resolution 0.2)
+    plus, minus = (generate_unit_cell_mesh(CellGeometry(hole_slope_deg=s), 0.2)
+                   for s in (30.0, -30.0))
+    assert plus.num_nodes == minus.num_nodes
+    flow = solve_cell_potential_flow(minus, 1.0, props)
+    with pytest.raises(fem.AssemblyError, match="mesh"):
+        CellOperator(plus, flow, props)
+    CellOperator(minus, flow, props)  # the flow's own mesh is accepted
 
 
 def test_operator_psd_near_bound(straight_cell_mesh, props):
@@ -161,8 +173,8 @@ def test_duality_pairing_vs_surface_jump(slant_cell_mesh, props):
     op = sols.operator
     for pi in (sols.pi1, sols.pi2):
         pairing = float(sols.xi @ (op.matrix @ pi))
-        jump = (fem.fint(slant_cell_mesh, pi, group="I+")
-                - fem.fint(slant_cell_mesh, pi, group="I-"))
+        jump = (fem.integrate(slant_cell_mesh, pi, group="I+")
+                - fem.integrate(slant_cell_mesh, pi, group="I-")) / op.xi
         assert abs(pairing + jump) <= 1e-10 * max(abs(jump), 1e-3)
 
 

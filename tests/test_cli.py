@@ -61,6 +61,11 @@ def test_config_grids():
                        "phi_list = 0, 30\n")
     assert cfg.sweep_u3() == [0.0, 1.0]
     assert cfg.sweep_phis() == [0.0, 30.0]
+    assert parse_config("[sweep]\nu3_start=2\nu3_count=1\n").sweep_u3() == [2.0]
+    with pytest.raises(ConfigError, match="frequency count must be >= 1"):
+        parse_config("[frequencies]\ncount=0\n").frequencies_hz()
+    with pytest.raises(ConfigError, match="sweep u3_count must be >= 1"):
+        parse_config("[sweep]\nu3_count=0\n").sweep_u3()
 
 
 def test_mesh_cell_command(tmp_path):
@@ -187,3 +192,20 @@ def test_tol_flag(tmp_path):
                     "--tol", "1e-8"]) == 0
     echoed = load_config(out / "effective_config.ini")
     assert echoed["run.residual_tol"] == 1e-8
+
+
+def test_tol_reaches_every_solve(tmp_path):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[cell]\nresolution = 0.2\n"
+                       "[sweep]\nphi_list = 0\nu3_start = 1\nu3_count = 1\n")
+    out = tmp_path / "sweep"
+    assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(out),
+                    "--tol", "1e-30"]) == 0
+    assert (out / "coefficients.csv").read_text().count("\n") == 1  # header only
+    header, row = (out / "failures.csv").read_text().splitlines()
+    assert header == "phi_deg,U3,error"
+    assert row.startswith("0,1,zero-mean solve residual") and "exceeds 1.0e-30" in row
+    out = tmp_path / "cell"
+    assert run_cli(["cell", "--config", str(cfgfile), "--out", str(out),
+                    "--tol", "1e-30"]) == 1
+    assert json.loads((out / "error.json").read_text())["error"] == "SolverError"

@@ -5,14 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fixtures import empty_cell_coefficients, uniform_flow
 from perfoplate import coefficients
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.cell_problems import solve_cell_problems
 from perfoplate.coefficients import (CSV_HEADER, cell_pipeline,
-                                     compute_coefficients,
-                                     empty_cell_coefficients, rows_to_csv,
+                                     compute_coefficients, rows_to_csv,
                                      sweep_coefficients, verify_symmetries)
-from perfoplate.flow import solve_cell_potential_flow, uniform_flow
+from perfoplate.flow import solve_cell_potential_flow
 from perfoplate.geometry import CellGeometry
 
 

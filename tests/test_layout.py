@@ -1,0 +1,38 @@
+"""Every top-level function and class in ``src/`` has a user in the program.
+
+A reference is an ``ast.Name`` id or ``ast.Attribute`` attr in
+``src/perfoplate/*.py`` (``__init__.py`` only re-exports) or
+``perfbench/*.py``, outside the name's own definition.  A name nothing
+references is dead or a helper only the tests use.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = [p for p in sorted((ROOT / "src" / "perfoplate").glob("*.py"))
+           if p.name != "__init__.py"]
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+ALLOWED = {"load_mesh"}  # the reader of the files save_mesh writes
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def unreferenced_definitions():
+    definitions, uses = [], []  # (path, name); (path, owner, names used)
+    for path in PACKAGE + BENCH:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = stmt.name if isinstance(stmt, DEFINITIONS) else None
+            if owner is not None and path in PACKAGE:
+                definitions.append((path, owner))
+            names = {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(stmt) if isinstance(n, (ast.Name, ast.Attribute))}
+            uses.append((path, owner, names))
+    return sorted(name for path, name in definitions
+                  if not any(name in names and (p, owner) != (path, name)
+                             for p, owner, names in uses))
+
+
+def test_every_top_level_name_has_a_user_in_the_program():
+    assert PACKAGE and BENCH
+    unused = [name for name in unreferenced_definitions() if name not in ALLOWED]
+    assert not unused, f"top-level names in src/ only tests (or nothing) use: {unused}"

@@ -47,6 +47,25 @@ def test_cell_volumes_positive_and_measures():
     assert abs(np.abs(vols).sum() - 1.0) < 1e-14
 
 
+def test_mesh_owns_read_only_arrays():
+    nodes = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    cells = np.array([[0, 1, 2]])
+    edges = np.array([[0, 1]])
+    pairs = np.array([[0, 1]])
+    m = Mesh(2, nodes, cells, {"g": edges}, {"d": pairs})
+    arrays = (m.nodes, m.cells, m.facet_groups["g"], m.periodic_pairs["d"])
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0, 0] = 7
+    assert m.cell_volumes()[0] == 0.5
+    # editing the caller's arrays leaves the mesh (and its caches) as it was
+    nodes[1, 0] = 3.0
+    assert Mesh(2, nodes, cells).cell_volumes()[0] == 1.5
+    assert m.nodes[1, 0] == 1.0 and m.cell_volumes()[0] == 0.5
+    cells[0, 1], edges[0, 1], pairs[0, 1] = 2, 2, 2
+    assert (m.cells[0, 1], m.facet_groups["g"][0, 1], m.periodic_pairs["d"][0, 1]) == (1, 1, 1)
+
+
 def test_roundtrip(tmp_path, straight_cell_mesh):
     m = straight_cell_mesh.with_fields(demo=np.arange(straight_cell_mesh.num_nodes,
                                                       dtype=float))

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from perfoplate.fem import FluidProperties
+from perfoplate.fem import FluidProperties, SolverError
 from perfoplate.geometry import CellGeometry, WaveguideGeometry
-from perfoplate.pipeline import (build_interface_coefficients, quantize_speeds,
-                                 setup_waveguide_run, tl_curve)
+from perfoplate.pipeline import (build_interface_coefficients, macro_flow_for_mode,
+                                 quantize_speeds, setup_waveguide_run, tl_curve)
 
 
 def test_quantize_speeds():
@@ -20,7 +20,7 @@ def test_dedup_bounds_cell_solves(props):
                                          properties=props, quantum=0.25)
     assert len(table.by_speed) == 2  # 1.0 and 1.25
     assert len(table.coefficients) == len(u3)
-    for q, co in zip(table.quantized_u3, table.coefficients):
+    for q, co in zip(quantize_speeds(u3, 0.25), table.coefficients):
         assert co is table.by_speed[q]
 
 
@@ -57,3 +57,9 @@ def test_potential_flow_run_deterministic(duct_mesh, props):
     rows1, _ = tl_curve(r1, [300.0, 600.0])
     rows2, _ = tl_curve(r2, [300.0, 600.0])
     assert rows1 == rows2
+
+
+def test_macro_flow_honours_residual_tol(duct_mesh, props):
+    assert macro_flow_for_mode(duct_mesh, "potential", 10.0, props) is not None
+    with pytest.raises(SolverError, match="residual"):
+        macro_flow_for_mode(duct_mesh, "potential", 10.0, props, residual_tol=1e-30)

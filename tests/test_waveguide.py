@@ -4,17 +4,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fixtures import empty_cell_coefficients
 from static_reference import solve_static_reference, static_transmission_loss
 from perfoplate import fem, waveguide
-from perfoplate.coefficients import empty_cell_coefficients, cell_pipeline
+from perfoplate.coefficients import cell_pipeline
 from perfoplate.duct_mesh import GROUP_IN, GROUP_OUT
 from perfoplate.flow import solve_macro_potential_flow, uniform_macro_flow
 from perfoplate.geometry import CellGeometry
 from perfoplate.waveguide import (MacroAssemblyError, MacroProblem,
                                   MacroSolution, assemble_coupled_system,
                                   boundary_energy, interface_element_blocks,
-                                  reconstruct_micro_pressure, solve_frequency,
-                                  frequency_sweep, transmission_loss)
+                                  solve_frequency, frequency_sweep,
+                                  transmission_loss)
 
 OMEGA = 2 * math.pi * 400.0
 
@@ -269,59 +270,3 @@ def test_impedance_flow_correction(duct_mesh, props):
     assert abs(change[:nP, :nP] - expected).max() <= 1e-12 * abs(expected).max()
     assert change[nP:, :].count_nonzero() == 0
     assert change[:, nP:].count_nonzero() == 0
-
-
-# -- micro reconstruction -----------------------------------------------------
-
-def micro_inputs(props, u3):
-    geom = CellGeometry(hole_slope_deg=30.0)
-    mesh, flw, sols, co = cell_pipeline(geom, u3, 0.12, props)
-    return geom, mesh, sols
-
-
-def constant_solution(prob, p0_val, g0_val):
-    nG = prob.index.n
-    P = np.zeros(prob.mesh.num_nodes, complex)
-    P[prob.index.plus] = p0_val
-    P[prob.index.minus] = p0_val
-    return MacroSolution(OMEGA, P, np.full(nG, g0_val, complex),
-                         np.full(nG, g0_val, complex), prob.index, prob.mesh)
-
-
-def test_reconstruction_constant_field(duct_mesh, props):
-    geom, cmesh, sols = micro_inputs(props, 0.0)
-    prob = MacroProblem(duct_mesh, props, empty_cell_coefficients(),
-                        eps0=geom.eps0)
-    sol = constant_solution(prob, 2.0 + 0.0j, 0.0)
-    field = reconstruct_micro_pressure(sol, prob, 0.15, cmesh, sols)
-    np.testing.assert_allclose(field, 2.0, atol=1e-12)
-
-
-def test_reconstruction_flux_only_uses_xi(duct_mesh, props):
-    geom, cmesh, sols = micro_inputs(props, 0.0)  # w=0: pi_P = 0
-    prob = MacroProblem(duct_mesh, props, empty_cell_coefficients(),
-                        eps0=geom.eps0)
-    g0 = 0.3 + 0.1j
-    sol = constant_solution(prob, 0.0, g0)
-    field = reconstruct_micro_pressure(sol, prob, 0.15, cmesh, sols)
-    expected = geom.eps0 * 1j * OMEGA * sols.xi * g0
-    np.testing.assert_allclose(field, expected, atol=1e-12)
-
-
-def test_reconstruction_scale_linearity(duct_mesh, props):
-    geom, cmesh, sols = micro_inputs(props, 1.0)
-    prob1 = MacroProblem(duct_mesh, props, empty_cell_coefficients(), eps0=0.0125)
-    prob2 = MacroProblem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025)
-    sol = constant_solution(prob1, 1.0 + 0.0j, 0.2 + 0.0j)
-    f1 = reconstruct_micro_pressure(sol, prob1, 0.15, cmesh, sols)
-    f2 = reconstruct_micro_pressure(sol, prob2, 0.15, cmesh, sols)
-    np.testing.assert_allclose(f2 - sol.p0[0], 2.0 * (f1 - sol.p0[0]), atol=1e-12)
-
-
-def test_reconstruction_outside_interface_rejected(duct_mesh, props):
-    geom, cmesh, sols = micro_inputs(props, 0.0)
-    prob = MacroProblem(duct_mesh, props, empty_cell_coefficients(),
-                        eps0=geom.eps0)
-    sol = constant_solution(prob, 1.0, 0.0)
-    with pytest.raises(MacroAssemblyError):
-        reconstruct_micro_pressure(sol, prob, 7.5, cmesh, sols)
