@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,16 +53,15 @@ class InterfaceIndex:
     def n_elements(self):
         return len(self.x) - 1
 
-    def element_lengths(self):
-        return np.diff(self.x)
 
-
-@dataclass
+@dataclass(frozen=True)
 class MacroProblem:
     """Everything needed to assemble one frequency solve.
 
     interface_coeffs: one HomogenizedCoefficients per interface element
     (or a single instance used uniformly).  flow: MacroFlowField or None.
+    The problem is frozen, so its operator parts, built on first use and
+    kept, cannot go stale.
     """
 
     mesh: object
@@ -80,35 +80,60 @@ class MacroProblem:
             raise MacroAssemblyError("eps0 must be positive")
         if self.source_side not in ("in", "out"):
             raise MacroAssemblyError("source_side must be 'in' or 'out'")
+
+    @cached_property
+    def index(self):
         if "iface" in self.mesh.periodic_pairs:
-            self.index = InterfaceIndex(*interface_nodes(self.mesh))
-        else:
-            # unsplit mesh: plain duct without interface unknowns
-            self.index = None
+            return InterfaceIndex(*interface_nodes(self.mesh))
+        # unsplit mesh: plain duct without interface unknowns
+        return None
 
-    def element_coefficients(self):
-        coeffs = self.interface_coeffs
-        ne = self.index.n_elements
+    @cached_property
+    def parts(self):
+        return OperatorParts(self)
+
+
+class OperatorParts:
+    """The frequency-independent parts of the coupled operator of a problem.
+
+    K, M: bulk stiffness and mass.  advection: (-tau * W, C - C.T), or None
+    without outer advection.  ports: (impedance factor, boundary mass) of
+    Gamma_in and Gamma_out.  load: int phi_i over the source boundary.
+    table: the interface element table (`_element_table`); rows, cols: the
+    interface entries in emission order.  The last three are None on a mesh
+    without interface unknowns.
+    """
+
+    def __init__(self, problem: MacroProblem):
+        mesh, props, idx = problem.mesh, problem.properties, problem.index
+        self.advection = None
+        vel = problem.flow.velocity if problem.flow is not None else None
+        if problem.outer_advection and vel is not None and np.any(vel):
+            speed = float(np.linalg.norm(vel, axis=1).max())
+            if speed >= props.mach_speed_limit:
+                raise MacroAssemblyError(
+                    f"macro flow max |w| = {speed:.6g} m/s reaches the bound "
+                    f"c/sqrt(tau) = {props.mach_speed_limit:.6g} m/s")
+            W, C = fem.advection_matrices(mesh, vel)
+            self.advection = (-props.tau * W, C - C.T)
+        self.K, self.M = fem.stiffness_matrix(mesh), fem.mass_matrix(mesh)
+        self.ports = [(_boundary_impedance_factor(problem, group),
+                       fem.boundary_mass_matrix(mesh, group))
+                      for group in (GROUP_IN, GROUP_OUT)]
+        source = GROUP_IN if problem.source_side == "in" else GROUP_OUT
+        self.load = fem.boundary_load_vector(mesh, source)
+        self.table = self.rows = self.cols = None
+        if idx is None:
+            return
+        coeffs = problem.interface_coeffs
         if isinstance(coeffs, HomogenizedCoefficients):
-            return [coeffs] * ne
+            coeffs = [coeffs] * idx.n_elements
         coeffs = list(coeffs)
-        if len(coeffs) != ne:
-            raise MacroAssemblyError(
-                f"need coefficients for {ne} interface elements, got {len(coeffs)}")
-        return coeffs
-
-    def advection_velocity(self):
-        if self.flow is None or not self.outer_advection:
-            return None
-        vel = self.flow.velocity
-        if not np.any(vel):
-            return None
-        speed = float(np.linalg.norm(vel, axis=1).max())
-        if speed >= self.properties.mach_speed_limit:
-            raise MacroAssemblyError(
-                f"macro flow max |w| = {speed:.6g} m/s reaches the bound "
-                f"c/sqrt(tau) = {self.properties.mach_speed_limit:.6g} m/s")
-        return vel
+        if len(coeffs) != idx.n_elements:
+            raise MacroAssemblyError(f"need coefficients for {idx.n_elements} "
+                                     f"interface elements, got {len(coeffs)}")
+        self.table = _element_table(np.diff(idx.x), coeffs)
+        self.rows, self.cols = _interface_pattern(idx, mesh.num_nodes)
 
 
 @dataclass
@@ -119,48 +144,16 @@ class MacroSolution:
     P: np.ndarray
     Gp: np.ndarray
     Gm: np.ndarray
-    index: InterfaceIndex
-    mesh: object
 
 
-# 1D P1 element matrices on a segment of length L
-def _mass1d(L):
-    return L / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-
-
-def _stiff1d(L):
-    return 1.0 / L * np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-
+# 1D P1 element matrices of a segment of length L: mass = L / 6 * _MASS1D,
+# stiffness = 1 / L * _STIFF1D
+_MASS1D = np.array([[2.0, 1.0], [1.0, 2.0]])
+_STIFF1D = np.array([[1.0, -1.0], [-1.0, 1.0]])
 # int phi_i dphi_j  (rows: plain test, cols: differentiated trial)
 _TEST_DTRIAL = np.array([[-0.5, 0.5], [-0.5, 0.5]])
 # int dphi_i phi_j
 _DTEST_TRIAL = _TEST_DTRIAL.T
-
-
-class _Coo:
-    def __init__(self):
-        self.rows, self.cols, self.vals = [], [], []
-
-    def add(self, r, c, block):
-        r = np.asarray(r)
-        c = np.asarray(c)
-        block = np.asarray(block, dtype=complex)
-        self.rows.append(np.repeat(r, len(c)))
-        self.cols.append(np.tile(c, len(r)))
-        self.vals.append(block.reshape(-1))
-
-    def add_matrix(self, mat, row_off=0, col_off=0):
-        coo = mat.tocoo()
-        self.rows.append(coo.row + row_off)
-        self.cols.append(coo.col + col_off)
-        self.vals.append(coo.data.astype(complex))
-
-    def build(self, n):
-        return sp.coo_matrix(
-            (np.concatenate(self.vals),
-             (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=(n, n)).tocsr()
 
 
 def _boundary_impedance_factor(problem, group):
@@ -178,25 +171,49 @@ def _boundary_impedance_factor(problem, group):
     return 1.0 + wn / problem.properties.c
 
 
-def interface_element_blocks(co, L, omega, properties):
-    """Dense 2x2 blocks of one interface element of length L.
+def _element_table(lengths, coeffs):
+    """Rows L, A11, B1, B'1, F, mass_factor + Mw, Tw, T'w, Wbar1, W'bar1 of
+    every interface element, shaped (10, n_elements, 1, 1) so that each row
+    scales a stack of 2x2 element blocks."""
+    rows = [(co.A[0, 0], co.B[0], co.Bp[0], co.F, co.mass_factor + co.Mw,
+             co.Tw, co.Twp, co.Wbar[0], co.Wbarp[0]) for co in coeffs]
+    return np.vstack([lengths, np.array(rows, dtype=float).T])[:, :, None, None]
 
-    Returns (me, p, g, p2, f): the 1D mass matrix, the layer-balance
-    pressure and flux blocks, and the coupling pressure and flux blocks.
+
+def _interface_pattern(idx, nP):
+    """(rows, cols) of the interface entries in emission order: the two trace
+    blocks of every element, then its ten layer blocks, each 2x2 row-major."""
+    e = np.arange(idx.n_elements)[:, None] + [0, 1]  # element node pairs
+    pp, pm = idx.plus[e], idx.minus[e]
+    gp, gm = nP + e, nP + idx.n + e  # G+ / G- columns; balance / coupling rows
+    blocks = [(pp, gp), (pm, gm),
+              (gp, pp), (gp, pm), (gp, gp), (gp, gm), (gp, gp), (gp, gm),
+              (gm, pp), (gm, pm), (gm, gp), (gm, gm)]
+    rows = np.stack([r for r, _ in blocks], axis=1)[:, :, :, None]
+    cols = np.stack([c for _, c in blocks], axis=1)[:, :, None, :]
+    return [np.concatenate([a[:, :2].ravel(), a[:, 2:].ravel()])
+            for a in np.broadcast_arrays(rows, cols)]
+
+
+def interface_element_blocks(table, omega, properties):
+    """Dense 2x2 blocks of every interface element, each (n_elements, 2, 2).
+
+    table: the element table of `_element_table`.  Returns (me, p, g, p2, f):
+    the 1D mass matrices, the layer-balance pressure and flux blocks, and
+    the coupling pressure and flux blocks.
     """
+    L, A11, B1, Bp1, F, mass, Tw, Twp, Wbar1, Wbarp1 = table
     c2 = properties.c ** 2
     theta = properties.theta
     iw = 1j * omega
-    me = _mass1d(L)
-    ke = _stiff1d(L)
-    mass_c = co.mass_factor + co.Mw
-    p = (c2 * co.A[0, 0] * ke
-         - omega ** 2 * mass_c * me
-         + iw * theta * (co.Wbar[0] * _TEST_DTRIAL
-                         + co.Wbarp[0] * _DTEST_TRIAL))
-    g = iw * c2 * co.B[0] * _DTEST_TRIAL - omega ** 2 * theta * co.Tw * me
-    p2 = co.Bp[0] * _TEST_DTRIAL + iw * co.Twp * me
-    f = -iw * co.F * me
+    me = L / 6.0 * _MASS1D
+    ke = 1.0 / L * _STIFF1D
+    p = (c2 * A11 * ke
+         - omega ** 2 * mass * me
+         + iw * theta * (Wbar1 * _TEST_DTRIAL + Wbarp1 * _DTEST_TRIAL))
+    g = iw * c2 * B1 * _DTEST_TRIAL - omega ** 2 * theta * Tw * me
+    p2 = Bp1 * _TEST_DTRIAL + iw * Twp * me
+    f = -iw * F * me
     return me, p, g, p2, f
 
 
@@ -205,74 +222,48 @@ def assemble_coupled_system(problem: MacroProblem, omega: float):
 
     Returns (matrix, rhs, n_pressure) with unknown layout [P, G+, G-] and
     equation layout [bulk, interface balance, pressure-jump coupling].
+    Only the omega-dependent values are formed here; their (rows, cols,
+    vals) sequence fixes the order in which duplicate entries are summed.
     """
-    mesh = problem.mesh
+    parts = problem.parts
     props = problem.properties
-    idx = problem.index
     c, c2 = props.c, props.c ** 2
-    theta, tau = props.theta, props.tau
     iw = 1j * omega
-
-    nP = mesh.num_nodes
-    nG = idx.n if idx is not None else 0
+    nP = problem.mesh.num_nodes
+    nG = problem.index.n if problem.index is not None else 0
     n = nP + 2 * nG
-    og, om = nP, nP + nG  # offsets of G+ and G- columns / M1, M2 rows
 
-    acc = _Coo()
-    # bulk extended-Helmholtz blocks
-    K = fem.stiffness_matrix(mesh)
-    M = fem.mass_matrix(mesh)
-    acc.add_matrix(c2 * K - omega ** 2 * M)
-    vel = problem.advection_velocity()
-    if vel is not None:
-        W, C = fem.advection_matrices(mesh, vel)
-        acc.add_matrix(-tau * W + iw * theta * (C - C.T))
-
-    # radiation boundaries: d_nw P + (i w / c) P = 2 (i w / c) p_in (source)
-    # weak form adds c^2 * boundary terms
+    # bulk extended-Helmholtz blocks, then the radiation boundaries:
+    # d_nw P + (i w / c) P = 2 (i w / c) p_in (source), times c^2 in weak form
+    blocks = [c2 * parts.K - omega ** 2 * parts.M]
+    if parts.advection is not None:
+        W, D = parts.advection
+        blocks.append(W + iw * props.theta * D)
+    blocks += [iw * c * zfac * B for zfac, B in parts.ports]
+    coos = [block.tocoo() for block in blocks]
+    rows = [coo.row for coo in coos]
+    cols = [coo.col for coo in coos]
+    vals = [coo.data.astype(complex) for coo in coos]
     rhs = np.zeros(n, dtype=complex)
-    source_group = GROUP_IN if problem.source_side == "in" else GROUP_OUT
-    for group in (GROUP_IN, GROUP_OUT):
-        zfac = _boundary_impedance_factor(problem, group)
-        acc.add_matrix(iw * c * zfac * fem.boundary_mass_matrix(mesh, group))
-        if group == source_group:
-            rhs[:nP] += 2.0 * iw * c * problem.amplitude \
-                * fem.boundary_load_vector(mesh, group)
+    rhs[:nP] += 2.0 * iw * c * problem.amplitude * parts.load
 
-    if idx is not None:
-        # trace coupling to the interface fluxes: d_nw P(+/-) = -i w G(+/-)
-        lengths = idx.element_lengths()
-        for e in range(idx.n_elements):
-            L = lengths[e]
-            me = _mass1d(L)
-            pplus = [idx.plus[e], idx.plus[e + 1]]
-            pminus = [idx.minus[e], idx.minus[e + 1]]
-            acc.add(pplus, [og + e, og + e + 1], -iw * c2 * me)
-            acc.add(pminus, [om + e, om + e + 1], iw * c2 * me)
-
-        coeffs = problem.element_coefficients()
+    if nG:
         eps0 = problem.eps0
-        for e in range(idx.n_elements):
-            me, p_block, g_block, p2_block, f_block = interface_element_blocks(
-                coeffs[e], lengths[e], omega, props)
-            rows1 = [og + e, og + e + 1]      # layer balance rows
-            rows2 = [om + e, om + e + 1]      # coupling rows
-            pp = [idx.plus[e], idx.plus[e + 1]]
-            pm = [idx.minus[e], idx.minus[e + 1]]
-            gp = [og + e, og + e + 1]
-            gm = [om + e, om + e + 1]
-            for cols in (pp, pm):
-                acc.add(rows1, cols, 0.5 * p_block)
-            for cols in (gp, gm):
-                acc.add(rows1, cols, 0.5 * g_block)
-            acc.add(rows1, gp, (iw * c2 / eps0) * me)
-            acc.add(rows1, gm, -(iw * c2 / eps0) * me)
-            acc.add(rows2, pp, 0.5 * p2_block - me / eps0)
-            acc.add(rows2, pm, 0.5 * p2_block + me / eps0)
-            for cols in (gp, gm):
-                acc.add(rows2, cols, 0.5 * f_block)
+        me, p, g, p2, f = interface_element_blocks(parts.table, omega, props)
+        # trace coupling to the interface fluxes: d_nw P(+/-) = -i w G(+/-);
+        # both lists follow the block order of `_interface_pattern`
+        trace = [-iw * c2 * me, iw * c2 * me]
+        layer = [0.5 * p, 0.5 * p, 0.5 * g, 0.5 * g,
+                 (iw * c2 / eps0) * me, -(iw * c2 / eps0) * me,
+                 0.5 * p2 - me / eps0, 0.5 * p2 + me / eps0, 0.5 * f, 0.5 * f]
+        rows.append(parts.rows)
+        cols.append(parts.cols)
+        vals += [np.stack(trace, axis=1).ravel(), np.stack(layer, axis=1).ravel()]
 
-    return acc.build(n), rhs, nP
+    matrix = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsr()
+    return matrix, rhs, nP
 
 
 def solve_frequency(problem: MacroProblem, omega: float) -> MacroSolution:
@@ -288,13 +279,8 @@ def solve_frequency(problem: MacroProblem, omega: float) -> MacroSolution:
     if not np.isfinite(resid) or resid / scale > problem.residual_tol:
         raise SolverError(
             f"coupled solve at omega={omega:.6g}: residual {resid / scale:.3e}")
-    if problem.index is not None:
-        nG = problem.index.n
-        Gp = x[nP:nP + nG]
-        Gm = x[nP + nG:nP + 2 * nG]
-    else:
-        Gp = Gm = np.zeros(0, dtype=complex)
-    return MacroSolution(omega, x[:nP], Gp, Gm, problem.index, problem.mesh)
+    nG = problem.index.n if problem.index is not None else 0
+    return MacroSolution(omega, x[:nP], x[nP:nP + nG], x[nP + nG:nP + 2 * nG])
 
 
 def boundary_energy(mesh, P, group):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import coo_reference
 from fixtures import empty_cell_coefficients
 from static_reference import solve_static_reference, static_transmission_loss
 from perfoplate import fem, waveguide
@@ -23,6 +24,12 @@ OMEGA = 2 * math.pi * 400.0
 @pytest.fixture(scope="module")
 def slant_coeffs(props):
     _, _, _, co = cell_pipeline(CellGeometry(hole_slope_deg=30.0), 0.0, 0.1, props)
+    return co
+
+
+@pytest.fixture(scope="module")
+def slant_flow_coeffs(props):
+    _, _, _, co = cell_pipeline(CellGeometry(hole_slope_deg=30.0), 3.0, 0.1, props)
     return co
 
 
@@ -155,8 +162,7 @@ def test_identical_boundary_fields_give_zero_db(duct_mesh, props):
     prob = MacroProblem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025)
     P = np.full(duct_mesh.num_nodes, 1.0 + 2.0j)
     nG = prob.index.n
-    sol = MacroSolution(OMEGA, P, np.zeros(nG, complex), np.zeros(nG, complex),
-                        prob.index, duct_mesh)
+    sol = MacroSolution(OMEGA, P, np.zeros(nG, complex), np.zeros(nG, complex))
     tl, e_in, e_out = transmission_loss(sol, prob)
     assert tl == pytest.approx(0.0, abs=1e-12)
 
@@ -175,25 +181,29 @@ def test_energy_conservation_at_rest(duct_mesh, props, slant_coeffs):
     assert abs(power_in - power_out) <= 1e-9 * max(abs(power_in), abs(power_out))
 
 
-def test_interface_element_blocks(duct_mesh, props):
-    _, _, _, co = cell_pipeline(CellGeometry(hole_slope_deg=30.0), 3.0, 0.1,
-                                props)
-    prob = MacroProblem(duct_mesh, props, co, eps0=0.025)
+def _block_max(a):
+    """Largest absolute entry of each 2x2 block of an (n, 2, 2) stack."""
+    return np.abs(a).max(axis=(1, 2))
+
+
+def test_interface_element_blocks(duct_mesh, props, slant_flow_coeffs):
+    prob = MacroProblem(duct_mesh, props, slant_flow_coeffs, eps0=0.025)
+    table = prob.parts.table
     ratio = 1j / (OMEGA * props.c ** 2)
-    for L, co in zip(prob.index.element_lengths(), prob.element_coefficients()):
-        _, p, _, _, _ = interface_element_blocks(co, L, OMEGA, props)
-        # real part symmetric; imaginary part skew, which needs W' = -W
-        # because the advective block sum TD + TD^T does not vanish
-        scale = np.abs(p).max()
-        assert np.abs(p.real - p.real.T).max() <= 1e-10 * scale
-        assert np.abs(p.imag + p.imag.T).max() <= 1e-10 * scale
-        # without the through-flux couplings the flux/pressure blocks keep
-        # only the Tw and T'w mass terms, whose ratio encodes the duality
-        _, _, g, p2, _ = interface_element_blocks(replace(co, B=np.zeros(2),
-                                                          Bp=np.zeros(2)),
-                                                  L, OMEGA, props)
-        np.testing.assert_allclose(p2, ratio * g, rtol=0,
-                                   atol=1e-10 * np.abs(p2).max())
+    _, p, _, _, _ = interface_element_blocks(table, OMEGA, props)
+    assert p.shape == (prob.index.n_elements, 2, 2)
+    # real part symmetric; imaginary part skew, which needs W' = -W
+    # because the advective block sum TD + TD^T does not vanish
+    scale = _block_max(p)
+    pT = p.transpose(0, 2, 1)
+    assert np.all(_block_max(p.real - pT.real) <= 1e-10 * scale)
+    assert np.all(_block_max(p.imag + pT.imag) <= 1e-10 * scale)
+    # without the through-flux couplings the flux/pressure blocks keep
+    # only the Tw and T'w mass terms, whose ratio encodes the duality
+    uncoupled = table.copy()
+    uncoupled[2:4] = 0.0  # the B1 and B'1 rows
+    _, _, g, p2, _ = interface_element_blocks(uncoupled, OMEGA, props)
+    assert np.all(_block_max(p2 - ratio * g) <= 1e-10 * _block_max(p2))
 
 
 def test_reciprocity_at_rest_on_symmetric_duct(duct_mesh, props, slant_coeffs):
@@ -222,9 +232,15 @@ def test_outer_advection_toggle(duct_mesh, props):
 
 def test_macro_mach_guard(duct_mesh, props):
     fast = uniform_macro_flow(duct_mesh, 1.2 * props.mach_speed_limit, props)
+    prob = MacroProblem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025,
+                        flow=fast)
     with pytest.raises(MacroAssemblyError):
-        MacroProblem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025,
-                     flow=fast).advection_velocity()
+        assemble_coupled_system(prob, OMEGA)
+    # a failed build is not kept: every frequency of a sweep records the guard
+    omegas = [2 * math.pi * f for f in (200.0, 400.0, 800.0)]
+    rows, failures = frequency_sweep(prob, omegas)
+    assert rows == [] and [w for w, _ in failures] == omegas
+    assert all("reaches the bound c/sqrt(tau)" in msg for _, msg in failures)
 
 
 def test_missing_elementwise_coefficients_rejected(duct_mesh, props):
@@ -270,3 +286,45 @@ def test_impedance_flow_correction(duct_mesh, props):
     assert abs(change[:nP, :nP] - expected).max() <= 1e-12 * abs(expected).max()
     assert change[nP:, :].count_nonzero() == 0
     assert change[:, nP:].count_nonzero() == 0
+
+
+@pytest.mark.parametrize("case", ["flow", "rest", "impedance_out"])
+def test_assembly_matches_coo_reference_bytes(duct_mesh, props, slant_coeffs,
+                                              slant_flow_coeffs, case):
+    """The array assembly emits the per-element reference's (rows, cols,
+    vals) sequence, so the CSR arrays and the load agree to the last bit."""
+    if case == "rest":
+        prob = MacroProblem(duct_mesh, props, slant_coeffs, eps0=0.025)
+    else:
+        mf = solve_macro_potential_flow(duct_mesh, 15.0, props)
+        kinds = (slant_flow_coeffs, slant_coeffs, empty_cell_coefficients())
+        coeffs = [kinds[e % 3] for e in range(len(mf.interface_x) - 1)]
+        prob = MacroProblem(duct_mesh, props, coeffs, eps0=0.025, flow=mf,
+                            impedance_flow_correction=case == "impedance_out",
+                            source_side="out" if case == "impedance_out" else "in")
+    for f in (100.0, 479.9, 1000.0):
+        omega = 2 * math.pi * f
+        A, rhs, nP = assemble_coupled_system(prob, omega)
+        A_ref, rhs_ref, nP_ref = coo_reference.assemble_coupled_system(prob, omega)
+        assert nP == nP_ref
+        for got, want in ((A.data, A_ref.data), (A.indices, A_ref.indices),
+                          (A.indptr, A_ref.indptr), (rhs, rhs_ref)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+def test_frequency_independent_parts_built_once(duct_mesh, props, monkeypatch):
+    mf = solve_macro_potential_flow(duct_mesh, 15.0, props)
+    prob = MacroProblem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025,
+                        flow=mf)
+    calls = {"mass_matrix": 0, "advection_matrices": 0, "boundary_mass_matrix": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(fem, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(fem, name, counted)
+    omegas = [2 * math.pi * f for f in (200.0, 400.0, 800.0)]
+    rows, failures = frequency_sweep(prob, omegas)
+    assert len(rows) == 3 and not failures
+    assert calls == {"mass_matrix": 1, "advection_matrices": 1,
+                     "boundary_mass_matrix": 2}
