@@ -4,12 +4,15 @@ Scalar P1 matrices and loads on simplex meshes, and one sparse direct
 solver for pure-Neumann problems under periodic and zero-mean
 constraints.  Element gradients are cell-constant; products with
 nodal velocity fields are integrated with second-order quadrature, which is
-exact for the quadratic integrands that occur here.
+exact for the quadratic integrands that occur here.  The solver of the
+stiffness matrix is kept for one mesh at a time: it computes the cell flow
+and preconditions the cell correctors.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +91,10 @@ _QUAD2 = {
 def _scatter(simplices, elem, n_nodes):
     """Sum dense element blocks, one per simplex, into a CSR matrix."""
     n = simplices.shape[1]
+    # indices in the dtype coo_matrix keeps (int32 while it fits), so it
+    # takes the arrays without a copy
+    fits = n_nodes <= np.iinfo(np.int32).max
+    simplices = simplices.astype(np.int32 if fits else np.int64, copy=False)
     rows = np.repeat(simplices, n, axis=1).reshape(-1)
     cols = np.tile(simplices, (1, n)).reshape(-1)
     return sp.coo_matrix((elem.reshape(-1), (rows, cols)),
@@ -128,23 +135,37 @@ def mass_matrix(mesh):
     return _simplex_mass(mesh.cells, mesh.cell_volumes(), mesh.num_nodes)
 
 
-def advection_matrices(mesh, velocity):
-    """(W, C): W_ij = int (w.grad phi_i)(w.grad phi_j), C_ij = int phi_i (w.grad phi_j)."""
+def _advection_terms(mesh, velocity):
+    """Quadrature terms of the advection forms, one per point q:
+    (lambda_q, weight_q * cell measures, w(x_q) . grad phi_j per cell)."""
     velocity = np.asarray(velocity, dtype=float)
     if velocity.shape != (mesh.num_nodes, mesh.dim):
         raise AssemblyError("velocity must be nodal with one vector per mesh node")
     grads, vols = p1_geometry(mesh)
     wn = velocity[mesh.cells]
     lam, wts = _QUAD2[mesh.dim]
+    for q in range(len(wts)):
+        wq = np.einsum('i,mid->md', lam[q], wn)
+        yield lam[q], wts[q] * vols, np.einsum('md,mjd->mj', wq, grads)
+
+
+def advection_matrix(mesh, velocity):
+    """W_ij = int (w.grad phi_i)(w.grad phi_j)."""
+    n = mesh.dim + 1
+    Welem = np.zeros((mesh.num_cells, n, n))
+    for _, scale, dq in _advection_terms(mesh, velocity):
+        Welem += np.einsum('m,mi,mj->mij', scale, dq, dq)
+    return _scatter(mesh.cells, Welem, mesh.num_nodes)
+
+
+def advection_matrices(mesh, velocity):
+    """(W, C): W as in ``advection_matrix``, C_ij = int phi_i (w.grad phi_j)."""
     n = mesh.dim + 1
     Welem = np.zeros((mesh.num_cells, n, n))
     Celem = np.zeros((mesh.num_cells, n, n))
-    for q in range(len(wts)):
-        wq = np.einsum('i,mid->md', lam[q], wn)
-        dq = np.einsum('md,mjd->mj', wq, grads)
-        scale = wts[q] * vols
+    for lam, scale, dq in _advection_terms(mesh, velocity):
         Welem += np.einsum('m,mi,mj->mij', scale, dq, dq)
-        Celem += np.einsum('m,i,mj->mij', scale, lam[q], dq)
+        Celem += np.einsum('m,i,mj->mij', scale, lam, dq)
     return (_scatter(mesh.cells, Welem, mesh.num_nodes),
             _scatter(mesh.cells, Celem, mesh.num_nodes))
 
@@ -195,34 +216,56 @@ def periodic_reduction(mesh):
         sp.coo_matrix((np.ones(n), (np.arange(n), red)), shape=(n, len(uniq))).tocsr())
 
 
+def reduced_rhs(reduction, rhs_full, zero_floor):
+    """A right side on the periodic classes and its norm, 0.0 at or below
+    ``zero_floor`` (an identically zero right side).
+
+    The right side must be compatible (orthogonal to constants) within
+    1e-10 relative; this is asserted, not fixed up.
+    """
+    rhs = reduction.T @ np.asarray(rhs_full, dtype=float)
+    norm = np.linalg.norm(rhs)
+    if norm <= zero_floor:
+        return rhs, 0.0
+    defect = abs(rhs.sum())
+    if defect / norm > 1e-10:
+        raise SolverError(
+            f"pure-Neumann right side incompatible: defect {defect / norm:.3e}")
+    return rhs, norm
+
+
+def zero_floor(reduced):
+    """Absolute scale below which a right side of ``reduced`` counts as zero."""
+    return 1e-13 * abs(reduced).max() * np.sqrt(reduced.shape[0])
+
+
 class ZeroMeanSolver:
     """Periodic, zero-mean solutions of one pure-Neumann matrix.
 
     The matrix is reduced to the periodic classes and bordered by the exact
     integral mean divided by ``scale`` (one Lagrange multiplier); the
-    bordered matrix is factored once and shared by every right side.
+    bordered matrix is factored once, with SuperLU's column ordering
+    ``ordering``, and shared by every right side.  The solver keeps no
+    reference to the mesh.
     """
 
-    def __init__(self, mesh, matrix, residual_tol, scale=1.0):
-        self.mesh = mesh
+    def __init__(self, mesh, matrix, residual_tol, scale=1.0, ordering="COLAMD"):
+        self.num_nodes = mesh.num_nodes
         self.residual_tol = residual_tol
         self.reduction = periodic_reduction(mesh)
         T = self.reduction
         self._mean = (T.T @ lumped_volume_vector(mesh)) / scale
         reduced = (T.T @ matrix @ T).tocsr()
-        n = reduced.shape[0]
         aug = sp.bmat([[reduced, self._mean.reshape(-1, 1)],
                        [self._mean.reshape(1, -1), None]], format='csc')
         self._reduced = reduced
-        self._lu = spla.splu(aug)
-        # absolute scale below which a right side counts as identically zero
-        self._zero_floor = 1e-13 * abs(reduced).max() * np.sqrt(n)
+        self._lu = spla.splu(aug, permc_spec=ordering)
+        self._zero_floor = zero_floor(reduced)
 
     def solve(self, rhs_full):
         """Full nodal zero-mean periodic solution of (matrix) u = rhs.
 
-        The right side must be compatible (orthogonal to constants) within
-        1e-10 relative; this is asserted, not fixed up.  The relative
+        The right side must be compatible (``reduced_rhs``).  The relative
         residual must be within ``residual_tol``.
         """
         u, residual = self.solve_with_residual(rhs_full)
@@ -231,17 +274,18 @@ class ZeroMeanSolver:
 
     def solve_with_residual(self, rhs_full):
         """``solve`` without the residual check: (solution, relative residual)."""
-        rhs = self.reduction.T @ np.asarray(rhs_full, dtype=float)
-        norm = np.linalg.norm(rhs)
-        if norm <= self._zero_floor:
-            return np.zeros(self.mesh.num_nodes), 0.0
-        defect = abs(rhs.sum())
-        if defect / norm > 1e-10:
-            raise SolverError(
-                f"pure-Neumann right side incompatible: defect {defect / norm:.3e}")
+        rhs, norm = reduced_rhs(self.reduction, rhs_full, self._zero_floor)
+        if norm == 0.0:
+            return np.zeros(self.num_nodes), 0.0
         x = self._lu.solve(np.concatenate([rhs, [0.0]]))
         resid = np.linalg.norm(self._reduced @ x[:-1] + self._mean * x[-1] - rhs)
         return self.reduction @ x[:-1], resid / norm
+
+    def precondition(self, r):
+        """The reduced zero-mean solution of (matrix) z = r, for a right side
+        r on the periodic classes: the preconditioner apply of an iterative
+        solve."""
+        return self._lu.solve(np.concatenate([r, [0.0]]))[:-1]
 
 
 def check_residual(residual, residual_tol):
@@ -249,6 +293,44 @@ def check_residual(residual, residual_tol):
     if not np.isfinite(residual) or residual > residual_tol:
         raise SolverError(f"zero-mean solve residual {residual:.3e} "
                           f"exceeds {residual_tol:.1e}")
+
+
+# The kept stiffness solver: (weak reference to its mesh, solver), or None.
+# Its factorization is the largest array set of a cell mesh, so at most one
+# is alive; it dies with its mesh, which the solver does not reference.
+_kept = None
+
+
+def _forget_kept(ref):
+    global _kept
+    if _kept is not None and _kept[0] is ref:
+        _kept = None
+
+
+def stiffness_solver(mesh):
+    """The zero-mean solver of the mesh's stiffness matrix (no residual
+    check of its own), kept until a solver for another mesh is built, the
+    kept mesh dies or ``drop_other_stiffness_solver`` frees it."""
+    global _kept
+    drop_other_stiffness_solver(mesh)  # freed before this mesh's is built
+    if _kept is None:
+        # The bordered stiffness matrix is structurally symmetric: minimum
+        # degree on A^T + A halves the fill of the default COLAMD ordering
+        # (0.85M against 1.69M entries on a cell mesh of 4238 nodes) and
+        # nearly halves the time of each preconditioner apply.
+        solver = ZeroMeanSolver(mesh, stiffness_matrix(mesh), math.inf,
+                                ordering="MMD_AT_PLUS_A")
+        _kept = (weakref.ref(mesh, _forget_kept), solver)
+    return _kept[1]
+
+
+def drop_other_stiffness_solver(mesh):
+    """Free the kept stiffness solver unless it is ``mesh``'s (called before
+    another factorization on ``mesh``, to hold one cell factorization at a
+    time)."""
+    global _kept
+    if _kept is not None and _kept[0]() is not mesh:
+        _kept = None
 
 
 # -- integration -------------------------------------------------------------

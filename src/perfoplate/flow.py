@@ -12,7 +12,6 @@ per cell mesh at u3 = 1 and scaled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,14 +71,13 @@ def unit_cell_flow(mesh):
     The potential solves a pure-Neumann Laplace problem with w.n = +1 on
     I+ and -1 on I- (net upward through-flow) and impermeable plate walls.
     The problem is linear in u3, so every other speed scales this flow.
-    Only the fields are kept; the factorization is dropped on return.
+    It is solved by the mesh's kept stiffness solver (``fem.stiffness_solver``),
+    which the cell correctors then use as their preconditioner.
     """
     rhs = -(fem.boundary_load_vector(mesh, "I+")
             - fem.boundary_load_vector(mesh, "I-"))
-    # the solver (and its factorization) is freed as soon as the solve
-    # returns; each caller checks the residual against its own tolerance
-    pot, residual = fem.ZeroMeanSolver(
-        mesh, fem.stiffness_matrix(mesh), math.inf).solve_with_residual(rhs)
+    # each caller checks the residual against its own tolerance
+    pot, residual = fem.stiffness_solver(mesh).solve_with_residual(rhs)
     vel = _recover_velocity(mesh, pot)
     pot.flags.writeable = False
     vel.flags.writeable = False

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.duct_mesh import generate_waveguide_mesh
@@ -59,3 +60,16 @@ def structured_square_mesh(n, groups=True):
             "top": [(ids[i, n], ids[i + 1, n]) for i in range(n)],
         }
     return Mesh(2, nodes, np.array(tris), {k: np.array(v) for k, v in fg.items()})
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Shapes of the matrices factored by scipy's splu while the test runs."""
+    calls = []
+    real = spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(spla, "splu", counting)
+    return calls

@@ -1,12 +1,17 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from fixtures import uniform_flow
 from perfoplate import fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
-from perfoplate.cell_problems import (CellOperator, MachBoundError, assemble_Aw,
-                                      solve_cell_problems, solve_pi_P,
-                                      solve_pi_beta, solve_xi)
+from perfoplate.cell_problems import (CellOperator, MachBoundError, advective_load,
+                                      assemble_Aw, solve_cell_problems, solve_pi_P,
+                                      solve_pi_beta, solve_xi, tangential_load,
+                                      transverse_load)
+from perfoplate.coefficients import cell_pipeline
+from perfoplate.fem import SolverError
 from perfoplate.flow import solve_cell_potential_flow
 from perfoplate.geometry import CellGeometry
 
@@ -117,8 +122,6 @@ def test_zero_mean_and_periodicity(slant_cell_mesh, props):
 
 
 def test_loads_compatible(slant_cell_mesh, props):
-    from perfoplate.cell_problems import (advective_load, tangential_load,
-                                          transverse_load)
     flow = solve_cell_potential_flow(slant_cell_mesh, 4.0, props)
     op = assemble_Aw(slant_cell_mesh, flow, props)
     T = fem.periodic_reduction(op.mesh)
@@ -182,8 +185,117 @@ def test_solver_residual_contract(slant_cell_mesh, props):
     flow = solve_cell_potential_flow(slant_cell_mesh, 2.0, props)
     op = assemble_Aw(slant_cell_mesh, flow, props)
     xi = solve_xi(op)
-    from perfoplate.cell_problems import transverse_load
     T = fem.periodic_reduction(slant_cell_mesh)
     rhs = T.T @ transverse_load(op)
     resid = np.linalg.norm((T.T @ (op.matrix @ xi)) - rhs)
     assert resid <= 1e-9 * np.linalg.norm(rhs)
+
+
+# -- corrector solves: direct at rest, preconditioned CG with flow ----------
+
+def correctors(op):
+    return [solve_pi_beta(op, 1), solve_pi_beta(op, 2), solve_xi(op), solve_pi_P(op)]
+
+
+def direct_correctors(op):
+    """The same correctors by a direct factorization of the same operator."""
+    direct = fem.ZeroMeanSolver(op.mesh, op.matrix, 1e-10, scale=op.xi)
+    loads = [tangential_load(op, 1), tangential_load(op, 2), transverse_load(op),
+             advective_load(op)]
+    return [direct.solve(load) for load in loads]
+
+
+def slant_flow(u3):
+    return lambda props, slant: (slant, solve_cell_potential_flow(slant, u3, props))
+
+
+def near_bound_flow(props, _):
+    mesh = generate_unit_cell_mesh(CellGeometry(), 0.2)
+    return mesh, uniform_flow(mesh, (0.0, 0.0, 0.99 * props.mach_speed_limit), props)
+
+
+@pytest.mark.parametrize("case", [slant_flow(-2.0), slant_flow(3.0), near_bound_flow],
+                         ids=["slant-u3=-2", "slant-u3=3", "uniform-0.99-bound"])
+def test_pcg_correctors_match_direct_solve(slant_cell_mesh, props, case):
+    mesh, flow = case(props, slant_cell_mesh)
+    op = assemble_Aw(mesh, flow, props)
+    for pcg, direct in zip(correctors(op), direct_correctors(op)):
+        assert np.linalg.norm(pcg - direct) <= 1e-11 * np.linalg.norm(direct)
+
+
+def test_rest_correctors_bitwise_equal_fresh_direct_solve(slant_cell_mesh, props):
+    sols = solve_cell_problems(slant_cell_mesh, zero_flow(slant_cell_mesh, props), props)
+    xi = fem.xi_measure(slant_cell_mesh)
+    K = fem.stiffness_matrix(slant_cell_mesh) / xi
+    fresh = fem.ZeroMeanSolver(slant_cell_mesh, K, 1e-10, scale=xi)
+    op = sols.operator
+    for field, load in ((sols.pi1, tangential_load(op, 1)),
+                        (sols.pi2, tangential_load(op, 2)),
+                        (sols.xi, transverse_load(op))):
+        np.testing.assert_array_equal(field, fresh.solve(load))
+
+
+def test_speeds_on_one_mesh_share_one_factorization(props, splu_calls):
+    geom = CellGeometry(hole_slope_deg=30.0)
+    mesh = generate_unit_cell_mesh(geom, 0.15)
+    for u3 in (1.0, -2.5, 4.0):
+        cell_pipeline(geom, u3, 0.15, props, mesh=mesh)
+    assert len(splu_calls) == 1
+
+
+def test_one_kept_solver_per_process(props):
+    a, b = (generate_unit_cell_mesh(CellGeometry(hole_slope_deg=s), 0.2)
+            for s in (30.0, 0.0))
+    kept = weakref.ref(fem.stiffness_solver(a))
+    assert fem.stiffness_solver(a) is kept()          # kept while a is in use
+    fem.stiffness_solver(b)
+    assert kept() is None                             # building b's freed a's
+    kept = weakref.ref(fem.stiffness_solver(a))
+    assemble_Aw(b, zero_flow(b, props), props)        # a rest operator on b
+    assert kept() is None
+    kept = weakref.ref(fem.stiffness_solver(b))
+    assemble_Aw(b, zero_flow(b, props), props)        # ... keeps b's own
+    assert kept() is not None
+    mesh = weakref.ref(b)
+    del b
+    assert mesh() is None and kept() is None          # the solver dies with its mesh
+
+
+def test_pcg_residual_excludes_the_constant_part_of_the_load(slant_cell_mesh, props):
+    # a load off compatibility by 0.9e-10 relative (the check admits 1e-10),
+    # all of it along the constants of the periodic classes, is solved to a
+    # residual of 1e-12, as by the direct solve
+    flow = solve_cell_potential_flow(slant_cell_mesh, 2.0, props)
+    op = assemble_Aw(slant_cell_mesh, flow, props, residual_tol=1e-12)
+    T = fem.periodic_reduction(slant_cell_mesh)
+    sizes = np.asarray(T.sum(axis=0)).ravel()
+    load = transverse_load(op)
+    load += T @ (0.9e-10 * np.linalg.norm(T.T @ load) / len(sizes) / sizes)
+    direct = fem.ZeroMeanSolver(slant_cell_mesh, op.matrix, 1e-12, scale=op.xi).solve(load)
+    assert np.linalg.norm(op.solve(load) - direct) <= 1e-10 * np.linalg.norm(direct)
+
+
+def test_pcg_breakdown_raises(slant_cell_mesh, props, monkeypatch):
+    op = assemble_Aw(slant_cell_mesh, solve_cell_potential_flow(slant_cell_mesh, 2.0, props),
+                     props)
+    real = fem.ZeroMeanSolver.precondition
+    monkeypatch.setattr(fem.ZeroMeanSolver, "precondition",
+                        lambda self, r: -real(self, r))
+    with pytest.raises(SolverError, match=r"breaks down at max \|w\| = .* 1 iterations"):
+        solve_xi(op)
+
+
+def test_pcg_iteration_cap_raises(slant_cell_mesh, props):
+    op = assemble_Aw(slant_cell_mesh, solve_cell_potential_flow(slant_cell_mesh, 2.0, props),
+                     props)
+    op._max_iter = 2
+    with pytest.raises(SolverError,
+                       match=r"does not converge at max \|w\| = .* 2 iterations, relative"):
+        solve_xi(op)
+
+
+def test_pcg_residual_checked_against_tolerance(slant_cell_mesh, props):
+    flow = solve_cell_potential_flow(slant_cell_mesh, 2.0, props)
+    op = assemble_Aw(slant_cell_mesh, flow, props, residual_tol=1e-30)
+    with pytest.raises(SolverError, match="zero-mean solve residual .* exceeds 1.0e-30"):
+        solve_xi(op)

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from fixtures import uniform_flow
 from perfoplate import fem
@@ -108,18 +107,6 @@ def test_scaled_unit_flow_matches_direct_solve(slant_cell_mesh, props, u3):
 def fresh_cell_mesh():
     """A cell mesh no other test has touched, so its per-mesh cache is empty."""
     return generate_unit_cell_mesh(CellGeometry(), 0.15)
-
-
-@pytest.fixture
-def splu_calls(monkeypatch):
-    calls = []
-    real = spla.splu
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real(*args, **kwargs)
-    monkeypatch.setattr(spla, "splu", counting)
-    return calls
 
 
 def test_second_speed_reuses_unit_flow(fresh_cell_mesh, props, splu_calls):
