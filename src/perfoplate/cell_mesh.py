@@ -52,7 +52,13 @@ def _span_count(length, res):
 
 
 class _CrossSection:
-    """2D mesh of the cell rectangle with an embedded circle."""
+    """2D mesh of the cell rectangle with an embedded circle.
+
+    Node 0 is the circle center; ring q (0-based) holds nodes
+    ``1 + q * ntheta + k``, k along the perimeter walk.  The disk rings come
+    first, its last ring is the circle (the first ring of the annulus) and
+    the last ring is the perimeter.
+    """
 
     def __init__(self, geom: CellGeometry, resolution: float):
         b1, b2 = geom.b1, geom.b2
@@ -60,71 +66,40 @@ class _CrossSection:
         if not 0 < d < min(b1, b2):
             # no plate: any interior circle works as a mesh feature
             d = 0.5 * min(b1, b2)
-        self.radius = d / 2.0
-        self.center = np.array([b1 / 2.0, b2 / 2.0])
+        radius = d / 2.0
+        center = np.array([b1 / 2.0, b2 / 2.0])
 
         nsx = _even_count(b1, resolution)
         nsy = _even_count(b2, resolution)
-        self.ntheta = 2 * (nsx + nsy)
-        self.n_disk_rings = max(1, int(round(self.radius / resolution)))
+        n = 2 * (nsx + nsy)
+        n_disk = max(1, int(round(radius / resolution)))
         margin = (min(b1, b2) - d) / 2.0
-        self.n_ann_rings = max(2, int(round(margin / resolution)))
+        n_ann = max(2, int(round(margin / resolution)))
 
-        # perimeter walk, counter-clockwise from the (0, 0) corner
-        per = []
-        sides = []
-        for i in range(nsx):
-            per.append((i * b1 / nsx, 0.0))
-            sides.append("y0")
-        for j in range(nsy):
-            per.append((b1, j * b2 / nsy))
-            sides.append("x1")
-        for i in range(nsx):
-            per.append((b1 - i * b1 / nsx, b2))
-            sides.append("y1")
-        for j in range(nsy):
-            per.append((0.0, b2 - j * b2 / nsy))
-            sides.append("x0")
-        self.perimeter = np.array(per)
-        # edge k runs from perimeter[k] to perimeter[k+1] and lies on the same
-        # side as its starting point (corners start the next side)
-        self.edge_sides = list(sides)
+        # perimeter walk, counter-clockwise from the (0, 0) corner; edge k
+        # runs from point k to point k+1 and lies on the same side as its
+        # starting point (corners start the next side)
+        i, j = np.arange(nsx), np.arange(nsy)
+        perimeter = np.column_stack([
+            np.concatenate([i * b1 / nsx, np.full(nsy, b1), b1 - i * b1 / nsx,
+                            np.zeros(nsy)]),
+            np.concatenate([np.zeros(nsx), j * b2 / nsy, np.full(nsx, b2),
+                            b2 - j * b2 / nsy])])
+        self.edge_sides = np.repeat(["y0", "x1", "y1", "x0"], [nsx, nsy, nsx, nsy])
 
-        theta = np.arctan2(self.perimeter[:, 1] - self.center[1],
-                           self.perimeter[:, 0] - self.center[0])
+        theta = np.arctan2(perimeter[:, 1] - center[1], perimeter[:, 0] - center[0])
+        r = radius * np.arange(1, n_disk + 1)[:, None, None] / n_disk
+        disk = center + r * np.column_stack([np.cos(theta), np.sin(theta)])
+        f = np.arange(1, n_ann)[:, None, None] / n_ann
+        annulus = disk[-1] + f * (perimeter - disk[-1])
+        self.nodes = np.concatenate([center[None], disk.reshape(-1, 2),
+                                     annulus.reshape(-1, 2), perimeter])
 
-        nodes = [tuple(self.center)]
-        self.i_center = 0
-        self.disk_rings = []
-        for j in range(1, self.n_disk_rings + 1):
-            r = self.radius * j / self.n_disk_rings
-            ring = []
-            for t in theta:
-                ring.append(len(nodes))
-                nodes.append((self.center[0] + r * math.cos(t),
-                              self.center[1] + r * math.sin(t)))
-            self.disk_rings.append(ring)
-        self.circle = self.disk_rings[-1]
-        circle_xy = np.array([nodes[i] for i in self.circle])
-        self.ann_rings = [self.circle]
-        for j in range(1, self.n_ann_rings + 1):
-            f = j / self.n_ann_rings
-            ring = []
-            if j == self.n_ann_rings:
-                pts = self.perimeter
-            else:
-                pts = circle_xy + f * (self.perimeter - circle_xy)
-            for p in pts:
-                ring.append(len(nodes))
-                nodes.append((p[0], p[1]))
-            self.ann_rings.append(ring)
-        self.perimeter_ids = self.ann_rings[-1]
-        self.nodes = np.array(nodes)
-
-        self.disk_tris = self._fan() + self._ring_tris(self.disk_rings)
-        self.annulus_tris = self._ring_tris(self.ann_rings)
-        self._orient(self.disk_tris)
-        self._orient(self.annulus_tris)
+        rings = 1 + n * np.arange(n_disk + n_ann)[:, None] + np.arange(n)
+        self.circle, self.perimeter_ids = rings[n_disk - 1], rings[-1]
+        fan = np.column_stack([np.zeros(n, np.int64), rings[0], np.roll(rings[0], -1)])
+        self.disk_tris = self._orient(np.concatenate([fan, _ring_tris(rings[:n_disk])]))
+        self.annulus_tris = self._orient(_ring_tris(rings[n_disk - 1:]))
 
         # strict node order whose comparisons are invariant under the
         # y1 -> b1 - y1 mirror (fold about the mid-plane, then y2)
@@ -133,43 +108,32 @@ class _CrossSection:
         self.rank = np.empty(len(self.nodes), dtype=np.int64)
         self.rank[order] = np.arange(len(self.nodes))
 
-    def _fan(self):
-        n = self.ntheta
-        ring = self.disk_rings[0]
-        return [(self.i_center, ring[k], ring[(k + 1) % n]) for k in range(n)]
-
-    def _ring_tris(self, rings):
-        n = self.ntheta
-        tris = []
-        for j in range(len(rings) - 1):
-            inner, outer = rings[j], rings[j + 1]
-            for k in range(n):
-                a, b = inner[k], inner[(k + 1) % n]
-                c, d = outer[(k + 1) % n], outer[k]
-                if (k + j) % 2 == 0:
-                    tris.append((a, b, c))
-                    tris.append((a, c, d))
-                else:
-                    tris.append((d, a, b))
-                    tris.append((d, b, c))
+    def _orient(self, tris):
+        """The triangles, counter-clockwise."""
+        x = self.nodes[tris]
+        e1, e2 = x[:, 1] - x[:, 0], x[:, 2] - x[:, 0]
+        flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
+        tris[flip] = tris[flip][:, [0, 2, 1]]
         return tris
 
-    def _orient(self, tris):
-        x = self.nodes
-        for i, (a, b, c) in enumerate(tris):
-            area = ((x[b, 0] - x[a, 0]) * (x[c, 1] - x[a, 1])
-                    - (x[b, 1] - x[a, 1]) * (x[c, 0] - x[a, 0]))
-            if area < 0:
-                tris[i] = (a, c, b)
-
     def circle_edges(self):
-        n = self.ntheta
-        return [(self.circle[k], self.circle[(k + 1) % n]) for k in range(n)]
+        return np.column_stack([self.circle, np.roll(self.circle, -1)])
 
-    def perimeter_edges(self):
-        n = self.ntheta
-        return [((self.perimeter_ids[k], self.perimeter_ids[(k + 1) % n]),
-                 self.edge_sides[k]) for k in range(n)]
+    def perimeter_edges(self, side):
+        """Perimeter edges on one side, in walk order."""
+        ids = self.perimeter_ids
+        return np.column_stack([ids, np.roll(ids, -1)])[self.edge_sides == side]
+
+
+def _ring_tris(rings):
+    """Two triangles per quad between consecutive rings, ring pair by ring
+    pair along the walk; the diagonal alternates with the quad's parity."""
+    a, d = rings[:-1], rings[1:]
+    b, c = np.roll(a, -1, axis=1), np.roll(d, -1, axis=1)
+    even = ((np.arange(len(a))[:, None] + np.arange(rings.shape[1])) % 2 == 0)[..., None]
+    first = np.where(even, np.stack([a, b, c], -1), np.stack([d, a, b], -1))
+    second = np.where(even, np.stack([a, c, d], -1), np.stack([d, b, c], -1))
+    return np.stack([first, second], axis=2).reshape(-1, 3)
 
 
 def _z_breakpoints(geom: CellGeometry):
@@ -204,99 +168,83 @@ def _shear_profile(z, thickness, kappa, slope_deg):
     return t * np.where(az <= h2, z, np.sign(z) * h2 * fade)
 
 
+# the three tetrahedra of a prism over a triangle sorted by rank, as indices
+# into its nodes (b0, b1, b2, t0, t1, t2): bottom layer, then top layer
+_PRISM_TETS = [[0, 1, 2, 5], [0, 1, 5, 4], [0, 3, 4, 5]]
+
+
 def generate_unit_cell_mesh(geom: CellGeometry, resolution: float = 0.08) -> Mesh:
     """Mesh the fluid part of the unit cell with tagged facet groups.
 
     Facet groups: ``I+`` / ``I-`` (top and bottom faces), four lateral
     groups, and ``solid`` (plate faces and hole channel wall).  Lateral
     periodic node pairs are detected and stored under ``d1`` / ``d2``.
+
+    Nodes are numbered in the order the prisms, layer by layer, first touch
+    them: (2D node, z-level) key ``n2d * nz + iz``.
     """
-    if resolution <= 0:
-        raise GeometryError("resolution must be positive")
+    if not resolution > 0:
+        raise GeometryError(f"resolution must be positive, got {resolution}")
     cs = _CrossSection(geom, resolution)
     zs = _z_lines(geom, resolution)
     nz = len(zs)
     h2 = geom.thickness / 2.0
     tiny = 1e-12 * max(geom.kappa, 1.0)
+    in_plate = (zs[:-1] >= -h2 - tiny) & (zs[1:] <= h2 + tiny) & geom.has_plate
+    all_tris = np.concatenate([cs.disk_tris, cs.annulus_tris])
 
-    def layer_in_plate(l):
-        return geom.has_plate and zs[l] >= -h2 - tiny and zs[l + 1] <= h2 + tiny
+    def layer_tris(layer):
+        return cs.disk_tris if in_plate[layer] else all_tris
 
-    disk_set = cs.disk_tris
-    all_tris = cs.disk_tris + cs.annulus_tris
+    def prism_keys(layer):
+        """Node keys (b0, b1, b2, t0, t1, t2) of the prisms of a layer."""
+        t = layer_tris(layer)
+        v = np.take_along_axis(t, np.argsort(cs.rank[t], axis=1), axis=1)
+        return np.hstack([v * nz + layer, v * nz + layer + 1])
 
-    node_id = {}
-    coords = []
+    prisms = np.concatenate([prism_keys(layer) for layer in range(nz - 1)])
+    keys, first = np.unique(prisms, return_index=True)
+    touched = keys[np.argsort(first)]
+    node_of = np.full(len(cs.nodes) * nz, -1, dtype=np.int64)
+    node_of[touched] = np.arange(len(touched))
 
-    def nid(n2d, iz):
-        key = (n2d, iz)
-        idx = node_id.get(key)
-        if idx is None:
-            idx = len(coords)
-            node_id[key] = idx
-            coords.append((cs.nodes[n2d, 0], cs.nodes[n2d, 1], zs[iz]))
-        return idx
+    def node(n2d, iz):
+        return node_of[n2d * nz + iz]
 
-    rank = cs.rank
-    tets = []
-    for l in range(nz - 1):
-        tris = disk_set if layer_in_plate(l) else all_tris
-        for tri in tris:
-            v = sorted(tri, key=lambda n: rank[n])
-            b = [nid(n, l) for n in v]
-            t = [nid(n, l + 1) for n in v]
-            tets.append((b[0], b[1], b[2], t[2]))
-            tets.append((b[0], b[1], t[2], t[1]))
-            tets.append((b[0], t[0], t[1], t[2]))
-
-    coords = np.array(coords)
-    tets = np.array(tets, dtype=np.int64)
+    coords = np.column_stack([cs.nodes[touched // nz], zs[touched % nz]])
+    tets = node_of[prisms][:, _PRISM_TETS].reshape(-1, 4)
 
     # fix tet orientation (swap two nodes where the signed volume is negative)
     flip = Mesh(3, coords, tets).cell_volumes() < 0
     tets[flip] = tets[flip][:, [0, 1, 3, 2]]
 
-    def quad_facets(u, v, lo_layer):
-        """Two boundary triangles of the vertical quad over a 2D edge."""
-        a, b = (u, v) if rank[u] < rank[v] else (v, u)
-        B_a, B_b = nid(a, lo_layer), nid(b, lo_layer)
-        T_a, T_b = nid(a, lo_layer + 1), nid(b, lo_layer + 1)
-        return [(B_a, B_b, T_b), (B_a, T_b, T_a)]
+    def quads(edges, layers):
+        """Two boundary triangles of the vertical quad over each 2D edge, in
+        each layer: (B_a, B_b, T_b), (B_a, T_b, T_a), with a before b by rank."""
+        ab = np.where((cs.rank[edges[:, 0]] < cs.rank[edges[:, 1]])[:, None],
+                      edges, edges[:, ::-1])
+        iz = layers[:, None, None]
+        quad = np.concatenate([node(ab, iz), node(ab, iz + 1)], axis=-1)
+        return quad[..., [[0, 1, 3], [0, 3, 2]]].reshape(-1, 3)
 
-    groups = {name: [] for name in
-              [GROUP_TOP, GROUP_BOTTOM, GROUP_SOLID] + list(LATERAL_GROUPS.values())}
-    top_tris = disk_set if layer_in_plate(nz - 2) else all_tris
-    bot_tris = disk_set if layer_in_plate(0) else all_tris
-    for tri in top_tris:
-        groups[GROUP_TOP].append(tuple(nid(n, nz - 1) for n in tri))
-    for tri in bot_tris:
-        groups[GROUP_BOTTOM].append(tuple(nid(n, 0) for n in tri))
-
-    for l in range(nz - 1):
-        if layer_in_plate(l):
-            for u, v in cs.circle_edges():
-                groups[GROUP_SOLID].extend(quad_facets(u, v, l))
-        else:
-            for (u, v), side in cs.perimeter_edges():
-                groups[LATERAL_GROUPS[side]].extend(quad_facets(u, v, l))
-
+    layers = np.arange(nz - 1)
+    groups = {GROUP_TOP: node(layer_tris(nz - 2), nz - 1),
+              GROUP_BOTTOM: node(layer_tris(0), 0)}
     if geom.has_plate:
         iz_bot = int(np.argmin(np.abs(zs + h2)))
         iz_top = int(np.argmin(np.abs(zs - h2)))
-        for tri in cs.annulus_tris:
-            groups[GROUP_SOLID].append(tuple(nid(n, iz_bot) for n in tri))
-            groups[GROUP_SOLID].append(tuple(nid(n, iz_top) for n in tri))
-    else:
-        del groups[GROUP_SOLID]
+        faces = np.stack([node(cs.annulus_tris, iz_bot), node(cs.annulus_tris, iz_top)],
+                         axis=1)
+        groups[GROUP_SOLID] = np.concatenate([quads(cs.circle_edges(), layers[in_plate]),
+                                              faces.reshape(-1, 3)])
+    for side, name in LATERAL_GROUPS.items():
+        groups[name] = quads(cs.perimeter_edges(side), layers[~in_plate])
 
     # slant the hole
-    disp = _shear_profile(coords[:, 2], geom.thickness, geom.kappa,
-                          geom.hole_slope_deg)
-    coords = coords.copy()
-    coords[:, 0] += disp
+    coords[:, 0] += _shear_profile(coords[:, 2], geom.thickness, geom.kappa,
+                                   geom.hole_slope_deg)
 
-    mesh = Mesh(3, coords, tets,
-                {name: np.array(f, dtype=np.int64) for name, f in groups.items()})
+    mesh = Mesh(3, coords, tets, groups)
     vols = mesh.cell_volumes()
     bad = np.nonzero(vols <= 0)[0]
     if bad.size:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -23,8 +24,8 @@ from .coefficients import (_num, cell_pipeline, rows_to_csv,
                            sweep_coefficients, verify_symmetries)
 from .duct_mesh import generate_waveguide_mesh
 from .mesh import save_mesh
-from .pipeline import setup_waveguide_run, tl_curve
-from .waveguide import solve_frequency
+from .pipeline import setup_waveguide_run
+from .waveguide import frequency_sweep
 
 JOBS_ENV_VAR = "PERFOPLATE_JOBS"
 
@@ -96,8 +97,8 @@ def cmd_waveguide(cfg, out: Path):
         impedance_flow_correction=cfg["acoustics.impedance_flow_correction"],
         source_side=cfg["acoustics.source_side"],
         residual_tol=cfg["run.residual_tol"])
-    freqs = cfg.frequencies_hz()
-    rows, failures = tl_curve(run, freqs)
+    omegas = [2.0 * math.pi * f for f in cfg.frequencies_hz()]
+    rows, failures, solutions = frequency_sweep(run.problem, omegas)
     lines = ["omega_rad_s,freq_hz,TL_db,flux_in,flux_out"]
     lines += [",".join(_num(v) for v in row) for row in rows]
     _write(out / "tl.csv", "\n".join(lines) + "\n")
@@ -115,8 +116,7 @@ def cmd_waveguide(cfg, out: Path):
 
     written = ["tl.csv", "interface_u3.csv"]
     if rows:
-        mid = rows[len(rows) // 2]
-        sol = solve_frequency(run.problem, mid[0])
+        sol = solutions[len(rows) // 2]
         snap = run.mesh.with_fields(
             pressure_re=sol.P.real, pressure_im=sol.P.imag,
             pressure_abs=np.abs(sol.P))

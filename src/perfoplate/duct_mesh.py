@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import WaveguideGeometry
+from .geometry import GeometryError, WaveguideGeometry
 from .mesh import Mesh
 
 GROUP_IN = "Gamma_in"
@@ -39,101 +39,77 @@ def _multi_lines(breaks, res):
     return np.concatenate(out)
 
 
-class _Builder:
-    def __init__(self):
-        self.nodes = []
-        self.index = {}
-        self.tris = []
-
-    def node(self, x, y):
-        key = (round(x, 12), round(y, 12))
-        idx = self.index.get(key)
-        if idx is None:
-            idx = len(self.nodes)
-            self.index[key] = idx
-            self.nodes.append((x, y))
-        return idx
-
-    def grid(self, xs, ys):
-        ids = np.array([[self.node(x, y) for y in ys] for x in xs])
-        for i in range(len(xs) - 1):
-            for j in range(len(ys) - 1):
-                n00, n01 = ids[i, j], ids[i, j + 1]
-                n10, n11 = ids[i + 1, j], ids[i + 1, j + 1]
-                self.tris.append((n00, n10, n11))
-                self.tris.append((n00, n11, n01))
+def _grid(xs, ys, first, shared_rows=slice(0), shared_ids=()):
+    """Node ids of the grid xs x ys, x-major; the rows ``shared_rows`` of its
+    first column are the nodes ``shared_ids`` of the grid before it, the
+    others are numbered from ``first``.  Returns (ids, new node coordinates)."""
+    new = np.ones((len(xs), len(ys)), dtype=bool)
+    new[0, shared_rows] = False
+    ids = np.empty(new.shape, dtype=np.int64)
+    ids[0, shared_rows] = shared_ids
+    ids[new] = first + np.arange(new.sum())
+    x, y = np.meshgrid(xs, ys, indexing="ij")
+    return ids, np.column_stack([x[new], y[new]])
 
 
-def generate_waveguide_mesh(geom: WaveguideGeometry, resolution: float = 0.0125,
-                            split_interface: bool = True) -> Mesh:
+def _grid_tris(ids):
+    """Two triangles per grid square, square by square, x-major."""
+    n00, n01, n10, n11 = ids[:-1, :-1], ids[:-1, 1:], ids[1:, :-1], ids[1:, 1:]
+    return np.stack([np.stack([n00, n10, n11], axis=-1),
+                     np.stack([n00, n11, n01], axis=-1)], axis=2).reshape(-1, 3)
+
+
+def generate_waveguide_mesh(geom: WaveguideGeometry, resolution: float = 0.0125) -> Mesh:
     """Triangle mesh of the waveguide with tagged boundary groups.
 
-    With ``split_interface`` the interface nodes are duplicated (groups
-    ``Gamma0-`` / ``Gamma0+``, pairing ``iface``); otherwise the mesh is a
-    single connected transparent duct, useful as a reference.
+    Nodes: the inlet grid, the main grid, then the outlet grid, each x-major
+    and without the column it shares with the grid before it, then the
+    duplicated interface nodes (groups ``Gamma0-`` / ``Gamma0+``, pairing
+    ``iface``) that the cells above the interface use.
     """
+    if not resolution > 0:
+        raise GeometryError(f"resolution must be positive, got {resolution}")
     s = geom.interface_pos
     H = geom.total_height
     ys_main = _multi_lines([0.0, geom.h_io, s, H - geom.h_io, H], resolution)
     xs_main = _lines(0.0, geom.l_m, resolution)
     xs_in = _lines(-geom.l_io, 0.0, resolution)
     xs_out = _lines(geom.l_m, geom.l_m + geom.l_io, resolution)
+    # a prefix and a suffix of ys_main
     ys_in = ys_main[ys_main <= geom.h_io + 1e-12]
     ys_out = ys_main[ys_main >= H - geom.h_io - 1e-12]
 
-    b = _Builder()
-    b.grid(xs_in, ys_in)
-    b.grid(xs_main, ys_main)
-    b.grid(xs_out, ys_out)
-    nodes = np.array(b.nodes)
-    tris = np.array(b.tris, dtype=np.int64)
+    ids_in, x_in = _grid(xs_in, ys_in, 0)
+    ids_main, x_main = _grid(xs_main, ys_main, len(x_in),
+                             slice(len(ys_in)), ids_in[-1])
+    ids_out, x_out = _grid(xs_out, ys_out, len(x_in) + len(x_main),
+                           slice(None), ids_main[-1, len(ys_main) - len(ys_out):])
+    nodes = np.concatenate([x_in, x_main, x_out])
+    tris = np.concatenate([_grid_tris(ids) for ids in (ids_in, ids_main, ids_out)])
 
-    pairs = {}
-    if split_interface:
-        tol = 1e-9 * max(geom.l_m, H)
-        on_iface = np.nonzero(np.abs(nodes[:, 1] - s) < tol)[0]
-        on_iface = on_iface[np.argsort(nodes[on_iface, 0])]
-        dup_of = {}
-        extra = []
-        for n in on_iface:
-            dup_of[n] = len(nodes) + len(extra)
-            extra.append(nodes[n])
-        nodes = np.vstack([nodes, np.array(extra)])
-        cen_y = nodes[tris].mean(axis=1)[:, 1]
-        above = cen_y > s
-        remap = tris[above]
-        for old, new in dup_of.items():
-            remap[remap == old] = new
-        tris = tris.copy()
-        tris[above] = remap
-        pairs[IFACE_PAIRING] = np.array(
-            [(m, dup_of[m]) for m in on_iface], dtype=np.int64)
+    tol = 1e-9 * max(geom.l_m, H)
+    minus = np.nonzero(np.abs(nodes[:, 1] - s) < tol)[0]
+    minus = minus[np.argsort(nodes[minus, 0])]
+    n = len(nodes)
+    plus = n + np.arange(len(minus))
+    nodes = np.concatenate([nodes, nodes[minus]])
+    above = nodes[tris].mean(axis=1)[:, 1] > s
+    upper = np.arange(len(nodes))  # the node a cell above the interface uses
+    upper[minus] = plus
+    tris[above] = upper[tris[above]]
 
-    mesh = Mesh(2, nodes, tris)
+    facets = Mesh(2, nodes, tris).boundary_facets()
+    x = nodes[facets, 0]
     tol = 1e-9 * max(geom.l_m + 2 * geom.l_io, H)
-    groups = {GROUP_IN: [], GROUP_OUT: [], GROUP_WALL: []}
-    if split_interface:
-        groups[GROUP_IFACE_MINUS] = []
-        groups[GROUP_IFACE_PLUS] = []
-        minus_set = set(pairs[IFACE_PAIRING][:, 0].tolist())
-        plus_set = set(pairs[IFACE_PAIRING][:, 1].tolist())
-    for a, c in sorted(map(tuple, mesh.boundary_facets())):
-        xa, ya = nodes[a]
-        xc, yc = nodes[c]
-        if abs(xa + geom.l_io) < tol and abs(xc + geom.l_io) < tol:
-            groups[GROUP_IN].append((a, c))
-        elif abs(xa - geom.l_m - geom.l_io) < tol and abs(xc - geom.l_m - geom.l_io) < tol:
-            groups[GROUP_OUT].append((a, c))
-        elif split_interface and a in minus_set and c in minus_set:
-            groups[GROUP_IFACE_MINUS].append((a, c))
-        elif split_interface and a in plus_set and c in plus_set:
-            groups[GROUP_IFACE_PLUS].append((a, c))
-        else:
-            groups[GROUP_WALL].append((a, c))
-
-    mesh = Mesh(2, nodes, tris,
-                {k: np.array(v, dtype=np.int64).reshape(-1, 2) for k, v in groups.items()},
-                pairs)
+    kind = np.select(  # first match wins
+        [np.all(np.abs(x + geom.l_io) < tol, axis=1),
+         np.all(np.abs(x - geom.l_m - geom.l_io) < tol, axis=1),
+         np.all(np.isin(facets, minus), axis=1),
+         np.all(facets >= n, axis=1)],
+        [0, 1, 3, 4], default=2)
+    names = [GROUP_IN, GROUP_OUT, GROUP_WALL, GROUP_IFACE_MINUS, GROUP_IFACE_PLUS]
+    mesh = Mesh(2, nodes, tris, {name: facets[kind == k] for k, name in enumerate(names)},
+                {IFACE_PAIRING: np.column_stack([minus, plus])})
     return mesh.validate()
 
 

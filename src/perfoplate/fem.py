@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .mesh import per_mesh
@@ -192,28 +193,18 @@ def lumped_volume_vector(mesh):
 def periodic_reduction(mesh):
     """Prolongation matrix T (full dofs from reduced dofs) for periodic pairs.
 
-    Chained pairs (edge and corner nodes) are resolved by union-find; the
-    canonical representative is the smallest node index in each class.
+    A class is a connected component of the pair graph (chained pairs join
+    edge and corner nodes); its column is numbered by its representative,
+    the smallest node index in the class.
     """
     n = mesh.num_nodes
-    parent = np.arange(n)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for arr in mesh.periodic_pairs.values():
-        for m, s in arr:
-            rm, rs = find(m), find(s)
-            if rm != rs:
-                lo, hi = (rm, rs) if rm < rs else (rs, rm)
-                parent[hi] = lo
-    root = np.array([find(i) for i in range(n)])
-    uniq, red = np.unique(root, return_inverse=True)
+    pairs = np.concatenate([np.empty((0, 2), np.int64), *mesh.periodic_pairs.values()])
+    graph = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    _, labels = csgraph.connected_components(graph, directed=False)
+    _, first, cls = np.unique(labels, return_index=True, return_inverse=True)
+    _, red = np.unique(first[cls], return_inverse=True)
     return read_only(
-        sp.coo_matrix((np.ones(n), (np.arange(n), red)), shape=(n, len(uniq))).tocsr())
+        sp.coo_matrix((np.ones(n), (np.arange(n), red)), shape=(n, len(first))).tocsr())
 
 
 def reduced_rhs(reduction, rhs_full, zero_floor):

@@ -54,6 +54,16 @@ def _frozen(values, dtype):
     return out
 
 
+def _equal_runs(rows):
+    """Stable lexicographic order of the rows of an int array and, along it,
+    a flag for each row that starts a run of equal rows."""
+    order = np.lexsort(rows.T[::-1])
+    s = rows[order]
+    start = np.ones(len(s), dtype=bool)
+    start[1:] = np.any(s[1:] != s[:-1], axis=1)
+    return order, start
+
+
 class Mesh:
     """Conforming simplex mesh (P1 geometry).
 
@@ -149,16 +159,18 @@ class Mesh:
         return np.unique(self.facet_group(name))
 
     def boundary_facets(self):
-        """All facets owned by exactly one cell, as sorted node tuples."""
+        """All facets owned by exactly one cell, as sorted node tuples, in
+        lexicographic order."""
         c = self.cells
         if self.dim == 2:
             idx = [(0, 1), (1, 2), (2, 0)]
         else:
             idx = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-        faces = np.concatenate([c[:, list(i)] for i in idx], axis=0)
-        faces = np.sort(faces, axis=1)
-        uniq, counts = np.unique(faces, axis=0, return_counts=True)
-        return uniq[counts == 1]
+        faces = np.sort(np.concatenate([c[:, list(i)] for i in idx], axis=0), axis=1)
+        order, start = _equal_runs(faces)
+        first = np.flatnonzero(start)
+        single = np.diff(np.append(first, len(faces))) == 1
+        return faces[order[first[single]]]
 
     def validate(self):
         """Check invariants: positive volumes, groups on the boundary."""
@@ -168,15 +180,23 @@ class Mesh:
             raise MeshError(
                 f"cell {bad[0]} has non-positive volume {vols[bad[0]]:.3e}"
             )
-        boundary = {tuple(f) for f in self.boundary_facets()}
-        tagged = []
-        for name, facets in self.facet_groups.items():
-            for f in facets:
-                key = tuple(sorted(f.tolist()))
-                if key not in boundary:
-                    raise MeshError(f"group {name!r} contains a non-boundary facet {key}")
-                tagged.append(key)
-        if len(tagged) != len(set(tagged)):
+        boundary = self.boundary_facets()
+        names = list(self.facet_groups)
+        tagged = np.sort(np.concatenate(
+            [boundary[:0]] + [self.facet_groups[name] for name in names]), axis=1)
+        # along the stable order, each boundary facet leads its run of equal
+        # rows, followed by the tagged copies of it
+        order, start = _equal_runs(np.concatenate([boundary, tagged]))
+        is_tagged = order >= len(boundary)
+        head = np.flatnonzero(start)[np.cumsum(start) - 1]  # each row's run start
+        outside = order[is_tagged & is_tagged[head]] - len(boundary)
+        if outside.size:
+            first = int(outside.min())
+            ends = np.cumsum([len(self.facet_groups[name]) for name in names])
+            name = names[int(np.searchsorted(ends, first, side="right"))]
+            raise MeshError(f"group {name!r} contains a non-boundary facet "
+                            f"{tuple(tagged[first].tolist())}")
+        if np.any(is_tagged[1:] & is_tagged[:-1] & ~start[1:]):
             raise MeshError("facet groups overlap")
         if self.facet_groups and len(tagged) != len(boundary):
             raise MeshError(

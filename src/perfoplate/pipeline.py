@@ -108,4 +108,5 @@ def setup_waveguide_run(duct_geom: WaveguideGeometry, cell_geom: CellGeometry,
 def tl_curve(run: WaveguideRun, frequencies_hz):
     """TL rows over a frequency grid in Hz."""
     omegas = [2.0 * math.pi * f for f in frequencies_hz]
-    return frequency_sweep(run.problem, omegas)
+    rows, failures, _ = frequency_sweep(run.problem, omegas)
+    return rows, failures

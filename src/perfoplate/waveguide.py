@@ -28,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fem
-from .duct_mesh import GROUP_IN, GROUP_OUT, interface_nodes
+from .duct_mesh import GROUP_IN, GROUP_OUT, IFACE_PAIRING, interface_nodes
 from .coefficients import HomogenizedCoefficients
 from .fem import FluidProperties, SolverError
 
@@ -61,7 +61,8 @@ class MacroProblem:
     interface_coeffs: one HomogenizedCoefficients per interface element
     (or a single instance used uniformly).  flow: MacroFlowField or None.
     The problem is frozen, so its operator parts, built on first use and
-    kept, cannot go stale.
+    kept, cannot go stale.  The mesh must carry the split interface (the
+    ``iface`` pairing of `duct_mesh.generate_waveguide_mesh`).
     """
 
     mesh: object
@@ -80,13 +81,13 @@ class MacroProblem:
             raise MacroAssemblyError("eps0 must be positive")
         if self.source_side not in ("in", "out"):
             raise MacroAssemblyError("source_side must be 'in' or 'out'")
+        if IFACE_PAIRING not in self.mesh.periodic_pairs:
+            raise MacroAssemblyError(
+                f"mesh has no {IFACE_PAIRING!r} pairing: the interface must be split")
 
     @cached_property
     def index(self):
-        if "iface" in self.mesh.periodic_pairs:
-            return InterfaceIndex(*interface_nodes(self.mesh))
-        # unsplit mesh: plain duct without interface unknowns
-        return None
+        return InterfaceIndex(*interface_nodes(self.mesh))
 
     @cached_property
     def parts(self):
@@ -100,8 +101,7 @@ class OperatorParts:
     without outer advection.  ports: (impedance factor, boundary mass) of
     Gamma_in and Gamma_out.  load: int phi_i over the source boundary.
     table: the interface element table (`_element_table`); rows, cols: the
-    interface entries in emission order.  The last three are None on a mesh
-    without interface unknowns.
+    interface entries in emission order.
     """
 
     def __init__(self, problem: MacroProblem):
@@ -122,9 +122,6 @@ class OperatorParts:
                       for group in (GROUP_IN, GROUP_OUT)]
         source = GROUP_IN if problem.source_side == "in" else GROUP_OUT
         self.load = fem.boundary_load_vector(mesh, source)
-        self.table = self.rows = self.cols = None
-        if idx is None:
-            return
         coeffs = problem.interface_coeffs
         if isinstance(coeffs, HomogenizedCoefficients):
             coeffs = [coeffs] * idx.n_elements
@@ -230,8 +227,7 @@ def assemble_coupled_system(problem: MacroProblem, omega: float):
     c, c2 = props.c, props.c ** 2
     iw = 1j * omega
     nP = problem.mesh.num_nodes
-    nG = problem.index.n if problem.index is not None else 0
-    n = nP + 2 * nG
+    n = nP + 2 * problem.index.n
 
     # bulk extended-Helmholtz blocks, then the radiation boundaries:
     # d_nw P + (i w / c) P = 2 (i w / c) p_in (source), times c^2 in weak form
@@ -247,18 +243,17 @@ def assemble_coupled_system(problem: MacroProblem, omega: float):
     rhs = np.zeros(n, dtype=complex)
     rhs[:nP] += 2.0 * iw * c * problem.amplitude * parts.load
 
-    if nG:
-        eps0 = problem.eps0
-        me, p, g, p2, f = interface_element_blocks(parts.table, omega, props)
-        # trace coupling to the interface fluxes: d_nw P(+/-) = -i w G(+/-);
-        # both lists follow the block order of `_interface_pattern`
-        trace = [-iw * c2 * me, iw * c2 * me]
-        layer = [0.5 * p, 0.5 * p, 0.5 * g, 0.5 * g,
-                 (iw * c2 / eps0) * me, -(iw * c2 / eps0) * me,
-                 0.5 * p2 - me / eps0, 0.5 * p2 + me / eps0, 0.5 * f, 0.5 * f]
-        rows.append(parts.rows)
-        cols.append(parts.cols)
-        vals += [np.stack(trace, axis=1).ravel(), np.stack(layer, axis=1).ravel()]
+    eps0 = problem.eps0
+    me, p, g, p2, f = interface_element_blocks(parts.table, omega, props)
+    # trace coupling to the interface fluxes: d_nw P(+/-) = -i w G(+/-);
+    # both lists follow the block order of `_interface_pattern`
+    trace = [-iw * c2 * me, iw * c2 * me]
+    layer = [0.5 * p, 0.5 * p, 0.5 * g, 0.5 * g,
+             (iw * c2 / eps0) * me, -(iw * c2 / eps0) * me,
+             0.5 * p2 - me / eps0, 0.5 * p2 + me / eps0, 0.5 * f, 0.5 * f]
+    rows.append(parts.rows)
+    cols.append(parts.cols)
+    vals += [np.stack(trace, axis=1).ravel(), np.stack(layer, axis=1).ravel()]
 
     matrix = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -279,7 +274,7 @@ def solve_frequency(problem: MacroProblem, omega: float) -> MacroSolution:
     if not np.isfinite(resid) or resid / scale > problem.residual_tol:
         raise SolverError(
             f"coupled solve at omega={omega:.6g}: residual {resid / scale:.3e}")
-    nG = problem.index.n if problem.index is not None else 0
+    nG = problem.index.n
     return MacroSolution(omega, x[:nP], x[nP:nP + nG], x[nP + nG:nP + 2 * nG])
 
 
@@ -308,13 +303,16 @@ def transmission_loss(sol: MacroSolution, problem: MacroProblem):
 
 
 def frequency_sweep(problem: MacroProblem, omegas):
-    """TL rows [omega, f, TL_db, flux_in, flux_out]; failures recorded."""
-    rows, failures = [], []
+    """(rows, failures, solutions): the TL rows [omega, f, TL_db, flux_in,
+    flux_out], the recorded failures (omega, message), and the MacroSolution
+    of each row."""
+    rows, failures, solutions = [], [], []
     for omega in omegas:
         try:
             sol = solve_frequency(problem, omega)
             tl, e_in, e_out = transmission_loss(sol, problem)
             rows.append([omega, omega / (2 * math.pi), tl, e_in, e_out])
+            solutions.append(sol)
         except (SolverError, MacroAssemblyError, ZeroDivisionError) as exc:
             failures.append((omega, str(exc)))
-    return rows, failures
+    return rows, failures, solutions

@@ -34,11 +34,6 @@ def duct_mesh():
     return generate_waveguide_mesh(WaveguideGeometry(), 0.02)
 
 
-@pytest.fixture(scope="session")
-def duct_mesh_single():
-    return generate_waveguide_mesh(WaveguideGeometry(), 0.02, split_interface=False)
-
-
 def structured_square_mesh(n, groups=True):
     """Uniform triangulation of the unit square, for FEM unit tests."""
     xs = np.linspace(0.0, 1.0, n + 1)

@@ -13,6 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from perfoplate.duct_mesh import interface_nodes
+from perfoplate.mesh import Mesh
 
 
 def _tri_stiffness(xy):
@@ -38,17 +39,9 @@ def _edge_load(length):
     return length / 2.0 * np.array([1.0, 1.0])
 
 
-def solve_static_reference(mesh, omega, c, amplitude, coeffs_per_element,
-                           eps0):
-    """Solve the zero-flow coupled problem; returns (P, Gp, Gm).
-
-    coeffs_per_element: list of dicts with keys A11, B1, Bp1, F, mass
-    (one per interface element, ordered along the interface).
-    """
-    minus, plus, x = interface_nodes(mesh)
-    nP = mesh.num_nodes
-    nG = len(x)
-    n = nP + 2 * nG
+def _duct_system(mesh, omega, c, amplitude, n):
+    """The bulk rows and the radiation boundaries of a system of n unknowns,
+    the first of which are the mesh nodes: (lil matrix, rhs)."""
     A = sp.lil_matrix((n, n), dtype=complex)
     rhs = np.zeros(n, dtype=complex)
 
@@ -72,7 +65,22 @@ def solve_static_reference(mesh, omega, c, amplitude, coeffs_per_element,
                     A[ga, gb] += iw * c * me[a, b]
                 if source:
                     rhs[ga] += 2.0 * iw * c * amplitude * le[a]
+    return A, rhs
 
+
+def solve_static_reference(mesh, omega, c, amplitude, coeffs_per_element,
+                           eps0):
+    """Solve the zero-flow coupled problem; returns (P, Gp, Gm).
+
+    coeffs_per_element: list of dicts with keys A11, B1, Bp1, F, mass
+    (one per interface element, ordered along the interface).
+    """
+    minus, plus, x = interface_nodes(mesh)
+    nP = mesh.num_nodes
+    nG = len(x)
+    A, rhs = _duct_system(mesh, omega, c, amplitude, nP + 2 * nG)
+    c2 = c * c
+    iw = 1j * omega
     og, om = nP, nP + nG
     for e in range(nG - 1):
         co = coeffs_per_element[e]
@@ -120,3 +128,20 @@ def static_transmission_loss(mesh, P):
     e_in = energy("Gamma_in")
     e_out = energy("Gamma_out")
     return 10.0 * math.log10(e_out / e_in), e_in, e_out
+
+
+def glued_single_duct(mesh):
+    """The split duct glued back along its interface: its first nodes (all
+    but the plus-side copies), the cells above the interface moved back onto
+    the minus-side nodes, and its inlet and outlet groups."""
+    pairs = mesh.periodic_pairs["iface"]
+    glue = np.arange(mesh.num_nodes)
+    glue[pairs[:, 1]] = pairs[:, 0]
+    groups = {name: mesh.facet_groups[name] for name in ("Gamma_in", "Gamma_out")}
+    return Mesh(2, mesh.nodes[:mesh.num_nodes - len(pairs)], glue[mesh.cells], groups)
+
+
+def solve_single_duct(mesh, omega, c, amplitude):
+    """Pressure of the plain duct at rest, without interface unknowns."""
+    A, rhs = _duct_system(mesh, omega, c, amplitude, mesh.num_nodes)
+    return spla.spsolve(A.tocsc(), rhs)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from perfoplate import waveguide
 from perfoplate.cli import main
 from perfoplate.config import (ConfigError, default_config, load_config,
                                parse_config, render_config)
@@ -164,6 +165,46 @@ def test_error_record_on_failure(tmp_path):
     record = json.loads((out / "error.json").read_text())
     assert record["command"] == "mesh-cell"
     assert record["error"] == "GeometryError"
+
+
+@pytest.mark.parametrize("command, section, resolution", [
+    ("waveguide", "waveguide", "-0.0125"),
+    ("mesh-duct", "waveguide", "0"),
+    ("mesh-duct", "waveguide", "nan"),
+    ("mesh-cell", "cell", "0"),
+    ("mesh-cell", "cell", "nan"),
+])
+def test_non_positive_resolution_is_an_error(tmp_path, command, section, resolution):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(f"[{section}]\nresolution = {resolution}\n")
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", str(cfgfile), "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "GeometryError"
+    assert "resolution must be positive" in record["message"]
+    assert not (out / "tl.csv").exists()
+
+
+def test_waveguide_snapshot_reuses_the_sweep_solution(tmp_path, monkeypatch):
+    """On the default config every frequency is solved once; pressure.msh
+    holds the middle frequency's pressure as a fresh solve gives it."""
+    solved = []
+    real = waveguide.solve_frequency
+
+    def counting(problem, omega):
+        solved.append((problem, omega))
+        return real(problem, omega)
+    monkeypatch.setattr(waveguide, "solve_frequency", counting)
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("")
+    out = tmp_path / "out"
+    assert run_cli(["waveguide", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert len(solved) == 30 and not (out / "failures.csv").exists()
+    problem, omega = solved[15]
+    fresh = real(problem, omega).P
+    snap = load_mesh(out / "pressure.msh")
+    assert snap.fields["pressure_re"].tobytes() == fresh.real.tobytes()
+    assert snap.fields["pressure_im"].tobytes() == fresh.imag.tobytes()
 
 
 def test_jobs_env_var(tmp_path, monkeypatch):

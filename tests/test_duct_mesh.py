@@ -44,11 +44,10 @@ def test_node_count_scaling():
     assert 3.0 < ratio < 5.0
 
 
-def test_single_duct_variant(duct_mesh_single):
-    m = duct_mesh_single
-    m.validate()
-    assert "iface" not in m.periodic_pairs
-    assert "Gamma0-" not in m.facet_groups
+@pytest.mark.parametrize("resolution", [-0.0125, 0.0, float("nan")])
+def test_resolution_must_be_positive(resolution):
+    with pytest.raises(GeometryError, match="resolution must be positive"):
+        generate_waveguide_mesh(WaveguideGeometry(), resolution)
 
 
 def test_mesh_is_connected_through_interface_pairs(duct_mesh):

@@ -7,6 +7,9 @@ references is dead or a helper only the tests use.
 """
 
 import ast
+import functools
+import importlib
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,3 +39,16 @@ def test_every_top_level_name_has_a_user_in_the_program():
     assert PACKAGE and BENCH
     unused = [name for name in unreferenced_definitions() if name not in ALLOWED]
     assert not unused, f"top-level names in src/ only tests (or nothing) use: {unused}"
+
+
+def test_tracer_patch_targets_resolve():
+    """Every (module, attribute) perfbench's tracer patches by name exists,
+    so a rename fails here and not only when a traced run installs it."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module, attr, _, _ in tracing.TARGETS:
+        target = functools.reduce(getattr, attr.split("."), importlib.import_module(module))
+        assert callable(target), f"{module}.{attr}"

@@ -3,9 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mesh_reference
+from perfoplate import fem
+from perfoplate.cell_mesh import generate_unit_cell_mesh
+from perfoplate.duct_mesh import generate_waveguide_mesh
 from perfoplate.geometry import CellGeometry, GeometryError, WaveguideGeometry
 from perfoplate.mesh import (Mesh, MeshError, MeshFormatError,
                              detect_periodic_pairs, load_mesh, save_mesh)
@@ -167,7 +172,11 @@ def test_bad_coordinate_reports_line(tmp_path):
 
 
 def box_with_lateral_groups():
+    """The cube, positively oriented, with a facet group per face."""
     m = box_mesh()
+    cells = m.cells.copy()
+    flip = m.cell_volumes() < 0
+    cells[flip] = cells[flip][:, [0, 1, 3, 2]]
     faces = m.boundary_facets()
     mids = m.nodes[faces].mean(axis=1)
     groups = {}
@@ -176,7 +185,7 @@ def box_with_lateral_groups():
                             ("I-", 2, 0.0), ("I+", 2, 1.0)):
         sel = np.abs(mids[:, axis] - val) < 1e-12
         groups[name] = faces[sel]
-    return Mesh(3, m.nodes, m.cells, groups)
+    return Mesh(3, m.nodes, cells, groups)
 
 
 def test_detect_periodic_pairs_box():
@@ -292,5 +301,84 @@ def test_validate_catches_group_overlap():
     groups = dict(m.facet_groups)
     groups["extra"] = groups["I+"]
     bad = Mesh(3, m.nodes, m.cells, groups)
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match="facet groups overlap"):
         bad.validate()
+
+
+def test_validate_names_the_first_non_boundary_facet():
+    m = box_with_lateral_groups()
+    groups = dict(m.facet_groups)
+    # the cube diagonal face (0, 3, 7) is shared by two tets, and so is (0, 5, 7)
+    groups["lateral_x1"] = np.vstack([groups["lateral_x1"], [[7, 5, 0], [7, 3, 0]]])
+    groups["I+"] = np.vstack([groups["I+"], [[3, 7, 0]]])
+    with pytest.raises(MeshError, match=r"group 'lateral_x1' contains a "
+                                        r"non-boundary facet \(0, 5, 7\)"):
+        Mesh(3, m.nodes, m.cells, groups).validate()
+
+
+def test_validate_requires_groups_to_partition_the_boundary():
+    m = box_with_lateral_groups().validate()
+    groups = dict(m.facet_groups)
+    del groups["I-"]
+    with pytest.raises(MeshError, match=r"\(10 tagged vs 12 boundary facets\)"):
+        Mesh(3, m.nodes, m.cells, groups).validate()
+
+
+def test_boundary_facets_of_the_cube():
+    faces = box_mesh().boundary_facets()
+    assert faces.dtype == np.int64 and faces.shape == (12, 3)
+    assert faces.tolist() == sorted(faces.tolist())
+    # every boundary face lies on one face of the cube
+    x = box_mesh().nodes[faces]
+    assert np.all(np.any(np.ptp(x, axis=1) == 0.0, axis=1))
+
+
+CELL_CASES = [(dict(hole_slope_deg=phi), res)
+              for phi in (-60.0, -30.0, 0.0, 30.0, 60.0) for res in (0.2, 0.1)]
+CELL_CASES += [(dict(hole_slope_deg=30.0), 0.08),
+               (dict(plate_thickness=0.0), 0.15),
+               (dict(b1=1.5, b2=0.8, hole_slope_deg=20.0), 0.1),
+               (dict(kappa=0.3, plate_thickness=0.6, hole_diameter=0.3), 0.05)]
+DUCT_CASES = [({}, res) for res in (0.025, 0.0125, 0.00625, 0.0111)]
+DUCT_CASES += [(dict(interface_pos=0.1), 0.01),
+               (dict(l_m=0.37, h_m=0.23, l_io=0.13, h_io=0.05, interface_pos=0.21),
+                0.0125)]
+
+
+def assert_same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_mesh(mesh, ref):
+    assert_same_bytes(mesh.nodes, ref.nodes)
+    assert_same_bytes(mesh.cells, ref.cells)
+    for name in ("facet_groups", "periodic_pairs"):
+        ours, theirs = getattr(mesh, name), getattr(ref, name)
+        assert list(ours) == list(theirs)
+        for key in theirs:
+            assert_same_bytes(ours[key], theirs[key])
+    assert_same_bytes(mesh.boundary_facets(), mesh_reference.boundary_facets(mesh))
+    T, T_ref = fem.periodic_reduction(mesh), mesh_reference.periodic_reduction(mesh)
+    assert T.shape == T_ref.shape
+    for part in ("data", "indices", "indptr"):
+        assert_same_bytes(getattr(T, part), getattr(T_ref, part))
+
+
+@pytest.mark.parametrize("kwargs, resolution", CELL_CASES)
+def test_cell_mesh_matches_reference_generator(kwargs, resolution):
+    geom = CellGeometry(**kwargs)
+    assert_same_mesh(generate_unit_cell_mesh(geom, resolution),
+                     mesh_reference.generate_unit_cell_mesh(geom, resolution))
+
+
+@pytest.mark.parametrize("kwargs, resolution", DUCT_CASES)
+def test_duct_mesh_matches_reference_generator(kwargs, resolution):
+    geom = WaveguideGeometry(**kwargs)
+    assert_same_mesh(generate_waveguide_mesh(geom, resolution),
+                     mesh_reference.generate_waveguide_mesh(geom, resolution))
+
+
+def test_periodic_reduction_without_pairs_is_identity():
+    T = fem.periodic_reduction(box_mesh())
+    assert (T != sp.identity(8)).nnz == 0

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 import coo_reference
+import mesh_reference
 from fixtures import empty_cell_coefficients
-from static_reference import solve_static_reference, static_transmission_loss
+from static_reference import (glued_single_duct, solve_single_duct,
+                              solve_static_reference, static_transmission_loss)
 from perfoplate import fem, waveguide
 from perfoplate.coefficients import cell_pipeline
 from perfoplate.duct_mesh import GROUP_IN, GROUP_OUT
 from perfoplate.flow import solve_macro_potential_flow, uniform_macro_flow
-from perfoplate.geometry import CellGeometry
+from perfoplate.geometry import CellGeometry, WaveguideGeometry
 from perfoplate.waveguide import (MacroAssemblyError, MacroProblem,
                                   MacroSolution, assemble_coupled_system,
                                   boundary_energy, interface_element_blocks,
@@ -117,13 +119,24 @@ def test_zero_flow_tl_matches_static_reference(duct_mesh, props, slant_coeffs):
         assert np.abs(sol.P - P).max() <= 1e-10 * np.abs(P).max()
 
 
-def test_transparent_interface_approaches_single_duct(duct_mesh,
-                                                      duct_mesh_single, props):
+def test_glued_duct_is_the_unsplit_duct(duct_mesh):
+    single = glued_single_duct(duct_mesh)
+    unsplit = mesh_reference.generate_waveguide_mesh(WaveguideGeometry(), 0.02,
+                                                     split_interface=False)
+    assert single.nodes.tobytes() == unsplit.nodes.tobytes()
+    assert single.cells.tobytes() == unsplit.cells.tobytes()
+    for group in (GROUP_IN, GROUP_OUT):
+        assert (single.facet_groups[group].tobytes()
+                == unsplit.facet_groups[group].tobytes())
+
+
+def test_transparent_interface_approaches_single_duct(duct_mesh, props):
     co = empty_cell_coefficients(kappa=1.0)
-    ref = MacroProblem(duct_mesh_single, props, None, eps0=0.025)
+    single = glued_single_duct(duct_mesh)
     for f in (200.0, 500.0):
         omega = 2 * math.pi * f
-        tl_ref, _, _ = transmission_loss(solve_frequency(ref, omega), ref)
+        P = solve_single_duct(single, omega, props.c, amplitude=300.0)
+        tl_ref, _, _ = static_transmission_loss(single, P)
         diffs = []
         for eps0 in (0.025, 0.0125):
             prob = MacroProblem(duct_mesh, props, co, eps0=eps0)
@@ -238,8 +251,8 @@ def test_macro_mach_guard(duct_mesh, props):
         assemble_coupled_system(prob, OMEGA)
     # a failed build is not kept: every frequency of a sweep records the guard
     omegas = [2 * math.pi * f for f in (200.0, 400.0, 800.0)]
-    rows, failures = frequency_sweep(prob, omegas)
-    assert rows == [] and [w for w, _ in failures] == omegas
+    rows, failures, solutions = frequency_sweep(prob, omegas)
+    assert rows == solutions == [] and [w for w, _ in failures] == omegas
     assert all("reaches the bound c/sqrt(tau)" in msg for _, msg in failures)
 
 
@@ -252,8 +265,17 @@ def test_missing_elementwise_coefficients_rejected(duct_mesh, props):
 
 def test_frequency_sweep_records_failures(duct_mesh, props):
     prob = MacroProblem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025)
-    rows, failures = frequency_sweep(prob, [OMEGA, float("nan")])
+    rows, failures, solutions = frequency_sweep(prob, [OMEGA, float("nan")])
     assert len(rows) == 1 and len(failures) == 1
+    # the solution kept with a row is the one a fresh solve gives
+    assert solutions[0].omega == rows[0][0] == OMEGA
+    assert solutions[0].P.tobytes() == solve_frequency(prob, OMEGA).P.tobytes()
+
+
+def test_unsplit_mesh_rejected(duct_mesh, props):
+    with pytest.raises(MacroAssemblyError, match="no 'iface' pairing"):
+        MacroProblem(glued_single_duct(duct_mesh), props, empty_cell_coefficients(),
+                     eps0=0.025)
 
 
 def test_frequency_sweep_propagates_programming_errors(duct_mesh, props,
@@ -324,7 +346,7 @@ def test_frequency_independent_parts_built_once(duct_mesh, props, monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(fem, name, counted)
     omegas = [2 * math.pi * f for f in (200.0, 400.0, 800.0)]
-    rows, failures = frequency_sweep(prob, omegas)
+    rows, failures, _ = frequency_sweep(prob, omegas)
     assert len(rows) == 3 and not failures
     assert calls == {"mass_matrix": 1, "advection_matrices": 1,
                      "boundary_mass_matrix": 2}
