@@ -7,7 +7,7 @@ from .mesh import Mesh, load_mesh, save_mesh
 from .cell_mesh import generate_unit_cell_mesh
 from .duct_mesh import generate_waveguide_mesh
 from .flow import (FlowField, MacroFlowField, solve_cell_potential_flow,
-                   solve_macro_potential_flow, uniform_macro_flow)
+                   solve_macro_potential_flow)
 from .cell_problems import (CellOperator, CellSolutionSet, MachBoundError,
                             assemble_Aw, solve_cell_problems)
 from .coefficients import (HomogenizedCoefficients, compute_coefficients,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -27,15 +26,9 @@ from .mesh import save_mesh
 from .pipeline import setup_waveguide_run
 from .waveguide import frequency_sweep
 
-JOBS_ENV_VAR = "PERFOPLATE_JOBS"
-
 
 def _write(path: Path, text: str):
     path.write_text(text, encoding="utf-8")
-
-
-def _echo_config(cfg, out: Path):
-    _write(out / "effective_config.ini", cfgmod.render_config(cfg))
 
 
 def cmd_mesh_cell(cfg, out: Path):
@@ -147,24 +140,11 @@ def build_parser():
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="INI configuration file")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help=f"worker processes (default: ${JOBS_ENV_VAR} or 1)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes of a sweep (default: 1)")
     parser.add_argument("--tol", type=float, default=None,
                         help="override the residual tolerance of every linear solve")
     return parser
-
-
-def resolve_jobs(arg_jobs, cfg):
-    if arg_jobs is not None:
-        return max(1, arg_jobs)
-    env = os.environ.get(JOBS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise cfgmod.ConfigError(
-                f"environment variable {JOBS_ENV_VAR}={env!r} is not an integer")
-    return max(1, cfg["run.jobs"])
 
 
 def main(argv=None):
@@ -176,10 +156,10 @@ def main(argv=None):
             else cfgmod.default_config()
         if args.tol is not None:
             cfg.values["run"]["residual_tol"] = args.tol
-        jobs = resolve_jobs(args.jobs, cfg)
-        _echo_config(cfg, out)
+            cfgmod.validate(cfg)
+        _write(out / "effective_config.ini", cfgmod.render_config(cfg))
         if args.command == "sweep":
-            written = cmd_sweep(cfg, out, jobs=jobs)
+            written = cmd_sweep(cfg, out, jobs=args.jobs)
         else:
             written = COMMANDS[args.command](cfg, out)
     except Exception as exc:

@@ -212,8 +212,9 @@ def _sweep_one_angle(args):
     rows = []
     for u3 in u3_values:
         try:
-            # keep only the flow and the coefficients: the solution set holds
-            # the factorization, which must be freed before the next point
+            # keep only the flow and the coefficients: a rest point's solution
+            # set holds its factorization, which must be freed before the
+            # next point
             flw, coeffs = cell_pipeline(geom, u3, resolution, properties,
                                         residual_tol, mesh=mesh)[1::2]
             report = verify_symmetries(coeffs, tol, properties,

@@ -36,13 +36,10 @@ _SCHEMA = {
         "h_m": (float, 0.2),
         "l_io": (float, 0.2),
         "h_io": (float, 0.0625),
-        "width": (float, 0.01),
         "interface_pos": (float, 0.2),
         "resolution": (float, 0.0125),
     },
     "fluid": {
-        # reference density as published for this configuration
-        "rho0": (float, 1.55),
         "c": (float, 343.0),
         "tau": (float, 3.0),
     },
@@ -70,12 +67,11 @@ _SCHEMA = {
         "source_side": (str, "in"),
     },
     "run": {
-        "jobs": (int, 1),
         "residual_tol": (float, 1e-10),
     },
 }
 
-_VALID_FLOW_MODES = ("none", "uniform", "potential")
+_VALID_FLOW_MODES = ("none", "potential")
 
 
 @dataclass
@@ -97,12 +93,11 @@ class RunConfig:
     def waveguide_geometry(self) -> WaveguideGeometry:
         w = self.values["waveguide"]
         return WaveguideGeometry(l_m=w["l_m"], h_m=w["h_m"], l_io=w["l_io"],
-                                 h_io=w["h_io"], width=w["width"],
-                                 interface_pos=w["interface_pos"])
+                                 h_io=w["h_io"], interface_pos=w["interface_pos"])
 
     def fluid_properties(self) -> FluidProperties:
         f = self.values["fluid"]
-        return FluidProperties(rho0=f["rho0"], c=f["c"], tau=f["tau"])
+        return FluidProperties(c=f["c"], tau=f["tau"])
 
     def frequencies_hz(self):
         f = self.values["frequencies"]
@@ -167,12 +162,20 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             kind, _ = _SCHEMA[section][key]
             cfg.values[section][key] = _coerce(section, key, kind, raw)
+    validate(cfg)
+    return cfg
+
+
+def validate(cfg: RunConfig):
+    """Reject values no run can use; run again after any override."""
     mode = cfg["flow.mode"]
     if mode not in _VALID_FLOW_MODES:
         raise ConfigError(f"flow mode must be one of {_VALID_FLOW_MODES}, got {mode!r}")
     if cfg["acoustics.source_side"] not in ("in", "out"):
         raise ConfigError("acoustics source_side must be 'in' or 'out'")
-    return cfg
+    if not cfg["run.residual_tol"] > 0:  # also rejects NaN
+        raise ConfigError(f"[run] residual_tol must be > 0, got {cfg['run.residual_tol']!r}")
+    cfg.fluid_properties()  # raises ValueError naming a bad c or tau
 
 
 def load_config(path) -> RunConfig:

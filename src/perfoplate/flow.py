@@ -107,7 +107,6 @@ class MacroFlowField:
     mesh: object
     velocity: np.ndarray
     potential: np.ndarray
-    u_in: float
     interface_x: np.ndarray
     interface_u3: np.ndarray
     properties: FluidProperties = field(default_factory=FluidProperties)
@@ -145,11 +144,6 @@ def solve_macro_potential_flow(mesh, u_in, properties=None, residual_tol=1e-10):
     coefficients evaluated at the resulting interface profile.
     """
     props = properties or FluidProperties()
-    if u_in == 0.0:
-        minus, plus, x = interface_nodes(mesh)
-        zero = np.zeros(mesh.num_nodes)
-        return MacroFlowField(mesh, np.zeros((mesh.num_nodes, 2)), zero, 0.0,
-                              x, np.zeros(len(x)), props)
     area_in = mesh.group_measure(GROUP_IN)
     area_out = mesh.group_measure(GROUP_OUT)
     defect = abs(area_in - area_out) * abs(u_in)
@@ -163,14 +157,4 @@ def solve_macro_potential_flow(mesh, u_in, properties=None, residual_tol=1e-10):
     pot = solver.solve(rhs)
     vel = _recover_velocity(mesh, pot)
     x, u3 = _interface_profile(mesh, pot)
-    return MacroFlowField(mesh, vel, pot, u_in, x, u3, props)
-
-
-def uniform_macro_flow(mesh, axial_speed, properties=None):
-    """Constant axial mean flow (test fixture); zero transverse profile."""
-    props = properties or FluidProperties()
-    minus, plus, x = interface_nodes(mesh)
-    vel = np.zeros((mesh.num_nodes, 2))
-    vel[:, 0] = axial_speed
-    pot = -axial_speed * mesh.nodes[:, 0]
-    return MacroFlowField(mesh, vel, pot, axial_speed, x, np.zeros(len(x)), props)
+    return MacroFlowField(mesh, vel, pot, x, u3, props)

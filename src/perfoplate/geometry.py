@@ -74,19 +74,17 @@ class WaveguideGeometry:
     The perforated interface is the horizontal line ``x3 = interface_pos``
     spanning the full box length.  An inlet duct of section ``l_io x h_io``
     attaches at the bottom of the left edge, an outlet duct at the top of the
-    right edge, so the mean flow has to cross the interface.  ``width`` is
-    the (suppressed) x2 extent.
+    right edge, so the mean flow has to cross the interface.
     """
 
     l_m: float = 0.3
     h_m: float = 0.2
     l_io: float = 0.2
     h_io: float = 0.0625
-    width: float = 0.01
     interface_pos: float | None = None
 
     def __post_init__(self):
-        for name in ("l_m", "h_m", "l_io", "h_io", "width"):
+        for name in ("l_m", "h_m", "l_io", "h_io"):
             if getattr(self, name) <= 0:
                 raise GeometryError(f"waveguide dimension {name} must be positive")
         if self.interface_pos is None:

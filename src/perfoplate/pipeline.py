@@ -16,7 +16,7 @@ import numpy as np
 from .cell_mesh import generate_unit_cell_mesh
 from .coefficients import cell_pipeline
 from .fem import FluidProperties
-from .flow import solve_macro_potential_flow, uniform_macro_flow
+from .flow import solve_macro_potential_flow
 from .geometry import CellGeometry, WaveguideGeometry
 from .duct_mesh import generate_waveguide_mesh
 from .waveguide import MacroProblem, frequency_sweep
@@ -57,11 +57,9 @@ def build_interface_coefficients(cell_geom: CellGeometry, element_u3,
 
 
 def macro_flow_for_mode(mesh, mode, u_in, properties, residual_tol=1e-10):
-    """Mean-flow field per the configured mode: none, uniform or potential."""
+    """Mean-flow field per the configured mode: none or potential."""
     if mode == "none" or u_in == 0.0:
         return None
-    if mode == "uniform":
-        return uniform_macro_flow(mesh, u_in, properties)
     if mode == "potential":
         return solve_macro_potential_flow(mesh, u_in, properties, residual_tol)
     raise ValueError(f"unknown flow mode {mode!r}")

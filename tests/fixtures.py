@@ -3,8 +3,9 @@
 import numpy as np
 
 from perfoplate.coefficients import HomogenizedCoefficients
+from perfoplate.duct_mesh import interface_nodes
 from perfoplate.fem import FluidProperties
-from perfoplate.flow import FlowError, FlowField
+from perfoplate.flow import FlowError, FlowField, MacroFlowField
 
 
 def uniform_flow(mesh, w_vec, properties=None):
@@ -16,6 +17,16 @@ def uniform_flow(mesh, w_vec, properties=None):
     vel = np.tile(w_vec, (mesh.num_nodes, 1))
     pot = -mesh.nodes @ w_vec
     return FlowField(mesh, vel, pot, props)
+
+
+def uniform_macro_flow(mesh, axial_speed, properties=None):
+    """Constant axial mean flow in a duct; zero transverse profile."""
+    props = properties or FluidProperties()
+    x = interface_nodes(mesh)[2]
+    vel = np.zeros((mesh.num_nodes, 2))
+    vel[:, 0] = axial_speed
+    pot = -axial_speed * mesh.nodes[:, 0]
+    return MacroFlowField(mesh, vel, pot, x, np.zeros(len(x)), props)
 
 
 def empty_cell_coefficients(kappa=1.0) -> HomogenizedCoefficients:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from perfoplate import waveguide
+from perfoplate import coefficients, waveguide
 from perfoplate.cli import main
 from perfoplate.config import (ConfigError, default_config, load_config,
                                parse_config, render_config)
@@ -50,9 +50,28 @@ def test_config_rejects_unknown_keys():
         parse_config("[nosuch]\na = 1\n")
     with pytest.raises(ConfigError):
         parse_config("[flow]\nmode = sideways\n")
-    # the unread [run] seed key of older echoes is gone
-    with pytest.raises(ConfigError, match="seed"):
-        parse_config("[run]\nseed = 0\n")
+    # the unread keys of older echoes are gone: [run] seed, [fluid] rho0,
+    # [waveguide] width and [run] jobs (--jobs is the one source of jobs)
+    for section, key in (("run", "seed"), ("fluid", "rho0"),
+                         ("waveguide", "width"), ("run", "jobs")):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in section \\[{section}\\]"):
+            parse_config(f"[{section}]\n{key} = 1\n")
+    with pytest.raises(ConfigError, match="got 'uniform'"):
+        parse_config("[flow]\nmode = uniform\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-8", "nan", "-inf"])
+def test_config_rejects_non_positive_residual_tol(value):
+    with pytest.raises(ConfigError, match="residual_tol must be > 0"):
+        parse_config(f"[run]\nresidual_tol = {value}\n")
+
+
+@pytest.mark.parametrize("text, field", [("c = nan", "c"), ("c = inf", "c"),
+                                          ("c = 0", "c"), ("tau = nan", "tau"),
+                                          ("tau = inf", "tau")])
+def test_config_rejects_bad_fluid_constants(text, field):
+    with pytest.raises(ValueError, match=f"fluid {field} must be"):
+        parse_config(f"[fluid]\n{text}\n")
 
 
 def test_config_grids():
@@ -207,22 +226,30 @@ def test_waveguide_snapshot_reuses_the_sweep_solution(tmp_path, monkeypatch):
     assert snap.fields["pressure_im"].tobytes() == fresh.imag.tobytes()
 
 
-def test_jobs_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("PERFOPLATE_JOBS", "2")
+def test_jobs_flag_sweeps_in_parallel(tmp_path, monkeypatch):
+    """--jobs 2 runs the two angles in worker processes and writes the same
+    bytes as --jobs 1; the jobs count is not part of the echoed config."""
+    pools = []
+    real_pool = coefficients.ProcessPoolExecutor
+
+    def counting_pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+    monkeypatch.setattr(coefficients, "ProcessPoolExecutor", counting_pool)
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text("[cell]\nresolution = 0.14\n"
                        "[sweep]\nphi_list = 0,30\nu3_start = 0\nu3_stop = 1\n"
                        "u3_count = 2\n")
-    out = tmp_path / "out"
-    assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(out)]) == 0
-    lines = (out / "coefficients.csv").read_text().splitlines()
-    assert len(lines) == 5
-    # --jobs overrides the environment
-    out2 = tmp_path / "out2"
-    assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(out2),
-                    "--jobs", "1"]) == 0
-    assert (out / "coefficients.csv").read_bytes() == \
-        (out2 / "coefficients.csv").read_bytes()
+    csv = {}
+    for jobs in ("2", "1"):
+        out = tmp_path / f"jobs{jobs}"
+        assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(out),
+                        "--jobs", jobs]) == 0
+        csv[jobs] = (out / "coefficients.csv").read_bytes()
+        assert "jobs" not in (out / "effective_config.ini").read_text()
+    assert pools == [2]
+    assert len(csv["2"].decode().splitlines()) == 5
+    assert csv["2"] == csv["1"]
 
 
 def test_tol_flag(tmp_path):
@@ -233,6 +260,32 @@ def test_tol_flag(tmp_path):
                     "--tol", "1e-8"]) == 0
     echoed = load_config(out / "effective_config.ini")
     assert echoed["run.residual_tol"] == 1e-8
+
+
+def test_nan_tol_rejected(tmp_path):
+    """A NaN tolerance would pass every residual check (r > nan is false)."""
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[cell]\nresolution = 0.2\nhole_slope_deg = 30\n"
+                       "[flow]\nu3 = 2\n")
+    out = tmp_path / "out"
+    assert run_cli(["cell", "--config", str(cfgfile), "--out", str(out),
+                    "--tol", "nan"]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert "residual_tol must be > 0" in record["message"]
+    assert not (out / "coefficients.csv").exists()
+
+
+@pytest.mark.parametrize("u3", ["0", "2"])
+def test_nan_fluid_constant_rejected(tmp_path, u3):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(f"[cell]\nresolution = 0.2\n[flow]\nu3 = {u3}\n"
+                       "[fluid]\ntau = nan\n")
+    out = tmp_path / "out"
+    assert run_cli(["cell", "--config", str(cfgfile), "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["message"] == "fluid tau must be finite, got nan"
+    assert not (out / "coefficients.csv").exists()
 
 
 def test_tol_reaches_every_solve(tmp_path):

@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import empty_cell_coefficients, uniform_flow
 from perfoplate import coefficients
 from perfoplate.cell_mesh import generate_unit_cell_mesh
-from perfoplate.cell_problems import solve_cell_problems
+from perfoplate.cell_problems import MachBoundError, solve_cell_problems
 from perfoplate.coefficients import (CSV_HEADER, cell_pipeline,
                                      compute_coefficients, rows_to_csv,
                                      sweep_coefficients, verify_symmetries)
@@ -179,3 +181,36 @@ def test_empty_cell_helper_matches_computed(empty_cell_mesh, props):
     helper = empty_cell_coefficients(kappa=co.kappa)
     np.testing.assert_allclose(co.A, helper.A, atol=1e-10)
     assert co.F == pytest.approx(helper.F, abs=1e-10)
+
+
+# as_row columns that change sign between slopes +phi and -phi (criterion 5b)
+MIRROR_ODD = {"A12", "B1", "Bp1", "W1"}
+MIRROR_TIGHT = {"A11", "A22", "F", "zeta_star"}  # 1e-10 relative
+NOT_COEFFICIENTS = {"phi_deg", "U3", "defect_M3"}
+
+
+def _mirror_point(phi, u3, props):
+    """The coefficient row at slope phi, or None when the speed guard rejects it."""
+    try:
+        coeffs = cell_pipeline(CellGeometry(hole_slope_deg=phi), u3, 0.2, props)[3]
+    except MachBoundError:
+        return None
+    return dict(zip(CSV_HEADER.split(","), coeffs.as_row(phi, u3, 0.0)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(phi=st.floats(0.0, 60.0), u3=st.floats(0.0, 6.0))
+def test_mirror_identity_of_coefficient_sets(phi, u3, props):
+    """Slopes +phi and -phi are mirror images in x1: the guard decides alike,
+    and the coefficients agree with the x1-odd ones negated."""
+    plus, minus = _mirror_point(phi, u3, props), _mirror_point(-phi, u3, props)
+    assert (plus is None) == (minus is None)
+    if plus is None:
+        return
+    for name in set(plus) - NOT_COEFFICIENTS:
+        p, m = plus[name], minus[name]
+        if name in MIRROR_TIGHT:
+            assert abs(m - p) <= 1e-10 * abs(p), name
+        else:
+            sign = -1.0 if name in MIRROR_ODD else 1.0
+            assert abs(m - sign * p) <= 1e-8 * max(abs(p), 1e-3), name

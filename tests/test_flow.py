@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from fixtures import uniform_flow
+from fixtures import uniform_flow, uniform_macro_flow
 from perfoplate import fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.cell_problems import CellOperator, MachBoundError
 from perfoplate.duct_mesh import interface_nodes
 from perfoplate.fem import SolverError
 from perfoplate.flow import (FlowError, _recover_velocity, solve_cell_potential_flow,
-                             solve_macro_potential_flow, uniform_macro_flow,
-                             unit_cell_flow)
+                             solve_macro_potential_flow, unit_cell_flow)
 from perfoplate.geometry import CellGeometry
 
 

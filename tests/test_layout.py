@@ -1,9 +1,12 @@
-"""Every top-level function and class in ``src/`` has a user in the program.
+"""Every top-level function and class in ``src/`` has a user in the program,
+and every dataclass field in ``src/`` has a reader there.
 
 A reference is an ``ast.Name`` id or ``ast.Attribute`` attr in
 ``src/perfoplate/*.py`` (``__init__.py`` only re-exports) or
 ``perfbench/*.py``, outside the name's own definition.  A name nothing
-references is dead or a helper only the tests use.
+references is dead or a helper only the tests use.  A field is read where
+it is loaded as an attribute outside its own class's ``__post_init__``; a
+field read only by its own validation is a setting nothing uses.
 """
 
 import ast
@@ -17,6 +20,8 @@ PACKAGE = [p for p in sorted((ROOT / "src" / "perfoplate").glob("*.py"))
            if p.name != "__init__.py"]
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 ALLOWED = {"load_mesh"}  # the reader of the files save_mesh writes
+# the result record of one frequency solve, read by the tests
+ALLOWED_FIELDS = {"MacroSolution.omega", "MacroSolution.Gp", "MacroSolution.Gm"}
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -39,6 +44,36 @@ def test_every_top_level_name_has_a_user_in_the_program():
     assert PACKAGE and BENCH
     unused = [name for name in unreferenced_definitions() if name not in ALLOWED]
     assert not unused, f"top-level names in src/ only tests (or nothing) use: {unused}"
+
+
+def _is_dataclass(cls):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def unread_dataclass_fields():
+    fields, reads = [], []  # (class, field); (attr, class whose __post_init__ holds it)
+    for path in PACKAGE + BENCH:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        validation = {}  # id of a node -> its class, for nodes in a __post_init__
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            if path in PACKAGE and _is_dataclass(cls):
+                fields += [(cls.name, a.target.id) for a in cls.body
+                           if isinstance(a, ast.AnnAssign) and isinstance(a.target, ast.Name)]
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                    validation.update((id(n), cls.name) for n in ast.walk(fn))
+        reads += [(n.attr, validation.get(id(n))) for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+    return sorted(f"{cls}.{name}" for cls, name in fields
+                  if not any(attr == name and owner != cls for attr, owner in reads))
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    unread = [f for f in unread_dataclass_fields() if f not in ALLOWED_FIELDS]
+    assert not unread, f"dataclass fields in src/ nothing outside their validation reads: {unread}"
 
 
 def test_tracer_patch_targets_resolve():

@@ -34,16 +34,6 @@ def test_zero_flow_run_uses_single_cell_solve(duct_mesh, props):
     assert not failures and len(rows) == 1
 
 
-def test_uniform_flow_mode(duct_mesh, props):
-    run = setup_waveguide_run(WaveguideGeometry(), CellGeometry(), props,
-                              u_in=5.0, flow_mode="uniform",
-                              duct_mesh=duct_mesh, cell_resolution=0.12)
-    assert run.flow is not None
-    assert np.all(run.table.element_u3 == 0.0)
-    rows, failures = tl_curve(run, [400.0])
-    assert not failures
-
-
 def test_unknown_flow_mode_rejected(duct_mesh, props):
     with pytest.raises(ValueError):
         setup_waveguide_run(WaveguideGeometry(), CellGeometry(), props,

@@ -6,13 +6,13 @@ import pytest
 
 import coo_reference
 import mesh_reference
-from fixtures import empty_cell_coefficients
+from fixtures import empty_cell_coefficients, uniform_macro_flow
 from static_reference import (glued_single_duct, solve_single_duct,
                               solve_static_reference, static_transmission_loss)
 from perfoplate import fem, waveguide
 from perfoplate.coefficients import cell_pipeline
 from perfoplate.duct_mesh import GROUP_IN, GROUP_OUT
-from perfoplate.flow import solve_macro_potential_flow, uniform_macro_flow
+from perfoplate.flow import solve_macro_potential_flow
 from perfoplate.geometry import CellGeometry, WaveguideGeometry
 from perfoplate.waveguide import (MacroAssemblyError, MacroProblem,
                                   MacroSolution, assemble_coupled_system,
