@@ -282,7 +282,7 @@ class ZeroMeanSolver:
 
 def check_residual(residual, residual_tol):
     """Raise SolverError unless a relative residual is finite and within tolerance."""
-    if not np.isfinite(residual) or residual > residual_tol:
+    if not np.isfinite(residual) or not residual <= residual_tol:
         raise SolverError(f"zero-mean solve residual {residual:.3e} "
                           f"exceeds {residual_tol:.1e}")
 

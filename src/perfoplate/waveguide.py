@@ -79,6 +79,9 @@ class MacroProblem:
     def __post_init__(self):
         if self.eps0 <= 0:
             raise MacroAssemblyError("eps0 must be positive")
+        if not self.residual_tol > 0:  # also rejects NaN
+            raise MacroAssemblyError(
+                f"residual_tol must be > 0, got {self.residual_tol!r}")
         if self.source_side not in ("in", "out"):
             raise MacroAssemblyError("source_side must be 'in' or 'out'")
         if IFACE_PAIRING not in self.mesh.periodic_pairs:
@@ -101,7 +104,8 @@ class OperatorParts:
     without outer advection.  ports: (impedance factor, boundary mass) of
     Gamma_in and Gamma_out.  load: int phi_i over the source boundary.
     table: the interface element table (`_element_table`); rows, cols: the
-    interface entries in emission order.
+    interface entries in emission order.  ordering: the `ColumnOrdering` of
+    the coupled matrix, kept from the first factorization, or None.
     """
 
     def __init__(self, problem: MacroProblem):
@@ -131,6 +135,43 @@ class OperatorParts:
                                      f"interface elements, got {len(coeffs)}")
         self.table = _element_table(np.diff(idx.x), coeffs)
         self.rows, self.cols = _interface_pattern(idx, mesh.num_nodes)
+        self.ordering = None
+
+
+@dataclass(frozen=True)
+class ColumnOrdering:
+    """The column ordering SuperLU chose for one CSR pattern.
+
+    COLAMD orders by structure only, so it serves every matrix on the same
+    pattern (indptr, indices).  perm: SuperLU's ``perm_c``; the solution of
+    A x = b is x = y[perm], where y solves the column-permuted system.
+    gather, rows, colptr: the column-permuted CSC of such a matrix is
+    (A.data[gather], rows, colptr).
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    perm: np.ndarray
+    gather: np.ndarray
+    rows: np.ndarray
+    colptr: np.ndarray
+
+    @classmethod
+    def of(cls, A, perm):
+        """The ordering ``perm`` for the pattern of the CSR matrix A."""
+        index = sp.csr_matrix((np.arange(A.nnz), A.indices, A.indptr), shape=A.shape)
+        permuted = index.tocsc()[:, np.argsort(perm)]
+        return cls(A.indptr.copy(), A.indices.copy(), perm,
+                   permuted.data, permuted.indices, permuted.indptr)
+
+    def fits(self, A):
+        return (np.array_equal(self.indptr, A.indptr)
+                and np.array_equal(self.indices, A.indices))
+
+    def permuted(self, A):
+        """The column-permuted CSC of a CSR matrix on this pattern."""
+        return sp.csc_matrix((A.data[self.gather], self.rows, self.colptr),
+                             shape=A.shape)
 
 
 @dataclass
@@ -261,19 +302,38 @@ def assemble_coupled_system(problem: MacroProblem, omega: float):
     return matrix, rhs, nP
 
 
+def _solve_coupled(parts: OperatorParts, A, rhs):
+    """Solve A x = b by sparse LU with the column ordering kept for A's
+    pattern, computing (and keeping) a COLAMD ordering when there is none.
+
+    SuperLU's ``perm_c`` already holds its elimination-tree postorder, and
+    NATURAL skips that step, so the pre-permuted columns give the LU that
+    COLAMD gives: the L and U factors and row pivots were bitwise equal on
+    every duct matrix tried (rest and flow, 464 to 4036 dofs, 100-1000 Hz).
+    """
+    kept = parts.ordering
+    if kept is not None and kept.fits(A):
+        lu = spla.splu(kept.permuted(A), permc_spec="NATURAL")
+        return lu.solve(rhs)[kept.perm]
+    lu = spla.splu(A.tocsc())
+    parts.ordering = ColumnOrdering.of(A, lu.perm_c)
+    return lu.solve(rhs)
+
+
 def solve_frequency(problem: MacroProblem, omega: float) -> MacroSolution:
     """Direct monolithic solve at one angular frequency."""
     A, rhs, nP = assemble_coupled_system(problem, omega)
     try:
-        lu = spla.splu(A.tocsc())
+        x = _solve_coupled(problem.parts, A, rhs)
     except RuntimeError as exc:
         raise SolverError(f"singular coupled system at omega={omega:.6g}: {exc}")
-    x = lu.solve(rhs)
     resid = np.linalg.norm(A @ x - rhs)
-    scale = max(np.linalg.norm(rhs), 1e-300)
-    if not np.isfinite(resid) or resid / scale > problem.residual_tol:
+    rel = resid / max(np.linalg.norm(rhs), 1e-300)
+    tol = problem.residual_tol
+    if not np.isfinite(rel) or not rel <= tol:
         raise SolverError(
-            f"coupled solve at omega={omega:.6g}: residual {resid / scale:.3e}")
+            f"coupled solve at omega={omega:.6g}: relative residual {rel:.3e} "
+            f"exceeds {tol:.1e} ({A.shape[0]} dofs)")
     nG = problem.index.n
     return MacroSolution(omega, x[:nP], x[nP:nP + nG], x[nP + nG:nP + 2 * nG])
 

@@ -59,12 +59,13 @@ def structured_square_mesh(n, groups=True):
 
 @pytest.fixture
 def splu_calls(monkeypatch):
-    """Shapes of the matrices factored by scipy's splu while the test runs."""
+    """(shape, column ordering) of each matrix factored by scipy's splu while
+    the test runs; the ordering is ``permc_spec``, "COLAMD" by default."""
     calls = []
     real = spla.splu
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real(*args, **kwargs)
+    def counting(A, permc_spec=None, *args, **kwargs):
+        calls.append((A.shape, permc_spec or "COLAMD"))
+        return real(A, permc_spec, *args, **kwargs)
     monkeypatch.setattr(spla, "splu", counting)
     return calls

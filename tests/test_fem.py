@@ -130,6 +130,15 @@ def test_incompatible_neumann_rejected(straight_cell_mesh):
     assert "incompatible" in str(err.value)
 
 
+def test_check_residual_rejects_what_is_not_within_tolerance():
+    fem.check_residual(1e-12, 1e-10)
+    fem.check_residual(1.0, math.inf)  # the kept stiffness solver checks nothing
+    for residual, tol in ((1.0, math.nan), (2e-10, 1e-10), (math.nan, 1e-10),
+                          (math.inf, math.inf)):
+        with pytest.raises(SolverError, match="exceeds"):
+            fem.check_residual(residual, tol)
+
+
 def test_zero_mean_contract(straight_cell_mesh):
     m = straight_cell_mesh
     x = laplace_solver(m).solve(face_average_load(m, "I-")

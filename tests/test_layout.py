@@ -87,3 +87,30 @@ def test_tracer_patch_targets_resolve():
     for module, attr, _, _ in tracing.TARGETS:
         target = functools.reduce(getattr, attr.split("."), importlib.import_module(module))
         assert callable(target), f"{module}.{attr}"
+
+
+def direct_linalg_imports():
+    """(module, line) of every import in ``src/`` that binds a name from
+    inside ``scipy.sparse.linalg`` instead of the module itself."""
+    found = []
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names
+                           if alias.name != "scipy.sparse.linalg"]
+            else:
+                continue
+            if any(m == "scipy.sparse.linalg" or m.startswith("scipy.sparse.linalg.")
+                   for m in modules):
+                found.append((path.name, node.lineno))
+    return found
+
+
+def test_factorizations_go_through_the_linalg_module():
+    """Every factorization looks ``splu`` up on ``scipy.sparse.linalg`` at
+    call time, so perfbench's tracer attributes it to its layer and the
+    tests' ``splu_calls`` fixture counts it; a name imported from the module
+    would bypass both."""
+    assert not direct_linalg_imports(), direct_linalg_imports()

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import coo_reference
 import mesh_reference
@@ -12,6 +13,7 @@ from static_reference import (glued_single_duct, solve_single_duct,
 from perfoplate import fem, waveguide
 from perfoplate.coefficients import cell_pipeline
 from perfoplate.duct_mesh import GROUP_IN, GROUP_OUT
+from perfoplate.fem import SolverError
 from perfoplate.flow import solve_macro_potential_flow
 from perfoplate.geometry import CellGeometry, WaveguideGeometry
 from perfoplate.waveguide import (MacroAssemblyError, MacroProblem,
@@ -219,17 +221,31 @@ def test_interface_element_blocks(duct_mesh, props, slant_flow_coeffs):
     assert np.all(_block_max(p2 - ratio * g) <= 1e-10 * _block_max(p2))
 
 
+def _boundary_integral(mesh, P, group):
+    """Integral of P over a boundary group (exact for P1 traces)."""
+    facets = mesh.facet_group(group)
+    return complex((mesh.facet_measures(group)
+                    * (P[facets[:, 0]] + P[facets[:, 1]]) / 2).sum())
+
+
 def test_reciprocity_at_rest_on_symmetric_duct(duct_mesh, props, slant_coeffs):
-    """Centrally symmetric duct: swapping the source side leaves TL unchanged."""
+    """Centrally symmetric duct: swapping the source side leaves TL unchanged.
+    And at rest the model is reciprocal: the pressure one port receives from
+    a source at the other does not depend on the direction, although the
+    slanted layer is not symmetric under x1 -> -x1."""
     fwd = MacroProblem(duct_mesh, props, slant_coeffs, eps0=0.025)
     rev = MacroProblem(duct_mesh, props, slant_coeffs, eps0=0.025,
                        source_side="out")
     for f in (300.0, 800.0):
         omega = 2 * math.pi * f
-        tlf, _, _ = transmission_loss(solve_frequency(fwd, omega), fwd)
-        _, e_in, e_out = transmission_loss(solve_frequency(rev, omega), rev)
+        sol_fwd, sol_rev = solve_frequency(fwd, omega), solve_frequency(rev, omega)
+        tlf, _, _ = transmission_loss(sol_fwd, fwd)
+        _, e_in, e_out = transmission_loss(sol_rev, rev)
         tlr = 10 * math.log10(e_in / e_out)
         assert abs(tlf - tlr) <= 1e-8
+        out_of_in = _boundary_integral(duct_mesh, sol_fwd.P, GROUP_OUT)
+        in_of_out = _boundary_integral(duct_mesh, sol_rev.P, GROUP_IN)
+        assert abs(out_of_in - in_of_out) <= 1e-9 * abs(out_of_in)
 
 
 def test_outer_advection_toggle(duct_mesh, props):
@@ -263,13 +279,22 @@ def test_missing_elementwise_coefficients_rejected(duct_mesh, props):
         assemble_coupled_system(prob, OMEGA)
 
 
+def _assert_same_solution(got, want):
+    for a, b in ((got.P, want.P), (got.Gp, want.Gp), (got.Gm, want.Gm)):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_frequency_sweep_records_failures(duct_mesh, props):
-    prob = MacroProblem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025)
-    rows, failures, solutions = frequency_sweep(prob, [OMEGA, float("nan")])
-    assert len(rows) == 1 and len(failures) == 1
-    # the solution kept with a row is the one a fresh solve gives
-    assert solutions[0].omega == rows[0][0] == OMEGA
-    assert solutions[0].P.tobytes() == solve_frequency(prob, OMEGA).P.tobytes()
+    def fresh():
+        return MacroProblem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025)
+    want = solve_frequency(fresh(), OMEGA)
+    # a failed first frequency leaves nothing behind for the next one
+    for omegas in ([OMEGA, float("nan")], [float("nan"), OMEGA]):
+        rows, failures, solutions = frequency_sweep(fresh(), omegas)
+        assert len(rows) == 1 and len(failures) == 1 and math.isnan(failures[0][0])
+        # the solution kept with a row is the one a fresh solve gives
+        assert solutions[0].omega == rows[0][0] == OMEGA
+        _assert_same_solution(solutions[0], want)
 
 
 def test_unsplit_mesh_rejected(duct_mesh, props):
@@ -350,3 +375,84 @@ def test_frequency_independent_parts_built_once(duct_mesh, props, monkeypatch):
     assert len(rows) == 3 and not failures
     assert calls == {"mass_matrix": 1, "advection_matrices": 1,
                      "boundary_mass_matrix": 2}
+
+
+def test_residual_tolerance_must_be_positive(duct_mesh, props):
+    for tol in (float("nan"), 0.0, -1e-10):
+        with pytest.raises(MacroAssemblyError, match=f"residual_tol must be > 0, got {tol!r}"):
+            MacroProblem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025,
+                         residual_tol=tol)
+
+
+def test_residual_failure_names_its_context(duct_mesh, props):
+    prob = MacroProblem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025,
+                        residual_tol=1e-300)
+    n = duct_mesh.num_nodes + 2 * prob.index.n
+    with pytest.raises(SolverError, match=(rf"omega={OMEGA:.6g}: relative residual "
+                                           rf"\S+ exceeds 1\.0e-300 \({n} dofs\)")):
+        solve_frequency(prob, OMEGA)
+
+
+@pytest.mark.parametrize("case", ["flow", "rest"])
+def test_one_column_ordering_per_problem(duct_mesh, props, slant_coeffs,
+                                         slant_flow_coeffs, splu_calls, case):
+    """The first frequency computes the COLAMD ordering; every later one
+    factors the pre-permuted columns with NATURAL and gets the solution a
+    problem of its own gives, to the last bit."""
+    if case == "flow":
+        flow, co = solve_macro_potential_flow(duct_mesh, 15.0, props), slant_flow_coeffs
+    else:
+        flow, co = None, slant_coeffs
+    splu_calls.clear()  # the macro flow's own factorization
+
+    def fresh():
+        return MacroProblem(duct_mesh, props, co, eps0=0.025, flow=flow)
+    omegas = [2 * math.pi * f for f in (200.0, 479.9, 800.0, 1000.0)]
+    rows, failures, solutions = frequency_sweep(fresh(), omegas)
+    assert len(rows) == len(omegas) and not failures
+    assert [spec for _, spec in splu_calls] == ["COLAMD"] + ["NATURAL"] * 3
+    for sol in solutions:
+        _assert_same_solution(sol, solve_frequency(fresh(), sol.omega))
+
+
+def test_changed_pattern_gets_a_new_ordering(duct_mesh, props, slant_coeffs,
+                                             splu_calls):
+    prob = MacroProblem(duct_mesh, props, slant_coeffs, eps0=0.025)
+    A, rhs, _ = assemble_coupled_system(prob, OMEGA)
+    waveguide._solve_coupled(prob.parts, A, rhs)
+    kept = prob.parts.ordering
+    assert kept.fits(A)
+    # drop the first off-diagonal entry, as CSR arithmetic drops an exact cancellation
+    B = A.copy()
+    k = int(np.flatnonzero(B.indices[B.indptr[0]:B.indptr[1]] != 0)[0])
+    B.data[k] = 0.0
+    B.eliminate_zeros()
+    assert B.nnz == A.nnz - 1
+    want = spla.splu(B.tocsc()).solve(rhs)
+    splu_calls.clear()
+    got = waveguide._solve_coupled(prob.parts, B, rhs)
+    assert [spec for _, spec in splu_calls] == ["COLAMD"]
+    assert got.tobytes() == want.tobytes()
+    assert prob.parts.ordering.fits(B) and not prob.parts.ordering.fits(A)
+    # the new ordering serves the new pattern
+    waveguide._solve_coupled(prob.parts, B, rhs)
+    assert [spec for _, spec in splu_calls] == ["COLAMD", "NATURAL"]
+
+
+def test_failed_natural_factorization_is_a_solver_error(duct_mesh, props,
+                                                        slant_coeffs, monkeypatch):
+    prob = MacroProblem(duct_mesh, props, slant_coeffs, eps0=0.025)
+    solve_frequency(prob, OMEGA)  # keeps the ordering
+    real = spla.splu
+
+    def singular(A, permc_spec=None, **kwargs):
+        if permc_spec == "NATURAL":
+            raise RuntimeError("Factor is exactly singular")
+        return real(A, permc_spec, **kwargs)
+    monkeypatch.setattr(spla, "splu", singular)
+    omega = 2 * OMEGA
+    with pytest.raises(SolverError, match=rf"omega={omega:.6g}: Factor is exactly singular"):
+        solve_frequency(prob, omega)
+    monkeypatch.setattr(spla, "splu", real)
+    fresh = MacroProblem(duct_mesh, props, slant_coeffs, eps0=0.025)
+    _assert_same_solution(solve_frequency(prob, omega), solve_frequency(fresh, omega))
