@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .fem import FluidProperties, SolverError
+from .fem import SolverError
 from .flow import FlowField, unit_cell_flow
 from .mesh import per_mesh
 
@@ -50,19 +50,15 @@ class CellOperator:
     of at most 1 / (1 - rho).
     """
 
-    def __init__(self, mesh, flow: FlowField, properties: FluidProperties | None = None,
-                 residual_tol: float = 1e-10):
-        if flow.mesh is not mesh:
-            raise fem.AssemblyError("the flow must live on the operator's mesh")
-        props = properties or flow.properties
+    def __init__(self, flow: FlowField, residual_tol: float = 1e-10):
+        props = flow.properties
         speed = flow.max_speed()
         if speed >= props.mach_speed_limit:
             raise MachBoundError(
                 f"max |w| = {speed:.6g} m/s reaches the coercivity bound "
                 f"c/sqrt(tau) = {props.mach_speed_limit:.6g} m/s")
-        self.mesh = mesh
+        self.mesh = mesh = flow.mesh
         self.flow = flow
-        self.properties = props
         self.residual_tol = residual_tol
         self.xi = fem.xi_measure(mesh)
         stiffness = fem.stiffness_matrix(mesh)
@@ -137,9 +133,9 @@ class CellOperator:
             f"{iterations} iterations, relative residual {residual:.3e}")
 
 
-def assemble_Aw(mesh, flow, properties=None, residual_tol=1e-10) -> CellOperator:
+def assemble_Aw(flow, residual_tol=1e-10) -> CellOperator:
     """Build the flow-modified cell operator (with the coercivity guard)."""
-    return CellOperator(mesh, flow, properties, residual_tol)
+    return CellOperator(flow, residual_tol)
 
 
 def tangential_load(op: CellOperator, beta: int):
@@ -159,7 +155,7 @@ def transverse_load(op: CellOperator):
 
 def advective_load(op: CellOperator):
     """Right side of the flow-pressure corrector."""
-    props = op.properties
+    props = op.flow.properties
     grads, vols = fem.p1_geometry(op.mesh)
     wmean = op.flow.velocity[op.mesh.cells].mean(axis=1)
     contrib = np.einsum('m,md,mid->mi', vols, wmean, grads)
@@ -184,31 +180,23 @@ def solve_pi_P(op: CellOperator):
 
 @dataclass
 class CellSolutionSet:
-    """The corrector fields of one cell instance (full nodal, zero-mean)."""
+    """The corrector fields of one cell instance (full nodal, zero-mean);
+    the mesh, the flow and the fluid are those of the operator."""
 
     pi1: np.ndarray
     pi2: np.ndarray
     xi: np.ndarray
     pi_P: np.ndarray
-    flow: FlowField
-    properties: FluidProperties
     operator: CellOperator = field(repr=False)
 
 
-def solve_cell_problems(mesh, flow, properties=None, residual_tol=1e-10) -> CellSolutionSet:
-    """Solve all correctors of one cell with one operator."""
-    op = assemble_Aw(mesh, flow, properties, residual_tol)
+def solve_cell_problems(flow, residual_tol=1e-10) -> CellSolutionSet:
+    """Solve all correctors of one cell with one operator on the flow's mesh."""
+    op = assemble_Aw(flow, residual_tol)
     return CellSolutionSet(
         pi1=solve_pi_beta(op, 1),
         pi2=solve_pi_beta(op, 2),
         xi=solve_xi(op),
         pi_P=solve_pi_P(op),
-        flow=flow,
-        properties=op.properties,
         operator=op,
     )
-
-
-def export_solution_fields(mesh, sols: CellSolutionSet):
-    """Mesh copy with the corrector fields attached for file export."""
-    return mesh.with_fields(pi1=sols.pi1, pi2=sols.pi2, xi=sols.xi, pi_P=sols.pi_P)

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .cell_mesh import generate_unit_cell_mesh
-from .cell_problems import export_solution_fields
-from .coefficients import (_num, cell_pipeline, rows_to_csv,
+from .coefficients import (SYMMETRY_TOL, _num, cell_pipeline, rows_to_csv,
                            sweep_coefficients, verify_symmetries)
 from .duct_mesh import generate_waveguide_mesh
 from .mesh import save_mesh
@@ -51,8 +50,9 @@ def cmd_cell(cfg, out: Path):
     mesh, flw, sols, coeffs = cell_pipeline(
         geom, u3, cfg["cell.resolution"], props,
         residual_tol=cfg["run.residual_tol"])
-    save_mesh(export_solution_fields(mesh, sols), out / "correctors.msh")
-    report = verify_symmetries(coeffs, properties=props,
+    fields = mesh.with_fields(pi1=sols.pi1, pi2=sols.pi2, xi=sols.xi, pi_P=sols.pi_P)
+    save_mesh(fields, out / "correctors.msh")
+    report = verify_symmetries(coeffs, SYMMETRY_TOL, props,
                                speed_scale=max(flw.max_speed(), abs(u3)))
     rows = [coeffs.as_row(geom.hole_slope_deg, u3, report.max_defect)]
     _write(out / "coefficients.csv", rows_to_csv(rows))
@@ -90,27 +90,23 @@ def cmd_waveguide(cfg, out: Path):
         impedance_flow_correction=cfg["acoustics.impedance_flow_correction"],
         source_side=cfg["acoustics.source_side"],
         residual_tol=cfg["run.residual_tol"])
+    problem = run.problem
     omegas = [2.0 * math.pi * f for f in cfg.frequencies_hz()]
-    rows, failures, solutions = frequency_sweep(run.problem, omegas)
+    rows, failures, solutions = frequency_sweep(problem, omegas)
     lines = ["omega_rad_s,freq_hz,TL_db,flux_in,flux_out"]
     lines += [",".join(_num(v) for v in row) for row in rows]
     _write(out / "tl.csv", "\n".join(lines) + "\n")
 
-    idx = run.problem.index
+    x = problem.index.x
+    u3 = np.zeros(len(x)) if problem.flow is None else problem.flow.interface_u3
     u3_lines = ["arc_length,U3"]
-    if run.flow is not None:
-        arc = run.flow.interface_x - run.flow.interface_x[0]
-        u3_lines += [f"{_num(a)},{_num(u)}"
-                     for a, u in zip(arc, run.flow.interface_u3)]
-    else:
-        arc = idx.x - idx.x[0]
-        u3_lines += [f"{_num(a)},0" for a in arc]
+    u3_lines += [f"{_num(a)},{_num(u)}" for a, u in zip(x - x[0], u3)]
     _write(out / "interface_u3.csv", "\n".join(u3_lines) + "\n")
 
     written = ["tl.csv", "interface_u3.csv"]
     if rows:
         sol = solutions[len(rows) // 2]
-        snap = run.mesh.with_fields(
+        snap = problem.mesh.with_fields(
             pressure_re=sol.P.real, pressure_im=sol.P.imag,
             pressure_abs=np.abs(sol.P))
         save_mesh(snap, out / "pressure.msh")

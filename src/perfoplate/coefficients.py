@@ -25,9 +25,12 @@ import numpy as np
 from . import fem
 from .cell_mesh import generate_unit_cell_mesh
 from .cell_problems import CellSolutionSet, MachBoundError, solve_cell_problems
-from .fem import FluidProperties, SolverError
+from .fem import SolverError
 from .flow import FlowError, solve_cell_potential_flow
 from .geometry import CellGeometry
+
+# relative defect at which an interface identity counts as violated
+SYMMETRY_TOL = 1e-8
 
 CSV_HEADER = ("phi_deg,U3,A11,A12,A22,B1,B2,Bp1,Bp2,F,Mw,Tw,Twp,W1,W2,"
               "zeta_star,defect_M3")
@@ -60,11 +63,10 @@ class HomogenizedCoefficients:
                 self.zeta_star, defect]
 
 
-def compute_coefficients(mesh, flow, sols: CellSolutionSet,
-                         properties=None) -> HomogenizedCoefficients:
+def compute_coefficients(sols: CellSolutionSet) -> HomogenizedCoefficients:
     """Evaluate all interface coefficients from one cell solution set."""
-    props = properties or sols.properties
     op = sols.operator
+    mesh, flow, props = op.mesh, op.flow, op.flow.properties
     xi_m = op.xi
     c2 = props.c ** 2
     theta = props.theta
@@ -162,8 +164,8 @@ def _defect(lhs, rhs, floor):
     return float(num / den)
 
 
-def verify_symmetries(coeffs: HomogenizedCoefficients, tol=1e-8,
-                      properties=None, speed_scale=None) -> SymmetryReport:
+def verify_symmetries(coeffs: HomogenizedCoefficients, tol, properties,
+                      speed_scale=None) -> SymmetryReport:
     """Check the interface symmetry identities with measured defects.
 
     Relative defects use per-identity floors so that coefficients that
@@ -172,8 +174,7 @@ def verify_symmetries(coeffs: HomogenizedCoefficients, tol=1e-8,
     1% of the tangential-tensor scale, velocity-like ones at 1% of the
     advection speed scale.
     """
-    props = properties or FluidProperties()
-    theta, c2 = props.theta, props.c ** 2
+    theta, c2 = properties.theta, properties.c ** 2
     a_scale = max(np.abs(coeffs.A).max(), 1e-300)
     if speed_scale is None:
         speed_scale = max(abs(coeffs.Tw) / max(coeffs.kappa, 1e-300),
@@ -201,8 +202,8 @@ def cell_pipeline(geom: CellGeometry, u3, resolution, properties,
     if mesh is None:
         mesh = generate_unit_cell_mesh(geom, resolution)
     flw = solve_cell_potential_flow(mesh, u3, properties, residual_tol)
-    sols = solve_cell_problems(mesh, flw, properties, residual_tol)
-    coeffs = compute_coefficients(mesh, flw, sols, properties)
+    sols = solve_cell_problems(flw, residual_tol)
+    coeffs = compute_coefficients(sols)
     return mesh, flw, sols, coeffs
 
 
@@ -226,7 +227,7 @@ def _sweep_one_angle(args):
 
 
 def sweep_coefficients(base_geom: CellGeometry, phi_degrees, u3_values,
-                       resolution, properties, tol=1e-8, jobs=1,
+                       resolution, properties, tol=SYMMETRY_TOL, jobs=1,
                        residual_tol=1e-10):
     """Coefficient table over hole slopes and through-flow speeds.
 

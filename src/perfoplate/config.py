@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 
 from .fem import FluidProperties
@@ -175,6 +176,9 @@ def validate(cfg: RunConfig):
         raise ConfigError("acoustics source_side must be 'in' or 'out'")
     if not cfg["run.residual_tol"] > 0:  # also rejects NaN
         raise ConfigError(f"[run] residual_tol must be > 0, got {cfg['run.residual_tol']!r}")
+    if not 0 <= cfg["flow.u3_quantum"] < math.inf:  # 0 keeps exact speeds
+        raise ConfigError(
+            f"[flow] u3_quantum must be finite and >= 0, got {cfg['flow.u3_quantum']!r}")
     cfg.fluid_properties()  # raises ValueError naming a bad c or tau
 
 

@@ -12,7 +12,7 @@ per cell mesh at u3 = 1 and scaled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ class FlowField:
     mesh: object
     velocity: np.ndarray
     potential: np.ndarray
-    properties: FluidProperties = field(default_factory=FluidProperties)
+    properties: FluidProperties
     unit_scale: float | None = None
 
     def max_speed(self) -> float:
@@ -84,32 +84,32 @@ def unit_cell_flow(mesh):
     return pot, vel, residual
 
 
-def solve_cell_potential_flow(mesh, u3, properties=None, residual_tol=1e-10):
+def solve_cell_potential_flow(mesh, u3, properties, residual_tol=1e-10):
     """Xi-periodic cell flow driven by transverse speed u3 through I+/I-:
     the mesh's ``unit_cell_flow`` scaled by u3."""
-    props = properties or FluidProperties()
     if not np.isfinite(u3):
         raise FlowError("u3 must be finite")
     if u3 == 0.0:
         zero = np.zeros(mesh.num_nodes)
-        return FlowField(mesh, np.zeros((mesh.num_nodes, 3)), zero, props)
+        return FlowField(mesh, np.zeros((mesh.num_nodes, 3)), zero, properties)
     pot, vel, residual = unit_cell_flow(mesh)
     fem.check_residual(residual, residual_tol)
-    return FlowField(mesh, vel, pot, props, unit_scale=1.0).scaled(u3)
+    return FlowField(mesh, vel, pot, properties, unit_scale=1.0).scaled(u3)
 
 
 # -- waveguide ---------------------------------------------------------------
 
 @dataclass
 class MacroFlowField:
-    """Mean flow in the waveguide plus the transverse profile on the interface."""
+    """Mean flow in the waveguide plus the transverse profile on the
+    interface, at the interface nodes in order along the line
+    (``duct_mesh.interface_nodes``)."""
 
     mesh: object
     velocity: np.ndarray
     potential: np.ndarray
-    interface_x: np.ndarray
     interface_u3: np.ndarray
-    properties: FluidProperties = field(default_factory=FluidProperties)
+    properties: FluidProperties
 
     def max_speed(self) -> float:
         return float(np.linalg.norm(self.velocity, axis=1).max(initial=0.0))
@@ -121,7 +121,7 @@ class MacroFlowField:
 
 def _interface_profile(mesh, potential):
     """Consistent transverse velocity on the interface from the upper side."""
-    minus, plus, x = interface_nodes(mesh)
+    minus, plus, _ = interface_nodes(mesh)
     cen = mesh.nodes[mesh.cells].mean(axis=1)
     s = mesh.nodes[minus[0], 1]
     upper = np.nonzero(cen[:, 1] > s)[0]
@@ -132,10 +132,10 @@ def _interface_profile(mesh, potential):
     contrib = np.einsum('m,mid,md->mi', vols[upper], grads[upper], g)
     np.add.at(r, mesh.cells[upper].reshape(-1), contrib.reshape(-1))
     lump = fem.boundary_load_vector(mesh, GROUP_IFACE_PLUS)
-    return x, r[plus] / lump[plus]
+    return r[plus] / lump[plus]
 
 
-def solve_macro_potential_flow(mesh, u_in, properties=None, residual_tol=1e-10):
+def solve_macro_potential_flow(mesh, u_in, properties, residual_tol=1e-10):
     """Potential flow through the waveguide with a transparent interface.
 
     Neumann data: inflow speed u_in on Gamma_in, outflow u_in on Gamma_out,
@@ -143,7 +143,6 @@ def solve_macro_potential_flow(mesh, u_in, properties=None, residual_tol=1e-10):
     plate offers no resistance; its effect enters only through the acoustic
     coefficients evaluated at the resulting interface profile.
     """
-    props = properties or FluidProperties()
     area_in = mesh.group_measure(GROUP_IN)
     area_out = mesh.group_measure(GROUP_OUT)
     defect = abs(area_in - area_out) * abs(u_in)
@@ -156,5 +155,5 @@ def solve_macro_potential_flow(mesh, u_in, properties=None, residual_tol=1e-10):
     solver = fem.ZeroMeanSolver(mesh, fem.stiffness_matrix(mesh), residual_tol)
     pot = solver.solve(rhs)
     vel = _recover_velocity(mesh, pot)
-    x, u3 = _interface_profile(mesh, pot)
-    return MacroFlowField(mesh, vel, pot, x, u3, props)
+    u3 = _interface_profile(mesh, pot)
+    return MacroFlowField(mesh, vel, pot, u3, properties)

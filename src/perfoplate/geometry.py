@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class GeometryError(ValueError):
     """Raised when a geometric description violates its invariants."""
+
+
+def _require_finite(geom):
+    """Reject a NaN or infinite field: no comparison below may pass it."""
+    for f in fields(geom):
+        value = getattr(geom, f.name)
+        if not math.isfinite(value):
+            raise GeometryError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -33,13 +41,14 @@ class CellGeometry:
     eps0: float = 0.025
 
     def __post_init__(self):
-        if self.b1 <= 0 or self.b2 <= 0:
+        _require_finite(self)
+        if not (self.b1 > 0 and self.b2 > 0):
             raise GeometryError("cell periods b1, b2 must be positive")
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise GeometryError("transverse height factor kappa must be positive")
         if not 0.0 <= self.plate_thickness < 1.0:
             raise GeometryError("plate_thickness must lie in [0, 1) (fraction of kappa)")
-        if self.eps0 <= 0:
+        if not self.eps0 > 0:
             raise GeometryError("finite scale eps0 must be positive")
         if abs(self.hole_slope_deg) >= 90.0:
             raise GeometryError("hole slope must satisfy |phi| < 90 degrees")
@@ -84,11 +93,12 @@ class WaveguideGeometry:
     interface_pos: float | None = None
 
     def __post_init__(self):
-        for name in ("l_m", "h_m", "l_io", "h_io"):
-            if getattr(self, name) <= 0:
-                raise GeometryError(f"waveguide dimension {name} must be positive")
         if self.interface_pos is None:
             object.__setattr__(self, "interface_pos", self.h_m)
+        _require_finite(self)
+        for name in ("l_m", "h_m", "l_io", "h_io"):
+            if not getattr(self, name) > 0:
+                raise GeometryError(f"waveguide dimension {name} must be positive")
         s = self.interface_pos
         if not 0.0 < s < self.total_height:
             raise GeometryError("interface must lie strictly inside the duct")

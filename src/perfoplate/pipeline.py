@@ -15,10 +15,9 @@ import numpy as np
 
 from .cell_mesh import generate_unit_cell_mesh
 from .coefficients import cell_pipeline
-from .fem import FluidProperties
 from .flow import solve_macro_potential_flow
 from .geometry import CellGeometry, WaveguideGeometry
-from .duct_mesh import generate_waveguide_mesh
+from .duct_mesh import IFACE_PAIRING, generate_waveguide_mesh
 from .waveguide import MacroProblem, frequency_sweep
 
 
@@ -40,16 +39,15 @@ def quantize_speeds(values, quantum):
 
 
 def build_interface_coefficients(cell_geom: CellGeometry, element_u3,
-                                 resolution=0.08, properties=None,
+                                 resolution, properties,
                                  quantum=0.25, residual_tol=1e-10,
                                  cell_mesh=None) -> InterfaceCoefficientTable:
     """Solve cell problems for each distinct quantized through-speed."""
-    props = properties or FluidProperties()
     element_u3 = np.asarray(element_u3, dtype=float)
     q = quantize_speeds(element_u3, quantum)
     mesh = cell_mesh if cell_mesh is not None else \
         generate_unit_cell_mesh(cell_geom, resolution)
-    by_speed = {u3: cell_pipeline(cell_geom, u3, resolution, props, residual_tol,
+    by_speed = {u3: cell_pipeline(cell_geom, u3, resolution, properties, residual_tol,
                                   mesh=mesh)[3]
                 for u3 in sorted(set(q.tolist()))}
     coeffs = [by_speed[u3] for u3 in q]
@@ -67,40 +65,35 @@ def macro_flow_for_mode(mesh, mode, u_in, properties, residual_tol=1e-10):
 
 @dataclass
 class WaveguideRun:
-    """Assembled inputs of one TL computation."""
+    """Assembled inputs of one TL computation; the duct mesh and its mean
+    flow are the problem's."""
 
-    mesh: object
     problem: MacroProblem
-    flow: object
     table: InterfaceCoefficientTable
 
 
 def setup_waveguide_run(duct_geom: WaveguideGeometry, cell_geom: CellGeometry,
-                        properties=None, u_in=0.0, flow_mode="potential",
+                        properties, u_in=0.0, flow_mode="potential",
                         duct_resolution=0.0125, cell_resolution=0.08,
                         quantum=0.25, amplitude=300.0, outer_advection=True,
                         impedance_flow_correction=False, source_side="in",
                         residual_tol=1e-10, duct_mesh=None,
                         cell_mesh=None) -> WaveguideRun:
     """Build the macro problem with flow-dependent interface coefficients."""
-    props = properties or FluidProperties()
     mesh = duct_mesh if duct_mesh is not None else \
         generate_waveguide_mesh(duct_geom, duct_resolution)
-    mf = macro_flow_for_mode(mesh, flow_mode, u_in, props, residual_tol)
-    n_elem = len(mesh.periodic_pairs["iface"]) - 1
-    if mf is None:
-        element_u3 = np.zeros(n_elem)
-    else:
-        element_u3 = mf.element_u3()
+    mf = macro_flow_for_mode(mesh, flow_mode, u_in, properties, residual_tol)
+    n_elements = len(mesh.periodic_pairs[IFACE_PAIRING]) - 1
+    element_u3 = np.zeros(n_elements) if mf is None else mf.element_u3()
     table = build_interface_coefficients(
-        cell_geom, element_u3, cell_resolution, props, quantum, residual_tol,
+        cell_geom, element_u3, cell_resolution, properties, quantum, residual_tol,
         cell_mesh=cell_mesh)
     problem = MacroProblem(
-        mesh, props, table.coefficients, eps0=cell_geom.eps0, flow=mf,
+        mesh, properties, table.coefficients, eps0=cell_geom.eps0, flow=mf,
         amplitude=amplitude, outer_advection=outer_advection,
         impedance_flow_correction=impedance_flow_correction,
         source_side=source_side, residual_tol=residual_tol)
-    return WaveguideRun(mesh, problem, mf, table)
+    return WaveguideRun(problem, table)
 
 
 def tl_curve(run: WaveguideRun, frequencies_hz):

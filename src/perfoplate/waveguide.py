@@ -29,7 +29,6 @@ import scipy.sparse.linalg as spla
 
 from . import fem
 from .duct_mesh import GROUP_IN, GROUP_OUT, IFACE_PAIRING, interface_nodes
-from .coefficients import HomogenizedCoefficients
 from .fem import FluidProperties, SolverError
 
 
@@ -58,8 +57,8 @@ class InterfaceIndex:
 class MacroProblem:
     """Everything needed to assemble one frequency solve.
 
-    interface_coeffs: one HomogenizedCoefficients per interface element
-    (or a single instance used uniformly).  flow: MacroFlowField or None.
+    interface_coeffs: a sequence of one HomogenizedCoefficients per
+    interface element.  flow: MacroFlowField or None.
     The problem is frozen, so its operator parts, built on first use and
     kept, cannot go stale.  The mesh must carry the split interface (the
     ``iface`` pairing of `duct_mesh.generate_waveguide_mesh`).
@@ -77,8 +76,8 @@ class MacroProblem:
     residual_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.eps0 <= 0:
-            raise MacroAssemblyError("eps0 must be positive")
+        if not self.eps0 > 0:  # also rejects NaN
+            raise MacroAssemblyError(f"eps0 must be positive, got {self.eps0!r}")
         if not self.residual_tol > 0:  # also rejects NaN
             raise MacroAssemblyError(
                 f"residual_tol must be > 0, got {self.residual_tol!r}")
@@ -127,9 +126,6 @@ class OperatorParts:
         source = GROUP_IN if problem.source_side == "in" else GROUP_OUT
         self.load = fem.boundary_load_vector(mesh, source)
         coeffs = problem.interface_coeffs
-        if isinstance(coeffs, HomogenizedCoefficients):
-            coeffs = [coeffs] * idx.n_elements
-        coeffs = list(coeffs)
         if len(coeffs) != idx.n_elements:
             raise MacroAssemblyError(f"need coefficients for {idx.n_elements} "
                                      f"interface elements, got {len(coeffs)}")

@@ -11,7 +11,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from perfoplate import fem
-from perfoplate.coefficients import HomogenizedCoefficients
 from perfoplate.duct_mesh import GROUP_IN, GROUP_OUT
 from perfoplate.waveguide import MacroAssemblyError, _boundary_impedance_factor
 
@@ -19,9 +18,6 @@ from perfoplate.waveguide import MacroAssemblyError, _boundary_impedance_factor
 def element_coefficients(problem):
     coeffs = problem.interface_coeffs
     ne = problem.index.n_elements
-    if isinstance(coeffs, HomogenizedCoefficients):
-        return [coeffs] * ne
-    coeffs = list(coeffs)
     if len(coeffs) != ne:
         raise MacroAssemblyError(
             f"need coefficients for {ne} interface elements, got {len(coeffs)}")

@@ -3,30 +3,34 @@
 import numpy as np
 
 from perfoplate.coefficients import HomogenizedCoefficients
-from perfoplate.duct_mesh import interface_nodes
-from perfoplate.fem import FluidProperties
+from perfoplate.duct_mesh import IFACE_PAIRING
 from perfoplate.flow import FlowError, FlowField, MacroFlowField
+from perfoplate.waveguide import MacroProblem
 
 
-def uniform_flow(mesh, w_vec, properties=None):
+def uniform_flow(mesh, w_vec, properties):
     """Constant nodal velocity field."""
-    props = properties or FluidProperties()
     w_vec = np.asarray(w_vec, dtype=float)
     if w_vec.shape != (mesh.dim,):
         raise FlowError(f"velocity vector must have {mesh.dim} components")
     vel = np.tile(w_vec, (mesh.num_nodes, 1))
     pot = -mesh.nodes @ w_vec
-    return FlowField(mesh, vel, pot, props)
+    return FlowField(mesh, vel, pot, properties)
 
 
-def uniform_macro_flow(mesh, axial_speed, properties=None):
+def uniform_macro_flow(mesh, axial_speed, properties):
     """Constant axial mean flow in a duct; zero transverse profile."""
-    props = properties or FluidProperties()
-    x = interface_nodes(mesh)[2]
     vel = np.zeros((mesh.num_nodes, 2))
     vel[:, 0] = axial_speed
     pot = -axial_speed * mesh.nodes[:, 0]
-    return MacroFlowField(mesh, vel, pot, x, np.zeros(len(x)), props)
+    n = len(mesh.periodic_pairs[IFACE_PAIRING])
+    return MacroFlowField(mesh, vel, pot, np.zeros(n), properties)
+
+
+def uniform_problem(mesh, properties, coeffs, **kwargs):
+    """A MacroProblem with the same coefficients on every interface element."""
+    n_elements = len(mesh.periodic_pairs[IFACE_PAIRING]) - 1
+    return MacroProblem(mesh, properties, [coeffs] * n_elements, **kwargs)
 
 
 def empty_cell_coefficients(kappa=1.0) -> HomogenizedCoefficients:

@@ -34,7 +34,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fixtures import uniform_flow
+from fixtures import uniform_flow, uniform_problem
 from static_reference import solve_static_reference, static_transmission_loss
 from test_fem import convergence_order, extended_helmholtz_error
 
@@ -49,7 +49,7 @@ from perfoplate.flow import solve_cell_potential_flow, solve_macro_potential_flo
 from perfoplate.geometry import CellGeometry, WaveguideGeometry
 from perfoplate.mesh import Mesh
 from perfoplate.pipeline import quantize_speeds, setup_waveguide_run, tl_curve
-from perfoplate.waveguide import MacroProblem, solve_frequency, transmission_loss
+from perfoplate.waveguide import solve_frequency, transmission_loss
 
 CELL_RESOLUTION = 0.08      # default unit-cell resolution
 DUCT_RESOLUTION = 0.0125    # default waveguide resolution
@@ -177,7 +177,7 @@ def test_criterion_3_zero_flow_reduction(duct, static_cell, props):
     t0 = time.time()
     co = static_cell[30.0]
     eps0 = CellGeometry().eps0
-    prob = MacroProblem(duct, props, co, eps0=eps0)
+    prob = uniform_problem(duct, props, co, eps0=eps0)
     ref = dict(A11=co.A[0, 0], B1=co.B[0], Bp1=co.Bp[0], F=co.F,
                mass=co.mass_factor)
     n_elem = prob.index.n_elements
@@ -388,16 +388,13 @@ def test_criterion_7_guards(straight_cell_mesh, props):
     limit = props.mach_speed_limit
     tripped_at = False
     try:
-        assemble_Aw(straight_cell_mesh,
-                    uniform_flow(straight_cell_mesh, (0, 0, limit), props),
-                    props)
+        assemble_Aw(uniform_flow(straight_cell_mesh, (0, 0, limit), props))
     except MachBoundError:
         tripped_at = True
     passed_below = True
     try:
-        assemble_Aw(straight_cell_mesh,
-                    uniform_flow(straight_cell_mesh,
-                                 (0, 0, np.nextafter(limit, 0)), props), props)
+        assemble_Aw(uniform_flow(straight_cell_mesh,
+                                 (0, 0, np.nextafter(limit, 0)), props))
     except MachBoundError:
         passed_below = False
 
@@ -405,7 +402,7 @@ def test_criterion_7_guards(straight_cell_mesh, props):
     from perfoplate.cell_problems import (advective_load, tangential_load,
                                           transverse_load)
     flow = solve_cell_potential_flow(straight_cell_mesh, 3.0, props)
-    op = assemble_Aw(straight_cell_mesh, flow, props)
+    op = assemble_Aw(flow)
     worst = 0.0
     for load in (tangential_load(op, 1), tangential_load(op, 2),
                  transverse_load(op), advective_load(op)):

@@ -6,7 +6,7 @@ import pytest
 from fixtures import uniform_flow
 from perfoplate import fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
-from perfoplate.cell_problems import (CellOperator, MachBoundError, advective_load,
+from perfoplate.cell_problems import (MachBoundError, advective_load,
                                       assemble_Aw, solve_cell_problems, solve_pi_P,
                                       solve_pi_beta, solve_xi, tangential_load,
                                       transverse_load)
@@ -21,42 +21,31 @@ def zero_flow(mesh, props):
 
 
 def test_operator_is_periodic_laplacian_at_rest(straight_cell_mesh, props):
-    op = assemble_Aw(straight_cell_mesh, zero_flow(straight_cell_mesh, props), props)
+    op = assemble_Aw(zero_flow(straight_cell_mesh, props))
     K = fem.stiffness_matrix(straight_cell_mesh) / op.xi
     assert abs(op.matrix - K).max() == 0.0
 
 
 def test_operator_symmetric_exactly(slant_cell_mesh, props):
     flow = solve_cell_potential_flow(slant_cell_mesh, 3.0, props)
-    op = assemble_Aw(slant_cell_mesh, flow, props)
+    op = assemble_Aw(flow)
     assert abs(op.matrix - op.matrix.T).max() < 1e-14 * abs(op.matrix).max()
 
 
 @pytest.mark.parametrize("u3", [-2.0, 3.0])
 def test_operator_from_unit_advection_matches_assembly(slant_cell_mesh, props, u3):
     flow = solve_cell_potential_flow(slant_cell_mesh, u3, props)
-    op = assemble_Aw(slant_cell_mesh, flow, props)
+    op = assemble_Aw(flow)
     W, _ = fem.advection_matrices(slant_cell_mesh, flow.velocity)
     fresh = (fem.stiffness_matrix(slant_cell_mesh)
              - (props.tau / props.c ** 2) * W) / op.xi
     assert abs(op.matrix - fresh).max() <= 1e-13 * abs(fresh).max()
 
 
-def test_operator_rejects_flow_of_another_mesh(props):
-    # the two slants give meshes of equal size (294 nodes at resolution 0.2)
-    plus, minus = (generate_unit_cell_mesh(CellGeometry(hole_slope_deg=s), 0.2)
-                   for s in (30.0, -30.0))
-    assert plus.num_nodes == minus.num_nodes
-    flow = solve_cell_potential_flow(minus, 1.0, props)
-    with pytest.raises(fem.AssemblyError, match="mesh"):
-        CellOperator(plus, flow, props)
-    CellOperator(minus, flow, props)  # the flow's own mesh is accepted
-
-
 def test_operator_psd_near_bound(straight_cell_mesh, props):
     speed = 0.99 * props.mach_speed_limit
     flow = uniform_flow(straight_cell_mesh, (0.0, 0.0, speed), props)
-    op = assemble_Aw(straight_cell_mesh, flow, props)
+    op = assemble_Aw(flow)
     T = fem.periodic_reduction(op.mesh)
     A = (T.T @ op.matrix @ T).toarray()
     eigs = np.linalg.eigvalsh(A)
@@ -69,16 +58,16 @@ def test_mach_guard_trips_exactly_at_bound(straight_cell_mesh, props):
     limit = props.mach_speed_limit
     at = uniform_flow(straight_cell_mesh, (0.0, 0.0, limit), props)
     with pytest.raises(MachBoundError) as err:
-        assemble_Aw(straight_cell_mesh, at, props)
+        assemble_Aw(at)
     msg = str(err.value)
     assert f"{limit:.6g}" in msg and "max |w|" in msg
     below = uniform_flow(straight_cell_mesh, (0.0, 0.0, np.nextafter(limit, 0.0)),
                          props)
-    assemble_Aw(straight_cell_mesh, below, props)  # must not raise
+    assemble_Aw(below)  # must not raise
 
 
 def test_empty_cell_correctors(empty_cell_mesh, props):
-    op = assemble_Aw(empty_cell_mesh, zero_flow(empty_cell_mesh, props), props)
+    op = assemble_Aw(zero_flow(empty_cell_mesh, props))
     z = empty_cell_mesh.nodes[:, 2]
     assert np.abs(solve_pi_beta(op, 1)).max() < 1e-12
     assert np.abs(solve_pi_beta(op, 2)).max() < 1e-12
@@ -90,7 +79,7 @@ def test_empty_cell_with_uniform_flow_analytic(empty_cell_mesh, props):
     """1D closed forms for a box cell under uniform vertical advection."""
     u3 = 5.0
     flow = solve_cell_potential_flow(empty_cell_mesh, u3, props)
-    sols = solve_cell_problems(empty_cell_mesh, flow, props)
+    sols = solve_cell_problems(flow)
     z = empty_cell_mesh.nodes[:, 2]
     m = props.tau * u3 ** 2 / props.c ** 2
     np.testing.assert_allclose(sols.xi, -z / (1 - m), atol=1e-11)
@@ -102,7 +91,7 @@ def test_empty_cell_with_uniform_flow_analytic(empty_cell_mesh, props):
 
 def test_static_reduction_matches_plain_laplace(slant_cell_mesh, props):
     flow = zero_flow(slant_cell_mesh, props)
-    sols = solve_cell_problems(slant_cell_mesh, flow, props)
+    sols = solve_cell_problems(flow)
     # plain periodic Laplace solve, assembled independently of the operator
     K = fem.stiffness_matrix(slant_cell_mesh) / fem.xi_measure(slant_cell_mesh)
     y1 = slant_cell_mesh.nodes[:, 0]
@@ -112,7 +101,7 @@ def test_static_reduction_matches_plain_laplace(slant_cell_mesh, props):
 
 def test_zero_mean_and_periodicity(slant_cell_mesh, props):
     flow = solve_cell_potential_flow(slant_cell_mesh, 2.0, props)
-    sols = solve_cell_problems(slant_cell_mesh, flow, props)
+    sols = solve_cell_problems(flow)
     vol = fem.integrate(slant_cell_mesh)
     for field in (sols.pi1, sols.pi2, sols.xi, sols.pi_P):
         mean = fem.integrate(slant_cell_mesh, field) / vol
@@ -123,7 +112,7 @@ def test_zero_mean_and_periodicity(slant_cell_mesh, props):
 
 def test_loads_compatible(slant_cell_mesh, props):
     flow = solve_cell_potential_flow(slant_cell_mesh, 4.0, props)
-    op = assemble_Aw(slant_cell_mesh, flow, props)
+    op = assemble_Aw(flow)
     T = fem.periodic_reduction(op.mesh)
     for load in (tangential_load(op, 1), tangential_load(op, 2),
                  transverse_load(op), advective_load(op)):
@@ -136,7 +125,7 @@ def test_mirror_antisymmetry_of_tangential_corrector(props):
     corrector is odd under the mirror."""
     mesh = generate_unit_cell_mesh(CellGeometry(), 0.1)
     flow = solve_cell_potential_flow(mesh, 1.5, props)
-    op = assemble_Aw(mesh, flow, props)
+    op = assemble_Aw(flow)
     pi1 = solve_pi_beta(op, 1)
     lookup = {(round(p[0], 9), round(p[1], 9), round(p[2], 9)): i
               for i, p in enumerate(mesh.nodes)}
@@ -151,18 +140,15 @@ def test_pi_P_linearity_for_small_flow(straight_cell_mesh, props):
     # order only; doubling a small flow must double the corrector
     base = solve_cell_potential_flow(straight_cell_mesh, 1.0, props)
     alpha = 1e-3
-    one = solve_pi_P(assemble_Aw(straight_cell_mesh, base.scaled(alpha), props))
-    two = solve_pi_P(assemble_Aw(straight_cell_mesh, base.scaled(2 * alpha), props))
+    one = solve_pi_P(assemble_Aw(base.scaled(alpha)))
+    two = solve_pi_P(assemble_Aw(base.scaled(2 * alpha)))
     mismatch = np.linalg.norm(two - 2.0 * one) / np.linalg.norm(two)
     assert mismatch <= 1e-5
 
 
 def test_correctors_converge_to_static_limit(slant_cell_mesh, props):
-    static = solve_cell_problems(slant_cell_mesh,
-                                 zero_flow(slant_cell_mesh, props), props)
-    tiny = solve_cell_problems(
-        slant_cell_mesh, solve_cell_potential_flow(slant_cell_mesh, 1e-4, props),
-        props)
+    static = solve_cell_problems(zero_flow(slant_cell_mesh, props))
+    tiny = solve_cell_problems(solve_cell_potential_flow(slant_cell_mesh, 1e-4, props))
     for a, b in ((tiny.pi1, static.pi1), (tiny.xi, static.xi)):
         assert np.abs(a - b).max() <= 1e-6 * max(np.abs(b).max(), 1.0)
     assert np.abs(tiny.pi_P).max() <= 1e-6
@@ -172,7 +158,7 @@ def test_duality_pairing_vs_surface_jump(slant_cell_mesh, props):
     """Operator pairing of the flux corrector with an in-plane corrector
     equals minus the top/bottom average jump of the latter."""
     flow = solve_cell_potential_flow(slant_cell_mesh, 3.0, props)
-    sols = solve_cell_problems(slant_cell_mesh, flow, props)
+    sols = solve_cell_problems(flow)
     op = sols.operator
     for pi in (sols.pi1, sols.pi2):
         pairing = float(sols.xi @ (op.matrix @ pi))
@@ -183,7 +169,7 @@ def test_duality_pairing_vs_surface_jump(slant_cell_mesh, props):
 
 def test_solver_residual_contract(slant_cell_mesh, props):
     flow = solve_cell_potential_flow(slant_cell_mesh, 2.0, props)
-    op = assemble_Aw(slant_cell_mesh, flow, props)
+    op = assemble_Aw(flow)
     xi = solve_xi(op)
     T = fem.periodic_reduction(slant_cell_mesh)
     rhs = T.T @ transverse_load(op)
@@ -218,13 +204,13 @@ def near_bound_flow(props, _):
                          ids=["slant-u3=-2", "slant-u3=3", "uniform-0.99-bound"])
 def test_pcg_correctors_match_direct_solve(slant_cell_mesh, props, case):
     mesh, flow = case(props, slant_cell_mesh)
-    op = assemble_Aw(mesh, flow, props)
+    op = assemble_Aw(flow)
     for pcg, direct in zip(correctors(op), direct_correctors(op)):
         assert np.linalg.norm(pcg - direct) <= 1e-11 * np.linalg.norm(direct)
 
 
 def test_rest_correctors_bitwise_equal_fresh_direct_solve(slant_cell_mesh, props):
-    sols = solve_cell_problems(slant_cell_mesh, zero_flow(slant_cell_mesh, props), props)
+    sols = solve_cell_problems(zero_flow(slant_cell_mesh, props))
     xi = fem.xi_measure(slant_cell_mesh)
     K = fem.stiffness_matrix(slant_cell_mesh) / xi
     fresh = fem.ZeroMeanSolver(slant_cell_mesh, K, 1e-10, scale=xi)
@@ -251,10 +237,10 @@ def test_one_kept_solver_per_process(props):
     fem.stiffness_solver(b)
     assert kept() is None                             # building b's freed a's
     kept = weakref.ref(fem.stiffness_solver(a))
-    assemble_Aw(b, zero_flow(b, props), props)        # a rest operator on b
+    assemble_Aw(zero_flow(b, props))                  # a rest operator on b
     assert kept() is None
     kept = weakref.ref(fem.stiffness_solver(b))
-    assemble_Aw(b, zero_flow(b, props), props)        # ... keeps b's own
+    assemble_Aw(zero_flow(b, props))                  # ... keeps b's own
     assert kept() is not None
     mesh = weakref.ref(b)
     del b
@@ -266,7 +252,7 @@ def test_pcg_residual_excludes_the_constant_part_of_the_load(slant_cell_mesh, pr
     # all of it along the constants of the periodic classes, is solved to a
     # residual of 1e-12, as by the direct solve
     flow = solve_cell_potential_flow(slant_cell_mesh, 2.0, props)
-    op = assemble_Aw(slant_cell_mesh, flow, props, residual_tol=1e-12)
+    op = assemble_Aw(flow, residual_tol=1e-12)
     T = fem.periodic_reduction(slant_cell_mesh)
     sizes = np.asarray(T.sum(axis=0)).ravel()
     load = transverse_load(op)
@@ -276,8 +262,7 @@ def test_pcg_residual_excludes_the_constant_part_of_the_load(slant_cell_mesh, pr
 
 
 def test_pcg_breakdown_raises(slant_cell_mesh, props, monkeypatch):
-    op = assemble_Aw(slant_cell_mesh, solve_cell_potential_flow(slant_cell_mesh, 2.0, props),
-                     props)
+    op = assemble_Aw(solve_cell_potential_flow(slant_cell_mesh, 2.0, props))
     real = fem.ZeroMeanSolver.precondition
     monkeypatch.setattr(fem.ZeroMeanSolver, "precondition",
                         lambda self, r: -real(self, r))
@@ -286,8 +271,7 @@ def test_pcg_breakdown_raises(slant_cell_mesh, props, monkeypatch):
 
 
 def test_pcg_iteration_cap_raises(slant_cell_mesh, props):
-    op = assemble_Aw(slant_cell_mesh, solve_cell_potential_flow(slant_cell_mesh, 2.0, props),
-                     props)
+    op = assemble_Aw(solve_cell_potential_flow(slant_cell_mesh, 2.0, props))
     op._max_iter = 2
     with pytest.raises(SolverError,
                        match=r"does not converge at max \|w\| = .* 2 iterations, relative"):
@@ -296,6 +280,6 @@ def test_pcg_iteration_cap_raises(slant_cell_mesh, props):
 
 def test_pcg_residual_checked_against_tolerance(slant_cell_mesh, props):
     flow = solve_cell_potential_flow(slant_cell_mesh, 2.0, props)
-    op = assemble_Aw(slant_cell_mesh, flow, props, residual_tol=1e-30)
+    op = assemble_Aw(flow, residual_tol=1e-30)
     with pytest.raises(SolverError, match="zero-mean solve residual .* exceeds 1.0e-30"):
         solve_xi(op)

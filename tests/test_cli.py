@@ -74,6 +74,13 @@ def test_config_rejects_bad_fluid_constants(text, field):
         parse_config(f"[fluid]\n{text}\n")
 
 
+@pytest.mark.parametrize("value", ["-0.25", "nan", "inf"])
+def test_config_rejects_bad_u3_quantum(value):
+    with pytest.raises(ConfigError, match="u3_quantum must be finite and >= 0"):
+        parse_config(f"[flow]\nu3_quantum = {value}\n")
+    assert parse_config("[flow]\nu3_quantum = 0\n")["flow.u3_quantum"] == 0.0
+
+
 def test_config_grids():
     cfg = parse_config("[frequencies]\nf_min=100\nf_max=200\ncount=3\n")
     assert cfg.frequencies_hz() == [100.0, 150.0, 200.0]
@@ -202,6 +209,25 @@ def test_non_positive_resolution_is_an_error(tmp_path, command, section, resolut
     assert record["error"] == "GeometryError"
     assert "resolution must be positive" in record["message"]
     assert not (out / "tl.csv").exists()
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("waveguide", "cell", "eps0", "nan"),
+    ("cell", "cell", "hole_slope_deg", "nan"),
+    ("mesh-cell", "cell", "kappa", "nan"),
+    ("mesh-cell", "cell", "b1", "inf"),
+    ("mesh-duct", "waveguide", "l_m", "nan"),
+    ("mesh-duct", "waveguide", "l_io", "inf"),
+])
+def test_non_finite_geometry_is_an_error(tmp_path, command, section, key, value):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", str(cfgfile), "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "GeometryError"
+    assert record["message"] == f"{key} must be finite, got {float(value)!r}"
+    assert sorted(p.name for p in out.iterdir()) == ["effective_config.ini", "error.json"]
 
 
 def test_waveguide_snapshot_reuses_the_sweep_solution(tmp_path, monkeypatch):

@@ -20,8 +20,8 @@ from perfoplate.geometry import CellGeometry
 
 def test_empty_cell_exact_limits(empty_cell_mesh, props):
     flow = solve_cell_potential_flow(empty_cell_mesh, 0.0, props)
-    sols = solve_cell_problems(empty_cell_mesh, flow, props)
-    co = compute_coefficients(empty_cell_mesh, flow, sols, props)
+    sols = solve_cell_problems(flow)
+    co = compute_coefficients(sols)
     np.testing.assert_allclose(co.A, np.eye(2), atol=1e-10)
     assert co.F == pytest.approx(1.0, abs=1e-10)
     assert abs(co.zeta_star - 1.0) < 1e-10
@@ -36,8 +36,8 @@ def test_empty_cell_exact_limits(empty_cell_mesh, props):
 def test_empty_cell_with_flow_analytic(empty_cell_mesh, props):
     u3 = 4.0
     flow = solve_cell_potential_flow(empty_cell_mesh, u3, props)
-    sols = solve_cell_problems(empty_cell_mesh, flow, props)
-    co = compute_coefficients(empty_cell_mesh, flow, sols, props)
+    sols = solve_cell_problems(flow)
+    co = compute_coefficients(sols)
     m = props.tau * u3 ** 2 / props.c ** 2
     assert co.F == pytest.approx(1.0 / (1.0 - m), rel=1e-12)
     assert co.Tw == pytest.approx(-u3 / (1.0 - m), rel=1e-12)
@@ -51,8 +51,8 @@ def test_empty_cell_with_flow_analytic(empty_cell_mesh, props):
 
 def test_zero_flow_coefficients_vanish_exactly(slant_cell_mesh, props):
     flow = uniform_flow(slant_cell_mesh, (0.0, 0.0, 0.0), props)
-    sols = solve_cell_problems(slant_cell_mesh, flow, props)
-    co = compute_coefficients(slant_cell_mesh, flow, sols, props)
+    sols = solve_cell_problems(flow)
+    co = compute_coefficients(sols)
     assert co.Mw == 0.0 and co.Tw == 0.0 and co.Twp == 0.0
     np.testing.assert_array_equal(co.Wbar, 0.0)
     np.testing.assert_array_equal(co.Wbarp, 0.0)
@@ -62,8 +62,8 @@ def test_zero_flow_coefficients_vanish_exactly(slant_cell_mesh, props):
 
 def test_symmetries_with_flow(slant_cell_mesh, props):
     flow = solve_cell_potential_flow(slant_cell_mesh, 5.0, props)
-    sols = solve_cell_problems(slant_cell_mesh, flow, props)
-    co = compute_coefficients(slant_cell_mesh, flow, sols, props)
+    sols = solve_cell_problems(flow)
+    co = compute_coefficients(sols)
     report = verify_symmetries(co, tol=1e-8, properties=props,
                                speed_scale=flow.max_speed())
     assert report.passed, str(report)
@@ -73,8 +73,8 @@ def test_symmetries_with_flow(slant_cell_mesh, props):
 
 def test_fault_injection_flagged(slant_cell_mesh, props):
     flow = solve_cell_potential_flow(slant_cell_mesh, 5.0, props)
-    sols = solve_cell_problems(slant_cell_mesh, flow, props)
-    co = compute_coefficients(slant_cell_mesh, flow, sols, props)
+    sols = solve_cell_problems(flow)
+    co = compute_coefficients(sols)
     corrupted = replace(co, Bp=co.Bp + np.array([0.05, 0.0]))
     report = verify_symmetries(corrupted, tol=1e-8, properties=props,
                                speed_scale=flow.max_speed())
@@ -86,11 +86,11 @@ def test_fault_injection_flagged(slant_cell_mesh, props):
 def test_gauge_invariance(slant_cell_mesh, props):
     """Adding constants to the correctors must not change any coefficient."""
     flow = solve_cell_potential_flow(slant_cell_mesh, 3.0, props)
-    sols = solve_cell_problems(slant_cell_mesh, flow, props)
-    co = compute_coefficients(slant_cell_mesh, flow, sols, props)
+    sols = solve_cell_problems(flow)
+    co = compute_coefficients(sols)
     shifted = replace(sols, pi1=sols.pi1 + 0.7, pi2=sols.pi2 - 1.3,
                       xi=sols.xi + 2.0, pi_P=sols.pi_P + 0.1)
-    co2 = compute_coefficients(slant_cell_mesh, flow, shifted, props)
+    co2 = compute_coefficients(shifted)
     np.testing.assert_allclose(co2.A, co.A, atol=1e-10)
     np.testing.assert_allclose(co2.B, co.B, atol=1e-12)
     np.testing.assert_allclose(co2.Bp, co.Bp, atol=1e-12)
@@ -140,7 +140,7 @@ def test_sweep_single_point_matches_pipeline(props):
     geom = CellGeometry(hole_slope_deg=30.0)
     rows, _ = sweep_coefficients(geom, [30.0], [2.0], 0.12, props)
     _, flw, _, co = cell_pipeline(geom, 2.0, 0.12, props)
-    report = verify_symmetries(co, properties=props,
+    report = verify_symmetries(co, 1e-8, props,
                                speed_scale=max(flw.max_speed(), 2.0))
     expected = co.as_row(30.0, 2.0, report.max_defect)
     np.testing.assert_allclose(rows[0], expected, rtol=1e-12)
@@ -176,8 +176,8 @@ def test_sweep_propagates_programming_errors(props, monkeypatch):
 
 def test_empty_cell_helper_matches_computed(empty_cell_mesh, props):
     flow = solve_cell_potential_flow(empty_cell_mesh, 0.0, props)
-    sols = solve_cell_problems(empty_cell_mesh, flow, props)
-    co = compute_coefficients(empty_cell_mesh, flow, sols, props)
+    sols = solve_cell_problems(flow)
+    co = compute_coefficients(sols)
     helper = empty_cell_coefficients(kappa=co.kappa)
     np.testing.assert_allclose(co.A, helper.A, atol=1e-10)
     assert co.F == pytest.approx(helper.F, abs=1e-10)

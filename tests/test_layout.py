@@ -114,3 +114,37 @@ def test_factorizations_go_through_the_linalg_module():
     tests' ``splu_calls`` fixture counts it; a name imported from the module
     would bypass both."""
     assert not direct_linalg_imports(), direct_linalg_imports()
+
+
+def defaulted_properties():
+    """Every function parameter and dataclass field in ``src/`` named
+    ``properties`` that has a default, as ``module:qualified name``."""
+    found = []
+
+    def visit(path, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                defaulted = positional[len(positional) - len(a.defaults):]
+                defaulted += [k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                if any(arg.arg == "properties" for arg in defaulted):
+                    found.append(f"{path.stem}:{prefix}{child.name}")
+                visit(path, child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    found.extend(f"{path.stem}:{child.name}.properties" for a in child.body
+                                 if isinstance(a, ast.AnnAssign) and a.value is not None
+                                 and getattr(a.target, "id", None) == "properties")
+                visit(path, child, f"{prefix}{child.name}.")
+
+    for path in PACKAGE:
+        visit(path, ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_no_default_fluid():
+    """The fluid is passed, never filled in: a default ``properties`` would
+    let a check or a solve run with c = 343, tau = 3 in place of the
+    configured fluid."""
+    assert not defaulted_properties(), f"defaulted fluid: {defaulted_properties()}"

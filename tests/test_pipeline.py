@@ -29,7 +29,7 @@ def test_zero_flow_run_uses_single_cell_solve(duct_mesh, props):
                               u_in=0.0, duct_mesh=duct_mesh,
                               cell_resolution=0.12)
     assert len(run.table.by_speed) == 1
-    assert run.flow is None
+    assert run.problem.flow is None
     rows, failures = tl_curve(run, [400.0])
     assert not failures and len(rows) == 1
 

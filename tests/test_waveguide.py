@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 import coo_reference
 import mesh_reference
-from fixtures import empty_cell_coefficients, uniform_macro_flow
+from fixtures import empty_cell_coefficients, uniform_macro_flow, uniform_problem
 from static_reference import (glued_single_duct, solve_single_duct,
                               solve_static_reference, static_transmission_loss)
 from perfoplate import fem, waveguide
@@ -40,7 +40,7 @@ def slant_flow_coeffs(props):
 def test_static_assembly_matches_reference_entrywise(duct_mesh, props,
                                                      slant_coeffs):
     co = slant_coeffs
-    prob = MacroProblem(duct_mesh, props, co, eps0=0.025)
+    prob = uniform_problem(duct_mesh, props, co, eps0=0.025)
     A, rhs, nP = assemble_coupled_system(prob, OMEGA)
     ref = dict(A11=co.A[0, 0], B1=co.B[0], Bp1=co.Bp[0], F=co.F,
                mass=co.mass_factor)
@@ -106,7 +106,7 @@ def test_static_assembly_matches_reference_entrywise(duct_mesh, props,
 def test_zero_flow_tl_matches_static_reference(duct_mesh, props, slant_coeffs):
     co = slant_coeffs
     eps0 = 0.025
-    prob = MacroProblem(duct_mesh, props, co, eps0=eps0)
+    prob = uniform_problem(duct_mesh, props, co, eps0=eps0)
     ref = dict(A11=co.A[0, 0], B1=co.B[0], Bp1=co.Bp[0], F=co.F,
                mass=co.mass_factor)
     n_elem = prob.index.n_elements
@@ -141,7 +141,7 @@ def test_transparent_interface_approaches_single_duct(duct_mesh, props):
         tl_ref, _, _ = static_transmission_loss(single, P)
         diffs = []
         for eps0 in (0.025, 0.0125):
-            prob = MacroProblem(duct_mesh, props, co, eps0=eps0)
+            prob = uniform_problem(duct_mesh, props, co, eps0=eps0)
             tl, _, _ = transmission_loss(solve_frequency(prob, omega), prob)
             diffs.append(abs(tl - tl_ref))
         # the collapsed layer acts as a slab of thickness kappa*eps0: its
@@ -158,7 +158,7 @@ def test_tl_grid_convergence(props, slant_coeffs):
     tls = []
     for res in (0.05, 0.025, 0.0125):
         mesh = generate_waveguide_mesh(WaveguideGeometry(), res)
-        prob = MacroProblem(mesh, props, slant_coeffs, eps0=0.025)
+        prob = uniform_problem(mesh, props, slant_coeffs, eps0=0.025)
         tl, _, _ = transmission_loss(solve_frequency(prob, OMEGA), prob)
         tls.append(tl)
     assert abs(tls[2] - tls[1]) <= 0.02 * abs(tls[2])
@@ -168,13 +168,13 @@ def test_blocking_limit_large_resistance(duct_mesh, props):
     # infinite through-flow resistance plus a dead layer: nothing crosses
     co = empty_cell_coefficients()
     blocked = replace(co, F=1e12, A=1e-12 * np.eye(2), zeta_star=1e-12)
-    prob = MacroProblem(duct_mesh, props, blocked, eps0=0.025)
+    prob = uniform_problem(duct_mesh, props, blocked, eps0=0.025)
     tl, _, _ = transmission_loss(solve_frequency(prob, OMEGA), prob)
     assert abs(tl) >= 40.0
 
 
 def test_identical_boundary_fields_give_zero_db(duct_mesh, props):
-    prob = MacroProblem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025)
+    prob = uniform_problem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025)
     P = np.full(duct_mesh.num_nodes, 1.0 + 2.0j)
     nG = prob.index.n
     sol = MacroSolution(OMEGA, P, np.zeros(nG, complex), np.zeros(nG, complex))
@@ -184,7 +184,7 @@ def test_identical_boundary_fields_give_zero_db(duct_mesh, props):
 
 def test_energy_conservation_at_rest(duct_mesh, props, slant_coeffs):
     """Net injected power equals transmitted power for the lossless model."""
-    prob = MacroProblem(duct_mesh, props, slant_coeffs, eps0=0.025)
+    prob = uniform_problem(duct_mesh, props, slant_coeffs, eps0=0.025)
     sol = solve_frequency(prob, OMEGA)
     facets = duct_mesh.facet_group(GROUP_IN)
     meas = duct_mesh.facet_measures(GROUP_IN)
@@ -202,7 +202,7 @@ def _block_max(a):
 
 
 def test_interface_element_blocks(duct_mesh, props, slant_flow_coeffs):
-    prob = MacroProblem(duct_mesh, props, slant_flow_coeffs, eps0=0.025)
+    prob = uniform_problem(duct_mesh, props, slant_flow_coeffs, eps0=0.025)
     table = prob.parts.table
     ratio = 1j / (OMEGA * props.c ** 2)
     _, p, _, _, _ = interface_element_blocks(table, OMEGA, props)
@@ -233,9 +233,9 @@ def test_reciprocity_at_rest_on_symmetric_duct(duct_mesh, props, slant_coeffs):
     And at rest the model is reciprocal: the pressure one port receives from
     a source at the other does not depend on the direction, although the
     slanted layer is not symmetric under x1 -> -x1."""
-    fwd = MacroProblem(duct_mesh, props, slant_coeffs, eps0=0.025)
-    rev = MacroProblem(duct_mesh, props, slant_coeffs, eps0=0.025,
-                       source_side="out")
+    fwd = uniform_problem(duct_mesh, props, slant_coeffs, eps0=0.025)
+    rev = uniform_problem(duct_mesh, props, slant_coeffs, eps0=0.025,
+                          source_side="out")
     for f in (300.0, 800.0):
         omega = 2 * math.pi * f
         sol_fwd, sol_rev = solve_frequency(fwd, omega), solve_frequency(rev, omega)
@@ -251,9 +251,9 @@ def test_reciprocity_at_rest_on_symmetric_duct(duct_mesh, props, slant_coeffs):
 def test_outer_advection_toggle(duct_mesh, props):
     mf = solve_macro_potential_flow(duct_mesh, 15.0, props)
     co = empty_cell_coefficients()
-    on = MacroProblem(duct_mesh, props, co, eps0=0.025, flow=mf)
-    off = MacroProblem(duct_mesh, props, co, eps0=0.025, flow=mf,
-                       outer_advection=False)
+    on = uniform_problem(duct_mesh, props, co, eps0=0.025, flow=mf)
+    off = uniform_problem(duct_mesh, props, co, eps0=0.025, flow=mf,
+                          outer_advection=False)
     tl_on, _, _ = transmission_loss(solve_frequency(on, OMEGA), on)
     tl_off, _, _ = transmission_loss(solve_frequency(off, OMEGA), off)
     assert abs(tl_on - tl_off) > 1e-6
@@ -261,8 +261,8 @@ def test_outer_advection_toggle(duct_mesh, props):
 
 def test_macro_mach_guard(duct_mesh, props):
     fast = uniform_macro_flow(duct_mesh, 1.2 * props.mach_speed_limit, props)
-    prob = MacroProblem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025,
-                        flow=fast)
+    prob = uniform_problem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025,
+                           flow=fast)
     with pytest.raises(MacroAssemblyError):
         assemble_coupled_system(prob, OMEGA)
     # a failed build is not kept: every frequency of a sweep records the guard
@@ -286,7 +286,7 @@ def _assert_same_solution(got, want):
 
 def test_frequency_sweep_records_failures(duct_mesh, props):
     def fresh():
-        return MacroProblem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025)
+        return uniform_problem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025)
     want = solve_frequency(fresh(), OMEGA)
     # a failed first frequency leaves nothing behind for the next one
     for omegas in ([OMEGA, float("nan")], [float("nan"), OMEGA]):
@@ -299,7 +299,7 @@ def test_frequency_sweep_records_failures(duct_mesh, props):
 
 def test_unsplit_mesh_rejected(duct_mesh, props):
     with pytest.raises(MacroAssemblyError, match="no 'iface' pairing"):
-        MacroProblem(glued_single_duct(duct_mesh), props, empty_cell_coefficients(),
+        MacroProblem(glued_single_duct(duct_mesh), props, [empty_cell_coefficients()],
                      eps0=0.025)
 
 
@@ -309,7 +309,7 @@ def test_frequency_sweep_propagates_programming_errors(duct_mesh, props,
         raise IndexError("index 7 is out of bounds")
 
     monkeypatch.setattr(waveguide, "solve_frequency", broken)
-    prob = MacroProblem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025)
+    prob = uniform_problem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025)
     with pytest.raises(IndexError):
         frequency_sweep(prob, [OMEGA])
 
@@ -319,9 +319,9 @@ def test_impedance_flow_correction(duct_mesh, props):
     u = 15.0
     mf = uniform_macro_flow(duct_mesh, u, props)
     co = empty_cell_coefficients()
-    on = MacroProblem(duct_mesh, props, co, eps0=0.025, flow=mf,
-                      impedance_flow_correction=True)
-    off = MacroProblem(duct_mesh, props, co, eps0=0.025, flow=mf)
+    on = uniform_problem(duct_mesh, props, co, eps0=0.025, flow=mf,
+                         impedance_flow_correction=True)
+    off = uniform_problem(duct_mesh, props, co, eps0=0.025, flow=mf)
     A_on, _, nP = assemble_coupled_system(on, OMEGA)
     A_off, _, _ = assemble_coupled_system(off, OMEGA)
     # inflow through Gamma_in (w.n = -u), outflow through Gamma_out (+u)
@@ -341,11 +341,11 @@ def test_assembly_matches_coo_reference_bytes(duct_mesh, props, slant_coeffs,
     """The array assembly emits the per-element reference's (rows, cols,
     vals) sequence, so the CSR arrays and the load agree to the last bit."""
     if case == "rest":
-        prob = MacroProblem(duct_mesh, props, slant_coeffs, eps0=0.025)
+        prob = uniform_problem(duct_mesh, props, slant_coeffs, eps0=0.025)
     else:
         mf = solve_macro_potential_flow(duct_mesh, 15.0, props)
         kinds = (slant_flow_coeffs, slant_coeffs, empty_cell_coefficients())
-        coeffs = [kinds[e % 3] for e in range(len(mf.interface_x) - 1)]
+        coeffs = [kinds[e % 3] for e in range(len(mf.interface_u3) - 1)]
         prob = MacroProblem(duct_mesh, props, coeffs, eps0=0.025, flow=mf,
                             impedance_flow_correction=case == "impedance_out",
                             source_side="out" if case == "impedance_out" else "in")
@@ -362,8 +362,8 @@ def test_assembly_matches_coo_reference_bytes(duct_mesh, props, slant_coeffs,
 
 def test_frequency_independent_parts_built_once(duct_mesh, props, monkeypatch):
     mf = solve_macro_potential_flow(duct_mesh, 15.0, props)
-    prob = MacroProblem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025,
-                        flow=mf)
+    prob = uniform_problem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025,
+                           flow=mf)
     calls = {"mass_matrix": 0, "advection_matrices": 0, "boundary_mass_matrix": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(fem, name)):
@@ -380,13 +380,19 @@ def test_frequency_independent_parts_built_once(duct_mesh, props, monkeypatch):
 def test_residual_tolerance_must_be_positive(duct_mesh, props):
     for tol in (float("nan"), 0.0, -1e-10):
         with pytest.raises(MacroAssemblyError, match=f"residual_tol must be > 0, got {tol!r}"):
-            MacroProblem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025,
-                         residual_tol=tol)
+            uniform_problem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025,
+                            residual_tol=tol)
+
+
+def test_eps0_must_be_positive(duct_mesh, props):
+    for eps0 in (float("nan"), 0.0, -0.025):
+        with pytest.raises(MacroAssemblyError, match=f"eps0 must be positive, got {eps0!r}"):
+            uniform_problem(duct_mesh, props, empty_cell_coefficients(), eps0=eps0)
 
 
 def test_residual_failure_names_its_context(duct_mesh, props):
-    prob = MacroProblem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025,
-                        residual_tol=1e-300)
+    prob = uniform_problem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025,
+                           residual_tol=1e-300)
     n = duct_mesh.num_nodes + 2 * prob.index.n
     with pytest.raises(SolverError, match=(rf"omega={OMEGA:.6g}: relative residual "
                                            rf"\S+ exceeds 1\.0e-300 \({n} dofs\)")):
@@ -406,7 +412,7 @@ def test_one_column_ordering_per_problem(duct_mesh, props, slant_coeffs,
     splu_calls.clear()  # the macro flow's own factorization
 
     def fresh():
-        return MacroProblem(duct_mesh, props, co, eps0=0.025, flow=flow)
+        return uniform_problem(duct_mesh, props, co, eps0=0.025, flow=flow)
     omegas = [2 * math.pi * f for f in (200.0, 479.9, 800.0, 1000.0)]
     rows, failures, solutions = frequency_sweep(fresh(), omegas)
     assert len(rows) == len(omegas) and not failures
@@ -417,7 +423,7 @@ def test_one_column_ordering_per_problem(duct_mesh, props, slant_coeffs,
 
 def test_changed_pattern_gets_a_new_ordering(duct_mesh, props, slant_coeffs,
                                              splu_calls):
-    prob = MacroProblem(duct_mesh, props, slant_coeffs, eps0=0.025)
+    prob = uniform_problem(duct_mesh, props, slant_coeffs, eps0=0.025)
     A, rhs, _ = assemble_coupled_system(prob, OMEGA)
     waveguide._solve_coupled(prob.parts, A, rhs)
     kept = prob.parts.ordering
@@ -441,7 +447,7 @@ def test_changed_pattern_gets_a_new_ordering(duct_mesh, props, slant_coeffs,
 
 def test_failed_natural_factorization_is_a_solver_error(duct_mesh, props,
                                                         slant_coeffs, monkeypatch):
-    prob = MacroProblem(duct_mesh, props, slant_coeffs, eps0=0.025)
+    prob = uniform_problem(duct_mesh, props, slant_coeffs, eps0=0.025)
     solve_frequency(prob, OMEGA)  # keeps the ordering
     real = spla.splu
 
@@ -454,5 +460,5 @@ def test_failed_natural_factorization_is_a_solver_error(duct_mesh, props,
     with pytest.raises(SolverError, match=rf"omega={omega:.6g}: Factor is exactly singular"):
         solve_frequency(prob, omega)
     monkeypatch.setattr(spla, "splu", real)
-    fresh = MacroProblem(duct_mesh, props, slant_coeffs, eps0=0.025)
+    fresh = uniform_problem(duct_mesh, props, slant_coeffs, eps0=0.025)
     _assert_same_solution(solve_frequency(prob, omega), solve_frequency(fresh, omega))
