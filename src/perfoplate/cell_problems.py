@@ -3,10 +3,17 @@
 The flow-modified operator pairs gradients minus a scaled advective
 derivative; all three corrector problems share it.  At rest it is the
 stiffness matrix, factored once per operator.  With flow it is never
-factored: the correctors are solved by preconditioned conjugate gradients,
-with the mesh's kept stiffness factorization as the preconditioner.  All
-forms are cell-averaged (normalized by the in-plane cell area), and all
-correctors are real, zero-mean and periodic in the in-plane directions.
+factored.  On the periodic classes it reads K - s W, with K the stiffness
+matrix and W the advection matrix of a fixed flow, so a corrector solves
+(I - s M) x = K^+ r with M = K^+ W, which is self-adjoint in the K inner
+product.  A Lanczos run of M in that inner product, from the start K^+ r,
+serves every s through one tridiagonal solve of the run's size; K^+ is the
+mesh's kept stiffness factorization.  For a scaled unit cell flow, W is the
+u3 = 1 matrix W1 and s = tau u3^2 / c^2, so the runs depend on the mesh
+alone: they are kept with its stiffness solver and each further speed only
+extends them.  All forms are cell-averaged (normalized by the in-plane cell
+area), and all correctors are real, zero-mean and periodic in the in-plane
+directions.
 """
 
 from __future__ import annotations
@@ -21,9 +28,9 @@ from .fem import SolverError
 from .flow import FlowField, unit_cell_flow
 from .mesh import per_mesh
 
-# Relative residual at which the corrector iteration stops; asking for
-# 1e-15 stagnates in rounding.
-PCG_TOL = 1e-13
+# Relative residual estimate at which a Lanczos run serves a speed; asking
+# for 1e-15 stagnates in rounding.
+LANCZOS_TOL = 1e-13
 
 
 class MachBoundError(RuntimeError):
@@ -37,6 +44,69 @@ def unit_advection_matrix(mesh):
     return fem.read_only(fem.advection_matrix(mesh, velocity))
 
 
+class LanczosRun:
+    """Lanczos run of M = K^+ W in the K inner product on the periodic
+    classes, from a start q1 = K^+ r / ||K^+ r||_K.
+
+    The basis (the first len(alpha) + 1 rows of ``basis``) is
+    reorthogonalized in full, twice per step.  Step j adds q_(j+1), the
+    entries alpha_j, beta_j of the tridiagonal T = V^T K M V and
+    ||K q_(j+1)||.  The run holds no K V and no
+    reference to the stiffness solver; rows are stored in a buffer that
+    doubles when full.
+    """
+
+    def __init__(self, q1, start_norm):
+        self.start_norm = start_norm  # ||K^+ r||_K
+        self.basis = np.empty((16, len(q1)))
+        self.basis[0] = q1
+        self.alpha, self.beta, self.k_norm = [], [], []
+
+    @classmethod
+    def start(cls, r, precondition):
+        """The run from K^+ r, or None on breakdown (a K-norm that is not
+        > 0 and finite)."""
+        r = r - r.mean()
+        z = precondition(r)
+        norm2 = r @ z  # ||z||_K^2
+        if not 0.0 < norm2 < math.inf:
+            return None
+        return cls(z / math.sqrt(norm2), math.sqrt(norm2))
+
+    def extend(self, precondition, stiffness, advect):
+        """One Lanczos step, with the preconditioner K^+, the reduced K and
+        the product with the reduced W; False, leaving the run as it was, on
+        breakdown (a K-norm that is not > 0 and finite)."""
+        size = len(self.alpha) + 1
+        basis = self.basis[:size]
+        v = advect(basis[-1])
+        v -= v.mean()  # rounding adds a constant part, outside the range of K
+        w = precondition(v)
+        if not 0.0 < v @ w < math.inf:  # ||M q_j||_K^2
+            return False
+        # K w = v: the first pass takes its K products from v, the second
+        # from an explicit product
+        h = basis @ v
+        w -= h @ basis
+        h2 = basis @ (stiffness @ w)
+        w -= h2 @ basis
+        kw = stiffness @ w
+        beta2 = w @ kw
+        if not 0.0 < beta2 < math.inf:
+            return False
+        beta = math.sqrt(beta2)
+        if size == len(self.basis):
+            # only the rows written are resident
+            grown = np.empty((2 * size, len(w)))
+            grown[:size] = self.basis
+            self.basis = grown
+        self.basis[size] = w / beta
+        self.alpha.append(h[-1] + h2[-1])
+        self.beta.append(beta)
+        self.k_norm.append(np.linalg.norm(kw) / beta)
+        return True
+
+
 class CellOperator:
     """Assembled flow-modified cell operator and its corrector solves.
 
@@ -46,8 +116,15 @@ class CellOperator:
     dominates the quadrature values by convexity.  By the same bound the
     operator is spectrally equivalent to the stiffness matrix: with
     rho = tau max|w|^2 / c^2 < 1, (1 - rho) K <= K - (tau/c^2) W <= K, so
-    conjugate gradients preconditioned by K converge at a condition number
-    of at most 1 / (1 - rho).
+    the Lanczos solves, which are conjugate gradients preconditioned by K,
+    converge at a condition number of at most 1 / (1 - rho).
+
+    With flow, ``solve`` takes each fixed part of a named corrector load from
+    a Lanczos run: for a scaled unit cell flow the runs of the mesh's kept
+    stiffness solver (``fem.stiffness_runs``), for any other flow, or an
+    unnamed load, runs of its own.  A run is extended until its residual
+    estimate reaches LANCZOS_TOL, shared among the parts, for the speed
+    at hand; the explicit residual is then checked against ``residual_tol``.
     """
 
     def __init__(self, flow: FlowField, residual_tol: float = 1e-10):
@@ -61,76 +138,127 @@ class CellOperator:
         self.flow = flow
         self.residual_tol = residual_tol
         self.xi = fem.xi_measure(mesh)
-        stiffness = fem.stiffness_matrix(mesh)
         if speed == 0.0:
-            self.matrix = stiffness / self.xi
+            # freed before this mesh's first matrix is built, as that is
+            # where another mesh's kept solver and runs would set the peak
             fem.drop_other_stiffness_solver(mesh)
+            self.matrix = fem.stiffness_matrix(mesh) / self.xi
             self._direct = fem.ZeroMeanSolver(mesh, self.matrix, residual_tol,
                                               scale=self.xi)
             return
-        if flow.unit_scale is not None:
-            advection = flow.unit_scale ** 2 * unit_advection_matrix(mesh)
-        else:
-            advection = fem.advection_matrix(mesh, flow.velocity)
-        self.matrix = (stiffness - (props.tau / props.c ** 2) * advection) / self.xi
         self._direct = None
-        self._reduction = T = fem.periodic_reduction(mesh)
-        self._reduced = (T.T @ self.matrix @ T).tocsr()
-        self._zero_floor = fem.zero_floor(self._reduced)
+        self._reduction = fem.periodic_reduction(mesh)
+        # the operator is (K - s W) / |Xi|
+        if flow.unit_scale is not None:
+            self._shift = props.tau * flow.unit_scale ** 2 / props.c ** 2
+            self._advection = unit_advection_matrix(mesh)
+        else:
+            self._shift = 1.0
+            self._advection = (props.tau / props.c ** 2) * fem.advection_matrix(
+                mesh, flow.velocity)
+        self.matrix = (fem.stiffness_matrix(mesh)
+                       - self._shift * self._advection) / self.xi
         rho = props.tau * speed ** 2 / props.c ** 2
         # twice the CG bound for the energy-norm error at condition number
         # 1/(1 - rho), plus room for the Euclidean residual
         self._max_iter = 100 + math.ceil(
-            2.0 * math.sqrt(1.0 / (1.0 - rho)) * math.log(2.0 / PCG_TOL))
+            2.0 * math.sqrt(1.0 / (1.0 - rho)) * math.log(2.0 / LANCZOS_TOL))
 
-    def solve(self, rhs_full):
-        """Zero-mean periodic solution of (operator) u = rhs."""
+    def solve(self, rhs_full, load=None):
+        """Zero-mean periodic solution of (operator) u = rhs.
+
+        ``load`` names the corrector load that rhs is ("xi", "pi_P" or
+        ("pi", beta)); with a scaled unit cell flow its parts are solved from
+        the runs kept for the mesh.
+        """
         if self._direct is not None:
             return self._direct.solve(rhs_full)
         T = self._reduction
-        rhs, norm = fem.reduced_rhs(T, rhs_full, self._zero_floor)
+        solver = fem.stiffness_solver(self.mesh)
+        rhs, norm = fem.reduced_rhs(T, rhs_full, solver.zero_floor / self.xi)
         if norm == 0.0:
             return np.zeros(self.mesh.num_nodes)
         # the operator's range is orthogonal to the constants: the part of
         # the right side along them (at most 1e-10 relative, as checked) is
         # dropped, as the direct solve's multiplier absorbs it
         rhs = rhs - rhs.mean()
-        x = self._pcg(rhs, norm)
-        fem.check_residual(np.linalg.norm(self._reduced @ x - rhs) / norm,
+        if load is not None and self.flow.unit_scale is not None:
+            runs, parts = fem.stiffness_runs(self.mesh), self._unit_parts(load)
+        else:
+            runs, parts = {}, [(None, lambda: self.xi * rhs, 1.0)]
+
+        def advect(q):
+            return T.T @ (self._advection @ (T @ q))
+        step = (solver.precondition, solver.reduced, advect)
+        x = np.zeros_like(rhs)
+        for key, part, coefficient in parts:
+            run = runs.get(key)
+            if run is None:
+                run = LanczosRun.start(part(), solver.precondition)
+                if run is None:
+                    self._fail("breaks down", 1, 1.0)
+                if key is not None:
+                    runs[key] = run
+            scale = abs(coefficient) * run.start_norm / (self.xi * norm)
+            y = self._lanczos(run, scale, LANCZOS_TOL / len(parts), step)
+            x += (coefficient * run.start_norm) * (y @ run.basis[:len(y)])
+        fem.check_residual(np.linalg.norm(T.T @ (self.matrix @ (T @ x)) - rhs) / norm,
                            self.residual_tol)
         return T @ x
 
-    def _pcg(self, rhs, norm):
-        """Projected conjugate gradients on the reduced operator: residuals
-        stay orthogonal to the constants, and the preconditioner (the
-        zero-mean solver of K / xi) keeps every iterate at zero mean."""
-        stiffness = fem.stiffness_solver(self.mesh)
-        x = np.zeros_like(rhs)
-        r = rhs.copy()
-        z = self.xi * stiffness.precondition(r)
-        p = z
-        rz = r @ z
-        for it in range(1, self._max_iter + 1):
-            ap = self._reduced @ p
-            pap = p @ ap
-            if not (rz > 0.0 and pap > 0.0):
-                self._fail("breaks down", it, np.linalg.norm(r) / norm)
-            alpha = rz / pap
-            x += alpha * p
-            r -= alpha * ap
-            r -= r.mean()  # rounding in ap adds a constant part, which stalls r
-            residual = np.linalg.norm(r) / norm
-            if residual <= PCG_TOL:
-                return x
-            z = self.xi * stiffness.precondition(r)
-            rz, rz_old = r @ z, rz
-            p = z + (rz / rz_old) * p
-        self._fail("does not converge", self._max_iter, residual)
+    def _unit_parts(self, load):
+        """(run key, start, coefficient) of each fixed part of a named load of
+        a scaled unit cell flow: |Xi| times the reduced load is the sum of
+        coefficient * start, and each start depends on the mesh alone."""
+        mesh, u3, T = self.mesh, self.flow.unit_scale, self._reduction
+        props = self.flow.properties
+        if load == "xi":
+            return [("xi", lambda: -(T.T @ _face_flux_jump(mesh)), 1.0)]
+        if load == "pi_P":
+            return [("pi_P", lambda: T.T @ _advective_vector(mesh, unit_cell_flow(mesh)[1]),
+                     u3 * props.theta / props.c ** 2)]
+        _, beta = load
+        y = mesh.nodes[:, beta - 1]
+        return [(("K", beta), lambda: -(T.T @ (fem.stiffness_matrix(mesh) @ y)), 1.0),
+                (("W", beta), lambda: T.T @ (unit_advection_matrix(mesh) @ y), self._shift)]
 
-    def _fail(self, what, iterations, residual):
+    def _lanczos(self, run, scale, tol, step):
+        """Coefficients y of x = V_m y, the Galerkin solution of
+        (I - s M) x = q1, for the smallest run length m whose residual
+        estimate, scale * |s beta_m y_m| * ||K q_(m+1)||, is within tol; the
+        run is extended on demand (``LanczosRun.extend(*step)``), up to the
+        step cap.
+
+        (I - s T_m) = L D L^T is factored along the run, which gives y_m
+        at every m without solving for the rest of y.
+        """
+        s = self._shift
+        zs, pivots, ratios = [], [], []  # z of L z = e1; d_j; s beta_j / d_j
+        estimate = 1.0
+        # step m + 2 of the run (its first is the start) gives alpha_m, beta_m
+        for m in range(self._max_iter - 1):
+            if m == len(run.alpha) and not run.extend(*step):
+                self._fail("breaks down", m + 2, estimate)
+            if m:
+                zs.append(zs[-1] * ratios[-1])
+                pivots.append(1.0 - s * run.alpha[m] - s * run.beta[m - 1] * ratios[-1])
+            else:
+                zs.append(1.0)
+                pivots.append(1.0 - s * run.alpha[0])
+            ratios.append(s * run.beta[m] / pivots[-1])
+            estimate = scale * abs(ratios[-1] * zs[-1]) * run.k_norm[m]
+            if estimate <= tol:
+                y = np.empty(m + 1)
+                y[m] = zs[m] / pivots[m]
+                for j in range(m - 1, -1, -1):
+                    y[j] = zs[j] / pivots[j] + ratios[j] * y[j + 1]
+                return y
+        self._fail("does not converge", self._max_iter, estimate)
+
+    def _fail(self, what, steps, estimate):
         raise SolverError(
-            f"preconditioned CG {what} at max |w| = {self.flow.max_speed():.6g} m/s: "
-            f"{iterations} iterations, relative residual {residual:.3e}")
+            f"Lanczos run {what} at max |w| = {self.flow.max_speed():.6g} m/s: "
+            f"step {steps}, residual estimate {estimate:.3e}")
 
 
 def assemble_Aw(flow, residual_tol=1e-10) -> CellOperator:
@@ -146,36 +274,44 @@ def tangential_load(op: CellOperator, beta: int):
     return -(op.matrix @ y)
 
 
+def _face_flux_jump(mesh):
+    """Vector of int_I+ phi_i - int_I- phi_i."""
+    return fem.boundary_load_vector(mesh, "I+") - fem.boundary_load_vector(mesh, "I-")
+
+
 def transverse_load(op: CellOperator):
     """Right side of the through-flux corrector: minus the face-average jump."""
-    lp = fem.boundary_load_vector(op.mesh, "I+")
-    lm = fem.boundary_load_vector(op.mesh, "I-")
-    return -(lp - lm) / op.xi
+    return -_face_flux_jump(op.mesh) / op.xi
+
+
+def _advective_vector(mesh, velocity):
+    """Vector of int (cell-mean w) . grad phi_i, linear in the velocity."""
+    grads, vols = fem.p1_geometry(mesh)
+    wmean = velocity[mesh.cells].mean(axis=1)
+    contrib = np.einsum('m,md,mid->mi', vols, wmean, grads)
+    out = np.zeros(mesh.num_nodes)
+    np.add.at(out, mesh.cells.reshape(-1), contrib.reshape(-1))
+    return out
 
 
 def advective_load(op: CellOperator):
     """Right side of the flow-pressure corrector."""
     props = op.flow.properties
-    grads, vols = fem.p1_geometry(op.mesh)
-    wmean = op.flow.velocity[op.mesh.cells].mean(axis=1)
-    contrib = np.einsum('m,md,mid->mi', vols, wmean, grads)
-    out = np.zeros(op.mesh.num_nodes)
-    np.add.at(out, op.mesh.cells.reshape(-1), contrib.reshape(-1))
-    return (props.theta / props.c ** 2) * out / op.xi
+    return (props.theta / props.c ** 2) * _advective_vector(op.mesh, op.flow.velocity) / op.xi
 
 
 def solve_pi_beta(op: CellOperator, beta: int):
-    return op.solve(tangential_load(op, beta))
+    return op.solve(tangential_load(op, beta), ("pi", beta))
 
 
 def solve_xi(op: CellOperator):
-    return op.solve(transverse_load(op))
+    return op.solve(transverse_load(op), "xi")
 
 
 def solve_pi_P(op: CellOperator):
     if op.flow.max_speed() == 0.0:
         return np.zeros(op.mesh.num_nodes)
-    return op.solve(advective_load(op))
+    return op.solve(advective_load(op), "pi_P")
 
 
 @dataclass

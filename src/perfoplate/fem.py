@@ -6,7 +6,7 @@ constraints.  Element gradients are cell-constant; products with
 nodal velocity fields are integrated with second-order quadrature, which is
 exact for the quadratic integrands that occur here.  The solver of the
 stiffness matrix is kept for one mesh at a time: it computes the cell flow
-and preconditions the cell correctors.
+and preconditions the cell correctors, whose Krylov runs are kept with it.
 """
 
 from __future__ import annotations
@@ -250,9 +250,9 @@ class ZeroMeanSolver:
         reduced = (T.T @ matrix @ T).tocsr()
         aug = sp.bmat([[reduced, self._mean.reshape(-1, 1)],
                        [self._mean.reshape(1, -1), None]], format='csc')
-        self._reduced = reduced
+        self.reduced = reduced
         self._lu = spla.splu(aug, permc_spec=ordering)
-        self._zero_floor = zero_floor(reduced)
+        self.zero_floor = zero_floor(reduced)
 
     def solve(self, rhs_full):
         """Full nodal zero-mean periodic solution of (matrix) u = rhs.
@@ -266,11 +266,11 @@ class ZeroMeanSolver:
 
     def solve_with_residual(self, rhs_full):
         """``solve`` without the residual check: (solution, relative residual)."""
-        rhs, norm = reduced_rhs(self.reduction, rhs_full, self._zero_floor)
+        rhs, norm = reduced_rhs(self.reduction, rhs_full, self.zero_floor)
         if norm == 0.0:
             return np.zeros(self.num_nodes), 0.0
         x = self._lu.solve(np.concatenate([rhs, [0.0]]))
-        resid = np.linalg.norm(self._reduced @ x[:-1] + self._mean * x[-1] - rhs)
+        resid = np.linalg.norm(self.reduced @ x[:-1] + self._mean * x[-1] - rhs)
         return self.reduction @ x[:-1], resid / norm
 
     def precondition(self, r):
@@ -287,9 +287,12 @@ def check_residual(residual, residual_tol):
                           f"exceeds {residual_tol:.1e}")
 
 
-# The kept stiffness solver: (weak reference to its mesh, solver), or None.
-# Its factorization is the largest array set of a cell mesh, so at most one
-# is alive; it dies with its mesh, which the solver does not reference.
+# The kept stiffness solver: (weak reference to its mesh, solver, runs), or
+# None.  Its factorization is the largest array set of a cell mesh, so at most
+# one is alive; it dies with its mesh, which the solver does not reference.
+# ``runs`` is a dict for the cell correctors' Krylov runs on that solver
+# (``stiffness_runs``); nothing in it may reference the solver, so it is freed
+# with the slot and not at the next garbage collection.
 # Caching it per mesh (``per_mesh``) instead raised the peak RSS of a
 # three-angle sweep by 14%: the previous angle's mesh, and with it its
 # factorization, is still alive while the next angle's rest operator factors.
@@ -315,14 +318,22 @@ def stiffness_solver(mesh):
         # nearly halves the time of each preconditioner apply.
         solver = ZeroMeanSolver(mesh, stiffness_matrix(mesh), math.inf,
                                 ordering="MMD_AT_PLUS_A")
-        _kept = (weakref.ref(mesh, _forget_kept), solver)
+        _kept = (weakref.ref(mesh, _forget_kept), solver, {})
     return _kept[1]
 
 
+def stiffness_runs(mesh):
+    """The dict kept with the mesh's stiffness solver (``stiffness_solver``),
+    for the Krylov runs preconditioned by it: it lives and dies with that
+    solver."""
+    stiffness_solver(mesh)
+    return _kept[2]
+
+
 def drop_other_stiffness_solver(mesh):
-    """Free the kept stiffness solver unless it is ``mesh``'s (called before
-    another factorization on ``mesh``, to hold one cell factorization at a
-    time)."""
+    """Free the kept stiffness solver and its runs unless they are ``mesh``'s
+    (called before another factorization on ``mesh`` and the matrices it
+    needs are built, to hold one cell factorization at a time)."""
     global _kept
     if _kept is not None and _kept[0]() is not mesh:
         _kept = None

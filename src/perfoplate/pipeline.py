@@ -32,8 +32,10 @@ class InterfaceCoefficientTable:
 
 def quantize_speeds(values, quantum):
     """Round speeds to multiples of the quantum (0 keeps exact values)."""
+    if not 0.0 <= quantum < math.inf:  # also rejects NaN
+        raise ValueError(f"speed quantum must be finite and >= 0, got {quantum!r}")
     values = np.asarray(values, dtype=float)
-    if quantum <= 0:
+    if quantum == 0:
         return values.copy()
     return np.round(values / quantum) * quantum
 

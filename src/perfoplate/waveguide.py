@@ -86,6 +86,10 @@ class MacroProblem:
         if IFACE_PAIRING not in self.mesh.periodic_pairs:
             raise MacroAssemblyError(
                 f"mesh has no {IFACE_PAIRING!r} pairing: the interface must be split")
+        if self.flow is not None and self.flow.properties != self.properties:
+            raise MacroAssemblyError(
+                f"the mean flow was solved for {self.flow.properties}, "
+                f"the problem is posed for {self.properties}")
 
     @cached_property
     def index(self):

@@ -1,4 +1,6 @@
+import importlib.util
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,7 +179,7 @@ def test_solver_residual_contract(slant_cell_mesh, props):
     assert resid <= 1e-9 * np.linalg.norm(rhs)
 
 
-# -- corrector solves: direct at rest, preconditioned CG with flow ----------
+# -- corrector solves: direct at rest, Lanczos runs with flow ---------------
 
 def correctors(op):
     return [solve_pi_beta(op, 1), solve_pi_beta(op, 2), solve_xi(op), solve_pi_P(op)]
@@ -202,11 +204,11 @@ def near_bound_flow(props, _):
 
 @pytest.mark.parametrize("case", [slant_flow(-2.0), slant_flow(3.0), near_bound_flow],
                          ids=["slant-u3=-2", "slant-u3=3", "uniform-0.99-bound"])
-def test_pcg_correctors_match_direct_solve(slant_cell_mesh, props, case):
+def test_lanczos_correctors_match_direct_solve(slant_cell_mesh, props, case):
     mesh, flow = case(props, slant_cell_mesh)
     op = assemble_Aw(flow)
-    for pcg, direct in zip(correctors(op), direct_correctors(op)):
-        assert np.linalg.norm(pcg - direct) <= 1e-11 * np.linalg.norm(direct)
+    for lanczos, direct in zip(correctors(op), direct_correctors(op)):
+        assert np.linalg.norm(lanczos - direct) <= 1e-11 * np.linalg.norm(direct)
 
 
 def test_rest_correctors_bitwise_equal_fresh_direct_solve(slant_cell_mesh, props):
@@ -221,30 +223,75 @@ def test_rest_correctors_bitwise_equal_fresh_direct_solve(slant_cell_mesh, props
         np.testing.assert_array_equal(field, fresh.solve(load))
 
 
-def test_speeds_on_one_mesh_share_one_factorization(props, splu_calls):
+def test_speeds_on_one_mesh_share_one_factorization(props, splu_calls, monkeypatch):
+    # the first speed starts the mesh's Lanczos runs; every later one only
+    # extends them, by fewer preconditioner applies than the first took
+    applies = []
+    real = fem.ZeroMeanSolver.precondition
+    monkeypatch.setattr(fem.ZeroMeanSolver, "precondition",
+                        lambda self, r: applies.append(r) or real(self, r))
     geom = CellGeometry(hole_slope_deg=30.0)
     mesh = generate_unit_cell_mesh(geom, 0.15)
-    for u3 in (1.0, -2.5, 4.0):
+    counts = []
+    for u3 in (1.0, -2.5, 4.0, 2.0, 5.0):
+        before = len(applies)
         cell_pipeline(geom, u3, 0.15, props, mesh=mesh)
+        counts.append(len(applies) - before)
     assert len(splu_calls) == 1
+    assert counts[0] > 0 and all(n < counts[0] for n in counts[1:]), counts
+
+
+def coef_deviation():
+    """perfbench's family-floored relative deviation of two coefficient rows."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks.coef_deviation
+
+
+def test_speed_coefficients_do_not_depend_on_earlier_speeds(props):
+    geom = CellGeometry(hole_slope_deg=30.0)
+    speeds = (1.0, 2.5, 4.0)
+
+    def rows(order):
+        mesh = generate_unit_cell_mesh(geom, 0.15)
+        return {u3: cell_pipeline(geom, u3, 0.15, props, mesh=mesh)[3].as_row(30.0, u3, 0.0)
+                for u3 in order}
+    ascending, descending = rows(speeds), rows(speeds[::-1])
+    alone = {u3: rows([u3])[u3] for u3 in speeds}
+    deviation = coef_deviation()
+    for u3 in speeds:
+        assert deviation(descending[u3], ascending[u3]) <= 1e-10
+        assert deviation(alone[u3], ascending[u3]) <= 1e-10
+
+
+def kept_basis(mesh, props):
+    """Weak reference to the basis of a Lanczos run kept for the mesh."""
+    solve_xi(assemble_Aw(solve_cell_potential_flow(mesh, 2.0, props)))
+    return weakref.ref(fem.stiffness_runs(mesh)["xi"].basis)
 
 
 def test_one_kept_solver_per_process(props):
+    # the Lanczos runs of the correctors live and die with the kept solver
     a, b = (generate_unit_cell_mesh(CellGeometry(hole_slope_deg=s), 0.2)
             for s in (30.0, 0.0))
     kept = weakref.ref(fem.stiffness_solver(a))
     assert fem.stiffness_solver(a) is kept()          # kept while a is in use
+    basis = kept_basis(a, props)
     fem.stiffness_solver(b)
-    assert kept() is None                             # building b's freed a's
+    assert kept() is None and basis() is None         # building b's freed a's
     kept = weakref.ref(fem.stiffness_solver(a))
+    basis = kept_basis(a, props)
     assemble_Aw(zero_flow(b, props))                  # a rest operator on b
-    assert kept() is None
+    assert kept() is None and basis() is None
     kept = weakref.ref(fem.stiffness_solver(b))
+    basis = kept_basis(b, props)
     assemble_Aw(zero_flow(b, props))                  # ... keeps b's own
-    assert kept() is not None
+    assert kept() is not None and basis() is not None
     mesh = weakref.ref(b)
     del b
-    assert mesh() is None and kept() is None          # the solver dies with its mesh
+    assert mesh() is None and kept() is None and basis() is None  # they die with their mesh
 
 
 def test_pcg_residual_excludes_the_constant_part_of_the_load(slant_cell_mesh, props):
@@ -261,20 +308,32 @@ def test_pcg_residual_excludes_the_constant_part_of_the_load(slant_cell_mesh, pr
     assert np.linalg.norm(op.solve(load) - direct) <= 1e-10 * np.linalg.norm(direct)
 
 
-def test_pcg_breakdown_raises(slant_cell_mesh, props, monkeypatch):
-    op = assemble_Aw(solve_cell_potential_flow(slant_cell_mesh, 2.0, props))
+def test_pcg_breakdown_raises(props, monkeypatch):
+    # a negated preconditioner breaks a run down at its start, and a kept
+    # run at the step that would extend it
+    mesh = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=30.0), 0.2)
+    slow, fast = (assemble_Aw(solve_cell_potential_flow(mesh, u3, props))
+                  for u3 in (0.5, 5.0))
     real = fem.ZeroMeanSolver.precondition
-    monkeypatch.setattr(fem.ZeroMeanSolver, "precondition",
-                        lambda self, r: -real(self, r))
-    with pytest.raises(SolverError, match=r"breaks down at max \|w\| = .* 1 iterations"):
-        solve_xi(op)
+    negate = (fem.ZeroMeanSolver, "precondition", lambda self, r: -real(self, r))
+    monkeypatch.setattr(*negate)
+    with pytest.raises(SolverError, match=r"breaks down at max \|w\| = .* m/s: step 1, "
+                                          r"residual estimate 1\.000e\+00"):
+        solve_xi(slow)
+    monkeypatch.undo()
+    solve_xi(slow)
+    steps = 1 + len(fem.stiffness_runs(mesh)["xi"].alpha)
+    monkeypatch.setattr(*negate)
+    with pytest.raises(SolverError, match=rf"breaks down at max \|w\| = .* m/s: "
+                                          rf"step {steps + 1}, residual estimate"):
+        solve_xi(fast)
 
 
 def test_pcg_iteration_cap_raises(slant_cell_mesh, props):
     op = assemble_Aw(solve_cell_potential_flow(slant_cell_mesh, 2.0, props))
     op._max_iter = 2
     with pytest.raises(SolverError,
-                       match=r"does not converge at max \|w\| = .* 2 iterations, relative"):
+                       match=r"does not converge at max \|w\| = .* m/s: step 2, residual"):
         solve_xi(op)
 
 

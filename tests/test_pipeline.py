@@ -13,6 +13,12 @@ def test_quantize_speeds():
     np.testing.assert_allclose(quantize_speeds(vals, 0.0), vals)
 
 
+@pytest.mark.parametrize("quantum", [-0.25, float("nan"), float("inf")])
+def test_quantize_speeds_rejects_bad_quantum(quantum):
+    with pytest.raises(ValueError, match="speed quantum must be finite and >= 0"):
+        quantize_speeds([1.02, 1.07], quantum)
+
+
 def test_dedup_bounds_cell_solves(props):
     geom = CellGeometry()
     u3 = np.array([1.02, 1.07, 1.13, 1.21, 1.18])

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from static_reference import (glued_single_duct, solve_single_duct,
 from perfoplate import fem, waveguide
 from perfoplate.coefficients import cell_pipeline
 from perfoplate.duct_mesh import GROUP_IN, GROUP_OUT
-from perfoplate.fem import SolverError
+from perfoplate.fem import FluidProperties, SolverError
 from perfoplate.flow import solve_macro_potential_flow
 from perfoplate.geometry import CellGeometry, WaveguideGeometry
 from perfoplate.waveguide import (MacroAssemblyError, MacroProblem,
@@ -270,6 +271,14 @@ def test_macro_mach_guard(duct_mesh, props):
     rows, failures, solutions = frequency_sweep(prob, omegas)
     assert rows == solutions == [] and [w for w, _ in failures] == omegas
     assert all("reaches the bound c/sqrt(tau)" in msg for _, msg in failures)
+
+
+def test_flow_of_another_fluid_rejected(duct_mesh, props):
+    other = FluidProperties(c=300.0, tau=1.0)
+    flow = uniform_macro_flow(duct_mesh, 10.0, other)
+    with pytest.raises(MacroAssemblyError, match=rf"solved for {re.escape(repr(other))}, "
+                                                 rf"the problem is posed for {re.escape(repr(props))}"):
+        uniform_problem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025, flow=flow)
 
 
 def test_missing_elementwise_coefficients_rejected(duct_mesh, props):
