@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fem
 from .fem import SolverError
-from .flow import FlowField, unit_cell_flow
+from .flow import FlowField, face_flux_jump, unit_cell_flow
 from .mesh import per_mesh
 
 # Relative residual estimate at which a Lanczos run serves a speed; asking
@@ -40,8 +40,7 @@ class MachBoundError(RuntimeError):
 @per_mesh
 def unit_advection_matrix(mesh):
     """W of the mesh's u3 = 1 cell flow, read-only; the flow u3 * w1 has W = u3^2 * W1."""
-    _, velocity, _ = unit_cell_flow(mesh)
-    return fem.read_only(fem.advection_matrix(mesh, velocity))
+    return fem.advection_matrix(mesh, unit_cell_flow(mesh)[1])
 
 
 class LanczosRun:
@@ -213,9 +212,9 @@ class CellOperator:
         mesh, u3, T = self.mesh, self.flow.unit_scale, self._reduction
         props = self.flow.properties
         if load == "xi":
-            return [("xi", lambda: -(T.T @ _face_flux_jump(mesh)), 1.0)]
+            return [("xi", lambda: -(T.T @ face_flux_jump(mesh)), 1.0)]
         if load == "pi_P":
-            return [("pi_P", lambda: T.T @ _advective_vector(mesh, unit_cell_flow(mesh)[1]),
+            return [("pi_P", lambda: T.T @ unit_advective_vector(mesh),
                      u3 * props.theta / props.c ** 2)]
         _, beta = load
         y = mesh.nodes[:, beta - 1]
@@ -274,14 +273,9 @@ def tangential_load(op: CellOperator, beta: int):
     return -(op.matrix @ y)
 
 
-def _face_flux_jump(mesh):
-    """Vector of int_I+ phi_i - int_I- phi_i."""
-    return fem.boundary_load_vector(mesh, "I+") - fem.boundary_load_vector(mesh, "I-")
-
-
 def transverse_load(op: CellOperator):
     """Right side of the through-flux corrector: minus the face-average jump."""
-    return -_face_flux_jump(op.mesh) / op.xi
+    return -face_flux_jump(op.mesh) / op.xi
 
 
 def _advective_vector(mesh, velocity):
@@ -294,10 +288,26 @@ def _advective_vector(mesh, velocity):
     return out
 
 
+@per_mesh
+def unit_advective_vector(mesh):
+    """a of the mesh's u3 = 1 cell flow, read-only; the flow u3 * w1 has a = u3 * a1."""
+    return _advective_vector(mesh, unit_cell_flow(mesh)[1])
+
+
+def advective_vector(flow):
+    """a_i = int (cell-mean w) . grad phi_i of a flow: u3 times the mesh's kept
+    a1 for a scaled unit cell flow, zero at rest, else assembled."""
+    if flow.unit_scale is not None:
+        return flow.unit_scale * unit_advective_vector(flow.mesh)
+    if flow.max_speed() == 0.0:
+        return np.zeros(flow.mesh.num_nodes)
+    return _advective_vector(flow.mesh, flow.velocity)
+
+
 def advective_load(op: CellOperator):
     """Right side of the flow-pressure corrector."""
     props = op.flow.properties
-    return (props.theta / props.c ** 2) * _advective_vector(op.mesh, op.flow.velocity) / op.xi
+    return (props.theta / props.c ** 2) * advective_vector(op.flow) / op.xi
 
 
 def solve_pi_beta(op: CellOperator, beta: int):
@@ -309,8 +319,7 @@ def solve_xi(op: CellOperator):
 
 
 def solve_pi_P(op: CellOperator):
-    if op.flow.max_speed() == 0.0:
-        return np.zeros(op.mesh.num_nodes)
+    # at rest the load is zero, and so is the corrector
     return op.solve(advective_load(op), "pi_P")
 
 

@@ -1,15 +1,17 @@
 """Homogenized interface coefficients and their internal identities.
 
 All quantities are cell averages (volume and surface integrals normalized
-by the in-plane cell area).  Where two equivalent expressions exist, both
-are computed: the surface-average forms are reported and the volume forms
-serve as cross-checks, which hold at solver tolerance because the same
-mesh and quadrature are used end to end.
+by the in-plane cell area).  A and B are volume forms of the cell operator;
+B', F and T' are surface forms, corrector jumps between the faces I+ and
+I-; Tw, Mw and W are read from the advective vector a of the flow
+(``cell_problems.advective_vector``, kept per mesh).  So B = B' and
+T' = -(theta/c^2) Tw compare independent forms of one quantity.
 
 Convention: the two advective coupling vectors are stored *without* the
 theta prefactor (the interface assembly multiplies by theta explicitly);
-the raw collected vector including the prefactor is kept as ``Qw``, so
-``Qw = theta * Wbarp`` is an exact internal identity.
+the raw collected vector including the prefactor is kept as ``Qw``, and
+``Wbarp`` is defined as ``Qw / theta``, so ``Qw = theta * Wbarp`` holds by
+construction.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 
 from . import fem
 from .cell_mesh import generate_unit_cell_mesh
-from .cell_problems import CellSolutionSet, MachBoundError, solve_cell_problems
+from .cell_problems import (CellSolutionSet, MachBoundError, advective_vector,
+                            solve_cell_problems)
 from .fem import SolverError
 from .flow import FlowError, solve_cell_potential_flow
 from .geometry import CellGeometry
@@ -68,7 +71,6 @@ def compute_coefficients(sols: CellSolutionSet) -> HomogenizedCoefficients:
     op = sols.operator
     mesh, flow, props = op.mesh, op.flow, op.flow.properties
     xi_m = op.xi
-    c2 = props.c ** 2
     theta = props.theta
 
     y = [mesh.nodes[:, 0], mesh.nodes[:, 1]]
@@ -86,41 +88,27 @@ def compute_coefficients(sols: CellSolutionSet) -> HomogenizedCoefficients:
     F = -_face_jump(mesh, sols.xi, xi_m)
     Twp = _face_jump(mesh, sols.pi_P, xi_m)
 
-    wmean = flow.velocity[mesh.cells].mean(axis=1)
-    Tw = _advective_average(mesh, sols.xi, wmean) / xi_m
-    Mw = theta * _advective_average(mesh, sols.pi_P, wmean) / xi_m
-    Wbar = np.array([
-        (_flow_component_integral(mesh, wmean, b)
-         + _advective_average(mesh, pis[b], wmean)) / xi_m
-        for b in range(2)])
+    # a . v = int (cell-mean w) . grad v for P1 v, and a . y_b = int w_b
+    # exactly, as sum_i y_b,i grad phi_i = e_b
+    adv = advective_vector(flow)
+    Tw = (adv @ sols.xi) / xi_m
+    Mw = theta * (adv @ sols.pi_P) / xi_m
+    Wbar = np.array([adv @ u[b] for b in range(2)]) / xi_m
     Qw = np.array([
-        c2 * (y[b] @ (op.matrix @ sols.pi_P))
-        - theta * _flow_component_integral(mesh, wmean, b) / xi_m
+        props.c ** 2 * (y[b] @ (op.matrix @ sols.pi_P)) - theta * (adv @ y[b]) / xi_m
         for b in range(2)])
-    Wbarp = Qw / theta
 
-    vol = fem.integrate(mesh)
     kappa = float(mesh.nodes[:, 2].max() - mesh.nodes[:, 2].min())
-    zeta = vol / (xi_m * kappa)
+    zeta = fem.integrate(mesh) / (xi_m * kappa)
 
     return HomogenizedCoefficients(
-        A=A, B=B, Bp=Bp, F=F, Mw=Mw, Tw=Tw, Twp=Twp, Wbar=Wbar, Wbarp=Wbarp,
-        Qw=Qw, zeta_star=zeta, kappa=kappa)
+        A=A, B=B, Bp=Bp, F=F, Mw=Mw, Tw=Tw, Twp=Twp, Wbar=Wbar,
+        Wbarp=Qw / theta, Qw=Qw, zeta_star=zeta, kappa=kappa)
 
 
 def _face_jump(mesh, nodal, xi_m):
     return (fem.integrate(mesh, nodal, group="I+")
             - fem.integrate(mesh, nodal, group="I-")) / xi_m
-
-
-def _advective_average(mesh, nodal, wmean):
-    """Integral of w . grad(field) (exact for nodal w, P1 field)."""
-    g = fem.cell_gradients(mesh, nodal)
-    return float(np.einsum('m,md,md->', mesh.cell_volumes(), wmean, g))
-
-
-def _flow_component_integral(mesh, wmean, b):
-    return float((mesh.cell_volumes() * wmean[:, b]).sum())
 
 
 # -- symmetry verification ---------------------------------------------------

@@ -74,7 +74,6 @@ def p1_geometry(mesh):
     grads = np.empty((len(mesh.cells), mesh.dim + 1, mesh.dim))
     grads[:, 1:, :] = np.transpose(inv, (0, 2, 1))
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-    grads.flags.writeable = False
     return grads, vols
 
 
@@ -123,14 +122,7 @@ def stiffness_matrix(mesh):
     """P1 stiffness matrix, built once per mesh with read-only arrays."""
     grads, vols = p1_geometry(mesh)
     elem = np.einsum('m,mid,mjd->mij', vols, grads, grads)
-    return read_only(_scatter(mesh.cells, elem, mesh.num_nodes))
-
-
-def read_only(matrix):
-    """Mark the arrays of a CSR matrix read-only (for per-mesh caching)."""
-    for a in (matrix.data, matrix.indices, matrix.indptr):
-        a.flags.writeable = False
-    return matrix
+    return _scatter(mesh.cells, elem, mesh.num_nodes)
 
 
 def mass_matrix(mesh):
@@ -204,8 +196,8 @@ def periodic_reduction(mesh):
     _, labels = csgraph.connected_components(graph, directed=False)
     _, first, cls = np.unique(labels, return_index=True, return_inverse=True)
     _, red = np.unique(first[cls], return_inverse=True)
-    return read_only(
-        sp.coo_matrix((np.ones(n), (np.arange(n), red)), shape=(n, len(first))).tocsr())
+    return sp.coo_matrix((np.ones(n), (np.arange(n), red)),
+                         shape=(n, len(first))).tocsr()
 
 
 def reduced_rhs(reduction, rhs_full, zero_floor):

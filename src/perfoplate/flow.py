@@ -65,6 +65,13 @@ def _recover_velocity(mesh, potential):
 
 
 @per_mesh
+def face_flux_jump(mesh):
+    """Vector of int_I+ phi_i - int_I- phi_i on a cell mesh, read-only: minus
+    the through-flow load of the u3 = 1 cell flow and of the xi corrector."""
+    return fem.boundary_load_vector(mesh, "I+") - fem.boundary_load_vector(mesh, "I-")
+
+
+@per_mesh
 def unit_cell_flow(mesh):
     """The u3 = 1 cell flow of a mesh: (potential, velocity, relative residual).
 
@@ -74,14 +81,10 @@ def unit_cell_flow(mesh):
     It is solved by the mesh's kept stiffness solver (``fem.stiffness_solver``),
     which the cell correctors then use as their preconditioner.
     """
-    rhs = -(fem.boundary_load_vector(mesh, "I+")
-            - fem.boundary_load_vector(mesh, "I-"))
+    rhs = -face_flux_jump(mesh)
     # each caller checks the residual against its own tolerance
     pot, residual = fem.stiffness_solver(mesh).solve_with_residual(rhs)
-    vel = _recover_velocity(mesh, pot)
-    pot.flags.writeable = False
-    vel.flags.writeable = False
-    return pot, vel, residual
+    return pot, _recover_velocity(mesh, pot), residual
 
 
 def solve_cell_potential_flow(mesh, u3, properties, residual_tol=1e-10):

@@ -35,16 +35,29 @@ class MeshFormatError(ValueError):
 
 
 def per_mesh(build):
-    """Decorator: ``build(mesh)`` runs once per mesh instance; its result,
-    made of read-only arrays, is kept on the mesh and shared by all callers."""
-    key = f"{build.__module__}.{build.__qualname__}"
+    """Decorator: ``build(mesh, *args)`` runs once per mesh instance and
+    arguments; its result is kept on the mesh and shared by all callers, so
+    its arrays (an array, a sparse matrix's data and index arrays, or those
+    of each item of a tuple) are marked read-only."""
+    name = f"{build.__module__}.{build.__qualname__}"
 
     @functools.wraps(build)
-    def cached(mesh):
+    def cached(mesh, *args):
+        key = (name, *args)
         if key not in mesh._cache:
-            mesh._cache[key] = build(mesh)
+            mesh._cache[key] = _read_only(build(mesh, *args))
         return mesh._cache[key]
     return cached
+
+
+def _read_only(value):
+    """Mark the arrays of a per-mesh result read-only; other values pass."""
+    for item in value if isinstance(value, tuple) else (value,):
+        arrays = (item.data, item.indices, item.indptr) if hasattr(item, "indptr") else (item,)
+        for a in arrays:
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+    return value
 
 
 def _frozen(values, dtype):
@@ -130,16 +143,13 @@ class Mesh:
         x = self.nodes[self.cells]
         e = x[:, 1:, :] - x[:, :1, :]
         if self.dim == 2:
-            vols = 0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
-        else:
-            vols = np.linalg.det(e) / 6.0
-        vols.flags.writeable = False
-        return vols
+            return 0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
+        return np.linalg.det(e) / 6.0
 
+    @per_mesh
     def facet_measures(self, name):
-        """Lengths (2D) or areas (3D) of the facets in a group."""
-        facets = self.facet_group(name)
-        x = self.nodes[facets]
+        """Lengths (2D) or areas (3D) of the facets in a group, read-only."""
+        x = self.nodes[self.facet_group(name)]
         if self.dim == 2:
             return np.linalg.norm(x[:, 1] - x[:, 0], axis=1)
         cr = np.cross(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0])

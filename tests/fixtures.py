@@ -1,4 +1,8 @@
-"""Analytic flows and coefficients the tests build problems from."""
+"""Analytic flows and coefficients the tests build problems from, and
+perfbench's measure of the distance between two coefficient rows."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -40,3 +44,12 @@ def empty_cell_coefficients(kappa=1.0) -> HomogenizedCoefficients:
         A=kappa * np.eye(2), B=z.copy(), Bp=z.copy(), F=kappa, Mw=0.0,
         Tw=0.0, Twp=0.0, Wbar=z.copy(), Wbarp=z.copy(), Qw=z.copy(),
         zeta_star=1.0, kappa=kappa)
+
+
+def coef_deviation():
+    """perfbench's family-floored relative deviation of two coefficient rows."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks.coef_deviation

@@ -1,20 +1,19 @@
-import importlib.util
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fixtures import uniform_flow
-from perfoplate import fem
+from fixtures import coef_deviation, uniform_flow
+from perfoplate import cell_problems, fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.cell_problems import (MachBoundError, advective_load,
-                                      assemble_Aw, solve_cell_problems, solve_pi_P,
+                                      advective_vector, assemble_Aw,
+                                      solve_cell_problems, solve_pi_P,
                                       solve_pi_beta, solve_xi, tangential_load,
-                                      transverse_load)
+                                      transverse_load, unit_advective_vector)
 from perfoplate.coefficients import cell_pipeline
 from perfoplate.fem import SolverError
-from perfoplate.flow import solve_cell_potential_flow
+from perfoplate.flow import face_flux_jump, solve_cell_potential_flow
 from perfoplate.geometry import CellGeometry
 
 
@@ -241,15 +240,6 @@ def test_speeds_on_one_mesh_share_one_factorization(props, splu_calls, monkeypat
     assert counts[0] > 0 and all(n < counts[0] for n in counts[1:]), counts
 
 
-def coef_deviation():
-    """perfbench's family-floored relative deviation of two coefficient rows."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
-    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
-    checks = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(checks)
-    return checks.coef_deviation
-
-
 def test_speed_coefficients_do_not_depend_on_earlier_speeds(props):
     geom = CellGeometry(hole_slope_deg=30.0)
     speeds = (1.0, 2.5, 4.0)
@@ -342,3 +332,46 @@ def test_pcg_residual_checked_against_tolerance(slant_cell_mesh, props):
     op = assemble_Aw(flow, residual_tol=1e-30)
     with pytest.raises(SolverError, match="zero-mean solve residual .* exceeds 1.0e-30"):
         solve_xi(op)
+
+
+def test_advective_vector_built_once_per_mesh(props, monkeypatch):
+    # the pi_P load and the flow coefficients of every speed read the
+    # mesh's u3 = 1 vector; only that one is integrated over the cells
+    calls = []
+    real = cell_problems._advective_vector
+
+    def counting(mesh, velocity):
+        calls.append(mesh)
+        return real(mesh, velocity)
+    monkeypatch.setattr(cell_problems, "_advective_vector", counting)
+    geom = CellGeometry(hole_slope_deg=30.0)
+    mesh = generate_unit_cell_mesh(geom, 0.15)
+    for u3 in (0.0, 1.0, -2.5, 4.0, 2.0, 5.0):
+        cell_pipeline(geom, u3, 0.15, props, mesh=mesh)
+    assert calls == [mesh]
+    assert not unit_advective_vector(mesh).flags.writeable
+
+
+def test_advective_vector_of_scaled_unit_flow(slant_cell_mesh, props):
+    mesh = slant_cell_mesh
+    flow = solve_cell_potential_flow(mesh, 2.5, props)
+    kept = advective_vector(flow)
+    assembled = cell_problems._advective_vector(mesh, flow.velocity)
+    assert np.abs(kept - assembled).max() <= 1e-14 * np.abs(assembled).max()
+    # a . y_b is the integral of the cell-mean w_b: sum_i y_b,i grad phi_i = e_b
+    wmean = flow.velocity[mesh.cells].mean(axis=1)
+    integrals = mesh.cell_volumes() @ wmean
+    scale = np.abs(integrals).max()
+    for b in range(3):
+        assert abs(kept @ mesh.nodes[:, b] - integrals[b]) <= 1e-13 * scale
+    rest = advective_vector(solve_cell_potential_flow(mesh, 0.0, props))
+    assert rest.shape == (mesh.num_nodes,) and not rest.any()
+
+
+def test_face_flux_jump_kept_per_mesh(slant_cell_mesh):
+    jump = face_flux_jump(slant_cell_mesh)
+    assert face_flux_jump(slant_cell_mesh) is jump
+    assert not jump.flags.writeable
+    expected = (fem.boundary_load_vector(slant_cell_mesh, "I+")
+                - fem.boundary_load_vector(slant_cell_mesh, "I-"))
+    assert jump.tobytes() == expected.tobytes()

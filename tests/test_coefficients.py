@@ -1,13 +1,14 @@
 import csv
 import io
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import empty_cell_coefficients, uniform_flow
+import coefficients_reference
+from fixtures import coef_deviation, empty_cell_coefficients, uniform_flow
 from perfoplate import coefficients
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.cell_problems import MachBoundError, solve_cell_problems
@@ -69,6 +70,35 @@ def test_symmetries_with_flow(slant_cell_mesh, props):
     assert report.passed, str(report)
     assert co.A[0, 0] > 0 and co.A[1, 1] > 0
     assert np.linalg.det(co.A) > 0  # positive definite tangential tensor
+
+
+def _all_values(coeffs):
+    return np.concatenate([np.ravel(getattr(coeffs, f.name)) for f in fields(coeffs)])
+
+
+@pytest.mark.parametrize("phi", [0.0, 30.0])
+def test_coefficients_match_volume_reference(phi, props):
+    """The flow coefficients read from the kept advective vector agree with
+    the per-point volume quadrature: at rest to the last bit, with flow to
+    1e-12 relative on perfbench's family floors."""
+    mesh = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=phi), 0.1)
+    deviation = coef_deviation()
+
+    def both(flow):
+        sols = solve_cell_problems(flow)
+        return (compute_coefficients(sols),
+                coefficients_reference.compute_coefficients(sols))
+    new, ref = both(solve_cell_potential_flow(mesh, 0.0, props))
+    assert _all_values(new).tobytes() == _all_values(ref).tobytes()
+    flows = [solve_cell_potential_flow(mesh, u3, props) for u3 in (0.5, 2.5, 4.0)]
+    flows.append(uniform_flow(mesh, (0.3, -0.2, 1.5), props))
+    for flow in flows:
+        new, ref = both(flow)
+        assert deviation(new.as_row(phi, 0.0, 0.0), ref.as_row(phi, 0.0, 0.0)) <= 1e-12
+        # Qw (not a CSV column) on the floor of the speed-like family, times theta
+        floor = 1e-3 * props.theta * max(abs(ref.Tw), *np.abs(ref.Wbar))
+        assert (np.abs(new.Qw - ref.Qw).max()
+                <= 1e-12 * max(np.abs(ref.Qw).max(), floor))
 
 
 def test_fault_injection_flagged(slant_cell_mesh, props):

@@ -71,6 +71,24 @@ def test_mesh_owns_read_only_arrays():
     assert (m.cells[0, 1], m.facet_groups["g"][0, 1], m.periodic_pairs["d"][0, 1]) == (1, 1, 1)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_facet_measures_kept_per_group(dim, straight_cell_mesh):
+    mesh = straight_cell_mesh if dim == 3 else generate_waveguide_mesh(
+        WaveguideGeometry(), 0.05)
+    for name, facets in mesh.facet_groups.items():
+        meas = mesh.facet_measures(name)
+        assert mesh.facet_measures(name) is meas and not meas.flags.writeable
+        x = mesh.nodes[facets]
+        if dim == 2:
+            expected = np.linalg.norm(x[:, 1] - x[:, 0], axis=1)
+        else:
+            expected = 0.5 * np.linalg.norm(
+                np.cross(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0]), axis=1)
+        assert meas.tobytes() == expected.tobytes(), name
+    with pytest.raises(MeshError, match="unknown facet group"):
+        mesh.facet_measures("nowhere")
+
+
 def test_roundtrip(tmp_path, straight_cell_mesh):
     m = straight_cell_mesh.with_fields(demo=np.arange(straight_cell_mesh.num_nodes,
                                                       dtype=float))
