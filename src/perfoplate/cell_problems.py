@@ -107,9 +107,9 @@ class LanczosRun:
 
 
 class CellOperator:
-    """Assembled flow-modified cell operator and its corrector solves.
+    """Flow-modified cell operator and its corrector solves.
 
-    The matrix is real symmetric and positive semidefinite with the
+    The operator is real symmetric and positive semidefinite with the
     constants as nullspace whenever the advection satisfies the speed
     bound; the bound is enforced on the nodal velocity field, which
     dominates the quadrature values by convexity.  By the same bound the
@@ -141,13 +141,15 @@ class CellOperator:
             # freed before this mesh's first matrix is built, as that is
             # where another mesh's kept solver and runs would set the peak
             fem.drop_other_stiffness_solver(mesh)
-            self.matrix = fem.stiffness_matrix(mesh) / self.xi
-            self._direct = fem.ZeroMeanSolver(mesh, self.matrix, residual_tol,
+            self._matrix = fem.stiffness_matrix(mesh) / self.xi
+            self._direct = fem.ZeroMeanSolver(mesh, self._matrix, residual_tol,
                                               scale=self.xi)
             return
         self._direct = None
         self._reduction = fem.periodic_reduction(mesh)
-        # the operator is (K - s W) / |Xi|
+        self._restriction = fem.periodic_restriction(mesh)
+        # the operator is (K - s W) / |Xi|, applied as such and never built
+        self._stiffness = fem.stiffness_matrix(mesh)
         if flow.unit_scale is not None:
             self._shift = props.tau * flow.unit_scale ** 2 / props.c ** 2
             self._advection = unit_advection_matrix(mesh)
@@ -155,8 +157,6 @@ class CellOperator:
             self._shift = 1.0
             self._advection = (props.tau / props.c ** 2) * fem.advection_matrix(
                 mesh, flow.velocity)
-        self.matrix = (fem.stiffness_matrix(mesh)
-                       - self._shift * self._advection) / self.xi
         rho = props.tau * speed ** 2 / props.c ** 2
         # twice the CG bound for the energy-norm error at condition number
         # 1/(1 - rho), plus room for the Euclidean residual
@@ -172,9 +172,9 @@ class CellOperator:
         """
         if self._direct is not None:
             return self._direct.solve(rhs_full)
-        T = self._reduction
+        T, Tt = self._reduction, self._restriction
         solver = fem.stiffness_solver(self.mesh)
-        rhs, norm = fem.reduced_rhs(T, rhs_full, solver.zero_floor / self.xi)
+        rhs, norm = fem.reduced_rhs(Tt, rhs_full, solver.zero_floor / self.xi)
         if norm == 0.0:
             return np.zeros(self.mesh.num_nodes)
         # the operator's range is orthogonal to the constants: the part of
@@ -187,7 +187,7 @@ class CellOperator:
             runs, parts = {}, [(None, lambda: self.xi * rhs, 1.0)]
 
         def advect(q):
-            return T.T @ (self._advection @ (T @ q))
+            return Tt @ (self._advection @ (T @ q))
         step = (solver.precondition, solver.reduced, advect)
         x = np.zeros_like(rhs)
         for key, part, coefficient in parts:
@@ -201,25 +201,32 @@ class CellOperator:
             scale = abs(coefficient) * run.start_norm / (self.xi * norm)
             y = self._lanczos(run, scale, LANCZOS_TOL / len(parts), step)
             x += (coefficient * run.start_norm) * (y @ run.basis[:len(y)])
-        fem.check_residual(np.linalg.norm(T.T @ (self.matrix @ (T @ x)) - rhs) / norm,
+        fem.check_residual(np.linalg.norm(Tt @ self.apply(T @ x) - rhs) / norm,
                            self.residual_tol)
         return T @ x
+
+    def apply(self, v):
+        """The operator times nodal vectors v: at rest by the matrix K / |Xi|,
+        with flow by the kept K and W."""
+        if self._direct is not None:
+            return self._matrix @ v
+        return (self._stiffness @ v - self._shift * (self._advection @ v)) / self.xi
 
     def _unit_parts(self, load):
         """(run key, start, coefficient) of each fixed part of a named load of
         a scaled unit cell flow: |Xi| times the reduced load is the sum of
         coefficient * start, and each start depends on the mesh alone."""
-        mesh, u3, T = self.mesh, self.flow.unit_scale, self._reduction
+        mesh, u3, Tt = self.mesh, self.flow.unit_scale, self._restriction
         props = self.flow.properties
         if load == "xi":
-            return [("xi", lambda: -(T.T @ face_flux_jump(mesh)), 1.0)]
+            return [("xi", lambda: -(Tt @ face_flux_jump(mesh)), 1.0)]
         if load == "pi_P":
-            return [("pi_P", lambda: T.T @ unit_advective_vector(mesh),
+            return [("pi_P", lambda: Tt @ unit_advective_vector(mesh),
                      u3 * props.theta / props.c ** 2)]
         _, beta = load
         y = mesh.nodes[:, beta - 1]
-        return [(("K", beta), lambda: -(T.T @ (fem.stiffness_matrix(mesh) @ y)), 1.0),
-                (("W", beta), lambda: T.T @ (unit_advection_matrix(mesh) @ y), self._shift)]
+        return [(("K", beta), lambda: -(Tt @ (fem.stiffness_matrix(mesh) @ y)), 1.0),
+                (("W", beta), lambda: Tt @ (unit_advection_matrix(mesh) @ y), self._shift)]
 
     def _lanczos(self, run, scale, tol, step):
         """Coefficients y of x = V_m y, the Galerkin solution of
@@ -270,7 +277,7 @@ def tangential_load(op: CellOperator, beta: int):
     if beta not in (1, 2):
         raise ValueError("beta must be 1 or 2")
     y = op.mesh.nodes[:, beta - 1]
-    return -(op.matrix @ y)
+    return -op.apply(y)
 
 
 def transverse_load(op: CellOperator):

@@ -79,11 +79,12 @@ def compute_coefficients(sols: CellSolutionSet) -> HomogenizedCoefficients:
 
     A = np.empty((2, 2))
     for a in range(2):
-        Aua = op.matrix @ u[a]
+        Aua = op.apply(u[a])
         for b in range(2):
             A[a, b] = u[b] @ Aua
 
-    B = np.array([y[b] @ (op.matrix @ sols.xi) for b in range(2)])
+    A_xi, A_pi_P = op.apply(sols.xi), op.apply(sols.pi_P)
+    B = np.array([y[b] @ A_xi for b in range(2)])
     Bp = np.array([_face_jump(mesh, pis[b], xi_m) for b in range(2)])
     F = -_face_jump(mesh, sols.xi, xi_m)
     Twp = _face_jump(mesh, sols.pi_P, xi_m)
@@ -95,7 +96,7 @@ def compute_coefficients(sols: CellSolutionSet) -> HomogenizedCoefficients:
     Mw = theta * (adv @ sols.pi_P) / xi_m
     Wbar = np.array([adv @ u[b] for b in range(2)]) / xi_m
     Qw = np.array([
-        props.c ** 2 * (y[b] @ (op.matrix @ sols.pi_P)) - theta * (adv @ y[b]) / xi_m
+        props.c ** 2 * (y[b] @ A_pi_P) - theta * (adv @ y[b]) / xi_m
         for b in range(2)])
 
     kappa = float(mesh.nodes[:, 2].max() - mesh.nodes[:, 2].min())

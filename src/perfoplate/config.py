@@ -179,6 +179,12 @@ def validate(cfg: RunConfig):
     if not 0 <= cfg["flow.u3_quantum"] < math.inf:  # 0 keeps exact speeds
         raise ConfigError(
             f"[flow] u3_quantum must be finite and >= 0, got {cfg['flow.u3_quantum']!r}")
+    if not math.isfinite(cfg["flow.u_in"]):
+        raise ConfigError(f"[flow] u_in must be finite, got {cfg['flow.u_in']!r}")
+    for key in ("f_min", "f_max"):
+        value = cfg[f"frequencies.{key}"]
+        if not 0 < value < math.inf:  # also rejects NaN
+            raise ConfigError(f"[frequencies] {key} must be finite and > 0, got {value!r}")
     cfg.fluid_properties()  # raises ValueError naming a bad c or tau
 
 

@@ -200,14 +200,21 @@ def periodic_reduction(mesh):
                          shape=(n, len(first))).tocsr()
 
 
-def reduced_rhs(reduction, rhs_full, zero_floor):
-    """A right side on the periodic classes and its norm, 0.0 at or below
-    ``zero_floor`` (an identically zero right side).
+@per_mesh
+def periodic_restriction(mesh):
+    """T^T for the prolongation T of ``periodic_reduction``: the sum of a
+    nodal vector over each periodic class."""
+    return periodic_reduction(mesh).T
+
+
+def reduced_rhs(restriction, rhs_full, zero_floor):
+    """A right side on the periodic classes (``periodic_restriction``) and its
+    norm, 0.0 at or below ``zero_floor`` (an identically zero right side).
 
     The right side must be compatible (orthogonal to constants) within
     1e-10 relative; this is asserted, not fixed up.
     """
-    rhs = reduction.T @ np.asarray(rhs_full, dtype=float)
+    rhs = restriction @ np.asarray(rhs_full, dtype=float)
     norm = np.linalg.norm(rhs)
     if norm <= zero_floor:
         return rhs, 0.0
@@ -237,9 +244,9 @@ class ZeroMeanSolver:
         self.num_nodes = mesh.num_nodes
         self.residual_tol = residual_tol
         self.reduction = periodic_reduction(mesh)
-        T = self.reduction
-        self._mean = (T.T @ lumped_volume_vector(mesh)) / scale
-        reduced = (T.T @ matrix @ T).tocsr()
+        self.restriction = periodic_restriction(mesh)
+        self._mean = (self.restriction @ lumped_volume_vector(mesh)) / scale
+        reduced = (self.restriction @ matrix @ self.reduction).tocsr()
         aug = sp.bmat([[reduced, self._mean.reshape(-1, 1)],
                        [self._mean.reshape(1, -1), None]], format='csc')
         self.reduced = reduced
@@ -258,7 +265,7 @@ class ZeroMeanSolver:
 
     def solve_with_residual(self, rhs_full):
         """``solve`` without the residual check: (solution, relative residual)."""
-        rhs, norm = reduced_rhs(self.reduction, rhs_full, self.zero_floor)
+        rhs, norm = reduced_rhs(self.restriction, rhs_full, self.zero_floor)
         if norm == 0.0:
             return np.zeros(self.num_nodes), 0.0
         x = self._lu.solve(np.concatenate([rhs, [0.0]]))
@@ -334,17 +341,12 @@ def drop_other_stiffness_solver(mesh):
 # -- integration -------------------------------------------------------------
 
 def integrate(mesh, field=None, group=None):
-    """Integral of a nodal field over the cells, or over a facet group.
-
-    ``field=None`` without a group integrates 1 (the cell measure).  Exact
-    for P1 fields.
-    """
+    """Integral of a nodal field over a facet group (exact for P1 fields), or
+    without a group and a field the cell measure."""
     if group is None:
-        if field is None:
-            return float(np.abs(mesh.cell_volumes()).sum())
-        vols = mesh.cell_volumes()
-        vals = np.asarray(field)[mesh.cells]
-        return (vols * vals.mean(axis=1)).sum()
+        if field is not None:
+            raise AssemblyError("a nodal field is integrated over a facet group")
+        return float(np.abs(mesh.cell_volumes()).sum())
     meas = mesh.facet_measures(group)
     if meas.size == 0:
         raise AssemblyError(f"facet group {group!r} is empty")

@@ -60,8 +60,8 @@ def _recover_velocity(mesh, potential):
     idx = mesh.cells.reshape(-1)
     np.add.at(num, idx, np.repeat(-g * vols[:, None], mesh.dim + 1, axis=0))
     np.add.at(den, idx, np.repeat(vols, mesh.dim + 1))
-    T = fem.periodic_reduction(mesh)
-    return (T @ (T.T @ num)) / (T @ (T.T @ den))[:, None]
+    T, Tt = fem.periodic_reduction(mesh), fem.periodic_restriction(mesh)
+    return (T @ (Tt @ num)) / (T @ (Tt @ den))[:, None]
 
 
 @per_mesh
@@ -146,6 +146,8 @@ def solve_macro_potential_flow(mesh, u_in, properties, residual_tol=1e-10):
     plate offers no resistance; its effect enters only through the acoustic
     coefficients evaluated at the resulting interface profile.
     """
+    if not np.isfinite(u_in):
+        raise FlowError(f"u_in must be finite, got {u_in!r}")
     area_in = mesh.group_measure(GROUP_IN)
     area_out = mesh.group_measure(GROUP_OUT)
     defect = abs(area_in - area_out) * abs(u_in)

@@ -103,16 +103,30 @@ class MacroProblem:
 class OperatorParts:
     """The frequency-independent parts of the coupled operator of a problem.
 
-    K, M: bulk stiffness and mass.  advection: (-tau * W, C - C.T), or None
+    bulk: c^2 K and M on the union of their patterns, zero where one has no
+    entry.  advection: (-tau * W on the union of the patterns of W and
+    D = C - C.T, D, the positions of D's entries in that union), or None
     without outer advection.  ports: (impedance factor, boundary mass) of
     Gamma_in and Gamma_out.  load: int phi_i over the source boundary.
-    table: the interface element table (`_element_table`); rows, cols: the
-    interface entries in emission order.  ordering: the `ColumnOrdering` of
+    table: the interface element table (`_element_table`).  plan: the
+    `SummationPlan` of the coupled matrix's entries, which
+    `assemble_coupled_system` emits in the order bulk, advection, ports,
+    interface (`_interface_pattern`).  ordering: the `ColumnOrdering` of
     the coupled matrix, kept from the first factorization, or None.
     """
 
     def __init__(self, problem: MacroProblem):
         mesh, props, idx = problem.mesh, problem.properties, problem.index
+        coeffs = problem.interface_coeffs
+        if len(coeffs) != idx.n_elements:
+            raise MacroAssemblyError(f"need coefficients for {idx.n_elements} "
+                                     f"interface elements, got {len(coeffs)}")
+        patterns = []
+        K, M = props.c ** 2 * fem.stiffness_matrix(mesh), fem.mass_matrix(mesh)
+        rows, cols, (at_K, at_M) = _union_pattern(K, M)
+        self.bulk = (_on_pattern(len(rows), at_K, K.data),
+                     _on_pattern(len(rows), at_M, M.data))
+        patterns.append((rows, cols))
         self.advection = None
         vel = problem.flow.velocity if problem.flow is not None else None
         if problem.outer_advection and vel is not None and np.any(vel):
@@ -122,20 +136,99 @@ class OperatorParts:
                     f"macro flow max |w| = {speed:.6g} m/s reaches the bound "
                     f"c/sqrt(tau) = {props.mach_speed_limit:.6g} m/s")
             W, C = fem.advection_matrices(mesh, vel)
-            self.advection = (-props.tau * W, C - C.T)
-        self.K, self.M = fem.stiffness_matrix(mesh), fem.mass_matrix(mesh)
-        self.ports = [(_boundary_impedance_factor(problem, group),
-                       fem.boundary_mass_matrix(mesh, group))
-                      for group in (GROUP_IN, GROUP_OUT)]
+            W, D = -props.tau * W, C - C.T
+            rows, cols, (at_W, at_D) = _union_pattern(W, D)
+            self.advection = (_on_pattern(len(rows), at_W, W.data), D.data, at_D)
+            patterns.append((rows, cols))
+        self.ports = []
+        for group in (GROUP_IN, GROUP_OUT):
+            B = fem.boundary_mass_matrix(mesh, group)
+            self.ports.append((_boundary_impedance_factor(problem, group), B.data))
+            coo = B.tocoo()
+            patterns.append((coo.row, coo.col))
         source = GROUP_IN if problem.source_side == "in" else GROUP_OUT
         self.load = fem.boundary_load_vector(mesh, source)
-        coeffs = problem.interface_coeffs
-        if len(coeffs) != idx.n_elements:
-            raise MacroAssemblyError(f"need coefficients for {idx.n_elements} "
-                                     f"interface elements, got {len(coeffs)}")
         self.table = _element_table(np.diff(idx.x), coeffs)
-        self.rows, self.cols = _interface_pattern(idx, mesh.num_nodes)
+        patterns.append(_interface_pattern(idx, mesh.num_nodes))
+        self.plan = SummationPlan.record(
+            *(np.concatenate(a) for a in zip(*patterns)), mesh.num_nodes + 2 * idx.n)
         self.ordering = None
+
+
+def _union_pattern(*matrices):
+    """(rows, cols) of the union of the patterns of canonical CSR matrices,
+    in CSR order, and the positions of each matrix's entries in it: the
+    pattern scipy's CSR sum or difference of the matrices has, as long as
+    no entry cancels."""
+    n = matrices[0].shape[1]
+    keys = [np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)) * n + A.indices
+            for A in matrices]
+    union = np.unique(np.concatenate(keys))
+    return union // n, union % n, [np.searchsorted(union, k) for k in keys]
+
+
+def _on_pattern(size, positions, values, dtype=float):
+    """``values`` at ``positions`` of a pattern of ``size`` entries, zero elsewhere."""
+    out = np.zeros(size, dtype=dtype)
+    out[positions] = values
+    return out
+
+
+def _row_pointer(rows, n, dtype):
+    """CSR row pointer of entries with these (sorted) rows."""
+    indptr = np.zeros(n + 1, dtype=dtype)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
+@dataclass(frozen=True)
+class SummationPlan:
+    """How scipy's COO to CSR conversion sums one sequence of (row, col)
+    entries, whatever their values: the CSR pattern it gives and, for every
+    slot of it, its addends in the order they are summed.
+
+    The conversion buckets the entries by row in input order, sorts each
+    row by column with scipy's (unstable) sort and sums each run of equal
+    columns left to right.  That sort's permutation depends on the column
+    keys alone, so running it (``sort_indices``) on the input positions
+    records it.  first: the first addend of every slot; later: for each
+    further addend depth k, (the slots with more than k addends, their
+    addend k).
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    first: np.ndarray
+    later: tuple
+
+    @classmethod
+    def record(cls, rows, cols, n):
+        """The plan of entries (rows[k], cols[k]) of an n x n matrix."""
+        count = len(rows)
+        # the index dtype the conversion keeps: int32 while it fits
+        idx = np.int32 if max(count, n) <= np.iinfo(np.int32).max else np.int64
+        order = np.argsort(rows, kind="stable")
+        row = rows[order]
+        tags = sp.csr_matrix((order, cols[order].astype(idx), _row_pointer(row, n, idx)),
+                             shape=(n, n))
+        tags.sort_indices()
+        source, cols = tags.data, tags.indices
+        starts = np.ones(count, dtype=bool)
+        starts[1:] = (cols[1:] != cols[:-1]) | (row[1:] != row[:-1])
+        slot = np.cumsum(starts) - 1
+        depth = np.arange(count) - np.flatnonzero(starts)[slot]
+        later = tuple((slot[depth == k], source[depth == k])
+                      for k in range(1, depth.max() + 1))
+        return cls(_row_pointer(row[starts], n, idx), cols[starts], source[starts], later)
+
+    def matrix(self, values):
+        """The CSR matrix the conversion gives for entries with these values."""
+        data = values[self.first]
+        for slots, addends in self.later:
+            data[slots] += values[addends]
+        n = len(self.indptr) - 1
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
+                             shape=(n, n))
 
 
 @dataclass(frozen=True)
@@ -260,8 +353,10 @@ def assemble_coupled_system(problem: MacroProblem, omega: float):
 
     Returns (matrix, rhs, n_pressure) with unknown layout [P, G+, G-] and
     equation layout [bulk, interface balance, pressure-jump coupling].
-    Only the omega-dependent values are formed here; their (rows, cols,
-    vals) sequence fixes the order in which duplicate entries are summed.
+    Only the omega-dependent values are formed here, with the arithmetic of
+    scipy's CSR scalar products, sums and differences of the blocks; the
+    kept summation plan adds duplicate entries as a COO to CSR conversion of
+    the blocks would, so the matrix is that conversion's to the last bit.
     """
     parts = problem.parts
     props = problem.properties
@@ -272,15 +367,12 @@ def assemble_coupled_system(problem: MacroProblem, omega: float):
 
     # bulk extended-Helmholtz blocks, then the radiation boundaries:
     # d_nw P + (i w / c) P = 2 (i w / c) p_in (source), times c^2 in weak form
-    blocks = [c2 * parts.K - omega ** 2 * parts.M]
+    stiffness, mass = parts.bulk
+    vals = [stiffness - mass * omega ** 2]
     if parts.advection is not None:
-        W, D = parts.advection
-        blocks.append(W + iw * props.theta * D)
-    blocks += [iw * c * zfac * B for zfac, B in parts.ports]
-    coos = [block.tocoo() for block in blocks]
-    rows = [coo.row for coo in coos]
-    cols = [coo.col for coo in coos]
-    vals = [coo.data.astype(complex) for coo in coos]
+        W, D, at_D = parts.advection
+        vals.append(W + _on_pattern(len(W), at_D, D * (iw * props.theta), complex))
+    vals += [B * (iw * c * zfac) for zfac, B in parts.ports]
     rhs = np.zeros(n, dtype=complex)
     rhs[:nP] += 2.0 * iw * c * problem.amplitude * parts.load
 
@@ -292,14 +384,8 @@ def assemble_coupled_system(problem: MacroProblem, omega: float):
     layer = [0.5 * p, 0.5 * p, 0.5 * g, 0.5 * g,
              (iw * c2 / eps0) * me, -(iw * c2 / eps0) * me,
              0.5 * p2 - me / eps0, 0.5 * p2 + me / eps0, 0.5 * f, 0.5 * f]
-    rows.append(parts.rows)
-    cols.append(parts.cols)
     vals += [np.stack(trace, axis=1).ravel(), np.stack(layer, axis=1).ravel()]
-
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
-    return matrix, rhs, nP
+    return parts.plan.matrix(np.concatenate(vals, dtype=complex)), rhs, nP
 
 
 def _solve_coupled(parts: OperatorParts, A, rhs):
@@ -322,6 +408,8 @@ def _solve_coupled(parts: OperatorParts, A, rhs):
 
 def solve_frequency(problem: MacroProblem, omega: float) -> MacroSolution:
     """Direct monolithic solve at one angular frequency."""
+    if not 0 < omega < math.inf:  # also rejects NaN
+        raise MacroAssemblyError(f"omega must be finite and > 0, got {omega!r}")
     A, rhs, nP = assemble_coupled_system(problem, omega)
     try:
         x = _solve_coupled(problem.parts, A, rhs)

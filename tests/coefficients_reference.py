@@ -4,8 +4,9 @@
 It gathers the cell-mean velocity of every tetrahedron at every point and
 integrates each flow coefficient over the cells on its own; the program
 reads Tw, Mw, W and the flow part of Qw from the advective vector a kept
-per mesh (``cell_problems.advective_vector``).  At rest the two must agree
-to the last bit, with flow to rounding.
+per mesh (``cell_problems.advective_vector``).  Both take A, B and the
+rest of Qw from the operator's own products (``CellOperator.apply``).  At
+rest the two must agree to the last bit, with flow to rounding.
 """
 
 import numpy as np
@@ -29,11 +30,11 @@ def compute_coefficients(sols: CellSolutionSet) -> HomogenizedCoefficients:
 
     A = np.empty((2, 2))
     for a in range(2):
-        Aua = op.matrix @ u[a]
+        Aua = op.apply(u[a])
         for b in range(2):
             A[a, b] = u[b] @ Aua
 
-    B = np.array([y[b] @ (op.matrix @ sols.xi) for b in range(2)])
+    B = np.array([y[b] @ op.apply(sols.xi) for b in range(2)])
     Bp = np.array([_face_jump(mesh, pis[b], xi_m) for b in range(2)])
     F = -_face_jump(mesh, sols.xi, xi_m)
     Twp = _face_jump(mesh, sols.pi_P, xi_m)
@@ -46,7 +47,7 @@ def compute_coefficients(sols: CellSolutionSet) -> HomogenizedCoefficients:
          + _advective_average(mesh, pis[b], wmean)) / xi_m
         for b in range(2)])
     Qw = np.array([
-        c2 * (y[b] @ (op.matrix @ sols.pi_P))
+        c2 * (y[b] @ op.apply(sols.pi_P))
         - theta * _flow_component_integral(mesh, wmean, b) / xi_m
         for b in range(2)])
     Wbarp = Qw / theta

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from perfoplate.cell_mesh import generate_unit_cell_mesh
@@ -69,3 +70,32 @@ def splu_calls(monkeypatch):
         return real(A, permc_spec, *args, **kwargs)
     monkeypatch.setattr(spla, "splu", counting)
     return calls
+
+
+@pytest.fixture
+def coo_to_csr_calls(monkeypatch):
+    """Shape of each COO matrix converted to CSR while the test runs."""
+    calls = []
+    real = sp.coo_matrix.tocsr
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.shape)
+        return real(self, *args, **kwargs)
+    monkeypatch.setattr(sp.coo_matrix, "tocsr", counting)
+    return calls
+
+
+@pytest.fixture
+def sparse_builds(monkeypatch):
+    """Class name of each CSR or CSC matrix built while the test runs, by
+    any route: arithmetic, conversion, transposition or a constructor."""
+    builds = []
+
+    def counting(real):
+        def init(self, *args, **kwargs):
+            builds.append(type(self).__name__)
+            real(self, *args, **kwargs)
+        return init
+    for cls in (sp.csr_matrix, sp.csc_matrix):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    return builds

@@ -1,10 +1,12 @@
-"""Analytic flows and coefficients the tests build problems from, and
-perfbench's measure of the distance between two coefficient rows."""
+"""Analytic flows and coefficients the tests build problems from, the cell
+operator as a matrix and integrals over the cells, and perfbench's measure
+of the distance between two coefficient rows."""
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from perfoplate.coefficients import HomogenizedCoefficients
 from perfoplate.duct_mesh import IFACE_PAIRING
@@ -29,6 +31,17 @@ def uniform_macro_flow(mesh, axial_speed, properties):
     pot = -axial_speed * mesh.nodes[:, 0]
     n = len(mesh.periodic_pairs[IFACE_PAIRING])
     return MacroFlowField(mesh, vel, pot, np.zeros(n), properties)
+
+
+def integrate_cells(mesh, field):
+    """Integral of a nodal field over the cells (exact for P1 fields)."""
+    vals = np.asarray(field)[mesh.cells]
+    return (mesh.cell_volumes() * vals.mean(axis=1)).sum()
+
+
+def operator_matrix(op):
+    """A `CellOperator` as a CSR matrix: its product with the identity."""
+    return op.apply(sp.identity(op.mesh.num_nodes, format="csr")).tocsr()
 
 
 def uniform_problem(mesh, properties, coeffs, **kwargs):

@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from fixtures import coef_deviation, uniform_flow
+from fixtures import coef_deviation, integrate_cells, operator_matrix, uniform_flow
 from perfoplate import cell_problems, fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.cell_problems import (MachBoundError, advective_load,
@@ -24,13 +24,15 @@ def zero_flow(mesh, props):
 def test_operator_is_periodic_laplacian_at_rest(straight_cell_mesh, props):
     op = assemble_Aw(zero_flow(straight_cell_mesh, props))
     K = fem.stiffness_matrix(straight_cell_mesh) / op.xi
-    assert abs(op.matrix - K).max() == 0.0
+    assert abs(operator_matrix(op) - K).max() == 0.0
+    x = np.random.default_rng(0).standard_normal((straight_cell_mesh.num_nodes, 3))
+    assert op.apply(x).tobytes() == (K @ x).tobytes()
 
 
 def test_operator_symmetric_exactly(slant_cell_mesh, props):
     flow = solve_cell_potential_flow(slant_cell_mesh, 3.0, props)
-    op = assemble_Aw(flow)
-    assert abs(op.matrix - op.matrix.T).max() < 1e-14 * abs(op.matrix).max()
+    A = operator_matrix(assemble_Aw(flow))
+    assert abs(A - A.T).max() < 1e-14 * abs(A).max()
 
 
 @pytest.mark.parametrize("u3", [-2.0, 3.0])
@@ -40,7 +42,7 @@ def test_operator_from_unit_advection_matches_assembly(slant_cell_mesh, props, u
     W, _ = fem.advection_matrices(slant_cell_mesh, flow.velocity)
     fresh = (fem.stiffness_matrix(slant_cell_mesh)
              - (props.tau / props.c ** 2) * W) / op.xi
-    assert abs(op.matrix - fresh).max() <= 1e-13 * abs(fresh).max()
+    assert abs(operator_matrix(op) - fresh).max() <= 1e-13 * abs(fresh).max()
 
 
 def test_operator_psd_near_bound(straight_cell_mesh, props):
@@ -48,7 +50,7 @@ def test_operator_psd_near_bound(straight_cell_mesh, props):
     flow = uniform_flow(straight_cell_mesh, (0.0, 0.0, speed), props)
     op = assemble_Aw(flow)
     T = fem.periodic_reduction(op.mesh)
-    A = (T.T @ op.matrix @ T).toarray()
+    A = (T.T @ operator_matrix(op) @ T).toarray()
     eigs = np.linalg.eigvalsh(A)
     scale = abs(eigs).max()
     assert eigs[0] > -1e-12 * scale          # constants nullspace
@@ -105,7 +107,7 @@ def test_zero_mean_and_periodicity(slant_cell_mesh, props):
     sols = solve_cell_problems(flow)
     vol = fem.integrate(slant_cell_mesh)
     for field in (sols.pi1, sols.pi2, sols.xi, sols.pi_P):
-        mean = fem.integrate(slant_cell_mesh, field) / vol
+        mean = integrate_cells(slant_cell_mesh, field) / vol
         assert abs(mean) <= 1e-12 * max(np.linalg.norm(field), 1.0)
         for pairs in slant_cell_mesh.periodic_pairs.values():
             np.testing.assert_array_equal(field[pairs[:, 0]], field[pairs[:, 1]])
@@ -162,7 +164,7 @@ def test_duality_pairing_vs_surface_jump(slant_cell_mesh, props):
     sols = solve_cell_problems(flow)
     op = sols.operator
     for pi in (sols.pi1, sols.pi2):
-        pairing = float(sols.xi @ (op.matrix @ pi))
+        pairing = float(sols.xi @ op.apply(pi))
         jump = (fem.integrate(slant_cell_mesh, pi, group="I+")
                 - fem.integrate(slant_cell_mesh, pi, group="I-")) / op.xi
         assert abs(pairing + jump) <= 1e-10 * max(abs(jump), 1e-3)
@@ -174,7 +176,7 @@ def test_solver_residual_contract(slant_cell_mesh, props):
     xi = solve_xi(op)
     T = fem.periodic_reduction(slant_cell_mesh)
     rhs = T.T @ transverse_load(op)
-    resid = np.linalg.norm((T.T @ (op.matrix @ xi)) - rhs)
+    resid = np.linalg.norm((T.T @ op.apply(xi)) - rhs)
     assert resid <= 1e-9 * np.linalg.norm(rhs)
 
 
@@ -186,7 +188,7 @@ def correctors(op):
 
 def direct_correctors(op):
     """The same correctors by a direct factorization of the same operator."""
-    direct = fem.ZeroMeanSolver(op.mesh, op.matrix, 1e-10, scale=op.xi)
+    direct = fem.ZeroMeanSolver(op.mesh, operator_matrix(op), 1e-10, scale=op.xi)
     loads = [tangential_load(op, 1), tangential_load(op, 2), transverse_load(op),
              advective_load(op)]
     return [direct.solve(load) for load in loads]
@@ -238,6 +240,18 @@ def test_speeds_on_one_mesh_share_one_factorization(props, splu_calls, monkeypat
         counts.append(len(applies) - before)
     assert len(splu_calls) == 1
     assert counts[0] > 0 and all(n < counts[0] for n in counts[1:]), counts
+
+
+def test_later_flow_point_builds_no_sparse_matrix(props, sparse_builds):
+    # a flow operator applies the mesh's kept K and W and its kept periodic
+    # transpose; it builds no matrix of its own
+    geom = CellGeometry(hole_slope_deg=30.0)
+    mesh = generate_unit_cell_mesh(geom, 0.15)
+    cell_pipeline(geom, 1.0, 0.15, props, mesh=mesh)
+    assert sparse_builds
+    sparse_builds.clear()
+    cell_pipeline(geom, 2.5, 0.15, props, mesh=mesh)
+    assert sparse_builds == []
 
 
 def test_speed_coefficients_do_not_depend_on_earlier_speeds(props):
@@ -294,7 +308,8 @@ def test_pcg_residual_excludes_the_constant_part_of_the_load(slant_cell_mesh, pr
     sizes = np.asarray(T.sum(axis=0)).ravel()
     load = transverse_load(op)
     load += T @ (0.9e-10 * np.linalg.norm(T.T @ load) / len(sizes) / sizes)
-    direct = fem.ZeroMeanSolver(slant_cell_mesh, op.matrix, 1e-12, scale=op.xi).solve(load)
+    direct = fem.ZeroMeanSolver(slant_cell_mesh, operator_matrix(op), 1e-12,
+                                scale=op.xi).solve(load)
     assert np.linalg.norm(op.solve(load) - direct) <= 1e-10 * np.linalg.norm(direct)
 
 

@@ -81,6 +81,33 @@ def test_config_rejects_bad_u3_quantum(value):
     assert parse_config("[flow]\nu3_quantum = 0\n")["flow.u3_quantum"] == 0.0
 
 
+@pytest.mark.parametrize("key", ["f_min", "f_max"])
+@pytest.mark.parametrize("value", ["-300", "0", "nan", "inf"])
+def test_config_rejects_unusable_frequencies(key, value):
+    with pytest.raises(ConfigError, match=rf"\[frequencies\] {key} must be finite and > 0, "
+                                          rf"got {float(value)!r}"):
+        parse_config(f"[frequencies]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_config_rejects_non_finite_inflow(value):
+    with pytest.raises(ConfigError, match=rf"\[flow\] u_in must be finite, got {float(value)!r}"):
+        parse_config(f"[flow]\nu_in = {value}\n")
+    assert parse_config("[flow]\nu_in = -5\n")["flow.u_in"] == -5.0
+
+
+def test_negative_frequency_is_an_error(tmp_path):
+    # it would write a TL row at -300 Hz that mirrors +300 Hz
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[frequencies]\nf_min = -300\n")
+    out = tmp_path / "out"
+    assert run_cli(["waveguide", "--config", str(cfgfile), "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert record["message"] == "[frequencies] f_min must be finite and > 0, got -300.0"
+    assert not (out / "tl.csv").exists()
+
+
 def test_config_grids():
     cfg = parse_config("[frequencies]\nf_min=100\nf_max=200\ncount=3\n")
     assert cfg.frequencies_hz() == [100.0, 150.0, 200.0]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import structured_square_mesh
-from fixtures import uniform_flow
+from fixtures import integrate_cells, uniform_flow
 from perfoplate import fem
 from perfoplate.fem import AssemblyError, FluidProperties, SolverError
 from perfoplate.mesh import Mesh
@@ -143,7 +143,7 @@ def test_zero_mean_contract(straight_cell_mesh):
     m = straight_cell_mesh
     x = laplace_solver(m).solve(face_average_load(m, "I-")
                                 - face_average_load(m, "I+"))
-    mean = fem.integrate(m, x) / fem.integrate(m)
+    mean = integrate_cells(m, x) / fem.integrate(m)
     assert abs(mean) <= 1e-12 * np.linalg.norm(x)
 
 
@@ -159,7 +159,7 @@ def test_zero_mean_solver_properties(straight_cell_mesh, seed, scale):
     red -= red.mean()
     rhs = T @ (red / np.asarray(T.sum(axis=0)).ravel())
     x = solver.solve(rhs)
-    assert abs(fem.integrate(m, x)) <= 1e-12 * fem.integrate(m) * np.abs(x).max()
+    assert abs(integrate_cells(m, x)) <= 1e-12 * fem.integrate(m) * np.abs(x).max()
     for pairs in m.periodic_pairs.values():
         np.testing.assert_array_equal(x[pairs[:, 0]], x[pairs[:, 1]])
     resid = T.T @ (fem.stiffness_matrix(m) @ x - rhs)
@@ -170,7 +170,8 @@ def test_zero_mean_solver_properties(straight_cell_mesh, seed, scale):
 
 def cell_average(mesh, field, group=None):
     """Integral over the cell (or a facet group) normalized by |Xi|."""
-    return fem.integrate(mesh, field, group) / fem.xi_measure(mesh)
+    total = integrate_cells(mesh, field) if group is None else fem.integrate(mesh, field, group)
+    return total / fem.xi_measure(mesh)
 
 
 def test_integrate_and_averages(straight_cell_mesh):

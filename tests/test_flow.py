@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fixtures import uniform_flow, uniform_macro_flow
+from fixtures import integrate_cells, uniform_flow, uniform_macro_flow
 from perfoplate import fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.cell_problems import CellOperator, MachBoundError
@@ -42,7 +42,7 @@ def test_empty_cell_uniform_field(empty_cell_mesh, props):
 def test_uniform_flow_fixture(straight_cell_mesh, props):
     f = uniform_flow(straight_cell_mesh, (0.0, 0.0, 3.0), props)
     vol = straight_cell_mesh.cell_volumes().sum()
-    assert fem.integrate(straight_cell_mesh, f.velocity[:, 2]) == \
+    assert integrate_cells(straight_cell_mesh, f.velocity[:, 2]) == \
         pytest.approx(3.0 * vol, rel=1e-12)
     with pytest.raises(FlowError):
         uniform_flow(straight_cell_mesh, (1.0, 2.0), props)
@@ -155,6 +155,13 @@ def test_macro_flow_zero(duct_mesh, props):
     mf = solve_macro_potential_flow(duct_mesh, 0.0, props)
     assert mf.max_speed() == 0.0
     assert np.all(mf.interface_u3 == 0.0)
+
+
+@pytest.mark.parametrize("u_in", [math.nan, math.inf])
+def test_macro_flow_rejects_non_finite_inflow(duct_mesh, props, u_in):
+    # it would fail later as an unnamed "zero-mean solve residual nan"
+    with pytest.raises(FlowError, match=f"u_in must be finite, got {u_in!r}"):
+        solve_macro_potential_flow(duct_mesh, u_in, props)
 
 
 def test_macro_flow_conservation(duct_mesh, props):

@@ -358,7 +358,8 @@ def test_assembly_matches_coo_reference_bytes(duct_mesh, props, slant_coeffs,
         prob = MacroProblem(duct_mesh, props, coeffs, eps0=0.025, flow=mf,
                             impedance_flow_correction=case == "impedance_out",
                             source_side="out" if case == "impedance_out" else "in")
-    for f in (100.0, 479.9, 1000.0):
+    # 479.9 Hz is the worst-conditioned dip of the dense rest workload
+    for f in sorted([*np.linspace(100.0, 1000.0, 29), 479.9]):
         omega = 2 * math.pi * f
         A, rhs, nP = assemble_coupled_system(prob, omega)
         A_ref, rhs_ref, nP_ref = coo_reference.assemble_coupled_system(prob, omega)
@@ -367,6 +368,66 @@ def test_assembly_matches_coo_reference_bytes(duct_mesh, props, slant_coeffs,
                           (A.indptr, A_ref.indptr), (rhs, rhs_ref)):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+
+def _assert_same_matrix(got, want):
+    for a, b in ((got.data, want.data), (got.indices, want.indices),
+                 (got.indptr, want.indptr)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_summation_plan_recorded_once_per_problem(duct_mesh, props, slant_flow_coeffs,
+                                                  coo_to_csr_calls, monkeypatch):
+    """The plan is read off the frequency-independent patterns at the first
+    frequency, even a NaN one; no later frequency converts a COO matrix, and
+    each gives the matrix a problem of its own gives, to the last bit."""
+    mf = solve_macro_potential_flow(duct_mesh, 15.0, props)
+
+    def fresh():
+        return uniform_problem(duct_mesh, props, slant_flow_coeffs, eps0=0.025, flow=mf)
+    omegas = [2 * math.pi * f for f in (200.0, 479.9, 1000.0)]
+    want = [assemble_coupled_system(fresh(), omega)[0] for omega in omegas]
+    records = []
+    real = waveguide.SummationPlan.record.__func__
+
+    def counting(cls, *args):
+        records.append(args)
+        return real(cls, *args)
+    monkeypatch.setattr(waveguide.SummationPlan, "record", classmethod(counting))
+    prob = fresh()
+    A, _, _ = assemble_coupled_system(prob, float("nan"))
+    assert np.isnan(A.data).all() and len(records) == 1
+    coo_to_csr_calls.clear()
+    for omega, A_want in zip(omegas, want):
+        _assert_same_matrix(assemble_coupled_system(prob, omega)[0], A_want)
+    assert len(records) == 1 and coo_to_csr_calls == []
+
+
+def test_summation_plan_keeps_explicit_zeros(duct_mesh, props):
+    """The pattern is fixed per problem: an addend that is exactly zero at one
+    frequency stays in its slot, where a CSR sum of the blocks drops it."""
+    prob = uniform_problem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025)
+    plan = prob.parts.plan
+    A = plan.matrix(np.zeros(len(plan.first) + sum(len(s) for s, _ in plan.later),
+                             dtype=complex))
+    assert A.nnz == len(plan.indices) and not A.data.any()
+    assert A.has_canonical_format
+
+
+def test_unusable_frequencies_are_recorded(duct_mesh, props, splu_calls):
+    """A frequency that is not finite and > 0 is rejected before assembly,
+    and a sweep records it; -omega would otherwise mirror omega's TL."""
+    prob = uniform_problem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025)
+    bad = [float("nan"), -OMEGA, 0.0, math.inf]
+    for omega in bad:
+        with pytest.raises(MacroAssemblyError,
+                           match=re.escape(f"omega must be finite and > 0, got {omega!r}")):
+            solve_frequency(prob, omega)
+    assert splu_calls == []
+    rows, failures, _ = frequency_sweep(prob, bad + [OMEGA])
+    assert [row[0] for row in rows] == [OMEGA] and len(failures) == len(bad)
+    for (omega, msg), want in zip(failures, bad):
+        assert repr(omega) == repr(want) and msg.startswith("omega must be finite and > 0")
 
 
 def test_frequency_independent_parts_built_once(duct_mesh, props, monkeypatch):
