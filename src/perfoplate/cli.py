@@ -148,6 +148,8 @@ def main(argv=None):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = cfgmod.load_config(args.config) if args.config \
             else cfgmod.default_config()
         if args.tol is not None:

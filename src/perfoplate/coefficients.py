@@ -197,7 +197,7 @@ def cell_pipeline(geom: CellGeometry, u3, resolution, properties,
 
 
 def _sweep_one_angle(args):
-    geom, u3_values, resolution, properties, tol, residual_tol = args
+    geom, u3_values, resolution, properties, residual_tol = args
     mesh = generate_unit_cell_mesh(geom, resolution)
     rows = []
     for u3 in u3_values:
@@ -207,7 +207,7 @@ def _sweep_one_angle(args):
             # next point
             flw, coeffs = cell_pipeline(geom, u3, resolution, properties,
                                         residual_tol, mesh=mesh)[1::2]
-            report = verify_symmetries(coeffs, tol, properties,
+            report = verify_symmetries(coeffs, SYMMETRY_TOL, properties,
                                        speed_scale=max(flw.max_speed(), abs(u3)))
             rows.append((geom.hole_slope_deg, u3, coeffs, report.max_defect, None))
         except (MachBoundError, SolverError, FlowError) as exc:  # record, keep sweeping
@@ -216,20 +216,19 @@ def _sweep_one_angle(args):
 
 
 def sweep_coefficients(base_geom: CellGeometry, phi_degrees, u3_values,
-                       resolution, properties, tol=SYMMETRY_TOL, jobs=1,
-                       residual_tol=1e-10):
+                       resolution, properties, jobs=1, residual_tol=1e-10):
     """Coefficient table over hole slopes and through-flow speeds.
 
     Returns (rows, failures): rows are CSV-ready lists in deterministic
-    (phi, u3) order; per-point failures are recorded and skipped.
+    (phi, u3) order; per-point failures are recorded and skipped.  The
+    angles run in min(jobs, angles) worker processes when that exceeds 1.
     """
     tasks = []
     for phi in phi_degrees:
         geom = replace(base_geom, hole_slope_deg=phi)
-        tasks.append((geom, list(u3_values), resolution, properties, tol,
-                      residual_tol))
+        tasks.append((geom, list(u3_values), resolution, properties, residual_tol))
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_sweep_one_angle, tasks))
     else:
         results = [_sweep_one_angle(t) for t in tasks]

@@ -41,14 +41,13 @@ def quantize_speeds(values, quantum):
 
 
 def build_interface_coefficients(cell_geom: CellGeometry, element_u3,
-                                 resolution, properties,
-                                 quantum=0.25, residual_tol=1e-10,
-                                 cell_mesh=None) -> InterfaceCoefficientTable:
-    """Solve cell problems for each distinct quantized through-speed."""
+                                 resolution, properties, quantum=0.25,
+                                 residual_tol=1e-10) -> InterfaceCoefficientTable:
+    """Solve cell problems for each distinct quantized through-speed, all
+    on one cell mesh."""
     element_u3 = np.asarray(element_u3, dtype=float)
     q = quantize_speeds(element_u3, quantum)
-    mesh = cell_mesh if cell_mesh is not None else \
-        generate_unit_cell_mesh(cell_geom, resolution)
+    mesh = generate_unit_cell_mesh(cell_geom, resolution)
     by_speed = {u3: cell_pipeline(cell_geom, u3, resolution, properties, residual_tol,
                                   mesh=mesh)[3]
                 for u3 in sorted(set(q.tolist()))}
@@ -79,8 +78,7 @@ def setup_waveguide_run(duct_geom: WaveguideGeometry, cell_geom: CellGeometry,
                         duct_resolution=0.0125, cell_resolution=0.08,
                         quantum=0.25, amplitude=300.0, outer_advection=True,
                         impedance_flow_correction=False, source_side="in",
-                        residual_tol=1e-10, duct_mesh=None,
-                        cell_mesh=None) -> WaveguideRun:
+                        residual_tol=1e-10, duct_mesh=None) -> WaveguideRun:
     """Build the macro problem with flow-dependent interface coefficients."""
     mesh = duct_mesh if duct_mesh is not None else \
         generate_waveguide_mesh(duct_geom, duct_resolution)
@@ -88,8 +86,7 @@ def setup_waveguide_run(duct_geom: WaveguideGeometry, cell_geom: CellGeometry,
     n_elements = len(mesh.periodic_pairs[IFACE_PAIRING]) - 1
     element_u3 = np.zeros(n_elements) if mf is None else mf.element_u3()
     table = build_interface_coefficients(
-        cell_geom, element_u3, cell_resolution, properties, quantum, residual_tol,
-        cell_mesh=cell_mesh)
+        cell_geom, element_u3, cell_resolution, properties, quantum, residual_tol)
     problem = MacroProblem(
         mesh, properties, table.coefficients, eps0=cell_geom.eps0, flow=mf,
         amplitude=amplitude, outer_advection=outer_advection,

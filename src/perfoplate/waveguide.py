@@ -111,8 +111,9 @@ class OperatorParts:
     table: the interface element table (`_element_table`).  plan: the
     `SummationPlan` of the coupled matrix's entries, which
     `assemble_coupled_system` emits in the order bulk, advection, ports,
-    interface (`_interface_pattern`).  ordering: the `ColumnOrdering` of
-    the coupled matrix, kept from the first factorization, or None.
+    interface (`_interface_pattern`); every frequency's matrix is on its
+    pattern.  ordering: the plan's `ColumnOrdering`, or None before the
+    first factorization.
     """
 
     def __init__(self, problem: MacroProblem):
@@ -193,7 +194,8 @@ class SummationPlan:
     keys alone, so running it (``sort_indices``) on the input positions
     records it.  first: the first addend of every slot; later: for each
     further addend depth k, (the slots with more than k addends, their
-    addend k).
+    addend k).  The arrays are read-only, as every matrix the plan builds
+    shares its indptr and indices.
     """
 
     indptr: np.ndarray
@@ -219,7 +221,10 @@ class SummationPlan:
         depth = np.arange(count) - np.flatnonzero(starts)[slot]
         later = tuple((slot[depth == k], source[depth == k])
                       for k in range(1, depth.max() + 1))
-        return cls(_row_pointer(row[starts], n, idx), cols[starts], source[starts], later)
+        plan = cls(_row_pointer(row[starts], n, idx), cols[starts], source[starts], later)
+        for a in (plan.indptr, plan.indices, plan.first, *sum(later, ())):
+            a.flags.writeable = False
+        return plan
 
     def matrix(self, values):
         """The CSR matrix the conversion gives for entries with these values."""
@@ -227,42 +232,36 @@ class SummationPlan:
         for slots, addends in self.later:
             data[slots] += values[addends]
         n = len(self.indptr) - 1
-        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
-                             shape=(n, n))
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
 
 @dataclass(frozen=True)
 class ColumnOrdering:
-    """The column ordering SuperLU chose for one CSR pattern.
+    """The column ordering SuperLU chose for the pattern of a summation plan.
 
-    COLAMD orders by structure only, so it serves every matrix on the same
-    pattern (indptr, indices).  perm: SuperLU's ``perm_c``; the solution of
-    A x = b is x = y[perm], where y solves the column-permuted system.
-    gather, rows, colptr: the column-permuted CSC of such a matrix is
+    COLAMD orders by structure only, so it serves every matrix the plan
+    builds.  perm: SuperLU's ``perm_c``; the solution of A x = b is
+    x = y[perm], where y solves the column-permuted system.  gather, rows,
+    colptr: the column-permuted CSC of such a matrix is
     (A.data[gather], rows, colptr).
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
     perm: np.ndarray
     gather: np.ndarray
     rows: np.ndarray
     colptr: np.ndarray
 
     @classmethod
-    def of(cls, A, perm):
-        """The ordering ``perm`` for the pattern of the CSR matrix A."""
-        index = sp.csr_matrix((np.arange(A.nnz), A.indices, A.indptr), shape=A.shape)
+    def of(cls, plan, perm):
+        """The ordering ``perm`` for the pattern of ``plan``."""
+        n = len(plan.indptr) - 1
+        index = sp.csr_matrix((np.arange(len(plan.indices)), plan.indices, plan.indptr),
+                              shape=(n, n))
         permuted = index.tocsc()[:, np.argsort(perm)]
-        return cls(A.indptr.copy(), A.indices.copy(), perm,
-                   permuted.data, permuted.indices, permuted.indptr)
-
-    def fits(self, A):
-        return (np.array_equal(self.indptr, A.indptr)
-                and np.array_equal(self.indices, A.indices))
+        return cls(perm, permuted.data, permuted.indices, permuted.indptr)
 
     def permuted(self, A):
-        """The column-permuted CSC of a CSR matrix on this pattern."""
+        """The column-permuted CSC of a matrix the plan built."""
         return sp.csc_matrix((A.data[self.gather], self.rows, self.colptr),
                              shape=A.shape)
 
@@ -389,20 +388,19 @@ def assemble_coupled_system(problem: MacroProblem, omega: float):
 
 
 def _solve_coupled(parts: OperatorParts, A, rhs):
-    """Solve A x = b by sparse LU with the column ordering kept for A's
-    pattern, computing (and keeping) a COLAMD ordering when there is none.
-
-    SuperLU's ``perm_c`` already holds its elimination-tree postorder, and
-    NATURAL skips that step, so the pre-permuted columns give the LU that
-    COLAMD gives: the L and U factors and row pivots were bitwise equal on
-    every duct matrix tried (rest and flow, 464 to 4036 dofs, 100-1000 Hz).
+    """Solve A x = b, A from ``parts.plan``: the first solve factors with
+    COLAMD and keeps its ordering, every later one factors the pre-permuted
+    columns with NATURAL.  SuperLU's ``perm_c`` already holds its
+    elimination-tree postorder, which NATURAL skips, so this gives COLAMD's
+    LU: L, U and row pivots were bitwise equal on every duct matrix tried
+    (rest and flow, 464 to 4036 dofs, 100-1000 Hz).
     """
     kept = parts.ordering
-    if kept is not None and kept.fits(A):
+    if kept is not None:
         lu = spla.splu(kept.permuted(A), permc_spec="NATURAL")
         return lu.solve(rhs)[kept.perm]
     lu = spla.splu(A.tocsc())
-    parts.ordering = ColumnOrdering.of(A, lu.perm_c)
+    parts.ordering = ColumnOrdering.of(parts.plan, lu.perm_c)
     return lu.solve(rhs)
 
 

@@ -305,6 +305,55 @@ def test_jobs_flag_sweeps_in_parallel(tmp_path, monkeypatch):
     assert csv["2"] == csv["1"]
 
 
+@pytest.fixture
+def pool_workers(monkeypatch):
+    """Worker count of each process pool a sweep asks for while the test
+    runs; the stand-in pool maps in this process, so no test starts a large
+    number of processes."""
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+    monkeypatch.setattr(coefficients, "ProcessPoolExecutor", SerialPool)
+    return workers
+
+
+def test_jobs_beyond_the_angles_start_one_worker_per_angle(tmp_path, pool_workers):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[cell]\nresolution = 0.14\n"
+                       "[sweep]\nphi_list = 0,30\nu3_start = 0\nu3_stop = 0\n"
+                       "u3_count = 1\n")
+    csv = {}
+    for jobs in ("500", "1"):
+        out = tmp_path / f"jobs{jobs}"
+        assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(out),
+                        "--jobs", jobs]) == 0
+        csv[jobs] = (out / "coefficients.csv").read_bytes()
+    assert pool_workers == [2]
+    assert csv["500"] == csv["1"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(tmp_path, pool_workers, jobs):
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--out", str(out), "--jobs", jobs]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert record["message"] == f"--jobs must be >= 1, got {jobs}"
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    assert pool_workers == []
+
+
 def test_tol_flag(tmp_path):
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text(FAST_CELL)

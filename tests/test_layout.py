@@ -1,5 +1,6 @@
 """Every top-level function and class in ``src/`` has a user in the program,
-and every dataclass field in ``src/`` has a reader there.
+every dataclass field in ``src/`` has a reader there, and every option of a
+top-level function is set by some call.
 
 A reference is an ``ast.Name`` id or ``ast.Attribute`` attr in
 ``src/perfoplate/*.py`` (``__init__.py`` only re-exports) or
@@ -19,6 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = [p for p in sorted((ROOT / "src" / "perfoplate").glob("*.py"))
            if p.name != "__init__.py"]
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 ALLOWED = {"load_mesh"}  # the reader of the files save_mesh writes
 # the result record of one frequency solve, read by the tests
 ALLOWED_FIELDS = {"MacroSolution.omega", "MacroSolution.Gp", "MacroSolution.Gm"}
@@ -148,3 +150,40 @@ def test_no_default_fluid():
     let a check or a solve run with c = 343, tau = 3 in place of the
     configured fluid."""
     assert not defaulted_properties(), f"defaulted fluid: {defaulted_properties()}"
+
+
+def unset_options():
+    """Every defaulted parameter of a top-level function in ``src/`` that no
+    call in ``src/``, ``perfbench/`` or ``tests/`` passes, by name or by
+    position, as ``module:function(parameter)``.  A call is matched to a
+    function by the called name alone; arguments after a ``*args`` and
+    through ``**kwargs`` pass nothing."""
+    options = []  # (module, function, parameter, position or None)
+    for path in PACKAGE:
+        for fn in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            options += [(path.stem, fn.name, arg.arg, k)
+                        for k, arg in enumerate(positional) if k >= first]
+            options += [(path.stem, fn.name, arg.arg, None)
+                        for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    passed = set()  # (function, parameter name or position)
+    for path in PACKAGE + BENCH + TESTS:
+        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            starred = [isinstance(arg, ast.Starred) for arg in call.args] + [True]
+            passed.update((name, k) for k in range(starred.index(True)))
+            passed.update((name, kw.arg) for kw in call.keywords if kw.arg is not None)
+    return [f"{module}:{fn}({param})" for module, fn, param, k in options
+            if (fn, param) not in passed and (fn, k) not in passed]
+
+
+def test_every_option_is_set_somewhere():
+    """An option nothing sets is code no run or test takes: each defaulted
+    parameter of a top-level function is passed by at least one call."""
+    assert not unset_options(), f"options nothing sets: {unset_options()}"

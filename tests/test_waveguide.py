@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -491,28 +491,38 @@ def test_one_column_ordering_per_problem(duct_mesh, props, slant_coeffs,
         _assert_same_solution(sol, solve_frequency(fresh(), sol.omega))
 
 
-def test_changed_pattern_gets_a_new_ordering(duct_mesh, props, slant_coeffs,
-                                             splu_calls):
-    prob = uniform_problem(duct_mesh, props, slant_coeffs, eps0=0.025)
-    A, rhs, _ = assemble_coupled_system(prob, OMEGA)
-    waveguide._solve_coupled(prob.parts, A, rhs)
+def test_one_pattern_per_problem(duct_mesh, props, slant_flow_coeffs, sparse_builds):
+    """Every frequency's matrix is built on the plan's own read-only pattern:
+    the kept ordering holds no copy of it, an in-place change of a returned
+    matrix's pattern raises and leaves the plan as it was, and a later
+    frequency builds one CSR (the matrix) and one CSC (its permuted columns)."""
+    mf = solve_macro_potential_flow(duct_mesh, 15.0, props)
+
+    def fresh():
+        return uniform_problem(duct_mesh, props, slant_flow_coeffs, eps0=0.025, flow=mf)
+    prob = fresh()
+    plan = prob.parts.plan
+    omegas = [2 * math.pi * f for f in (200.0, 479.9, 800.0, 1000.0)]
+    solve_frequency(prob, omegas[0])  # keeps the ordering
     kept = prob.parts.ordering
-    assert kept.fits(A)
-    # drop the first off-diagonal entry, as CSR arithmetic drops an exact cancellation
-    B = A.copy()
-    k = int(np.flatnonzero(B.indices[B.indptr[0]:B.indptr[1]] != 0)[0])
-    B.data[k] = 0.0
-    B.eliminate_zeros()
-    assert B.nnz == A.nnz - 1
-    want = spla.splu(B.tocsc()).solve(rhs)
-    splu_calls.clear()
-    got = waveguide._solve_coupled(prob.parts, B, rhs)
-    assert [spec for _, spec in splu_calls] == ["COLAMD"]
-    assert got.tobytes() == want.tobytes()
-    assert prob.parts.ordering.fits(B) and not prob.parts.ordering.fits(A)
-    # the new ordering serves the new pattern
-    waveguide._solve_coupled(prob.parts, B, rhs)
-    assert [spec for _, spec in splu_calls] == ["COLAMD", "NATURAL"]
+    assert [f.name for f in fields(kept)] == ["perm", "gather", "rows", "colptr"]
+    assert not hasattr(kept, "fits")
+    for f in fields(kept):
+        for pattern in (plan.indptr, plan.indices):
+            assert not np.shares_memory(getattr(kept, f.name), pattern)
+    for omega in omegas:
+        A, _, _ = assemble_coupled_system(prob, omega)
+        for got, pattern in ((A.indptr, plan.indptr), (A.indices, plan.indices)):
+            assert np.shares_memory(got, pattern) and not got.flags.writeable
+        with pytest.raises(ValueError):
+            A.eliminate_zeros()
+    for omega in omegas[1:]:
+        _assert_same_matrix(assemble_coupled_system(prob, omega)[0],
+                            assemble_coupled_system(fresh(), omega)[0])
+    sparse_builds.clear()
+    sol = solve_frequency(prob, omegas[-1])
+    assert sorted(sparse_builds) == ["csc_matrix", "csr_matrix"]
+    _assert_same_solution(sol, solve_frequency(fresh(), omegas[-1]))
 
 
 def test_failed_natural_factorization_is_a_solver_error(duct_mesh, props,
