@@ -40,7 +40,7 @@ class MachBoundError(RuntimeError):
 @per_mesh
 def unit_advection_matrix(mesh):
     """W of the mesh's u3 = 1 cell flow, read-only; the flow u3 * w1 has W = u3^2 * W1."""
-    return fem.advection_matrix(mesh, unit_cell_flow(mesh)[1])
+    return fem.advection_matrix(mesh, unit_cell_flow(mesh)[0])
 
 
 class LanczosRun:
@@ -298,7 +298,7 @@ def _advective_vector(mesh, velocity):
 @per_mesh
 def unit_advective_vector(mesh):
     """a of the mesh's u3 = 1 cell flow, read-only; the flow u3 * w1 has a = u3 * a1."""
-    return _advective_vector(mesh, unit_cell_flow(mesh)[1])
+    return _advective_vector(mesh, unit_cell_flow(mesh)[0])
 
 
 def advective_vector(flow):

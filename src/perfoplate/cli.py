@@ -18,7 +18,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .cell_mesh import generate_unit_cell_mesh
-from .coefficients import (SYMMETRY_TOL, _num, cell_pipeline, rows_to_csv,
+from .coefficients import (CSV_HEADER, SYMMETRY_TOL, cell_pipeline,
                            sweep_coefficients, verify_symmetries)
 from .duct_mesh import generate_waveguide_mesh
 from .mesh import save_mesh
@@ -28,6 +28,17 @@ from .waveguide import frequency_sweep
 
 def _write(path: Path, text: str):
     path.write_text(text, encoding="utf-8")
+
+
+def write_csv(path: Path, header, rows):
+    """A header line, then one line per row: numbers in round-trip
+    precision, commas inside text replaced by semicolons."""
+    lines = [header] + [",".join(_field(v) for v in row) for row in rows]
+    _write(path, "\n".join(lines) + "\n")
+
+
+def _field(v):
+    return v.replace(",", ";") if isinstance(v, str) else format(float(v), ".17g")
 
 
 def cmd_mesh_cell(cfg, out: Path):
@@ -55,7 +66,7 @@ def cmd_cell(cfg, out: Path):
     report = verify_symmetries(coeffs, SYMMETRY_TOL, props,
                                speed_scale=max(flw.max_speed(), abs(u3)))
     rows = [coeffs.as_row(geom.hole_slope_deg, u3, report.max_defect)]
-    _write(out / "coefficients.csv", rows_to_csv(rows))
+    write_csv(out / "coefficients.csv", CSV_HEADER, rows)
     _write(out / "symmetry_report.txt", str(report) + "\n")
     return ["correctors.msh", "coefficients.csv", "symmetry_report.txt"]
 
@@ -66,13 +77,10 @@ def cmd_sweep(cfg, out: Path, jobs=1):
         cfg.cell_geometry(), cfg.sweep_phis(), cfg.sweep_u3(),
         cfg["cell.resolution"], props, jobs=jobs,
         residual_tol=cfg["run.residual_tol"])
-    _write(out / "coefficients.csv", rows_to_csv(rows))
+    write_csv(out / "coefficients.csv", CSV_HEADER, rows)
     written = ["coefficients.csv"]
     if failures:
-        lines = ["phi_deg,U3,error"]
-        lines += [f"{_num(p)},{_num(u)},{e.replace(',', ';')}"
-                  for p, u, e in failures]
-        _write(out / "failures.csv", "\n".join(lines) + "\n")
+        write_csv(out / "failures.csv", "phi_deg,U3,error", failures)
         written.append("failures.csv")
     return written
 
@@ -93,15 +101,11 @@ def cmd_waveguide(cfg, out: Path):
     problem = run.problem
     omegas = [2.0 * math.pi * f for f in cfg.frequencies_hz()]
     rows, failures, solutions = frequency_sweep(problem, omegas)
-    lines = ["omega_rad_s,freq_hz,TL_db,flux_in,flux_out"]
-    lines += [",".join(_num(v) for v in row) for row in rows]
-    _write(out / "tl.csv", "\n".join(lines) + "\n")
+    write_csv(out / "tl.csv", "omega_rad_s,freq_hz,TL_db,flux_in,flux_out", rows)
 
     x = problem.index.x
     u3 = np.zeros(len(x)) if problem.flow is None else problem.flow.interface_u3
-    u3_lines = ["arc_length,U3"]
-    u3_lines += [f"{_num(a)},{_num(u)}" for a, u in zip(x - x[0], u3)]
-    _write(out / "interface_u3.csv", "\n".join(u3_lines) + "\n")
+    write_csv(out / "interface_u3.csv", "arc_length,U3", zip(x - x[0], u3))
 
     written = ["tl.csv", "interface_u3.csv"]
     if rows:
@@ -112,9 +116,7 @@ def cmd_waveguide(cfg, out: Path):
         save_mesh(snap, out / "pressure.msh")
         written.append("pressure.msh")
     if failures:
-        lines = ["omega_rad_s,error"]
-        lines += [f"{_num(w)},{e.replace(',', ';')}" for w, e in failures]
-        _write(out / "failures.csv", "\n".join(lines) + "\n")
+        write_csv(out / "failures.csv", "omega_rad_s,error", failures)
         written.append("failures.csv")
     return written
 
@@ -138,8 +140,6 @@ def build_parser():
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes of a sweep (default: 1)")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="override the residual tolerance of every linear solve")
     return parser
 
 
@@ -152,9 +152,6 @@ def main(argv=None):
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = cfgmod.load_config(args.config) if args.config \
             else cfgmod.default_config()
-        if args.tol is not None:
-            cfg.values["run"]["residual_tol"] = args.tol
-            cfgmod.validate(cfg)
         _write(out / "effective_config.ini", cfgmod.render_config(cfg))
         if args.command == "sweep":
             written = cmd_sweep(cfg, out, jobs=args.jobs)

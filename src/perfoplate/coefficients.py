@@ -16,8 +16,6 @@ construction.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -241,16 +239,3 @@ def sweep_coefficients(base_geom: CellGeometry, phi_degrees, u3_values,
                 rows.append(coeffs.as_row(phi, u3, defect))
     rows.sort(key=lambda r: (r[0], r[1]))
     return rows, failures
-
-
-def rows_to_csv(rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
-    for row in rows:
-        writer.writerow([_num(v) for v in row])
-    return buf.getvalue()
-
-
-def _num(v):
-    return format(float(v), ".17g")

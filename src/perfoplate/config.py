@@ -168,7 +168,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def validate(cfg: RunConfig):
-    """Reject values no run can use; run again after any override."""
+    """Reject values no run can use."""
     mode = cfg["flow.mode"]
     if mode not in _VALID_FLOW_MODES:
         raise ConfigError(f"flow mode must be one of {_VALID_FLOW_MODES}, got {mode!r}")

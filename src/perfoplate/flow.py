@@ -28,27 +28,21 @@ class FlowError(RuntimeError):
 
 @dataclass
 class FlowField:
-    """Nodal advection velocity and its potential on a mesh.
+    """Nodal advection velocity on a mesh.
 
     ``unit_scale`` is None, or the factor s for which this field is s times
     the u3 = 1 cell flow of its mesh (``unit_cell_flow``); the cell operator
     then scales that flow's per-mesh advection matrix instead of assembling
-    one.  Only ``solve_cell_potential_flow`` and ``scaled`` set it.
+    one.  Only ``solve_cell_potential_flow`` sets it.
     """
 
     mesh: object
     velocity: np.ndarray
-    potential: np.ndarray
     properties: FluidProperties
     unit_scale: float | None = None
 
     def max_speed(self) -> float:
         return float(np.linalg.norm(self.velocity, axis=1).max(initial=0.0))
-
-    def scaled(self, factor):
-        unit_scale = None if self.unit_scale is None else factor * self.unit_scale
-        return FlowField(self.mesh, factor * self.velocity,
-                         factor * self.potential, self.properties, unit_scale)
 
 
 def _recover_velocity(mesh, potential):
@@ -73,10 +67,11 @@ def face_flux_jump(mesh):
 
 @per_mesh
 def unit_cell_flow(mesh):
-    """The u3 = 1 cell flow of a mesh: (potential, velocity, relative residual).
+    """The u3 = 1 cell flow of a mesh: (velocity, relative residual).
 
     The potential solves a pure-Neumann Laplace problem with w.n = +1 on
-    I+ and -1 on I- (net upward through-flow) and impermeable plate walls.
+    I+ and -1 on I- (net upward through-flow) and impermeable plate walls;
+    only the velocity recovered from it is kept.
     The problem is linear in u3, so every other speed scales this flow.
     It is solved by the mesh's kept stiffness solver (``fem.stiffness_solver``),
     which the cell correctors then use as their preconditioner.
@@ -84,7 +79,7 @@ def unit_cell_flow(mesh):
     rhs = -face_flux_jump(mesh)
     # each caller checks the residual against its own tolerance
     pot, residual = fem.stiffness_solver(mesh).solve_with_residual(rhs)
-    return pot, _recover_velocity(mesh, pot), residual
+    return _recover_velocity(mesh, pot), residual
 
 
 def solve_cell_potential_flow(mesh, u3, properties, residual_tol=1e-10):
@@ -93,11 +88,10 @@ def solve_cell_potential_flow(mesh, u3, properties, residual_tol=1e-10):
     if not np.isfinite(u3):
         raise FlowError("u3 must be finite")
     if u3 == 0.0:
-        zero = np.zeros(mesh.num_nodes)
-        return FlowField(mesh, np.zeros((mesh.num_nodes, 3)), zero, properties)
-    pot, vel, residual = unit_cell_flow(mesh)
+        return FlowField(mesh, np.zeros((mesh.num_nodes, 3)), properties)
+    vel, residual = unit_cell_flow(mesh)
     fem.check_residual(residual, residual_tol)
-    return FlowField(mesh, vel, pot, properties, unit_scale=1.0).scaled(u3)
+    return FlowField(mesh, u3 * vel, properties, unit_scale=u3)
 
 
 # -- waveguide ---------------------------------------------------------------
@@ -110,7 +104,6 @@ class MacroFlowField:
 
     mesh: object
     velocity: np.ndarray
-    potential: np.ndarray
     interface_u3: np.ndarray
     properties: FluidProperties
 
@@ -161,4 +154,4 @@ def solve_macro_potential_flow(mesh, u_in, properties, residual_tol=1e-10):
     pot = solver.solve(rhs)
     vel = _recover_velocity(mesh, pot)
     u3 = _interface_profile(mesh, pot)
-    return MacroFlowField(mesh, vel, pot, u3, properties)
+    return MacroFlowField(mesh, vel, u3, properties)

@@ -58,7 +58,8 @@ class MacroProblem:
     """Everything needed to assemble one frequency solve.
 
     interface_coeffs: a sequence of one HomogenizedCoefficients per
-    interface element.  flow: MacroFlowField or None.
+    interface element.  flow: MacroFlowField solved on this mesh object,
+    or None.
     The problem is frozen, so its operator parts, built on first use and
     kept, cannot go stale.  The mesh must carry the split interface (the
     ``iface`` pairing of `duct_mesh.generate_waveguide_mesh`).
@@ -86,6 +87,9 @@ class MacroProblem:
         if IFACE_PAIRING not in self.mesh.periodic_pairs:
             raise MacroAssemblyError(
                 f"mesh has no {IFACE_PAIRING!r} pairing: the interface must be split")
+        if self.flow is not None and self.flow.mesh is not self.mesh:
+            raise MacroAssemblyError(
+                "the mean flow was solved on another mesh than the problem's")
         if self.flow is not None and self.flow.properties != self.properties:
             raise MacroAssemblyError(
                 f"the mean flow was solved for {self.flow.properties}, "

@@ -20,17 +20,15 @@ def uniform_flow(mesh, w_vec, properties):
     if w_vec.shape != (mesh.dim,):
         raise FlowError(f"velocity vector must have {mesh.dim} components")
     vel = np.tile(w_vec, (mesh.num_nodes, 1))
-    pot = -mesh.nodes @ w_vec
-    return FlowField(mesh, vel, pot, properties)
+    return FlowField(mesh, vel, properties)
 
 
 def uniform_macro_flow(mesh, axial_speed, properties):
     """Constant axial mean flow in a duct; zero transverse profile."""
     vel = np.zeros((mesh.num_nodes, 2))
     vel[:, 0] = axial_speed
-    pot = -axial_speed * mesh.nodes[:, 0]
     n = len(mesh.periodic_pairs[IFACE_PAIRING])
-    return MacroFlowField(mesh, vel, pot, np.zeros(n), properties)
+    return MacroFlowField(mesh, vel, np.zeros(n), properties)
 
 
 def integrate_cells(mesh, field):

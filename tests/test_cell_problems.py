@@ -141,10 +141,11 @@ def test_mirror_antisymmetry_of_tangential_corrector(props):
 def test_pi_P_linearity_for_small_flow(straight_cell_mesh, props):
     # the operator itself depends on the flow, so linearity holds to first
     # order only; doubling a small flow must double the corrector
-    base = solve_cell_potential_flow(straight_cell_mesh, 1.0, props)
     alpha = 1e-3
-    one = solve_pi_P(assemble_Aw(base.scaled(alpha)))
-    two = solve_pi_P(assemble_Aw(base.scaled(2 * alpha)))
+    one = solve_pi_P(assemble_Aw(
+        solve_cell_potential_flow(straight_cell_mesh, alpha, props)))
+    two = solve_pi_P(assemble_Aw(
+        solve_cell_potential_flow(straight_cell_mesh, 2 * alpha, props)))
     mismatch = np.linalg.norm(two - 2.0 * one) / np.linalg.norm(two)
     assert mismatch <= 1e-5
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from perfoplate import coefficients, waveguide
-from perfoplate.cli import main
+from perfoplate.cli import build_parser, main
 from perfoplate.config import (ConfigError, default_config, load_config,
                                parse_config, render_config)
 from perfoplate.mesh import load_mesh
@@ -354,24 +354,22 @@ def test_jobs_below_one_rejected(tmp_path, pool_workers, jobs):
     assert pool_workers == []
 
 
-def test_tol_flag(tmp_path):
-    cfgfile = tmp_path / "run.ini"
-    cfgfile.write_text(FAST_CELL)
-    out = tmp_path / "out"
-    assert run_cli(["cell", "--config", str(cfgfile), "--out", str(out),
-                    "--tol", "1e-8"]) == 0
-    echoed = load_config(out / "effective_config.ini")
-    assert echoed["run.residual_tol"] == 1e-8
+def test_every_other_setting_is_a_config_key():
+    """The command line offers the command, the config file, the output
+    directory and the worker count; every other setting has its one home
+    in the configuration."""
+    settings = sorted(a.option_strings[-1] if a.option_strings else a.dest
+                      for a in build_parser()._actions if a.dest != "help")
+    assert settings == ["--config", "--jobs", "--out", "command"]
 
 
 def test_nan_tol_rejected(tmp_path):
     """A NaN tolerance would pass every residual check (r > nan is false)."""
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text("[cell]\nresolution = 0.2\nhole_slope_deg = 30\n"
-                       "[flow]\nu3 = 2\n")
+                       "[flow]\nu3 = 2\n[run]\nresidual_tol = nan\n")
     out = tmp_path / "out"
-    assert run_cli(["cell", "--config", str(cfgfile), "--out", str(out),
-                    "--tol", "nan"]) == 1
+    assert run_cli(["cell", "--config", str(cfgfile), "--out", str(out)]) == 1
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "ConfigError"
     assert "residual_tol must be > 0" in record["message"]
@@ -393,15 +391,14 @@ def test_nan_fluid_constant_rejected(tmp_path, u3):
 def test_tol_reaches_every_solve(tmp_path):
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text("[cell]\nresolution = 0.2\n"
-                       "[sweep]\nphi_list = 0\nu3_start = 1\nu3_count = 1\n")
+                       "[sweep]\nphi_list = 0\nu3_start = 1\nu3_count = 1\n"
+                       "[run]\nresidual_tol = 1e-30\n")
     out = tmp_path / "sweep"
-    assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(out),
-                    "--tol", "1e-30"]) == 0
+    assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(out)]) == 0
     assert (out / "coefficients.csv").read_text().count("\n") == 1  # header only
     header, row = (out / "failures.csv").read_text().splitlines()
     assert header == "phi_deg,U3,error"
     assert row.startswith("0,1,zero-mean solve residual") and "exceeds 1.0e-30" in row
     out = tmp_path / "cell"
-    assert run_cli(["cell", "--config", str(cfgfile), "--out", str(out),
-                    "--tol", "1e-30"]) == 1
+    assert run_cli(["cell", "--config", str(cfgfile), "--out", str(out)]) == 1
     assert json.loads((out / "error.json").read_text())["error"] == "SolverError"

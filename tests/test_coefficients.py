@@ -12,9 +12,10 @@ from fixtures import coef_deviation, empty_cell_coefficients, uniform_flow
 from perfoplate import coefficients
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.cell_problems import MachBoundError, solve_cell_problems
+from perfoplate.cli import write_csv
 from perfoplate.coefficients import (CSV_HEADER, cell_pipeline,
-                                     compute_coefficients, rows_to_csv,
-                                     sweep_coefficients, verify_symmetries)
+                                     compute_coefficients, sweep_coefficients,
+                                     verify_symmetries)
 from perfoplate.flow import solve_cell_potential_flow
 from perfoplate.geometry import CellGeometry
 
@@ -153,17 +154,19 @@ def test_hole_size_raises_resistance(props):
     assert co_small.F > co_big.F > 1.0
 
 
-def test_csv_schema_and_determinism(props):
+def test_csv_schema_and_determinism(props, tmp_path):
     geom = CellGeometry()
     rows, failures = sweep_coefficients(geom, [0.0], [0.0, 1.0], 0.12, props)
     assert not failures
-    text = rows_to_csv(rows)
+    write_csv(tmp_path / "one.csv", CSV_HEADER, rows)
+    text = (tmp_path / "one.csv").read_text()
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
     assert header == CSV_HEADER.split(",")
     assert len(list(reader)) == 2
     rows2, _ = sweep_coefficients(geom, [0.0], [0.0, 1.0], 0.12, props)
-    assert rows_to_csv(rows2) == text
+    write_csv(tmp_path / "two.csv", CSV_HEADER, rows2)
+    assert (tmp_path / "two.csv").read_text() == text
 
 
 def test_sweep_single_point_matches_pipeline(props):
@@ -182,7 +185,7 @@ def test_sweep_worker_count_invariance(props):
                                   jobs=1)
     rows2, _ = sweep_coefficients(geom, [0.0, 30.0], [0.0, 2.0], 0.12, props,
                                   jobs=2)
-    assert rows_to_csv(rows1) == rows_to_csv(rows2)
+    assert np.array(rows1).tobytes() == np.array(rows2).tobytes()
 
 
 def test_sweep_records_failures_and_continues(props):

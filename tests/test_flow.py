@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,20 +10,32 @@ from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.cell_problems import CellOperator, MachBoundError
 from perfoplate.duct_mesh import interface_nodes
 from perfoplate.fem import SolverError
-from perfoplate.flow import (FlowError, _recover_velocity, solve_cell_potential_flow,
+from perfoplate.flow import (FlowError, FlowField, MacroFlowField, _recover_velocity,
+                             face_flux_jump, solve_cell_potential_flow,
                              solve_macro_potential_flow, unit_cell_flow)
 from perfoplate.geometry import CellGeometry
 
 
-def boundary_flux(flow, group):
-    """Consistent outward flux of w through a facet group.
+def unit_potential(mesh):
+    """The potential of the u3 = 1 cell flow, solved as `unit_cell_flow`
+    solves it (the flow keeps only the velocity)."""
+    pot, _ = fem.stiffness_solver(mesh).solve_with_residual(-face_flux_jump(mesh))
+    return pot
 
-    Computed from the stiffness residual of the potential (the discrete
-    weak flux), folded across periodic identifications.
+
+def boundary_flux(flow, group):
+    """Consistent outward flux of a solved cell flow through a facet group.
+
+    Computed from the stiffness residual of its potential (the discrete
+    weak flux), folded across periodic identifications; the potential is
+    checked to be the one the flow's velocity was recovered from.
     """
     mesh = flow.mesh
+    unit = unit_potential(mesh)
+    np.testing.assert_array_equal(
+        flow.velocity, flow.unit_scale * _recover_velocity(mesh, unit))
     T = fem.periodic_reduction(mesh)
-    rr = T.T @ (fem.stiffness_matrix(mesh) @ flow.potential)
+    rr = T.T @ (fem.stiffness_matrix(mesh) @ (flow.unit_scale * unit))
     red = np.unique(T.indices[mesh.group_nodes(group)])
     return -float(rr[red].sum())
 
@@ -30,7 +43,15 @@ def boundary_flux(flow, group):
 def test_zero_speed_gives_zero_field(straight_cell_mesh, props):
     f = solve_cell_potential_flow(straight_cell_mesh, 0.0, props)
     assert f.max_speed() == 0.0
-    assert np.all(f.potential == 0.0)
+    assert f.velocity.shape == (straight_cell_mesh.num_nodes, 3)
+    assert np.all(f.velocity == 0.0)
+
+
+def test_flow_fields_keep_no_potential():
+    assert [f.name for f in fields(FlowField)] == \
+        ["mesh", "velocity", "properties", "unit_scale"]
+    assert [f.name for f in fields(MacroFlowField)] == \
+        ["mesh", "velocity", "interface_u3", "properties"]
 
 
 def test_empty_cell_uniform_field(empty_cell_mesh, props):
@@ -97,7 +118,7 @@ def test_scaled_unit_flow_matches_direct_solve(slant_cell_mesh, props, u3):
     rhs = -u3 * (fem.boundary_load_vector(m, "I+") - fem.boundary_load_vector(m, "I-"))
     pot = fem.ZeroMeanSolver(m, fem.stiffness_matrix(m), 1e-10).solve(rhs)
     vel = _recover_velocity(m, pot)
-    assert np.linalg.norm(f.potential - pot) <= 1e-12 * np.linalg.norm(pot)
+    assert np.linalg.norm(u3 * unit_potential(m) - pot) <= 1e-12 * np.linalg.norm(pot)
     assert np.linalg.norm(f.velocity - vel) <= 1e-12 * np.linalg.norm(vel)
     assert f.unit_scale == u3 and f.properties is props
 
@@ -114,13 +135,16 @@ def test_second_speed_reuses_unit_flow(fresh_cell_mesh, props, splu_calls):
     assert len(splu_calls) == 1
     second = solve_cell_potential_flow(m, -2.5, props)
     assert len(splu_calls) == 1
-    pot, vel, _ = unit_cell_flow(m)
+    vel, _ = unit_cell_flow(m)
     np.testing.assert_array_equal(first.velocity, 1.5 * vel)
-    np.testing.assert_array_equal(second.potential, -2.5 * pot)
+    np.testing.assert_array_equal(second.velocity, -2.5 * vel)
+    # the kept velocity is recovered from the kept solver's potential
+    np.testing.assert_array_equal(vel, _recover_velocity(m, unit_potential(m)))
+    assert len(splu_calls) == 1
     K = fem.stiffness_matrix(m)
-    for a in (pot, vel, K.data, K.indices, K.indptr):
+    for a in (vel, K.data, K.indices, K.indptr):
         assert not a.flags.writeable
-    assert second.velocity.flags.writeable and second.potential.flags.writeable
+    assert second.velocity.flags.writeable
 
 
 def test_zero_speed_builds_no_unit_flow(fresh_cell_mesh, props, splu_calls):

@@ -17,6 +17,7 @@ from perfoplate.duct_mesh import GROUP_IN, GROUP_OUT
 from perfoplate.fem import FluidProperties, SolverError
 from perfoplate.flow import solve_macro_potential_flow
 from perfoplate.geometry import CellGeometry, WaveguideGeometry
+from perfoplate.mesh import Mesh
 from perfoplate.waveguide import (MacroAssemblyError, MacroProblem,
                                   MacroSolution, assemble_coupled_system,
                                   boundary_energy, interface_element_blocks,
@@ -184,17 +185,23 @@ def test_identical_boundary_fields_give_zero_db(duct_mesh, props):
 
 
 def test_energy_conservation_at_rest(duct_mesh, props, slant_coeffs):
-    """Net injected power equals transmitted power for the lossless model."""
+    """Net injected power equals transmitted power for the lossless model.
+
+    The balance is measured against its largest term: at the TL dip of
+    480 Hz (-56 dB) the injected power is a near-cancelling difference
+    (2.5e-6 of its terms), so relative to it the same balance would read
+    4e5 times worse.
+    """
     prob = uniform_problem(duct_mesh, props, slant_coeffs, eps0=0.025)
-    sol = solve_frequency(prob, OMEGA)
     facets = duct_mesh.facet_group(GROUP_IN)
     meas = duct_mesh.facet_measures(GROUP_IN)
-    a, b = sol.P[facets[:, 0]], sol.P[facets[:, 1]]
-    int_re = float((meas * (a.real + b.real) / 2).sum())
-    power_in = 2 * prob.amplitude * int_re - boundary_energy(duct_mesh, sol.P,
-                                                             GROUP_IN)
-    power_out = boundary_energy(duct_mesh, sol.P, GROUP_OUT)
-    assert abs(power_in - power_out) <= 1e-9 * max(abs(power_in), abs(power_out))
+    for freq in (400.0, 480.0):
+        sol = solve_frequency(prob, 2 * math.pi * freq)
+        a, b = sol.P[facets[:, 0]], sol.P[facets[:, 1]]
+        driven = 2 * prob.amplitude * float((meas * (a.real + b.real) / 2).sum())
+        e_in = boundary_energy(duct_mesh, sol.P, GROUP_IN)
+        e_out = boundary_energy(duct_mesh, sol.P, GROUP_OUT)
+        assert abs(driven - e_in - e_out) <= 1e-9 * max(abs(driven), e_in, e_out), freq
 
 
 def _block_max(a):
@@ -279,6 +286,27 @@ def test_flow_of_another_fluid_rejected(duct_mesh, props):
     with pytest.raises(MacroAssemblyError, match=rf"solved for {re.escape(repr(other))}, "
                                                  rf"the problem is posed for {re.escape(repr(props))}"):
         uniform_problem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025, flow=flow)
+
+
+def test_flow_on_another_duct_rejected(duct_mesh, props):
+    """The flow is indexed by the problem's nodes, so it must be solved on
+    the problem's mesh object: a flow on a duct of the same size, mirrored
+    in x1 or an exact copy, is rejected."""
+    nodes = duct_mesh.nodes.copy()
+    nodes[:, 0] = WaveguideGeometry().l_m - nodes[:, 0]
+    mirrored = Mesh(2, nodes, duct_mesh.cells[:, [0, 2, 1]], duct_mesh.facet_groups,
+                    duct_mesh.periodic_pairs).validate()
+    copy = Mesh(2, duct_mesh.nodes.copy(), duct_mesh.cells.copy(),
+                duct_mesh.facet_groups, duct_mesh.periodic_pairs).validate()
+    for other in (mirrored, copy):
+        assert other.num_nodes == duct_mesh.num_nodes
+        flow = solve_macro_potential_flow(other, 10.0, props)
+        with pytest.raises(MacroAssemblyError, match="solved on another mesh"):
+            uniform_problem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025,
+                            flow=flow)
+        prob = uniform_problem(other, props, empty_cell_coefficients(), eps0=0.025,
+                               flow=flow)
+        assert prob.flow is flow
 
 
 def test_missing_elementwise_coefficients_rejected(duct_mesh, props):
