@@ -3,16 +3,17 @@
 The flow-modified operator pairs gradients minus a scaled advective
 derivative; all three corrector problems share it.  At rest it is the
 stiffness matrix, factored once per operator.  With flow it is never
-factored.  On the periodic classes it reads K - s W, with K the stiffness
-matrix and W the advection matrix of a fixed flow, so a corrector solves
-(I - s M) x = K^+ r with M = K^+ W, which is self-adjoint in the K inner
-product.  A Lanczos run of M in that inner product, from the start K^+ r,
-serves every s through one tridiagonal solve of the run's size; K^+ is the
-mesh's kept stiffness factorization.  For a scaled unit cell flow, W is the
-u3 = 1 matrix W1 and s = tau u3^2 / c^2, so the runs depend on the mesh
-alone: they are kept with its stiffness solver and each further speed only
-extends them.  All forms are cell-averaged (normalized by the in-plane cell
-area), and all correctors are real, zero-mean and periodic in the in-plane
+factored.  The cell flow is u3 times the mesh's u3 = 1 flow, so on the
+periodic classes the operator reads K - s W1, with K the stiffness matrix,
+W1 the advection matrix of the unit flow and s = tau u3^2 / c^2, and a
+corrector solves (I - s M) x = K^+ r with M = K^+ W1, which is
+self-adjoint in the K inner product.  A Lanczos run of M in that inner
+product, from the start K^+ r, serves every s through one tridiagonal solve
+of the run's size; K^+ is the mesh's kept stiffness factorization.  Each
+corrector load splits into parts that depend on the mesh alone, so the runs
+are kept with its stiffness solver and each further speed only extends
+them.  All forms are cell-averaged (normalized by the in-plane cell area),
+and all correctors are real, zero-mean and periodic in the in-plane
 directions.
 """
 
@@ -118,12 +119,12 @@ class CellOperator:
     the Lanczos solves, which are conjugate gradients preconditioned by K,
     converge at a condition number of at most 1 / (1 - rho).
 
-    With flow, ``solve`` takes each fixed part of a named corrector load from
-    a Lanczos run: for a scaled unit cell flow the runs of the mesh's kept
-    stiffness solver (``fem.stiffness_runs``), for any other flow, or an
-    unnamed load, runs of its own.  A run is extended until its residual
-    estimate reaches LANCZOS_TOL, shared among the parts, for the speed
-    at hand; the explicit residual is then checked against ``residual_tol``.
+    ``solve`` takes a corrector's name and builds its load (``load``).  At
+    rest it solves by the factored K / |Xi|; with flow it takes each fixed
+    part of the load from a Lanczos run kept with the mesh's stiffness
+    solver (``fem.stiffness_runs``).  A run is extended until its residual
+    estimate reaches LANCZOS_TOL, shared among the parts, for the speed at
+    hand; the explicit residual is then checked against ``residual_tol``.
     """
 
     def __init__(self, flow: FlowField, residual_tol: float = 1e-10):
@@ -137,7 +138,7 @@ class CellOperator:
         self.flow = flow
         self.residual_tol = residual_tol
         self.xi = fem.xi_measure(mesh)
-        if speed == 0.0:
+        if flow.u3 == 0.0:
             # freed before this mesh's first matrix is built, as that is
             # where another mesh's kept solver and runs would set the peak
             fem.drop_other_stiffness_solver(mesh)
@@ -148,28 +149,21 @@ class CellOperator:
         self._direct = None
         self._reduction = fem.periodic_reduction(mesh)
         self._restriction = fem.periodic_restriction(mesh)
-        # the operator is (K - s W) / |Xi|, applied as such and never built
+        # the operator is (K - s W1) / |Xi|, applied as such and never built
         self._stiffness = fem.stiffness_matrix(mesh)
-        if flow.unit_scale is not None:
-            self._shift = props.tau * flow.unit_scale ** 2 / props.c ** 2
-            self._advection = unit_advection_matrix(mesh)
-        else:
-            self._shift = 1.0
-            self._advection = (props.tau / props.c ** 2) * fem.advection_matrix(
-                mesh, flow.velocity)
+        self._shift = props.tau * flow.u3 ** 2 / props.c ** 2
+        self._advection = unit_advection_matrix(mesh)
         rho = props.tau * speed ** 2 / props.c ** 2
         # twice the CG bound for the energy-norm error at condition number
         # 1/(1 - rho), plus room for the Euclidean residual
         self._max_iter = 100 + math.ceil(
             2.0 * math.sqrt(1.0 / (1.0 - rho)) * math.log(2.0 / LANCZOS_TOL))
 
-    def solve(self, rhs_full, load=None):
-        """Zero-mean periodic solution of (operator) u = rhs.
-
-        ``load`` names the corrector load that rhs is ("xi", "pi_P" or
-        ("pi", beta)); with a scaled unit cell flow its parts are solved from
-        the runs kept for the mesh.
-        """
+    def solve(self, name):
+        """Zero-mean periodic corrector of the load ``name`` (see ``load``);
+        with flow the load's parts are solved from the runs kept for the
+        mesh."""
+        rhs_full = self.load(name)
         if self._direct is not None:
             return self._direct.solve(rhs_full)
         T, Tt = self._reduction, self._restriction
@@ -181,10 +175,7 @@ class CellOperator:
         # the right side along them (at most 1e-10 relative, as checked) is
         # dropped, as the direct solve's multiplier absorbs it
         rhs = rhs - rhs.mean()
-        if load is not None and self.flow.unit_scale is not None:
-            runs, parts = fem.stiffness_runs(self.mesh), self._unit_parts(load)
-        else:
-            runs, parts = {}, [(None, lambda: self.xi * rhs, 1.0)]
+        runs, parts = fem.stiffness_runs(self.mesh), self._load_parts(name)
 
         def advect(q):
             return Tt @ (self._advection @ (T @ q))
@@ -196,8 +187,7 @@ class CellOperator:
                 run = LanczosRun.start(part(), solver.precondition)
                 if run is None:
                     self._fail("breaks down", 1, 1.0)
-                if key is not None:
-                    runs[key] = run
+                runs[key] = run
             scale = abs(coefficient) * run.start_norm / (self.xi * norm)
             y = self._lanczos(run, scale, LANCZOS_TOL / len(parts), step)
             x += (coefficient * run.start_norm) * (y @ run.basis[:len(y)])
@@ -207,23 +197,37 @@ class CellOperator:
 
     def apply(self, v):
         """The operator times nodal vectors v: at rest by the matrix K / |Xi|,
-        with flow by the kept K and W."""
+        with flow by the kept K and W1."""
         if self._direct is not None:
             return self._matrix @ v
         return (self._stiffness @ v - self._shift * (self._advection @ v)) / self.xi
 
-    def _unit_parts(self, load):
-        """(run key, start, coefficient) of each fixed part of a named load of
-        a scaled unit cell flow: |Xi| times the reduced load is the sum of
-        coefficient * start, and each start depends on the mesh alone."""
-        mesh, u3, Tt = self.mesh, self.flow.unit_scale, self._restriction
+    def load(self, name):
+        """Right side of the corrector ``name``: ("pi", beta) the in-plane
+        corrector (beta = 1 or 2), "xi" the through-flux corrector (minus
+        the face-average jump), "pi_P" the flow-pressure corrector."""
         props = self.flow.properties
-        if load == "xi":
+        if name == "xi":
+            return -face_flux_jump(self.mesh) / self.xi
+        if name == "pi_P":
+            return (props.theta / props.c ** 2) * advective_vector(self.flow) / self.xi
+        if name not in (("pi", 1), ("pi", 2)):
+            raise ValueError(f"unknown corrector load {name!r}: expected "
+                             "('pi', 1), ('pi', 2), 'xi' or 'pi_P'")
+        return -self.apply(self.mesh.nodes[:, name[1] - 1])
+
+    def _load_parts(self, name):
+        """(run key, start, coefficient) of each fixed part of a corrector
+        load: |Xi| times the reduced load is the sum of coefficient * start,
+        and each start depends on the mesh alone."""
+        mesh, u3, Tt = self.mesh, self.flow.u3, self._restriction
+        props = self.flow.properties
+        if name == "xi":
             return [("xi", lambda: -(Tt @ face_flux_jump(mesh)), 1.0)]
-        if load == "pi_P":
+        if name == "pi_P":
             return [("pi_P", lambda: Tt @ unit_advective_vector(mesh),
                      u3 * props.theta / props.c ** 2)]
-        _, beta = load
+        _, beta = name
         y = mesh.nodes[:, beta - 1]
         return [(("K", beta), lambda: -(Tt @ (fem.stiffness_matrix(mesh) @ y)), 1.0),
                 (("W", beta), lambda: Tt @ (unit_advection_matrix(mesh) @ y), self._shift)]
@@ -272,19 +276,6 @@ def assemble_Aw(flow, residual_tol=1e-10) -> CellOperator:
     return CellOperator(flow, residual_tol)
 
 
-def tangential_load(op: CellOperator, beta: int):
-    """Right side of the in-plane corrector problem (beta = 1 or 2)."""
-    if beta not in (1, 2):
-        raise ValueError("beta must be 1 or 2")
-    y = op.mesh.nodes[:, beta - 1]
-    return -op.apply(y)
-
-
-def transverse_load(op: CellOperator):
-    """Right side of the through-flux corrector: minus the face-average jump."""
-    return -face_flux_jump(op.mesh) / op.xi
-
-
 def _advective_vector(mesh, velocity):
     """Vector of int (cell-mean w) . grad phi_i, linear in the velocity."""
     grads, vols = fem.p1_geometry(mesh)
@@ -302,32 +293,11 @@ def unit_advective_vector(mesh):
 
 
 def advective_vector(flow):
-    """a_i = int (cell-mean w) . grad phi_i of a flow: u3 times the mesh's kept
-    a1 for a scaled unit cell flow, zero at rest, else assembled."""
-    if flow.unit_scale is not None:
-        return flow.unit_scale * unit_advective_vector(flow.mesh)
-    if flow.max_speed() == 0.0:
+    """a_i = int (cell-mean w) . grad phi_i of a cell flow: zero at rest
+    (the mesh's a1 is not built), else u3 times the mesh's kept a1."""
+    if flow.u3 == 0.0:
         return np.zeros(flow.mesh.num_nodes)
-    return _advective_vector(flow.mesh, flow.velocity)
-
-
-def advective_load(op: CellOperator):
-    """Right side of the flow-pressure corrector."""
-    props = op.flow.properties
-    return (props.theta / props.c ** 2) * advective_vector(op.flow) / op.xi
-
-
-def solve_pi_beta(op: CellOperator, beta: int):
-    return op.solve(tangential_load(op, beta), ("pi", beta))
-
-
-def solve_xi(op: CellOperator):
-    return op.solve(transverse_load(op), "xi")
-
-
-def solve_pi_P(op: CellOperator):
-    # at rest the load is zero, and so is the corrector
-    return op.solve(advective_load(op), "pi_P")
+    return flow.u3 * unit_advective_vector(flow.mesh)
 
 
 @dataclass
@@ -345,10 +315,6 @@ class CellSolutionSet:
 def solve_cell_problems(flow, residual_tol=1e-10) -> CellSolutionSet:
     """Solve all correctors of one cell with one operator on the flow's mesh."""
     op = assemble_Aw(flow, residual_tol)
-    return CellSolutionSet(
-        pi1=solve_pi_beta(op, 1),
-        pi2=solve_pi_beta(op, 2),
-        xi=solve_xi(op),
-        pi_P=solve_pi_P(op),
-        operator=op,
-    )
+    # at rest the pi_P load is zero, and so is the corrector
+    return CellSolutionSet(pi1=op.solve(("pi", 1)), pi2=op.solve(("pi", 2)),
+                           xi=op.solve("xi"), pi_P=op.solve("pi_P"), operator=op)

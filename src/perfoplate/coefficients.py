@@ -98,7 +98,7 @@ def compute_coefficients(sols: CellSolutionSet) -> HomogenizedCoefficients:
         for b in range(2)])
 
     kappa = float(mesh.nodes[:, 2].max() - mesh.nodes[:, 2].min())
-    zeta = fem.integrate(mesh) / (xi_m * kappa)
+    zeta = fem.cell_measure(mesh) / (xi_m * kappa)
 
     return HomogenizedCoefficients(
         A=A, B=B, Bp=Bp, F=F, Mw=Mw, Tw=Tw, Twp=Twp, Wbar=Wbar,
@@ -106,8 +106,7 @@ def compute_coefficients(sols: CellSolutionSet) -> HomogenizedCoefficients:
 
 
 def _face_jump(mesh, nodal, xi_m):
-    return (fem.integrate(mesh, nodal, group="I+")
-            - fem.integrate(mesh, nodal, group="I-")) / xi_m
+    return (fem.integrate(mesh, nodal, "I+") - fem.integrate(mesh, nodal, "I-")) / xi_m
 
 
 # -- symmetry verification ---------------------------------------------------

@@ -174,6 +174,10 @@ def validate(cfg: RunConfig):
         raise ConfigError(f"flow mode must be one of {_VALID_FLOW_MODES}, got {mode!r}")
     if cfg["acoustics.source_side"] not in ("in", "out"):
         raise ConfigError("acoustics source_side must be 'in' or 'out'")
+    amplitude = cfg["acoustics.amplitude"]
+    if not (math.isfinite(amplitude) and amplitude != 0):
+        raise ConfigError(
+            f"[acoustics] amplitude must be finite and nonzero, got {amplitude!r}")
     if not cfg["run.residual_tol"] > 0:  # also rejects NaN
         raise ConfigError(f"[run] residual_tol must be > 0, got {cfg['run.residual_tol']!r}")
     if not 0 <= cfg["flow.u3_quantum"] < math.inf:  # 0 keeps exact speeds

@@ -340,13 +340,13 @@ def drop_other_stiffness_solver(mesh):
 
 # -- integration -------------------------------------------------------------
 
-def integrate(mesh, field=None, group=None):
-    """Integral of a nodal field over a facet group (exact for P1 fields), or
-    without a group and a field the cell measure."""
-    if group is None:
-        if field is not None:
-            raise AssemblyError("a nodal field is integrated over a facet group")
-        return float(np.abs(mesh.cell_volumes()).sum())
+def cell_measure(mesh):
+    """Measure of the mesh's cells."""
+    return float(np.abs(mesh.cell_volumes()).sum())
+
+
+def integrate(mesh, field, group):
+    """Integral of a nodal field over a facet group (exact for P1 fields)."""
     meas = mesh.facet_measures(group)
     if meas.size == 0:
         raise AssemblyError(f"facet group {group!r} is empty")

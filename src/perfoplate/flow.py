@@ -28,18 +28,16 @@ class FlowError(RuntimeError):
 
 @dataclass
 class FlowField:
-    """Nodal advection velocity on a mesh.
-
-    ``unit_scale`` is None, or the factor s for which this field is s times
-    the u3 = 1 cell flow of its mesh (``unit_cell_flow``); the cell operator
-    then scales that flow's per-mesh advection matrix instead of assembling
-    one.  Only ``solve_cell_potential_flow`` sets it.
+    """A cell flow: u3 times the u3 = 1 flow of its mesh (``unit_cell_flow``),
+    zero at rest, as nodal velocity.  ``solve_cell_potential_flow`` builds
+    it; the cell operator scales that flow's per-mesh advection matrix and
+    vector by u3.
     """
 
     mesh: object
     velocity: np.ndarray
     properties: FluidProperties
-    unit_scale: float | None = None
+    u3: float
 
     def max_speed(self) -> float:
         return float(np.linalg.norm(self.velocity, axis=1).max(initial=0.0))
@@ -88,10 +86,10 @@ def solve_cell_potential_flow(mesh, u3, properties, residual_tol=1e-10):
     if not np.isfinite(u3):
         raise FlowError("u3 must be finite")
     if u3 == 0.0:
-        return FlowField(mesh, np.zeros((mesh.num_nodes, 3)), properties)
+        return FlowField(mesh, np.zeros((mesh.num_nodes, 3)), properties, 0.0)
     vel, residual = unit_cell_flow(mesh)
     fem.check_residual(residual, residual_tol)
-    return FlowField(mesh, u3 * vel, properties, unit_scale=u3)
+    return FlowField(mesh, u3 * vel, properties, u3)
 
 
 # -- waveguide ---------------------------------------------------------------

@@ -84,6 +84,9 @@ class MacroProblem:
                 f"residual_tol must be > 0, got {self.residual_tol!r}")
         if self.source_side not in ("in", "out"):
             raise MacroAssemblyError("source_side must be 'in' or 'out'")
+        if not (math.isfinite(self.amplitude) and self.amplitude != 0):
+            raise MacroAssemblyError(
+                f"amplitude must be finite and nonzero, got {self.amplitude!r}")
         if IFACE_PAIRING not in self.mesh.periodic_pairs:
             raise MacroAssemblyError(
                 f"mesh has no {IFACE_PAIRING!r} pairing: the interface must be split")

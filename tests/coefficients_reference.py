@@ -52,7 +52,7 @@ def compute_coefficients(sols: CellSolutionSet) -> HomogenizedCoefficients:
         for b in range(2)])
     Wbarp = Qw / theta
 
-    vol = fem.integrate(mesh)
+    vol = fem.cell_measure(mesh)
     kappa = float(mesh.nodes[:, 2].max() - mesh.nodes[:, 2].min())
     zeta = vol / (xi_m * kappa)
 
@@ -62,8 +62,7 @@ def compute_coefficients(sols: CellSolutionSet) -> HomogenizedCoefficients:
 
 
 def _face_jump(mesh, nodal, xi_m):
-    return (fem.integrate(mesh, nodal, group="I+")
-            - fem.integrate(mesh, nodal, group="I-")) / xi_m
+    return (fem.integrate(mesh, nodal, "I+") - fem.integrate(mesh, nodal, "I-")) / xi_m
 
 
 def _advective_average(mesh, nodal, wmean):

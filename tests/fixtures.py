@@ -1,6 +1,9 @@
-"""Analytic flows and coefficients the tests build problems from, the cell
-operator as a matrix and integrals over the cells, and perfbench's measure
-of the distance between two coefficient rows."""
+"""A uniform velocity for the FEM tests; the speeds u3 at which a cell flow
+reaches a fraction of c/sqrt(tau), or the bound itself; the uniform duct
+flow and analytic coefficients the tests build problems from; the cell
+operator as a matrix and integrals over the cells; and perfbench's measure
+of the distance between two coefficient rows.  Every cell flow is built by
+``flow.solve_cell_potential_flow``, as in the program."""
 
 import importlib.util
 from pathlib import Path
@@ -10,17 +13,38 @@ import scipy.sparse as sp
 
 from perfoplate.coefficients import HomogenizedCoefficients
 from perfoplate.duct_mesh import IFACE_PAIRING
-from perfoplate.flow import FlowError, FlowField, MacroFlowField
+from perfoplate.flow import MacroFlowField, unit_cell_flow
 from perfoplate.waveguide import MacroProblem
 
 
-def uniform_flow(mesh, w_vec, properties):
+def uniform_velocity(mesh, w_vec):
     """Constant nodal velocity field."""
     w_vec = np.asarray(w_vec, dtype=float)
     if w_vec.shape != (mesh.dim,):
-        raise FlowError(f"velocity vector must have {mesh.dim} components")
-    vel = np.tile(w_vec, (mesh.num_nodes, 1))
-    return FlowField(mesh, vel, properties)
+        raise ValueError(f"velocity vector must have {mesh.dim} components")
+    return np.tile(w_vec, (mesh.num_nodes, 1))
+
+
+def u3_at_mach_fraction(mesh, properties, fraction):
+    """u3 whose cell flow has max |w| = fraction * c/sqrt(tau), to rounding."""
+    unit = np.linalg.norm(unit_cell_flow(mesh)[0], axis=1).max()
+    return fraction * properties.mach_speed_limit / unit
+
+
+def u3_at_mach_bound(mesh, properties):
+    """The least u3 whose cell flow has max |w| >= c/sqrt(tau), by ulp steps
+    from the estimate; max |w| does not fall as u3 grows, so one ulp less
+    stays below the bound."""
+    vel, limit = unit_cell_flow(mesh)[0], properties.mach_speed_limit
+
+    def speed(u3):  # as FlowField.max_speed of the flow u3 * vel
+        return np.linalg.norm(u3 * vel, axis=1).max()
+    u3 = u3_at_mach_fraction(mesh, properties, 1.0)
+    while speed(u3) >= limit:
+        u3 = np.nextafter(u3, 0.0)
+    while speed(u3) < limit:
+        u3 = np.nextafter(u3, np.inf)
+    return u3
 
 
 def uniform_macro_flow(mesh, axial_speed, properties):

@@ -1,24 +1,26 @@
+import re
 import weakref
 
 import numpy as np
 import pytest
 
-from fixtures import coef_deviation, integrate_cells, operator_matrix, uniform_flow
+from fixtures import (coef_deviation, integrate_cells, operator_matrix, u3_at_mach_bound,
+                      u3_at_mach_fraction)
 from perfoplate import cell_problems, fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
-from perfoplate.cell_problems import (MachBoundError, advective_load,
-                                      advective_vector, assemble_Aw,
-                                      solve_cell_problems, solve_pi_P,
-                                      solve_pi_beta, solve_xi, tangential_load,
-                                      transverse_load, unit_advective_vector)
+from perfoplate.cell_problems import (MachBoundError, advective_vector, assemble_Aw,
+                                      solve_cell_problems, unit_advective_vector)
 from perfoplate.coefficients import cell_pipeline
 from perfoplate.fem import SolverError
 from perfoplate.flow import face_flux_jump, solve_cell_potential_flow
 from perfoplate.geometry import CellGeometry
 
 
+NAMES = (("pi", 1), ("pi", 2), "xi", "pi_P")
+
+
 def zero_flow(mesh, props):
-    return uniform_flow(mesh, (0.0, 0.0, 0.0), props)
+    return solve_cell_potential_flow(mesh, 0.0, props)
 
 
 def test_operator_is_periodic_laplacian_at_rest(straight_cell_mesh, props):
@@ -46,8 +48,8 @@ def test_operator_from_unit_advection_matches_assembly(slant_cell_mesh, props, u
 
 
 def test_operator_psd_near_bound(straight_cell_mesh, props):
-    speed = 0.99 * props.mach_speed_limit
-    flow = uniform_flow(straight_cell_mesh, (0.0, 0.0, speed), props)
+    u3 = u3_at_mach_fraction(straight_cell_mesh, props, 0.99)
+    flow = solve_cell_potential_flow(straight_cell_mesh, u3, props)
     op = assemble_Aw(flow)
     T = fem.periodic_reduction(op.mesh)
     A = (T.T @ operator_matrix(op) @ T).toarray()
@@ -57,25 +59,28 @@ def test_operator_psd_near_bound(straight_cell_mesh, props):
     assert eigs[1] > 1e-8 * scale            # next eigenvalue strictly positive
 
 
-def test_mach_guard_trips_exactly_at_bound(straight_cell_mesh, props):
+def test_mach_guard_trips_exactly_at_bound(empty_cell_mesh, props):
+    # the empty cell's flow is uniform to rounding, so a u3 puts max |w| on
+    # the bound exactly
     limit = props.mach_speed_limit
-    at = uniform_flow(straight_cell_mesh, (0.0, 0.0, limit), props)
+    u3 = u3_at_mach_bound(empty_cell_mesh, props)
+    at = solve_cell_potential_flow(empty_cell_mesh, u3, props)
+    assert at.max_speed() == limit
     with pytest.raises(MachBoundError) as err:
         assemble_Aw(at)
     msg = str(err.value)
     assert f"{limit:.6g}" in msg and "max |w|" in msg
-    below = uniform_flow(straight_cell_mesh, (0.0, 0.0, np.nextafter(limit, 0.0)),
-                         props)
+    below = solve_cell_potential_flow(empty_cell_mesh, np.nextafter(u3, 0.0), props)
     assemble_Aw(below)  # must not raise
 
 
 def test_empty_cell_correctors(empty_cell_mesh, props):
     op = assemble_Aw(zero_flow(empty_cell_mesh, props))
     z = empty_cell_mesh.nodes[:, 2]
-    assert np.abs(solve_pi_beta(op, 1)).max() < 1e-12
-    assert np.abs(solve_pi_beta(op, 2)).max() < 1e-12
-    np.testing.assert_allclose(solve_xi(op), -z, atol=1e-12)
-    assert np.abs(solve_pi_P(op)).max() == 0.0
+    assert np.abs(op.solve(("pi", 1))).max() < 1e-12
+    assert np.abs(op.solve(("pi", 2))).max() < 1e-12
+    np.testing.assert_allclose(op.solve("xi"), -z, atol=1e-12)
+    assert np.abs(op.solve("pi_P")).max() == 0.0
 
 
 def test_empty_cell_with_uniform_flow_analytic(empty_cell_mesh, props):
@@ -105,7 +110,7 @@ def test_static_reduction_matches_plain_laplace(slant_cell_mesh, props):
 def test_zero_mean_and_periodicity(slant_cell_mesh, props):
     flow = solve_cell_potential_flow(slant_cell_mesh, 2.0, props)
     sols = solve_cell_problems(flow)
-    vol = fem.integrate(slant_cell_mesh)
+    vol = fem.cell_measure(slant_cell_mesh)
     for field in (sols.pi1, sols.pi2, sols.xi, sols.pi_P):
         mean = integrate_cells(slant_cell_mesh, field) / vol
         assert abs(mean) <= 1e-12 * max(np.linalg.norm(field), 1.0)
@@ -117,9 +122,8 @@ def test_loads_compatible(slant_cell_mesh, props):
     flow = solve_cell_potential_flow(slant_cell_mesh, 4.0, props)
     op = assemble_Aw(flow)
     T = fem.periodic_reduction(op.mesh)
-    for load in (tangential_load(op, 1), tangential_load(op, 2),
-                 transverse_load(op), advective_load(op)):
-        r = T.T @ load
+    for name in NAMES:
+        r = T.T @ op.load(name)
         assert abs(r.sum()) <= 1e-10 * max(np.linalg.norm(r), 1e-12)
 
 
@@ -129,7 +133,7 @@ def test_mirror_antisymmetry_of_tangential_corrector(props):
     mesh = generate_unit_cell_mesh(CellGeometry(), 0.1)
     flow = solve_cell_potential_flow(mesh, 1.5, props)
     op = assemble_Aw(flow)
-    pi1 = solve_pi_beta(op, 1)
+    pi1 = op.solve(("pi", 1))
     lookup = {(round(p[0], 9), round(p[1], 9), round(p[2], 9)): i
               for i, p in enumerate(mesh.nodes)}
     perm = np.array([lookup[(round(1.0 - p[0], 9), round(p[1], 9), round(p[2], 9))]
@@ -142,10 +146,10 @@ def test_pi_P_linearity_for_small_flow(straight_cell_mesh, props):
     # the operator itself depends on the flow, so linearity holds to first
     # order only; doubling a small flow must double the corrector
     alpha = 1e-3
-    one = solve_pi_P(assemble_Aw(
-        solve_cell_potential_flow(straight_cell_mesh, alpha, props)))
-    two = solve_pi_P(assemble_Aw(
-        solve_cell_potential_flow(straight_cell_mesh, 2 * alpha, props)))
+    one = assemble_Aw(
+        solve_cell_potential_flow(straight_cell_mesh, alpha, props)).solve("pi_P")
+    two = assemble_Aw(
+        solve_cell_potential_flow(straight_cell_mesh, 2 * alpha, props)).solve("pi_P")
     mismatch = np.linalg.norm(two - 2.0 * one) / np.linalg.norm(two)
     assert mismatch <= 1e-5
 
@@ -166,17 +170,17 @@ def test_duality_pairing_vs_surface_jump(slant_cell_mesh, props):
     op = sols.operator
     for pi in (sols.pi1, sols.pi2):
         pairing = float(sols.xi @ op.apply(pi))
-        jump = (fem.integrate(slant_cell_mesh, pi, group="I+")
-                - fem.integrate(slant_cell_mesh, pi, group="I-")) / op.xi
+        jump = (fem.integrate(slant_cell_mesh, pi, "I+")
+                - fem.integrate(slant_cell_mesh, pi, "I-")) / op.xi
         assert abs(pairing + jump) <= 1e-10 * max(abs(jump), 1e-3)
 
 
 def test_solver_residual_contract(slant_cell_mesh, props):
     flow = solve_cell_potential_flow(slant_cell_mesh, 2.0, props)
     op = assemble_Aw(flow)
-    xi = solve_xi(op)
+    xi = op.solve("xi")
     T = fem.periodic_reduction(slant_cell_mesh)
-    rhs = T.T @ transverse_load(op)
+    rhs = T.T @ op.load("xi")
     resid = np.linalg.norm((T.T @ op.apply(xi)) - rhs)
     assert resid <= 1e-9 * np.linalg.norm(rhs)
 
@@ -184,15 +188,13 @@ def test_solver_residual_contract(slant_cell_mesh, props):
 # -- corrector solves: direct at rest, Lanczos runs with flow ---------------
 
 def correctors(op):
-    return [solve_pi_beta(op, 1), solve_pi_beta(op, 2), solve_xi(op), solve_pi_P(op)]
+    return [op.solve(name) for name in NAMES]
 
 
 def direct_correctors(op):
     """The same correctors by a direct factorization of the same operator."""
     direct = fem.ZeroMeanSolver(op.mesh, operator_matrix(op), 1e-10, scale=op.xi)
-    loads = [tangential_load(op, 1), tangential_load(op, 2), transverse_load(op),
-             advective_load(op)]
-    return [direct.solve(load) for load in loads]
+    return [direct.solve(op.load(name)) for name in NAMES]
 
 
 def slant_flow(u3):
@@ -201,7 +203,8 @@ def slant_flow(u3):
 
 def near_bound_flow(props, _):
     mesh = generate_unit_cell_mesh(CellGeometry(), 0.2)
-    return mesh, uniform_flow(mesh, (0.0, 0.0, 0.99 * props.mach_speed_limit), props)
+    u3 = u3_at_mach_fraction(mesh, props, 0.99)
+    return mesh, solve_cell_potential_flow(mesh, u3, props)
 
 
 @pytest.mark.parametrize("case", [slant_flow(-2.0), slant_flow(3.0), near_bound_flow],
@@ -219,10 +222,8 @@ def test_rest_correctors_bitwise_equal_fresh_direct_solve(slant_cell_mesh, props
     K = fem.stiffness_matrix(slant_cell_mesh) / xi
     fresh = fem.ZeroMeanSolver(slant_cell_mesh, K, 1e-10, scale=xi)
     op = sols.operator
-    for field, load in ((sols.pi1, tangential_load(op, 1)),
-                        (sols.pi2, tangential_load(op, 2)),
-                        (sols.xi, transverse_load(op))):
-        np.testing.assert_array_equal(field, fresh.solve(load))
+    for field, name in ((sols.pi1, ("pi", 1)), (sols.pi2, ("pi", 2)), (sols.xi, "xi")):
+        np.testing.assert_array_equal(field, fresh.solve(op.load(name)))
 
 
 def test_speeds_on_one_mesh_share_one_factorization(props, splu_calls, monkeypatch):
@@ -273,7 +274,7 @@ def test_speed_coefficients_do_not_depend_on_earlier_speeds(props):
 
 def kept_basis(mesh, props):
     """Weak reference to the basis of a Lanczos run kept for the mesh."""
-    solve_xi(assemble_Aw(solve_cell_potential_flow(mesh, 2.0, props)))
+    assemble_Aw(solve_cell_potential_flow(mesh, 2.0, props)).solve("xi")
     return weakref.ref(fem.stiffness_runs(mesh)["xi"].basis)
 
 
@@ -299,7 +300,8 @@ def test_one_kept_solver_per_process(props):
     assert mesh() is None and kept() is None and basis() is None  # they die with their mesh
 
 
-def test_pcg_residual_excludes_the_constant_part_of_the_load(slant_cell_mesh, props):
+def test_pcg_residual_excludes_the_constant_part_of_the_load(slant_cell_mesh, props,
+                                                             monkeypatch):
     # a load off compatibility by 0.9e-10 relative (the check admits 1e-10),
     # all of it along the constants of the periodic classes, is solved to a
     # residual of 1e-12, as by the direct solve
@@ -307,11 +309,12 @@ def test_pcg_residual_excludes_the_constant_part_of_the_load(slant_cell_mesh, pr
     op = assemble_Aw(flow, residual_tol=1e-12)
     T = fem.periodic_reduction(slant_cell_mesh)
     sizes = np.asarray(T.sum(axis=0)).ravel()
-    load = transverse_load(op)
+    load = op.load("xi")
     load += T @ (0.9e-10 * np.linalg.norm(T.T @ load) / len(sizes) / sizes)
+    monkeypatch.setattr(op, "load", lambda name: load.copy())
     direct = fem.ZeroMeanSolver(slant_cell_mesh, operator_matrix(op), 1e-12,
                                 scale=op.xi).solve(load)
-    assert np.linalg.norm(op.solve(load) - direct) <= 1e-10 * np.linalg.norm(direct)
+    assert np.linalg.norm(op.solve("xi") - direct) <= 1e-10 * np.linalg.norm(direct)
 
 
 def test_pcg_breakdown_raises(props, monkeypatch):
@@ -325,14 +328,14 @@ def test_pcg_breakdown_raises(props, monkeypatch):
     monkeypatch.setattr(*negate)
     with pytest.raises(SolverError, match=r"breaks down at max \|w\| = .* m/s: step 1, "
                                           r"residual estimate 1\.000e\+00"):
-        solve_xi(slow)
+        slow.solve("xi")
     monkeypatch.undo()
-    solve_xi(slow)
+    slow.solve("xi")
     steps = 1 + len(fem.stiffness_runs(mesh)["xi"].alpha)
     monkeypatch.setattr(*negate)
     with pytest.raises(SolverError, match=rf"breaks down at max \|w\| = .* m/s: "
                                           rf"step {steps + 1}, residual estimate"):
-        solve_xi(fast)
+        fast.solve("xi")
 
 
 def test_pcg_iteration_cap_raises(slant_cell_mesh, props):
@@ -340,14 +343,28 @@ def test_pcg_iteration_cap_raises(slant_cell_mesh, props):
     op._max_iter = 2
     with pytest.raises(SolverError,
                        match=r"does not converge at max \|w\| = .* m/s: step 2, residual"):
-        solve_xi(op)
+        op.solve("xi")
 
 
 def test_pcg_residual_checked_against_tolerance(slant_cell_mesh, props):
     flow = solve_cell_potential_flow(slant_cell_mesh, 2.0, props)
     op = assemble_Aw(flow, residual_tol=1e-30)
     with pytest.raises(SolverError, match="zero-mean solve residual .* exceeds 1.0e-30"):
-        solve_xi(op)
+        op.solve("xi")
+
+
+@pytest.mark.parametrize("u3", [0.0, 2.0])
+@pytest.mark.parametrize("name", [("pi", 3), "foo"])
+def test_unknown_corrector_load_fails_before_any_solve(slant_cell_mesh, props, monkeypatch,
+                                                       u3, name):
+    op = assemble_Aw(solve_cell_potential_flow(slant_cell_mesh, u3, props))
+
+    def no_solve(*args):
+        raise AssertionError("a solve started")
+    for method in ("solve", "precondition"):
+        monkeypatch.setattr(fem.ZeroMeanSolver, method, no_solve)
+    with pytest.raises(ValueError, match=re.escape(f"unknown corrector load {name!r}")):
+        op.solve(name)
 
 
 def test_advective_vector_built_once_per_mesh(props, monkeypatch):

@@ -89,6 +89,16 @@ def test_config_rejects_unusable_frequencies(key, value):
         parse_config(f"[frequencies]\n{key} = {value}\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+def test_config_rejects_unusable_amplitude(value):
+    # a NaN amplitude fails every frequency's residual check, a zero one
+    # leaves no incident energy to measure TL against
+    with pytest.raises(ConfigError, match=rf"\[acoustics\] amplitude must be finite and "
+                                          rf"nonzero, got {float(value)!r}"):
+        parse_config(f"[acoustics]\namplitude = {value}\n")
+    assert parse_config("[acoustics]\namplitude = -1\n")["acoustics.amplitude"] == -1.0
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_config_rejects_non_finite_inflow(value):
     with pytest.raises(ConfigError, match=rf"\[flow\] u_in must be finite, got {float(value)!r}"):

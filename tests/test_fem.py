@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import structured_square_mesh
-from fixtures import integrate_cells, uniform_flow
+from fixtures import integrate_cells, uniform_velocity
 from perfoplate import fem
 from perfoplate.fem import AssemblyError, FluidProperties, SolverError
 from perfoplate.mesh import Mesh
@@ -49,9 +49,9 @@ def test_symmetry_without_flow(straight_cell_mesh):
     assert abs(diff).max() < 1e-13
 
 
-def test_advskew_exactly_skew(straight_cell_mesh, props):
-    flow = uniform_flow(straight_cell_mesh, (1.0, 2.0, 3.0), props)
-    _, C = fem.advection_matrices(straight_cell_mesh, flow.velocity)
+def test_advskew_exactly_skew(straight_cell_mesh):
+    _, C = fem.advection_matrices(straight_cell_mesh,
+                                  uniform_velocity(straight_cell_mesh, (1.0, 2.0, 3.0)))
     S = C - C.T
     assert abs(S + S.T).max() == 0.0
 
@@ -59,9 +59,9 @@ def test_advskew_exactly_skew(straight_cell_mesh, props):
 def test_advadv_keeps_stiffness_psd(straight_cell_mesh, props):
     # subtracting the advective square at half the critical speed
     speed = props.c / math.sqrt(2 * props.tau)
-    flow = uniform_flow(straight_cell_mesh, (0.0, 0.0, speed), props)
     K = fem.stiffness_matrix(straight_cell_mesh)
-    W, _ = fem.advection_matrices(straight_cell_mesh, flow.velocity)
+    W, _ = fem.advection_matrices(straight_cell_mesh,
+                                  uniform_velocity(straight_cell_mesh, (0.0, 0.0, speed)))
     A = (K - (props.tau / props.c ** 2) * W).toarray()
     eigs = np.linalg.eigvalsh(A)
     assert eigs.min() > -1e-10 * abs(eigs).max()
@@ -86,13 +86,13 @@ def test_mesh_geometry_computed_once_and_read_only(straight_cell_mesh):
     np.testing.assert_array_equal(grads2, grads)
 
 
-def test_periodic_reduction_preserves_symmetry_class(straight_cell_mesh, props):
+def test_periodic_reduction_preserves_symmetry_class(straight_cell_mesh):
     T = fem.periodic_reduction(straight_cell_mesh)
     K = fem.stiffness_matrix(straight_cell_mesh)
     Kr = (T.T @ K @ T).toarray()
     np.testing.assert_allclose(Kr, Kr.T, atol=1e-13)
-    flow = uniform_flow(straight_cell_mesh, (1.0, 0.5, 2.0), props)
-    _, C = fem.advection_matrices(straight_cell_mesh, flow.velocity)
+    _, C = fem.advection_matrices(straight_cell_mesh,
+                                  uniform_velocity(straight_cell_mesh, (1.0, 0.5, 2.0)))
     S = C - C.T
     Sr = (T.T @ S @ T).toarray()
     np.testing.assert_allclose(Sr, -Sr.T, atol=1e-13)
@@ -143,7 +143,7 @@ def test_zero_mean_contract(straight_cell_mesh):
     m = straight_cell_mesh
     x = laplace_solver(m).solve(face_average_load(m, "I-")
                                 - face_average_load(m, "I+"))
-    mean = integrate_cells(m, x) / fem.integrate(m)
+    mean = integrate_cells(m, x) / fem.cell_measure(m)
     assert abs(mean) <= 1e-12 * np.linalg.norm(x)
 
 
@@ -159,7 +159,7 @@ def test_zero_mean_solver_properties(straight_cell_mesh, seed, scale):
     red -= red.mean()
     rhs = T @ (red / np.asarray(T.sum(axis=0)).ravel())
     x = solver.solve(rhs)
-    assert abs(integrate_cells(m, x)) <= 1e-12 * fem.integrate(m) * np.abs(x).max()
+    assert abs(integrate_cells(m, x)) <= 1e-12 * fem.cell_measure(m) * np.abs(x).max()
     for pairs in m.periodic_pairs.values():
         np.testing.assert_array_equal(x[pairs[:, 0]], x[pairs[:, 1]])
     resid = T.T @ (fem.stiffness_matrix(m) @ x - rhs)
@@ -295,8 +295,7 @@ def extended_helmholtz_error(n, props, omega, w_vec):
                 + 1j * omega * (1 + tau) * adv1 + tau * adv2)
 
     mesh = structured_square_mesh(n, groups=False)
-    flow = uniform_flow(mesh, w_vec, props)
-    W, C = fem.advection_matrices(mesh, flow.velocity)
+    W, C = fem.advection_matrices(mesh, uniform_velocity(mesh, w_vec))
     A = (c2 * fem.stiffness_matrix(mesh) - omega ** 2 * fem.mass_matrix(mesh)
          + 1j * omega * theta * (C - C.T) - tau * W)
     u = _dirichlet_solve(mesh, A, exact, forcing)

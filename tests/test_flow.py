@@ -4,7 +4,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fixtures import integrate_cells, uniform_flow, uniform_macro_flow
+from fixtures import (integrate_cells, u3_at_mach_fraction, uniform_macro_flow,
+                      uniform_velocity)
 from perfoplate import fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.cell_problems import CellOperator, MachBoundError
@@ -33,9 +34,9 @@ def boundary_flux(flow, group):
     mesh = flow.mesh
     unit = unit_potential(mesh)
     np.testing.assert_array_equal(
-        flow.velocity, flow.unit_scale * _recover_velocity(mesh, unit))
+        flow.velocity, flow.u3 * _recover_velocity(mesh, unit))
     T = fem.periodic_reduction(mesh)
-    rr = T.T @ (fem.stiffness_matrix(mesh) @ (flow.unit_scale * unit))
+    rr = T.T @ (fem.stiffness_matrix(mesh) @ (flow.u3 * unit))
     red = np.unique(T.indices[mesh.group_nodes(group)])
     return -float(rr[red].sum())
 
@@ -44,12 +45,12 @@ def test_zero_speed_gives_zero_field(straight_cell_mesh, props):
     f = solve_cell_potential_flow(straight_cell_mesh, 0.0, props)
     assert f.max_speed() == 0.0
     assert f.velocity.shape == (straight_cell_mesh.num_nodes, 3)
-    assert np.all(f.velocity == 0.0)
+    assert np.all(f.velocity == 0.0) and f.u3 == 0.0
 
 
 def test_flow_fields_keep_no_potential():
     assert [f.name for f in fields(FlowField)] == \
-        ["mesh", "velocity", "properties", "unit_scale"]
+        ["mesh", "velocity", "properties", "u3"]
     assert [f.name for f in fields(MacroFlowField)] == \
         ["mesh", "velocity", "interface_u3", "properties"]
 
@@ -60,19 +61,19 @@ def test_empty_cell_uniform_field(empty_cell_mesh, props):
                                atol=1e-12)
 
 
-def test_uniform_flow_fixture(straight_cell_mesh, props):
-    f = uniform_flow(straight_cell_mesh, (0.0, 0.0, 3.0), props)
+def test_uniform_flow_fixture(straight_cell_mesh):
+    velocity = uniform_velocity(straight_cell_mesh, (0.0, 0.0, 3.0))
     vol = straight_cell_mesh.cell_volumes().sum()
-    assert integrate_cells(straight_cell_mesh, f.velocity[:, 2]) == \
+    assert integrate_cells(straight_cell_mesh, velocity[:, 2]) == \
         pytest.approx(3.0 * vol, rel=1e-12)
-    with pytest.raises(FlowError):
-        uniform_flow(straight_cell_mesh, (1.0, 2.0), props)
+    with pytest.raises(ValueError):
+        uniform_velocity(straight_cell_mesh, (1.0, 2.0))
 
 
 def test_mach_flag(straight_cell_mesh, props):
-    limit = props.mach_speed_limit
-    ok = uniform_flow(straight_cell_mesh, (0.0, 0.0, 0.99 * limit), props)
-    bad = uniform_flow(straight_cell_mesh, (0.0, 0.0, 1.01 * limit), props)
+    ok, bad = (solve_cell_potential_flow(
+        straight_cell_mesh, u3_at_mach_fraction(straight_cell_mesh, props, fraction), props)
+        for fraction in (0.99, 1.01))
     CellOperator(ok)
     with pytest.raises(MachBoundError):
         CellOperator(bad)
@@ -99,8 +100,8 @@ def test_nodal_surface_flux_approximates_data(straight_cell_mesh, props):
     # up to discretization error; conservation is exact in the weak sense
     f = solve_cell_potential_flow(straight_cell_mesh, 1.0, props)
     xi = straight_cell_mesh.group_measure("I+")
-    up = fem.integrate(straight_cell_mesh, f.velocity[:, 2], group="I+")
-    dn = fem.integrate(straight_cell_mesh, f.velocity[:, 2], group="I-")
+    up = fem.integrate(straight_cell_mesh, f.velocity[:, 2], "I+")
+    dn = fem.integrate(straight_cell_mesh, f.velocity[:, 2], "I-")
     assert abs(up - xi) / xi < 0.05
     assert abs(dn - xi) / xi < 0.05
 
@@ -120,7 +121,7 @@ def test_scaled_unit_flow_matches_direct_solve(slant_cell_mesh, props, u3):
     vel = _recover_velocity(m, pot)
     assert np.linalg.norm(u3 * unit_potential(m) - pot) <= 1e-12 * np.linalg.norm(pot)
     assert np.linalg.norm(f.velocity - vel) <= 1e-12 * np.linalg.norm(vel)
-    assert f.unit_scale == u3 and f.properties is props
+    assert f.u3 == u3 and f.properties is props
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 """Every top-level function and class in ``src/`` has a user in the program,
-every dataclass field in ``src/`` has a reader there, and every option of a
-top-level function is set by some call.
+every dataclass field in ``src/`` has a reader there, every option of a
+top-level function is set by some call, and perfbench's self-test passes.
 
 A reference is an ``ast.Name`` id or ``ast.Attribute`` attr in
 ``src/perfoplate/*.py`` (``__init__.py`` only re-exports) or
@@ -14,6 +14,8 @@ import ast
 import functools
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -89,6 +91,14 @@ def test_tracer_patch_targets_resolve():
     for module, attr, _, _ in tracing.TARGETS:
         target = functools.reduce(getattr, attr.split("."), importlib.import_module(module))
         assert callable(target), f"{module}.{attr}"
+
+
+def test_benchmark_selftest_passes():
+    """perfbench's self-test (its checks against its stored references and
+    BENCHMARK.json, no solver) passes against this tree's imports."""
+    result = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def direct_linalg_imports():

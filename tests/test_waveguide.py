@@ -488,6 +488,14 @@ def test_eps0_must_be_positive(duct_mesh, props):
             uniform_problem(duct_mesh, props, empty_cell_coefficients(), eps0=eps0)
 
 
+def test_amplitude_must_be_finite_and_nonzero(duct_mesh, props):
+    for amplitude in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(MacroAssemblyError,
+                           match=f"amplitude must be finite and nonzero, got {amplitude!r}"):
+            uniform_problem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025,
+                            amplitude=amplitude)
+
+
 def test_residual_failure_names_its_context(duct_mesh, props):
     prob = uniform_problem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025,
                            residual_tol=1e-300)
