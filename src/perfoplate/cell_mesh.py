@@ -244,7 +244,10 @@ def generate_unit_cell_mesh(geom: CellGeometry, resolution: float = 0.08) -> Mes
     coords[:, 0] += _shear_profile(coords[:, 2], geom.thickness, geom.kappa,
                                    geom.hole_slope_deg)
 
-    mesh = Mesh(3, coords, tets, groups)
+    # the pairs are detected on a mesh that only carries the groups; the
+    # volumes are computed once, on the final mesh, which keeps them
+    pairs = detect_periodic_pairs(Mesh(3, coords, tets, groups), PERIODIC_DIRECTIONS)
+    mesh = Mesh(3, coords, tets, groups, pairs)
     vols = mesh.cell_volumes()
     bad = np.nonzero(vols <= 0)[0]
     if bad.size:
@@ -252,6 +255,4 @@ def generate_unit_cell_mesh(geom: CellGeometry, resolution: float = 0.08) -> Mes
             f"shear by {geom.hole_slope_deg} deg inverted cell {bad[0]} "
             f"(volume {vols[bad[0]]:.3e}); refine the resolution"
         )
-    pairs = detect_periodic_pairs(mesh, PERIODIC_DIRECTIONS)
-    mesh = Mesh(3, coords, tets, mesh.facet_groups, pairs)
     return mesh.validate()

@@ -3,7 +3,9 @@
 Commands: mesh-cell, mesh-duct, cell, sweep, waveguide.  Every command
 writes its declared outputs plus the effective configuration echo into the
 output directory; failures leave a machine-readable error record and a
-nonzero exit code.  Outputs are deterministic for identical inputs.
+nonzero exit code, and a run first removes the failure records of an
+earlier run in the same directory.  Outputs are deterministic for identical
+inputs.
 """
 
 from __future__ import annotations
@@ -147,6 +149,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # the outputs written only on a failure: an earlier run's must not stay
+    # next to this run's
+    for name in ("error.json", "failures.csv"):
+        (out / name).unlink(missing_ok=True)
     try:
         if args.jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")

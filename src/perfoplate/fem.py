@@ -235,12 +235,12 @@ class ZeroMeanSolver:
 
     The matrix is reduced to the periodic classes and bordered by the exact
     integral mean divided by ``scale`` (one Lagrange multiplier); the
-    bordered matrix is factored once, with SuperLU's column ordering
-    ``ordering``, and shared by every right side.  The solver keeps no
-    reference to the mesh.
+    bordered matrix is factored once by ``splu`` with the keyword options
+    ``lu_options`` (SuperLU's defaults when None), and shared by every
+    right side.  The solver keeps no reference to the mesh.
     """
 
-    def __init__(self, mesh, matrix, residual_tol, scale=1.0, ordering="COLAMD"):
+    def __init__(self, mesh, matrix, residual_tol, scale=1.0, lu_options=None):
         self.num_nodes = mesh.num_nodes
         self.residual_tol = residual_tol
         self.reduction = periodic_reduction(mesh)
@@ -250,7 +250,7 @@ class ZeroMeanSolver:
         aug = sp.bmat([[reduced, self._mean.reshape(-1, 1)],
                        [self._mean.reshape(1, -1), None]], format='csc')
         self.reduced = reduced
-        self._lu = spla.splu(aug, permc_spec=ordering)
+        self._lu = spla.splu(aug, **(lu_options or {}))
         self.zero_floor = zero_floor(reduced)
 
     def solve(self, rhs_full):
@@ -304,6 +304,20 @@ def _forget_kept(ref):
         _kept = None
 
 
+# SuperLU options of the kept stiffness factorization.  The bordered stiffness
+# matrix is structurally symmetric: minimum degree on A^T + A halves the fill
+# of the default COLAMD ordering (0.85M against 1.69M entries on a cell mesh
+# of 4238 nodes).  relax=1 turns relaxed supernodes off; on cell meshes they
+# add work but no fill.  Medians over 0, 30 and 60 degrees, BLAS on one
+# thread, default relaxation -> relax=1 (panel_size made no difference):
+#   resolution 0.1  (1481 classes):  factor  11 ->   7 ms, apply 0.18 -> 0.11 ms
+#   resolution 0.08 (3938 classes):  factor 146 ->  64 ms, apply 1.7  -> 1.0  ms
+#   resolution 0.06 (7107 classes):  factor 162 -> 114 ms, apply 2.2  -> 1.9  ms
+# The rest operator, the macro flow and the macro LUs keep SuperLU's defaults:
+# their outputs are pinned byte for byte, and relax=1 changes their rounding.
+STIFFNESS_LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1}
+
+
 def stiffness_solver(mesh):
     """The zero-mean solver of the mesh's stiffness matrix (no residual
     check of its own), kept until a solver for another mesh is built, the
@@ -311,12 +325,8 @@ def stiffness_solver(mesh):
     global _kept
     drop_other_stiffness_solver(mesh)  # freed before this mesh's is built
     if _kept is None:
-        # The bordered stiffness matrix is structurally symmetric: minimum
-        # degree on A^T + A halves the fill of the default COLAMD ordering
-        # (0.85M against 1.69M entries on a cell mesh of 4238 nodes) and
-        # nearly halves the time of each preconditioner apply.
         solver = ZeroMeanSolver(mesh, stiffness_matrix(mesh), math.inf,
-                                ordering="MMD_AT_PLUS_A")
+                                lu_options=STIFFNESS_LU_OPTIONS)
         _kept = (weakref.ref(mesh, _forget_kept), solver, {})
     return _kept[1]
 

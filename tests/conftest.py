@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -58,16 +60,32 @@ def structured_square_mesh(n, groups=True):
     return Mesh(2, nodes, np.array(tris), {k: np.array(v) for k, v in fg.items()})
 
 
+class SpluCall(NamedTuple):
+    """One call of scipy's splu: the matrix shape, the column ordering
+    (``permc_spec``, "COLAMD" by default) and the other keyword options it
+    was given (``relax``, ``panel_size``, ``diag_pivot_thresh``, ``options``;
+    empty for SuperLU's defaults)."""
+
+    shape: tuple
+    ordering: str
+    options: dict
+
+
 @pytest.fixture
 def splu_calls(monkeypatch):
-    """(shape, column ordering) of each matrix factored by scipy's splu while
-    the test runs; the ordering is ``permc_spec``, "COLAMD" by default."""
+    """A ``SpluCall`` for each matrix factored by scipy's splu while the test
+    runs."""
     calls = []
     real = spla.splu
 
-    def counting(A, permc_spec=None, *args, **kwargs):
-        calls.append((A.shape, permc_spec or "COLAMD"))
-        return real(A, permc_spec, *args, **kwargs)
+    def counting(A, permc_spec=None, diag_pivot_thresh=None, relax=None,
+                 panel_size=None, options=None):
+        given = {"relax": relax, "panel_size": panel_size,
+                 "diag_pivot_thresh": diag_pivot_thresh, "options": options}
+        calls.append(SpluCall(A.shape, permc_spec or "COLAMD",
+                              {k: v for k, v in given.items() if v is not None}))
+        return real(A, permc_spec=permc_spec, diag_pivot_thresh=diag_pivot_thresh,
+                    relax=relax, panel_size=panel_size, options=options)
     monkeypatch.setattr(spla, "splu", counting)
     return calls
 

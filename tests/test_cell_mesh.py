@@ -117,3 +117,14 @@ def test_periodic_pairing_on_random_cells(b1, b2, hole_diameter, slope):
     fresh = fem.periodic_reduction(Mesh(3, m.nodes, m.cells, m.facet_groups,
                                         m.periodic_pairs))
     assert fresh is not T and fresh.shape == T.shape and (fresh != T).nnz == 0
+
+
+def test_one_volume_pass_per_sheared_mesh(monkeypatch):
+    # the orientation fix needs the unsheared volumes; the final mesh computes
+    # the sheared ones once and keeps them for validate() and the P1 geometry
+    dets = []
+    real = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(len(a)) or real(a))
+    m = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=30.0), 0.2)
+    fem.p1_geometry(m)
+    assert dets == [m.num_cells] * 2

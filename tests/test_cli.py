@@ -211,6 +211,23 @@ def test_waveguide_command_bit_reproducible(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_rerun_leaves_no_stale_failure_record(tmp_path):
+    failing = tmp_path / "failing.ini"
+    failing.write_text("[cell]\nresolution = 0.2\n"
+                       "[sweep]\nphi_list = 0\nu3_start = 1\nu3_count = 1\n"
+                       "[run]\nresidual_tol = 1e-30\n")
+    good = tmp_path / "good.ini"
+    good.write_text("[cell]\nresolution = 0.2\n"
+                    "[sweep]\nphi_list = 0\nu3_start = 0\nu3_count = 1\n")
+    out = tmp_path / "out"
+    for command, record, code in (("sweep", "failures.csv", 0), ("cell", "error.json", 1)):
+        assert run_cli([command, "--config", str(failing), "--out", str(out)]) == code
+        assert (out / record).exists()
+        assert run_cli(["sweep", "--config", str(good), "--out", str(out)]) == 0
+        assert not (out / "failures.csv").exists() and not (out / "error.json").exists()
+        assert (out / "coefficients.csv").read_text().count("\n") == 2
+
+
 def test_effective_config_reparses_identically(tmp_path):
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text(FAST_CELL)

@@ -155,6 +155,34 @@ def test_zero_speed_builds_no_unit_flow(fresh_cell_mesh, props, splu_calls):
     assert set(m._cache) == before and not splu_calls
 
 
+def test_only_the_kept_stiffness_factor_is_unrelaxed(fresh_cell_mesh, duct_mesh, props,
+                                                     splu_calls):
+    # the rest operator and the macro flow keep SuperLU's defaults, which
+    # pin their outputs byte for byte
+    m = fresh_cell_mesh
+    n = fem.periodic_reduction(m).shape[1] + 1
+    solve_cell_potential_flow(m, 1.0, props)
+    assert splu_calls == [((n, n), "MMD_AT_PLUS_A", {"relax": 1})]
+    CellOperator(solve_cell_potential_flow(m, 0.0, props))
+    solve_macro_potential_flow(duct_mesh, 15.0, props)
+    assert [(c.ordering, c.options) for c in splu_calls[1:]] == [("COLAMD", {})] * 2
+
+
+@pytest.mark.parametrize("phi", [0.0, 30.0, 60.0])
+def test_unrelaxed_stiffness_factor_keeps_fill_and_accuracy(phi):
+    # the default relaxation gives the same fill, and its unit flow residual
+    # reads 0.9e-13 to 2.4e-13 on these cells
+    m = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=phi), 0.15)
+    kept = fem.stiffness_solver(m)
+    relaxed = fem.ZeroMeanSolver(m, fem.stiffness_matrix(m), math.inf,
+                                 lu_options={"permc_spec": "MMD_AT_PLUS_A"})
+    assert (kept._lu.L.nnz + kept._lu.U.nnz
+            == relaxed._lu.L.nnz + relaxed._lu.U.nnz)
+    residual = unit_cell_flow(m)[1]
+    assert residual <= 1e-12
+    assert residual <= 1.5 * relaxed.solve_with_residual(-face_flux_jump(m))[1]
+
+
 def test_residual_contract_holds_on_cached_flow(straight_cell_mesh, props):
     solve_cell_potential_flow(straight_cell_mesh, 1.0, props)  # fills the cache
     with pytest.raises(SolverError, match="residual"):

@@ -522,7 +522,8 @@ def test_one_column_ordering_per_problem(duct_mesh, props, slant_coeffs,
     omegas = [2 * math.pi * f for f in (200.0, 479.9, 800.0, 1000.0)]
     rows, failures, solutions = frequency_sweep(fresh(), omegas)
     assert len(rows) == len(omegas) and not failures
-    assert [spec for _, spec in splu_calls] == ["COLAMD"] + ["NATURAL"] * 3
+    assert [c.ordering for c in splu_calls] == ["COLAMD"] + ["NATURAL"] * 3
+    assert all(c.options == {} for c in splu_calls)  # SuperLU's defaults
     for sol in solutions:
         _assert_same_solution(sol, solve_frequency(fresh(), sol.omega))
 
