@@ -173,6 +173,14 @@ def _shear_profile(z, thickness, kappa, slope_deg):
 _PRISM_TETS = [[0, 1, 2, 5], [0, 1, 5, 4], [0, 3, 4, 5]]
 
 
+def _rank_sort(rank, tris):
+    """The triangles with their nodes in rank order, and where that sort was
+    an odd permutation (it reversed the triangle)."""
+    r = rank[tris]
+    odd = (r[:, 0] > r[:, 1]) ^ (r[:, 0] > r[:, 2]) ^ (r[:, 1] > r[:, 2])
+    return np.take_along_axis(tris, np.argsort(r, axis=1), axis=1), odd
+
+
 def generate_unit_cell_mesh(geom: CellGeometry, resolution: float = 0.08) -> Mesh:
     """Mesh the fluid part of the unit cell with tagged facet groups.
 
@@ -183,8 +191,8 @@ def generate_unit_cell_mesh(geom: CellGeometry, resolution: float = 0.08) -> Mes
     Nodes are numbered in the order the prisms, layer by layer, first touch
     them: (2D node, z-level) key ``n2d * nz + iz``.
     """
-    if not resolution > 0:
-        raise GeometryError(f"resolution must be positive, got {resolution}")
+    if not 0 < resolution < math.inf:
+        raise GeometryError(f"resolution must be positive and finite, got {resolution}")
     cs = _CrossSection(geom, resolution)
     zs = _z_lines(geom, resolution)
     nz = len(zs)
@@ -192,14 +200,13 @@ def generate_unit_cell_mesh(geom: CellGeometry, resolution: float = 0.08) -> Mes
     tiny = 1e-12 * max(geom.kappa, 1.0)
     in_plate = (zs[:-1] >= -h2 - tiny) & (zs[1:] <= h2 + tiny) & geom.has_plate
     all_tris = np.concatenate([cs.disk_tris, cs.annulus_tris])
-
-    def layer_tris(layer):
-        return cs.disk_tris if in_plate[layer] else all_tris
+    sorted_tris, odd = _rank_sort(cs.rank, all_tris)
+    # a layer's triangles are a prefix of all_tris: the disk, or all of them
+    counts = np.where(in_plate, len(cs.disk_tris), len(all_tris))
 
     def prism_keys(layer):
         """Node keys (b0, b1, b2, t0, t1, t2) of the prisms of a layer."""
-        t = layer_tris(layer)
-        v = np.take_along_axis(t, np.argsort(cs.rank[t], axis=1), axis=1)
+        v = sorted_tris[:counts[layer]]
         return np.hstack([v * nz + layer, v * nz + layer + 1])
 
     prisms = np.concatenate([prism_keys(layer) for layer in range(nz - 1)])
@@ -214,8 +221,11 @@ def generate_unit_cell_mesh(geom: CellGeometry, resolution: float = 0.08) -> Mes
     coords = np.column_stack([cs.nodes[touched // nz], zs[touched % nz]])
     tets = node_of[prisms][:, _PRISM_TETS].reshape(-1, 4)
 
-    # fix tet orientation (swap two nodes where the signed volume is negative)
-    flip = Mesh(3, coords, tets).cell_volumes() < 0
+    # before the shear, each tet of a prism has the signed volume
+    # dz * cross(b1 - b0, b2 - b0) / 6 of its rank-sorted bottom triangle;
+    # the cross-section's triangles are counter-clockwise, so it is negative
+    # where the rank sort was an odd permutation, and there two nodes swap
+    flip = np.repeat(np.concatenate([odd[:c] for c in counts]), len(_PRISM_TETS))
     tets[flip] = tets[flip][:, [0, 1, 3, 2]]
 
     def quads(edges, layers):
@@ -228,8 +238,8 @@ def generate_unit_cell_mesh(geom: CellGeometry, resolution: float = 0.08) -> Mes
         return quad[..., [[0, 1, 3], [0, 3, 2]]].reshape(-1, 3)
 
     layers = np.arange(nz - 1)
-    groups = {GROUP_TOP: node(layer_tris(nz - 2), nz - 1),
-              GROUP_BOTTOM: node(layer_tris(0), 0)}
+    groups = {GROUP_TOP: node(all_tris[:counts[-1]], nz - 1),
+              GROUP_BOTTOM: node(all_tris[:counts[0]], 0)}
     if geom.has_plate:
         iz_bot = int(np.argmin(np.abs(zs + h2)))
         iz_top = int(np.argmin(np.abs(zs - h2)))

@@ -185,10 +185,11 @@ def validate(cfg: RunConfig):
             f"[flow] u3_quantum must be finite and >= 0, got {cfg['flow.u3_quantum']!r}")
     if not math.isfinite(cfg["flow.u_in"]):
         raise ConfigError(f"[flow] u_in must be finite, got {cfg['flow.u_in']!r}")
-    for key in ("f_min", "f_max"):
-        value = cfg[f"frequencies.{key}"]
-        if not 0 < value < math.inf:  # also rejects NaN
-            raise ConfigError(f"[frequencies] {key} must be finite and > 0, got {value!r}")
+    for key in ("cell.resolution", "waveguide.resolution", "frequencies.f_min",
+                "frequencies.f_max"):
+        if not 0 < cfg[key] < math.inf:  # also rejects NaN
+            section, name = key.split(".")
+            raise ConfigError(f"[{section}] {name} must be finite and > 0, got {cfg[key]!r}")
     cfg.fluid_properties()  # raises ValueError naming a bad c or tau
 
 

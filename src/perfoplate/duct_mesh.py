@@ -67,8 +67,8 @@ def generate_waveguide_mesh(geom: WaveguideGeometry, resolution: float = 0.0125)
     duplicated interface nodes (groups ``Gamma0-`` / ``Gamma0+``, pairing
     ``iface``) that the cells above the interface use.
     """
-    if not resolution > 0:
-        raise GeometryError(f"resolution must be positive, got {resolution}")
+    if not 0 < resolution < np.inf:
+        raise GeometryError(f"resolution must be positive and finite, got {resolution}")
     s = geom.interface_pos
     H = geom.total_height
     ys_main = _multi_lines([0.0, geom.h_io, s, H - geom.h_io, H], resolution)

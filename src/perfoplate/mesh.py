@@ -67,14 +67,17 @@ def _frozen(values, dtype):
     return out
 
 
-def _equal_runs(rows):
-    """Stable lexicographic order of the rows of an int array and, along it,
-    a flag for each row that starts a run of equal rows."""
-    order = np.lexsort(rows.T[::-1])
-    s = rows[order]
-    start = np.ones(len(s), dtype=bool)
-    start[1:] = np.any(s[1:] != s[:-1], axis=1)
-    return order, start
+def _facet_keys(facets, num_nodes):
+    """One int64 per facet (node ids a <= b <= c of N nodes): a*N + b in 2D,
+    (a*N + b)*N + c in 3D; keys sort as the sorted node tuples do."""
+    dim = facets.shape[1]
+    if num_nodes ** dim > 2 ** 63:
+        raise MeshError(f"{num_nodes} nodes are too many for int64 facet keys "
+                        f"(N**{dim} > 2**63; a 3D mesh may have at most 2097152 nodes)")
+    x = [facets[:, k] for k in range(dim)]
+    lo, hi = functools.reduce(np.minimum, x), functools.reduce(np.maximum, x)
+    head = lo if dim == 2 else lo * num_nodes + (sum(x) - lo - hi)
+    return head * num_nodes + hi
 
 
 class Mesh:
@@ -168,19 +171,21 @@ class Mesh:
         """Sorted unique node indices touched by a facet group."""
         return np.unique(self.facet_group(name))
 
-    def boundary_facets(self):
-        """All facets owned by exactly one cell, as sorted node tuples, in
-        lexicographic order."""
-        c = self.cells
+    def _boundary_keys(self):
+        """Sorted keys of the facets owned by exactly one cell."""
         if self.dim == 2:
             idx = [(0, 1), (1, 2), (2, 0)]
         else:
             idx = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-        faces = np.sort(np.concatenate([c[:, list(i)] for i in idx], axis=0), axis=1)
-        order, start = _equal_runs(faces)
-        first = np.flatnonzero(start)
-        single = np.diff(np.append(first, len(faces))) == 1
-        return faces[order[first[single]]]
+        faces = np.concatenate([self.cells[:, list(i)] for i in idx])
+        keys, counts = np.unique(_facet_keys(faces, self.num_nodes), return_counts=True)
+        return keys[counts == 1]
+
+    def boundary_facets(self):
+        """All facets owned by exactly one cell, as sorted node tuples, in
+        lexicographic order."""
+        keys, n = self._boundary_keys(), self.num_nodes
+        return np.column_stack([keys // n ** k % n for k in range(self.dim - 1, -1, -1)])
 
     def validate(self):
         """Check invariants: positive volumes, groups on the boundary."""
@@ -190,23 +195,21 @@ class Mesh:
             raise MeshError(
                 f"cell {bad[0]} has non-positive volume {vols[bad[0]]:.3e}"
             )
-        boundary = self.boundary_facets()
+        boundary = self._boundary_keys()
         names = list(self.facet_groups)
-        tagged = np.sort(np.concatenate(
-            [boundary[:0]] + [self.facet_groups[name] for name in names]), axis=1)
-        # along the stable order, each boundary facet leads its run of equal
-        # rows, followed by the tagged copies of it
-        order, start = _equal_runs(np.concatenate([boundary, tagged]))
-        is_tagged = order >= len(boundary)
-        head = np.flatnonzero(start)[np.cumsum(start) - 1]  # each row's run start
-        outside = order[is_tagged & is_tagged[head]] - len(boundary)
+        facets = np.concatenate([np.empty((0, self.dim), np.int64),
+                                 *self.facet_groups.values()])
+        tagged = _facet_keys(facets, self.num_nodes)
+        at = np.searchsorted(boundary, tagged)
+        # past the last boundary key, a tagged key meets -1, which no key equals
+        outside = np.flatnonzero(np.append(boundary, -1)[at] != tagged)
         if outside.size:
-            first = int(outside.min())
+            first = int(outside[0])
             ends = np.cumsum([len(self.facet_groups[name]) for name in names])
             name = names[int(np.searchsorted(ends, first, side="right"))]
             raise MeshError(f"group {name!r} contains a non-boundary facet "
-                            f"{tuple(tagged[first].tolist())}")
-        if np.any(is_tagged[1:] & is_tagged[:-1] & ~start[1:]):
+                            f"{tuple(sorted(facets[first].tolist()))}")
+        if np.any(np.bincount(at) > 1):
             raise MeshError("facet groups overlap")
         if self.facet_groups and len(tagged) != len(boundary):
             raise MeshError(

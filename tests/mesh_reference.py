@@ -1,7 +1,9 @@
 """The mesh generators as they were before they were rewritten as array
 code, kept as the byte-level reference for `cell_mesh.generate_unit_cell_mesh`,
 `duct_mesh.generate_waveguide_mesh`, `Mesh.boundary_facets` and
-`fem.periodic_reduction`.
+`fem.periodic_reduction`, and `Mesh.validate` as it was before it checked
+the facet groups by integer facet keys, kept as the reference for its
+verdicts and error texts.
 
 The cell generator numbers nodes by first touch through a (2D node,
 z-level) dict and emits facets per simplex; the duct generator numbers
@@ -17,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from perfoplate.geometry import CellGeometry, GeometryError, WaveguideGeometry
-from perfoplate.mesh import Mesh, detect_periodic_pairs
+from perfoplate.mesh import Mesh, MeshError, detect_periodic_pairs
 
 GROUP_TOP = "I+"
 GROUP_BOTTOM = "I-"
@@ -429,6 +431,50 @@ def boundary_facets(mesh):
     faces = np.sort(faces, axis=1)
     uniq, counts = np.unique(faces, axis=0, return_counts=True)
     return uniq[counts == 1]
+
+
+def _equal_runs(rows):
+    """Stable lexicographic order of the rows of an int array and, along it,
+    a flag for each row that starts a run of equal rows."""
+    order = np.lexsort(rows.T[::-1])
+    s = rows[order]
+    start = np.ones(len(s), dtype=bool)
+    start[1:] = np.any(s[1:] != s[:-1], axis=1)
+    return order, start
+
+
+def validate(mesh):
+    """Check invariants: positive volumes, groups on the boundary."""
+    vols = mesh.cell_volumes()
+    bad = np.nonzero(vols <= 0)[0]
+    if bad.size:
+        raise MeshError(
+            f"cell {bad[0]} has non-positive volume {vols[bad[0]]:.3e}"
+        )
+    boundary = boundary_facets(mesh)
+    names = list(mesh.facet_groups)
+    tagged = np.sort(np.concatenate(
+        [boundary[:0]] + [mesh.facet_groups[name] for name in names]), axis=1)
+    # along the stable order, each boundary facet leads its run of equal
+    # rows, followed by the tagged copies of it
+    order, start = _equal_runs(np.concatenate([boundary, tagged]))
+    is_tagged = order >= len(boundary)
+    head = np.flatnonzero(start)[np.cumsum(start) - 1]  # each row's run start
+    outside = order[is_tagged & is_tagged[head]] - len(boundary)
+    if outside.size:
+        first = int(outside.min())
+        ends = np.cumsum([len(mesh.facet_groups[name]) for name in names])
+        name = names[int(np.searchsorted(ends, first, side="right"))]
+        raise MeshError(f"group {name!r} contains a non-boundary facet "
+                        f"{tuple(tagged[first].tolist())}")
+    if np.any(is_tagged[1:] & is_tagged[:-1] & ~start[1:]):
+        raise MeshError("facet groups overlap")
+    if mesh.facet_groups and len(tagged) != len(boundary):
+        raise MeshError(
+            f"facet groups do not partition the boundary "
+            f"({len(tagged)} tagged vs {len(boundary)} boundary facets)"
+        )
+    return mesh
 
 
 def periodic_reduction(mesh):

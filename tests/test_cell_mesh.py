@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from perfoplate import fem
-from perfoplate.cell_mesh import generate_unit_cell_mesh
+from perfoplate.cell_mesh import (_PRISM_TETS, _CrossSection, _rank_sort,
+                                  generate_unit_cell_mesh)
 from perfoplate.geometry import CellGeometry, GeometryError
 from perfoplate.mesh import Mesh
 
@@ -120,11 +121,38 @@ def test_periodic_pairing_on_random_cells(b1, b2, hole_diameter, slope):
 
 
 def test_one_volume_pass_per_sheared_mesh(monkeypatch):
-    # the orientation fix needs the unsheared volumes; the final mesh computes
-    # the sheared ones once and keeps them for validate() and the P1 geometry
+    # the orientation comes from the parity of the rank sort; the final mesh
+    # computes the volumes once and keeps them for validate() and the P1 geometry
     dets = []
     real = np.linalg.det
     monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(len(a)) or real(a))
     m = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=30.0), 0.2)
     fem.p1_geometry(m)
-    assert dets == [m.num_cells] * 2
+    assert dets == [m.num_cells]
+
+
+@settings(max_examples=15, deadline=None)
+@given(b1=st.floats(0.5, 2.0), b2=st.floats(0.5, 2.0),
+       hole_diameter=st.floats(0.05, 0.6), dz=st.floats(0.01, 0.5))
+def test_odd_rank_sort_is_a_negative_prism_volume(b1, b2, hole_diameter, dz):
+    try:
+        cs = _CrossSection(CellGeometry(b1=b1, b2=b2, hole_diameter=hole_diameter), 0.2)
+    except GeometryError:
+        assume(False)
+    tris = np.concatenate([cs.disk_tris, cs.annulus_tris])
+    v, odd = _rank_sort(cs.rank, tris)
+    assert np.array_equal(np.sort(v, axis=1), np.sort(tris, axis=1))
+    assert np.all(np.diff(cs.rank[v], axis=1) > 0)
+    # the unsheared prisms over the sorted triangles, between z = 0 and dz
+    x = np.concatenate([np.pad(cs.nodes[v], ((0, 0), (0, 0), (0, 1))),
+                        np.pad(cs.nodes[v], ((0, 0), (0, 0), (0, 1)), constant_values=dz)],
+                       axis=1)
+    tets = x[:, _PRISM_TETS]
+    det = np.linalg.det(tets[:, :, 1:] - tets[:, :, :1])
+    assert np.array_equal(det < 0, np.repeat(odd[:, None], 3, axis=1))
+
+
+@pytest.mark.parametrize("resolution", [math.inf, math.nan, 0.0, -1.0])
+def test_resolution_must_be_positive_and_finite(resolution):
+    with pytest.raises(GeometryError, match="resolution must be positive and finite"):
+        generate_unit_cell_mesh(CellGeometry(), resolution)

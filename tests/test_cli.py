@@ -106,6 +106,15 @@ def test_config_rejects_non_finite_inflow(value):
     assert parse_config("[flow]\nu_in = -5\n")["flow.u_in"] == -5.0
 
 
+@pytest.mark.parametrize("section", ["cell", "waveguide"])
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_config_rejects_unusable_resolution(section, value):
+    with pytest.raises(ConfigError, match=rf"\[{section}\] resolution must be finite and "
+                                          rf"> 0, got {float(value)!r}"):
+        parse_config(f"[{section}]\nresolution = {value}\n")
+    assert parse_config(f"[{section}]\nresolution = 0.5\n")[f"{section}.resolution"] == 0.5
+
+
 def test_negative_frequency_is_an_error(tmp_path):
     # it would write a TL row at -300 Hz that mirrors +300 Hz
     cfgfile = tmp_path / "run.ini"
@@ -253,6 +262,8 @@ def test_error_record_on_failure(tmp_path):
     ("mesh-duct", "waveguide", "nan"),
     ("mesh-cell", "cell", "0"),
     ("mesh-cell", "cell", "nan"),
+    ("mesh-cell", "cell", "inf"),
+    ("sweep", "cell", "-1"),
 ])
 def test_non_positive_resolution_is_an_error(tmp_path, command, section, resolution):
     cfgfile = tmp_path / "run.ini"
@@ -260,8 +271,9 @@ def test_non_positive_resolution_is_an_error(tmp_path, command, section, resolut
     out = tmp_path / "out"
     assert run_cli([command, "--config", str(cfgfile), "--out", str(out)]) == 1
     record = json.loads((out / "error.json").read_text())
-    assert record["error"] == "GeometryError"
-    assert "resolution must be positive" in record["message"]
+    assert record["error"] == "ConfigError"
+    assert record["message"] == (f"[{section}] resolution must be finite and > 0, "
+                                 f"got {float(resolution)!r}")
     assert not (out / "tl.csv").exists()
 
 

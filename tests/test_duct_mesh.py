@@ -44,9 +44,9 @@ def test_node_count_scaling():
     assert 3.0 < ratio < 5.0
 
 
-@pytest.mark.parametrize("resolution", [-0.0125, 0.0, float("nan")])
+@pytest.mark.parametrize("resolution", [-0.0125, 0.0, float("nan"), float("inf"), -1.0])
 def test_resolution_must_be_positive(resolution):
-    with pytest.raises(GeometryError, match="resolution must be positive"):
+    with pytest.raises(GeometryError, match="resolution must be positive and finite"):
         generate_waveguide_mesh(WaveguideGeometry(), resolution)
 
 

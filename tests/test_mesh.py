@@ -1,3 +1,5 @@
+import functools
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -12,7 +14,7 @@ from perfoplate import fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.duct_mesh import generate_waveguide_mesh
 from perfoplate.geometry import CellGeometry, GeometryError, WaveguideGeometry
-from perfoplate.mesh import (Mesh, MeshError, MeshFormatError,
+from perfoplate.mesh import (Mesh, MeshError, MeshFormatError, _facet_keys,
                              detect_periodic_pairs, load_mesh, save_mesh)
 
 
@@ -340,6 +342,62 @@ def test_validate_requires_groups_to_partition_the_boundary():
     del groups["I-"]
     with pytest.raises(MeshError, match=r"\(10 tagged vs 12 boundary facets\)"):
         Mesh(3, m.nodes, m.cells, groups).validate()
+
+
+def test_facet_keys_fit_int64_up_to_two_to_the_21_nodes():
+    top = 2 ** 21
+    assert _facet_keys(np.full((1, 3), top - 1), top).tolist() == [2 ** 63 - 1]
+    assert _facet_keys(np.array([[2, 0, 1], [1, 2, 0]]), top).tolist() == [top + 2] * 2
+    with pytest.raises(MeshError, match=r"2097153 nodes are too many for int64 facet keys"):
+        _facet_keys(np.zeros((1, 3), np.int64), top + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def corruptible_meshes():
+    """A small sheared cell mesh and a small duct mesh, with the faces of
+    their cells that no group may hold."""
+    out = []
+    for mesh in (generate_unit_cell_mesh(CellGeometry(hole_slope_deg=30.0), 0.25),
+                 generate_waveguide_mesh(WaveguideGeometry(), 0.05)):
+        faces = {f for c in mesh.cells.tolist()
+                 for f in itertools.combinations(sorted(c), mesh.dim)}
+        interior = sorted(faces - set(map(tuple, mesh.boundary_facets().tolist())))
+        out.append((mesh, interior))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(which=st.sampled_from([0, 1]), data=st.data())
+def test_validate_agrees_with_the_reference_on_corrupted_groups(which, data):
+    # a dropped facet, a facet copied into a second group, an interior facet
+    # added and a facet repeated within its group, in any mix and order
+    mesh, interior = corruptible_meshes()[which]
+    groups = {name: facets.tolist() for name, facets in mesh.facet_groups.items()}
+    names = list(groups)
+    kinds = st.sampled_from(["drop", "copy", "interior", "repeat"])
+    for kind in data.draw(st.lists(kinds, min_size=1, max_size=4)):
+        name = data.draw(st.sampled_from([n for n in names if groups[n]]))
+        facets = groups[name]
+        if kind == "drop":
+            facets.pop(data.draw(st.integers(0, len(facets) - 1)))
+            continue
+        if kind == "interior":
+            facet = interior[data.draw(st.integers(0, len(interior) - 1))]
+        else:
+            facet = facets[data.draw(st.integers(0, len(facets) - 1))]
+        if kind == "copy":
+            facets = groups[data.draw(st.sampled_from([n for n in names if n != name]))]
+        facets.insert(data.draw(st.integers(0, len(facets))),
+                      list(data.draw(st.permutations(facet))))
+
+    def verdict(check):
+        try:
+            check(Mesh(mesh.dim, mesh.nodes, mesh.cells, groups))
+        except MeshError as exc:
+            return str(exc)
+        return None
+
+    assert verdict(Mesh.validate) == verdict(mesh_reference.validate)
 
 
 def test_boundary_facets_of_the_cube():
