@@ -130,7 +130,7 @@ class CellOperator:
     def __init__(self, flow: FlowField, residual_tol: float = 1e-10):
         props = flow.properties
         speed = flow.max_speed()
-        if speed >= props.mach_speed_limit:
+        if not speed < props.mach_speed_limit:  # also catches NaN
             raise MachBoundError(
                 f"max |w| = {speed:.6g} m/s reaches the coercivity bound "
                 f"c/sqrt(tau) = {props.mach_speed_limit:.6g} m/s")
@@ -281,9 +281,7 @@ def _advective_vector(mesh, velocity):
     grads, vols = fem.p1_geometry(mesh)
     wmean = velocity[mesh.cells].mean(axis=1)
     contrib = np.einsum('m,md,mid->mi', vols, wmean, grads)
-    out = np.zeros(mesh.num_nodes)
-    np.add.at(out, mesh.cells.reshape(-1), contrib.reshape(-1))
-    return out
+    return np.bincount(mesh.cells.reshape(-1), contrib.reshape(-1), mesh.num_nodes)
 
 
 @per_mesh

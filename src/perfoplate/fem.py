@@ -4,7 +4,8 @@ Scalar P1 matrices and loads on simplex meshes, and one sparse direct
 solver for pure-Neumann problems under periodic and zero-mean
 constraints.  Element gradients are cell-constant; products with
 nodal velocity fields are integrated with second-order quadrature, which is
-exact for the quadratic integrands that occur here.  The solver of the
+exact for the quadratic integrands that occur here, and are summed from
+sparse per-point factors rather than element blocks.  The solver of the
 stiffness matrix is kept for one mesh at a time: it computes the cell flow
 and preconditions the cell correctors, whose Krylov runs are kept with it.
 """
@@ -112,9 +113,7 @@ def _simplex_mass(simplices, measures, n_nodes):
 def _simplex_load(simplices, measures, n_nodes):
     """Vector of int phi_i over a set of simplices (exact for P1)."""
     n = simplices.shape[1]
-    out = np.zeros(n_nodes)
-    np.add.at(out, simplices.reshape(-1), np.repeat(measures / n, n))
-    return out
+    return np.bincount(simplices.reshape(-1), np.repeat(measures / n, n), n_nodes)
 
 
 @per_mesh
@@ -129,39 +128,60 @@ def mass_matrix(mesh):
     return _simplex_mass(mesh.cells, mesh.cell_volumes(), mesh.num_nodes)
 
 
-def _advection_terms(mesh, velocity):
-    """Quadrature terms of the advection forms, one per point q:
-    (lambda_q, weight_q * cell measures, w(x_q) . grad phi_j per cell)."""
+# Cells per block of the advection factors.  A block's products with its
+# factors hold at most (d + 1)^2 entries per cell, so the transient of the
+# assembly stays near the size of W, not that of per-cell element blocks.
+_ADVECTION_BLOCK = 4096
+
+
+def _advection_factors(mesh, velocity):
+    """Sparse factors of the advection forms, one pair (L, D) per block of
+    cells and quadrature point q, each with one row per cell of the block.
+
+    With s_m = sqrt(weight_q |T_m|), row m of D holds s_m w(x_q) . grad phi_j
+    and row m of L holds s_m lambda_q,j at the cell's nodes j, so that
+    W = sum D^T D and C = sum L^T D.
+    """
     velocity = np.asarray(velocity, dtype=float)
     if velocity.shape != (mesh.num_nodes, mesh.dim):
         raise AssemblyError("velocity must be nodal with one vector per mesh node")
     grads, vols = p1_geometry(mesh)
-    wn = velocity[mesh.cells]
     lam, wts = _QUAD2[mesh.dim]
-    for q in range(len(wts)):
-        wq = np.einsum('i,mid->md', lam[q], wn)
-        yield lam[q], wts[q] * vols, np.einsum('md,mjd->mj', wq, grads)
+    for start in range(0, mesh.num_cells, _ADVECTION_BLOCK):
+        block = slice(start, start + _ADVECTION_BLOCK)
+        cells = mesh.cells[block]
+        # w(x_q) . grad phi_j, indexed (cell, q, j)
+        dq = lam @ velocity[cells] @ np.swapaxes(grads[block], 1, 2)
+        root = np.sqrt(vols[block])
+        pattern = (cells.reshape(-1), np.arange(0, cells.size + 1, mesh.dim + 1))
+        shape = (len(cells), mesh.num_nodes)
+        for q, weight in enumerate(wts):
+            s = math.sqrt(weight) * root
+            yield (sp.csr_matrix((np.outer(s, lam[q]).reshape(-1), *pattern), shape=shape),
+                   sp.csr_matrix(((s[:, None] * dq[:, q]).reshape(-1), *pattern), shape=shape))
+
+
+def _sum_of_products(pairs, n_nodes):
+    """Sum of A^T B over pairs (A, B) of CSR factors, as CSR with sorted
+    indices.  A.T is CSC and is converted, so that each product is CSR;
+    products and sums leave the indices unsorted, so they are sorted once."""
+    total = sp.csr_matrix((n_nodes, n_nodes))
+    for A, B in pairs:
+        total = total + A.T.tocsr() @ B
+    total.sort_indices()
+    return total
 
 
 def advection_matrix(mesh, velocity):
     """W_ij = int (w.grad phi_i)(w.grad phi_j)."""
-    n = mesh.dim + 1
-    Welem = np.zeros((mesh.num_cells, n, n))
-    for _, scale, dq in _advection_terms(mesh, velocity):
-        Welem += np.einsum('m,mi,mj->mij', scale, dq, dq)
-    return _scatter(mesh.cells, Welem, mesh.num_nodes)
+    return _sum_of_products(((D, D) for _, D in _advection_factors(mesh, velocity)),
+                            mesh.num_nodes)
 
 
 def advection_matrices(mesh, velocity):
     """(W, C): W as in ``advection_matrix``, C_ij = int phi_i (w.grad phi_j)."""
-    n = mesh.dim + 1
-    Welem = np.zeros((mesh.num_cells, n, n))
-    Celem = np.zeros((mesh.num_cells, n, n))
-    for lam, scale, dq in _advection_terms(mesh, velocity):
-        Welem += np.einsum('m,mi,mj->mij', scale, dq, dq)
-        Celem += np.einsum('m,i,mj->mij', scale, lam, dq)
-    return (_scatter(mesh.cells, Welem, mesh.num_nodes),
-            _scatter(mesh.cells, Celem, mesh.num_nodes))
+    return (advection_matrix(mesh, velocity),
+            _sum_of_products(_advection_factors(mesh, velocity), mesh.num_nodes))
 
 
 def boundary_mass_matrix(mesh, group):
@@ -192,12 +212,13 @@ def periodic_reduction(mesh):
     """
     n = mesh.num_nodes
     pairs = np.concatenate([np.empty((0, 2), np.int64), *mesh.periodic_pairs.values()])
-    graph = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    # the pair graph, one unit block per pair (the diagonal it adds joins
+    # no components)
+    graph = _scatter(pairs, np.ones((len(pairs), 2, 2)), n)
     _, labels = csgraph.connected_components(graph, directed=False)
     _, first, cls = np.unique(labels, return_index=True, return_inverse=True)
     _, red = np.unique(first[cls], return_inverse=True)
-    return sp.coo_matrix((np.ones(n), (np.arange(n), red)),
-                         shape=(n, len(first))).tocsr()
+    return sp.csr_matrix((np.ones(n), red, np.arange(n + 1)), shape=(n, len(first)))
 
 
 @per_mesh

@@ -47,11 +47,10 @@ def _recover_velocity(mesh, potential):
     """Nodal w = -grad(potential), averaged across periodic identifications."""
     g = fem.cell_gradients(mesh, potential)
     vols = mesh.cell_volumes()
-    num = np.zeros((mesh.num_nodes, mesh.dim))
-    den = np.zeros(mesh.num_nodes)
-    idx = mesh.cells.reshape(-1)
-    np.add.at(num, idx, np.repeat(-g * vols[:, None], mesh.dim + 1, axis=0))
-    np.add.at(den, idx, np.repeat(vols, mesh.dim + 1))
+    idx, n = mesh.cells.reshape(-1), mesh.dim + 1
+    num = np.stack([np.bincount(idx, np.repeat(-gd * vols, n), mesh.num_nodes)
+                    for gd in g.T], axis=1)
+    den = np.bincount(idx, np.repeat(vols, n), mesh.num_nodes)
     T, Tt = fem.periodic_reduction(mesh), fem.periodic_restriction(mesh)
     return (T @ (Tt @ num)) / (T @ (Tt @ den))[:, None]
 
@@ -122,9 +121,8 @@ def _interface_profile(mesh, potential):
     grads, vols = fem.p1_geometry(mesh)
     vals = potential[mesh.cells[upper]]
     g = np.einsum('mi,mid->md', vals, grads[upper])
-    r = np.zeros(mesh.num_nodes)
     contrib = np.einsum('m,mid,md->mi', vols[upper], grads[upper], g)
-    np.add.at(r, mesh.cells[upper].reshape(-1), contrib.reshape(-1))
+    r = np.bincount(mesh.cells[upper].reshape(-1), contrib.reshape(-1), mesh.num_nodes)
     lump = fem.boundary_load_vector(mesh, GROUP_IFACE_PLUS)
     return r[plus] / lump[plus]
 

@@ -139,7 +139,7 @@ class OperatorParts:
         vel = problem.flow.velocity if problem.flow is not None else None
         if problem.outer_advection and vel is not None and np.any(vel):
             speed = float(np.linalg.norm(vel, axis=1).max())
-            if speed >= props.mach_speed_limit:
+            if not speed < props.mach_speed_limit:  # also catches NaN
                 raise MacroAssemblyError(
                     f"macro flow max |w| = {speed:.6g} m/s reaches the bound "
                     f"c/sqrt(tau) = {props.mach_speed_limit:.6g} m/s")

@@ -12,7 +12,7 @@ from perfoplate.cell_problems import (MachBoundError, advective_vector, assemble
                                       solve_cell_problems, unit_advective_vector)
 from perfoplate.coefficients import cell_pipeline
 from perfoplate.fem import SolverError
-from perfoplate.flow import face_flux_jump, solve_cell_potential_flow
+from perfoplate.flow import FlowField, face_flux_jump, solve_cell_potential_flow
 from perfoplate.geometry import CellGeometry
 
 
@@ -72,6 +72,16 @@ def test_mach_guard_trips_exactly_at_bound(empty_cell_mesh, props):
     assert f"{limit:.6g}" in msg and "max |w|" in msg
     below = solve_cell_potential_flow(empty_cell_mesh, np.nextafter(u3, 0.0), props)
     assemble_Aw(below)  # must not raise
+
+
+def test_mach_guard_rejects_a_nan_speed(straight_cell_mesh, props):
+    # NaN >= limit is false, so a guard written that way lets a NaN node
+    # through to a context-free error in the Lanczos step cap
+    flow = solve_cell_potential_flow(straight_cell_mesh, 1.0, props)
+    velocity = flow.velocity.copy()
+    velocity[7, 2] = np.nan
+    with pytest.raises(MachBoundError, match=r"max \|w\| = nan m/s"):
+        assemble_Aw(FlowField(straight_cell_mesh, velocity, props, flow.u3))
 
 
 def test_empty_cell_correctors(empty_cell_mesh, props):

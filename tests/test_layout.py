@@ -197,3 +197,33 @@ def test_every_option_is_set_somewhere():
     """An option nothing sets is code no run or test takes: each defaulted
     parameter of a top-level function is passed by at least one call."""
     assert not unset_options(), f"options nothing sets: {unset_options()}"
+
+
+def scatter_bypasses():
+    """(module, line, name) of every ``np.add.at`` in ``src/`` and of every
+    ``coo_matrix`` or ``coo_array`` (name, attribute or import) outside
+    ``fem._scatter``."""
+    found = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {id(node) for fn in tree.body
+                  if path.name == "fem.py" and getattr(fn, "name", None) == "_scatter"
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "at"
+                    and getattr(node.value, "attr", None) == "add"):
+                found.append((path.name, node.lineno, "add.at"))
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in ("coo_matrix", "coo_array") and id(node) not in inside:
+                found.append((path.name, getattr(node, "lineno", None), name))
+    return found
+
+
+def test_sums_go_through_bincount_or_scatter():
+    """Nodal sums are ``np.bincount`` (``np.add.at`` sums in the same order,
+    about three times slower), and the only COO matrix is the one
+    ``fem._scatter`` converts: K, M, the boundary masses and the periodic
+    pair graph; the advection forms are sums of sparse factor products."""
+    assert not scatter_bypasses(), scatter_bypasses()

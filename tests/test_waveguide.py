@@ -280,6 +280,16 @@ def test_macro_mach_guard(duct_mesh, props):
     assert all("reaches the bound c/sqrt(tau)" in msg for _, msg in failures)
 
 
+def test_macro_mach_guard_rejects_a_nan_speed(duct_mesh, props):
+    # NaN >= limit is false, so a guard written that way builds a NaN matrix
+    flow = uniform_macro_flow(duct_mesh, 10.0, props)
+    flow.velocity[5, 0] = np.nan
+    prob = uniform_problem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025,
+                           flow=flow)
+    with pytest.raises(MacroAssemblyError, match=r"max \|w\| = nan m/s"):
+        assemble_coupled_system(prob, OMEGA)
+
+
 def test_flow_of_another_fluid_rejected(duct_mesh, props):
     other = FluidProperties(c=300.0, tau=1.0)
     flow = uniform_macro_flow(duct_mesh, 10.0, other)
