@@ -39,9 +39,11 @@ class MachBoundError(RuntimeError):
 
 
 @per_mesh
-def unit_advection_matrix(mesh):
-    """W of the mesh's u3 = 1 cell flow, read-only; the flow u3 * w1 has W = u3^2 * W1."""
-    return fem.advection_matrix(mesh, unit_cell_flow(mesh)[0])
+def unit_advection(mesh):
+    """(W1, a1): the advection matrix and advective vector of the mesh's
+    u3 = 1 cell flow (``fem.advection_forms``), read-only; the flow u3 * w1
+    has W = u3^2 * W1 and a = u3 * a1."""
+    return fem.advection_forms(mesh, unit_cell_flow(mesh)[0])
 
 
 class LanczosRun:
@@ -152,7 +154,7 @@ class CellOperator:
         # the operator is (K - s W1) / |Xi|, applied as such and never built
         self._stiffness = fem.stiffness_matrix(mesh)
         self._shift = props.tau * flow.u3 ** 2 / props.c ** 2
-        self._advection = unit_advection_matrix(mesh)
+        self._advection = unit_advection(mesh)[0]
         rho = props.tau * speed ** 2 / props.c ** 2
         # twice the CG bound for the energy-norm error at condition number
         # 1/(1 - rho), plus room for the Euclidean residual
@@ -225,12 +227,12 @@ class CellOperator:
         if name == "xi":
             return [("xi", lambda: -(Tt @ face_flux_jump(mesh)), 1.0)]
         if name == "pi_P":
-            return [("pi_P", lambda: Tt @ unit_advective_vector(mesh),
+            return [("pi_P", lambda: Tt @ unit_advection(mesh)[1],
                      u3 * props.theta / props.c ** 2)]
         _, beta = name
         y = mesh.nodes[:, beta - 1]
         return [(("K", beta), lambda: -(Tt @ (fem.stiffness_matrix(mesh) @ y)), 1.0),
-                (("W", beta), lambda: Tt @ (unit_advection_matrix(mesh) @ y), self._shift)]
+                (("W", beta), lambda: Tt @ (unit_advection(mesh)[0] @ y), self._shift)]
 
     def _lanczos(self, run, scale, tol, step):
         """Coefficients y of x = V_m y, the Galerkin solution of
@@ -276,26 +278,12 @@ def assemble_Aw(flow, residual_tol=1e-10) -> CellOperator:
     return CellOperator(flow, residual_tol)
 
 
-def _advective_vector(mesh, velocity):
-    """Vector of int (cell-mean w) . grad phi_i, linear in the velocity."""
-    grads, vols = fem.p1_geometry(mesh)
-    wmean = velocity[mesh.cells].mean(axis=1)
-    contrib = np.einsum('m,md,mid->mi', vols, wmean, grads)
-    return np.bincount(mesh.cells.reshape(-1), contrib.reshape(-1), mesh.num_nodes)
-
-
-@per_mesh
-def unit_advective_vector(mesh):
-    """a of the mesh's u3 = 1 cell flow, read-only; the flow u3 * w1 has a = u3 * a1."""
-    return _advective_vector(mesh, unit_cell_flow(mesh)[0])
-
-
 def advective_vector(flow):
-    """a_i = int (cell-mean w) . grad phi_i of a cell flow: zero at rest
-    (the mesh's a1 is not built), else u3 times the mesh's kept a1."""
+    """a_i = int w . grad phi_i of a cell flow: zero at rest (the mesh's a1
+    is not built), else u3 times the mesh's kept a1 (``unit_advection``)."""
     if flow.u3 == 0.0:
         return np.zeros(flow.mesh.num_nodes)
-    return flow.u3 * unit_advective_vector(flow.mesh)
+    return flow.u3 * unit_advection(flow.mesh)[1]
 
 
 @dataclass

@@ -3,8 +3,9 @@
 All quantities are cell averages (volume and surface integrals normalized
 by the in-plane cell area).  A and B are volume forms of the cell operator;
 B', F and T' are surface forms, corrector jumps between the faces I+ and
-I-; Tw, Mw and W are read from the advective vector a of the flow
-(``cell_problems.advective_vector``, kept per mesh).  So B = B' and
+I-; Tw, Mw and W are read from the advective vector a_i = int w . grad
+phi_i of the flow (``cell_problems.advective_vector``: u3 times the a1 that
+each mesh sums with W1 in one sweep).  So B = B' and
 T' = -(theta/c^2) Tw compare independent forms of one quantity.
 
 Convention: the two advective coupling vectors are stored *without* the
@@ -87,7 +88,7 @@ def compute_coefficients(sols: CellSolutionSet) -> HomogenizedCoefficients:
     F = -_face_jump(mesh, sols.xi, xi_m)
     Twp = _face_jump(mesh, sols.pi_P, xi_m)
 
-    # a . v = int (cell-mean w) . grad v for P1 v, and a . y_b = int w_b
+    # a . v = int w . grad v for P1 v, and a . y_b = int w_b
     # exactly, as sum_i y_b,i grad phi_i = e_b
     adv = advective_vector(flow)
     Tw = (adv @ sols.xi) / xi_m

@@ -135,12 +135,13 @@ _ADVECTION_BLOCK = 4096
 
 
 def _advection_factors(mesh, velocity):
-    """Sparse factors of the advection forms, one pair (L, D) per block of
-    cells and quadrature point q, each with one row per cell of the block.
+    """Sparse factors of the advection forms: (s, lambda_q, D) per block of
+    cells and quadrature point q, with s_m = sqrt(weight_q |T_m|) for each
+    cell m of the block and one row of D per cell.
 
-    With s_m = sqrt(weight_q |T_m|), row m of D holds s_m w(x_q) . grad phi_j
-    and row m of L holds s_m lambda_q,j at the cell's nodes j, so that
-    W = sum D^T D and C = sum L^T D.
+    Row m of D holds s_m w(x_q) . grad phi_j at the cell's nodes j, so that
+    W = sum D^T D and a = sum D^T s; L, whose row m holds s_m lambda_q,j on
+    D's pattern, gives C = sum L^T D.
     """
     velocity = np.asarray(velocity, dtype=float)
     if velocity.shape != (mesh.num_nodes, mesh.dim):
@@ -157,31 +158,38 @@ def _advection_factors(mesh, velocity):
         shape = (len(cells), mesh.num_nodes)
         for q, weight in enumerate(wts):
             s = math.sqrt(weight) * root
-            yield (sp.csr_matrix((np.outer(s, lam[q]).reshape(-1), *pattern), shape=shape),
-                   sp.csr_matrix(((s[:, None] * dq[:, q]).reshape(-1), *pattern), shape=shape))
+            yield s, lam[q], sp.csr_matrix(((s[:, None] * dq[:, q]).reshape(-1), *pattern),
+                                           shape=shape)
 
 
-def _sum_of_products(pairs, n_nodes):
-    """Sum of A^T B over pairs (A, B) of CSR factors, as CSR with sorted
-    indices.  A.T is CSC and is converted, so that each product is CSR;
-    products and sums leave the indices unsorted, so they are sorted once."""
-    total = sp.csr_matrix((n_nodes, n_nodes))
-    for A, B in pairs:
-        total = total + A.T.tocsr() @ B
-    total.sort_indices()
-    return total
+# The sums below take each product A^T B as A.T.tocsr() @ B, so that it is
+# CSR; products and sums leave the indices unsorted, so they are sorted once.
 
-
-def advection_matrix(mesh, velocity):
-    """W_ij = int (w.grad phi_i)(w.grad phi_j)."""
-    return _sum_of_products(((D, D) for _, D in _advection_factors(mesh, velocity)),
-                            mesh.num_nodes)
+def advection_forms(mesh, velocity):
+    """(W, a): W_ij = int (w.grad phi_i)(w.grad phi_j) and the advective
+    vector a_j = int w.grad phi_j, from one sweep of the factors."""
+    n = mesh.num_nodes
+    W, a = sp.csr_matrix((n, n)), np.zeros(n)
+    for s, _, D in _advection_factors(mesh, velocity):
+        Dt = D.T.tocsr()
+        W = W + Dt @ D
+        a += Dt @ s
+    W.sort_indices()
+    return W, a
 
 
 def advection_matrices(mesh, velocity):
-    """(W, C): W as in ``advection_matrix``, C_ij = int phi_i (w.grad phi_j)."""
-    return (advection_matrix(mesh, velocity),
-            _sum_of_products(_advection_factors(mesh, velocity), mesh.num_nodes))
+    """(W, C): W as in ``advection_forms`` and C_ij = int phi_i (w.grad phi_j),
+    from one sweep of the factors."""
+    n = mesh.num_nodes
+    W = C = sp.csr_matrix((n, n))
+    for s, lam, D in _advection_factors(mesh, velocity):
+        L = sp.csr_matrix((np.outer(s, lam).reshape(-1), D.indices, D.indptr), shape=D.shape)
+        W = W + D.T.tocsr() @ D
+        C = C + L.T.tocsr() @ D
+    W.sort_indices()
+    C.sort_indices()
+    return W, C
 
 
 def boundary_mass_matrix(mesh, group):

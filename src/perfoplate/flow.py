@@ -119,8 +119,7 @@ def _interface_profile(mesh, potential):
     s = mesh.nodes[minus[0], 1]
     upper = np.nonzero(cen[:, 1] > s)[0]
     grads, vols = fem.p1_geometry(mesh)
-    vals = potential[mesh.cells[upper]]
-    g = np.einsum('mi,mid->md', vals, grads[upper])
+    g = fem.cell_gradients(mesh, potential)[upper]
     contrib = np.einsum('m,mid,md->mi', vols[upper], grads[upper], g)
     r = np.bincount(mesh.cells[upper].reshape(-1), contrib.reshape(-1), mesh.num_nodes)
     lump = fem.boundary_load_vector(mesh, GROUP_IFACE_PLUS)

@@ -111,12 +111,11 @@ class OperatorParts:
     """The frequency-independent parts of the coupled operator of a problem.
 
     bulk: c^2 K and M on the union of their patterns, zero where one has no
-    entry.  advection: (-tau * W on the union of the patterns of W and
-    D = C - C.T, D, the positions of D's entries in that union), or None
-    without outer advection.  ports: (impedance factor, boundary mass) of
-    Gamma_in and Gamma_out.  load: int phi_i over the source boundary.
-    table: the interface element table (`_element_table`).  plan: the
-    `SummationPlan` of the coupled matrix's entries, which
+    entry.  advection: -tau * W and D = C - C.T on the union of their
+    patterns, or None without outer advection.  ports: (impedance factor,
+    boundary mass) of Gamma_in and Gamma_out.  load: int phi_i over the
+    source boundary.  table: the interface element table (`_element_table`).
+    plan: the `SummationPlan` of the coupled matrix's entries, which
     `assemble_coupled_system` emits in the order bulk, advection, ports,
     interface (`_interface_pattern`); every frequency's matrix is on its
     pattern.  ordering: the plan's `ColumnOrdering`, or None before the
@@ -131,9 +130,7 @@ class OperatorParts:
                                      f"interface elements, got {len(coeffs)}")
         patterns = []
         K, M = props.c ** 2 * fem.stiffness_matrix(mesh), fem.mass_matrix(mesh)
-        rows, cols, (at_K, at_M) = _union_pattern(K, M)
-        self.bulk = (_on_pattern(len(rows), at_K, K.data),
-                     _on_pattern(len(rows), at_M, M.data))
+        rows, cols, self.bulk = _on_union_pattern(K, M)
         patterns.append((rows, cols))
         self.advection = None
         vel = problem.flow.velocity if problem.flow is not None else None
@@ -144,9 +141,7 @@ class OperatorParts:
                     f"macro flow max |w| = {speed:.6g} m/s reaches the bound "
                     f"c/sqrt(tau) = {props.mach_speed_limit:.6g} m/s")
             W, C = fem.advection_matrices(mesh, vel)
-            W, D = -props.tau * W, C - C.T
-            rows, cols, (at_W, at_D) = _union_pattern(W, D)
-            self.advection = (_on_pattern(len(rows), at_W, W.data), D.data, at_D)
+            rows, cols, self.advection = _on_union_pattern(-props.tau * W, C - C.T)
             patterns.append((rows, cols))
         self.ports = []
         for group in (GROUP_IN, GROUP_OUT):
@@ -163,23 +158,19 @@ class OperatorParts:
         self.ordering = None
 
 
-def _union_pattern(*matrices):
+def _on_union_pattern(*matrices):
     """(rows, cols) of the union of the patterns of canonical CSR matrices,
-    in CSR order, and the positions of each matrix's entries in it: the
-    pattern scipy's CSR sum or difference of the matrices has, as long as
-    no entry cancels."""
+    in CSR order, and each matrix's values on it, zero where it has no
+    entry: the pattern scipy's CSR sum or difference of the matrices has,
+    as long as no entry cancels."""
     n = matrices[0].shape[1]
     keys = [np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)) * n + A.indices
             for A in matrices]
     union = np.unique(np.concatenate(keys))
-    return union // n, union % n, [np.searchsorted(union, k) for k in keys]
-
-
-def _on_pattern(size, positions, values, dtype=float):
-    """``values`` at ``positions`` of a pattern of ``size`` entries, zero elsewhere."""
-    out = np.zeros(size, dtype=dtype)
-    out[positions] = values
-    return out
+    values = tuple(np.zeros(len(union)) for _ in matrices)
+    for out, A, k in zip(values, matrices, keys):
+        out[np.searchsorted(union, k)] = A.data
+    return union // n, union % n, values
 
 
 def _row_pointer(rows, n, dtype):
@@ -376,8 +367,8 @@ def assemble_coupled_system(problem: MacroProblem, omega: float):
     stiffness, mass = parts.bulk
     vals = [stiffness - mass * omega ** 2]
     if parts.advection is not None:
-        W, D, at_D = parts.advection
-        vals.append(W + _on_pattern(len(W), at_D, D * (iw * props.theta), complex))
+        W, D = parts.advection
+        vals.append(W + D * (iw * props.theta))
     vals += [B * (iw * c * zfac) for zfac, B in parts.ports]
     rhs = np.zeros(n, dtype=complex)
     rhs[:nP] += 2.0 * iw * c * problem.amplitude * parts.load

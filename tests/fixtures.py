@@ -1,8 +1,9 @@
 """A uniform velocity for the FEM tests; the speeds u3 at which a cell flow
 reaches a fraction of c/sqrt(tau), or the bound itself; the uniform duct
 flow and analytic coefficients the tests build problems from; the cell
-operator as a matrix and integrals over the cells; and perfbench's measure
-of the distance between two coefficient rows.  Every cell flow is built by
+operator as a matrix and integrals over the cells; a count of the sweeps
+of the advection factors; and perfbench's measure of the distance between
+two coefficient rows.  Every cell flow is built by
 ``flow.solve_cell_potential_flow``, as in the program."""
 
 import importlib.util
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from perfoplate import fem
 from perfoplate.coefficients import HomogenizedCoefficients
 from perfoplate.duct_mesh import IFACE_PAIRING
 from perfoplate.flow import MacroFlowField, unit_cell_flow
@@ -64,6 +66,17 @@ def integrate_cells(mesh, field):
 def operator_matrix(op):
     """A `CellOperator` as a CSR matrix: its product with the identity."""
     return op.apply(sp.identity(op.mesh.num_nodes, format="csr")).tocsr()
+
+
+def counted_factor_sweeps(monkeypatch):
+    """The meshes of the sweeps of ``fem._advection_factors`` started from now on."""
+    sweeps, real = [], fem._advection_factors
+
+    def counting(mesh, velocity):
+        sweeps.append(mesh)
+        return real(mesh, velocity)
+    monkeypatch.setattr(fem, "_advection_factors", counting)
+    return sweeps
 
 
 def uniform_problem(mesh, properties, coeffs, **kwargs):

@@ -4,12 +4,13 @@ import weakref
 import numpy as np
 import pytest
 
-from fixtures import (coef_deviation, integrate_cells, operator_matrix, u3_at_mach_bound,
-                      u3_at_mach_fraction)
-from perfoplate import cell_problems, fem
+import advection_reference
+from fixtures import (coef_deviation, counted_factor_sweeps, integrate_cells,
+                      operator_matrix, u3_at_mach_bound, u3_at_mach_fraction)
+from perfoplate import fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.cell_problems import (MachBoundError, advective_vector, assemble_Aw,
-                                      solve_cell_problems, unit_advective_vector)
+                                      solve_cell_problems, unit_advection)
 from perfoplate.coefficients import cell_pipeline
 from perfoplate.fem import SolverError
 from perfoplate.flow import FlowField, face_flux_jump, solve_cell_potential_flow
@@ -377,29 +378,25 @@ def test_unknown_corrector_load_fails_before_any_solve(slant_cell_mesh, props, m
         op.solve(name)
 
 
-def test_advective_vector_built_once_per_mesh(props, monkeypatch):
-    # the pi_P load and the flow coefficients of every speed read the
-    # mesh's u3 = 1 vector; only that one is integrated over the cells
-    calls = []
-    real = cell_problems._advective_vector
-
-    def counting(mesh, velocity):
-        calls.append(mesh)
-        return real(mesh, velocity)
-    monkeypatch.setattr(cell_problems, "_advective_vector", counting)
+def test_unit_advection_from_one_sweep_per_mesh(props, monkeypatch):
+    # the operator, the pi_P load and the flow coefficients of every speed
+    # read the mesh's u3 = 1 W1 and a1, both from one sweep of the factors
+    sweeps = counted_factor_sweeps(monkeypatch)
     geom = CellGeometry(hole_slope_deg=30.0)
     mesh = generate_unit_cell_mesh(geom, 0.15)
     for u3 in (0.0, 1.0, -2.5, 4.0, 2.0, 5.0):
         cell_pipeline(geom, u3, 0.15, props, mesh=mesh)
-    assert calls == [mesh]
-    assert not unit_advective_vector(mesh).flags.writeable
+    assert sweeps == [mesh]
+    W1, a1 = unit_advection(mesh)
+    for arr in (W1.data, W1.indices, W1.indptr, a1):
+        assert not arr.flags.writeable
 
 
 def test_advective_vector_of_scaled_unit_flow(slant_cell_mesh, props):
     mesh = slant_cell_mesh
     flow = solve_cell_potential_flow(mesh, 2.5, props)
     kept = advective_vector(flow)
-    assembled = cell_problems._advective_vector(mesh, flow.velocity)
+    assembled = advection_reference.cell_mean_advective_vector(mesh, flow.velocity)
     assert np.abs(kept - assembled).max() <= 1e-14 * np.abs(assembled).max()
     # a . y_b is the integral of the cell-mean w_b: sum_i y_b,i grad phi_i = e_b
     wmean = flow.velocity[mesh.cells].mean(axis=1)

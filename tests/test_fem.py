@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import advection_reference
 from conftest import structured_square_mesh
-from fixtures import integrate_cells, uniform_velocity
+from fixtures import counted_factor_sweeps, integrate_cells, uniform_velocity
 from perfoplate import fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.fem import AssemblyError, FluidProperties, SolverError
@@ -130,18 +130,41 @@ def test_advection_forms_match_element_blocks_on_the_duct(duct_mesh, props):
 
 
 def test_advection_assembly_builds_no_element_blocks():
-    """W of the 0.08 cell is summed from blocks of sparse factors: the
+    """W and a of the 0.08 cell are summed from blocks of sparse factors: the
     assembly's traced peak stays under 4 MB, where the dense element blocks
-    and their COO triplets took 10.8 MB (W itself is 0.7 MB)."""
+    and their COO triplets took 10.8 MB for W alone (W itself is 0.7 MB)."""
     mesh = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=30.0), 0.08)
     velocity = unit_cell_flow(mesh)[0]  # builds and caches the P1 geometry
     tracemalloc.start()
     try:
-        fem.advection_matrix(mesh, velocity)
+        fem.advection_forms(mesh, velocity)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4e6, f"{peak / 1e6:.2f} MB"
+
+
+def test_advection_matrices_sweep_the_factors_once(slant_cell_mesh, monkeypatch):
+    velocity = unit_cell_flow(slant_cell_mesh)[0]
+    sweeps = counted_factor_sweeps(monkeypatch)
+    fem.advection_matrices(slant_cell_mesh, velocity)
+    assert sweeps == [slant_cell_mesh]
+
+
+def test_advection_forms_from_one_sweep(slant_cell_mesh, monkeypatch):
+    mesh = slant_cell_mesh
+    velocity = unit_cell_flow(mesh)[0]
+    W_ref, _ = fem.advection_matrices(mesh, velocity)
+    sweeps = counted_factor_sweeps(monkeypatch)
+    W, a = fem.advection_forms(mesh, velocity)
+    assert sweeps == [mesh]
+    assert W.has_canonical_format
+    for got, want in ((W.data, W_ref.data), (W.indices, W_ref.indices),
+                      (W.indptr, W_ref.indptr)):
+        assert got.tobytes() == want.tobytes()
+    # the rule integrates P1 w exactly, so a is the cell-mean form
+    a_ref = advection_reference.cell_mean_advective_vector(mesh, velocity)
+    assert np.abs(a - a_ref).max() <= 1e-14 * np.abs(a_ref).max()
 
 
 def test_missing_flow_rejected(straight_cell_mesh):
