@@ -124,9 +124,11 @@ class CellOperator:
     ``solve`` takes a corrector's name and builds its load (``load``).  At
     rest it solves by the factored K / |Xi|; with flow it takes each fixed
     part of the load from a Lanczos run kept with the mesh's stiffness
-    solver (``fem.stiffness_runs``).  A run is extended until its residual
-    estimate reaches LANCZOS_TOL, shared among the parts, for the speed at
-    hand; the explicit residual is then checked against ``residual_tol``.
+    solver (``fem.stiffness_solver``), and T and T^T from that solver.  A
+    run is extended until its residual estimate reaches LANCZOS_TOL, shared
+    among the parts, for the speed at hand.  Either way the relative
+    residual is checked against ``residual_tol`` (``fem.check_residual``),
+    and a failure names the corrector and u3.
     """
 
     def __init__(self, flow: FlowField, residual_tol: float = 1e-10):
@@ -145,12 +147,9 @@ class CellOperator:
             # where another mesh's kept solver and runs would set the peak
             fem.drop_other_stiffness_solver(mesh)
             self._matrix = fem.stiffness_matrix(mesh) / self.xi
-            self._direct = fem.ZeroMeanSolver(mesh, self._matrix, residual_tol,
-                                              scale=self.xi)
+            self._direct = fem.ZeroMeanSolver(mesh, self._matrix, scale=self.xi)
             return
         self._direct = None
-        self._reduction = fem.periodic_reduction(mesh)
-        self._restriction = fem.periodic_restriction(mesh)
         # the operator is (K - s W1) / |Xi|, applied as such and never built
         self._stiffness = fem.stiffness_matrix(mesh)
         self._shift = props.tau * flow.u3 ** 2 / props.c ** 2
@@ -166,10 +165,13 @@ class CellOperator:
         with flow the load's parts are solved from the runs kept for the
         mesh."""
         rhs_full = self.load(name)
+        solve_name = f"corrector {name!r} at u3={self.flow.u3:.6g}"
         if self._direct is not None:
-            return self._direct.solve(rhs_full)
-        T, Tt = self._reduction, self._restriction
-        solver = fem.stiffness_solver(self.mesh)
+            u, residual = self._direct.solve(rhs_full)
+            fem.check_residual(residual, self.residual_tol, solve_name)
+            return u
+        solver, runs = fem.stiffness_solver(self.mesh)
+        T, Tt = solver.reduction, solver.restriction
         rhs, norm = fem.reduced_rhs(Tt, rhs_full, solver.zero_floor / self.xi)
         if norm == 0.0:
             return np.zeros(self.mesh.num_nodes)
@@ -177,7 +179,7 @@ class CellOperator:
         # the right side along them (at most 1e-10 relative, as checked) is
         # dropped, as the direct solve's multiplier absorbs it
         rhs = rhs - rhs.mean()
-        runs, parts = fem.stiffness_runs(self.mesh), self._load_parts(name)
+        parts = self._load_parts(name, Tt)
 
         def advect(q):
             return Tt @ (self._advection @ (T @ q))
@@ -194,7 +196,7 @@ class CellOperator:
             y = self._lanczos(run, scale, LANCZOS_TOL / len(parts), step)
             x += (coefficient * run.start_norm) * (y @ run.basis[:len(y)])
         fem.check_residual(np.linalg.norm(Tt @ self.apply(T @ x) - rhs) / norm,
-                           self.residual_tol)
+                           self.residual_tol, solve_name)
         return T @ x
 
     def apply(self, v):
@@ -218,11 +220,12 @@ class CellOperator:
                              "('pi', 1), ('pi', 2), 'xi' or 'pi_P'")
         return -self.apply(self.mesh.nodes[:, name[1] - 1])
 
-    def _load_parts(self, name):
+    def _load_parts(self, name, Tt):
         """(run key, start, coefficient) of each fixed part of a corrector
-        load: |Xi| times the reduced load is the sum of coefficient * start,
-        and each start depends on the mesh alone."""
-        mesh, u3, Tt = self.mesh, self.flow.u3, self._restriction
+        load, with T^T the periodic restriction: |Xi| times the reduced load
+        is the sum of coefficient * start, and each start depends on the mesh
+        alone."""
+        mesh, u3 = self.mesh, self.flow.u3
         props = self.flow.properties
         if name == "xi":
             return [("xi", lambda: -(Tt @ face_flux_jump(mesh)), 1.0)]

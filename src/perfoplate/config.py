@@ -191,6 +191,10 @@ def validate(cfg: RunConfig):
             section, name = key.split(".")
             raise ConfigError(f"[{section}] {name} must be finite and > 0, got {cfg[key]!r}")
     cfg.fluid_properties()  # raises ValueError naming a bad c or tau
+    # each raises ConfigError on a grid no command can run
+    cfg.frequencies_hz()
+    cfg.sweep_u3()
+    cfg.sweep_phis()
 
 
 def load_config(path) -> RunConfig:

@@ -254,11 +254,6 @@ def reduced_rhs(restriction, rhs_full, zero_floor):
     return rhs, norm
 
 
-def zero_floor(reduced):
-    """Absolute scale below which a right side of ``reduced`` counts as zero."""
-    return 1e-13 * abs(reduced).max() * np.sqrt(reduced.shape[0])
-
-
 class ZeroMeanSolver:
     """Periodic, zero-mean solutions of one pure-Neumann matrix.
 
@@ -266,12 +261,12 @@ class ZeroMeanSolver:
     integral mean divided by ``scale`` (one Lagrange multiplier); the
     bordered matrix is factored once by ``splu`` with the keyword options
     ``lu_options`` (SuperLU's defaults when None), and shared by every
-    right side.  The solver keeps no reference to the mesh.
+    right side.  The solver keeps no reference to the mesh and checks no
+    residual: each caller checks it (``check_residual``).
     """
 
-    def __init__(self, mesh, matrix, residual_tol, scale=1.0, lu_options=None):
+    def __init__(self, mesh, matrix, scale=1.0, lu_options=None):
         self.num_nodes = mesh.num_nodes
-        self.residual_tol = residual_tol
         self.reduction = periodic_reduction(mesh)
         self.restriction = periodic_restriction(mesh)
         self._mean = (self.restriction @ lumped_volume_vector(mesh)) / scale
@@ -280,20 +275,15 @@ class ZeroMeanSolver:
                        [self._mean.reshape(1, -1), None]], format='csc')
         self.reduced = reduced
         self._lu = spla.splu(aug, **(lu_options or {}))
-        self.zero_floor = zero_floor(reduced)
+        # the absolute scale below which a right side counts as zero
+        self.zero_floor = 1e-13 * abs(reduced).max() * np.sqrt(reduced.shape[0])
 
     def solve(self, rhs_full):
-        """Full nodal zero-mean periodic solution of (matrix) u = rhs.
+        """(u, relative residual): the full nodal zero-mean periodic solution
+        of (matrix) u = rhs and the residual of its reduced system.
 
-        The right side must be compatible (``reduced_rhs``).  The relative
-        residual must be within ``residual_tol``.
+        The right side must be compatible (``reduced_rhs``).
         """
-        u, residual = self.solve_with_residual(rhs_full)
-        check_residual(residual, self.residual_tol)
-        return u
-
-    def solve_with_residual(self, rhs_full):
-        """``solve`` without the residual check: (solution, relative residual)."""
         rhs, norm = reduced_rhs(self.restriction, rhs_full, self.zero_floor)
         if norm == 0.0:
             return np.zeros(self.num_nodes), 0.0
@@ -308,19 +298,20 @@ class ZeroMeanSolver:
         return self._lu.solve(np.concatenate([r, [0.0]]))[:-1]
 
 
-def check_residual(residual, residual_tol):
-    """Raise SolverError unless a relative residual is finite and within tolerance."""
-    if not np.isfinite(residual) or not residual <= residual_tol:
-        raise SolverError(f"zero-mean solve residual {residual:.3e} "
-                          f"exceeds {residual_tol:.1e}")
+def check_residual(residual, tol, solve):
+    """Raise SolverError, naming the solve, unless its relative residual is
+    finite and within tolerance."""
+    if not np.isfinite(residual) or not residual <= tol:
+        raise SolverError(f"{solve}: relative residual {residual:.3e} exceeds {tol:.1e}")
 
 
 # The kept stiffness solver: (weak reference to its mesh, solver, runs), or
 # None.  Its factorization is the largest array set of a cell mesh, so at most
 # one is alive; it dies with its mesh, which the solver does not reference.
 # ``runs`` is a dict for the cell correctors' Krylov runs on that solver
-# (``stiffness_runs``); nothing in it may reference the solver, so it is freed
-# with the slot and not at the next garbage collection.
+# (``stiffness_solver`` returns it with the solver); nothing in it may
+# reference the solver, so it is freed with the slot and not at the next
+# garbage collection.
 # Caching it per mesh (``per_mesh``) instead raised the peak RSS of a
 # three-angle sweep by 14%: the previous angle's mesh, and with it its
 # factorization, is still alive while the next angle's rest operator factors.
@@ -348,24 +339,17 @@ STIFFNESS_LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1}
 
 
 def stiffness_solver(mesh):
-    """The zero-mean solver of the mesh's stiffness matrix (no residual
-    check of its own), kept until a solver for another mesh is built, the
-    kept mesh dies or ``drop_other_stiffness_solver`` frees it."""
+    """(solver, runs): the zero-mean solver of the mesh's stiffness matrix
+    and the dict of the Krylov runs it preconditions, kept until a solver
+    for another mesh is built, the kept mesh dies or
+    ``drop_other_stiffness_solver`` frees them."""
     global _kept
     drop_other_stiffness_solver(mesh)  # freed before this mesh's is built
     if _kept is None:
-        solver = ZeroMeanSolver(mesh, stiffness_matrix(mesh), math.inf,
+        solver = ZeroMeanSolver(mesh, stiffness_matrix(mesh),
                                 lu_options=STIFFNESS_LU_OPTIONS)
         _kept = (weakref.ref(mesh, _forget_kept), solver, {})
-    return _kept[1]
-
-
-def stiffness_runs(mesh):
-    """The dict kept with the mesh's stiffness solver (``stiffness_solver``),
-    for the Krylov runs preconditioned by it: it lives and dies with that
-    solver."""
-    stiffness_solver(mesh)
-    return _kept[2]
+    return _kept[1:]
 
 
 def drop_other_stiffness_solver(mesh):

@@ -73,9 +73,9 @@ def unit_cell_flow(mesh):
     It is solved by the mesh's kept stiffness solver (``fem.stiffness_solver``),
     which the cell correctors then use as their preconditioner.
     """
-    rhs = -face_flux_jump(mesh)
+    solver, _ = fem.stiffness_solver(mesh)
     # each caller checks the residual against its own tolerance
-    pot, residual = fem.stiffness_solver(mesh).solve_with_residual(rhs)
+    pot, residual = solver.solve(-face_flux_jump(mesh))
     return _recover_velocity(mesh, pot), residual
 
 
@@ -87,7 +87,7 @@ def solve_cell_potential_flow(mesh, u3, properties, residual_tol=1e-10):
     if u3 == 0.0:
         return FlowField(mesh, np.zeros((mesh.num_nodes, 3)), properties, 0.0)
     vel, residual = unit_cell_flow(mesh)
-    fem.check_residual(residual, residual_tol)
+    fem.check_residual(residual, residual_tol, "cell potential flow")
     return FlowField(mesh, u3 * vel, properties, u3)
 
 
@@ -145,8 +145,8 @@ def solve_macro_potential_flow(mesh, u_in, properties, residual_tol=1e-10):
             f"vs |Gamma_out|={area_out:.6g}")
     rhs = u_in * (fem.boundary_load_vector(mesh, GROUP_IN)
                   - fem.boundary_load_vector(mesh, GROUP_OUT))
-    solver = fem.ZeroMeanSolver(mesh, fem.stiffness_matrix(mesh), residual_tol)
-    pot = solver.solve(rhs)
+    pot, residual = fem.ZeroMeanSolver(mesh, fem.stiffness_matrix(mesh)).solve(rhs)
+    fem.check_residual(residual, residual_tol, "macro potential flow")
     vel = _recover_velocity(mesh, pot)
     u3 = _interface_profile(mesh, pot)
     return MacroFlowField(mesh, vel, u3, properties)

@@ -135,7 +135,7 @@ class OperatorParts:
         self.advection = None
         vel = problem.flow.velocity if problem.flow is not None else None
         if problem.outer_advection and vel is not None and np.any(vel):
-            speed = float(np.linalg.norm(vel, axis=1).max())
+            speed = problem.flow.max_speed()
             if not speed < props.mach_speed_limit:  # also catches NaN
                 raise MacroAssemblyError(
                     f"macro flow max |w| = {speed:.6g} m/s reaches the bound "
@@ -411,13 +411,9 @@ def solve_frequency(problem: MacroProblem, omega: float) -> MacroSolution:
         x = _solve_coupled(problem.parts, A, rhs)
     except RuntimeError as exc:
         raise SolverError(f"singular coupled system at omega={omega:.6g}: {exc}")
-    resid = np.linalg.norm(A @ x - rhs)
-    rel = resid / max(np.linalg.norm(rhs), 1e-300)
-    tol = problem.residual_tol
-    if not np.isfinite(rel) or not rel <= tol:
-        raise SolverError(
-            f"coupled solve at omega={omega:.6g}: relative residual {rel:.3e} "
-            f"exceeds {tol:.1e} ({A.shape[0]} dofs)")
+    fem.check_residual(np.linalg.norm(A @ x - rhs) / max(np.linalg.norm(rhs), 1e-300),
+                       problem.residual_tol,
+                       f"coupled solve at omega={omega:.6g} ({A.shape[0]} dofs)")
     nG = problem.index.n
     return MacroSolution(omega, x[:nP], x[nP:nP + nG], x[nP + nG:nP + 2 * nG])
 

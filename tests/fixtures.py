@@ -1,8 +1,9 @@
 """A uniform velocity for the FEM tests; the speeds u3 at which a cell flow
 reaches a fraction of c/sqrt(tau), or the bound itself; the uniform duct
 flow and analytic coefficients the tests build problems from; the cell
-operator as a matrix and integrals over the cells; a count of the sweeps
-of the advection factors; and perfbench's measure of the distance between
+operator as a matrix and integrals over the cells; a zero-mean solve with
+its residual asserted; a count of the sweeps of the advection factors; and
+perfbench's measure of the distance between
 two coefficient rows.  Every cell flow is built by
 ``flow.solve_cell_potential_flow``, as in the program."""
 
@@ -66,6 +67,14 @@ def integrate_cells(mesh, field):
 def operator_matrix(op):
     """A `CellOperator` as a CSR matrix: its product with the identity."""
     return op.apply(sp.identity(op.mesh.num_nodes, format="csr")).tocsr()
+
+
+def checked_solve(solver, rhs, tol=1e-10):
+    """The solution of a ``fem.ZeroMeanSolver``, its relative residual
+    asserted within tol."""
+    u, residual = solver.solve(rhs)
+    assert residual <= tol, residual
+    return u
 
 
 def counted_factor_sweeps(monkeypatch):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import advection_reference
-from fixtures import (coef_deviation, counted_factor_sweeps, integrate_cells,
-                      operator_matrix, u3_at_mach_bound, u3_at_mach_fraction)
+from fixtures import (checked_solve, coef_deviation, counted_factor_sweeps,
+                      integrate_cells, operator_matrix, u3_at_mach_bound,
+                      u3_at_mach_fraction)
 from perfoplate import fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.cell_problems import (MachBoundError, advective_vector, assemble_Aw,
@@ -114,7 +115,7 @@ def test_static_reduction_matches_plain_laplace(slant_cell_mesh, props):
     # plain periodic Laplace solve, assembled independently of the operator
     K = fem.stiffness_matrix(slant_cell_mesh) / fem.xi_measure(slant_cell_mesh)
     y1 = slant_cell_mesh.nodes[:, 0]
-    pi1 = fem.ZeroMeanSolver(slant_cell_mesh, K, 1e-10).solve(-(K @ y1))
+    pi1 = checked_solve(fem.ZeroMeanSolver(slant_cell_mesh, K), -(K @ y1))
     np.testing.assert_allclose(sols.pi1, pi1, atol=1e-10)
 
 
@@ -204,8 +205,8 @@ def correctors(op):
 
 def direct_correctors(op):
     """The same correctors by a direct factorization of the same operator."""
-    direct = fem.ZeroMeanSolver(op.mesh, operator_matrix(op), 1e-10, scale=op.xi)
-    return [direct.solve(op.load(name)) for name in NAMES]
+    direct = fem.ZeroMeanSolver(op.mesh, operator_matrix(op), scale=op.xi)
+    return [checked_solve(direct, op.load(name)) for name in NAMES]
 
 
 def slant_flow(u3):
@@ -231,10 +232,10 @@ def test_rest_correctors_bitwise_equal_fresh_direct_solve(slant_cell_mesh, props
     sols = solve_cell_problems(zero_flow(slant_cell_mesh, props))
     xi = fem.xi_measure(slant_cell_mesh)
     K = fem.stiffness_matrix(slant_cell_mesh) / xi
-    fresh = fem.ZeroMeanSolver(slant_cell_mesh, K, 1e-10, scale=xi)
+    fresh = fem.ZeroMeanSolver(slant_cell_mesh, K, scale=xi)
     op = sols.operator
     for field, name in ((sols.pi1, ("pi", 1)), (sols.pi2, ("pi", 2)), (sols.xi, "xi")):
-        np.testing.assert_array_equal(field, fresh.solve(op.load(name)))
+        np.testing.assert_array_equal(field, checked_solve(fresh, op.load(name)))
 
 
 def test_speeds_on_one_mesh_share_one_factorization(props, splu_calls, monkeypatch):
@@ -286,23 +287,24 @@ def test_speed_coefficients_do_not_depend_on_earlier_speeds(props):
 def kept_basis(mesh, props):
     """Weak reference to the basis of a Lanczos run kept for the mesh."""
     assemble_Aw(solve_cell_potential_flow(mesh, 2.0, props)).solve("xi")
-    return weakref.ref(fem.stiffness_runs(mesh)["xi"].basis)
+    _, runs = fem.stiffness_solver(mesh)
+    return weakref.ref(runs["xi"].basis)
 
 
 def test_one_kept_solver_per_process(props):
     # the Lanczos runs of the correctors live and die with the kept solver
     a, b = (generate_unit_cell_mesh(CellGeometry(hole_slope_deg=s), 0.2)
             for s in (30.0, 0.0))
-    kept = weakref.ref(fem.stiffness_solver(a))
-    assert fem.stiffness_solver(a) is kept()          # kept while a is in use
+    kept = weakref.ref(fem.stiffness_solver(a)[0])
+    assert fem.stiffness_solver(a)[0] is kept()       # kept while a is in use
     basis = kept_basis(a, props)
     fem.stiffness_solver(b)
     assert kept() is None and basis() is None         # building b's freed a's
-    kept = weakref.ref(fem.stiffness_solver(a))
+    kept = weakref.ref(fem.stiffness_solver(a)[0])
     basis = kept_basis(a, props)
     assemble_Aw(zero_flow(b, props))                  # a rest operator on b
     assert kept() is None and basis() is None
-    kept = weakref.ref(fem.stiffness_solver(b))
+    kept = weakref.ref(fem.stiffness_solver(b)[0])
     basis = kept_basis(b, props)
     assemble_Aw(zero_flow(b, props))                  # ... keeps b's own
     assert kept() is not None and basis() is not None
@@ -323,8 +325,8 @@ def test_pcg_residual_excludes_the_constant_part_of_the_load(slant_cell_mesh, pr
     load = op.load("xi")
     load += T @ (0.9e-10 * np.linalg.norm(T.T @ load) / len(sizes) / sizes)
     monkeypatch.setattr(op, "load", lambda name: load.copy())
-    direct = fem.ZeroMeanSolver(slant_cell_mesh, operator_matrix(op), 1e-12,
-                                scale=op.xi).solve(load)
+    direct = checked_solve(fem.ZeroMeanSolver(slant_cell_mesh, operator_matrix(op),
+                                              scale=op.xi), load, tol=1e-12)
     assert np.linalg.norm(op.solve("xi") - direct) <= 1e-10 * np.linalg.norm(direct)
 
 
@@ -342,7 +344,7 @@ def test_pcg_breakdown_raises(props, monkeypatch):
         slow.solve("xi")
     monkeypatch.undo()
     slow.solve("xi")
-    steps = 1 + len(fem.stiffness_runs(mesh)["xi"].alpha)
+    steps = 1 + len(fem.stiffness_solver(mesh)[1]["xi"].alpha)
     monkeypatch.setattr(*negate)
     with pytest.raises(SolverError, match=rf"breaks down at max \|w\| = .* m/s: "
                                           rf"step {steps + 1}, residual estimate"):
@@ -360,7 +362,8 @@ def test_pcg_iteration_cap_raises(slant_cell_mesh, props):
 def test_pcg_residual_checked_against_tolerance(slant_cell_mesh, props):
     flow = solve_cell_potential_flow(slant_cell_mesh, 2.0, props)
     op = assemble_Aw(flow, residual_tol=1e-30)
-    with pytest.raises(SolverError, match="zero-mean solve residual .* exceeds 1.0e-30"):
+    with pytest.raises(SolverError, match=r"^corrector 'xi' at u3=2: relative residual "
+                                          r"\S+ exceeds 1\.0e-30$"):
         op.solve("xi")
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,29 @@ def test_config_grids():
         parse_config("[frequencies]\ncount=0\n").frequencies_hz()
     with pytest.raises(ConfigError, match="sweep u3_count must be >= 1"):
         parse_config("[sweep]\nu3_count=0\n").sweep_u3()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[frequencies]\ncount = 0\n", "frequency count must be >= 1"),
+    ("[sweep]\nu3_count = 0\n", "sweep u3_count must be >= 1"),
+    ("[sweep]\nphi_list = 0,x\n", "bad phi_list '0,x'")],
+    ids=["count", "u3_count", "phi_list"])
+def test_config_rejects_unusable_grids(text, message):
+    # every command rejects them at parse time, before any set-up runs
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(text)
+
+
+def test_sweep_rejects_an_empty_frequency_grid(tmp_path):
+    # it would echo a config that the waveguide command cannot run
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[frequencies]\ncount = 0\n")
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record == {"command": "sweep", "error": "ConfigError",
+                      "message": "frequency count must be >= 1"}
+    assert not (out / "coefficients.csv").exists()
 
 
 def test_mesh_cell_command(tmp_path):
@@ -437,7 +461,10 @@ def test_tol_reaches_every_solve(tmp_path):
     assert (out / "coefficients.csv").read_text().count("\n") == 1  # header only
     header, row = (out / "failures.csv").read_text().splitlines()
     assert header == "phi_deg,U3,error"
-    assert row.startswith("0,1,zero-mean solve residual") and "exceeds 1.0e-30" in row
+    assert re.fullmatch(r"0,1,cell potential flow: relative residual \S+ exceeds 1\.0e-30",
+                        row), row
     out = tmp_path / "cell"
     assert run_cli(["cell", "--config", str(cfgfile), "--out", str(out)]) == 1
-    assert json.loads((out / "error.json").read_text())["error"] == "SolverError"
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "SolverError"
+    assert record["message"].startswith("cell potential flow: relative residual ")

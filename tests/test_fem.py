@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,13 +10,17 @@ from hypothesis import strategies as st
 
 import advection_reference
 from conftest import structured_square_mesh
-from fixtures import counted_factor_sweeps, integrate_cells, uniform_velocity
+from fixtures import (checked_solve, counted_factor_sweeps, empty_cell_coefficients,
+                      integrate_cells, uniform_problem, uniform_velocity)
 from perfoplate import fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.fem import AssemblyError, FluidProperties, SolverError
-from perfoplate.flow import solve_macro_potential_flow, unit_cell_flow
+from perfoplate.cell_problems import assemble_Aw
+from perfoplate.flow import (solve_cell_potential_flow, solve_macro_potential_flow,
+                             unit_cell_flow)
 from perfoplate.geometry import CellGeometry
 from perfoplate.mesh import Mesh
+from perfoplate.waveguide import solve_frequency
 
 
 def reference_tet():
@@ -179,7 +184,7 @@ def test_unknown_group_rejected(straight_cell_mesh):
 
 
 def laplace_solver(mesh):
-    return fem.ZeroMeanSolver(mesh, fem.stiffness_matrix(mesh), 1e-10)
+    return fem.ZeroMeanSolver(mesh, fem.stiffness_matrix(mesh))
 
 
 def face_average_load(mesh, group):
@@ -188,8 +193,9 @@ def face_average_load(mesh, group):
 
 
 def test_zero_rhs_zero_mean_solution(straight_cell_mesh):
-    x = laplace_solver(straight_cell_mesh).solve(np.zeros(straight_cell_mesh.num_nodes))
-    assert np.abs(x).max() < 1e-12
+    x, residual = laplace_solver(straight_cell_mesh).solve(
+        np.zeros(straight_cell_mesh.num_nodes))
+    assert np.abs(x).max() < 1e-12 and residual == 0.0
 
 
 def test_incompatible_neumann_rejected(straight_cell_mesh):
@@ -200,18 +206,55 @@ def test_incompatible_neumann_rejected(straight_cell_mesh):
 
 
 def test_check_residual_rejects_what_is_not_within_tolerance():
-    fem.check_residual(1e-12, 1e-10)
-    fem.check_residual(1.0, math.inf)  # the kept stiffness solver checks nothing
+    fem.check_residual(1e-12, 1e-10, "some solve")
     for residual, tol in ((1.0, math.nan), (2e-10, 1e-10), (math.nan, 1e-10),
                           (math.inf, math.inf)):
-        with pytest.raises(SolverError, match="exceeds"):
-            fem.check_residual(residual, tol)
+        message = f"some solve: relative residual {residual:.3e} exceeds {tol:.1e}"
+        with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+            fem.check_residual(residual, tol, "some solve")
+
+
+def _coupled_solve(cell, duct, props):
+    prob = uniform_problem(duct, props, empty_cell_coefficients(), eps0=0.025,
+                           residual_tol=1e-300)
+    omega = 2 * math.pi * 400.0
+    name = f"coupled solve at omega={omega:.6g} ({duct.num_nodes + 2 * prob.index.n} dofs)"
+    return lambda: solve_frequency(prob, omega), name, 1e-300
+
+
+def _corrector(u3, name):
+    def case(cell, duct, props):
+        op = assemble_Aw(solve_cell_potential_flow(cell, u3, props), residual_tol=1e-30)
+        return lambda: op.solve(name), f"corrector {name!r} at u3={u3:g}", 1e-30
+    return case
+
+
+FIVE_SOLVES = {
+    "cell-flow": lambda cell, duct, props: (
+        lambda: solve_cell_potential_flow(cell, 2.0, props, residual_tol=1e-30),
+        "cell potential flow", 1e-30),
+    "rest-corrector": _corrector(0.0, "xi"),
+    "lanczos-corrector": _corrector(2.0, ("pi", 1)),
+    "macro-flow": lambda cell, duct, props: (
+        lambda: solve_macro_potential_flow(duct, 10.0, props, residual_tol=1e-30),
+        "macro potential flow", 1e-30),
+    "coupled": _coupled_solve,
+}
+
+
+@pytest.mark.parametrize("case", FIVE_SOLVES.values(), ids=FIVE_SOLVES.keys())
+def test_every_solve_names_itself_in_a_residual_failure(straight_cell_mesh, duct_mesh,
+                                                        props, case):
+    solve, name, tol = case(straight_cell_mesh, duct_mesh, props)
+    with pytest.raises(SolverError, match=rf"^{re.escape(name)}: relative residual "
+                                          rf"\S+ exceeds {tol:.1e}$"):
+        solve()
 
 
 def test_zero_mean_contract(straight_cell_mesh):
     m = straight_cell_mesh
-    x = laplace_solver(m).solve(face_average_load(m, "I-")
-                                - face_average_load(m, "I+"))
+    x = checked_solve(laplace_solver(m),
+                      face_average_load(m, "I-") - face_average_load(m, "I+"))
     mean = integrate_cells(m, x) / fem.cell_measure(m)
     assert abs(mean) <= 1e-12 * np.linalg.norm(x)
 
@@ -227,7 +270,7 @@ def test_zero_mean_solver_properties(straight_cell_mesh, seed, scale):
     red = scale * np.random.default_rng(seed).standard_normal(T.shape[1])
     red -= red.mean()
     rhs = T @ (red / np.asarray(T.sum(axis=0)).ravel())
-    x = solver.solve(rhs)
+    x = checked_solve(solver, rhs)
     assert abs(integrate_cells(m, x)) <= 1e-12 * fem.cell_measure(m) * np.abs(x).max()
     for pairs in m.periodic_pairs.values():
         np.testing.assert_array_equal(x[pairs[:, 0]], x[pairs[:, 1]])

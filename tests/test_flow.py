@@ -4,8 +4,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fixtures import (integrate_cells, u3_at_mach_fraction, uniform_macro_flow,
-                      uniform_velocity)
+from fixtures import (checked_solve, integrate_cells, u3_at_mach_fraction,
+                      uniform_macro_flow, uniform_velocity)
 from perfoplate import fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.cell_problems import CellOperator, MachBoundError
@@ -20,7 +20,8 @@ from perfoplate.geometry import CellGeometry
 def unit_potential(mesh):
     """The potential of the u3 = 1 cell flow, solved as `unit_cell_flow`
     solves it (the flow keeps only the velocity)."""
-    pot, _ = fem.stiffness_solver(mesh).solve_with_residual(-face_flux_jump(mesh))
+    solver, _ = fem.stiffness_solver(mesh)
+    pot, _ = solver.solve(-face_flux_jump(mesh))
     return pot
 
 
@@ -117,7 +118,7 @@ def test_scaled_unit_flow_matches_direct_solve(slant_cell_mesh, props, u3):
     m = slant_cell_mesh
     f = solve_cell_potential_flow(m, u3, props)
     rhs = -u3 * (fem.boundary_load_vector(m, "I+") - fem.boundary_load_vector(m, "I-"))
-    pot = fem.ZeroMeanSolver(m, fem.stiffness_matrix(m), 1e-10).solve(rhs)
+    pot = checked_solve(fem.ZeroMeanSolver(m, fem.stiffness_matrix(m)), rhs)
     vel = _recover_velocity(m, pot)
     assert np.linalg.norm(u3 * unit_potential(m) - pot) <= 1e-12 * np.linalg.norm(pot)
     assert np.linalg.norm(f.velocity - vel) <= 1e-12 * np.linalg.norm(vel)
@@ -173,19 +174,20 @@ def test_unrelaxed_stiffness_factor_keeps_fill_and_accuracy(phi):
     # the default relaxation gives the same fill, and its unit flow residual
     # reads 0.9e-13 to 2.4e-13 on these cells
     m = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=phi), 0.15)
-    kept = fem.stiffness_solver(m)
-    relaxed = fem.ZeroMeanSolver(m, fem.stiffness_matrix(m), math.inf,
+    kept, _ = fem.stiffness_solver(m)
+    relaxed = fem.ZeroMeanSolver(m, fem.stiffness_matrix(m),
                                  lu_options={"permc_spec": "MMD_AT_PLUS_A"})
     assert (kept._lu.L.nnz + kept._lu.U.nnz
             == relaxed._lu.L.nnz + relaxed._lu.U.nnz)
     residual = unit_cell_flow(m)[1]
     assert residual <= 1e-12
-    assert residual <= 1.5 * relaxed.solve_with_residual(-face_flux_jump(m))[1]
+    assert residual <= 1.5 * relaxed.solve(-face_flux_jump(m))[1]
 
 
 def test_residual_contract_holds_on_cached_flow(straight_cell_mesh, props):
     solve_cell_potential_flow(straight_cell_mesh, 1.0, props)  # fills the cache
-    with pytest.raises(SolverError, match="residual"):
+    with pytest.raises(SolverError, match=r"^cell potential flow: relative residual "
+                                          r"\S+ exceeds 1\.0e-30$"):
         solve_cell_potential_flow(straight_cell_mesh, 2.0, props, residual_tol=1e-30)
 
 
@@ -212,7 +214,7 @@ def test_macro_flow_zero(duct_mesh, props):
 
 @pytest.mark.parametrize("u_in", [math.nan, math.inf])
 def test_macro_flow_rejects_non_finite_inflow(duct_mesh, props, u_in):
-    # it would fail later as an unnamed "zero-mean solve residual nan"
+    # it would fail later as a residual failure of the macro flow, with a NaN residual
     with pytest.raises(FlowError, match=f"u_in must be finite, got {u_in!r}"):
         solve_macro_potential_flow(duct_mesh, u_in, props)
 
