@@ -12,9 +12,11 @@ product, from the start K^+ r, serves every s through one tridiagonal solve
 of the run's size; K^+ is the mesh's kept stiffness factorization.  Each
 corrector load splits into parts that depend on the mesh alone, so the runs
 are kept with its stiffness solver and each further speed only extends
-them.  All forms are cell-averaged (normalized by the in-plane cell area),
-and all correctors are real, zero-mean and periodic in the in-plane
-directions.
+them.  The correctors of a cell point are solved together: their runs are
+extended in lockstep, so each step applies the factorization once, to the
+block of every run that needs that step.  All forms are cell-averaged
+(normalized by the in-plane cell area), and all correctors are real,
+zero-mean and periodic in the in-plane directions.
 """
 
 from __future__ import annotations
@@ -46,6 +48,15 @@ def unit_advection(mesh):
     return fem.advection_forms(mesh, unit_cell_flow(mesh)[0])
 
 
+@per_mesh
+def reduced_unit_advection(mesh):
+    """T^T W1 T: the mesh's W1 (``unit_advection``) on the periodic classes,
+    read-only; the Lanczos runs and the residual checks of the flow
+    correctors take their advection products from it."""
+    T = fem.periodic_reduction(mesh)
+    return (fem.periodic_restriction(mesh) @ unit_advection(mesh)[0] @ T).tocsr()
+
+
 class LanczosRun:
     """Lanczos run of M = K^+ W in the K inner product on the periodic
     classes, from a start q1 = K^+ r / ||K^+ r||_K.
@@ -55,7 +66,8 @@ class LanczosRun:
     entries alpha_j, beta_j of the tridiagonal T = V^T K M V and
     ||K q_(j+1)||.  The run holds no K V and no
     reference to the stiffness solver; rows are stored in a buffer that
-    doubles when full.
+    doubles when full.  Runs are started and extended in batches, one
+    block product per operator for all of them; one run is a batch of one.
     """
 
     def __init__(self, q1, start_norm):
@@ -65,48 +77,80 @@ class LanczosRun:
         self.alpha, self.beta, self.k_norm = [], [], []
 
     @classmethod
-    def start(cls, r, precondition):
-        """The run from K^+ r, or None on breakdown (a K-norm that is not
-        > 0 and finite)."""
-        r = r - r.mean()
+    def start(cls, loads, precondition):
+        """The runs from K^+ r for the columns r of ``loads``, by one block
+        apply of the preconditioner; None for a run that breaks down (a
+        K-norm that is not > 0 and finite)."""
+        r = loads - loads.mean(axis=0)
         z = precondition(r)
-        norm2 = r @ z  # ||z||_K^2
-        if not 0.0 < norm2 < math.inf:
-            return None
-        return cls(z / math.sqrt(norm2), math.sqrt(norm2))
+        norm2 = np.einsum("ij,ij->j", r, z)  # ||z||_K^2
+        return [cls(z[:, j] / math.sqrt(n2), math.sqrt(n2)) if 0.0 < n2 < math.inf
+                else None for j, n2 in enumerate(norm2)]
 
-    def extend(self, precondition, stiffness, advect):
-        """One Lanczos step, with the preconditioner K^+, the reduced K and
-        the product with the reduced W; False, leaving the run as it was, on
-        breakdown (a K-norm that is not > 0 and finite)."""
-        size = len(self.alpha) + 1
-        basis = self.basis[:size]
-        v = advect(basis[-1])
-        v -= v.mean()  # rounding adds a constant part, outside the range of K
+    @staticmethod
+    def extend(runs, precondition, stiffness, advect):
+        """One Lanczos step of each of the runs, with the preconditioner
+        K^+, the reduced K and the product with the reduced W, each applied
+        once to the block of the runs' columns (K twice); returns the runs
+        that break down (a K-norm that is not > 0 and finite), each left as
+        it was."""
+        bases = [run.basis[:len(run.alpha) + 1] for run in runs]
+        v = advect(np.stack([basis[-1] for basis in bases], axis=1))
+        v -= v.mean(axis=0)  # rounding adds a constant part, outside the range of K
         w = precondition(v)
-        if not 0.0 < v @ w < math.inf:  # ||M q_j||_K^2
-            return False
+        norm2 = np.einsum("ij,ij->j", v, w)  # ||M q_j||_K^2
+
+        def orthogonalize(kw):
+            """Subtract from each column of w its K-projection on its run's
+            basis, given K w; returns the projections' coefficients."""
+            h = [basis @ kw[:, j] for j, basis in enumerate(bases)]
+            for j, basis in enumerate(bases):
+                w[:, j] -= h[j] @ basis
+            return h
         # K w = v: the first pass takes its K products from v, the second
         # from an explicit product
-        h = basis @ v
-        w -= h @ basis
-        h2 = basis @ (stiffness @ w)
-        w -= h2 @ basis
+        h = orthogonalize(v)
+        h2 = orthogonalize(stiffness @ w)
         kw = stiffness @ w
-        beta2 = w @ kw
-        if not 0.0 < beta2 < math.inf:
-            return False
-        beta = math.sqrt(beta2)
-        if size == len(self.basis):
-            # only the rows written are resident
-            grown = np.empty((2 * size, len(w)))
-            grown[:size] = self.basis
-            self.basis = grown
-        self.basis[size] = w / beta
-        self.alpha.append(h[-1] + h2[-1])
-        self.beta.append(beta)
-        self.k_norm.append(np.linalg.norm(kw) / beta)
-        return True
+        beta2 = np.einsum("ij,ij->j", w, kw)
+        broken = []
+        for j, run in enumerate(runs):
+            if not (0.0 < norm2[j] < math.inf and 0.0 < beta2[j] < math.inf):
+                broken.append(run)
+                continue
+            beta = math.sqrt(beta2[j])
+            size = len(bases[j])
+            if size == len(run.basis):
+                # only the rows written are resident
+                grown = np.empty((2 * size, len(w)))
+                grown[:size] = run.basis
+                run.basis = grown
+            run.basis[size] = w[:, j] / beta
+            run.alpha.append(h[j][-1] + h2[j][-1])
+            run.beta.append(beta)
+            run.k_norm.append(np.linalg.norm(kw[:, j]) / beta)
+        return broken
+
+
+def _lockstep(solves, step):
+    """The coefficients y of each Lanczos solve (``CellOperator._lanczos``),
+    with the solves run together: each round sends every waiting solve
+    whether its run grew, and extends every run that a solve then waits on
+    by one batched step (``LanczosRun.extend(runs, *step)``)."""
+    ys = [None] * len(solves)
+    sent = dict.fromkeys(range(len(solves)))
+    while True:
+        waiting = {}  # solve -> the run it waits on
+        for i, grew in sent.items():
+            try:
+                waiting[i] = solves[i].send(grew)
+            except StopIteration as done:
+                ys[i] = done.value
+        if not waiting:
+            return ys
+        runs = list({id(run): run for run in waiting.values()}.values())
+        broken = {id(run) for run in LanczosRun.extend(runs, *step)}
+        sent = {i: id(run) not in broken for i, run in waiting.items()}
 
 
 class CellOperator:
@@ -121,14 +165,15 @@ class CellOperator:
     the Lanczos solves, which are conjugate gradients preconditioned by K,
     converge at a condition number of at most 1 / (1 - rho).
 
-    ``solve`` takes a corrector's name and builds its load (``load``).  At
-    rest it solves by the factored K / |Xi|; with flow it takes each fixed
-    part of the load from a Lanczos run kept with the mesh's stiffness
+    ``solve`` takes correctors' names and builds their loads (``load``).
+    At rest it solves each by the factored K / |Xi|; with flow it takes each
+    fixed part of a load from a Lanczos run kept with the mesh's stiffness
     solver (``fem.stiffness_solver``), and T and T^T from that solver.  A
     run is extended until its residual estimate reaches LANCZOS_TOL, shared
-    among the parts, for the speed at hand.  Either way the relative
-    residual is checked against ``residual_tol`` (``fem.check_residual``),
-    and a failure names the corrector and u3.
+    among the parts, for the speed at hand, in lockstep with the runs of
+    every other part.  Either way each relative residual is checked against
+    ``residual_tol`` (``fem.check_residual``), and a failure names the
+    corrector and u3, and a Lanczos failure also its run.
     """
 
     def __init__(self, flow: FlowField, residual_tol: float = 1e-10):
@@ -160,44 +205,70 @@ class CellOperator:
         self._max_iter = 100 + math.ceil(
             2.0 * math.sqrt(1.0 / (1.0 - rho)) * math.log(2.0 / LANCZOS_TOL))
 
-    def solve(self, name):
-        """Zero-mean periodic corrector of the load ``name`` (see ``load``);
-        with flow the load's parts are solved from the runs kept for the
-        mesh."""
-        rhs_full = self.load(name)
-        solve_name = f"corrector {name!r} at u3={self.flow.u3:.6g}"
-        if self._direct is not None:
-            u, residual = self._direct.solve(rhs_full)
-            fem.check_residual(residual, self.residual_tol, solve_name)
-            return u
+    def solve(self, *names):
+        """Zero-mean periodic correctors of the loads ``names`` (see
+        ``load``): the field for one name, else a list of them.  Every load
+        is built, and so its name checked, before any solve; with flow the
+        parts of all the loads are solved together (``_solve_flow``)."""
+        loads = [self.load(name) for name in names]
+        labels = [f"corrector {name!r} at u3={self.flow.u3:.6g}" for name in names]
+        if self._direct is None:
+            fields = self._solve_flow(names, loads, labels)
+        else:
+            fields = []
+            for load, label in zip(loads, labels):
+                u, residual = self._direct.solve(load)
+                fem.check_residual(residual, self.residual_tol, label)
+                fields.append(u)
+        return fields[0] if len(names) == 1 else fields
+
+    def _solve_flow(self, names, loads, labels):
+        """The correctors from the Lanczos runs kept with the mesh's
+        stiffness solver, one run per fixed part of a load: missing runs
+        are started in one block, every run is extended in lockstep with the
+        others (``_lockstep``) and the residuals are checked in one block
+        product on the periodic classes."""
         solver, runs = fem.stiffness_solver(self.mesh)
         T, Tt = solver.reduction, solver.restriction
-        rhs, norm = fem.reduced_rhs(Tt, rhs_full, solver.zero_floor / self.xi)
-        if norm == 0.0:
-            return np.zeros(self.mesh.num_nodes)
-        # the operator's range is orthogonal to the constants: the part of
-        # the right side along them (at most 1e-10 relative, as checked) is
-        # dropped, as the direct solve's multiplier absorbs it
-        rhs = rhs - rhs.mean()
-        parts = self._load_parts(name, Tt)
-
-        def advect(q):
-            return Tt @ (self._advection @ (T @ q))
-        step = (solver.precondition, solver.reduced, advect)
-        x = np.zeros_like(rhs)
-        for key, part, coefficient in parts:
-            run = runs.get(key)
-            if run is None:
-                run = LanczosRun.start(part(), solver.precondition)
+        rhs, norms = zip(*(fem.reduced_rhs(Tt, load, solver.zero_floor / self.xi)
+                           for load in loads))
+        # a load at the zero floor has the zero corrector; the operator's
+        # range is orthogonal to the constants: the part of a right side
+        # along them (at most 1e-10 relative, as checked) is dropped, as the
+        # direct solve's multiplier absorbs it
+        rhs = np.stack([r - r.mean() for r in rhs], axis=1)
+        solved = [c for c, norm in enumerate(norms) if norm > 0.0]
+        parts = []  # (column, run key, coefficient, run label, tolerance)
+        new = {}  # run key -> (run label, start) of each run not kept yet
+        for c in solved:
+            load_parts = self._load_parts(names[c], Tt)
+            for key, start, coefficient in load_parts:
+                label = f"{labels[c]}: Lanczos run {key!r}"
+                parts.append((c, key, coefficient, label, LANCZOS_TOL / len(load_parts)))
+                if key not in runs:
+                    new.setdefault(key, (label, start))
+        if new:
+            started = LanczosRun.start(np.stack([start() for _, start in new.values()],
+                                                axis=1), solver.precondition)
+            for (key, (label, _)), run in zip(new.items(), started):
                 if run is None:
-                    self._fail("breaks down", 1, 1.0)
+                    self._fail(label, "breaks down", 1, 1.0)
                 runs[key] = run
-            scale = abs(coefficient) * run.start_norm / (self.xi * norm)
-            y = self._lanczos(run, scale, LANCZOS_TOL / len(parts), step)
-            x += (coefficient * run.start_norm) * (y @ run.basis[:len(y)])
-        fem.check_residual(np.linalg.norm(Tt @ self.apply(T @ x) - rhs) / norm,
-                           self.residual_tol, solve_name)
-        return T @ x
+        solves = []
+        for c, key, coefficient, label, tol in parts:
+            scale = abs(coefficient) * runs[key].start_norm / (self.xi * norms[c])
+            solves.append(self._lanczos(runs[key], scale, tol, label))
+        advection = reduced_unit_advection(self.mesh)
+        ys = _lockstep(solves, (solver.precondition, solver.reduced, advection.__matmul__))
+        x = np.zeros((Tt.shape[0], len(names)))
+        for (c, key, coefficient, _, _), y in zip(parts, ys):
+            run = runs[key]
+            x[:, c] += (coefficient * run.start_norm) * (y @ run.basis[:len(y)])
+        residuals = np.linalg.norm(
+            (solver.reduced @ x - self._shift * (advection @ x)) / self.xi - rhs, axis=0)
+        for c in solved:
+            fem.check_residual(residuals[c] / norms[c], self.residual_tol, labels[c])
+        return list(np.ascontiguousarray((T @ x).T))
 
     def apply(self, v):
         """The operator times nodal vectors v: at rest by the matrix K / |Xi|,
@@ -237,12 +308,13 @@ class CellOperator:
         return [(("K", beta), lambda: -(Tt @ (fem.stiffness_matrix(mesh) @ y)), 1.0),
                 (("W", beta), lambda: Tt @ (unit_advection(mesh)[0] @ y), self._shift)]
 
-    def _lanczos(self, run, scale, tol, step):
+    def _lanczos(self, run, scale, tol, label):
         """Coefficients y of x = V_m y, the Galerkin solution of
         (I - s M) x = q1, for the smallest run length m whose residual
-        estimate, scale * |s beta_m y_m| * ||K q_(m+1)||, is within tol; the
-        run is extended on demand (``LanczosRun.extend(*step)``), up to the
-        step cap.
+        estimate, scale * |s beta_m y_m| * ||K q_(m+1)||, is within tol, up
+        to the step cap.  A generator, run by ``_lockstep``: it yields the
+        run whenever it needs one more step, is sent whether the run grew,
+        and returns y; a failure names the run by ``label``.
 
         (I - s T_m) = L D L^T is factored along the run, which gives y_m
         at every m without solving for the rest of y.
@@ -252,8 +324,8 @@ class CellOperator:
         estimate = 1.0
         # step m + 2 of the run (its first is the start) gives alpha_m, beta_m
         for m in range(self._max_iter - 1):
-            if m == len(run.alpha) and not run.extend(*step):
-                self._fail("breaks down", m + 2, estimate)
+            if m == len(run.alpha) and not (yield run):
+                self._fail(label, "breaks down", m + 2, estimate)
             if m:
                 zs.append(zs[-1] * ratios[-1])
                 pivots.append(1.0 - s * run.alpha[m] - s * run.beta[m - 1] * ratios[-1])
@@ -268,11 +340,11 @@ class CellOperator:
                 for j in range(m - 1, -1, -1):
                     y[j] = zs[j] / pivots[j] + ratios[j] * y[j + 1]
                 return y
-        self._fail("does not converge", self._max_iter, estimate)
+        self._fail(label, "does not converge", self._max_iter, estimate)
 
-    def _fail(self, what, steps, estimate):
+    def _fail(self, label, what, steps, estimate):
         raise SolverError(
-            f"Lanczos run {what} at max |w| = {self.flow.max_speed():.6g} m/s: "
+            f"{label} {what} at max |w| = {self.flow.max_speed():.6g} m/s: "
             f"step {steps}, residual estimate {estimate:.3e}")
 
 
@@ -305,5 +377,5 @@ def solve_cell_problems(flow, residual_tol=1e-10) -> CellSolutionSet:
     """Solve all correctors of one cell with one operator on the flow's mesh."""
     op = assemble_Aw(flow, residual_tol)
     # at rest the pi_P load is zero, and so is the corrector
-    return CellSolutionSet(pi1=op.solve(("pi", 1)), pi2=op.solve(("pi", 2)),
-                           xi=op.solve("xi"), pi_P=op.solve("pi_P"), operator=op)
+    pi1, pi2, xi, pi_P = op.solve(("pi", 1), ("pi", 2), "xi", "pi_P")
+    return CellSolutionSet(pi1=pi1, pi2=pi2, xi=xi, pi_P=pi_P, operator=op)

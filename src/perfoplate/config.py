@@ -112,9 +112,12 @@ class RunConfig:
     def sweep_phis(self):
         text = self.values["sweep"]["phi_list"]
         try:
-            return [float(p) for p in text.split(",") if p.strip()]
+            phis = [float(p) for p in text.split(",") if p.strip()]
         except ValueError:
             raise ConfigError(f"bad phi_list {text!r}") from None
+        if not phis:
+            raise ConfigError(f"phi_list {text!r} names no angle")
+        return phis
 
 
 def _even_grid(start, stop, n, what):

@@ -199,10 +199,6 @@ def test_solver_residual_contract(slant_cell_mesh, props):
 
 # -- corrector solves: direct at rest, Lanczos runs with flow ---------------
 
-def correctors(op):
-    return [op.solve(name) for name in NAMES]
-
-
 def direct_correctors(op):
     """The same correctors by a direct factorization of the same operator."""
     direct = fem.ZeroMeanSolver(op.mesh, operator_matrix(op), scale=op.xi)
@@ -219,12 +215,21 @@ def near_bound_flow(props, _):
     return mesh, solve_cell_potential_flow(mesh, u3, props)
 
 
-@pytest.mark.parametrize("case", [slant_flow(-2.0), slant_flow(3.0), near_bound_flow],
-                         ids=["slant-u3=-2", "slant-u3=3", "uniform-0.99-bound"])
+def steep_fast_flow(props, _):
+    # (60 deg, 5 m/s) is the fastest flow point of the default sweep grid
+    mesh = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=60.0), 0.1)
+    return mesh, solve_cell_potential_flow(mesh, 5.0, props)
+
+
+@pytest.mark.parametrize("case", [slant_flow(-2.0), slant_flow(3.0), near_bound_flow,
+                                  steep_fast_flow],
+                         ids=["slant-u3=-2", "slant-u3=3", "uniform-0.99-bound",
+                              "60deg-u3=5"])
 def test_lanczos_correctors_match_direct_solve(slant_cell_mesh, props, case):
+    # all four correctors in one call, so their runs advance in lockstep
     mesh, flow = case(props, slant_cell_mesh)
     op = assemble_Aw(flow)
-    for lanczos, direct in zip(correctors(op), direct_correctors(op)):
+    for lanczos, direct in zip(op.solve(*NAMES), direct_correctors(op)):
         assert np.linalg.norm(lanczos - direct) <= 1e-11 * np.linalg.norm(direct)
 
 
@@ -254,6 +259,35 @@ def test_speeds_on_one_mesh_share_one_factorization(props, splu_calls, monkeypat
         counts.append(len(applies) - before)
     assert len(splu_calls) == 1
     assert counts[0] > 0 and all(n < counts[0] for n in counts[1:]), counts
+
+
+def test_later_speed_extends_every_run_in_lockstep(props, monkeypatch):
+    # each step of a later speed applies the preconditioner once, to the
+    # block of every run that needs that step
+    mesh = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=30.0), 0.15)
+    solve_cell_problems(solve_cell_potential_flow(mesh, 1.0, props))
+    runs = fem.stiffness_solver(mesh)[1]
+    before = {key: len(run.alpha) for key, run in runs.items()}
+    columns = []
+    real = fem.ZeroMeanSolver.precondition
+    monkeypatch.setattr(fem.ZeroMeanSolver, "precondition",
+                        lambda self, r: columns.append(r.shape[1]) or real(self, r))
+    solve_cell_problems(solve_cell_potential_flow(mesh, 4.0, props))
+    steps = [len(run.alpha) - before[key] for key, run in runs.items()]
+    assert runs.keys() == before.keys() and len(runs) == 6
+    assert len(columns) == max(steps) > 0 and sum(columns) == sum(steps), (columns, steps)
+    assert max(columns) > 1
+
+
+def test_block_precondition_matches_column_applies():
+    mesh = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=30.0), 0.1)
+    solver, _ = fem.stiffness_solver(mesh)
+    r = np.random.default_rng(3).standard_normal((solver.reduced.shape[0], 6))
+    r -= r.mean(axis=0)
+    block = solver.precondition(r)
+    for j in range(r.shape[1]):
+        column = solver.precondition(r[:, j])
+        assert np.linalg.norm(block[:, j] - column) <= 1e-15 * np.linalg.norm(column)
 
 
 def test_later_flow_point_builds_no_sparse_matrix(props, sparse_builds):
@@ -339,14 +373,16 @@ def test_pcg_breakdown_raises(props, monkeypatch):
     real = fem.ZeroMeanSolver.precondition
     negate = (fem.ZeroMeanSolver, "precondition", lambda self, r: -real(self, r))
     monkeypatch.setattr(*negate)
-    with pytest.raises(SolverError, match=r"breaks down at max \|w\| = .* m/s: step 1, "
-                                          r"residual estimate 1\.000e\+00"):
+    with pytest.raises(SolverError, match=r"^corrector 'xi' at u3=0\.5: Lanczos run 'xi' "
+                                          r"breaks down at max \|w\| = .* m/s: step 1, "
+                                          r"residual estimate 1\.000e\+00$"):
         slow.solve("xi")
     monkeypatch.undo()
     slow.solve("xi")
     steps = 1 + len(fem.stiffness_solver(mesh)[1]["xi"].alpha)
     monkeypatch.setattr(*negate)
-    with pytest.raises(SolverError, match=rf"breaks down at max \|w\| = .* m/s: "
+    with pytest.raises(SolverError, match=rf"^corrector 'xi' at u3=5: Lanczos run 'xi' "
+                                          rf"breaks down at max \|w\| = .* m/s: "
                                           rf"step {steps + 1}, residual estimate"):
         fast.solve("xi")
 
@@ -355,7 +391,12 @@ def test_pcg_iteration_cap_raises(slant_cell_mesh, props):
     op = assemble_Aw(solve_cell_potential_flow(slant_cell_mesh, 2.0, props))
     op._max_iter = 2
     with pytest.raises(SolverError,
-                       match=r"does not converge at max \|w\| = .* m/s: step 2, residual"):
+                       match=r"^corrector \('pi', 1\) at u3=2: Lanczos run \('K', 1\) "
+                             r"does not converge at max \|w\| = .* m/s: step 2, residual"):
+        op.solve(("pi", 1), "xi")
+    with pytest.raises(SolverError,
+                       match=r"^corrector 'xi' at u3=2: Lanczos run 'xi' "
+                             r"does not converge at max \|w\| = .* m/s: step 2, residual"):
         op.solve("xi")
 
 

@@ -145,8 +145,9 @@ def test_config_grids():
 @pytest.mark.parametrize("text, message", [
     ("[frequencies]\ncount = 0\n", "frequency count must be >= 1"),
     ("[sweep]\nu3_count = 0\n", "sweep u3_count must be >= 1"),
-    ("[sweep]\nphi_list = 0,x\n", "bad phi_list '0,x'")],
-    ids=["count", "u3_count", "phi_list"])
+    ("[sweep]\nphi_list = 0,x\n", "bad phi_list '0,x'"),
+    ("[sweep]\nphi_list = ,\n", "phi_list ',' names no angle")],
+    ids=["count", "u3_count", "phi_list", "empty-phi_list"])
 def test_config_rejects_unusable_grids(text, message):
     # every command rejects them at parse time, before any set-up runs
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
