@@ -10,9 +10,12 @@ corrector solves (I - s M) x = K^+ r with M = K^+ W1, which is
 self-adjoint in the K inner product.  A Lanczos run of M in that inner
 product, from the start K^+ r, serves every s through one tridiagonal solve
 of the run's size; K^+ is the mesh's kept stiffness factorization.  Each
-corrector load splits into parts that depend on the mesh alone, so the runs
-are kept with its stiffness solver and each further speed only extends
-them.  The correctors of a cell point are solved together: their runs are
+corrector is a part that depends on the mesh alone plus a coefficient times
+one run from a start that depends on the mesh alone: the tangential
+corrector pi_beta is its rest part g = K^+(-T^T K y_beta) plus s times the
+run from T^T W1 (y_beta + T g).  So the runs, one per corrector, are kept
+with the mesh's stiffness solver, and each further speed only extends them.
+The correctors of a cell point are solved together: their runs are
 extended in lockstep, so each step applies the factorization once, to the
 block of every run that needs that step.  All forms are cell-averaged
 (normalized by the in-plane cell area), and all correctors are real,
@@ -34,6 +37,9 @@ from .mesh import per_mesh
 # Relative residual estimate at which a Lanczos run serves a speed; asking
 # for 1e-15 stagnates in rounding.
 LANCZOS_TOL = 1e-13
+
+# the tangential correctors: their loads have a rest part
+_TANGENTIAL = (("pi", 1), ("pi", 2))
 
 
 class MachBoundError(RuntimeError):
@@ -59,7 +65,8 @@ def reduced_unit_advection(mesh):
 
 class LanczosRun:
     """Lanczos run of M = K^+ W in the K inner product on the periodic
-    classes, from a start q1 = K^+ r / ||K^+ r||_K.
+    classes, from a start q1 = K^+ r / ||K^+ r||_K, and the fixed offset
+    (a vector on the periodic classes, or 0.0) that its corrector adds.
 
     The basis (the first len(alpha) + 1 rows of ``basis``) is
     reorthogonalized in full, twice per step.  Step j adds q_(j+1), the
@@ -72,6 +79,7 @@ class LanczosRun:
 
     def __init__(self, q1, start_norm):
         self.start_norm = start_norm  # ||K^+ r||_K
+        self.offset = 0.0
         self.basis = np.empty((16, len(q1)))
         self.basis[0] = q1
         self.alpha, self.beta, self.k_norm = [], [], []
@@ -167,13 +175,14 @@ class CellOperator:
 
     ``solve`` takes correctors' names and builds their loads (``load``).
     At rest it solves each by the factored K / |Xi|; with flow it takes each
-    fixed part of a load from a Lanczos run kept with the mesh's stiffness
-    solver (``fem.stiffness_solver``), and T and T^T from that solver.  A
-    run is extended until its residual estimate reaches LANCZOS_TOL, shared
-    among the parts, for the speed at hand, in lockstep with the runs of
-    every other part.  Either way each relative residual is checked against
-    ``residual_tol`` (``fem.check_residual``), and a failure names the
-    corrector and u3, and a Lanczos failure also its run.
+    corrector from its run's offset and its Lanczos run, both kept with the
+    mesh's stiffness solver (``fem.stiffness_solver``) under the corrector's
+    name, and T and T^T from that solver.  A run is extended until its
+    residual estimate reaches LANCZOS_TOL for the speed at hand, in lockstep
+    with the runs of the other correctors.  Either way each relative
+    residual is checked against ``residual_tol`` (``fem.check_residual``),
+    and a failure names the corrector and u3, and a Lanczos failure also its
+    run.
     """
 
     def __init__(self, flow: FlowField, residual_tol: float = 1e-10):
@@ -223,11 +232,11 @@ class CellOperator:
         return fields[0] if len(names) == 1 else fields
 
     def _solve_flow(self, names, loads, labels):
-        """The correctors from the Lanczos runs kept with the mesh's
-        stiffness solver, one run per fixed part of a load: missing runs
-        are started in one block, every run is extended in lockstep with the
-        others (``_lockstep``) and the residuals are checked in one block
-        product on the periodic classes."""
+        """The correctors from the runs kept with the mesh's stiffness
+        solver, one per corrector: missing runs are started
+        (``_start_runs``), every run is extended in lockstep with the others
+        (``_lockstep``) and the residuals are checked in one block product on
+        the periodic classes."""
         solver, runs = fem.stiffness_solver(self.mesh)
         T, Tt = solver.reduction, solver.restriction
         rhs, norms = zip(*(fem.reduced_rhs(Tt, load, solver.zero_floor / self.xi)
@@ -237,38 +246,57 @@ class CellOperator:
         # along them (at most 1e-10 relative, as checked) is dropped, as the
         # direct solve's multiplier absorbs it
         rhs = np.stack([r - r.mean() for r in rhs], axis=1)
-        solved = [c for c, norm in enumerate(norms) if norm > 0.0]
-        parts = []  # (column, run key, coefficient, run label, tolerance)
-        new = {}  # run key -> (run label, start) of each run not kept yet
-        for c in solved:
-            load_parts = self._load_parts(names[c], Tt)
-            for key, start, coefficient in load_parts:
-                label = f"{labels[c]}: Lanczos run {key!r}"
-                parts.append((c, key, coefficient, label, LANCZOS_TOL / len(load_parts)))
-                if key not in runs:
-                    new.setdefault(key, (label, start))
-        if new:
-            started = LanczosRun.start(np.stack([start() for _, start in new.values()],
-                                                axis=1), solver.precondition)
-            for (key, (label, _)), run in zip(new.items(), started):
-                if run is None:
-                    self._fail(label, "breaks down", 1, 1.0)
-                runs[key] = run
-        solves = []
-        for c, key, coefficient, label, tol in parts:
-            scale = abs(coefficient) * runs[key].start_norm / (self.xi * norms[c])
-            solves.append(self._lanczos(runs[key], scale, tol, label))
+        solved = {c: f"{labels[c]}: Lanczos run {names[c]!r}"
+                  for c, norm in enumerate(norms) if norm > 0.0}
+        missing = {names[c]: label for c, label in solved.items() if names[c] not in runs}
+        if missing:
+            self._start_runs(missing, solver, runs)
+        # x = offset + weight * V y for the run's basis V
+        weights = {c: self._coefficient(names[c]) * runs[names[c]].start_norm for c in solved}
+        solves = [self._lanczos(runs[names[c]], abs(weights[c]) / (self.xi * norms[c]), label)
+                  for c, label in solved.items()]
         advection = reduced_unit_advection(self.mesh)
         ys = _lockstep(solves, (solver.precondition, solver.reduced, advection.__matmul__))
         x = np.zeros((Tt.shape[0], len(names)))
-        for (c, key, coefficient, _, _), y in zip(parts, ys):
-            run = runs[key]
-            x[:, c] += (coefficient * run.start_norm) * (y @ run.basis[:len(y)])
+        for c, y in zip(solved, ys):
+            run = runs[names[c]]
+            x[:, c] = run.offset + weights[c] * (y @ run.basis[:len(y)])
         residuals = np.linalg.norm(
             (solver.reduced @ x - self._shift * (advection @ x)) / self.xi - rhs, axis=0)
         for c in solved:
             fem.check_residual(residuals[c] / norms[c], self.residual_tol, labels[c])
         return list(np.ascontiguousarray((T @ x).T))
+
+    def _start_runs(self, labels, solver, runs):
+        """Start the runs of the correctors named by the keys of ``labels``
+        (each run's label) and keep them in ``runs``, by one block apply of
+        the preconditioner to their starts.  |Xi| times the reduced load of
+        a corrector is its coefficient (``_coefficient``) times its start,
+        except for the tangential ones: their rest parts g = K^+(-T^T K y),
+        solved first in one block, are kept as their runs' offsets, and
+        their runs start from T^T W1 (y + T g).  With M = K^+ W1,
+        (I - s M)^-1 (g + s K^+ T^T W1 y) = g + s (I - s M)^-1 K^+ T^T W1 (y + T g)."""
+        mesh, T, Tt = self.mesh, solver.reduction, solver.restriction
+        starts, offsets = {}, {}
+        tangential = [name for name in labels if name in _TANGENTIAL]
+        if tangential:
+            y = mesh.nodes[:, [beta - 1 for _, beta in tangential]]
+            r = -(Tt @ (fem.stiffness_matrix(mesh) @ y))
+            g = solver.precondition(r - r.mean(axis=0))
+            flow = Tt @ (unit_advection(mesh)[0] @ (y + T @ g))
+            for j, name in enumerate(tangential):
+                offsets[name], starts[name] = g[:, j], flow[:, j]
+        if "xi" in labels:
+            starts["xi"] = -(Tt @ face_flux_jump(mesh))
+        if "pi_P" in labels:
+            starts["pi_P"] = Tt @ unit_advection(mesh)[1]
+        started = LanczosRun.start(np.stack([starts[name] for name in labels], axis=1),
+                                   solver.precondition)
+        for (name, label), run in zip(labels.items(), started):
+            if run is None:
+                self._fail(label, "breaks down", 1, 1.0)
+            run.offset = offsets.get(name, 0.0)
+            runs[name] = run
 
     def apply(self, v):
         """The operator times nodal vectors v: at rest by the matrix K / |Xi|,
@@ -286,33 +314,25 @@ class CellOperator:
             return -face_flux_jump(self.mesh) / self.xi
         if name == "pi_P":
             return (props.theta / props.c ** 2) * advective_vector(self.flow) / self.xi
-        if name not in (("pi", 1), ("pi", 2)):
+        if name not in _TANGENTIAL:
             raise ValueError(f"unknown corrector load {name!r}: expected "
                              "('pi', 1), ('pi', 2), 'xi' or 'pi_P'")
         return -self.apply(self.mesh.nodes[:, name[1] - 1])
 
-    def _load_parts(self, name, Tt):
-        """(run key, start, coefficient) of each fixed part of a corrector
-        load, with T^T the periodic restriction: |Xi| times the reduced load
-        is the sum of coefficient * start, and each start depends on the mesh
-        alone."""
-        mesh, u3 = self.mesh, self.flow.u3
-        props = self.flow.properties
+    def _coefficient(self, name):
+        """The coefficient of the corrector ``name``'s run (``_start_runs``)."""
         if name == "xi":
-            return [("xi", lambda: -(Tt @ face_flux_jump(mesh)), 1.0)]
+            return 1.0
         if name == "pi_P":
-            return [("pi_P", lambda: Tt @ unit_advection(mesh)[1],
-                     u3 * props.theta / props.c ** 2)]
-        _, beta = name
-        y = mesh.nodes[:, beta - 1]
-        return [(("K", beta), lambda: -(Tt @ (fem.stiffness_matrix(mesh) @ y)), 1.0),
-                (("W", beta), lambda: Tt @ (unit_advection(mesh)[0] @ y), self._shift)]
+            props = self.flow.properties
+            return self.flow.u3 * props.theta / props.c ** 2
+        return self._shift
 
-    def _lanczos(self, run, scale, tol, label):
+    def _lanczos(self, run, scale, label):
         """Coefficients y of x = V_m y, the Galerkin solution of
         (I - s M) x = q1, for the smallest run length m whose residual
-        estimate, scale * |s beta_m y_m| * ||K q_(m+1)||, is within tol, up
-        to the step cap.  A generator, run by ``_lockstep``: it yields the
+        estimate, scale * |s beta_m y_m| * ||K q_(m+1)||, is within
+        LANCZOS_TOL, up to the step cap.  A generator, run by ``_lockstep``: it yields the
         run whenever it needs one more step, is sent whether the run grew,
         and returns y; a failure names the run by ``label``.
 
@@ -334,7 +354,7 @@ class CellOperator:
                 pivots.append(1.0 - s * run.alpha[0])
             ratios.append(s * run.beta[m] / pivots[-1])
             estimate = scale * abs(ratios[-1] * zs[-1]) * run.k_norm[m]
-            if estimate <= tol:
+            if estimate <= LANCZOS_TOL:
                 y = np.empty(m + 1)
                 y[m] = zs[m] / pivots[m]
                 for j in range(m - 1, -1, -1):

@@ -117,6 +117,8 @@ class RunConfig:
             raise ConfigError(f"bad phi_list {text!r}") from None
         if not phis:
             raise ConfigError(f"phi_list {text!r} names no angle")
+        if not all(map(math.isfinite, phis)):
+            raise ConfigError(f"phi_list {text!r} names a non-finite angle")
         return phis
 
 
@@ -186,8 +188,10 @@ def validate(cfg: RunConfig):
     if not 0 <= cfg["flow.u3_quantum"] < math.inf:  # 0 keeps exact speeds
         raise ConfigError(
             f"[flow] u3_quantum must be finite and >= 0, got {cfg['flow.u3_quantum']!r}")
-    if not math.isfinite(cfg["flow.u_in"]):
-        raise ConfigError(f"[flow] u_in must be finite, got {cfg['flow.u_in']!r}")
+    for key in ("flow.u_in", "sweep.u3_start", "sweep.u3_stop"):
+        if not math.isfinite(cfg[key]):
+            section, name = key.split(".")
+            raise ConfigError(f"[{section}] {name} must be finite, got {cfg[key]!r}")
     for key in ("cell.resolution", "waveguide.resolution", "frequencies.f_min",
                 "frequencies.f_max"):
         if not 0 < cfg[key] < math.inf:  # also rejects NaN

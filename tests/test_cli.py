@@ -146,8 +146,13 @@ def test_config_grids():
     ("[frequencies]\ncount = 0\n", "frequency count must be >= 1"),
     ("[sweep]\nu3_count = 0\n", "sweep u3_count must be >= 1"),
     ("[sweep]\nphi_list = 0,x\n", "bad phi_list '0,x'"),
-    ("[sweep]\nphi_list = ,\n", "phi_list ',' names no angle")],
-    ids=["count", "u3_count", "phi_list", "empty-phi_list"])
+    ("[sweep]\nphi_list = ,\n", "phi_list ',' names no angle"),
+    ("[sweep]\nphi_list = nan\n", "phi_list 'nan' names a non-finite angle"),
+    ("[sweep]\nphi_list = 30, inf\n", "phi_list '30, inf' names a non-finite angle"),
+    ("[sweep]\nu3_start = nan\n", "[sweep] u3_start must be finite, got nan"),
+    ("[sweep]\nu3_stop = inf\n", "[sweep] u3_stop must be finite, got inf")],
+    ids=["count", "u3_count", "phi_list", "empty-phi_list", "nan-phi_list",
+         "inf-phi_list", "nan-u3_start", "inf-u3_stop"])
 def test_config_rejects_unusable_grids(text, message):
     # every command rejects them at parse time, before any set-up runs
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
