@@ -109,10 +109,18 @@ class _CrossSection:
         self.rank[order] = np.arange(len(self.nodes))
 
     def _orient(self, tris):
-        """The triangles, counter-clockwise."""
+        """The triangles, counter-clockwise.  A triangle flat to roundoff has
+        no orientation (its prisms would have no volume): the hole rim then
+        touches the cell boundary, and the cross section is rejected."""
         x = self.nodes[tris]
         e1, e2 = x[:, 1] - x[:, 0], x[:, 2] - x[:, 0]
-        flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
+        cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        flat = np.abs(cross) <= 1e-12 * np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
+        if flat.any():
+            raise GeometryError(
+                f"cross-section triangle {int(np.argmax(flat))} is flat: the hole rim "
+                "touches the cell boundary; reduce hole_diameter")
+        flip = cross < 0
         tris[flip] = tris[flip][:, [0, 2, 1]]
         return tris
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from perfoplate import fem
@@ -134,6 +134,7 @@ def test_one_volume_pass_per_sheared_mesh(monkeypatch):
 @settings(max_examples=15, deadline=None)
 @given(b1=st.floats(0.5, 2.0), b2=st.floats(0.5, 2.0),
        hole_diameter=st.floats(0.05, 0.6), dz=st.floats(0.01, 0.5))
+@example(b1=1.0, b2=0.5000000000000001, hole_diameter=0.5, dz=0.5)
 def test_odd_rank_sort_is_a_negative_prism_volume(b1, b2, hole_diameter, dz):
     try:
         cs = _CrossSection(CellGeometry(b1=b1, b2=b2, hole_diameter=hole_diameter), 0.2)
@@ -150,6 +151,13 @@ def test_odd_rank_sort_is_a_negative_prism_volume(b1, b2, hole_diameter, dz):
     tets = x[:, _PRISM_TETS]
     det = np.linalg.det(tets[:, :, 1:] - tets[:, :, :1])
     assert np.array_equal(det < 0, np.repeat(odd[:, None], 3, axis=1))
+
+
+def test_hole_touching_the_cell_boundary_is_rejected():
+    # one ulp of margin between rim and boundary: the annulus has flat triangles
+    geom = CellGeometry(b1=1.0, b2=0.5000000000000001, hole_diameter=0.5)
+    with pytest.raises(GeometryError, match="hole rim touches the cell boundary"):
+        generate_unit_cell_mesh(geom, 0.2)
 
 
 @pytest.mark.parametrize("resolution", [math.inf, math.nan, 0.0, -1.0])
