@@ -43,6 +43,17 @@ PERIODIC_DIRECTIONS = {
 }
 
 
+# Smallest height of a cross-section triangle, as a fraction of the
+# resolution, of a cross section that is meshed.  A hole rim near the cell
+# boundary squeezes the annulus there, as a hole far smaller than the
+# resolution squeezes its fan.  Probed on 1 x 1 and 1 x 0.7 cells at
+# resolutions 0.06-0.2, the corrector loads first failed their compatibility
+# check at smallest heights between 9e-6 and 8.3e-5 resolutions, while at
+# 1.2e-4 and above every symmetry defect stayed below 1e-10.  The default cell's
+# smallest height is 0.04-0.18 resolutions.
+MIN_TRIANGLE_HEIGHT = 1e-3
+
+
 def _even_count(length, res):
     return 2 * max(1, int(round(length / (2.0 * res))))
 
@@ -75,6 +86,7 @@ class _CrossSection:
         n_disk = max(1, int(round(radius / resolution)))
         margin = (min(b1, b2) - d) / 2.0
         n_ann = max(2, int(round(margin / resolution)))
+        self.resolution = resolution
 
         # perimeter walk, counter-clockwise from the (0, 0) corner; edge k
         # runs from point k to point k+1 and lies on the same side as its
@@ -98,8 +110,11 @@ class _CrossSection:
         rings = 1 + n * np.arange(n_disk + n_ann)[:, None] + np.arange(n)
         self.circle, self.perimeter_ids = rings[n_disk - 1], rings[-1]
         fan = np.column_stack([np.zeros(n, np.int64), rings[0], np.roll(rings[0], -1)])
-        self.disk_tris = self._orient(np.concatenate([fan, _ring_tris(rings[:n_disk])]))
-        self.annulus_tris = self._orient(_ring_tris(rings[n_disk - 1:]))
+        self.disk_tris = self._orient(np.concatenate([fan, _ring_tris(rings[:n_disk])]),
+                                      f"the hole of diameter {d:g} is too small; widen it")
+        self.annulus_tris = self._orient(_ring_tris(rings[n_disk - 1:]),
+                                         "the hole rim touches the cell boundary within "
+                                         f"{margin:.3e}; widen that gap")
 
         # strict node order whose comparisons are invariant under the
         # y1 -> b1 - y1 mirror (fold about the mid-plane, then y2)
@@ -108,18 +123,22 @@ class _CrossSection:
         self.rank = np.empty(len(self.nodes), dtype=np.int64)
         self.rank[order] = np.arange(len(self.nodes))
 
-    def _orient(self, tris):
-        """The triangles, counter-clockwise.  A triangle flat to roundoff has
-        no orientation (its prisms would have no volume): the hole rim then
-        touches the cell boundary, and the cross section is rejected."""
+    def _orient(self, tris, cause):
+        """The triangles, counter-clockwise.  One below MIN_TRIANGLE_HEIGHT
+        resolutions high, down to one flat to roundoff (of no orientation),
+        rejects the cross section, naming the ``cause`` of thin ``tris``."""
         x = self.nodes[tris]
         e1, e2 = x[:, 1] - x[:, 0], x[:, 2] - x[:, 0]
         cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        flat = np.abs(cross) <= 1e-12 * np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
-        if flat.any():
-            raise GeometryError(
-                f"cross-section triangle {int(np.argmax(flat))} is flat: the hole rim "
-                "touches the cell boundary; reduce hole_diameter")
+        # a triangle's smallest height, in resolutions: twice its area over
+        # its longest edge
+        longest = np.linalg.norm([e1, e2, x[:, 2] - x[:, 1]], axis=2).max(axis=0)
+        height = np.abs(cross) / (longest * self.resolution)
+        thin = int(np.argmin(height))
+        if not height[thin] >= MIN_TRIANGLE_HEIGHT:
+            raise GeometryError(f"cross-section triangle {thin} is {height[thin]:.3e} "
+                                f"resolutions high, below {MIN_TRIANGLE_HEIGHT:g}: {cause} "
+                                "or refine the resolution")
         flip = cross < 0
         tris[flip] = tris[flip][:, [0, 2, 1]]
         return tris

@@ -17,9 +17,10 @@ run from T^T W1 (y_beta + T g).  So the runs, one per corrector, are kept
 with the mesh's stiffness solver, and each further speed only extends them.
 The correctors of a cell point are solved together: their runs are
 extended in lockstep, so each step applies the factorization once, to the
-block of every run that needs that step.  All forms are cell-averaged
-(normalized by the in-plane cell area), and all correctors are real,
-zero-mean and periodic in the in-plane directions.
+block of every run that needs that step.  The correctors do not depend on
+the in-plane cell area |Xi|, which enters only the cell averages
+(``coefficients``); all of them are real, zero-mean and periodic in the
+in-plane directions.
 """
 
 from __future__ import annotations
@@ -173,16 +174,15 @@ class CellOperator:
     the Lanczos solves, which are conjugate gradients preconditioned by K,
     converge at a condition number of at most 1 / (1 - rho).
 
-    ``solve`` takes correctors' names and builds their loads (``load``).
-    At rest it solves each by the factored K / |Xi|; with flow it takes each
-    corrector from its run's offset and its Lanczos run, both kept with the
-    mesh's stiffness solver (``fem.stiffness_solver``) under the corrector's
-    name, and T and T^T from that solver.  A run is extended until its
-    residual estimate reaches LANCZOS_TOL for the speed at hand, in lockstep
-    with the runs of the other correctors.  Either way each relative
-    residual is checked against ``residual_tol`` (``fem.check_residual``),
-    and a failure names the corrector and u3, and a Lanczos failure also its
-    run.
+    ``solve`` takes correctors' names and builds their loads (``load``),
+    reduces each to the periodic classes and solves it: at rest by the
+    factored K, with flow from its run's offset and its Lanczos run, both
+    kept with the mesh's stiffness solver (``fem.stiffness_solver``) under
+    the corrector's name.  A run is extended until its residual estimate
+    reaches LANCZOS_TOL for the speed at hand, in lockstep with the runs of
+    the other correctors.  Either way each relative residual is checked
+    against ``residual_tol`` (``fem.check_residual``), and a failure names
+    the corrector and u3, and a Lanczos failure also its run.
     """
 
     def __init__(self, flow: FlowField, residual_tol: float = 1e-10):
@@ -195,18 +195,16 @@ class CellOperator:
         self.mesh = mesh = flow.mesh
         self.flow = flow
         self.residual_tol = residual_tol
-        self.xi = fem.xi_measure(mesh)
-        if flow.u3 == 0.0:
-            # freed before this mesh's first matrix is built, as that is
-            # where another mesh's kept solver and runs would set the peak
-            fem.drop_other_stiffness_solver(mesh)
-            self._matrix = fem.stiffness_matrix(mesh) / self.xi
-            self._direct = fem.ZeroMeanSolver(mesh, self._matrix, scale=self.xi)
-            return
-        self._direct = None
-        # the operator is (K - s W1) / |Xi|, applied as such and never built
+        # freed before this mesh's first matrix is built, as that is where
+        # another mesh's kept solver and runs would set the peak
+        fem.drop_other_stiffness_solver(mesh)
+        # the operator is K - s W1, applied as such and never built
         self._stiffness = fem.stiffness_matrix(mesh)
         self._shift = props.tau * flow.u3 ** 2 / props.c ** 2
+        if flow.u3 == 0.0:
+            self._direct = fem.ZeroMeanSolver(mesh, self._stiffness)
+            return
+        self._direct = None
         self._advection = unit_advection(mesh)[0]
         rho = props.tau * speed ** 2 / props.c ** 2
         # twice the CG bound for the energy-norm error at condition number
@@ -217,61 +215,55 @@ class CellOperator:
     def solve(self, *names):
         """Zero-mean periodic correctors of the loads ``names`` (see
         ``load``): the field for one name, else a list of them.  Every load
-        is built, and so its name checked, before any solve; with flow the
-        parts of all the loads are solved together (``_solve_flow``)."""
+        is built, and so its name checked, before any solve.  Each load is
+        reduced to the periodic classes and solved: at rest by one apply of
+        the factored K, with flow from its corrector's run, missing runs
+        started (``_start_runs``) and all of them extended in lockstep
+        (``_lockstep``).  The residuals are checked in one block product."""
         loads = [self.load(name) for name in names]
         labels = [f"corrector {name!r} at u3={self.flow.u3:.6g}" for name in names]
-        if self._direct is None:
-            fields = self._solve_flow(names, loads, labels)
+        solver, runs = ((self._direct, None) if self._direct is not None
+                        else fem.stiffness_solver(self.mesh))
+        rhs, norms = zip(*(fem.reduced_rhs(solver.restriction, load, solver.zero_floor, label)
+                           for load, label in zip(loads, labels)))
+        # a load at the zero floor has the zero corrector
+        solved = [c for c, norm in enumerate(norms) if norm > 0.0]
+        x = np.zeros((solver.reduced.shape[0], len(names)))
+        advected = 0.0
+        if runs is None:
+            # one apply per column: a block apply agrees with it only to rounding
+            for c in solved:
+                x[:, c] = solver.precondition(rhs[c])
         else:
-            fields = []
-            for load, label in zip(loads, labels):
-                u, residual = self._direct.solve(load)
-                fem.check_residual(residual, self.residual_tol, label)
-                fields.append(u)
-        return fields[0] if len(names) == 1 else fields
-
-    def _solve_flow(self, names, loads, labels):
-        """The correctors from the runs kept with the mesh's stiffness
-        solver, one per corrector: missing runs are started
-        (``_start_runs``), every run is extended in lockstep with the others
-        (``_lockstep``) and the residuals are checked in one block product on
-        the periodic classes."""
-        solver, runs = fem.stiffness_solver(self.mesh)
-        T, Tt = solver.reduction, solver.restriction
-        rhs, norms = zip(*(fem.reduced_rhs(Tt, load, solver.zero_floor / self.xi)
-                           for load in loads))
-        # a load at the zero floor has the zero corrector; the operator's
-        # range is orthogonal to the constants: the part of a right side
-        # along them (at most 1e-10 relative, as checked) is dropped, as the
-        # direct solve's multiplier absorbs it
-        rhs = np.stack([r - r.mean() for r in rhs], axis=1)
-        solved = {c: f"{labels[c]}: Lanczos run {names[c]!r}"
-                  for c, norm in enumerate(norms) if norm > 0.0}
-        missing = {names[c]: label for c, label in solved.items() if names[c] not in runs}
-        if missing:
-            self._start_runs(missing, solver, runs)
-        # x = offset + weight * V y for the run's basis V
-        weights = {c: self._coefficient(names[c]) * runs[names[c]].start_norm for c in solved}
-        solves = [self._lanczos(runs[names[c]], abs(weights[c]) / (self.xi * norms[c]), label)
-                  for c, label in solved.items()]
-        advection = reduced_unit_advection(self.mesh)
-        ys = _lockstep(solves, (solver.precondition, solver.reduced, advection.__matmul__))
-        x = np.zeros((Tt.shape[0], len(names)))
-        for c, y in zip(solved, ys):
-            run = runs[names[c]]
-            x[:, c] = run.offset + weights[c] * (y @ run.basis[:len(y)])
-        residuals = np.linalg.norm(
-            (solver.reduced @ x - self._shift * (advection @ x)) / self.xi - rhs, axis=0)
+            run_labels = {c: f"{labels[c]}: Lanczos run {names[c]!r}" for c in solved}
+            missing = {names[c]: run_labels[c] for c in solved if names[c] not in runs}
+            if missing:
+                self._start_runs(missing, solver, runs)
+            # x = offset + weight * V y for the run's basis V
+            weights = {c: self._coefficient(names[c]) * runs[names[c]].start_norm for c in solved}
+            solves = [self._lanczos(runs[names[c]], abs(weights[c]) / norms[c], run_labels[c])
+                      for c in solved]
+            advection = reduced_unit_advection(self.mesh)
+            ys = _lockstep(solves, (solver.precondition, solver.reduced, advection.__matmul__))
+            for c, y in zip(solved, ys):
+                run = runs[names[c]]
+                x[:, c] = run.offset + weights[c] * (y @ run.basis[:len(y)])
+            advected = self._shift * (advection @ x)
+        # the operator's range is orthogonal to the constants: the part of a
+        # right side along them (at most 1e-10 relative, as checked) is
+        # dropped, as the direct solve's multiplier absorbs it
+        residuals = np.linalg.norm(solver.reduced @ x - advected
+                                   - np.stack([r - r.mean() for r in rhs], axis=1), axis=0)
         for c in solved:
             fem.check_residual(residuals[c] / norms[c], self.residual_tol, labels[c])
-        return list(np.ascontiguousarray((T @ x).T))
+        fields = list(np.ascontiguousarray((solver.reduction @ x).T))
+        return fields[0] if len(names) == 1 else fields
 
     def _start_runs(self, labels, solver, runs):
         """Start the runs of the correctors named by the keys of ``labels``
         (each run's label) and keep them in ``runs``, by one block apply of
-        the preconditioner to their starts.  |Xi| times the reduced load of
-        a corrector is its coefficient (``_coefficient``) times its start,
+        the preconditioner to their starts.  The reduced load of a
+        corrector is its coefficient (``_coefficient``) times its start,
         except for the tangential ones: their rest parts g = K^+(-T^T K y),
         solved first in one block, are kept as their runs' offsets, and
         their runs start from T^T W1 (y + T g).  With M = K^+ W1,
@@ -299,11 +291,11 @@ class CellOperator:
             runs[name] = run
 
     def apply(self, v):
-        """The operator times nodal vectors v: at rest by the matrix K / |Xi|,
-        with flow by the kept K and W1."""
+        """The operator K - s W1 times nodal vectors v, by the mesh's kept K
+        and W1 (K alone at rest)."""
         if self._direct is not None:
-            return self._matrix @ v
-        return (self._stiffness @ v - self._shift * (self._advection @ v)) / self.xi
+            return self._stiffness @ v
+        return self._stiffness @ v - self._shift * (self._advection @ v)
 
     def load(self, name):
         """Right side of the corrector ``name``: ("pi", beta) the in-plane
@@ -311,9 +303,9 @@ class CellOperator:
         the face-average jump), "pi_P" the flow-pressure corrector."""
         props = self.flow.properties
         if name == "xi":
-            return -face_flux_jump(self.mesh) / self.xi
+            return -face_flux_jump(self.mesh)
         if name == "pi_P":
-            return (props.theta / props.c ** 2) * advective_vector(self.flow) / self.xi
+            return (props.theta / props.c ** 2) * advective_vector(self.flow)
         if name not in _TANGENTIAL:
             raise ValueError(f"unknown corrector load {name!r}: expected "
                              "('pi', 1), ('pi', 2), 'xi' or 'pi_P'")

@@ -1,11 +1,11 @@
 """Homogenized interface coefficients and their internal identities.
 
-All quantities are cell averages (volume and surface integrals normalized
-by the in-plane cell area).  A and B are volume forms of the cell operator;
-B', F and T' are surface forms, corrector jumps between the faces I+ and
-I-; Tw, Mw and W are read from the advective vector a_i = int w . grad
-phi_i of the flow (``cell_problems.advective_vector``: u3 times the a1 that
-each mesh sums with W1 in one sweep).  So B = B' and
+All quantities are cell averages: integrals divided by the in-plane cell
+area |Xi|, on which the correctors do not depend.  A and B are volume forms
+of the cell operator; B', F and T' are surface forms, corrector jumps
+between the faces I+ and I-; Tw, Mw and W are read from the advective
+vector a_i = int w . grad phi_i of the flow (``cell_problems.advective_vector``:
+u3 times the a1 that each mesh sums with W1 in one sweep).  So B = B' and
 T' = -(theta/c^2) Tw compare independent forms of one quantity.
 
 Convention: the two advective coupling vectors are stored *without* the
@@ -69,7 +69,7 @@ def compute_coefficients(sols: CellSolutionSet) -> HomogenizedCoefficients:
     """Evaluate all interface coefficients from one cell solution set."""
     op = sols.operator
     mesh, flow, props = op.mesh, op.flow, op.flow.properties
-    xi_m = op.xi
+    xi_m = fem.xi_measure(mesh)
     theta = props.theta
 
     y = [mesh.nodes[:, 0], mesh.nodes[:, 1]]
@@ -81,9 +81,10 @@ def compute_coefficients(sols: CellSolutionSet) -> HomogenizedCoefficients:
         Aua = op.apply(u[a])
         for b in range(2):
             A[a, b] = u[b] @ Aua
+    A /= xi_m
 
     A_xi, A_pi_P = op.apply(sols.xi), op.apply(sols.pi_P)
-    B = np.array([y[b] @ A_xi for b in range(2)])
+    B = np.array([y[b] @ A_xi for b in range(2)]) / xi_m
     Bp = np.array([_face_jump(mesh, pis[b], xi_m) for b in range(2)])
     F = -_face_jump(mesh, sols.xi, xi_m)
     Twp = _face_jump(mesh, sols.pi_P, xi_m)
@@ -94,9 +95,8 @@ def compute_coefficients(sols: CellSolutionSet) -> HomogenizedCoefficients:
     Tw = (adv @ sols.xi) / xi_m
     Mw = theta * (adv @ sols.pi_P) / xi_m
     Wbar = np.array([adv @ u[b] for b in range(2)]) / xi_m
-    Qw = np.array([
-        props.c ** 2 * (y[b] @ A_pi_P) - theta * (adv @ y[b]) / xi_m
-        for b in range(2)])
+    Qw = np.array([props.c ** 2 * (y[b] @ A_pi_P) - theta * (adv @ y[b])
+                   for b in range(2)]) / xi_m
 
     kappa = float(mesh.nodes[:, 2].max() - mesh.nodes[:, 2].min())
     zeta = fem.cell_measure(mesh) / (xi_m * kappa)

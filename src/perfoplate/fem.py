@@ -236,12 +236,12 @@ def periodic_restriction(mesh):
     return periodic_reduction(mesh).T
 
 
-def reduced_rhs(restriction, rhs_full, zero_floor):
+def reduced_rhs(restriction, rhs_full, zero_floor, solve):
     """A right side on the periodic classes (``periodic_restriction``) and its
     norm, 0.0 at or below ``zero_floor`` (an identically zero right side).
 
     The right side must be compatible (orthogonal to constants) within
-    1e-10 relative; this is asserted, not fixed up.
+    1e-10 relative; a SolverError that names the ``solve`` asserts it.
     """
     rhs = restriction @ np.asarray(rhs_full, dtype=float)
     norm = np.linalg.norm(rhs)
@@ -250,7 +250,7 @@ def reduced_rhs(restriction, rhs_full, zero_floor):
     defect = abs(rhs.sum())
     if defect / norm > 1e-10:
         raise SolverError(
-            f"pure-Neumann right side incompatible: defect {defect / norm:.3e}")
+            f"{solve}: pure-Neumann right side incompatible: defect {defect / norm:.3e}")
     return rhs, norm
 
 
@@ -258,18 +258,18 @@ class ZeroMeanSolver:
     """Periodic, zero-mean solutions of one pure-Neumann matrix.
 
     The matrix is reduced to the periodic classes and bordered by the exact
-    integral mean divided by ``scale`` (one Lagrange multiplier); the
+    integral mean (one Lagrange multiplier); the
     bordered matrix is factored once by ``splu`` with the keyword options
     ``lu_options`` (SuperLU's defaults when None), and shared by every
     right side.  The solver keeps no reference to the mesh and checks no
     residual: each caller checks it (``check_residual``).
     """
 
-    def __init__(self, mesh, matrix, scale=1.0, lu_options=None):
+    def __init__(self, mesh, matrix, lu_options=None):
         self.num_nodes = mesh.num_nodes
         self.reduction = periodic_reduction(mesh)
         self.restriction = periodic_restriction(mesh)
-        self._mean = (self.restriction @ lumped_volume_vector(mesh)) / scale
+        self._mean = self.restriction @ lumped_volume_vector(mesh)
         reduced = (self.restriction @ matrix @ self.reduction).tocsr()
         aug = sp.bmat([[reduced, self._mean.reshape(-1, 1)],
                        [self._mean.reshape(1, -1), None]], format='csc')
@@ -278,13 +278,13 @@ class ZeroMeanSolver:
         # the absolute scale below which a right side counts as zero
         self.zero_floor = 1e-13 * abs(reduced).max() * np.sqrt(reduced.shape[0])
 
-    def solve(self, rhs_full):
+    def solve(self, rhs_full, solve):
         """(u, relative residual): the full nodal zero-mean periodic solution
         of (matrix) u = rhs and the residual of its reduced system.
 
-        The right side must be compatible (``reduced_rhs``).
+        The right side must be compatible (``reduced_rhs``, naming ``solve``).
         """
-        rhs, norm = reduced_rhs(self.restriction, rhs_full, self.zero_floor)
+        rhs, norm = reduced_rhs(self.restriction, rhs_full, self.zero_floor, solve)
         if norm == 0.0:
             return np.zeros(self.num_nodes), 0.0
         x = self._lu.solve(np.concatenate([rhs, [0.0]]))

@@ -75,7 +75,7 @@ def unit_cell_flow(mesh):
     """
     solver, _ = fem.stiffness_solver(mesh)
     # each caller checks the residual against its own tolerance
-    pot, residual = solver.solve(-face_flux_jump(mesh))
+    pot, residual = solver.solve(-face_flux_jump(mesh), "cell potential flow")
     return _recover_velocity(mesh, pot), residual
 
 
@@ -145,7 +145,8 @@ def solve_macro_potential_flow(mesh, u_in, properties, residual_tol=1e-10):
             f"vs |Gamma_out|={area_out:.6g}")
     rhs = u_in * (fem.boundary_load_vector(mesh, GROUP_IN)
                   - fem.boundary_load_vector(mesh, GROUP_OUT))
-    pot, residual = fem.ZeroMeanSolver(mesh, fem.stiffness_matrix(mesh)).solve(rhs)
+    pot, residual = fem.ZeroMeanSolver(mesh, fem.stiffness_matrix(mesh)).solve(
+        rhs, "macro potential flow")
     fem.check_residual(residual, residual_tol, "macro potential flow")
     vel = _recover_velocity(mesh, pot)
     u3 = _interface_profile(mesh, pot)

@@ -5,7 +5,8 @@ It gathers the cell-mean velocity of every tetrahedron at every point and
 integrates each flow coefficient over the cells on its own; the program
 reads Tw, Mw, W and the flow part of Qw from the advective vector a kept
 per mesh (``cell_problems.advective_vector``).  Both take A, B and the
-rest of Qw from the operator's own products (``CellOperator.apply``).  At
+rest of Qw from the operator's own products (``CellOperator.apply``, the
+operator K - s W1 without the cell measure |Xi|, which both divide by).  At
 rest the two must agree to the last bit, with flow to rounding.
 """
 
@@ -20,7 +21,7 @@ def compute_coefficients(sols: CellSolutionSet) -> HomogenizedCoefficients:
     """Evaluate all interface coefficients from one cell solution set."""
     op = sols.operator
     mesh, flow, props = op.mesh, op.flow, op.flow.properties
-    xi_m = op.xi
+    xi_m = fem.xi_measure(mesh)
     c2 = props.c ** 2
     theta = props.theta
 
@@ -33,8 +34,9 @@ def compute_coefficients(sols: CellSolutionSet) -> HomogenizedCoefficients:
         Aua = op.apply(u[a])
         for b in range(2):
             A[a, b] = u[b] @ Aua
+    A /= xi_m
 
-    B = np.array([y[b] @ op.apply(sols.xi) for b in range(2)])
+    B = np.array([y[b] @ op.apply(sols.xi) for b in range(2)]) / xi_m
     Bp = np.array([_face_jump(mesh, pis[b], xi_m) for b in range(2)])
     F = -_face_jump(mesh, sols.xi, xi_m)
     Twp = _face_jump(mesh, sols.pi_P, xi_m)
@@ -47,9 +49,8 @@ def compute_coefficients(sols: CellSolutionSet) -> HomogenizedCoefficients:
          + _advective_average(mesh, pis[b], wmean)) / xi_m
         for b in range(2)])
     Qw = np.array([
-        c2 * (y[b] @ op.apply(sols.pi_P))
-        - theta * _flow_component_integral(mesh, wmean, b) / xi_m
-        for b in range(2)])
+        c2 * (y[b] @ op.apply(sols.pi_P)) - theta * _flow_component_integral(mesh, wmean, b)
+        for b in range(2)]) / xi_m
     Wbarp = Qw / theta
 
     vol = fem.cell_measure(mesh)

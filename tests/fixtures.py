@@ -72,7 +72,7 @@ def operator_matrix(op):
 def checked_solve(solver, rhs, tol=1e-10):
     """The solution of a ``fem.ZeroMeanSolver``, its relative residual
     asserted within tol."""
-    u, residual = solver.solve(rhs)
+    u, residual = solver.solve(rhs, "checked solve")
     assert residual <= tol, residual
     return u
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,19 @@ def test_hole_touching_the_cell_boundary_is_rejected():
     geom = CellGeometry(b1=1.0, b2=0.5000000000000001, hole_diameter=0.5)
     with pytest.raises(GeometryError, match="hole rim touches the cell boundary"):
         generate_unit_cell_mesh(geom, 0.2)
+
+
+@pytest.mark.parametrize("diameter, cause", [
+    (0.999999999999, "the hole rim touches the cell boundary within 5.000e-13; widen that gap"),
+    (0.99999999, "the hole rim touches the cell boundary within 5.000e-09; widen that gap"),
+    (0.0005, "the hole of diameter 0.0005 is too small; widen it")])
+def test_cross_section_thinner_than_the_resolution_is_rejected(diameter, cause):
+    # near the rim or in the hole's fan, triangles far thinner than the
+    # resolution; meshed, the first geometry gave symmetry defects of 2e-5
+    # and the second a failed cell flow residual
+    with pytest.raises(GeometryError, match=r"resolutions high, below 0\.001: "
+                                            rf"{re.escape(cause)} or refine the resolution$"):
+        generate_unit_cell_mesh(CellGeometry(hole_diameter=diameter), 0.08)
 
 
 @pytest.mark.parametrize("resolution", [math.inf, math.nan, 0.0, -1.0])

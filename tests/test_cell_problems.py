@@ -27,7 +27,7 @@ def zero_flow(mesh, props):
 
 def test_operator_is_periodic_laplacian_at_rest(straight_cell_mesh, props):
     op = assemble_Aw(zero_flow(straight_cell_mesh, props))
-    K = fem.stiffness_matrix(straight_cell_mesh) / op.xi
+    K = fem.stiffness_matrix(straight_cell_mesh)
     assert abs(operator_matrix(op) - K).max() == 0.0
     x = np.random.default_rng(0).standard_normal((straight_cell_mesh.num_nodes, 3))
     assert op.apply(x).tobytes() == (K @ x).tobytes()
@@ -44,8 +44,7 @@ def test_operator_from_unit_advection_matches_assembly(slant_cell_mesh, props, u
     flow = solve_cell_potential_flow(slant_cell_mesh, u3, props)
     op = assemble_Aw(flow)
     W, _ = fem.advection_matrices(slant_cell_mesh, flow.velocity)
-    fresh = (fem.stiffness_matrix(slant_cell_mesh)
-             - (props.tau / props.c ** 2) * W) / op.xi
+    fresh = fem.stiffness_matrix(slant_cell_mesh) - (props.tau / props.c ** 2) * W
     assert abs(operator_matrix(op) - fresh).max() <= 1e-13 * abs(fresh).max()
 
 
@@ -113,7 +112,7 @@ def test_static_reduction_matches_plain_laplace(slant_cell_mesh, props):
     flow = zero_flow(slant_cell_mesh, props)
     sols = solve_cell_problems(flow)
     # plain periodic Laplace solve, assembled independently of the operator
-    K = fem.stiffness_matrix(slant_cell_mesh) / fem.xi_measure(slant_cell_mesh)
+    K = fem.stiffness_matrix(slant_cell_mesh)
     y1 = slant_cell_mesh.nodes[:, 0]
     pi1 = checked_solve(fem.ZeroMeanSolver(slant_cell_mesh, K), -(K @ y1))
     np.testing.assert_allclose(sols.pi1, pi1, atol=1e-10)
@@ -183,7 +182,7 @@ def test_duality_pairing_vs_surface_jump(slant_cell_mesh, props):
     for pi in (sols.pi1, sols.pi2):
         pairing = float(sols.xi @ op.apply(pi))
         jump = (fem.integrate(slant_cell_mesh, pi, "I+")
-                - fem.integrate(slant_cell_mesh, pi, "I-")) / op.xi
+                - fem.integrate(slant_cell_mesh, pi, "I-"))
         assert abs(pairing + jump) <= 1e-10 * max(abs(jump), 1e-3)
 
 
@@ -201,7 +200,7 @@ def test_solver_residual_contract(slant_cell_mesh, props):
 
 def direct_correctors(op):
     """The same correctors by a direct factorization of the same operator."""
-    direct = fem.ZeroMeanSolver(op.mesh, operator_matrix(op), scale=op.xi)
+    direct = fem.ZeroMeanSolver(op.mesh, operator_matrix(op))
     return [checked_solve(direct, op.load(name)) for name in NAMES]
 
 
@@ -235,9 +234,7 @@ def test_lanczos_correctors_match_direct_solve(slant_cell_mesh, props, case):
 
 def test_rest_correctors_bitwise_equal_fresh_direct_solve(slant_cell_mesh, props):
     sols = solve_cell_problems(zero_flow(slant_cell_mesh, props))
-    xi = fem.xi_measure(slant_cell_mesh)
-    K = fem.stiffness_matrix(slant_cell_mesh) / xi
-    fresh = fem.ZeroMeanSolver(slant_cell_mesh, K, scale=xi)
+    fresh = fem.ZeroMeanSolver(slant_cell_mesh, fem.stiffness_matrix(slant_cell_mesh))
     op = sols.operator
     for field, name in ((sols.pi1, ("pi", 1)), (sols.pi2, ("pi", 2)), (sols.xi, "xi")):
         np.testing.assert_array_equal(field, checked_solve(fresh, op.load(name)))
@@ -370,8 +367,8 @@ def test_pcg_residual_excludes_the_constant_part_of_the_load(slant_cell_mesh, pr
     load = op.load("xi")
     load += T @ (0.9e-10 * np.linalg.norm(T.T @ load) / len(sizes) / sizes)
     monkeypatch.setattr(op, "load", lambda name: load.copy())
-    direct = checked_solve(fem.ZeroMeanSolver(slant_cell_mesh, operator_matrix(op),
-                                              scale=op.xi), load, tol=1e-12)
+    direct = checked_solve(fem.ZeroMeanSolver(slant_cell_mesh, operator_matrix(op)),
+                           load, tol=1e-12)
     assert np.linalg.norm(op.solve("xi") - direct) <= 1e-10 * np.linalg.norm(direct)
 
 

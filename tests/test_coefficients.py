@@ -1,10 +1,12 @@
 import csv
 import io
+import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coefficients_reference
@@ -17,7 +19,7 @@ from perfoplate.coefficients import (CSV_HEADER, cell_pipeline,
                                      compute_coefficients, sweep_coefficients,
                                      verify_symmetries)
 from perfoplate.flow import solve_cell_potential_flow
-from perfoplate.geometry import CellGeometry
+from perfoplate.geometry import CellGeometry, GeometryError
 
 
 def test_empty_cell_exact_limits(empty_cell_mesh, props):
@@ -77,12 +79,14 @@ def _all_values(coeffs):
     return np.concatenate([np.ravel(getattr(coeffs, f.name)) for f in fields(coeffs)])
 
 
-@pytest.mark.parametrize("phi", [0.0, 30.0])
-def test_coefficients_match_volume_reference(phi, props):
+@pytest.mark.parametrize("phi, b1, b2", [(0.0, 1.0, 1.0), (30.0, 1.0, 1.0), (30.0, 1.25, 1.0)],
+                         ids=["0.0", "30.0", "30.0-period-1.25x1"])
+def test_coefficients_match_volume_reference(phi, b1, b2, props):
     """The flow coefficients read from the kept advective vector agree with
     the per-point volume quadrature: at rest to the last bit, with flow to
-    1e-12 relative on perfbench's family floors."""
-    mesh = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=phi), 0.1)
+    1e-12 relative on perfbench's family floors.  On the 1.25 x 1 cell the
+    in-plane measure |Xi| that both divide by is not 1."""
+    mesh = generate_unit_cell_mesh(CellGeometry(b1=b1, b2=b2, hole_slope_deg=phi), 0.1)
     deviation = coef_deviation()
 
     def both(flow):
@@ -99,6 +103,36 @@ def test_coefficients_match_volume_reference(phi, props):
         floor = 1e-3 * props.theta * max(abs(ref.Tw), *np.abs(ref.Wbar))
         assert (np.abs(new.Qw - ref.Qw).max()
                 <= 1e-12 * max(np.abs(ref.Qw).max(), floor))
+
+
+@settings(max_examples=30, deadline=None)
+@given(b1=st.floats(0.6, 1.4), b2=st.floats(0.6, 1.4),
+       gap_exp=st.one_of(st.integers(-13, -1), st.floats(-4.0, -0.3)),
+       slope=st.one_of(st.just(0.0), st.floats(-30.0, 30.0)),
+       u3=st.sampled_from([0.0, 1.0, 4.0]))
+@example(b1=1.0, b2=1.0, gap_exp=-12, slope=0.0, u3=1.0)
+@example(b1=1.0, b2=1.0, gap_exp=-8, slope=0.0, u3=1.0)
+def test_cell_gives_symmetric_coefficients_or_a_named_refusal(b1, b2, gap_exp, slope, u3,
+                                                              props):
+    """A hole that fills all but a fraction 10^gap_exp of the room its
+    slant leaves in the cell, up to a rim that all but touches the cell
+    boundary, gives coefficients whose identities hold to 1e-8, or a
+    refusal that names its cause: never a plausible row from a mesh too
+    thin to trust, nor a solver failure."""
+    shift = math.tan(math.radians(abs(slope))) * CellGeometry().thickness / 2.0
+    geom = CellGeometry(b1=b1, b2=b2, hole_slope_deg=slope,
+                        hole_diameter=(min(b1, b2) - 2.0 * shift) * (1.0 - 10.0 ** gap_exp))
+    try:
+        _, flow, _, co = cell_pipeline(geom, u3, 0.1, props)
+    except GeometryError as exc:
+        assert re.search(r"hole rim|inverted cell", str(exc)), exc
+        return
+    except MachBoundError as exc:
+        assert "coercivity bound" in str(exc)
+        return
+    report = verify_symmetries(co, coefficients.SYMMETRY_TOL, props,
+                               speed_scale=max(flow.max_speed(), abs(u3)))
+    assert report.max_defect <= 1e-8, str(report)
 
 
 def test_fault_injection_flagged(slant_cell_mesh, props):

@@ -13,9 +13,11 @@ from conftest import structured_square_mesh
 from fixtures import (checked_solve, counted_factor_sweeps, empty_cell_coefficients,
                       integrate_cells, uniform_problem, uniform_velocity)
 from perfoplate import fem
+from perfoplate import flow as flow_module
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.fem import AssemblyError, FluidProperties, SolverError
 from perfoplate.cell_problems import assemble_Aw
+from perfoplate.duct_mesh import GROUP_OUT
 from perfoplate.flow import (solve_cell_potential_flow, solve_macro_potential_flow,
                              unit_cell_flow)
 from perfoplate.geometry import CellGeometry
@@ -194,15 +196,15 @@ def face_average_load(mesh, group):
 
 def test_zero_rhs_zero_mean_solution(straight_cell_mesh):
     x, residual = laplace_solver(straight_cell_mesh).solve(
-        np.zeros(straight_cell_mesh.num_nodes))
+        np.zeros(straight_cell_mesh.num_nodes), "zero solve")
     assert np.abs(x).max() < 1e-12 and residual == 0.0
 
 
 def test_incompatible_neumann_rejected(straight_cell_mesh):
-    with pytest.raises(SolverError) as err:
+    with pytest.raises(SolverError, match=r"^face solve: pure-Neumann right side "
+                                          r"incompatible: defect "):
         laplace_solver(straight_cell_mesh).solve(
-            face_average_load(straight_cell_mesh, "I+"))
-    assert "incompatible" in str(err.value)
+            face_average_load(straight_cell_mesh, "I+"), "face solve")
 
 
 def test_check_residual_rejects_what_is_not_within_tolerance():
@@ -251,6 +253,49 @@ def test_every_solve_names_itself_in_a_residual_failure(straight_cell_mesh, duct
         solve()
 
 
+def _incompatible_cell_flow(monkeypatch, cell, duct, props):
+    # a fresh mesh: the unit flow of a mesh is solved once and kept
+    mesh = generate_unit_cell_mesh(CellGeometry(), 0.2)
+    monkeypatch.setattr(flow_module, "face_flux_jump",
+                        lambda m: fem.boundary_load_vector(m, "I+"))
+    return lambda: solve_cell_potential_flow(mesh, 2.0, props), "cell potential flow"
+
+
+def _incompatible_macro_flow(monkeypatch, cell, duct, props):
+    # twice the outflow of the inflow
+    real = fem.boundary_load_vector
+    monkeypatch.setattr(fem, "boundary_load_vector",
+                        lambda m, group: (2.0 if group == GROUP_OUT else 1.0) * real(m, group))
+    return lambda: solve_macro_potential_flow(duct, 10.0, props), "macro potential flow"
+
+
+def _incompatible_corrector(u3):
+    def case(monkeypatch, cell, duct, props):
+        op = assemble_Aw(solve_cell_potential_flow(cell, u3, props))
+        load = op.load("xi")
+        load[0] += 1e-3 * np.abs(load).max()
+        monkeypatch.setattr(op, "load", lambda name: load)
+        return lambda: op.solve("xi"), f"corrector 'xi' at u3={u3:g}"
+    return case
+
+
+INCOMPATIBLE_LOADS = {
+    "cell-flow": _incompatible_cell_flow,
+    "macro-flow": _incompatible_macro_flow,
+    "rest-corrector": _incompatible_corrector(0.0),
+    "lanczos-corrector": _incompatible_corrector(2.0),
+}
+
+
+@pytest.mark.parametrize("case", INCOMPATIBLE_LOADS.values(), ids=INCOMPATIBLE_LOADS.keys())
+def test_every_pure_neumann_solve_names_itself_for_an_incompatible_load(
+        straight_cell_mesh, duct_mesh, props, monkeypatch, case):
+    solve, name = case(monkeypatch, straight_cell_mesh, duct_mesh, props)
+    with pytest.raises(SolverError, match=rf"^{re.escape(name)}: pure-Neumann right side "
+                                          r"incompatible: defect \S+$"):
+        solve()
+
+
 def test_zero_mean_contract(straight_cell_mesh):
     m = straight_cell_mesh
     x = checked_solve(laplace_solver(m),
@@ -276,8 +321,8 @@ def test_zero_mean_solver_properties(straight_cell_mesh, seed, scale):
         np.testing.assert_array_equal(x[pairs[:, 0]], x[pairs[:, 1]])
     resid = T.T @ (fem.stiffness_matrix(m) @ x - rhs)
     assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(T.T @ rhs)
-    with pytest.raises(SolverError, match="incompatible"):
-        solver.solve(rhs + np.linalg.norm(red) * face_average_load(m, "I+"))
+    with pytest.raises(SolverError, match="^random solve: pure-Neumann right side incompatible"):
+        solver.solve(rhs + np.linalg.norm(red) * face_average_load(m, "I+"), "random solve")
 
 
 def cell_average(mesh, field, group=None):

@@ -21,7 +21,7 @@ def unit_potential(mesh):
     """The potential of the u3 = 1 cell flow, solved as `unit_cell_flow`
     solves it (the flow keeps only the velocity)."""
     solver, _ = fem.stiffness_solver(mesh)
-    pot, _ = solver.solve(-face_flux_jump(mesh))
+    pot, _ = solver.solve(-face_flux_jump(mesh), "cell potential flow")
     return pot
 
 
@@ -181,7 +181,7 @@ def test_unrelaxed_stiffness_factor_keeps_fill_and_accuracy(phi):
             == relaxed._lu.L.nnz + relaxed._lu.U.nnz)
     residual = unit_cell_flow(m)[1]
     assert residual <= 1e-12
-    assert residual <= 1.5 * relaxed.solve(-face_flux_jump(m))[1]
+    assert residual <= 1.5 * relaxed.solve(-face_flux_jump(m), "relaxed flow")[1]
 
 
 def test_residual_contract_holds_on_cached_flow(straight_cell_mesh, props):
