@@ -15,9 +15,11 @@ one run from a start that depends on the mesh alone: the tangential
 corrector pi_beta is its rest part g = K^+(-T^T K y_beta) plus s times the
 run from T^T W1 (y_beta + T g).  So the runs, one per corrector, are kept
 with the mesh's stiffness solver, and each further speed only extends them.
-The correctors of a cell point are solved together: their runs are
-extended in lockstep, so each step applies the factorization once, to the
-block of every run that needs that step.  The correctors do not depend on
+The correctors of a cell point are solved together, in rounds: each
+round asks every pending corrector's run for its solution and extends the
+runs still pending by one step, applying the factorization once, to the
+block of all their columns.  At rest the correctors are solved on a
+factorization of K built for the call and freed with it.  They do not depend on
 the in-plane cell area |Xi|, which enters only the cell averages
 (``coefficients``); all of them are real, zero-mean and periodic in the
 in-plane directions.
@@ -140,26 +142,30 @@ class LanczosRun:
             run.k_norm.append(np.linalg.norm(kw[:, j]) / beta)
         return broken
 
-
-def _lockstep(solves, step):
-    """The coefficients y of each Lanczos solve (``CellOperator._lanczos``),
-    with the solves run together: each round sends every waiting solve
-    whether its run grew, and extends every run that a solve then waits on
-    by one batched step (``LanczosRun.extend(runs, *step)``)."""
-    ys = [None] * len(solves)
-    sent = dict.fromkeys(range(len(solves)))
-    while True:
-        waiting = {}  # solve -> the run it waits on
-        for i, grew in sent.items():
-            try:
-                waiting[i] = solves[i].send(grew)
-            except StopIteration as done:
-                ys[i] = done.value
-        if not waiting:
-            return ys
-        runs = list({id(run): run for run in waiting.values()}.values())
-        broken = {id(run) for run in LanczosRun.extend(runs, *step)}
-        sent = {i: id(run) not in broken for i, run in waiting.items()}
+    def galerkin(self, s, scale, steps):
+        """(y, estimate): y of the Galerkin solution x = V_m y of (I - s M) x = q1
+        for the smallest run length m <= ``steps`` whose residual estimate,
+        scale * |s beta_m y_m| * ||K q_(m+1)||, is within LANCZOS_TOL, else
+        (None, the last estimate; 1.0 before any).  (I - s T_m) = L D L^T is
+        factored along the run, which gives y_m at every m without the rest of y."""
+        zs, pivots, ratios = [], [], []  # z of L z = e1; d_j; s beta_j / d_j
+        estimate = 1.0
+        for m in range(min(steps, len(self.alpha))):
+            if m:
+                zs.append(zs[-1] * ratios[-1])
+                pivots.append(1.0 - s * self.alpha[m] - s * self.beta[m - 1] * ratios[-1])
+            else:
+                zs.append(1.0)
+                pivots.append(1.0 - s * self.alpha[0])
+            ratios.append(s * self.beta[m] / pivots[-1])
+            estimate = scale * abs(ratios[-1] * zs[-1]) * self.k_norm[m]
+            if estimate <= LANCZOS_TOL:
+                y = np.empty(m + 1)
+                y[m] = zs[m] / pivots[m]
+                for j in range(m - 1, -1, -1):
+                    y[j] = zs[j] / pivots[j] + ratios[j] * y[j + 1]
+                return y, estimate
+        return None, estimate
 
 
 class CellOperator:
@@ -175,14 +181,15 @@ class CellOperator:
     converge at a condition number of at most 1 / (1 - rho).
 
     ``solve`` takes correctors' names and builds their loads (``load``),
-    reduces each to the periodic classes and solves it: at rest by the
-    factored K, with flow from its run's offset and its Lanczos run, both
-    kept with the mesh's stiffness solver (``fem.stiffness_solver``) under
-    the corrector's name.  A run is extended until its residual estimate
-    reaches LANCZOS_TOL for the speed at hand, in lockstep with the runs of
-    the other correctors.  Either way each relative residual is checked
-    against ``residual_tol`` (``fem.check_residual``), and a failure names
-    the corrector and u3, and a Lanczos failure also its run.
+    reduces each to the periodic classes and solves it: at rest by K,
+    factored in that call and freed when it returns, with flow from its
+    run's offset and its Lanczos run, both kept with the mesh's stiffness
+    solver (``fem.stiffness_solver``) under the corrector's name.  A run is
+    extended until its residual estimate reaches LANCZOS_TOL for the speed
+    at hand, in rounds with the runs of the other correctors.  Either way
+    each relative residual is checked against ``residual_tol``
+    (``fem.check_residual``), and a failure names the corrector and u3, and
+    a Lanczos failure also its run.
     """
 
     def __init__(self, flow: FlowField, residual_tol: float = 1e-10):
@@ -202,9 +209,7 @@ class CellOperator:
         self._stiffness = fem.stiffness_matrix(mesh)
         self._shift = props.tau * flow.u3 ** 2 / props.c ** 2
         if flow.u3 == 0.0:
-            self._direct = fem.ZeroMeanSolver(mesh, self._stiffness)
             return
-        self._direct = None
         self._advection = unit_advection(mesh)[0]
         rho = props.tau * speed ** 2 / props.c ** 2
         # twice the CG bound for the energy-norm error at condition number
@@ -217,15 +222,16 @@ class CellOperator:
         ``load``): the field for one name, else a list of them.  Every load
         is built, and so its name checked, before any solve.  Each load is
         reduced to the periodic classes and solved: at rest by one apply of
-        the factored K, with flow from its corrector's run, missing runs
-        started (``_start_runs``) and all of them extended in lockstep
-        (``_lockstep``).  The residuals are checked in one block product."""
+        a factorization of K made for the call, with flow from its
+        corrector's run, missing runs started (``_start_runs``), in rounds:
+        each asks the run of every pending corrector for its solution
+        (``LanczosRun.galerkin``), then extends the runs still pending in one
+        ``LanczosRun.extend``.  The residuals are checked in one block product."""
         loads = [self.load(name) for name in names]
         labels = [f"corrector {name!r} at u3={self.flow.u3:.6g}" for name in names]
-        solver, runs = ((self._direct, None) if self._direct is not None
-                        else fem.stiffness_solver(self.mesh))
-        rhs, norms = zip(*(fem.reduced_rhs(solver.restriction, load, solver.zero_floor, label)
-                           for load, label in zip(loads, labels)))
+        solver, runs = ((fem.ZeroMeanSolver(self.mesh, self._stiffness), None)
+                        if self.flow.u3 == 0.0 else fem.stiffness_solver(self.mesh))
+        rhs, norms = zip(*(solver.reduce(load, label) for load, label in zip(loads, labels)))
         # a load at the zero floor has the zero corrector
         solved = [c for c, norm in enumerate(norms) if norm > 0.0]
         x = np.zeros((solver.reduced.shape[0], len(names)))
@@ -241,13 +247,28 @@ class CellOperator:
                 self._start_runs(missing, solver, runs)
             # x = offset + weight * V y for the run's basis V
             weights = {c: self._coefficient(names[c]) * runs[names[c]].start_norm for c in solved}
-            solves = [self._lanczos(runs[names[c]], abs(weights[c]) / norms[c], run_labels[c])
-                      for c in solved]
             advection = reduced_unit_advection(self.mesh)
-            ys = _lockstep(solves, (solver.precondition, solver.reduced, advection.__matmul__))
-            for c, y in zip(solved, ys):
-                run = runs[names[c]]
-                x[:, c] = run.offset + weights[c] * (y @ run.basis[:len(y)])
+            # the run's step m + 2 (its first is the start) gives alpha_m, beta_m
+            cap, pending, broken, estimates = self._max_iter - 1, solved, [], {}
+            while pending:
+                waiting = []
+                for c in pending:
+                    run, label = runs[names[c]], run_labels[c]
+                    if run in broken:
+                        self._fail(label, "breaks down", len(run.alpha) + 2, estimates[c])
+                    y, estimates[c] = run.galerkin(self._shift, abs(weights[c]) / norms[c], cap)
+                    if y is not None:
+                        x[:, c] = run.offset + weights[c] * (y @ run.basis[:len(y)])
+                    elif len(run.alpha) >= cap:
+                        self._fail(label, "does not converge", self._max_iter, estimates[c])
+                    else:
+                        waiting.append(c)
+                pending = waiting
+                # each distinct run once, in the order of its first pending corrector
+                grow = list(dict.fromkeys(runs[names[c]] for c in pending))
+                if grow:
+                    broken = LanczosRun.extend(grow, solver.precondition, solver.reduced,
+                                               advection.__matmul__)
             advected = self._shift * (advection @ x)
         # the operator's range is orthogonal to the constants: the part of a
         # right side along them (at most 1e-10 relative, as checked) is
@@ -293,7 +314,7 @@ class CellOperator:
     def apply(self, v):
         """The operator K - s W1 times nodal vectors v, by the mesh's kept K
         and W1 (K alone at rest)."""
-        if self._direct is not None:
+        if self.flow.u3 == 0.0:
             return self._stiffness @ v
         return self._stiffness @ v - self._shift * (self._advection @ v)
 
@@ -319,40 +340,6 @@ class CellOperator:
             props = self.flow.properties
             return self.flow.u3 * props.theta / props.c ** 2
         return self._shift
-
-    def _lanczos(self, run, scale, label):
-        """Coefficients y of x = V_m y, the Galerkin solution of
-        (I - s M) x = q1, for the smallest run length m whose residual
-        estimate, scale * |s beta_m y_m| * ||K q_(m+1)||, is within
-        LANCZOS_TOL, up to the step cap.  A generator, run by ``_lockstep``: it yields the
-        run whenever it needs one more step, is sent whether the run grew,
-        and returns y; a failure names the run by ``label``.
-
-        (I - s T_m) = L D L^T is factored along the run, which gives y_m
-        at every m without solving for the rest of y.
-        """
-        s = self._shift
-        zs, pivots, ratios = [], [], []  # z of L z = e1; d_j; s beta_j / d_j
-        estimate = 1.0
-        # step m + 2 of the run (its first is the start) gives alpha_m, beta_m
-        for m in range(self._max_iter - 1):
-            if m == len(run.alpha) and not (yield run):
-                self._fail(label, "breaks down", m + 2, estimate)
-            if m:
-                zs.append(zs[-1] * ratios[-1])
-                pivots.append(1.0 - s * run.alpha[m] - s * run.beta[m - 1] * ratios[-1])
-            else:
-                zs.append(1.0)
-                pivots.append(1.0 - s * run.alpha[0])
-            ratios.append(s * run.beta[m] / pivots[-1])
-            estimate = scale * abs(ratios[-1] * zs[-1]) * run.k_norm[m]
-            if estimate <= LANCZOS_TOL:
-                y = np.empty(m + 1)
-                y[m] = zs[m] / pivots[m]
-                for j in range(m - 1, -1, -1):
-                    y[j] = zs[j] / pivots[j] + ratios[j] * y[j + 1]
-                return y
-        self._fail(label, "does not converge", self._max_iter, estimate)
 
     def _fail(self, label, what, steps, estimate):
         raise SolverError(

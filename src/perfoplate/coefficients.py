@@ -200,11 +200,8 @@ def _sweep_one_angle(args):
     rows = []
     for u3 in u3_values:
         try:
-            # keep only the flow and the coefficients: a rest point's solution
-            # set holds its factorization, which must be freed before the
-            # next point
-            flw, coeffs = cell_pipeline(geom, u3, resolution, properties,
-                                        residual_tol, mesh=mesh)[1::2]
+            _, flw, _, coeffs = cell_pipeline(geom, u3, resolution, properties,
+                                              residual_tol, mesh=mesh)
             report = verify_symmetries(coeffs, SYMMETRY_TOL, properties,
                                        speed_scale=max(flw.max_speed(), abs(u3)))
             rows.append((geom.hole_slope_deg, u3, coeffs, report.max_defect, None))

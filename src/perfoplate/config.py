@@ -188,7 +188,7 @@ def validate(cfg: RunConfig):
     if not 0 <= cfg["flow.u3_quantum"] < math.inf:  # 0 keeps exact speeds
         raise ConfigError(
             f"[flow] u3_quantum must be finite and >= 0, got {cfg['flow.u3_quantum']!r}")
-    for key in ("flow.u_in", "sweep.u3_start", "sweep.u3_stop"):
+    for key in ("flow.u_in", "flow.u3", "sweep.u3_start", "sweep.u3_stop"):
         if not math.isfinite(cfg[key]):
             section, name = key.split(".")
             raise ConfigError(f"[{section}] {name} must be finite, got {cfg[key]!r}")

@@ -236,24 +236,6 @@ def periodic_restriction(mesh):
     return periodic_reduction(mesh).T
 
 
-def reduced_rhs(restriction, rhs_full, zero_floor, solve):
-    """A right side on the periodic classes (``periodic_restriction``) and its
-    norm, 0.0 at or below ``zero_floor`` (an identically zero right side).
-
-    The right side must be compatible (orthogonal to constants) within
-    1e-10 relative; a SolverError that names the ``solve`` asserts it.
-    """
-    rhs = restriction @ np.asarray(rhs_full, dtype=float)
-    norm = np.linalg.norm(rhs)
-    if norm <= zero_floor:
-        return rhs, 0.0
-    defect = abs(rhs.sum())
-    if defect / norm > 1e-10:
-        raise SolverError(
-            f"{solve}: pure-Neumann right side incompatible: defect {defect / norm:.3e}")
-    return rhs, norm
-
-
 class ZeroMeanSolver:
     """Periodic, zero-mean solutions of one pure-Neumann matrix.
 
@@ -278,13 +260,30 @@ class ZeroMeanSolver:
         # the absolute scale below which a right side counts as zero
         self.zero_floor = 1e-13 * abs(reduced).max() * np.sqrt(reduced.shape[0])
 
+    def reduce(self, rhs_full, solve):
+        """A nodal right side on the periodic classes and its norm, 0.0 at or
+        below ``zero_floor`` (an identically zero right side).
+
+        The right side must be compatible (orthogonal to constants) within
+        1e-10 relative; a SolverError that names the ``solve`` asserts it.
+        """
+        rhs = self.restriction @ np.asarray(rhs_full, dtype=float)
+        norm = np.linalg.norm(rhs)
+        if norm <= self.zero_floor:
+            return rhs, 0.0
+        defect = abs(rhs.sum())
+        if defect / norm > 1e-10:
+            raise SolverError(
+                f"{solve}: pure-Neumann right side incompatible: defect {defect / norm:.3e}")
+        return rhs, norm
+
     def solve(self, rhs_full, solve):
         """(u, relative residual): the full nodal zero-mean periodic solution
         of (matrix) u = rhs and the residual of its reduced system.
 
-        The right side must be compatible (``reduced_rhs``, naming ``solve``).
+        The right side must be compatible (``reduce``, naming ``solve``).
         """
-        rhs, norm = reduced_rhs(self.restriction, rhs_full, self.zero_floor, solve)
+        rhs, norm = self.reduce(rhs_full, solve)
         if norm == 0.0:
             return np.zeros(self.num_nodes), 0.0
         x = self._lu.solve(np.concatenate([rhs, [0.0]]))

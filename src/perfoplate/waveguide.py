@@ -288,15 +288,10 @@ def _boundary_impedance_factor(problem, group):
     """Optional convective correction (1 + w.n/c) of the plane-wave impedance."""
     if not problem.impedance_flow_correction or problem.flow is None:
         return 1.0
-    mesh = problem.mesh
-    nodes = mesh.group_nodes(group)
-    vel = problem.flow.velocity[nodes]
-    # boundary groups are vertical lines; outward normal is +-e1
-    xmid = mesh.nodes[nodes, 0].mean()
-    interior_x = mesh.nodes[:, 0].mean()
-    n1 = 1.0 if xmid > interior_x else -1.0
-    wn = float(vel[:, 0].mean()) * n1
-    return 1.0 + wn / problem.properties.c
+    vel = problem.flow.velocity[problem.mesh.group_nodes(group)]
+    # the outward normal is -e1 on the inlet and +e1 on the outlet
+    n1 = -1.0 if group == GROUP_IN else 1.0
+    return 1.0 + float(vel[:, 0].mean()) * n1 / problem.properties.c
 
 
 def _element_table(lengths, coeffs):

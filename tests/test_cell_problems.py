@@ -10,8 +10,8 @@ from fixtures import (checked_solve, coef_deviation, counted_factor_sweeps,
                       u3_at_mach_fraction)
 from perfoplate import fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
-from perfoplate.cell_problems import (MachBoundError, advective_vector, assemble_Aw,
-                                      solve_cell_problems, unit_advection)
+from perfoplate.cell_problems import (LANCZOS_TOL, MachBoundError, advective_vector,
+                                      assemble_Aw, solve_cell_problems, unit_advection)
 from perfoplate.coefficients import cell_pipeline
 from perfoplate.fem import SolverError
 from perfoplate.flow import FlowField, face_flux_jump, solve_cell_potential_flow
@@ -285,6 +285,49 @@ def test_kept_rest_part_is_the_rest_corrector(slant_cell_mesh, props):
     for name, field in ((("pi", 1), rest.pi1), (("pi", 2), rest.pi2)):
         kept = solver.reduction @ runs[name].offset
         assert np.linalg.norm(kept - field) <= 1e-12 * np.linalg.norm(field)
+
+
+def test_rest_factorization_dies_when_solve_returns(slant_cell_mesh, props, monkeypatch):
+    # a rest operator factors K for each solve and keeps no factorization
+    solvers = []
+    real = fem.ZeroMeanSolver.precondition
+    monkeypatch.setattr(fem.ZeroMeanSolver, "precondition",
+                        lambda self, r: solvers.append(weakref.ref(self)) or real(self, r))
+    sols = solve_cell_problems(zero_flow(slant_cell_mesh, props))
+    # checked while the solution set, and the operator in it, are alive
+    assert sols.operator.flow.u3 == 0.0
+    assert solvers and all(solver() is None for solver in solvers)
+
+
+def dense_galerkin(run, s, scale, m):
+    """y of (I - s T_m) y = e1 by a dense solve, and its residual estimate."""
+    T = (np.diag(run.alpha[:m]) + np.diag(run.beta[:m - 1], 1)
+         + np.diag(run.beta[:m - 1], -1))
+    y = np.linalg.solve(np.eye(m) - s * T, np.eye(m)[0])
+    return y, scale * abs(s * run.beta[m - 1] * y[-1]) * run.k_norm[m - 1]
+
+
+@pytest.mark.parametrize("u3", [0.5, 2.5, 5.0])
+def test_galerkin_is_the_shortest_converged_dense_solve(props, u3):
+    # runs extended by a u3 = 5 point serve each speed at its own length
+    mesh = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=30.0), 0.1)
+    assemble_Aw(solve_cell_potential_flow(mesh, 5.0, props)).solve(*NAMES)
+    runs = fem.stiffness_solver(mesh)[1]
+    op = assemble_Aw(solve_cell_potential_flow(mesh, u3, props))
+    T = fem.periodic_reduction(mesh)
+    for name in NAMES:
+        run = runs[name]
+        scale = (abs(op._coefficient(name)) * run.start_norm
+                 / np.linalg.norm(T.T @ op.load(name)))
+        y, estimate = run.galerkin(op._shift, scale, len(run.alpha))
+        m = len(y)
+        dense, dense_estimate = dense_galerkin(run, op._shift, scale, m)
+        assert np.linalg.norm(y - dense) <= 1e-12 * np.linalg.norm(dense)
+        assert estimate == pytest.approx(dense_estimate, rel=1e-12)
+        shorter = [dense_galerkin(run, op._shift, scale, k)[1] for k in range(1, m)]
+        assert dense_estimate <= LANCZOS_TOL < min(shorter)
+        assert run.galerkin(op._shift, scale, m - 1) == (None, pytest.approx(shorter[-1],
+                                                                          rel=1e-12))
 
 
 def test_block_precondition_matches_column_applies():

@@ -150,9 +150,11 @@ def test_config_grids():
     ("[sweep]\nphi_list = nan\n", "phi_list 'nan' names a non-finite angle"),
     ("[sweep]\nphi_list = 30, inf\n", "phi_list '30, inf' names a non-finite angle"),
     ("[sweep]\nu3_start = nan\n", "[sweep] u3_start must be finite, got nan"),
-    ("[sweep]\nu3_stop = inf\n", "[sweep] u3_stop must be finite, got inf")],
+    ("[sweep]\nu3_stop = inf\n", "[sweep] u3_stop must be finite, got inf"),
+    ("[flow]\nu3 = nan\n", "[flow] u3 must be finite, got nan"),
+    ("[flow]\nu3 = inf\n", "[flow] u3 must be finite, got inf")],
     ids=["count", "u3_count", "phi_list", "empty-phi_list", "nan-phi_list",
-         "inf-phi_list", "nan-u3_start", "inf-u3_stop"])
+         "inf-phi_list", "nan-u3_start", "inf-u3_stop", "nan-u3", "inf-u3"])
 def test_config_rejects_unusable_grids(text, message):
     # every command rejects them at parse time, before any set-up runs
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):

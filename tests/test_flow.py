@@ -164,7 +164,7 @@ def test_only_the_kept_stiffness_factor_is_unrelaxed(fresh_cell_mesh, duct_mesh,
     n = fem.periodic_reduction(m).shape[1] + 1
     solve_cell_potential_flow(m, 1.0, props)
     assert splu_calls == [((n, n), "MMD_AT_PLUS_A", {"relax": 1})]
-    CellOperator(solve_cell_potential_flow(m, 0.0, props))
+    CellOperator(solve_cell_potential_flow(m, 0.0, props)).solve("xi")
     solve_macro_potential_flow(duct_mesh, 15.0, props)
     assert [(c.ordering, c.options) for c in splu_calls[1:]] == [("COLAMD", {})] * 2
 
