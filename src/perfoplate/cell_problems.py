@@ -66,6 +66,20 @@ def reduced_unit_advection(mesh):
     return (fem.periodic_restriction(mesh) @ unit_advection(mesh)[0] @ T).tocsr()
 
 
+@per_mesh
+def in_plane_stiffness(mesh):
+    """K y for the in-plane coordinates y = (y_1, y_2) of the mesh, one
+    column each, read-only: the rest part of the tangential loads."""
+    return fem.stiffness_matrix(mesh) @ mesh.nodes[:, :2]
+
+
+@per_mesh
+def in_plane_advection(mesh):
+    """W1 y for the in-plane coordinates (``in_plane_stiffness``) of a flow
+    mesh, read-only: the speed-dependent part of the tangential loads."""
+    return unit_advection(mesh)[0] @ mesh.nodes[:, :2]
+
+
 class LanczosRun:
     """Lanczos run of M = K^+ W in the K inner product on the periodic
     classes, from a start q1 = K^+ r / ||K^+ r||_K, and the fixed offset
@@ -74,7 +88,7 @@ class LanczosRun:
     The basis (the first len(alpha) + 1 rows of ``basis``) is
     reorthogonalized in full, twice per step.  Step j adds q_(j+1), the
     entries alpha_j, beta_j of the tridiagonal T = V^T K M V and
-    ||K q_(j+1)||.  The run holds no K V and no
+    ||K q_(j+1)||, from one product with K.  The run holds no K V and no
     reference to the stiffness solver; rows are stored in a buffer that
     doubles when full.  Runs are started and extended in batches, one
     block product per operator for all of them; one run is a batch of one.
@@ -102,9 +116,8 @@ class LanczosRun:
     def extend(runs, precondition, stiffness, advect):
         """One Lanczos step of each of the runs, with the preconditioner
         K^+, the reduced K and the product with the reduced W, each applied
-        once to the block of the runs' columns (K twice); returns the runs
-        that break down (a K-norm that is not > 0 and finite), each left as
-        it was."""
+        once to the block of the runs' columns; returns the runs that break
+        down (a K-norm that is not > 0 and finite), each left as it was."""
         bases = [run.basis[:len(run.alpha) + 1] for run in runs]
         v = advect(np.stack([basis[-1] for basis in bases], axis=1))
         v -= v.mean(axis=0)  # rounding adds a constant part, outside the range of K
@@ -119,10 +132,11 @@ class LanczosRun:
                 w[:, j] -= h[j] @ basis
             return h
         # K w = v: the first pass takes its K products from v, the second
-        # from an explicit product
+        # from an explicit product, which also gives beta and ||K q||: it
+        # misses the product after that pass by K V h2, and h2 is at rounding
         h = orthogonalize(v)
-        h2 = orthogonalize(stiffness @ w)
         kw = stiffness @ w
+        h2 = orthogonalize(kw)
         beta2 = np.einsum("ij,ij->j", w, kw)
         broken = []
         for j, run in enumerate(runs):
@@ -229,8 +243,13 @@ class CellOperator:
         ``LanczosRun.extend``.  The residuals are checked in one block product."""
         loads = [self.load(name) for name in names]
         labels = [f"corrector {name!r} at u3={self.flow.u3:.6g}" for name in names]
-        solver, runs = ((fem.ZeroMeanSolver(self.mesh, self._stiffness), None)
-                        if self.flow.u3 == 0.0 else fem.stiffness_solver(self.mesh))
+        if self.flow.u3 == 0.0:
+            # bordered and factored with SuperLU's defaults, as tl_rest_dense
+            # pins the rest outputs byte for byte; ROADMAP item 2 replaces it
+            # by the kept grounded solver once those rows are regenerated
+            solver, runs = fem.ZeroMeanSolver(self.mesh, self._stiffness, bordered=True), None
+        else:
+            solver, runs = fem.stiffness_solver(self.mesh)
         rhs, norms = zip(*(solver.reduce(load, label) for load, label in zip(loads, labels)))
         # a load at the zero floor has the zero corrector
         solved = [c for c, norm in enumerate(norms) if norm > 0.0]
@@ -293,8 +312,9 @@ class CellOperator:
         starts, offsets = {}, {}
         tangential = [name for name in labels if name in _TANGENTIAL]
         if tangential:
-            y = mesh.nodes[:, [beta - 1 for _, beta in tangential]]
-            r = -(Tt @ (fem.stiffness_matrix(mesh) @ y))
+            columns = [beta - 1 for _, beta in tangential]
+            y = mesh.nodes[:, columns]
+            r = -(Tt @ in_plane_stiffness(mesh)[:, columns])
             g = solver.precondition(r - r.mean(axis=0))
             flow = Tt @ (unit_advection(mesh)[0] @ (y + T @ g))
             for j, name in enumerate(tangential):
@@ -320,7 +340,8 @@ class CellOperator:
 
     def load(self, name):
         """Right side of the corrector ``name``: ("pi", beta) the in-plane
-        corrector (beta = 1 or 2), "xi" the through-flux corrector (minus
+        corrector (beta = 1 or 2; minus the operator times y_beta, from the
+        mesh's kept K y and W1 y), "xi" the through-flux corrector (minus
         the face-average jump), "pi_P" the flow-pressure corrector."""
         props = self.flow.properties
         if name == "xi":
@@ -330,7 +351,10 @@ class CellOperator:
         if name not in _TANGENTIAL:
             raise ValueError(f"unknown corrector load {name!r}: expected "
                              "('pi', 1), ('pi', 2), 'xi' or 'pi_P'")
-        return -self.apply(self.mesh.nodes[:, name[1] - 1])
+        stiffness = in_plane_stiffness(self.mesh)[:, name[1] - 1]
+        if self.flow.u3 == 0.0:
+            return -stiffness
+        return -(stiffness - self._shift * in_plane_advection(self.mesh)[:, name[1] - 1])
 
     def _coefficient(self, name):
         """The coefficient of the corrector ``name``'s run (``_start_runs``)."""

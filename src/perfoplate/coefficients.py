@@ -76,14 +76,12 @@ def compute_coefficients(sols: CellSolutionSet) -> HomogenizedCoefficients:
     pis = [sols.pi1, sols.pi2]
     u = [y[b] + pis[b] for b in range(2)]
 
-    A = np.empty((2, 2))
-    for a in range(2):
-        Aua = op.apply(u[a])
-        for b in range(2):
-            A[a, b] = u[b] @ Aua
-    A /= xi_m
+    # the operator applied once to the block of the fields, one contiguous
+    # row per field
+    *A_u, A_xi, A_pi_P = np.ascontiguousarray(
+        op.apply(np.stack(u + [sols.xi, sols.pi_P], axis=1)).T)
+    A = np.array([[u[b] @ A_u[a] for b in range(2)] for a in range(2)]) / xi_m
 
-    A_xi, A_pi_P = op.apply(sols.xi), op.apply(sols.pi_P)
     B = np.array([y[b] @ A_xi for b in range(2)]) / xi_m
     Bp = np.array([_face_jump(mesh, pis[b], xi_m) for b in range(2)])
     F = -_face_jump(mesh, sols.xi, xi_m)

@@ -236,27 +236,57 @@ def periodic_restriction(mesh):
     return periodic_reduction(mesh).T
 
 
+# SuperLU options of every grounded factorization (``ZeroMeanSolver``).  The
+# grounded matrix is symmetric positive definite, so SuperLU's symmetric mode
+# factors it without a pivot search: minimum degree on A^T + A (half the fill
+# of the default COLAMD on the bordered matrix) and diagonal pivots.  relax=1
+# turns relaxed supernodes off; on cell meshes they add work but no fill (at
+# resolution 0.08 the default relaxation took 176 ms, relax=1 57 ms).
+# Against the bordered matrix with the same ordering and relax=1, on the 30
+# degree cell, BLAS on one thread (the medians of two runs that interleave them):
+#   resolution 0.1  ( 1481 classes): factor   7.4-7.8 ->  6.4-6.5 ms, fill   115,808 ->   113,442
+#   resolution 0.08 ( 3938 classes): factor    58-77  ->   48-63  ms, fill   852,112 ->   785,736
+#   resolution 0.06 ( 7107 classes): factor    85-125 ->   74-107 ms, fill 1,284,506 -> 1,270,244
+#   resolution 0.05 (12804 classes): factor   258-337 ->  255-271 ms, fill 3,034,452 -> 2,969,482
+#   resolution 0.04 (25445 classes): factor      1961 ->     1687 ms, fill  11.89M   ->  11.78M
+# A 4-column apply moved by -12% to +7%.  The rest cell operator and the
+# macro LUs keep SuperLU's defaults: their outputs are pinned byte for byte.
+STIFFNESS_LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "diag_pivot_thresh": 0.0,
+                        "options": {"SymmetricMode": True}}
+
+
 class ZeroMeanSolver:
     """Periodic, zero-mean solutions of one pure-Neumann matrix.
 
-    The matrix is reduced to the periodic classes and bordered by the exact
-    integral mean (one Lagrange multiplier); the
-    bordered matrix is factored once by ``splu`` with the keyword options
-    ``lu_options`` (SuperLU's defaults when None), and shared by every
-    right side.  The solver keeps no reference to the mesh and checks no
+    The matrix is reduced to the periodic classes, whose lumped volumes m
+    weigh the integral mean.  By default it is grounded: its last class is
+    removed, which leaves a symmetric positive definite matrix (every cell
+    and duct fluid domain is connected), factored once in SuperLU's
+    symmetric mode (``STIFFNESS_LU_OPTIONS``).  A right side r first loses
+    its part along m, lambda m with lambda = sum(r) / sum(m) (the multiplier
+    of the bordered form below); the grounded solution z is then shifted to
+    zero mean by (m . z) / (m . 1).  With ``bordered`` the reduced matrix is
+    instead bordered by the mean (one Lagrange multiplier) and factored with
+    SuperLU's defaults.  Either way the factorization is shared by every
+    right side, and the solver keeps no reference to the mesh and checks no
     residual: each caller checks it (``check_residual``).
     """
 
-    def __init__(self, mesh, matrix, lu_options=None):
+    def __init__(self, mesh, matrix, bordered=False):
         self.num_nodes = mesh.num_nodes
         self.reduction = periodic_reduction(mesh)
         self.restriction = periodic_restriction(mesh)
         self._mean = self.restriction @ lumped_volume_vector(mesh)
+        self._volume = self._mean.sum()
         reduced = (self.restriction @ matrix @ self.reduction).tocsr()
-        aug = sp.bmat([[reduced, self._mean.reshape(-1, 1)],
-                       [self._mean.reshape(1, -1), None]], format='csc')
         self.reduced = reduced
-        self._lu = spla.splu(aug, **(lu_options or {}))
+        self._bordered = bordered
+        if bordered:
+            aug = sp.bmat([[reduced, self._mean.reshape(-1, 1)],
+                           [self._mean.reshape(1, -1), None]], format='csc')
+            self._lu = spla.splu(aug)
+        else:
+            self._lu = spla.splu(reduced[:-1, :-1].tocsc(), **STIFFNESS_LU_OPTIONS)
         # the absolute scale below which a right side counts as zero
         self.zero_floor = 1e-13 * abs(reduced).max() * np.sqrt(reduced.shape[0])
 
@@ -279,16 +309,17 @@ class ZeroMeanSolver:
 
     def solve(self, rhs_full, solve):
         """(u, relative residual): the full nodal zero-mean periodic solution
-        of (matrix) u = rhs and the residual of its reduced system.
+        of (matrix) u = rhs and the residual |K x + lambda m - r| / |r| of
+        its reduced system, with lambda the multiplier of the mean.
 
         The right side must be compatible (``reduce``, naming ``solve``).
         """
         rhs, norm = self.reduce(rhs_full, solve)
         if norm == 0.0:
             return np.zeros(self.num_nodes), 0.0
-        x = self._lu.solve(np.concatenate([rhs, [0.0]]))
-        resid = np.linalg.norm(self.reduced @ x[:-1] + self._mean * x[-1] - rhs)
-        return self.reduction @ x[:-1], resid / norm
+        x = self._apply(rhs)
+        resid = np.linalg.norm(self.reduced @ x + self._mean * (rhs.sum() / self._volume) - rhs)
+        return self.reduction @ x, resid / norm
 
     def precondition(self, r):
         """The reduced zero-mean solution of (matrix) z = r, for a right side
@@ -296,7 +327,23 @@ class ZeroMeanSolver:
         the preconditioner apply of an iterative solve.  A block is one
         triangular solve of all its columns; a column of it agrees with its
         own apply to rounding (about 1e-16 relative), not bit for bit."""
-        return self._lu.solve(np.concatenate([r, np.zeros_like(r[:1])]))[:-1]
+        return self._apply(r)
+
+    def _apply(self, r):
+        """``precondition``'s solution; ``solve`` calls it directly, so that
+        only the applies of iterative solves are preconditioner calls."""
+        if self._bordered:
+            return self._lu.solve(np.concatenate([r, np.zeros_like(r[:1])]))[:-1]
+        # one contiguous column per right side, so that the sums and
+        # projections of a block's columns are those of single applies
+        cols = np.array(r, dtype=float, order='F').reshape(len(r), -1, order='F')
+        for col in cols.T:
+            col -= self._mean * (col.sum() / self._volume)
+        z = np.zeros_like(cols)
+        z[:-1] = self._lu.solve(cols[:-1])
+        for col in z.T:
+            col -= (self._mean @ col) / self._volume
+        return z.reshape(r.shape, order='F')
 
 
 def check_residual(residual, tol, solve):
@@ -325,20 +372,6 @@ def _forget_kept(ref):
         _kept = None
 
 
-# SuperLU options of the kept stiffness factorization.  The bordered stiffness
-# matrix is structurally symmetric: minimum degree on A^T + A halves the fill
-# of the default COLAMD ordering (0.85M against 1.69M entries on a cell mesh
-# of 4238 nodes).  relax=1 turns relaxed supernodes off; on cell meshes they
-# add work but no fill.  Medians over 0, 30 and 60 degrees, BLAS on one
-# thread, default relaxation -> relax=1 (panel_size made no difference):
-#   resolution 0.1  (1481 classes):  factor  11 ->   7 ms, apply 0.18 -> 0.11 ms
-#   resolution 0.08 (3938 classes):  factor 146 ->  64 ms, apply 1.7  -> 1.0  ms
-#   resolution 0.06 (7107 classes):  factor 162 -> 114 ms, apply 2.2  -> 1.9  ms
-# The rest operator, the macro flow and the macro LUs keep SuperLU's defaults:
-# their outputs are pinned byte for byte, and relax=1 changes their rounding.
-STIFFNESS_LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1}
-
-
 def stiffness_solver(mesh):
     """(solver, runs): the zero-mean solver of the mesh's stiffness matrix
     and the dict of the Krylov runs it preconditions, kept until a solver
@@ -347,8 +380,7 @@ def stiffness_solver(mesh):
     global _kept
     drop_other_stiffness_solver(mesh)  # freed before this mesh's is built
     if _kept is None:
-        solver = ZeroMeanSolver(mesh, stiffness_matrix(mesh),
-                                lu_options=STIFFNESS_LU_OPTIONS)
+        solver = ZeroMeanSolver(mesh, stiffness_matrix(mesh))
         _kept = (weakref.ref(mesh, _forget_kept), solver, {})
     return _kept[1:]
 

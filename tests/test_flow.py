@@ -3,13 +3,14 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from fixtures import (checked_solve, integrate_cells, u3_at_mach_fraction,
                       uniform_macro_flow, uniform_velocity)
 from perfoplate import fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.cell_problems import CellOperator, MachBoundError
-from perfoplate.duct_mesh import interface_nodes
+from perfoplate.duct_mesh import GROUP_IN, GROUP_OUT, interface_nodes
 from perfoplate.fem import SolverError
 from perfoplate.flow import (FlowError, FlowField, MacroFlowField, _recover_velocity,
                              face_flux_jump, solve_cell_potential_flow,
@@ -156,32 +157,66 @@ def test_zero_speed_builds_no_unit_flow(fresh_cell_mesh, props, splu_calls):
     assert set(m._cache) == before and not splu_calls
 
 
+# the options of every grounded factorization: SuperLU's symmetric mode
+SYMMETRIC = ("MMD_AT_PLUS_A", {"relax": 1, "diag_pivot_thresh": 0.0,
+                               "options": {"SymmetricMode": True}})
+
+
 def test_only_the_kept_stiffness_factor_is_unrelaxed(fresh_cell_mesh, duct_mesh, props,
                                                      splu_calls):
-    # the rest operator and the macro flow keep SuperLU's defaults, which
-    # pin their outputs byte for byte
+    # the kept cell solver and the macro flow factor a grounded matrix in
+    # symmetric mode; the rest operator, whose outputs are pinned byte for
+    # byte, a bordered one with SuperLU's defaults
     m = fresh_cell_mesh
-    n = fem.periodic_reduction(m).shape[1] + 1
+    n = fem.periodic_reduction(m).shape[1]
     solve_cell_potential_flow(m, 1.0, props)
-    assert splu_calls == [((n, n), "MMD_AT_PLUS_A", {"relax": 1})]
+    assert splu_calls == [((n - 1, n - 1), *SYMMETRIC)]
     CellOperator(solve_cell_potential_flow(m, 0.0, props)).solve("xi")
+    assert splu_calls[1:] == [((n + 1, n + 1), "COLAMD", {})]
     solve_macro_potential_flow(duct_mesh, 15.0, props)
-    assert [(c.ordering, c.options) for c in splu_calls[1:]] == [("COLAMD", {})] * 2
+    d = fem.periodic_reduction(duct_mesh).shape[1]
+    assert splu_calls[2:] == [((d - 1, d - 1), *SYMMETRIC)]
 
 
 @pytest.mark.parametrize("phi", [0.0, 30.0, 60.0])
-def test_unrelaxed_stiffness_factor_keeps_fill_and_accuracy(phi):
-    # the default relaxation gives the same fill, and its unit flow residual
-    # reads 0.9e-13 to 2.4e-13 on these cells
+def test_unrelaxed_stiffness_factor_keeps_fill_and_accuracy(phi, monkeypatch):
+    # the default relaxation of the same grounded matrix gives the same
+    # fill, and its unit flow residual reads 1.6e-13 to 3.8e-13 on these cells
     m = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=phi), 0.15)
     kept, _ = fem.stiffness_solver(m)
-    relaxed = fem.ZeroMeanSolver(m, fem.stiffness_matrix(m),
-                                 lu_options={"permc_spec": "MMD_AT_PLUS_A"})
+    real = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda A, relax=None, **options: real(A, **options))
+    relaxed = fem.ZeroMeanSolver(m, fem.stiffness_matrix(m))
     assert (kept._lu.L.nnz + kept._lu.U.nnz
             == relaxed._lu.L.nnz + relaxed._lu.U.nnz)
     residual = unit_cell_flow(m)[1]
     assert residual <= 1e-12
     assert residual <= 1.5 * relaxed.solve(-face_flux_jump(m), "relaxed flow")[1]
+
+
+@pytest.mark.parametrize("phi", [0.0, 30.0, 60.0])
+def test_grounded_solve_matches_bordered_solve(phi, duct_mesh, props):
+    # the grounded factor gives the bordered form's zero-mean solutions: on
+    # the kept cell solver's preconditioner and on the macro flow
+    m = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=phi), 0.1)
+    kept, _ = fem.stiffness_solver(m)
+    bordered = fem.ZeroMeanSolver(m, fem.stiffness_matrix(m), bordered=True)
+    r = np.random.default_rng(5).standard_normal((kept.reduced.shape[0], 4))
+    r -= r.mean(axis=0)
+    z, expected = kept.precondition(r), bordered.precondition(r)
+    assert np.linalg.norm(z - expected) <= 1e-12 * np.linalg.norm(expected)
+    mean = fem.periodic_restriction(m) @ fem.lumped_volume_vector(m)
+    assert np.all(np.abs(mean @ z) <= 1e-14 * np.linalg.norm(mean) * np.linalg.norm(z, axis=0))
+    u_in = 15.0
+    rhs = u_in * (fem.boundary_load_vector(duct_mesh, GROUP_IN)
+                  - fem.boundary_load_vector(duct_mesh, GROUP_OUT))
+    stiffness = fem.stiffness_matrix(duct_mesh)
+    pot = checked_solve(fem.ZeroMeanSolver(duct_mesh, stiffness), rhs)
+    expected = checked_solve(fem.ZeroMeanSolver(duct_mesh, stiffness, bordered=True), rhs)
+    assert np.linalg.norm(pot - expected) <= 1e-12 * np.linalg.norm(expected)
+    vel = _recover_velocity(duct_mesh, expected)
+    flow = solve_macro_potential_flow(duct_mesh, u_in, props)
+    assert np.linalg.norm(flow.velocity - vel) <= 1e-12 * np.linalg.norm(vel)
 
 
 def test_residual_contract_holds_on_cached_flow(straight_cell_mesh, props):
