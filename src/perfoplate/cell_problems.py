@@ -14,11 +14,11 @@ corrector is a part that depends on the mesh alone plus a coefficient times
 one run from a start that depends on the mesh alone: the tangential
 corrector pi_beta is its rest part g = K^+(-T^T K y_beta) plus s times the
 run from T^T W1 (y_beta + T g).  So the runs, one per corrector, are kept
-with the mesh's stiffness solver, and each further speed only extends them.
-The correctors of a cell point are solved together, in rounds: each
-round asks every pending corrector's run for its solution and extends the
-runs still pending by one step, applying the factorization once, to the
-block of all their columns.  At rest the correctors are solved on a
+with the mesh's stiffness solver from its first flow point, and each further
+speed only extends them.  The four correctors of a point are solved together,
+in rounds: each round asks every pending corrector's run for its solution
+and extends the runs still pending by one step, applying the factorization
+once, to the block of all their columns.  At rest the correctors are solved on a
 factorization of K built for the call and freed with it.  They do not depend on
 the in-plane cell area |Xi|, which enters only the cell averages
 (``coefficients``); all of them are real, zero-mean and periodic in the
@@ -43,6 +43,8 @@ LANCZOS_TOL = 1e-13
 
 # the tangential correctors: their loads have a rest part
 _TANGENTIAL = (("pi", 1), ("pi", 2))
+# the correctors of a cell point, in the order ``CellOperator.solve`` returns them
+CORRECTORS = _TANGENTIAL + ("xi", "pi_P")
 
 
 class MachBoundError(RuntimeError):
@@ -194,7 +196,7 @@ class CellOperator:
     the Lanczos solves, which are conjugate gradients preconditioned by K,
     converge at a condition number of at most 1 / (1 - rho).
 
-    ``solve`` takes correctors' names and builds their loads (``load``),
+    ``solve`` builds the loads of the point's four correctors (``load``),
     reduces each to the periodic classes and solves it: at rest by K,
     factored in that call and freed when it returns, with flow from its
     run's offset and its Lanczos run, both kept with the mesh's stiffness
@@ -231,18 +233,17 @@ class CellOperator:
         self._max_iter = 100 + math.ceil(
             2.0 * math.sqrt(1.0 / (1.0 - rho)) * math.log(2.0 / LANCZOS_TOL))
 
-    def solve(self, *names):
-        """Zero-mean periodic correctors of the loads ``names`` (see
-        ``load``): the field for one name, else a list of them.  Every load
-        is built, and so its name checked, before any solve.  Each load is
-        reduced to the periodic classes and solved: at rest by one apply of
-        a factorization of K made for the call, with flow from its
-        corrector's run, missing runs started (``_start_runs``), in rounds:
-        each asks the run of every pending corrector for its solution
-        (``LanczosRun.galerkin``), then extends the runs still pending in one
+    def solve(self):
+        """The point's zero-mean periodic correctors [pi_1, pi_2, xi, pi_P]
+        (``CORRECTORS``; their loads: ``load``); a load at the zero floor gives
+        the zero field.  At rest each is one apply of a factorization of K
+        made for the call; with flow each comes from its run (started at the
+        mesh's first flow point where its load is above the floor,
+        ``_start_runs``), in rounds: each asks the pending runs for their
+        solutions (``LanczosRun.galerkin``) and extends the rest in one
         ``LanczosRun.extend``.  The residuals are checked in one block product."""
-        loads = [self.load(name) for name in names]
-        labels = [f"corrector {name!r} at u3={self.flow.u3:.6g}" for name in names]
+        loads = [self.load(name) for name in CORRECTORS]
+        labels = [f"corrector {name!r} at u3={self.flow.u3:.6g}" for name in CORRECTORS]
         if self.flow.u3 == 0.0:
             # bordered and factored with SuperLU's defaults, as tl_rest_dense
             # pins the rest outputs byte for byte; ROADMAP item 2 replaces it
@@ -253,40 +254,41 @@ class CellOperator:
         rhs, norms = zip(*(solver.reduce(load, label) for load, label in zip(loads, labels)))
         # a load at the zero floor has the zero corrector
         solved = [c for c, norm in enumerate(norms) if norm > 0.0]
-        x = np.zeros((solver.reduced.shape[0], len(names)))
+        x = np.zeros((solver.reduced.shape[0], len(CORRECTORS)))
         advected = 0.0
         if runs is None:
             # one apply per column: a block apply agrees with it only to rounding
             for c in solved:
                 x[:, c] = solver.precondition(rhs[c])
         else:
-            run_labels = {c: f"{labels[c]}: Lanczos run {names[c]!r}" for c in solved}
-            missing = {names[c]: run_labels[c] for c in solved if names[c] not in runs}
+            # a load at the zero floor starts no run, so a later speed can find
+            # one missing (pi_P's, after a first speed of 1e-9)
+            missing = [CORRECTORS[c] for c in solved if CORRECTORS[c] not in runs]
             if missing:
                 self._start_runs(missing, solver, runs)
-            # x = offset + weight * V y for the run's basis V
-            weights = {c: self._coefficient(names[c]) * runs[names[c]].start_norm for c in solved}
+            run_of = {c: runs[CORRECTORS[c]] for c in solved}
             advection = reduced_unit_advection(self.mesh)
             # the run's step m + 2 (its first is the start) gives alpha_m, beta_m
-            cap, pending, broken, estimates = self._max_iter - 1, solved, [], {}
+            cap, pending, broken, estimates = self._max_iter - 1, list(run_of), [], {}
             while pending:
                 waiting = []
                 for c in pending:
-                    run, label = runs[names[c]], run_labels[c]
+                    name, run = CORRECTORS[c], run_of[c]
                     if run in broken:
-                        self._fail(label, "breaks down", len(run.alpha) + 2, estimates[c])
-                    y, estimates[c] = run.galerkin(self._shift, abs(weights[c]) / norms[c], cap)
+                        self._fail(name, "breaks down", len(run.alpha) + 2, estimates[c])
+                    # x = offset + weight * V y for the run's basis V
+                    weight = self._coefficient(name) * run.start_norm
+                    y, estimates[c] = run.galerkin(self._shift, abs(weight) / norms[c], cap)
                     if y is not None:
-                        x[:, c] = run.offset + weights[c] * (y @ run.basis[:len(y)])
+                        x[:, c] = run.offset + weight * (y @ run.basis[:len(y)])
                     elif len(run.alpha) >= cap:
-                        self._fail(label, "does not converge", self._max_iter, estimates[c])
+                        self._fail(name, "does not converge", self._max_iter, estimates[c])
                     else:
                         waiting.append(c)
                 pending = waiting
-                # each distinct run once, in the order of its first pending corrector
-                grow = list(dict.fromkeys(runs[names[c]] for c in pending))
-                if grow:
-                    broken = LanczosRun.extend(grow, solver.precondition, solver.reduced,
+                if pending:
+                    broken = LanczosRun.extend([run_of[c] for c in pending],
+                                               solver.precondition, solver.reduced,
                                                advection.__matmul__)
             advected = self._shift * (advection @ x)
         # the operator's range is orthogonal to the constants: the part of a
@@ -296,21 +298,20 @@ class CellOperator:
                                    - np.stack([r - r.mean() for r in rhs], axis=1), axis=0)
         for c in solved:
             fem.check_residual(residuals[c] / norms[c], self.residual_tol, labels[c])
-        fields = list(np.ascontiguousarray((solver.reduction @ x).T))
-        return fields[0] if len(names) == 1 else fields
+        return list(np.ascontiguousarray((solver.reduction @ x).T))
 
-    def _start_runs(self, labels, solver, runs):
-        """Start the runs of the correctors named by the keys of ``labels``
-        (each run's label) and keep them in ``runs``, by one block apply of
-        the preconditioner to their starts.  The reduced load of a
-        corrector is its coefficient (``_coefficient``) times its start,
-        except for the tangential ones: their rest parts g = K^+(-T^T K y),
-        solved first in one block, are kept as their runs' offsets, and
-        their runs start from T^T W1 (y + T g).  With M = K^+ W1,
+    def _start_runs(self, names, solver, runs):
+        """Start the runs of the correctors ``names`` and keep them in
+        ``runs``, by one block apply of the preconditioner to their starts.
+        The reduced load of a corrector is its coefficient (``_coefficient``)
+        times its start, except for the tangential ones: their rest parts
+        g = K^+(-T^T K y), solved first in one block, are kept as their runs'
+        offsets, and their runs start from T^T W1 (y + T g).  With M = K^+ W1,
         (I - s M)^-1 (g + s K^+ T^T W1 y) = g + s (I - s M)^-1 K^+ T^T W1 (y + T g)."""
         mesh, T, Tt = self.mesh, solver.reduction, solver.restriction
-        starts, offsets = {}, {}
-        tangential = [name for name in labels if name in _TANGENTIAL]
+        offsets = {}
+        starts = {"xi": -(Tt @ face_flux_jump(mesh)), "pi_P": Tt @ unit_advection(mesh)[1]}
+        tangential = [name for name in names if name in _TANGENTIAL]
         if tangential:
             columns = [beta - 1 for _, beta in tangential]
             y = mesh.nodes[:, columns]
@@ -319,15 +320,11 @@ class CellOperator:
             flow = Tt @ (unit_advection(mesh)[0] @ (y + T @ g))
             for j, name in enumerate(tangential):
                 offsets[name], starts[name] = g[:, j], flow[:, j]
-        if "xi" in labels:
-            starts["xi"] = -(Tt @ face_flux_jump(mesh))
-        if "pi_P" in labels:
-            starts["pi_P"] = Tt @ unit_advection(mesh)[1]
-        started = LanczosRun.start(np.stack([starts[name] for name in labels], axis=1),
+        started = LanczosRun.start(np.stack([starts[name] for name in names], axis=1),
                                    solver.precondition)
-        for (name, label), run in zip(labels.items(), started):
+        for name, run in zip(names, started):
             if run is None:
-                self._fail(label, "breaks down", 1, 1.0)
+                self._fail(name, "breaks down", 1, 1.0)
             run.offset = offsets.get(name, 0.0)
             runs[name] = run
 
@@ -365,9 +362,10 @@ class CellOperator:
             return self.flow.u3 * props.theta / props.c ** 2
         return self._shift
 
-    def _fail(self, label, what, steps, estimate):
+    def _fail(self, name, what, steps, estimate):
         raise SolverError(
-            f"{label} {what} at max |w| = {self.flow.max_speed():.6g} m/s: "
+            f"corrector {name!r} at u3={self.flow.u3:.6g}: Lanczos run {name!r} {what} "
+            f"at max |w| = {self.flow.max_speed():.6g} m/s: "
             f"step {steps}, residual estimate {estimate:.3e}")
 
 
@@ -400,5 +398,5 @@ def solve_cell_problems(flow, residual_tol=1e-10) -> CellSolutionSet:
     """Solve all correctors of one cell with one operator on the flow's mesh."""
     op = assemble_Aw(flow, residual_tol)
     # at rest the pi_P load is zero, and so is the corrector
-    pi1, pi2, xi, pi_P = op.solve(("pi", 1), ("pi", 2), "xi", "pi_P")
+    pi1, pi2, xi, pi_P = op.solve()
     return CellSolutionSet(pi1=pi1, pi2=pi2, xi=xi, pi_P=pi_P, operator=op)

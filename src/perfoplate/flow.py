@@ -29,18 +29,18 @@ class FlowError(RuntimeError):
 @dataclass
 class FlowField:
     """A cell flow: u3 times the u3 = 1 flow of its mesh (``unit_cell_flow``),
-    zero at rest, as nodal velocity.  ``solve_cell_potential_flow`` builds
-    it; the cell operator scales that flow's per-mesh advection matrix and
-    vector by u3.
-    """
+    which the cell operator reads from the mesh's advection forms; it keeps
+    no velocity of its own."""
 
     mesh: object
-    velocity: np.ndarray
     properties: FluidProperties
     u3: float
 
     def max_speed(self) -> float:
-        return float(np.linalg.norm(self.velocity, axis=1).max(initial=0.0))
+        """|u3| times the unit flow's largest nodal speed; 0.0 at rest."""
+        if self.u3 == 0.0:
+            return 0.0
+        return abs(self.u3) * unit_max_speed(self.mesh)
 
 
 def _recover_velocity(mesh, potential):
@@ -79,16 +79,21 @@ def unit_cell_flow(mesh):
     return _recover_velocity(mesh, pot), residual
 
 
+@per_mesh
+def unit_max_speed(mesh):
+    """Largest nodal speed of the mesh's ``unit_cell_flow``."""
+    return float(np.linalg.norm(unit_cell_flow(mesh)[0], axis=1).max())
+
+
 def solve_cell_potential_flow(mesh, u3, properties, residual_tol=1e-10):
     """Xi-periodic cell flow driven by transverse speed u3 through I+/I-:
-    the mesh's ``unit_cell_flow`` scaled by u3."""
+    the mesh's ``unit_cell_flow`` scaled by u3, its residual checked."""
     if not np.isfinite(u3):
         raise FlowError("u3 must be finite")
     if u3 == 0.0:
-        return FlowField(mesh, np.zeros((mesh.num_nodes, 3)), properties, 0.0)
-    vel, residual = unit_cell_flow(mesh)
-    fem.check_residual(residual, residual_tol, "cell potential flow")
-    return FlowField(mesh, u3 * vel, properties, u3)
+        return FlowField(mesh, properties, 0.0)
+    fem.check_residual(unit_cell_flow(mesh)[1], residual_tol, "cell potential flow")
+    return FlowField(mesh, properties, u3)
 
 
 # -- waveguide ---------------------------------------------------------------

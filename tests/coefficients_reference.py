@@ -12,6 +12,7 @@ rest the two must agree to the last bit, with flow to rounding.
 
 import numpy as np
 
+from fixtures import cell_velocity
 from perfoplate import fem
 from perfoplate.cell_problems import CellSolutionSet
 from perfoplate.coefficients import HomogenizedCoefficients
@@ -41,7 +42,7 @@ def compute_coefficients(sols: CellSolutionSet) -> HomogenizedCoefficients:
     F = -_face_jump(mesh, sols.xi, xi_m)
     Twp = _face_jump(mesh, sols.pi_P, xi_m)
 
-    wmean = flow.velocity[mesh.cells].mean(axis=1)
+    wmean = cell_velocity(flow)[mesh.cells].mean(axis=1)
     Tw = _advective_average(mesh, sols.xi, wmean) / xi_m
     Mw = theta * _advective_average(mesh, sols.pi_P, wmean) / xi_m
     Wbar = np.array([

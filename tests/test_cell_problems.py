@@ -5,20 +5,18 @@ import numpy as np
 import pytest
 
 import advection_reference
-from fixtures import (checked_solve, coef_deviation, counted_factor_sweeps,
-                      integrate_cells, operator_matrix, u3_at_mach_bound,
-                      u3_at_mach_fraction)
+from fixtures import (cell_velocity, checked_solve, coef_deviation,
+                      counted_factor_sweeps, integrate_cells, operator_matrix,
+                      u3_at_mach_bound, u3_at_mach_fraction)
 from perfoplate import fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
-from perfoplate.cell_problems import (LANCZOS_TOL, MachBoundError, advective_vector,
-                                      assemble_Aw, solve_cell_problems, unit_advection)
+from perfoplate.cell_problems import (CORRECTORS, LANCZOS_TOL, MachBoundError,
+                                      advective_vector, assemble_Aw, solve_cell_problems,
+                                      unit_advection)
 from perfoplate.coefficients import cell_pipeline
 from perfoplate.fem import SolverError
 from perfoplate.flow import FlowField, face_flux_jump, solve_cell_potential_flow
 from perfoplate.geometry import CellGeometry
-
-
-NAMES = (("pi", 1), ("pi", 2), "xi", "pi_P")
 
 
 def zero_flow(mesh, props):
@@ -43,7 +41,7 @@ def test_operator_symmetric_exactly(slant_cell_mesh, props):
 def test_operator_from_unit_advection_matches_assembly(slant_cell_mesh, props, u3):
     flow = solve_cell_potential_flow(slant_cell_mesh, u3, props)
     op = assemble_Aw(flow)
-    W, _ = fem.advection_matrices(slant_cell_mesh, flow.velocity)
+    W, _ = fem.advection_matrices(slant_cell_mesh, cell_velocity(flow))
     fresh = fem.stiffness_matrix(slant_cell_mesh) - (props.tau / props.c ** 2) * W
     assert abs(operator_matrix(op) - fresh).max() <= 1e-13 * abs(fresh).max()
 
@@ -76,22 +74,20 @@ def test_mach_guard_trips_exactly_at_bound(empty_cell_mesh, props):
 
 
 def test_mach_guard_rejects_a_nan_speed(straight_cell_mesh, props):
-    # NaN >= limit is false, so a guard written that way lets a NaN node
+    # NaN >= limit is false, so a guard written that way lets a NaN speed
     # through to a context-free error in the Lanczos step cap
-    flow = solve_cell_potential_flow(straight_cell_mesh, 1.0, props)
-    velocity = flow.velocity.copy()
-    velocity[7, 2] = np.nan
     with pytest.raises(MachBoundError, match=r"max \|w\| = nan m/s"):
-        assemble_Aw(FlowField(straight_cell_mesh, velocity, props, flow.u3))
+        assemble_Aw(FlowField(straight_cell_mesh, props, np.nan))
 
 
 def test_empty_cell_correctors(empty_cell_mesh, props):
     op = assemble_Aw(zero_flow(empty_cell_mesh, props))
     z = empty_cell_mesh.nodes[:, 2]
-    assert np.abs(op.solve(("pi", 1))).max() < 1e-12
-    assert np.abs(op.solve(("pi", 2))).max() < 1e-12
-    np.testing.assert_allclose(op.solve("xi"), -z, atol=1e-12)
-    assert np.abs(op.solve("pi_P")).max() == 0.0
+    pi1, pi2, xi, pi_P = op.solve()
+    assert np.abs(pi1).max() < 1e-12
+    assert np.abs(pi2).max() < 1e-12
+    np.testing.assert_allclose(xi, -z, atol=1e-12)
+    assert np.abs(pi_P).max() == 0.0
 
 
 def test_empty_cell_with_uniform_flow_analytic(empty_cell_mesh, props):
@@ -133,7 +129,7 @@ def test_loads_compatible(slant_cell_mesh, props):
     flow = solve_cell_potential_flow(slant_cell_mesh, 4.0, props)
     op = assemble_Aw(flow)
     T = fem.periodic_reduction(op.mesh)
-    for name in NAMES:
+    for name in CORRECTORS:
         r = T.T @ op.load(name)
         assert abs(r.sum()) <= 1e-10 * max(np.linalg.norm(r), 1e-12)
 
@@ -144,7 +140,7 @@ def test_mirror_antisymmetry_of_tangential_corrector(props):
     mesh = generate_unit_cell_mesh(CellGeometry(), 0.1)
     flow = solve_cell_potential_flow(mesh, 1.5, props)
     op = assemble_Aw(flow)
-    pi1 = op.solve(("pi", 1))
+    pi1 = op.solve()[0]
     lookup = {(round(p[0], 9), round(p[1], 9), round(p[2], 9)): i
               for i, p in enumerate(mesh.nodes)}
     perm = np.array([lookup[(round(1.0 - p[0], 9), round(p[1], 9), round(p[2], 9))]
@@ -158,9 +154,9 @@ def test_pi_P_linearity_for_small_flow(straight_cell_mesh, props):
     # order only; doubling a small flow must double the corrector
     alpha = 1e-3
     one = assemble_Aw(
-        solve_cell_potential_flow(straight_cell_mesh, alpha, props)).solve("pi_P")
+        solve_cell_potential_flow(straight_cell_mesh, alpha, props)).solve()[3]
     two = assemble_Aw(
-        solve_cell_potential_flow(straight_cell_mesh, 2 * alpha, props)).solve("pi_P")
+        solve_cell_potential_flow(straight_cell_mesh, 2 * alpha, props)).solve()[3]
     mismatch = np.linalg.norm(two - 2.0 * one) / np.linalg.norm(two)
     assert mismatch <= 1e-5
 
@@ -189,7 +185,7 @@ def test_duality_pairing_vs_surface_jump(slant_cell_mesh, props):
 def test_solver_residual_contract(slant_cell_mesh, props):
     flow = solve_cell_potential_flow(slant_cell_mesh, 2.0, props)
     op = assemble_Aw(flow)
-    xi = op.solve("xi")
+    xi = op.solve()[2]
     T = fem.periodic_reduction(slant_cell_mesh)
     rhs = T.T @ op.load("xi")
     resid = np.linalg.norm((T.T @ op.apply(xi)) - rhs)
@@ -201,7 +197,7 @@ def test_solver_residual_contract(slant_cell_mesh, props):
 def direct_correctors(op):
     """The same correctors by a direct factorization of the same operator."""
     direct = fem.ZeroMeanSolver(op.mesh, operator_matrix(op))
-    return [checked_solve(direct, op.load(name)) for name in NAMES]
+    return [checked_solve(direct, op.load(name)) for name in CORRECTORS]
 
 
 def slant_flow(u3):
@@ -225,10 +221,10 @@ def steep_fast_flow(props, _):
                          ids=["slant-u3=-2", "slant-u3=3", "30deg-u3=0.01",
                               "uniform-0.99-bound", "60deg-u3=5"])
 def test_lanczos_correctors_match_direct_solve(slant_cell_mesh, props, case):
-    # all four correctors in one call, so their runs advance in lockstep
+    # the four correctors in one call, so their runs advance in lockstep
     mesh, flow = case(props, slant_cell_mesh)
     op = assemble_Aw(flow)
-    for lanczos, direct in zip(op.solve(*NAMES), direct_correctors(op)):
+    for lanczos, direct in zip(op.solve(), direct_correctors(op)):
         assert np.linalg.norm(lanczos - direct) <= 1e-11 * np.linalg.norm(direct)
 
 
@@ -259,6 +255,17 @@ def test_speeds_on_one_mesh_share_one_factorization(props, splu_calls, monkeypat
     assert counts[0] > 0 and all(n < counts[0] for n in counts[1:]), counts
 
 
+def test_run_of_a_load_at_the_zero_floor_starts_at_a_later_speed(props):
+    # at u3 = 1e-9 the pi_P load is at the zero floor and starts no run; a
+    # later speed starts it
+    mesh = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=30.0), 0.15)
+    tiny = solve_cell_problems(solve_cell_potential_flow(mesh, 1e-9, props))
+    assert not tiny.pi_P.any() and "pi_P" not in fem.stiffness_solver(mesh)[1]
+    sols = solve_cell_problems(solve_cell_potential_flow(mesh, 1.0, props))
+    direct = direct_correctors(sols.operator)[3]
+    assert np.linalg.norm(sols.pi_P - direct) <= 1e-11 * np.linalg.norm(direct)
+
+
 def test_later_speed_extends_every_run_in_lockstep(props, monkeypatch):
     # each step of a later speed applies the preconditioner once, to the
     # block of every run that needs that step
@@ -272,7 +279,7 @@ def test_later_speed_extends_every_run_in_lockstep(props, monkeypatch):
                         lambda self, r: columns.append(r.shape[1]) or real(self, r))
     solve_cell_problems(solve_cell_potential_flow(mesh, 4.0, props))
     steps = [len(run.alpha) - before[key] for key, run in runs.items()]
-    assert list(runs) == list(before) == list(NAMES)  # one run per corrector
+    assert list(runs) == list(before) == list(CORRECTORS)  # one run per corrector
     assert len(columns) == max(steps) > 0 and sum(columns) == sum(steps), (columns, steps)
     assert 1 < max(columns) <= 4
 
@@ -280,7 +287,7 @@ def test_later_speed_extends_every_run_in_lockstep(props, monkeypatch):
 def test_kept_rest_part_is_the_rest_corrector(slant_cell_mesh, props):
     # a tangential flow corrector is its kept rest part plus its run: that
     # part, prolonged, is the corrector of the u3 = 0 operator (direct solve)
-    assemble_Aw(solve_cell_potential_flow(slant_cell_mesh, 2.0, props)).solve(*NAMES)
+    assemble_Aw(solve_cell_potential_flow(slant_cell_mesh, 2.0, props)).solve()
     solver, runs = fem.stiffness_solver(slant_cell_mesh)
     rest = solve_cell_problems(zero_flow(slant_cell_mesh, props))
     for name, field in ((("pi", 1), rest.pi1), (("pi", 2), rest.pi2)):
@@ -312,11 +319,11 @@ def dense_galerkin(run, s, scale, m):
 def test_galerkin_is_the_shortest_converged_dense_solve(props, u3):
     # runs extended by a u3 = 5 point serve each speed at its own length
     mesh = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=30.0), 0.1)
-    assemble_Aw(solve_cell_potential_flow(mesh, 5.0, props)).solve(*NAMES)
+    assemble_Aw(solve_cell_potential_flow(mesh, 5.0, props)).solve()
     runs = fem.stiffness_solver(mesh)[1]
     op = assemble_Aw(solve_cell_potential_flow(mesh, u3, props))
     T = fem.periodic_reduction(mesh)
-    for name in NAMES:
+    for name in CORRECTORS:
         run = runs[name]
         scale = (abs(op._coefficient(name)) * run.start_norm
                  / np.linalg.norm(T.T @ op.load(name)))
@@ -372,7 +379,7 @@ def test_speed_coefficients_do_not_depend_on_earlier_speeds(props):
 
 def kept_basis(mesh, props):
     """Weak reference to the basis of a Lanczos run kept for the mesh."""
-    assemble_Aw(solve_cell_potential_flow(mesh, 2.0, props)).solve("xi")
+    assemble_Aw(solve_cell_potential_flow(mesh, 2.0, props)).solve()
     _, runs = fem.stiffness_solver(mesh)
     return weakref.ref(runs["xi"].basis)
 
@@ -408,12 +415,13 @@ def test_pcg_residual_excludes_the_constant_part_of_the_load(slant_cell_mesh, pr
     op = assemble_Aw(flow, residual_tol=1e-12)
     T = fem.periodic_reduction(slant_cell_mesh)
     sizes = np.asarray(T.sum(axis=0)).ravel()
-    load = op.load("xi")
+    real = op.load
+    load = real("xi")
     load += T @ (0.9e-10 * np.linalg.norm(T.T @ load) / len(sizes) / sizes)
-    monkeypatch.setattr(op, "load", lambda name: load.copy())
+    monkeypatch.setattr(op, "load", lambda name: load.copy() if name == "xi" else real(name))
     direct = checked_solve(fem.ZeroMeanSolver(slant_cell_mesh, operator_matrix(op)),
                            load, tol=1e-12)
-    assert np.linalg.norm(op.solve("xi") - direct) <= 1e-10 * np.linalg.norm(direct)
+    assert np.linalg.norm(op.solve()[2] - direct) <= 1e-10 * np.linalg.norm(direct)
 
 
 def test_pcg_breakdown_raises(props, monkeypatch):
@@ -425,18 +433,19 @@ def test_pcg_breakdown_raises(props, monkeypatch):
     real = fem.ZeroMeanSolver.precondition
     negate = (fem.ZeroMeanSolver, "precondition", lambda self, r: -real(self, r))
     monkeypatch.setattr(*negate)
-    with pytest.raises(SolverError, match=r"^corrector 'xi' at u3=0\.5: Lanczos run 'xi' "
-                                          r"breaks down at max \|w\| = .* m/s: step 1, "
-                                          r"residual estimate 1\.000e\+00$"):
-        slow.solve("xi")
+    # the point's first corrector is the first to fail
+    with pytest.raises(SolverError, match=r"^corrector \('pi', 1\) at u3=0\.5: Lanczos run "
+                                          r"\('pi', 1\) breaks down at max \|w\| = .* m/s: "
+                                          r"step 1, residual estimate 1\.000e\+00$"):
+        slow.solve()
     monkeypatch.undo()
-    slow.solve("xi")
-    steps = 1 + len(fem.stiffness_solver(mesh)[1]["xi"].alpha)
+    slow.solve()
+    steps = 1 + len(fem.stiffness_solver(mesh)[1][("pi", 1)].alpha)
     monkeypatch.setattr(*negate)
-    with pytest.raises(SolverError, match=rf"^corrector 'xi' at u3=5: Lanczos run 'xi' "
-                                          rf"breaks down at max \|w\| = .* m/s: "
+    with pytest.raises(SolverError, match=rf"^corrector \('pi', 1\) at u3=5: Lanczos run "
+                                          rf"\('pi', 1\) breaks down at max \|w\| = .* m/s: "
                                           rf"step {steps + 1}, residual estimate"):
-        fast.solve("xi")
+        fast.solve()
 
 
 def test_pcg_iteration_cap_raises(slant_cell_mesh, props):
@@ -445,19 +454,15 @@ def test_pcg_iteration_cap_raises(slant_cell_mesh, props):
     with pytest.raises(SolverError,
                        match=r"^corrector \('pi', 1\) at u3=2: Lanczos run \('pi', 1\) "
                              r"does not converge at max \|w\| = .* m/s: step 2, residual"):
-        op.solve(("pi", 1), "xi")
-    with pytest.raises(SolverError,
-                       match=r"^corrector 'xi' at u3=2: Lanczos run 'xi' "
-                             r"does not converge at max \|w\| = .* m/s: step 2, residual"):
-        op.solve("xi")
+        op.solve()
 
 
 def test_pcg_residual_checked_against_tolerance(slant_cell_mesh, props):
     flow = solve_cell_potential_flow(slant_cell_mesh, 2.0, props)
     op = assemble_Aw(flow, residual_tol=1e-30)
-    with pytest.raises(SolverError, match=r"^corrector 'xi' at u3=2: relative residual "
+    with pytest.raises(SolverError, match=r"^corrector \('pi', 1\) at u3=2: relative residual "
                                           r"\S+ exceeds 1\.0e-30$"):
-        op.solve("xi")
+        op.solve()
 
 
 @pytest.mark.parametrize("u3", [0.0, 2.0])
@@ -471,7 +476,7 @@ def test_unknown_corrector_load_fails_before_any_solve(slant_cell_mesh, props, m
     for method in ("solve", "precondition"):
         monkeypatch.setattr(fem.ZeroMeanSolver, method, no_solve)
     with pytest.raises(ValueError, match=re.escape(f"unknown corrector load {name!r}")):
-        op.solve(name)
+        op.load(name)
 
 
 def test_unit_advection_from_one_sweep_per_mesh(props, monkeypatch):
@@ -492,10 +497,10 @@ def test_advective_vector_of_scaled_unit_flow(slant_cell_mesh, props):
     mesh = slant_cell_mesh
     flow = solve_cell_potential_flow(mesh, 2.5, props)
     kept = advective_vector(flow)
-    assembled = advection_reference.cell_mean_advective_vector(mesh, flow.velocity)
+    assembled = advection_reference.cell_mean_advective_vector(mesh, cell_velocity(flow))
     assert np.abs(kept - assembled).max() <= 1e-14 * np.abs(assembled).max()
     # a . y_b is the integral of the cell-mean w_b: sum_i y_b,i grad phi_i = e_b
-    wmean = flow.velocity[mesh.cells].mean(axis=1)
+    wmean = cell_velocity(flow)[mesh.cells].mean(axis=1)
     integrals = mesh.cell_volumes() @ wmean
     scale = np.abs(integrals).max()
     for b in range(3):

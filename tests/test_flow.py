@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from fixtures import (checked_solve, integrate_cells, u3_at_mach_fraction,
+from fixtures import (cell_velocity, checked_solve, integrate_cells, u3_at_mach_fraction,
                       uniform_macro_flow, uniform_velocity)
 from perfoplate import fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
@@ -36,7 +36,7 @@ def boundary_flux(flow, group):
     mesh = flow.mesh
     unit = unit_potential(mesh)
     np.testing.assert_array_equal(
-        flow.velocity, flow.u3 * _recover_velocity(mesh, unit))
+        cell_velocity(flow), flow.u3 * _recover_velocity(mesh, unit))
     T = fem.periodic_reduction(mesh)
     rr = T.T @ (fem.stiffness_matrix(mesh) @ (flow.u3 * unit))
     red = np.unique(T.indices[mesh.group_nodes(group)])
@@ -45,21 +45,20 @@ def boundary_flux(flow, group):
 
 def test_zero_speed_gives_zero_field(straight_cell_mesh, props):
     f = solve_cell_potential_flow(straight_cell_mesh, 0.0, props)
-    assert f.max_speed() == 0.0
-    assert f.velocity.shape == (straight_cell_mesh.num_nodes, 3)
-    assert np.all(f.velocity == 0.0) and f.u3 == 0.0
+    assert f.max_speed() == 0.0 and f.u3 == 0.0
+    assert cell_velocity(f).shape == (straight_cell_mesh.num_nodes, 3)
+    assert np.all(cell_velocity(f) == 0.0)
 
 
 def test_flow_fields_keep_no_potential():
-    assert [f.name for f in fields(FlowField)] == \
-        ["mesh", "velocity", "properties", "u3"]
+    # the cell flow's fields: test_cell_flow_is_its_mesh_and_its_speed
     assert [f.name for f in fields(MacroFlowField)] == \
         ["mesh", "velocity", "interface_u3", "properties"]
 
 
 def test_empty_cell_uniform_field(empty_cell_mesh, props):
     f = solve_cell_potential_flow(empty_cell_mesh, 2.0, props)
-    np.testing.assert_allclose(f.velocity, [[0.0, 0.0, 2.0]] * f.mesh.num_nodes,
+    np.testing.assert_allclose(cell_velocity(f), [[0.0, 0.0, 2.0]] * f.mesh.num_nodes,
                                atol=1e-12)
 
 
@@ -102,8 +101,8 @@ def test_nodal_surface_flux_approximates_data(straight_cell_mesh, props):
     # up to discretization error; conservation is exact in the weak sense
     f = solve_cell_potential_flow(straight_cell_mesh, 1.0, props)
     xi = straight_cell_mesh.group_measure("I+")
-    up = fem.integrate(straight_cell_mesh, f.velocity[:, 2], "I+")
-    dn = fem.integrate(straight_cell_mesh, f.velocity[:, 2], "I-")
+    up = fem.integrate(straight_cell_mesh, cell_velocity(f)[:, 2], "I+")
+    dn = fem.integrate(straight_cell_mesh, cell_velocity(f)[:, 2], "I-")
     assert abs(up - xi) / xi < 0.05
     assert abs(dn - xi) / xi < 0.05
 
@@ -111,7 +110,7 @@ def test_nodal_surface_flux_approximates_data(straight_cell_mesh, props):
 def test_linearity(straight_cell_mesh, props):
     f1 = solve_cell_potential_flow(straight_cell_mesh, 1.0, props)
     f3 = solve_cell_potential_flow(straight_cell_mesh, 3.0, props)
-    np.testing.assert_allclose(f3.velocity, 3.0 * f1.velocity, atol=1e-9)
+    np.testing.assert_allclose(cell_velocity(f3), 3.0 * cell_velocity(f1), atol=1e-9)
 
 
 @pytest.mark.parametrize("u3", [-2.0, 0.5, 3.0])
@@ -122,7 +121,7 @@ def test_scaled_unit_flow_matches_direct_solve(slant_cell_mesh, props, u3):
     pot = checked_solve(fem.ZeroMeanSolver(m, fem.stiffness_matrix(m)), rhs)
     vel = _recover_velocity(m, pot)
     assert np.linalg.norm(u3 * unit_potential(m) - pot) <= 1e-12 * np.linalg.norm(pot)
-    assert np.linalg.norm(f.velocity - vel) <= 1e-12 * np.linalg.norm(vel)
+    assert np.linalg.norm(cell_velocity(f) - vel) <= 1e-12 * np.linalg.norm(vel)
     assert f.u3 == u3 and f.properties is props
 
 
@@ -139,15 +138,14 @@ def test_second_speed_reuses_unit_flow(fresh_cell_mesh, props, splu_calls):
     second = solve_cell_potential_flow(m, -2.5, props)
     assert len(splu_calls) == 1
     vel, _ = unit_cell_flow(m)
-    np.testing.assert_array_equal(first.velocity, 1.5 * vel)
-    np.testing.assert_array_equal(second.velocity, -2.5 * vel)
+    np.testing.assert_array_equal(cell_velocity(first), 1.5 * vel)
+    np.testing.assert_array_equal(cell_velocity(second), -2.5 * vel)
     # the kept velocity is recovered from the kept solver's potential
     np.testing.assert_array_equal(vel, _recover_velocity(m, unit_potential(m)))
     assert len(splu_calls) == 1
     K = fem.stiffness_matrix(m)
     for a in (vel, K.data, K.indices, K.indptr):
         assert not a.flags.writeable
-    assert second.velocity.flags.writeable
 
 
 def test_zero_speed_builds_no_unit_flow(fresh_cell_mesh, props, splu_calls):
@@ -155,6 +153,21 @@ def test_zero_speed_builds_no_unit_flow(fresh_cell_mesh, props, splu_calls):
     before = set(m._cache)
     solve_cell_potential_flow(m, 0.0, props)
     assert set(m._cache) == before and not splu_calls
+
+
+def test_cell_flow_is_its_mesh_and_its_speed(fresh_cell_mesh, props):
+    # the flow keeps no velocity: its max speed is |u3| times that of the
+    # unit flow, and at rest it is 0.0 with no unit flow solved
+    m = fresh_cell_mesh
+    assert [f.name for f in fields(FlowField)] == ["mesh", "properties", "u3"]
+    rest = solve_cell_potential_flow(m, 0.0, props)
+    assert rest.max_speed() == 0.0
+    assert not any(key[0].startswith("perfoplate.flow.unit_") for key in m._cache)
+    assert fem._kept is None or fem._kept[0]() is not m
+    unit = np.linalg.norm(unit_cell_flow(m)[0], axis=1).max()
+    for u3 in (2.5, -2.5):
+        speed = solve_cell_potential_flow(m, u3, props).max_speed()
+        assert speed.hex() == (abs(u3) * unit).hex()
 
 
 # the options of every grounded factorization: SuperLU's symmetric mode
@@ -171,7 +184,7 @@ def test_only_the_kept_stiffness_factor_is_unrelaxed(fresh_cell_mesh, duct_mesh,
     n = fem.periodic_reduction(m).shape[1]
     solve_cell_potential_flow(m, 1.0, props)
     assert splu_calls == [((n - 1, n - 1), *SYMMETRIC)]
-    CellOperator(solve_cell_potential_flow(m, 0.0, props)).solve("xi")
+    CellOperator(solve_cell_potential_flow(m, 0.0, props)).solve()
     assert splu_calls[1:] == [((n + 1, n + 1), "COLAMD", {})]
     solve_macro_potential_flow(duct_mesh, 15.0, props)
     d = fem.periodic_reduction(duct_mesh).shape[1]
@@ -235,7 +248,7 @@ def test_throat_speed_mass_conservation(props):
     expected = u3 * geom.b1 * geom.b2 / (math.pi * geom.hole_diameter ** 2 / 4.0)
     r = np.hypot(mesh.nodes[:, 0] - 0.5, mesh.nodes[:, 1] - 0.5)
     throat = (np.abs(mesh.nodes[:, 2]) < 0.03) & (r < geom.hole_diameter / 2.0)
-    peak = np.linalg.norm(f.velocity[throat], axis=1).max()
+    peak = np.linalg.norm(cell_velocity(f)[throat], axis=1).max()
     assert abs(peak - expected) / expected < 0.10
 
 
