@@ -235,10 +235,10 @@ class CellOperator:
 
     def solve(self):
         """The point's zero-mean periodic correctors [pi_1, pi_2, xi, pi_P]
-        (``CORRECTORS``; their loads: ``load``); a load at the zero floor gives
-        the zero field.  At rest each is one apply of a factorization of K
+        (``CORRECTORS``; their loads: ``load``); a zero load gives the zero
+        field.  At rest each is one apply of a factorization of K
         made for the call; with flow each comes from its run (started at the
-        mesh's first flow point where its load is above the floor,
+        mesh's first flow point where its load is not zero,
         ``_start_runs``), in rounds: each asks the pending runs for their
         solutions (``LanczosRun.galerkin``) and extends the rest in one
         ``LanczosRun.extend``.  The residuals are checked in one block product."""
@@ -252,7 +252,7 @@ class CellOperator:
         else:
             solver, runs = fem.stiffness_solver(self.mesh)
         rhs, norms = zip(*(solver.reduce(load, label) for load, label in zip(loads, labels)))
-        # a load at the zero floor has the zero corrector
+        # a zero load has the zero corrector
         solved = [c for c, norm in enumerate(norms) if norm > 0.0]
         x = np.zeros((solver.reduced.shape[0], len(CORRECTORS)))
         advected = 0.0
@@ -261,8 +261,8 @@ class CellOperator:
             for c in solved:
                 x[:, c] = solver.precondition(rhs[c])
         else:
-            # a load at the zero floor starts no run, so a later speed can find
-            # one missing (pi_P's, after a first speed of 1e-9)
+            # a zero load starts no run, so a later speed can find one missing
+            # (pi_P's, after a first speed so small that u3 a1 underflows to zero)
             missing = [CORRECTORS[c] for c in solved if CORRECTORS[c] not in runs]
             if missing:
                 self._start_runs(missing, solver, runs)

@@ -118,8 +118,8 @@ class OperatorParts:
     plan: the `SummationPlan` of the coupled matrix's entries, which
     `assemble_coupled_system` emits in the order bulk, advection, ports,
     interface (`_interface_pattern`); every frequency's matrix is on its
-    pattern.  ordering: the plan's `ColumnOrdering`, or None before the
-    first factorization.
+    pattern.  It is in natural column order until the first factorization
+    (``plan.perm`` is None), and in that factorization's order after it.
     """
 
     def __init__(self, problem: MacroProblem):
@@ -155,7 +155,6 @@ class OperatorParts:
         patterns.append(_interface_pattern(idx, mesh.num_nodes))
         self.plan = SummationPlan.record(
             *(np.concatenate(a) for a in zip(*patterns)), mesh.num_nodes + 2 * idx.n)
-        self.ordering = None
 
 
 def _on_union_pattern(*matrices):
@@ -173,43 +172,45 @@ def _on_union_pattern(*matrices):
     return union // n, union % n, values
 
 
-def _row_pointer(rows, n, dtype):
-    """CSR row pointer of entries with these (sorted) rows."""
-    indptr = np.zeros(n + 1, dtype=dtype)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr
+def _pointer(keys, n, dtype):
+    """Compressed pointer of entries with these sorted rows (CSR) or columns (CSC)."""
+    pointer = np.zeros(n + 1, dtype=dtype)
+    np.cumsum(np.bincount(keys, minlength=n), out=pointer[1:])
+    return pointer
 
 
 @dataclass(frozen=True)
 class SummationPlan:
     """How scipy's COO to CSR conversion sums one sequence of (row, col)
-    entries, whatever their values: the CSR pattern it gives and, for every
-    slot of it, its addends in the order they are summed.
+    entries, whatever their values, laid out as the CSC matrix SuperLU factors.
 
     The conversion buckets the entries by row in input order, sorts each
     row by column with scipy's (unstable) sort and sums each run of equal
     columns left to right.  That sort's permutation depends on the column
     keys alone, so running it (``sort_indices``) on the input positions
-    records it.  first: the first addend of every slot; later: for each
+    records it.  colptr, rows: the CSC pattern, the matrix's column j at
+    position perm[j]; first: the first addend of every slot; later: for each
     further addend depth k, (the slots with more than k addends, their
-    addend k).  The arrays are read-only, as every matrix the plan builds
-    shares its indptr and indices.
+    addend k); perm: None in natural order, else SuperLU's ``perm_c``, and
+    A x = b has x = y[perm] for y of the plan's matrix.  The arrays are
+    read-only: every matrix the plan builds shares colptr and rows.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
+    colptr: np.ndarray
+    rows: np.ndarray
     first: np.ndarray
     later: tuple
+    perm: np.ndarray | None = None
 
     @classmethod
     def record(cls, rows, cols, n):
-        """The plan of entries (rows[k], cols[k]) of an n x n matrix."""
+        """The natural-order plan of entries (rows[k], cols[k]) of an n x n matrix."""
         count = len(rows)
         # the index dtype the conversion keeps: int32 while it fits
         idx = np.int32 if max(count, n) <= np.iinfo(np.int32).max else np.int64
         order = np.argsort(rows, kind="stable")
         row = rows[order]
-        tags = sp.csr_matrix((order, cols[order].astype(idx), _row_pointer(row, n, idx)),
+        tags = sp.csr_matrix((order, cols[order].astype(idx), _pointer(row, n, idx)),
                              shape=(n, n))
         tags.sort_indices()
         source, cols = tags.data, tags.indices
@@ -219,49 +220,37 @@ class SummationPlan:
         depth = np.arange(count) - np.flatnonzero(starts)[slot]
         later = tuple((slot[depth == k], source[depth == k])
                       for k in range(1, depth.max() + 1))
-        plan = cls(_row_pointer(row[starts], n, idx), cols[starts], source[starts], later)
-        for a in (plan.indptr, plan.indices, plan.first, *sum(later, ())):
+        return cls._laid_out(n, row[starts].astype(idx), cols[starts], source[starts], later)
+
+    def permuted(self, perm):
+        """This natural-order plan laid out in SuperLU's column order
+        ``perm`` (``perm_c``: the matrix's column j at position perm[j])."""
+        perm = np.array(perm)  # a copy: SuperLU's perm_c keeps its factors alive
+        perm.flags.writeable = False
+        n = len(self.colptr) - 1
+        cols = np.repeat(np.arange(n), np.diff(self.colptr))
+        return self._laid_out(n, self.rows, perm[cols], self.first, self.later, perm)
+
+    @classmethod
+    def _laid_out(cls, n, rows, cols, first, later, perm=None):
+        """The plan of the slots at (rows[s], cols[s]), with their addends
+        first[s] and ``later``, laid out as a CSC: by column, then by row."""
+        order = np.lexsort((rows, cols))
+        at = np.empty_like(order)  # the position of every slot in the CSC
+        at[order] = np.arange(len(order))
+        plan = cls(_pointer(cols[order], n, rows.dtype), rows[order], first[order],
+                   tuple((at[slots], addends) for slots, addends in later), perm)
+        for a in (plan.colptr, plan.rows, plan.first, *sum(plan.later, ())):
             a.flags.writeable = False
         return plan
 
     def matrix(self, values):
-        """The CSR matrix the conversion gives for entries with these values."""
+        """The CSC matrix, in the plan's column order, of entries with these values."""
         data = values[self.first]
         for slots, addends in self.later:
             data[slots] += values[addends]
-        n = len(self.indptr) - 1
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
-
-
-@dataclass(frozen=True)
-class ColumnOrdering:
-    """The column ordering SuperLU chose for the pattern of a summation plan.
-
-    COLAMD orders by structure only, so it serves every matrix the plan
-    builds.  perm: SuperLU's ``perm_c``; the solution of A x = b is
-    x = y[perm], where y solves the column-permuted system.  gather, rows,
-    colptr: the column-permuted CSC of such a matrix is
-    (A.data[gather], rows, colptr).
-    """
-
-    perm: np.ndarray
-    gather: np.ndarray
-    rows: np.ndarray
-    colptr: np.ndarray
-
-    @classmethod
-    def of(cls, plan, perm):
-        """The ordering ``perm`` for the pattern of ``plan``."""
-        n = len(plan.indptr) - 1
-        index = sp.csr_matrix((np.arange(len(plan.indices)), plan.indices, plan.indptr),
-                              shape=(n, n))
-        permuted = index.tocsc()[:, np.argsort(perm)]
-        return cls(perm, permuted.data, permuted.indices, permuted.indptr)
-
-    def permuted(self, A):
-        """The column-permuted CSC of a matrix the plan built."""
-        return sp.csc_matrix((A.data[self.gather], self.rows, self.colptr),
-                             shape=A.shape)
+        n = len(self.colptr) - 1
+        return sp.csc_matrix((data, self.rows, self.colptr), shape=(n, n))
 
 
 @dataclass
@@ -344,11 +333,13 @@ def assemble_coupled_system(problem: MacroProblem, omega: float):
     """Complex system for (P, G+, G-) at one angular frequency.
 
     Returns (matrix, rhs, n_pressure) with unknown layout [P, G+, G-] and
-    equation layout [bulk, interface balance, pressure-jump coupling].
+    equation layout [bulk, interface balance, pressure-jump coupling]; the
+    matrix is a CSC in the kept plan's column order (``parts.plan.perm``,
+    None until the problem's first factorization).
     Only the omega-dependent values are formed here, with the arithmetic of
     scipy's CSR scalar products, sums and differences of the blocks; the
     kept summation plan adds duplicate entries as a COO to CSR conversion of
-    the blocks would, so the matrix is that conversion's to the last bit.
+    the blocks would, so every entry is that conversion's to the last bit.
     """
     parts = problem.parts
     props = problem.properties
@@ -380,35 +371,32 @@ def assemble_coupled_system(problem: MacroProblem, omega: float):
     return parts.plan.matrix(np.concatenate(vals, dtype=complex)), rhs, nP
 
 
-def _solve_coupled(parts: OperatorParts, A, rhs):
-    """Solve A x = b, A from ``parts.plan``: the first solve factors with
-    COLAMD and keeps its ordering, every later one factors the pre-permuted
-    columns with NATURAL.  SuperLU's ``perm_c`` already holds its
-    elimination-tree postorder, which NATURAL skips, so this gives COLAMD's
-    LU: L, U and row pivots were bitwise equal on every duct matrix tried
-    (rest and flow, 464 to 4036 dofs, 100-1000 Hz).
-    """
-    kept = parts.ordering
-    if kept is not None:
-        lu = spla.splu(kept.permuted(A), permc_spec="NATURAL")
-        return lu.solve(rhs)[kept.perm]
-    lu = spla.splu(A.tocsc())
-    parts.ordering = ColumnOrdering.of(parts.plan, lu.perm_c)
-    return lu.solve(rhs)
-
-
 def solve_frequency(problem: MacroProblem, omega: float) -> MacroSolution:
-    """Direct monolithic solve at one angular frequency."""
+    """Direct monolithic solve at one angular frequency.  The first solve of
+    a problem factors with COLAMD and lays the kept plan out in its column
+    order; later ones factor that CSC with NATURAL and take x = y[perm].
+    SuperLU's ``perm_c`` already holds its elimination-tree postorder, which
+    NATURAL skips, so this gives COLAMD's LU: L, U and row pivots were
+    bitwise equal on every duct matrix tried (rest and flow, 464 to 4036
+    dofs, 100-1000 Hz).  The residual is that of the factored matrix."""
     if not 0 < omega < math.inf:  # also rejects NaN
         raise MacroAssemblyError(f"omega must be finite and > 0, got {omega!r}")
     A, rhs, nP = assemble_coupled_system(problem, omega)
+    parts = problem.parts
+    perm = parts.plan.perm
     try:
-        x = _solve_coupled(problem.parts, A, rhs)
+        if perm is None:
+            lu = spla.splu(A)
+            parts.plan = parts.plan.permuted(lu.perm_c)
+        else:
+            lu = spla.splu(A, permc_spec="NATURAL")
+        y = lu.solve(rhs)
     except RuntimeError as exc:
         raise SolverError(f"singular coupled system at omega={omega:.6g}: {exc}")
-    fem.check_residual(np.linalg.norm(A @ x - rhs) / max(np.linalg.norm(rhs), 1e-300),
+    fem.check_residual(np.linalg.norm(A @ y - rhs) / max(np.linalg.norm(rhs), 1e-300),
                        problem.residual_tol,
                        f"coupled solve at omega={omega:.6g} ({A.shape[0]} dofs)")
+    x = y if perm is None else y[perm]
     nG = problem.index.n
     return MacroSolution(omega, x[:nP], x[nP:nP + nG], x[nP + nG:nP + 2 * nG])
 

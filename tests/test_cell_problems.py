@@ -255,15 +255,27 @@ def test_speeds_on_one_mesh_share_one_factorization(props, splu_calls, monkeypat
     assert counts[0] > 0 and all(n < counts[0] for n in counts[1:]), counts
 
 
-def test_run_of_a_load_at_the_zero_floor_starts_at_a_later_speed(props):
-    # at u3 = 1e-9 the pi_P load is at the zero floor and starts no run; a
-    # later speed starts it
+def test_run_of_a_zero_load_starts_at_a_later_speed(props):
+    # at u3 = 1e-320 the pi_P load, u3 theta/c^2 a1, underflows to exactly
+    # zero and starts no run; a later speed starts it
     mesh = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=30.0), 0.15)
-    tiny = solve_cell_problems(solve_cell_potential_flow(mesh, 1e-9, props))
+    tiny = solve_cell_problems(solve_cell_potential_flow(mesh, 1e-320, props))
     assert not tiny.pi_P.any() and "pi_P" not in fem.stiffness_solver(mesh)[1]
     sols = solve_cell_problems(solve_cell_potential_flow(mesh, 1.0, props))
     direct = direct_correctors(sols.operator)[3]
     assert np.linalg.norm(sols.pi_P - direct) <= 1e-11 * np.linalg.norm(direct)
+
+
+def test_tiny_speeds_keep_the_flow_coefficients_scaling(props):
+    # a load's scale alone never makes it zero: Twp, linear in u3, and Mw,
+    # quadratic in it, keep their scaling down to u3 = 1e-9, where an
+    # absolute floor on the load's norm gave 0.0 for both
+    geom = CellGeometry(hole_slope_deg=30.0)
+    mesh = generate_unit_cell_mesh(geom, 0.15)
+    ref = cell_pipeline(geom, 1e-6, 0.15, props, mesh=mesh)[3]
+    tiny = cell_pipeline(geom, 1e-9, 0.15, props, mesh=mesh)[3]
+    for got, want in ((tiny.Twp, 1e-3 * ref.Twp), (tiny.Mw, 1e-6 * ref.Mw)):
+        assert want != 0.0 and abs(got - want) <= 1e-6 * abs(want), (got, want)
 
 
 def test_later_speed_extends_every_run_in_lockstep(props, monkeypatch):

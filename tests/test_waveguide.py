@@ -412,7 +412,8 @@ def test_impedance_flow_correction(duct_mesh, props):
 def test_assembly_matches_coo_reference_bytes(duct_mesh, props, slant_coeffs,
                                               slant_flow_coeffs, case):
     """The array assembly emits the per-element reference's (rows, cols,
-    vals) sequence, so the CSR arrays and the load agree to the last bit."""
+    vals) sequence, so its CSC arrays and the reference's CSR in the same
+    format (an exact conversion) and the load agree to the last bit."""
     if case == "rest":
         prob = uniform_problem(duct_mesh, props, slant_coeffs, eps0=0.025)
     else:
@@ -427,7 +428,8 @@ def test_assembly_matches_coo_reference_bytes(duct_mesh, props, slant_coeffs,
         omega = 2 * math.pi * f
         A, rhs, nP = assemble_coupled_system(prob, omega)
         A_ref, rhs_ref, nP_ref = coo_reference.assemble_coupled_system(prob, omega)
-        assert nP == nP_ref
+        A_ref = A_ref.tocsc()
+        assert nP == nP_ref and prob.parts.plan.perm is None
         for got, want in ((A.data, A_ref.data), (A.indices, A_ref.indices),
                           (A.indptr, A_ref.indptr), (rhs, rhs_ref)):
             assert got.dtype == want.dtype
@@ -474,7 +476,7 @@ def test_summation_plan_keeps_explicit_zeros(duct_mesh, props):
     plan = prob.parts.plan
     A = plan.matrix(np.zeros(len(plan.first) + sum(len(s) for s, _ in plan.later),
                              dtype=complex))
-    assert A.nnz == len(plan.indices) and not A.data.any()
+    assert A.nnz == len(plan.rows) and not A.data.any()
     assert A.has_canonical_format
 
 
@@ -565,36 +567,39 @@ def test_one_column_ordering_per_problem(duct_mesh, props, slant_coeffs,
 
 
 def test_one_pattern_per_problem(duct_mesh, props, slant_flow_coeffs, sparse_builds):
-    """Every frequency's matrix is built on the plan's own read-only pattern:
-    the kept ordering holds no copy of it, an in-place change of a returned
+    """Every frequency's matrix is built on the kept plan's own read-only
+    pattern: the natural-order plan before the problem's first
+    factorization, and after it the one plan laid out in that
+    factorization's column order, whose matrix holds a fresh problem's
+    column j at position perm[j].  An in-place change of a returned
     matrix's pattern raises and leaves the plan as it was, and a later
-    frequency builds one CSR (the matrix) and one CSC (its permuted columns)."""
+    frequency builds one sparse matrix: the CSC that SuperLU factors."""
     mf = solve_macro_potential_flow(duct_mesh, 15.0, props)
 
     def fresh():
         return uniform_problem(duct_mesh, props, slant_flow_coeffs, eps0=0.025, flow=mf)
     prob = fresh()
-    plan = prob.parts.plan
+    natural = prob.parts.plan
     omegas = [2 * math.pi * f for f in (200.0, 479.9, 800.0, 1000.0)]
-    solve_frequency(prob, omegas[0])  # keeps the ordering
-    kept = prob.parts.ordering
-    assert [f.name for f in fields(kept)] == ["perm", "gather", "rows", "colptr"]
-    assert not hasattr(kept, "fits")
-    for f in fields(kept):
-        for pattern in (plan.indptr, plan.indices):
-            assert not np.shares_memory(getattr(kept, f.name), pattern)
+    A, _, _ = assemble_coupled_system(prob, omegas[0])
+    assert natural.perm is None and A.format == "csc"
+    assert np.shares_memory(A.indptr, natural.colptr)
+    assert np.shares_memory(A.indices, natural.rows)
+    solve_frequency(prob, omegas[0])  # lays the plan out in COLAMD's order
+    plan = prob.parts.plan
+    assert [f.name for f in fields(plan)] == ["colptr", "rows", "first", "later", "perm"]
+    assert plan.perm is not None and not plan.perm.flags.writeable
     for omega in omegas:
         A, _, _ = assemble_coupled_system(prob, omega)
-        for got, pattern in ((A.indptr, plan.indptr), (A.indices, plan.indices)):
+        for got, pattern in ((A.indptr, plan.colptr), (A.indices, plan.rows)):
             assert np.shares_memory(got, pattern) and not got.flags.writeable
         with pytest.raises(ValueError):
             A.eliminate_zeros()
-    for omega in omegas[1:]:
-        _assert_same_matrix(assemble_coupled_system(prob, omega)[0],
-                            assemble_coupled_system(fresh(), omega)[0])
+        want = assemble_coupled_system(fresh(), omega)[0][:, np.argsort(plan.perm)]
+        _assert_same_matrix(A, want)
     sparse_builds.clear()
     sol = solve_frequency(prob, omegas[-1])
-    assert sorted(sparse_builds) == ["csc_matrix", "csr_matrix"]
+    assert sparse_builds == ["csc_matrix"]
     _assert_same_solution(sol, solve_frequency(fresh(), omegas[-1]))
 
 
