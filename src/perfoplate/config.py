@@ -74,6 +74,10 @@ _SCHEMA = {
 
 _VALID_FLOW_MODES = ("none", "potential")
 
+# the configparser getter of each schema type; getboolean takes
+# true/false, yes/no, on/off and 1/0 in any case
+_GETTERS = {float: "getfloat", int: "getint", bool: "getboolean", str: "get"}
+
 
 @dataclass
 class RunConfig:
@@ -132,29 +136,16 @@ def _even_grid(start, stop, n, what):
     return [start + i * step for i in range(n)]
 
 
-def _coerce(section, key, kind, raw):
-    try:
-        if kind is bool:
-            low = raw.strip().lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key}: cannot parse {raw!r} as {kind.__name__}") from None
-
-
 def default_config() -> RunConfig:
     return RunConfig({s: {k: d for k, (_, d) in keys.items()}
                       for s, keys in _SCHEMA.items()})
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse an INI config; unknown sections/keys are rejected."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    """Parse an INI config; unknown sections/keys are rejected.  Values are
+    literal: ``%`` interpolates nothing."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                       interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -167,7 +158,11 @@ def parse_config(text: str) -> RunConfig:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             kind, _ = _SCHEMA[section][key]
-            cfg.values[section][key] = _coerce(section, key, kind, raw)
+            try:
+                cfg.values[section][key] = getattr(parser, _GETTERS[kind])(section, key)
+            except ValueError:
+                raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} "
+                                  f"as {kind.__name__}") from None
     validate(cfg)
     return cfg
 

@@ -110,9 +110,11 @@ class MacroProblem:
 class OperatorParts:
     """The frequency-independent parts of the coupled operator of a problem.
 
-    bulk: c^2 K and M on the union of their patterns, zero where one has no
-    entry.  advection: -tau * W and D = C - C.T on the union of their
-    patterns, or None without outer advection.  ports: (impedance factor,
+    bulk: the data of c^2 K and M, both on K's pattern (both are scattered
+    from the mesh's cells).  advection: the data of -tau * W and of
+    D = C - C.T, each on its own pattern, or None without outer advection.
+    The plan reads every term's pattern from its CSR and adds the terms'
+    values where patterns overlap.  ports: (impedance factor,
     boundary mass) of Gamma_in and Gamma_out.  load: int phi_i over the
     source boundary.  table: the interface element table (`_element_table`).
     plan: the `SummationPlan` of the coupled matrix's entries, which
@@ -128,10 +130,9 @@ class OperatorParts:
         if len(coeffs) != idx.n_elements:
             raise MacroAssemblyError(f"need coefficients for {idx.n_elements} "
                                      f"interface elements, got {len(coeffs)}")
-        patterns = []
-        K, M = props.c ** 2 * fem.stiffness_matrix(mesh), fem.mass_matrix(mesh)
-        rows, cols, self.bulk = _on_union_pattern(K, M)
-        patterns.append((rows, cols))
+        K = props.c ** 2 * fem.stiffness_matrix(mesh)
+        terms = [K]  # the matrices whose patterns the plan records, in order
+        self.bulk = (K.data, fem.mass_matrix(mesh).data)
         self.advection = None
         vel = problem.flow.velocity if problem.flow is not None else None
         if problem.outer_advection and vel is not None and np.any(vel):
@@ -141,35 +142,20 @@ class OperatorParts:
                     f"macro flow max |w| = {speed:.6g} m/s reaches the bound "
                     f"c/sqrt(tau) = {props.mach_speed_limit:.6g} m/s")
             W, C = fem.advection_matrices(mesh, vel)
-            rows, cols, self.advection = _on_union_pattern(-props.tau * W, C - C.T)
-            patterns.append((rows, cols))
+            terms += [-props.tau * W, C - C.T]
+            self.advection = (terms[1].data, terms[2].data)
         self.ports = []
         for group in (GROUP_IN, GROUP_OUT):
             B = fem.boundary_mass_matrix(mesh, group)
             self.ports.append((_boundary_impedance_factor(problem, group), B.data))
-            coo = B.tocoo()
-            patterns.append((coo.row, coo.col))
+            terms.append(B)
         source = GROUP_IN if problem.source_side == "in" else GROUP_OUT
         self.load = fem.boundary_load_vector(mesh, source)
         self.table = _element_table(np.diff(idx.x), coeffs)
+        patterns = [(coo.row, coo.col) for coo in (A.tocoo() for A in terms)]
         patterns.append(_interface_pattern(idx, mesh.num_nodes))
         self.plan = SummationPlan.record(
             *(np.concatenate(a) for a in zip(*patterns)), mesh.num_nodes + 2 * idx.n)
-
-
-def _on_union_pattern(*matrices):
-    """(rows, cols) of the union of the patterns of canonical CSR matrices,
-    in CSR order, and each matrix's values on it, zero where it has no
-    entry: the pattern scipy's CSR sum or difference of the matrices has,
-    as long as no entry cancels."""
-    n = matrices[0].shape[1]
-    keys = [np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)) * n + A.indices
-            for A in matrices]
-    union = np.unique(np.concatenate(keys))
-    values = tuple(np.zeros(len(union)) for _ in matrices)
-    for out, A, k in zip(values, matrices, keys):
-        out[np.searchsorted(union, k)] = A.data
-    return union // n, union % n, values
 
 
 def _pointer(keys, n, dtype):
@@ -354,7 +340,7 @@ def assemble_coupled_system(problem: MacroProblem, omega: float):
     vals = [stiffness - mass * omega ** 2]
     if parts.advection is not None:
         W, D = parts.advection
-        vals.append(W + D * (iw * props.theta))
+        vals += [W, D * (iw * props.theta)]
     vals += [B * (iw * c * zfac) for zfac, B in parts.ports]
     rhs = np.zeros(n, dtype=complex)
     rhs[:nP] += 2.0 * iw * c * problem.amplitude * parts.load

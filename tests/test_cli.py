@@ -61,6 +61,15 @@ def test_config_rejects_unknown_keys():
         parse_config("[flow]\nmode = uniform\n")
 
 
+@pytest.mark.parametrize("value", ["1%", "%(b2)s"])
+def test_config_percent_is_literal(value):
+    # no interpolation: a lone '%' is not a syntax error of its own, and a
+    # reference to another key does not read that key's value
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"[cell] b1: cannot parse {value!r} as float")):
+        parse_config(f"[cell]\nb1 = {value}\n")
+
+
 @pytest.mark.parametrize("value", ["0", "-1e-8", "nan", "-inf"])
 def test_config_rejects_non_positive_residual_tol(value):
     with pytest.raises(ConfigError, match="residual_tol must be > 0"):

@@ -17,10 +17,10 @@ from perfoplate import flow as flow_module
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.fem import AssemblyError, FluidProperties, SolverError
 from perfoplate.cell_problems import assemble_Aw
-from perfoplate.duct_mesh import GROUP_OUT
+from perfoplate.duct_mesh import GROUP_OUT, generate_waveguide_mesh
 from perfoplate.flow import (solve_cell_potential_flow, solve_macro_potential_flow,
                              unit_cell_flow)
-from perfoplate.geometry import CellGeometry
+from perfoplate.geometry import CellGeometry, WaveguideGeometry
 from perfoplate.mesh import Mesh
 from perfoplate.waveguide import solve_frequency
 
@@ -52,6 +52,15 @@ def test_mass_sum_equals_measure(straight_cell_mesh):
     M = fem.mass_matrix(straight_cell_mesh)
     vol = straight_cell_mesh.cell_volumes().sum()
     assert M.sum() == pytest.approx(vol, rel=1e-12)
+
+
+@pytest.mark.parametrize("resolution", [0.02, 0.0125, 0.00625])
+def test_stiffness_and_mass_share_one_pattern(resolution):
+    # the macro operator keeps M's data on K's pattern
+    mesh = generate_waveguide_mesh(WaveguideGeometry(), resolution)
+    K, M = fem.stiffness_matrix(mesh), fem.mass_matrix(mesh)
+    np.testing.assert_array_equal(K.indptr, M.indptr)
+    np.testing.assert_array_equal(K.indices, M.indices)
 
 
 def test_symmetry_without_flow(straight_cell_mesh):
