@@ -142,10 +142,12 @@ def default_config() -> RunConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse an INI config; unknown sections/keys are rejected.  Values are
-    literal: ``%`` interpolates nothing."""
+    """Parse an INI config; unknown sections/keys are rejected, ``[DEFAULT]``
+    too.  Values are literal: ``%`` interpolates nothing."""
+    # no section header holds a newline, so no input names the defaults
+    # section, whose keys would otherwise reach every section
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
-                                       interpolation=None)
+                                       interpolation=None, default_section="\n")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

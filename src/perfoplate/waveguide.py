@@ -110,17 +110,15 @@ class MacroProblem:
 class OperatorParts:
     """The frequency-independent parts of the coupled operator of a problem.
 
-    bulk: the data of c^2 K and M, both on K's pattern (both are scattered
-    from the mesh's cells).  advection: the data of -tau * W and of
-    D = C - C.T, each on its own pattern, or None without outer advection.
-    The plan reads every term's pattern from its CSR and adds the terms'
-    values where patterns overlap.  ports: (impedance factor,
-    boundary mass) of Gamma_in and Gamma_out.  load: int phi_i over the
-    source boundary.  table: the interface element table (`_element_table`).
-    plan: the `SummationPlan` of the coupled matrix's entries, which
-    `assemble_coupled_system` emits in the order bulk, advection, ports,
-    interface (`_interface_pattern`); every frequency's matrix is on its
-    pattern.  It is in natural column order until the first factorization
+    zfacs: the impedance factors of Gamma_in and Gamma_out.  load: int phi_i
+    over the source boundary.  table: the interface element table
+    (`_element_table`).  plan: the `SummationPlan` of the coupled matrix.
+    It keeps on the matrix's slots the data of the pressure terms c^2 K
+    and M, then -tau * W and D = C - C.T with outer advection, and of the
+    ports' boundary masses, each read off its own CSR, and the summation
+    order of the interface entries
+    (`_interface_pattern`).  Every frequency's matrix is on its pattern.
+    It is in natural column order until the first factorization
     (``plan.perm`` is None), and in that factorization's order after it.
     """
 
@@ -130,10 +128,7 @@ class OperatorParts:
         if len(coeffs) != idx.n_elements:
             raise MacroAssemblyError(f"need coefficients for {idx.n_elements} "
                                      f"interface elements, got {len(coeffs)}")
-        K = props.c ** 2 * fem.stiffness_matrix(mesh)
-        terms = [K]  # the matrices whose patterns the plan records, in order
-        self.bulk = (K.data, fem.mass_matrix(mesh).data)
-        self.advection = None
+        terms = [props.c ** 2 * fem.stiffness_matrix(mesh), fem.mass_matrix(mesh)]
         vel = problem.flow.velocity if problem.flow is not None else None
         if problem.outer_advection and vel is not None and np.any(vel):
             speed = problem.flow.max_speed()
@@ -143,19 +138,14 @@ class OperatorParts:
                     f"c/sqrt(tau) = {props.mach_speed_limit:.6g} m/s")
             W, C = fem.advection_matrices(mesh, vel)
             terms += [-props.tau * W, C - C.T]
-            self.advection = (terms[1].data, terms[2].data)
-        self.ports = []
-        for group in (GROUP_IN, GROUP_OUT):
-            B = fem.boundary_mass_matrix(mesh, group)
-            self.ports.append((_boundary_impedance_factor(problem, group), B.data))
-            terms.append(B)
+        groups = (GROUP_IN, GROUP_OUT)
+        self.zfacs = [_boundary_impedance_factor(problem, group) for group in groups]
+        ports = [fem.boundary_mass_matrix(mesh, group) for group in groups]
         source = GROUP_IN if problem.source_side == "in" else GROUP_OUT
         self.load = fem.boundary_load_vector(mesh, source)
         self.table = _element_table(np.diff(idx.x), coeffs)
-        patterns = [(coo.row, coo.col) for coo in (A.tocoo() for A in terms)]
-        patterns.append(_interface_pattern(idx, mesh.num_nodes))
-        self.plan = SummationPlan.record(
-            *(np.concatenate(a) for a in zip(*patterns)), mesh.num_nodes + 2 * idx.n)
+        self.plan = SummationPlan.record(terms, ports, _interface_pattern(idx, mesh.num_nodes),
+                                         mesh.num_nodes + 2 * idx.n)
 
 
 def _pointer(keys, n, dtype):
@@ -167,31 +157,41 @@ def _pointer(keys, n, dtype):
 
 @dataclass(frozen=True)
 class SummationPlan:
-    """How scipy's COO to CSR conversion sums one sequence of (row, col)
-    entries, whatever their values, laid out as the CSC matrix SuperLU factors.
+    """The slots of the coupled matrix, laid out as the CSC that SuperLU
+    factors, with the frequency-independent data kept on them, and how
+    scipy's COO to CSR conversion sums the interface entries there.
 
-    The conversion buckets the entries by row in input order, sorts each
-    row by column with scipy's (unstable) sort and sums each run of equal
-    columns left to right.  That sort's permutation depends on the column
-    keys alone, so running it (``sort_indices``) on the input positions
-    records it.  colptr, rows: the CSC pattern, the matrix's column j at
-    position perm[j]; first: the first addend of every slot; later: for each
-    further addend depth k, (the slots with more than k addends, their
-    addend k); perm: None in natural order, else SuperLU's ``perm_c``, and
-    A x = b has x = y[perm] for y of the plan's matrix.  The arrays are
-    read-only: every matrix the plan builds shares colptr and rows.
+    colptr, rows: the CSC pattern, the matrix's column j at position
+    perm[j].  terms: each pressure term's data on the slots, +0.0 where
+    the term has no entry.  ports: (slots, data) of each boundary mass.
+    No interface entry shares a slot with these: each has a G+ or G- row
+    or column.  The conversion buckets the entries by row in input order,
+    sorts each row by column with scipy's (unstable) sort and sums each run
+    of equal columns left to right.  That sort's permutation depends on the
+    column keys alone, so running it (``sort_indices``) on the input
+    positions records it.  sums: for each addend depth k, (the interface
+    slots with more than k addends, their addend k).  perm: None in natural
+    order, else SuperLU's ``perm_c``, and A x = b has x = y[perm] for y of
+    the plan's matrix.  The arrays are read-only: every matrix the plan
+    builds shares colptr and rows.
     """
 
     colptr: np.ndarray
     rows: np.ndarray
-    first: np.ndarray
-    later: tuple
+    terms: tuple
+    ports: tuple
+    sums: tuple
     perm: np.ndarray | None = None
 
     @classmethod
-    def record(cls, rows, cols, n):
-        """The natural-order plan of entries (rows[k], cols[k]) of an n x n matrix."""
-        count = len(rows)
+    def record(cls, terms, ports, interface, n):
+        """The natural-order plan of an n x n matrix whose entries are those
+        of these terms and ports (CSR matrices with unique entries), then
+        the interface entries at (rows, cols)."""
+        coos = [A.tocoo() for A in (*terms, *ports)]
+        rows = np.concatenate([A.row for A in coos] + [interface[0]])
+        cols = np.concatenate([A.col for A in coos] + [interface[1]])
+        count, first_interface = len(rows), len(rows) - len(interface[0])
         # the index dtype the conversion keeps: int32 while it fits
         idx = np.int32 if max(count, n) <= np.iinfo(np.int32).max else np.int64
         order = np.argsort(rows, kind="stable")
@@ -203,10 +203,19 @@ class SummationPlan:
         starts = np.ones(count, dtype=bool)
         starts[1:] = (cols[1:] != cols[:-1]) | (row[1:] != row[:-1])
         slot = np.cumsum(starts) - 1
-        depth = np.arange(count) - np.flatnonzero(starts)[slot]
-        later = tuple((slot[depth == k], source[depth == k])
-                      for k in range(1, depth.max() + 1))
-        return cls._laid_out(n, row[starts].astype(idx), cols[starts], source[starts], later)
+        entry_slot = np.empty_like(slot)  # the slot of every entry
+        entry_slot[source] = slot
+        placed = [(slots, A.data.copy()) for A, slots in
+                  zip(coos, np.split(entry_slot, np.cumsum([A.nnz for A in coos])))]
+        kept = [np.zeros(slot[-1] + 1) for _ in terms]
+        for data, (slots, values) in zip(kept, placed):
+            data[slots] = values
+        tail = source >= first_interface  # the interface entries
+        slot, source = slot[tail], source[tail] - first_interface
+        depth = np.arange(count)[tail] - np.flatnonzero(starts)[slot]
+        sums = tuple((slot[depth == k], source[depth == k]) for k in range(depth.max() + 1))
+        return cls._laid_out(n, row[starts].astype(idx), cols[starts], kept,
+                             placed[len(terms):], sums)
 
     def permuted(self, perm):
         """This natural-order plan laid out in SuperLU's column order
@@ -215,26 +224,32 @@ class SummationPlan:
         perm.flags.writeable = False
         n = len(self.colptr) - 1
         cols = np.repeat(np.arange(n), np.diff(self.colptr))
-        return self._laid_out(n, self.rows, perm[cols], self.first, self.later, perm)
+        return self._laid_out(n, self.rows, perm[cols], self.terms, self.ports, self.sums, perm)
 
     @classmethod
-    def _laid_out(cls, n, rows, cols, first, later, perm=None):
-        """The plan of the slots at (rows[s], cols[s]), with their addends
-        first[s] and ``later``, laid out as a CSC: by column, then by row."""
+    def _laid_out(cls, n, rows, cols, terms, ports, sums, perm=None):
+        """The plan of the slots at (rows[s], cols[s]), with the slot-aligned
+        ``terms`` and the slots of ``ports`` and ``sums``, laid out as a CSC:
+        by column, then by row."""
         order = np.lexsort((rows, cols))
         at = np.empty_like(order)  # the position of every slot in the CSC
         at[order] = np.arange(len(order))
-        plan = cls(_pointer(cols[order], n, rows.dtype), rows[order], first[order],
-                   tuple((at[slots], addends) for slots, addends in later), perm)
-        for a in (plan.colptr, plan.rows, plan.first, *sum(plan.later, ())):
+        plan = cls(_pointer(cols[order], n, rows.dtype), rows[order],
+                   tuple(data[order] for data in terms),
+                   tuple((at[slots], data) for slots, data in ports),
+                   tuple((at[slots], addends) for slots, addends in sums), perm)
+        for a in (plan.colptr, plan.rows, *plan.terms, *sum(plan.ports + plan.sums, ())):
             a.flags.writeable = False
         return plan
 
-    def matrix(self, values):
-        """The CSC matrix, in the plan's column order, of entries with these values."""
-        data = values[self.first]
-        for slots, addends in self.later:
-            data[slots] += values[addends]
+    def matrix(self, data, interface):
+        """The CSC matrix, in the plan's column order, of this data on the
+        pressure slots, completed in place by the interface entries with
+        these values."""
+        (slots, addends), *later = self.sums
+        data[slots] = interface[addends]
+        for slots, addends in later:
+            data[slots] += interface[addends]
         n = len(self.colptr) - 1
         return sp.csc_matrix((data, self.rows, self.colptr), shape=(n, n))
 
@@ -321,27 +336,35 @@ def assemble_coupled_system(problem: MacroProblem, omega: float):
     Returns (matrix, rhs, n_pressure) with unknown layout [P, G+, G-] and
     equation layout [bulk, interface balance, pressure-jump coupling]; the
     matrix is a CSC in the kept plan's column order (``parts.plan.perm``,
-    None until the problem's first factorization).
-    Only the omega-dependent values are formed here, with the arithmetic of
-    scipy's CSR scalar products, sums and differences of the blocks; the
-    kept summation plan adds duplicate entries as a COO to CSR conversion of
-    the blocks would, so every entry is that conversion's to the last bit.
+    None until the problem's first factorization), on a fresh data array.
+    Only the omega-dependent values are formed here, from the plan's kept
+    slot-aligned term data and with the arithmetic of scipy's CSR scalar
+    products, sums and differences of the blocks.  A pressure slot holds at
+    most two real addends (c^2 K - w^2 M, then -tau W) and two imaginary
+    ones (w theta D and a port), so its real and imaginary parts are summed
+    apart, an absent term adding an exact +0.0; the plan adds the interface
+    entries as a COO to CSR conversion of the blocks would.  Every entry is
+    that conversion's to the last bit.
     """
     parts = problem.parts
+    plan = parts.plan
     props = problem.properties
     c, c2 = props.c, props.c ** 2
     iw = 1j * omega
     nP = problem.mesh.num_nodes
     n = nP + 2 * problem.index.n
 
-    # bulk extended-Helmholtz blocks, then the radiation boundaries:
+    # bulk extended-Helmholtz terms, then the radiation boundaries:
     # d_nw P + (i w / c) P = 2 (i w / c) p_in (source), times c^2 in weak form
-    stiffness, mass = parts.bulk
-    vals = [stiffness - mass * omega ** 2]
-    if parts.advection is not None:
-        W, D = parts.advection
-        vals += [W, D * (iw * props.theta)]
-    vals += [B * (iw * c * zfac) for zfac, B in parts.ports]
+    stiffness, mass, *advection = plan.terms
+    data = np.zeros(len(plan.rows), dtype=complex)
+    np.subtract(stiffness, mass * omega ** 2, out=data.real)
+    if advection:
+        W, D = advection
+        data.real += W
+        np.multiply(D, (iw * props.theta).imag, out=data.imag)
+    for zfac, (slots, B) in zip(parts.zfacs, plan.ports):
+        data.imag[slots] += B * (iw * c * zfac).imag
     rhs = np.zeros(n, dtype=complex)
     rhs[:nP] += 2.0 * iw * c * problem.amplitude * parts.load
 
@@ -353,8 +376,9 @@ def assemble_coupled_system(problem: MacroProblem, omega: float):
     layer = [0.5 * p, 0.5 * p, 0.5 * g, 0.5 * g,
              (iw * c2 / eps0) * me, -(iw * c2 / eps0) * me,
              0.5 * p2 - me / eps0, 0.5 * p2 + me / eps0, 0.5 * f, 0.5 * f]
-    vals += [np.stack(trace, axis=1).ravel(), np.stack(layer, axis=1).ravel()]
-    return parts.plan.matrix(np.concatenate(vals, dtype=complex)), rhs, nP
+    interface = np.concatenate([np.stack(trace, axis=1).ravel(),
+                                np.stack(layer, axis=1).ravel()], dtype=complex)
+    return plan.matrix(data, interface), rhs, nP
 
 
 def solve_frequency(problem: MacroProblem, omega: float) -> MacroSolution:

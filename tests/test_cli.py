@@ -44,6 +44,18 @@ def test_config_defaults_roundtrip():
     assert cfg2.values == cfg.values
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nbogus = 1\n",
+    "[DEFAULT]\nb1 = 7\n[cell]\nhole_slope_deg = 30\n",
+    "[DEFAULT]\nb1 = 7\n[flow]\nu_in = 1\n",
+], ids=["alone", "beside_cell", "beside_flow"])
+def test_config_rejects_a_default_section(text):
+    """configparser's defaults section would go unchecked, set cell.b1 in
+    the second text, and make the third fail as an unknown key of [flow]."""
+    with pytest.raises(ConfigError, match=r"^unknown config section \[DEFAULT\]$"):
+        parse_config(text)
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         parse_config("[cell]\nbogus = 1\n")

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -408,21 +409,27 @@ def test_impedance_flow_correction(duct_mesh, props):
     assert change[:, nP:].count_nonzero() == 0
 
 
-@pytest.mark.parametrize("case", ["flow", "rest", "impedance_out"])
+@pytest.mark.parametrize("case", ["flow", "rest", "impedance_out",
+                                  "no_outer_advection", "rest_out"])
 def test_assembly_matches_coo_reference_bytes(duct_mesh, props, slant_coeffs,
                                               slant_flow_coeffs, case):
-    """The array assembly emits the per-element reference's (rows, cols,
-    vals) sequence, so its CSC arrays and the reference's CSR in the same
-    format (an exact conversion) and the load agree to the last bit."""
-    if case == "rest":
-        prob = uniform_problem(duct_mesh, props, slant_coeffs, eps0=0.025)
+    """The array assembly gives the sums of the per-element reference's
+    (rows, cols, vals) sequence, so its CSC arrays and the reference's CSR
+    in the same format (an exact conversion) and the load agree to the last
+    bit: with and without the advection terms, and with either port as the
+    source."""
+    source_side = "out" if case in ("impedance_out", "rest_out") else "in"
+    if case in ("rest", "rest_out"):
+        prob = uniform_problem(duct_mesh, props, slant_coeffs, eps0=0.025,
+                               source_side=source_side)
     else:
         mf = solve_macro_potential_flow(duct_mesh, 15.0, props)
         kinds = (slant_flow_coeffs, slant_coeffs, empty_cell_coefficients())
         coeffs = [kinds[e % 3] for e in range(len(mf.interface_u3) - 1)]
         prob = MacroProblem(duct_mesh, props, coeffs, eps0=0.025, flow=mf,
+                            outer_advection=case != "no_outer_advection",
                             impedance_flow_correction=case == "impedance_out",
-                            source_side="out" if case == "impedance_out" else "in")
+                            source_side=source_side)
     # 479.9 Hz is the worst-conditioned dip of the dense rest workload
     for f in sorted([*np.linspace(100.0, 1000.0, 29), 479.9]):
         omega = 2 * math.pi * f
@@ -474,10 +481,28 @@ def test_summation_plan_keeps_explicit_zeros(duct_mesh, props):
     frequency stays in its slot, where a CSR sum of the blocks drops it."""
     prob = uniform_problem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025)
     plan = prob.parts.plan
-    A = plan.matrix(np.zeros(len(plan.first) + sum(len(s) for s, _ in plan.later),
-                             dtype=complex))
+    A = plan.matrix(np.zeros(len(plan.rows), dtype=complex),
+                    np.zeros(sum(len(a) for _, a in plan.sums), dtype=complex))
     assert A.nnz == len(plan.rows) and not A.data.any()
     assert A.has_canonical_format
+
+
+def test_later_frequency_assembly_keeps_its_peak_small(duct_mesh, props,
+                                                      slant_flow_coeffs):
+    """A later frequency's matrix is formed from the plan's kept slot-aligned
+    arrays: the traced peak of its assembly stays within 3 x 16 bytes per
+    entry, where a per-frequency vector of every term's entries and its
+    gathers took 7.4 x."""
+    mf = solve_macro_potential_flow(duct_mesh, 15.0, props)
+    prob = uniform_problem(duct_mesh, props, slant_flow_coeffs, eps0=0.025, flow=mf)
+    solve_frequency(prob, OMEGA)  # lays the kept plan out in COLAMD's order
+    tracemalloc.start()
+    try:
+        A = assemble_coupled_system(prob, 2 * OMEGA)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * A.nnz, f"{peak / (16 * A.nnz):.2f} x 16 bytes per entry"
 
 
 def test_unusable_frequencies_are_recorded(duct_mesh, props, splu_calls):
@@ -587,7 +612,7 @@ def test_one_pattern_per_problem(duct_mesh, props, slant_flow_coeffs, sparse_bui
     assert np.shares_memory(A.indices, natural.rows)
     solve_frequency(prob, omegas[0])  # lays the plan out in COLAMD's order
     plan = prob.parts.plan
-    assert [f.name for f in fields(plan)] == ["colptr", "rows", "first", "later", "perm"]
+    assert [f.name for f in fields(plan)] == ["colptr", "rows", "terms", "ports", "sums", "perm"]
     assert plan.perm is not None and not plan.perm.flags.writeable
     for omega in omegas:
         A, _, _ = assemble_coupled_system(prob, omega)
