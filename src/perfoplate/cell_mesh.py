@@ -208,6 +208,17 @@ def _rank_sort(rank, tris):
     return np.take_along_axis(tris, np.argsort(r, axis=1), axis=1), odd
 
 
+def _first_touch(keys, size):
+    """The distinct keys (ints in [0, size)) of an array in the order its
+    row-major walk first meets them."""
+    flat = keys.ravel()
+    where = np.arange(flat.size)
+    # each key's first position: ufunc.at applies repeated indices in turn
+    first = np.full(size, flat.size)
+    np.minimum.at(first, flat, where)
+    return flat[first[flat] == where]
+
+
 def generate_unit_cell_mesh(geom: CellGeometry, resolution: float = 0.08) -> Mesh:
     """Mesh the fluid part of the unit cell with tagged facet groups.
 
@@ -237,8 +248,7 @@ def generate_unit_cell_mesh(geom: CellGeometry, resolution: float = 0.08) -> Mes
         return np.hstack([v * nz + layer, v * nz + layer + 1])
 
     prisms = np.concatenate([prism_keys(layer) for layer in range(nz - 1)])
-    keys, first = np.unique(prisms, return_index=True)
-    touched = keys[np.argsort(first)]
+    touched = _first_touch(prisms, len(cs.nodes) * nz)
     node_of = np.full(len(cs.nodes) * nz, -1, dtype=np.int64)
     node_of[touched] = np.arange(len(touched))
 
@@ -253,7 +263,7 @@ def generate_unit_cell_mesh(geom: CellGeometry, resolution: float = 0.08) -> Mes
     # the cross-section's triangles are counter-clockwise, so it is negative
     # where the rank sort was an odd permutation, and there two nodes swap
     flip = np.repeat(np.concatenate([odd[:c] for c in counts]), len(_PRISM_TETS))
-    tets[flip] = tets[flip][:, [0, 1, 3, 2]]
+    tets[flip, 2:] = tets[flip, :1:-1]
 
     def quads(edges, layers):
         """Two boundary triangles of the vertical quad over each 2D edge, in

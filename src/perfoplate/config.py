@@ -195,6 +195,9 @@ def validate(cfg: RunConfig):
             section, name = key.split(".")
             raise ConfigError(f"[{section}] {name} must be finite and > 0, got {cfg[key]!r}")
     cfg.fluid_properties()  # raises ValueError naming a bad c or tau
+    # each raises GeometryError naming the bad value, whatever the command
+    cfg.cell_geometry()
+    cfg.waveguide_geometry()
     # each raises ConfigError on a grid no command can run
     cfg.frequencies_hz()
     cfg.sweep_u3()

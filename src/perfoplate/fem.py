@@ -44,6 +44,9 @@ class FluidProperties:
             raise ValueError(f"fluid c must be positive and finite, got {self.c!r}")
         if not math.isfinite(self.tau):
             raise ValueError(f"fluid tau must be finite, got {self.tau!r}")
+        if self.theta == 0:  # W' = Qw / theta
+            raise ValueError(f"fluid tau must be other than -1, got {self.tau!r}: "
+                             "theta = (1 + tau)/2 is 0")
 
     @property
     def theta(self) -> float:
@@ -61,8 +64,7 @@ class FluidProperties:
 def p1_geometry(mesh):
     """Per-cell shape gradients and measures: (grads (M, n, d), vols (M,))."""
     vols = mesh.cell_volumes()
-    x = mesh.nodes[mesh.cells]
-    e = x[:, 1:, :] - x[:, :1, :]
+    e = mesh.nodes[mesh.cells[:, 1:]] - mesh.nodes[mesh.cells[:, :1]]
     if mesh.dim == 2:
         det = 2.0 * vols
         inv = np.empty_like(e)

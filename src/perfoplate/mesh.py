@@ -67,6 +67,17 @@ def _frozen(values, dtype):
     return out
 
 
+def _index_rows(what, values, count, width):
+    """Read-only (count, width) int64 copy of node index rows; an empty
+    input gives no rows, and any other shape is a ``MeshError``."""
+    rows = _frozen(values, np.int64)
+    if rows.size == 0:
+        return rows.reshape(0, width)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise MeshError(f"{what} must have shape ({count}, {width}), got {rows.shape}")
+    return rows
+
+
 def _facet_keys(facets, num_nodes):
     """One int64 per facet (node ids a <= b <= c of N nodes): a*N + b in 2D,
     (a*N + b)*N + c in 3D; keys sort as the sorted node tuples do."""
@@ -114,9 +125,9 @@ class Mesh:
             raise MeshError(f"nodes must have shape (N, {dim})")
         if self.cells.ndim != 2 or self.cells.shape[1] != dim + 1:
             raise MeshError(f"cells must have shape (M, {dim + 1})")
-        self.facet_groups = {name: _frozen(f, np.int64).reshape(-1, dim)
+        self.facet_groups = {name: _index_rows(f"facet group {name!r}", f, "K", dim)
                              for name, f in (facet_groups or {}).items()}
-        self.periodic_pairs = {name: _frozen(p, np.int64).reshape(-1, 2)
+        self.periodic_pairs = {name: _index_rows(f"periodic pairing {name!r}", p, "P", 2)
                                for name, p in (periodic_pairs or {}).items()}
         self._check_range("cell connectivity", self.cells)
         for name, facets in self.facet_groups.items():
@@ -143,8 +154,7 @@ class Mesh:
     @per_mesh
     def cell_volumes(self):
         """Signed simplex measures (areas in 2D, volumes in 3D), read-only."""
-        x = self.nodes[self.cells]
-        e = x[:, 1:, :] - x[:, :1, :]
+        e = self.nodes[self.cells[:, 1:]] - self.nodes[self.cells[:, :1]]
         if self.dim == 2:
             return 0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
         return np.linalg.det(e) / 6.0
@@ -178,8 +188,11 @@ class Mesh:
         else:
             idx = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
         faces = np.concatenate([self.cells[:, list(i)] for i in idx])
-        keys, counts = np.unique(_facet_keys(faces, self.num_nodes), return_counts=True)
-        return keys[counts == 1]
+        keys = np.sort(_facet_keys(faces, self.num_nodes))
+        # a key occurs once where it differs from both sorted neighbours
+        differs = np.ones(len(keys) + 1, dtype=bool)
+        differs[1:-1] = keys[1:] != keys[:-1]
+        return keys[differs[:-1] & differs[1:]]
 
     def boundary_facets(self):
         """All facets owned by exactly one cell, as sorted node tuples, in

@@ -3,7 +3,9 @@ code, kept as the byte-level reference for `cell_mesh.generate_unit_cell_mesh`,
 `duct_mesh.generate_waveguide_mesh`, `Mesh.boundary_facets` and
 `fem.periodic_reduction`, and `Mesh.validate` as it was before it checked
 the facet groups by integer facet keys, kept as the reference for its
-verdicts and error texts.
+verdicts and error texts.  The `np.unique` forms of the cell generator's
+first-touch node order and of `Mesh._boundary_keys` are kept as the
+references of the single-pass forms that replaced them.
 
 The cell generator numbers nodes by first touch through a (2D node,
 z-level) dict and emits facets per simplex; the duct generator numbers
@@ -19,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from perfoplate.geometry import CellGeometry, GeometryError, WaveguideGeometry
-from perfoplate.mesh import Mesh, MeshError, detect_periodic_pairs
+from perfoplate.mesh import Mesh, MeshError, _facet_keys, detect_periodic_pairs
 
 GROUP_TOP = "I+"
 GROUP_BOTTOM = "I-"
@@ -431,6 +433,25 @@ def boundary_facets(mesh):
     faces = np.sort(faces, axis=1)
     uniq, counts = np.unique(faces, axis=0, return_counts=True)
     return uniq[counts == 1]
+
+
+def first_touch(prisms):
+    """The distinct keys of an array in the order its row-major walk first
+    meets them, from `np.unique`'s first indices."""
+    keys, first = np.unique(prisms, return_index=True)
+    return keys[np.argsort(first)]
+
+
+def boundary_keys(mesh):
+    """Sorted keys of the facets owned by exactly one cell, from
+    `np.unique`'s counts."""
+    if mesh.dim == 2:
+        idx = [(0, 1), (1, 2), (2, 0)]
+    else:
+        idx = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    faces = np.concatenate([mesh.cells[:, list(i)] for i in idx])
+    keys, counts = np.unique(_facet_keys(faces, mesh.num_nodes), return_counts=True)
+    return keys[counts == 1]
 
 
 def _equal_runs(rows):

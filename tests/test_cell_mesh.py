@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+import mesh_reference
 from perfoplate import fem
-from perfoplate.cell_mesh import (_PRISM_TETS, _CrossSection, _rank_sort,
+from perfoplate.cell_mesh import (_PRISM_TETS, _CrossSection, _first_touch, _rank_sort,
                                   generate_unit_cell_mesh)
 from perfoplate.geometry import CellGeometry, GeometryError
 from perfoplate.mesh import Mesh
@@ -152,6 +154,23 @@ def test_odd_rank_sort_is_a_negative_prism_volume(b1, b2, hole_diameter, dz):
     tets = x[:, _PRISM_TETS]
     det = np.linalg.det(tets[:, :, 1:] - tets[:, :, :1])
     assert np.array_equal(det < 0, np.repeat(odd[:, None], 3, axis=1))
+
+
+def keys_below(size):
+    """(size, int64 array of 1 or 2 dims with entries in [0, size))."""
+    shapes = array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=12)
+    return st.tuples(st.just(size), arrays(np.int64, shapes,
+                                           elements=st.integers(0, size - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.integers(1, 40).flatmap(keys_below))
+@example(case=(3, np.array([[2, 0, 2], [1, 0, 2]])))
+def test_first_touch_matches_the_unique_form(case):
+    size, keys = case
+    touched = _first_touch(keys, size)
+    assert touched.dtype == np.int64
+    assert touched.tobytes() == mesh_reference.first_touch(keys).tobytes()
 
 
 def test_hole_touching_the_cell_boundary_is_rejected():

@@ -90,7 +90,7 @@ def test_config_rejects_non_positive_residual_tol(value):
 
 @pytest.mark.parametrize("text, field", [("c = nan", "c"), ("c = inf", "c"),
                                           ("c = 0", "c"), ("tau = nan", "tau"),
-                                          ("tau = inf", "tau")])
+                                          ("tau = inf", "tau"), ("tau = -1", "tau")])
 def test_config_rejects_bad_fluid_constants(text, field):
     with pytest.raises(ValueError, match=f"fluid {field} must be"):
         parse_config(f"[fluid]\n{text}\n")
@@ -346,7 +346,25 @@ def test_non_finite_geometry_is_an_error(tmp_path, command, section, key, value)
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "GeometryError"
     assert record["message"] == f"{key} must be finite, got {float(value)!r}"
-    assert sorted(p.name for p in out.iterdir()) == ["effective_config.ini", "error.json"]
+    # the geometries are built when the config is parsed, before it is echoed
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("mesh-duct", "[cell]\nhole_diameter = 5\n",
+     "hole diameter must satisfy 0 < d < min(b1, b2)"),
+    ("mesh-cell", "[waveguide]\ninterface_pos = 0.5\n",
+     "interface must lie strictly inside the duct"),
+])
+def test_every_command_rejects_a_bad_geometry(tmp_path, command, text, message):
+    # the other mesh command's geometry is built when the config is parsed
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", str(cfgfile), "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert (record["error"], record["message"]) == ("GeometryError", message)
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
 
 def test_waveguide_snapshot_reuses_the_sweep_solution(tmp_path, monkeypatch):

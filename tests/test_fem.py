@@ -38,6 +38,15 @@ def test_fluid_properties():
         FluidProperties(c=-1.0)
 
 
+@pytest.mark.parametrize("tau", [-1.0, -1])
+def test_fluid_properties_reject_zero_theta(tau):
+    # W' = Qw / theta would be 0/0
+    with pytest.raises(ValueError, match=re.escape(
+            f"fluid tau must be other than -1, got {tau!r}: theta = (1 + tau)/2 is 0")):
+        FluidProperties(tau=tau)
+    assert FluidProperties(tau=math.nextafter(-1.0, 0.0)).theta > 0
+
+
 def test_reference_tet_stiffness():
     K = fem.stiffness_matrix(reference_tet()).toarray()
     expected = np.array([[3, -1, -1, -1],

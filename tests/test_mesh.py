@@ -1,12 +1,13 @@
 import functools
 import itertools
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mesh_reference
@@ -276,6 +277,31 @@ def test_mesh_rejects_node_indices_out_of_range(kwargs):
         Mesh(2, np.array(TRIANGLE_NODES), np.array([[0, 1, 2]]), **kwargs)
 
 
+FIVE_NODES = np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                       (0.0, 0.0, 1.0), (1.0, 1.0, 1.0)])
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(facet_groups={"g": [[0, 1], [1, 2], [2, 3]]}),
+     "facet group 'g' must have shape (K, 3), got (3, 2)"),
+    (dict(facet_groups={"g": [0, 1, 2]}), "facet group 'g' must have shape (K, 3), got (3,)"),
+    (dict(periodic_pairs={"d": [[0, 1, 2], [1, 2, 3]]}),
+     "periodic pairing 'd' must have shape (P, 2), got (2, 3)"),
+    (dict(periodic_pairs={"d": [[[0, 1]]]}),
+     "periodic pairing 'd' must have shape (P, 2), got (1, 1, 2)"),
+])
+def test_mesh_rejects_index_rows_of_the_wrong_width(kwargs, message):
+    with pytest.raises(MeshError, match=re.escape(message)):
+        Mesh(3, FIVE_NODES, [[0, 1, 2, 3], [1, 2, 3, 4]], **kwargs)
+
+
+def test_mesh_accepts_empty_groups_and_pairings():
+    m = Mesh(3, FIVE_NODES, [[0, 1, 2, 3]], {"g": [], "h": np.empty((0, 3))},
+             {"d": np.array([], dtype=np.int64)})
+    assert m.facet_groups["g"].shape == m.facet_groups["h"].shape == (0, 3)
+    assert m.periodic_pairs["d"].shape == (0, 2)
+
+
 SMALL_MESH_TEXT = """perfomesh v1
 nodes 3
 0 0
@@ -398,6 +424,29 @@ def test_validate_agrees_with_the_reference_on_corrupted_groups(which, data):
         return None
 
     assert verdict(Mesh.validate) == verdict(mesh_reference.validate)
+
+
+@st.composite
+def cells_on_few_nodes(draw):
+    """(dim, cells) with every cell on dim + 1 distinct of at most dim + 4
+    nodes, so that a facet is owned by one cell, by two, or by three or more."""
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(dim + 1, dim + 4))
+    cell = st.permutations(range(n)).map(lambda p: p[:dim + 1])
+    return dim, draw(st.lists(cell, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cells_on_few_nodes())
+@example(case=(3, []))
+@example(case=(3, [[0, 1, 2, 3]]))
+@example(case=(3, [[0, 1, 2, 3], [0, 1, 2, 4], [2, 1, 0, 5], [1, 2, 0, 3]]))
+@example(case=(2, [[0, 1, 2], [1, 0, 3], [0, 1, 4], [2, 3, 4]]))
+def test_boundary_keys_match_the_unique_form(case):
+    dim, cells = case
+    cells = np.array(cells, dtype=np.int64).reshape(-1, dim + 1)
+    mesh = Mesh(dim, np.zeros((dim + 4, dim)), cells)
+    assert_same_bytes(mesh._boundary_keys(), mesh_reference.boundary_keys(mesh))
 
 
 def test_boundary_facets_of_the_cube():
