@@ -35,7 +35,7 @@ import numpy as np
 from . import fem
 from .fem import SolverError
 from .flow import FlowField, face_flux_jump, unit_cell_flow
-from .mesh import per_mesh
+from .mesh import per_mesh, release
 
 # Relative residual estimate at which a Lanczos run serves a speed; asking
 # for 1e-15 stagnates in rounding.
@@ -55,8 +55,14 @@ class MachBoundError(RuntimeError):
 def unit_advection(mesh):
     """(W1, a1): the advection matrix and advective vector of the mesh's
     u3 = 1 cell flow (``fem.advection_forms``), read-only; the flow u3 * w1
-    has W = u3^2 * W1 and a = u3 * a1."""
-    return fem.advection_forms(mesh, unit_cell_flow(mesh)[0])
+    has W = u3^2 * W1 and a = u3 * a1.
+
+    They are the last of the mesh's P1 gradient table (``fem.p1_geometry``)
+    to be built from it, after K and the unit flow, so the table is released
+    here; a later read rebuilds it bit for bit.  A rest-only mesh keeps it."""
+    forms = fem.advection_forms(mesh, unit_cell_flow(mesh)[0])
+    release(mesh, "perfoplate.fem.p1_geometry")
+    return forms
 
 
 @per_mesh

@@ -12,6 +12,7 @@ and preconditions the cell correctors, whose Krylov runs are kept with it.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .mesh import per_mesh
+from .mesh import edge_matrices, per_mesh
 
 
 class AssemblyError(ValueError):
@@ -64,7 +65,7 @@ class FluidProperties:
 def p1_geometry(mesh):
     """Per-cell shape gradients and measures: (grads (M, n, d), vols (M,))."""
     vols = mesh.cell_volumes()
-    e = mesh.nodes[mesh.cells[:, 1:]] - mesh.nodes[mesh.cells[:, :1]]
+    e = edge_matrices(mesh)
     if mesh.dim == 2:
         det = 2.0 * vols
         inv = np.empty_like(e)
@@ -76,7 +77,8 @@ def p1_geometry(mesh):
         inv = np.linalg.inv(e)
     grads = np.empty((len(mesh.cells), mesh.dim + 1, mesh.dim))
     grads[:, 1:, :] = np.transpose(inv, (0, 2, 1))
-    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
+    # grad phi_0 = -(grad phi_1 + ... + grad phi_d), added in that order
+    grads[:, 0, :] = -functools.reduce(np.add, grads[:, 2:].swapaxes(0, 1), grads[:, 1])
     return grads, vols
 
 

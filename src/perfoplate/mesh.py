@@ -14,6 +14,7 @@ values.
 from __future__ import annotations
 
 import functools
+import re
 
 import numpy as np
 
@@ -38,7 +39,8 @@ def per_mesh(build):
     """Decorator: ``build(mesh, *args)`` runs once per mesh instance and
     arguments; its result is kept on the mesh and shared by all callers, so
     its arrays (an array, a sparse matrix's data and index arrays, or those
-    of each item of a tuple) are marked read-only."""
+    of each item of a tuple) are marked read-only.  The result is kept
+    under the build's module and qualified name (``release``)."""
     name = f"{build.__module__}.{build.__qualname__}"
 
     @functools.wraps(build)
@@ -48,6 +50,14 @@ def per_mesh(build):
             mesh._cache[key] = _read_only(build(mesh, *args))
         return mesh._cache[key]
     return cached
+
+
+def release(mesh, name, *args):
+    """Drop what a ``per_mesh`` build kept on a mesh for these arguments;
+    the build is named by its module and qualified name (as in
+    ``"perfoplate.fem.p1_geometry"``), not passed, since a tracer may rebind
+    it.  A later call builds the result again."""
+    mesh._cache.pop((name, *args), None)
 
 
 def _read_only(value):
@@ -67,10 +77,23 @@ def _frozen(values, dtype):
     return out
 
 
+def _node_ids(what, values):
+    """Read-only int64 copy of node ids; an id that is not a whole number
+    is a ``MeshError``, where a cast alone would truncate it."""
+    raw = np.asarray(values)
+    if raw.dtype.kind == "f":
+        bad = ~(np.isfinite(raw) & (raw == np.trunc(raw)))
+        if bad.any():
+            raise MeshError(f"{what} must hold whole node numbers, got {float(raw[bad][0])!r}")
+    elif raw.dtype.kind not in "biu":
+        raise MeshError(f"{what} must hold whole node numbers, got {raw.dtype} values")
+    return _frozen(raw, np.int64)
+
+
 def _index_rows(what, values, count, width):
     """Read-only (count, width) int64 copy of node index rows; an empty
     input gives no rows, and any other shape is a ``MeshError``."""
-    rows = _frozen(values, np.int64)
+    rows = _node_ids(what, values)
     if rows.size == 0:
         return rows.reshape(0, width)
     if rows.ndim != 2 or rows.shape[1] != width:
@@ -89,6 +112,13 @@ def _facet_keys(facets, num_nodes):
     lo, hi = functools.reduce(np.minimum, x), functools.reduce(np.maximum, x)
     head = lo if dim == 2 else lo * num_nodes + (sum(x) - lo - hi)
     return head * num_nodes + hi
+
+
+def edge_matrices(mesh):
+    """(M, d, d) edge vectors x_k - x_0, k = 1..d, of each cell, from two
+    contiguous gathers of node rows."""
+    return (np.take(mesh.nodes, mesh.cells[:, 1:], axis=0)
+            - np.take(mesh.nodes, mesh.cells[:, :1], axis=0))
 
 
 class Mesh:
@@ -120,7 +150,7 @@ class Mesh:
             raise MeshError(f"dim must be 2 or 3, got {dim}")
         self.dim = int(dim)
         self.nodes = _frozen(nodes, float)
-        self.cells = _frozen(cells, np.int64)
+        self.cells = _node_ids("cell connectivity", cells)
         if self.nodes.ndim != 2 or self.nodes.shape[1] != dim:
             raise MeshError(f"nodes must have shape (N, {dim})")
         if self.cells.ndim != 2 or self.cells.shape[1] != dim + 1:
@@ -154,7 +184,7 @@ class Mesh:
     @per_mesh
     def cell_volumes(self):
         """Signed simplex measures (areas in 2D, volumes in 3D), read-only."""
-        e = self.nodes[self.cells[:, 1:]] - self.nodes[self.cells[:, :1]]
+        e = edge_matrices(self)
         if self.dim == 2:
             return 0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
         return np.linalg.det(e) / 6.0
@@ -297,7 +327,18 @@ def _fmt(x):
 
 
 def save_mesh(mesh, path):
-    """Write a mesh (and attached nodal fields) in perfomesh v1 format."""
+    """Write a mesh (and attached nodal fields) in perfomesh v1 format; a
+    facet-group, pairing or field name that would not read back (empty,
+    holding whitespace or not ASCII) is a ``MeshError``, raised before the
+    file is opened."""
+    blocks = {"facet group": mesh.facet_groups, "periodic pairing": mesh.periodic_pairs,
+              "field": mesh.fields}
+    for what, named in blocks.items():
+        for name in named:
+            # the reader splits a block header on whitespace and reads ASCII
+            if not (isinstance(name, str) and re.fullmatch(r"[!-~]+", name)):
+                raise MeshError(f"{what} name {name!r} cannot be saved: a name is one or "
+                                "more printable ASCII characters without whitespace")
     lines = [FORMAT_HEADER]
     lines.append(f"nodes {mesh.num_nodes}")
     for row in mesh.nodes:

@@ -5,7 +5,10 @@ code, kept as the byte-level reference for `cell_mesh.generate_unit_cell_mesh`,
 the facet groups by integer facet keys, kept as the reference for its
 verdicts and error texts.  The `np.unique` forms of the cell generator's
 first-touch node order and of `Mesh._boundary_keys` are kept as the
-references of the single-pass forms that replaced them.
+references of the single-pass forms that replaced them, and `Mesh.cell_volumes`
+and `fem.p1_geometry` as they were before their edge matrices came from
+contiguous gathers and the first shape gradient from explicit adds, as the
+bit-level references of both (signs of zeros included).
 
 The cell generator numbers nodes by first touch through a (2D node,
 z-level) dict and emits facets per simplex; the duct generator numbers
@@ -452,6 +455,33 @@ def boundary_keys(mesh):
     faces = np.concatenate([mesh.cells[:, list(i)] for i in idx])
     keys, counts = np.unique(_facet_keys(faces, mesh.num_nodes), return_counts=True)
     return keys[counts == 1]
+
+
+def cell_volumes(mesh):
+    """Signed simplex measures (areas in 2D, volumes in 3D)."""
+    e = mesh.nodes[mesh.cells[:, 1:]] - mesh.nodes[mesh.cells[:, :1]]
+    if mesh.dim == 2:
+        return 0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
+    return np.linalg.det(e) / 6.0
+
+
+def p1_geometry(mesh):
+    """Per-cell shape gradients and measures: (grads (M, n, d), vols (M,))."""
+    vols = cell_volumes(mesh)
+    e = mesh.nodes[mesh.cells[:, 1:]] - mesh.nodes[mesh.cells[:, :1]]
+    if mesh.dim == 2:
+        det = 2.0 * vols
+        inv = np.empty_like(e)
+        inv[:, 0, 0] = e[:, 1, 1] / det
+        inv[:, 0, 1] = -e[:, 0, 1] / det
+        inv[:, 1, 0] = -e[:, 1, 0] / det
+        inv[:, 1, 1] = e[:, 0, 0] / det
+    else:
+        inv = np.linalg.inv(e)
+    grads = np.empty((len(mesh.cells), mesh.dim + 1, mesh.dim))
+    grads[:, 1:, :] = np.transpose(inv, (0, 2, 1))
+    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
+    return grads, vols
 
 
 def _equal_runs(rows):

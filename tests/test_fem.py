@@ -1,6 +1,8 @@
+import gc
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from perfoplate import flow as flow_module
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.fem import AssemblyError, FluidProperties, SolverError
 from perfoplate.cell_problems import assemble_Aw
+from perfoplate.coefficients import cell_pipeline
 from perfoplate.duct_mesh import GROUP_OUT, generate_waveguide_mesh
 from perfoplate.flow import (solve_cell_potential_flow, solve_macro_potential_flow,
                              unit_cell_flow)
@@ -114,6 +117,26 @@ def test_mesh_geometry_computed_once_and_read_only(straight_cell_mesh):
     assert fem.periodic_reduction(copy) is not T
     assert fem.stiffness_matrix(copy) is not K
     np.testing.assert_array_equal(grads2, grads)
+
+
+def test_flow_mesh_releases_its_gradient_table(props):
+    # K, the unit flow and W1, a1 read the table; a rest point builds only K
+    # and leaves the table kept, the first flow point builds the rest and
+    # releases it, and a later read rebuilds it bit for bit
+    geom = CellGeometry(hole_slope_deg=30.0)
+    mesh = generate_unit_cell_mesh(geom, 0.2)
+    cell_pipeline(geom, 0.0, 0.2, props, mesh=mesh)
+    grads, vols = fem.p1_geometry(mesh)
+    assert fem.p1_geometry(mesh)[0] is grads
+    first, kept = grads.tobytes(), weakref.ref(grads)
+    del grads
+    cell_pipeline(geom, 2.5, 0.2, props, mesh=mesh)
+    assert not any(key[0] == "perfoplate.fem.p1_geometry" for key in mesh._cache)
+    gc.collect()
+    assert kept() is None
+    again, vols_again = fem.p1_geometry(mesh)
+    assert again.tobytes() == first and vols_again is vols
+    assert not again.flags.writeable
 
 
 def test_periodic_reduction_preserves_symmetry_class(straight_cell_mesh):

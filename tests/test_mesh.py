@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -107,6 +108,32 @@ def test_roundtrip(tmp_path, straight_cell_mesh):
     for k in m.periodic_pairs:
         np.testing.assert_array_equal(m2.periodic_pairs[k], m.periodic_pairs[k])
     np.testing.assert_array_equal(m2.fields["demo"], m.fields["demo"])
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("facet group", "my group"), ("facet group", ""), ("periodic pairing", "d\t1"),
+    ("field", "f\n"), ("field", "caf\u00e9"),
+])
+def test_save_rejects_names_that_do_not_read_back(tmp_path, kind, name):
+    # 'my group' was written as 'group my group 1', which the reader rejects
+    nodes, cells = TRIANGLE_NODES, [[0, 1, 2]]
+    groups, pairs, fields = {"g": [[0, 1]]}, {"d": [[0, 2]]}, {"f": np.zeros(3)}
+    target = {"facet group": groups, "periodic pairing": pairs, "field": fields}[kind]
+    target[name] = target.popitem()[1]
+    path = tmp_path / "m.msh"
+    with pytest.raises(MeshError, match=re.escape(f"{kind} name {name!r} cannot be saved")):
+        save_mesh(Mesh(2, nodes, cells, groups, pairs, fields), path)
+    assert not path.exists()
+
+
+def test_names_with_punctuation_round_trip(tmp_path):
+    names = ["I+", "lateral_x0", "a-b.c", "#1"]
+    m = Mesh(2, TRIANGLE_NODES, [[0, 1, 2]], {n: [[0, 1]] for n in names[:2]},
+             {names[2]: [[0, 2]]}, {names[3]: np.arange(3.0)})
+    save_mesh(m, tmp_path / "m.msh")
+    back = load_mesh(tmp_path / "m.msh")
+    assert list(back.facet_groups) == names[:2] and list(back.periodic_pairs) == [names[2]]
+    np.testing.assert_array_equal(back.fields[names[3]], np.arange(3.0))
 
 
 def test_complex_field_roundtrip(tmp_path):
@@ -293,6 +320,33 @@ FIVE_NODES = np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
 def test_mesh_rejects_index_rows_of_the_wrong_width(kwargs, message):
     with pytest.raises(MeshError, match=re.escape(message)):
         Mesh(3, FIVE_NODES, [[0, 1, 2, 3], [1, 2, 3, 4]], **kwargs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(cells=[[0.9, 1.5, 2.2]]), "cell connectivity must hold whole node numbers, got 0.9"),
+    (dict(facet_groups={"g": [[0.7, 1.9]]}),
+     "facet group 'g' must hold whole node numbers, got 0.7"),
+    (dict(periodic_pairs={"d": [[0.0, 1.5]]}),
+     "periodic pairing 'd' must hold whole node numbers, got 1.5"),
+    (dict(periodic_pairs={"d": [[0.0, math.nan]]}),
+     "periodic pairing 'd' must hold whole node numbers, got nan"),
+    (dict(facet_groups={"g": [[0.0, math.inf]]}),
+     "facet group 'g' must hold whole node numbers, got inf"),
+    (dict(cells=[["0", "1", "2"]]), "cell connectivity must hold whole node numbers, got <U1"),
+])
+def test_mesh_rejects_node_ids_that_are_not_whole_numbers(kwargs, message):
+    # a cast to int64 alone truncated them: the cells [[0.9, 1.5, 2.2]] and
+    # the facet [0.7, 1.9] were built as [0, 1, 2] and [0, 1]
+    kwargs = {"cells": [[0, 1, 2]], **kwargs}
+    with pytest.raises(MeshError, match=re.escape(message)):
+        Mesh(2, TRIANGLE_NODES, **kwargs)
+
+
+def test_mesh_accepts_whole_float_node_ids():
+    m = Mesh(2, TRIANGLE_NODES, [[0.0, 1.0, 2.0]], {"g": [[0.0, 1.0]]}, {"d": [[0.0, 2.0]]})
+    for ids in (m.cells, m.facet_groups["g"], m.periodic_pairs["d"]):
+        assert ids.dtype == np.int64
+    assert m.cells.tolist() == [[0, 1, 2]] and m.facet_groups["g"].tolist() == [[0, 1]]
 
 
 def test_mesh_accepts_empty_groups_and_pairings():
@@ -502,6 +556,29 @@ def test_duct_mesh_matches_reference_generator(kwargs, resolution):
     geom = WaveguideGeometry(**kwargs)
     assert_same_mesh(generate_waveguide_mesh(geom, resolution),
                      mesh_reference.generate_waveguide_mesh(geom, resolution))
+
+
+GEOMETRY_CASES = [(generate_unit_cell_mesh, CellGeometry(hole_slope_deg=phi), res)
+                  for phi in (0.0, 30.0, 60.0, -45.0) for res in (0.08, 0.2)]
+GEOMETRY_CASES += [(generate_waveguide_mesh, WaveguideGeometry(), 0.0125)]
+
+
+def assert_same_bits(a, b):
+    # tobytes compares every bit; signbit names the zeros' signs explicitly
+    assert_same_bytes(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("generate, geom, resolution", GEOMETRY_CASES)
+def test_geometry_matches_the_fancy_gather_form(generate, geom, resolution):
+    mesh = generate(geom, resolution)
+    grads, vols = fem.p1_geometry(mesh)
+    ref_grads, ref_vols = mesh_reference.p1_geometry(mesh)
+    assert_same_bits(mesh.cell_volumes(), mesh_reference.cell_volumes(mesh))
+    assert_same_bits(vols, ref_vols)
+    assert_same_bits(grads, ref_grads)
+    # axis-aligned edges leave negative zeros in the table, so the signs are checked
+    assert np.signbit(grads[grads == 0]).any()
 
 
 def test_periodic_reduction_without_pairs_is_identity():
