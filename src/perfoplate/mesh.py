@@ -77,9 +77,9 @@ def _frozen(values, dtype):
     return out
 
 
-def _node_ids(what, values):
-    """Read-only int64 copy of node ids; an id that is not a whole number
-    is a ``MeshError``, where a cast alone would truncate it."""
+def _node_ids(what, values, num_nodes):
+    """Read-only int64 copy of node ids; an id that is not a whole number (a cast
+    alone would truncate it) or not in [0, num_nodes) is a ``MeshError``."""
     raw = np.asarray(values)
     if raw.dtype.kind == "f":
         bad = ~(np.isfinite(raw) & (raw == np.trunc(raw)))
@@ -87,13 +87,16 @@ def _node_ids(what, values):
             raise MeshError(f"{what} must hold whole node numbers, got {float(raw[bad][0])!r}")
     elif raw.dtype.kind not in "biu":
         raise MeshError(f"{what} must hold whole node numbers, got {raw.dtype} values")
-    return _frozen(raw, np.int64)
+    ids = _frozen(raw, np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= num_nodes):
+        raise MeshError(f"{what} references nodes out of range")
+    return ids
 
 
-def _index_rows(what, values, count, width):
-    """Read-only (count, width) int64 copy of node index rows; an empty
-    input gives no rows, and any other shape is a ``MeshError``."""
-    rows = _node_ids(what, values)
+def _index_rows(what, values, num_nodes, count, width):
+    """Read-only (count, width) int64 copy of the ``_node_ids`` rows; an
+    empty input gives no rows, and any other shape is a ``MeshError``."""
+    rows = _node_ids(what, values, num_nodes)
     if rows.size == 0:
         return rows.reshape(0, width)
     if rows.ndim != 2 or rows.shape[1] != width:
@@ -101,24 +104,31 @@ def _index_rows(what, values, count, width):
     return rows
 
 
-def _facet_keys(facets, num_nodes):
-    """One int64 per facet (node ids a <= b <= c of N nodes): a*N + b in 2D,
-    (a*N + b)*N + c in 3D; keys sort as the sorted node tuples do."""
-    dim = facets.shape[1]
+def _sorted_keys(columns, num_nodes):
+    """One int64 per facet from the columns of its node ids a <= b <= c of N nodes:
+    a*N + b in 2D, (a*N + b)*N + c in 3D; keys sort as the sorted node tuples do."""
+    dim = len(columns)
     if num_nodes ** dim > 2 ** 63:
         raise MeshError(f"{num_nodes} nodes are too many for int64 facet keys "
                         f"(N**{dim} > 2**63; a 3D mesh may have at most 2097152 nodes)")
-    x = [facets[:, k] for k in range(dim)]
-    lo, hi = functools.reduce(np.minimum, x), functools.reduce(np.maximum, x)
-    head = lo if dim == 2 else lo * num_nodes + (sum(x) - lo - hi)
-    return head * num_nodes + hi
+    key = np.array(columns[0], dtype=np.int64)
+    for x in columns[1:]:
+        key *= num_nodes
+        key += x
+    return key
+
+
+def _facet_keys(facets, num_nodes):
+    """The ``_sorted_keys`` of (K, dim) facets with node ids in any order."""
+    return _sorted_keys(np.sort(facets, axis=1).T, num_nodes)
 
 
 def edge_matrices(mesh):
     """(M, d, d) edge vectors x_k - x_0, k = 1..d, of each cell, from two
     contiguous gathers of node rows."""
-    return (np.take(mesh.nodes, mesh.cells[:, 1:], axis=0)
-            - np.take(mesh.nodes, mesh.cells[:, :1], axis=0))
+    e = np.take(mesh.nodes, mesh.cells[:, 1:], axis=0)
+    e -= np.take(mesh.nodes, mesh.cells[:, :1], axis=0)
+    return e
 
 
 class Mesh:
@@ -140,8 +150,8 @@ class Mesh:
         Named boundary facet sets (edges in 2D, triangles in 3D).
     periodic_pairs : dict[str, (P, 2) int array]
         Per-direction (master, slave) node pairs.
-    fields : dict[str, array]
-        Optional nodal fields attached to the mesh.
+    fields : dict[str, (N,) array]
+        Optional nodal fields attached to the mesh, one value per node.
     """
 
     def __init__(self, dim, nodes, cells, facet_groups=None, periodic_pairs=None,
@@ -150,26 +160,22 @@ class Mesh:
             raise MeshError(f"dim must be 2 or 3, got {dim}")
         self.dim = int(dim)
         self.nodes = _frozen(nodes, float)
-        self.cells = _node_ids("cell connectivity", cells)
         if self.nodes.ndim != 2 or self.nodes.shape[1] != dim:
             raise MeshError(f"nodes must have shape (N, {dim})")
+        n = len(self.nodes)
+        self.cells = _node_ids("cell connectivity", cells, n)
         if self.cells.ndim != 2 or self.cells.shape[1] != dim + 1:
             raise MeshError(f"cells must have shape (M, {dim + 1})")
-        self.facet_groups = {name: _index_rows(f"facet group {name!r}", f, "K", dim)
+        self.facet_groups = {name: _index_rows(f"facet group {name!r}", f, n, "K", dim)
                              for name, f in (facet_groups or {}).items()}
-        self.periodic_pairs = {name: _index_rows(f"periodic pairing {name!r}", p, "P", 2)
+        self.periodic_pairs = {name: _index_rows(f"periodic pairing {name!r}", p, n, "P", 2)
                                for name, p in (periodic_pairs or {}).items()}
-        self._check_range("cell connectivity", self.cells)
-        for name, facets in self.facet_groups.items():
-            self._check_range(f"facet group {name!r}", facets)
-        for name, pairs in self.periodic_pairs.items():
-            self._check_range(f"periodic pairing {name!r}", pairs)
         self.fields = dict(fields or {})
+        for name, values in self.fields.items():
+            if np.shape(values) != (n,):
+                raise MeshError(f"field {name!r} must hold {n} nodal values, "
+                                f"got shape {np.shape(values)}")
         self._cache = {}
-
-    def _check_range(self, what, index):
-        if index.size and (index.min() < 0 or index.max() >= len(self.nodes)):
-            raise MeshError(f"{what} references nodes out of range")
 
     # -- basic queries -----------------------------------------------------
 
@@ -187,7 +193,9 @@ class Mesh:
         e = edge_matrices(self)
         if self.dim == 2:
             return 0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
-        return np.linalg.det(e) / 6.0
+        vols = np.linalg.det(e)
+        vols /= 6.0
+        return vols
 
     @per_mesh
     def facet_measures(self, name):
@@ -213,12 +221,10 @@ class Mesh:
 
     def _boundary_keys(self):
         """Sorted keys of the facets owned by exactly one cell."""
-        if self.dim == 2:
-            idx = [(0, 1), (1, 2), (2, 0)]
-        else:
-            idx = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-        faces = np.concatenate([self.cells[:, list(i)] for i in idx])
-        keys = np.sort(_facet_keys(faces, self.num_nodes))
+        ranked = np.sort(self.cells, axis=1).T  # each cell's k-th lowest node id
+        # a sorted cell row without one of its nodes is a sorted facet
+        faces = [[x for i, x in enumerate(ranked) if i != k] for k in range(self.dim + 1)]
+        keys = np.sort(np.concatenate([_sorted_keys(f, self.num_nodes) for f in faces]))
         # a key occurs once where it differs from both sorted neighbours
         differs = np.ones(len(keys) + 1, dtype=bool)
         differs[1:-1] = keys[1:] != keys[:-1]
@@ -343,19 +349,14 @@ def save_mesh(mesh, path):
     lines.append(f"nodes {mesh.num_nodes}")
     for row in mesh.nodes:
         lines.append(" ".join(_fmt(v) for v in row))
-    lines.append(f"cells {mesh.num_cells}")
-    for row in mesh.cells:
-        lines.append(" ".join(str(int(v)) for v in row))
-    for name in sorted(mesh.facet_groups):
-        facets = mesh.facet_groups[name]
-        lines.append(f"group {name} {len(facets)}")
-        for row in facets:
-            lines.append(" ".join(str(int(v)) for v in row))
-    for name in sorted(mesh.periodic_pairs):
-        pairs = mesh.periodic_pairs[name]
-        lines.append(f"periodic {name} {len(pairs)}")
-        for m, s in pairs:
-            lines.append(f"{int(m)} {int(s)}")
+    index_blocks = [("cells", mesh.cells)]
+    index_blocks += [(f"group {name}", mesh.facet_groups[name])
+                     for name in sorted(mesh.facet_groups)]
+    index_blocks += [(f"periodic {name}", mesh.periodic_pairs[name])
+                     for name in sorted(mesh.periodic_pairs)]
+    for head, rows in index_blocks:
+        lines.append(f"{head} {len(rows)}")
+        lines.extend(" ".join(str(int(v)) for v in row) for row in rows)
     for name in sorted(mesh.fields):
         values = np.asarray(mesh.fields[name])
         kind = "complex" if np.iscomplexobj(values) else "real"
@@ -399,10 +400,9 @@ class _Reader:
         parts = text.split()
         if len(parts) != len(usage.split()) or parts[0] != keyword:
             raise MeshFormatError(f"expected '{usage}', got {text!r}", line=ln)
-        try:
-            return parts[1:-1], int(parts[-1])
-        except ValueError:
-            raise MeshFormatError(f"bad count in {text!r}", line=ln) from None
+        if not parts[-1].isdecimal():  # a count is a whole number >= 0
+            raise MeshFormatError(f"bad count in {text!r}", line=ln)
+        return parts[1:-1], int(parts[-1])
 
     def rows(self, count, width, convert, what):
         """``count`` lines of ``width`` values each, converted by ``convert``."""

@@ -4,11 +4,13 @@ code, kept as the byte-level reference for `cell_mesh.generate_unit_cell_mesh`,
 `fem.periodic_reduction`, and `Mesh.validate` as it was before it checked
 the facet groups by integer facet keys, kept as the reference for its
 verdicts and error texts.  The `np.unique` forms of the cell generator's
-first-touch node order and of `Mesh._boundary_keys` are kept as the
-references of the single-pass forms that replaced them, and `Mesh.cell_volumes`
-and `fem.p1_geometry` as they were before their edge matrices came from
-contiguous gathers and the first shape gradient from explicit adds, as the
-bit-level references of both (signs of zeros included).
+first-touch node order and of `Mesh._boundary_keys` (on the min/max facet
+keys that `mesh._facet_keys` formed before the keys came from sorted cell
+rows) are kept as the references of the forms that replaced them, and
+`Mesh.cell_volumes` and `fem.p1_geometry` as they were before their edge
+matrices came from contiguous gathers and the first shape gradient from
+explicit adds, as the bit-level references of both (signs of zeros
+included).
 
 The cell generator numbers nodes by first touch through a (2D node,
 z-level) dict and emits facets per simplex; the duct generator numbers
@@ -18,13 +20,14 @@ structure and must produce the same node, cell, facet-group and pair
 arrays to the last bit.
 """
 
+import functools
 import math
 
 import numpy as np
 import scipy.sparse as sp
 
 from perfoplate.geometry import CellGeometry, GeometryError, WaveguideGeometry
-from perfoplate.mesh import Mesh, MeshError, _facet_keys, detect_periodic_pairs
+from perfoplate.mesh import Mesh, MeshError, detect_periodic_pairs
 
 GROUP_TOP = "I+"
 GROUP_BOTTOM = "I-"
@@ -443,6 +446,19 @@ def first_touch(prisms):
     meets them, from `np.unique`'s first indices."""
     keys, first = np.unique(prisms, return_index=True)
     return keys[np.argsort(first)]
+
+
+def _facet_keys(facets, num_nodes):
+    """One int64 per facet (node ids a <= b <= c of N nodes): a*N + b in 2D,
+    (a*N + b)*N + c in 3D; keys sort as the sorted node tuples do."""
+    dim = facets.shape[1]
+    if num_nodes ** dim > 2 ** 63:
+        raise MeshError(f"{num_nodes} nodes are too many for int64 facet keys "
+                        f"(N**{dim} > 2**63; a 3D mesh may have at most 2097152 nodes)")
+    x = [facets[:, k] for k in range(dim)]
+    lo, hi = functools.reduce(np.minimum, x), functools.reduce(np.maximum, x)
+    head = lo if dim == 2 else lo * num_nodes + (sum(x) - lo - hi)
+    return head * num_nodes + hi
 
 
 def boundary_keys(mesh):

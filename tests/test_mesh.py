@@ -4,6 +4,7 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -378,6 +379,10 @@ field f real 3
     (8, "group g x"),          # non-integer counts
     (10, "periodic d x"),
     (12, "field f real x"),
+    (6, "cells -1"),           # negative counts
+    (8, "group g -2"),
+    (10, "periodic d -1"),
+    (12, "field f real -3"),
     (9, "0 x"),                # non-integer indices
     (11, "0 x"),
     (9, "0 9"),                # indices beyond the node range
@@ -394,6 +399,21 @@ def test_malformed_block_reports_line(tmp_path, line, text):
         load_mesh(path)
     assert err.value.line == line
     assert str(err.value).startswith(f"line {line}: ")
+
+
+@pytest.mark.parametrize("values", [np.zeros(7), np.zeros(2, complex), np.zeros((3, 2)), 1.0])
+def test_mesh_rejects_fields_that_are_not_nodal(values):
+    message = f"field 'q' must hold 3 nodal values, got shape {np.shape(values)}"
+    with pytest.raises(MeshError, match=re.escape(message)):
+        Mesh(2, TRIANGLE_NODES, [[0, 1, 2]], fields={"q": values})
+
+
+def test_load_rejects_a_field_that_is_not_nodal(tmp_path):
+    path = tmp_path / "m.msh"
+    path.write_text(SMALL_MESH_TEXT.replace("field f real 3\n0\n", "field p real 2\n"))
+    with pytest.raises(MeshFormatError,
+                       match=re.escape("field 'p' must hold 3 nodal values, got shape (2,)")):
+        load_mesh(path)
 
 
 def test_validate_catches_group_overlap():
@@ -430,6 +450,15 @@ def test_facet_keys_fit_int64_up_to_two_to_the_21_nodes():
     assert _facet_keys(np.array([[2, 0, 1], [1, 2, 0]]), top).tolist() == [top + 2] * 2
     with pytest.raises(MeshError, match=r"2097153 nodes are too many for int64 facet keys"):
         _facet_keys(np.zeros((1, 3), np.int64), top + 1)
+    # the boundary path forms its keys with the same guard; a stand-in for a
+    # mesh of 2**21 nodes holds only the cells the keys are built from
+    cell = [top - 1, top - 2, top - 4, top - 3]
+    want = sorted((a * top + b) * top + c for a, b, c in itertools.combinations(sorted(cell), 3))
+    stand_in = SimpleNamespace(dim=3, cells=np.array([cell]), num_nodes=top)
+    assert Mesh._boundary_keys(stand_in).tolist() == want
+    stand_in.num_nodes = top + 1
+    with pytest.raises(MeshError, match=r"2097153 nodes are too many for int64 facet keys"):
+        Mesh._boundary_keys(stand_in)
 
 
 @functools.lru_cache(maxsize=None)
