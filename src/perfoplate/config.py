@@ -10,10 +10,10 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .fem import FluidProperties
-from .geometry import CellGeometry, WaveguideGeometry
+from .geometry import CellGeometry, GeometryError, WaveguideGeometry
 
 
 class ConfigError(ValueError):
@@ -196,12 +196,16 @@ def validate(cfg: RunConfig):
             raise ConfigError(f"[{section}] {name} must be finite and > 0, got {cfg[key]!r}")
     cfg.fluid_properties()  # raises ValueError naming a bad c or tau
     # each raises GeometryError naming the bad value, whatever the command
-    cfg.cell_geometry()
+    cell = cfg.cell_geometry()
     cfg.waveguide_geometry()
     # each raises ConfigError on a grid no command can run
     cfg.frequencies_hz()
     cfg.sweep_u3()
-    cfg.sweep_phis()
+    for phi in cfg.sweep_phis():  # the cell of every sweep angle
+        try:
+            replace(cell, hole_slope_deg=phi)
+        except GeometryError as exc:
+            raise GeometryError(f"[sweep] phi_list angle {phi:g}: {exc}") from None
 
 
 def load_config(path) -> RunConfig:

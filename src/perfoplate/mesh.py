@@ -455,6 +455,9 @@ def load_mesh(path):
                                       dtype=np.int64).reshape(-1, 2)
         elif keyword == "field":
             (name, kind), count = r.header("field <name> <kind> N")
+            if count != n_nodes:
+                raise MeshFormatError(f"field {name!r} must hold {n_nodes} nodal "
+                                      f"values, got shape ({count},)", line=r.pos)
             if kind == "complex":
                 vals = [complex(re, im) for re, im in r.rows(count, 2, float, "field value")]
             elif kind == "real":

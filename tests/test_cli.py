@@ -367,6 +367,20 @@ def test_every_command_rejects_a_bad_geometry(tmp_path, command, text, message):
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
 
+@pytest.mark.parametrize("command", ["sweep", "mesh-duct"])
+def test_every_command_rejects_a_sweep_angle_whose_cell_is_bad(tmp_path, command):
+    # the cell of every sweep angle is built when the config is parsed
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[sweep]\nphi_list = 0,80\n")
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", str(cfgfile), "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert (record["error"], record["message"]) == (
+        "GeometryError", "[sweep] phi_list angle 80: slanted hole leaves the cell "
+                         "interior (rim offset 0.8289 >= 0.5)")
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
 def test_waveguide_snapshot_reuses_the_sweep_solution(tmp_path, monkeypatch):
     """On the default config every frequency is solved once; pressure.msh
     holds the middle frequency's pressure as a fresh solve gives it."""

@@ -1,6 +1,7 @@
 """Every top-level function and class in ``src/`` has a user in the program,
 every dataclass field in ``src/`` has a reader there, every option of a
-top-level function is set by some call, and perfbench's self-test passes.
+top-level function is set by some call, perfbench's self-test passes, and
+README.md names every module, config key, output file and error class.
 
 A reference is an ``ast.Name`` id or ``ast.Attribute`` attr in
 ``src/perfoplate/*.py`` (``__init__.py`` only re-exports) or
@@ -14,6 +15,7 @@ import ast
 import functools
 import importlib
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -227,3 +229,30 @@ def test_sums_go_through_bincount_or_scatter():
     ``fem._scatter`` converts: K, M, the boundary masses and the periodic
     pair graph; the advection forms are sums of sparse factor products."""
     assert not scatter_bypasses(), scatter_bypasses()
+
+
+def readme_gaps():
+    """What README.md does not state: a module of ``src/perfoplate`` without
+    exactly one Layout row, a config key not named as ``[section] key``, an
+    output file of the CLI or an exception class of ``src/`` not named."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    gaps = [f"perfoplate.{p.stem}: {n} Layout rows" for p in PACKAGE
+            if (n := text.count(f"| `perfoplate.{p.stem}` |")) != 1]
+    schema = importlib.import_module("perfoplate.config")._SCHEMA
+    gaps += [f"[{section}] {key}" for section, keys in schema.items() for key in keys
+             if f"`[{section}] {key}`" not in text]
+    cli = ast.parse((ROOT / "src" / "perfoplate" / "cli.py").read_text(encoding="utf-8"))
+    files = {n.value for n in ast.walk(cli) if isinstance(n, ast.Constant)
+             and isinstance(n.value, str) and re.fullmatch(r"\w+\.(msh|csv|txt|ini|json)", n.value)}
+    errors = {cls.name for p in PACKAGE for cls in ast.parse(p.read_text(encoding="utf-8")).body
+              if isinstance(cls, ast.ClassDef)
+              and any(getattr(b, "id", "").endswith(("Error", "Exception")) for b in cls.bases)}
+    gaps += [name for name in sorted(files) if not re.search(rf"\b{re.escape(name)}\b", text)]
+    gaps += [name for name in sorted(errors) if f"`{name}`" not in text]
+    return gaps
+
+
+def test_readme_states_every_module_key_file_and_error():
+    """README's Layout has one row per module, and the README names each
+    config key, each file the CLI writes and each exception class."""
+    assert not readme_gaps(), f"missing from README.md: {readme_gaps()}"

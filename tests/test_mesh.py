@@ -412,8 +412,9 @@ def test_load_rejects_a_field_that_is_not_nodal(tmp_path):
     path = tmp_path / "m.msh"
     path.write_text(SMALL_MESH_TEXT.replace("field f real 3\n0\n", "field p real 2\n"))
     with pytest.raises(MeshFormatError,
-                       match=re.escape("field 'p' must hold 3 nodal values, got shape (2,)")):
+                       match=re.escape("field 'p' must hold 3 nodal values, got shape (2,)")) as err:
         load_mesh(path)
+    assert err.value.line == 12  # the block's header
 
 
 def test_validate_catches_group_overlap():
