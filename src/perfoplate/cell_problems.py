@@ -71,7 +71,7 @@ def reduced_unit_advection(mesh):
     read-only; the Lanczos runs and the residual checks of the flow
     correctors take their advection products from it."""
     T = fem.periodic_reduction(mesh)
-    return (fem.periodic_restriction(mesh) @ unit_advection(mesh)[0] @ T).tocsr()
+    return (T.T @ unit_advection(mesh)[0] @ T).tocsr()
 
 
 @per_mesh

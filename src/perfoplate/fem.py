@@ -233,13 +233,6 @@ def periodic_reduction(mesh):
     return sp.csr_matrix((np.ones(n), red, np.arange(n + 1)), shape=(n, len(first)))
 
 
-@per_mesh
-def periodic_restriction(mesh):
-    """T^T for the prolongation T of ``periodic_reduction``: the sum of a
-    nodal vector over each periodic class."""
-    return periodic_reduction(mesh).T
-
-
 # SuperLU options of every grounded factorization (``ZeroMeanSolver``).  The
 # grounded matrix is symmetric positive definite, so SuperLU's symmetric mode
 # factors it without a pivot search: minimum degree on A^T + A (half the fill
@@ -279,7 +272,7 @@ class ZeroMeanSolver:
     def __init__(self, mesh, matrix, bordered=False):
         self.num_nodes = mesh.num_nodes
         self.reduction = periodic_reduction(mesh)
-        self.restriction = periodic_restriction(mesh)
+        self.restriction = self.reduction.T
         self._mean = self.restriction @ lumped_volume_vector(mesh)
         self._volume = self._mean.sum()
         reduced = (self.restriction @ matrix @ self.reduction).tocsr()
@@ -340,15 +333,14 @@ class ZeroMeanSolver:
         only the applies of iterative solves are preconditioner calls."""
         if self._bordered:
             return self._lu.solve(np.concatenate([r, np.zeros_like(r[:1])]))[:-1]
-        # one contiguous column per right side, so that the sums and
-        # projections of a block's columns are those of single applies
+        # one contiguous column per right side, so that a block column's sum
+        # is that of its own apply; its solve and projection agree with that
+        # apply to rounding
         cols = np.array(r, dtype=float, order='F').reshape(len(r), -1, order='F')
-        for col in cols.T:
-            col -= self._mean * (col.sum() / self._volume)
+        cols -= np.outer(self._mean, cols.sum(axis=0) / self._volume)
         z = np.zeros_like(cols)
         z[:-1] = self._lu.solve(cols[:-1])
-        for col in z.T:
-            col -= (self._mean @ col) / self._volume
+        z -= (self._mean @ z) / self._volume
         return z.reshape(r.shape, order='F')
 
 
@@ -359,23 +351,16 @@ def check_residual(residual, tol, solve):
         raise SolverError(f"{solve}: relative residual {residual:.3e} exceeds {tol:.1e}")
 
 
-# The kept stiffness solver: (weak reference to its mesh, solver, runs), or
-# None.  Its factorization is the largest array set of a cell mesh, so at most
-# one is alive; it dies with its mesh, which the solver does not reference.
-# ``runs`` is a dict for the cell correctors' Krylov runs on that solver
-# (``stiffness_solver`` returns it with the solver); nothing in it may
-# reference the solver, so it is freed with the slot and not at the next
-# garbage collection.
+# The kept stiffness solver: a map from at most one mesh to its (solver,
+# runs).  Its factorization is the largest array set of a cell mesh, so at
+# most one is alive; the entry dies with its mesh, which the solver does not
+# reference.  ``runs`` is a dict for the cell correctors' Krylov runs on that
+# solver; nothing in it may reference the solver, so it is freed with the
+# entry and not at the next garbage collection.
 # Caching it per mesh (``per_mesh``) instead raised the peak RSS of a
 # three-angle sweep by 14%: the previous angle's mesh, and with it its
 # factorization, is still alive while the next angle's rest operator factors.
-_kept = None
-
-
-def _forget_kept(ref):
-    global _kept
-    if _kept is not None and _kept[0] is ref:
-        _kept = None
+_kept = weakref.WeakKeyDictionary()
 
 
 def stiffness_solver(mesh):
@@ -383,21 +368,18 @@ def stiffness_solver(mesh):
     and the dict of the Krylov runs it preconditions, kept until a solver
     for another mesh is built, the kept mesh dies or
     ``drop_other_stiffness_solver`` frees them."""
-    global _kept
     drop_other_stiffness_solver(mesh)  # freed before this mesh's is built
-    if _kept is None:
-        solver = ZeroMeanSolver(mesh, stiffness_matrix(mesh))
-        _kept = (weakref.ref(mesh, _forget_kept), solver, {})
-    return _kept[1:]
+    if mesh not in _kept:
+        _kept[mesh] = ZeroMeanSolver(mesh, stiffness_matrix(mesh)), {}
+    return _kept[mesh]
 
 
 def drop_other_stiffness_solver(mesh):
     """Free the kept stiffness solver and its runs unless they are ``mesh``'s
     (called before another factorization on ``mesh`` and the matrices it
     needs are built, to hold one cell factorization at a time)."""
-    global _kept
-    if _kept is not None and _kept[0]() is not mesh:
-        _kept = None
+    if mesh not in _kept:
+        _kept.clear()  # the map holds at most one mesh
 
 
 # -- integration -------------------------------------------------------------

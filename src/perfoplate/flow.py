@@ -51,8 +51,8 @@ def _recover_velocity(mesh, potential):
     num = np.stack([np.bincount(idx, np.repeat(-gd * vols, n), mesh.num_nodes)
                     for gd in g.T], axis=1)
     den = np.bincount(idx, np.repeat(vols, n), mesh.num_nodes)
-    T, Tt = fem.periodic_reduction(mesh), fem.periodic_restriction(mesh)
-    return (T @ (Tt @ num)) / (T @ (Tt @ den))[:, None]
+    T = fem.periodic_reduction(mesh)
+    return (T @ (T.T @ num)) / (T @ (T.T @ den))[:, None]
 
 
 @per_mesh

@@ -17,8 +17,8 @@ from .cell_mesh import generate_unit_cell_mesh
 from .coefficients import cell_pipeline
 from .flow import solve_macro_potential_flow
 from .geometry import CellGeometry, WaveguideGeometry
-from .duct_mesh import IFACE_PAIRING, generate_waveguide_mesh
-from .waveguide import MacroProblem, frequency_sweep
+from .duct_mesh import generate_waveguide_mesh
+from .waveguide import MacroProblem, frequency_sweep, interface_pairs
 
 
 @dataclass
@@ -82,8 +82,9 @@ def setup_waveguide_run(duct_geom: WaveguideGeometry, cell_geom: CellGeometry,
     """Build the macro problem with flow-dependent interface coefficients."""
     mesh = duct_mesh if duct_mesh is not None else \
         generate_waveguide_mesh(duct_geom, duct_resolution)
+    # checked before the mean flow, which cannot join an unsplit duct's halves
+    n_elements = len(interface_pairs(mesh)) - 1
     mf = macro_flow_for_mode(mesh, flow_mode, u_in, properties, residual_tol)
-    n_elements = len(mesh.periodic_pairs[IFACE_PAIRING]) - 1
     element_u3 = np.zeros(n_elements) if mf is None else mf.element_u3()
     table = build_interface_coefficients(
         cell_geom, element_u3, cell_resolution, properties, quantum, residual_tol)

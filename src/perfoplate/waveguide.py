@@ -36,6 +36,16 @@ class MacroAssemblyError(ValueError):
     pass
 
 
+def interface_pairs(mesh):
+    """The (minus, plus) node pairs of the mesh's split interface (the
+    ``iface`` pairing of `duct_mesh.generate_waveguide_mesh`); a
+    MacroAssemblyError if the mesh has none."""
+    if IFACE_PAIRING not in mesh.periodic_pairs:
+        raise MacroAssemblyError(
+            f"mesh has no {IFACE_PAIRING!r} pairing: the interface must be split")
+    return mesh.periodic_pairs[IFACE_PAIRING]
+
+
 @dataclass
 class InterfaceIndex:
     """Interface dof bookkeeping: nodes sorted along the line."""
@@ -87,9 +97,7 @@ class MacroProblem:
         if not (math.isfinite(self.amplitude) and self.amplitude != 0):
             raise MacroAssemblyError(
                 f"amplitude must be finite and nonzero, got {self.amplitude!r}")
-        if IFACE_PAIRING not in self.mesh.periodic_pairs:
-            raise MacroAssemblyError(
-                f"mesh has no {IFACE_PAIRING!r} pairing: the interface must be split")
+        interface_pairs(self.mesh)
         if self.flow is not None and self.flow.mesh is not self.mesh:
             raise MacroAssemblyError(
                 "the mean flow was solved on another mesh than the problem's")

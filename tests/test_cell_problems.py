@@ -10,9 +10,9 @@ from fixtures import (cell_velocity, checked_solve, coef_deviation,
                       u3_at_mach_bound, u3_at_mach_fraction)
 from perfoplate import fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
-from perfoplate.cell_problems import (CORRECTORS, LANCZOS_TOL, MachBoundError,
-                                      advective_vector, assemble_Aw, solve_cell_problems,
-                                      unit_advection)
+from perfoplate.cell_problems import (CORRECTORS, LANCZOS_TOL, LanczosRun, MachBoundError,
+                                      advective_vector, assemble_Aw, reduced_unit_advection,
+                                      solve_cell_problems, unit_advection)
 from perfoplate.coefficients import cell_pipeline
 from perfoplate.fem import SolverError
 from perfoplate.flow import FlowField, face_flux_jump, solve_cell_potential_flow
@@ -387,6 +387,39 @@ def test_speed_coefficients_do_not_depend_on_earlier_speeds(props):
     for u3 in speeds:
         assert deviation(descending[u3], ascending[u3]) <= 1e-10
         assert deviation(alone[u3], ascending[u3]) <= 1e-10
+
+
+def test_run_buffer_grows_past_sixteen_steps(props):
+    # a run's basis buffer starts with 16 rows and doubles when full; no
+    # flow point in use reaches that many steps, so the runs of one point
+    # are extended by hand
+    mesh = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=30.0), 0.2)
+    assemble_Aw(solve_cell_potential_flow(mesh, 1.0, props)).solve()
+    solver, runs = fem.stiffness_solver(mesh)
+    W = reduced_unit_advection(mesh)
+    heads = {name: run.basis[:len(run.alpha) + 1].copy() for name, run in runs.items()}
+    assert all(len(run.basis) == 16 for run in runs.values())
+    for _ in range(16):
+        assert not LanczosRun.extend(list(runs.values()), solver.precondition,
+                                     solver.reduced, W.__matmul__)
+    op = assemble_Aw(solve_cell_potential_flow(
+        mesh, u3_at_mach_fraction(mesh, props, 0.995), props))
+    K, mean = solver.reduced.toarray(), solver._mean
+    # K - s W1 bordered by the mean: its zero-mean solutions
+    bordered = np.block([[K - op._shift * W.toarray(), mean[:, None]],
+                         [mean[None, :], np.zeros((1, 1))]])
+    for name, run in runs.items():
+        steps = len(run.alpha)
+        assert steps > 16 and len(run.basis) == 32
+        V = run.basis[:steps + 1]
+        assert np.array_equal(V[:len(heads[name])], heads[name])
+        assert abs(V @ (solver.reduced @ V.T) - np.eye(steps + 1)).max() <= 1e-10
+        # a scale that keeps the residual estimate above LANCZOS_TOL until
+        # the solution takes rows of the grown buffer
+        y, _ = run.galerkin(op._shift, 1e15, steps)
+        assert len(y) > 16
+        x = np.linalg.solve(bordered, np.append(K @ V[0], 0.0))[:-1]
+        assert np.linalg.norm(y @ V[:len(y)] - x) <= 1e-12 * np.linalg.norm(x)
 
 
 def kept_basis(mesh, props):

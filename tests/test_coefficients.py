@@ -75,6 +75,22 @@ def test_symmetries_with_flow(slant_cell_mesh, props):
     assert np.linalg.det(co.A) > 0  # positive definite tangential tensor
 
 
+def test_default_floors_judge_flow_and_rest_sets(slant_cell_mesh, props):
+    # without speed_scale the velocity-like floors come from |Tw|/kappa and
+    # |W|, as the benchmark's TL workloads judge each interface table
+    flow = compute_coefficients(solve_cell_problems(
+        solve_cell_potential_flow(slant_cell_mesh, 5.0, props)))
+    rest = compute_coefficients(solve_cell_problems(
+        solve_cell_potential_flow(slant_cell_mesh, 0.0, props)))
+    for co in (flow, rest):
+        report = verify_symmetries(co, 1e-8, props)
+        assert report.passed, str(report)
+    bad = replace(flow, Wbarp=flow.Wbarp + [1e-6 * np.abs(flow.Wbarp).max(), 0.0])
+    report = verify_symmetries(bad, 1e-8, props)
+    assert [c.name for c in report.checks if not c.passed] == [
+        "W' equals -W", "Qw equals theta*W'"], str(report)
+
+
 def _all_values(coeffs):
     return np.concatenate([np.ravel(getattr(coeffs, f.name)) for f in fields(coeffs)])
 

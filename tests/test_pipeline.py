@@ -3,8 +3,10 @@ import pytest
 
 from perfoplate.fem import FluidProperties, SolverError
 from perfoplate.geometry import CellGeometry, WaveguideGeometry
+from perfoplate.mesh import Mesh
 from perfoplate.pipeline import (build_interface_coefficients, macro_flow_for_mode,
                                  quantize_speeds, setup_waveguide_run, tl_curve)
+from perfoplate.waveguide import MacroAssemblyError
 
 
 def test_quantize_speeds():
@@ -44,6 +46,17 @@ def test_unknown_flow_mode_rejected(duct_mesh, props):
     with pytest.raises(ValueError):
         setup_waveguide_run(WaveguideGeometry(), CellGeometry(), props,
                             u_in=5.0, flow_mode="bogus", duct_mesh=duct_mesh)
+
+
+@pytest.mark.parametrize("u_in", [0.0, 10.0])
+def test_unsplit_duct_rejected_before_the_mean_flow(duct_mesh, props, u_in):
+    # without its iface pairing the duct's two halves are not joined: the
+    # pairing is checked before the mean flow, which would fail its residual
+    unsplit = Mesh(2, duct_mesh.nodes, duct_mesh.cells, duct_mesh.facet_groups)
+    with pytest.raises(MacroAssemblyError, match="^mesh has no 'iface' pairing: "
+                                                 "the interface must be split$"):
+        setup_waveguide_run(WaveguideGeometry(), CellGeometry(), props, u_in=u_in,
+                            duct_mesh=unsplit, cell_resolution=0.12)
 
 
 def test_potential_flow_run_deterministic(duct_mesh, props):
