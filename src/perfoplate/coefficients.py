@@ -18,7 +18,6 @@ construction.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -221,6 +220,8 @@ def sweep_coefficients(base_geom: CellGeometry, phi_degrees, u3_values,
         geom = replace(base_geom, hole_slope_deg=phi)
         tasks.append((geom, list(u3_values), resolution, properties, residual_tol))
     if jobs > 1 and len(tasks) > 1:
+        # imported here, so that only a parallel sweep loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_sweep_one_angle, tasks))
     else:

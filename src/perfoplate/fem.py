@@ -276,13 +276,17 @@ class ZeroMeanSolver:
         self._mean = self.restriction @ lumped_volume_vector(mesh)
         self._volume = self._mean.sum()
         reduced = (self.restriction @ matrix @ self.reduction).tocsr()
-        self.reduced = reduced
         self._bordered = bordered
         if bordered:
             aug = sp.bmat([[reduced, self._mean.reshape(-1, 1)],
                            [self._mean.reshape(1, -1), None]], format='csc')
+            # one copy of the operator while it factors: the largest
+            # factorization of a run, which sets the rest path's peak RSS
+            del reduced
             self._lu = spla.splu(aug)
+            self.reduced = aug[:-1, :-1]
         else:
+            self.reduced = reduced
             self._lu = spla.splu(reduced[:-1, :-1].tocsc(), **STIFFNESS_LU_OPTIONS)
 
     def reduce(self, rhs_full, solve):

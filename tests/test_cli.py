@@ -1,11 +1,15 @@
+import concurrent.futures
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from perfoplate import coefficients, waveguide
+from perfoplate import waveguide
 from perfoplate.cli import build_parser, main
 from perfoplate.config import (ConfigError, default_config, load_config,
                                parse_config, render_config)
@@ -407,12 +411,12 @@ def test_jobs_flag_sweeps_in_parallel(tmp_path, monkeypatch):
     """--jobs 2 runs the two angles in worker processes and writes the same
     bytes as --jobs 1; the jobs count is not part of the echoed config."""
     pools = []
-    real_pool = coefficients.ProcessPoolExecutor
+    real_pool = concurrent.futures.ProcessPoolExecutor
 
     def counting_pool(max_workers):
         pools.append(max_workers)
         return real_pool(max_workers=max_workers)
-    monkeypatch.setattr(coefficients, "ProcessPoolExecutor", counting_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text("[cell]\nresolution = 0.14\n"
                        "[sweep]\nphi_list = 0,30\nu3_start = 0\nu3_stop = 1\n"
@@ -448,7 +452,7 @@ def pool_workers(monkeypatch):
 
         def map(self, fn, tasks):
             return map(fn, tasks)
-    monkeypatch.setattr(coefficients, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return workers
 
 
@@ -476,6 +480,18 @@ def test_jobs_below_one_rejected(tmp_path, pool_workers, jobs):
     assert record["message"] == f"--jobs must be >= 1, got {jobs}"
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
     assert pool_workers == []
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    """Only a parallel sweep loads multiprocessing: importing the CLI, in a
+    fresh interpreter, loads neither it nor the process pool's module."""
+    code = ("import sys, perfoplate.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    src = str(Path(waveguide.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_every_other_setting_is_a_config_key():

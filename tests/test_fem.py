@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -228,6 +229,29 @@ def test_unknown_group_rejected(straight_cell_mesh):
 
 def laplace_solver(mesh):
     return fem.ZeroMeanSolver(mesh, fem.stiffness_matrix(mesh))
+
+
+def test_bordered_solver_factors_one_copy_of_its_operator(monkeypatch):
+    # while the bordered matrix factors, the reduced operator T^T K T it was
+    # built from is no longer alive; the kept leading block is that operator
+    mesh = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=30.0), 0.2)
+    T, K = fem.periodic_reduction(mesh), fem.stiffness_matrix(mesh)
+    n_red = T.shape[1]
+
+    def reduced_shaped():
+        return [o for o in gc.get_objects()
+                if issubclass(type(o), (sp.spmatrix, sp.sparray)) and o.shape == (n_red, n_red)]
+    before, seen = reduced_shaped(), []
+    real = spla.splu
+
+    def inspecting(A, *args, **kwargs):
+        seen.append((A.shape, [o for o in reduced_shaped()
+                               if not any(o is b for b in before)]))
+        return real(A, *args, **kwargs)
+    monkeypatch.setattr(spla, "splu", inspecting)
+    solver = fem.ZeroMeanSolver(mesh, K, bordered=True)
+    assert [(shape, len(extra)) for shape, extra in seen] == [((n_red + 1, n_red + 1), 0)]
+    np.testing.assert_array_equal(solver.reduced.toarray(), (T.T @ K @ T).toarray())
 
 
 def face_average_load(mesh, group):
