@@ -225,7 +225,8 @@ def render_config(cfg: RunConfig) -> str:
             elif isinstance(val, float):
                 text = format(val, ".17g")
             else:
-                text = str(val)
+                # an indent marks a continuation line, as configparser reads it
+                text = str(val).replace("\n", "\n    ")
             out.write(f"{key} = {text}\n")
         out.write("\n")
     return out.getvalue()

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .mesh import edge_matrices, per_mesh
@@ -220,17 +219,20 @@ def periodic_reduction(mesh):
 
     A class is a connected component of the pair graph (chained pairs join
     edge and corner nodes); its column is numbered by its representative,
-    the smallest node index in the class.
+    the smallest node index in the class, which min-label propagation over
+    the pairs finds: a label is always a node of its class and never rises.
     """
     n = mesh.num_nodes
-    pairs = np.concatenate([np.empty((0, 2), np.int64), *mesh.periodic_pairs.values()])
-    # the pair graph, one unit block per pair (the diagonal it adds joins
-    # no components)
-    graph = _scatter(pairs, np.ones((len(pairs), 2, 2)), n)
-    _, labels = csgraph.connected_components(graph, directed=False)
-    _, first, cls = np.unique(labels, return_index=True, return_inverse=True)
-    _, red = np.unique(first[cls], return_inverse=True)
-    return sp.csr_matrix((np.ones(n), red, np.arange(n + 1)), shape=(n, len(first)))
+    a, b = np.concatenate([np.empty((0, 2), np.int64), *mesh.periodic_pairs.values()]).T
+    label, prev = np.arange(n), None
+    # a periodic class is at most three pairs across, so a few rounds
+    while not np.array_equal(label, prev):
+        prev, label = label, label.copy()
+        np.minimum.at(label, a, label[b])
+        np.minimum.at(label, b, label[a])
+        label = label[label]  # one pointer jump
+    classes, red = np.unique(label, return_inverse=True)
+    return sp.csr_matrix((np.ones(n), red, np.arange(n + 1)), shape=(n, len(classes)))
 
 
 # SuperLU options of every grounded factorization (``ZeroMeanSolver``).  The

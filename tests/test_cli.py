@@ -303,6 +303,20 @@ def test_effective_config_reparses_identically(tmp_path):
     assert echoed.values == load_config(cfgfile).values
 
 
+def test_multiline_value_echo_reparses(tmp_path):
+    """A value that continues on an indented line comes back from the echo."""
+    text = "[cell]\nresolution = 0.2\n[sweep]\nphi_list = 0,\n  30\nu3_count = 1\n"
+    cfg = parse_config(text)
+    assert cfg["sweep.phi_list"] == "0,\n30"
+    assert parse_config(render_config(cfg)).values == cfg.values
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(out)]) == 0
+    echoed = load_config(out / "effective_config.ini")
+    assert echoed.values == cfg.values and echoed.sweep_phis() == [0.0, 30.0]
+
+
 def test_error_record_on_failure(tmp_path):
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text("[cell]\nhole_diameter = 2.0\n")
@@ -487,6 +501,18 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     fresh interpreter, loads neither it nor the process pool's module."""
     code = ("import sys, perfoplate.cli; "
             "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    src = str(Path(waveguide.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_graph_library_unloaded():
+    """The periodic classes need no graph library: importing the CLI, in a
+    fresh interpreter, loads no ``scipy.sparse.csgraph`` module."""
+    code = ("import sys, perfoplate.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse.csgraph')))")
     src = str(Path(waveguide.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             timeout=120, env={**os.environ, "PYTHONPATH": src})

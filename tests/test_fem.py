@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import advection_reference
+import mesh_reference
 from conftest import structured_square_mesh
 from fixtures import (checked_solve, counted_factor_sweeps, empty_cell_coefficients,
                       integrate_cells, uniform_problem, uniform_velocity)
@@ -150,6 +151,61 @@ def test_periodic_reduction_preserves_symmetry_class(straight_cell_mesh):
     S = C - C.T
     Sr = (T.T @ S @ T).toarray()
     np.testing.assert_allclose(Sr, -Sr.T, atol=1e-13)
+
+
+@st.composite
+def paired_meshes(draw):
+    """A small 2D mesh with random pairings: chains and cycles over disjoint
+    node sets, extra (repeated, reversed and self) pairs, nodes in no pair,
+    all shuffled over several pairing names, one of them possibly empty."""
+    n = draw(st.integers(3, 60))
+    order = draw(st.permutations(range(n)))
+    pairs, start = [], 0
+    while start < n:
+        stop = draw(st.integers(start + 1, n))
+        run, start = order[start:stop], stop
+        kind = draw(st.sampled_from(["unpaired", "chain", "cycle"]))
+        if kind != "unpaired":
+            pairs += zip(run, run[1:] + (run[:1] if kind == "cycle" else []))
+    node = st.integers(0, n - 1)
+    pairs += draw(st.lists(st.tuples(node, node), max_size=10))  # self pairs too
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=5))  # repeats
+    pairs = [p[::-1] if draw(st.booleans()) else p for p in draw(st.permutations(pairs))]
+    names = draw(st.lists(st.sampled_from("abcd"), min_size=len(pairs), max_size=len(pairs)))
+    pairings = {"empty": []} if draw(st.booleans()) else {}
+    for name, pair in zip(names, pairs):
+        pairings.setdefault(name, []).append(pair)
+    pairings = {name: np.array(p, dtype=np.int64).reshape(-1, 2) for name, p in pairings.items()}
+    nodes = np.arange(2.0 * n).reshape(n, 2)
+    return Mesh(2, nodes, np.array([[0, 1, 2]]), periodic_pairs=pairings)
+
+
+def assert_same_reduction(mesh):
+    T, T_ref = fem.periodic_reduction(mesh), mesh_reference.periodic_reduction(mesh)
+    assert T.shape == T_ref.shape
+    for part in ("data", "indices", "indptr"):
+        ours, theirs = getattr(T, part), getattr(T_ref, part)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(mesh=paired_meshes())
+def test_periodic_reduction_matches_union_find(mesh):
+    assert_same_reduction(mesh)
+
+
+def test_periodic_reduction_joins_a_long_shuffled_path():
+    # a path through 2000 nodes in random order, its pairs shuffled and
+    # randomly oriented: one class, as union-find finds it
+    rng = np.random.default_rng(0)
+    order = rng.permutation(2000)
+    pairs = np.column_stack([order[:-1], order[1:]])[rng.permutation(1999)]
+    flip = rng.random(1999) < 0.5
+    pairs[flip] = pairs[flip, ::-1]
+    mesh = Mesh(2, np.zeros((2000, 2)), np.array([[0, 1, 2]]), periodic_pairs={"path": pairs})
+    assert_same_reduction(mesh)
+    assert fem.periodic_reduction(mesh).shape == (2000, 1)
 
 
 def relative_deviation(A, reference):
