@@ -19,10 +19,10 @@ speed only extends them.  The four correctors of a point are solved together,
 in rounds: each round asks every pending corrector's run for its solution
 and extends the runs still pending by one step, applying the factorization
 once, to the block of all their columns.  At rest the correctors are solved on a
-factorization of K built for the call and freed with it.  They do not depend on
-the in-plane cell area |Xi|, which enters only the cell averages
-(``coefficients``); all of them are real, zero-mean and periodic in the
-in-plane directions.
+factorization of K built for the call and freed with it, the one cell
+factorization alive while it factors.  They do not depend on the in-plane
+cell area |Xi|, which enters only the cell averages (``coefficients``); all
+of them are real, zero-mean and periodic in the in-plane directions.
 """
 
 from __future__ import annotations
@@ -46,6 +46,16 @@ _TANGENTIAL = (("pi", 1), ("pi", 2))
 # the correctors of a cell point, in the order ``CellOperator.solve`` returns them
 CORRECTORS = _TANGENTIAL + ("xi", "pi_P")
 
+# The per-mesh results a rest operator frees before its bordered
+# factorization: the P1 table, whose last reader at rest is K, and W1 with
+# what is built from it, which only flow points read.  A mesh solves its rest
+# speed last (``coefficients.rest_speed_last``), after its flow points built
+# these; freeing the W1 forms as well lowers the default sweep's peak RSS
+# from 100.4 to 93.1 MB, far more than the 1.4 MB they hold (one BLAS thread).
+_REST_RELEASED = ("perfoplate.fem.p1_geometry", "perfoplate.cell_problems.unit_advection",
+                  "perfoplate.cell_problems.reduced_unit_advection",
+                  "perfoplate.cell_problems.in_plane_advection")
+
 
 class MachBoundError(RuntimeError):
     """Advection too fast for the flow-modified operator to stay coercive."""
@@ -59,7 +69,8 @@ def unit_advection(mesh):
 
     They are the last of the mesh's P1 gradient table (``fem.p1_geometry``)
     to be built from it, after K and the unit flow, so the table is released
-    here; a later read rebuilds it bit for bit.  A rest-only mesh keeps it."""
+    here; a later read rebuilds it bit for bit.  A rest operator releases
+    the table and these forms once K exists (``CellOperator``)."""
     forms = fem.advection_forms(mesh, unit_cell_flow(mesh)[0])
     release(mesh, "perfoplate.fem.p1_geometry")
     return forms
@@ -204,14 +215,15 @@ class CellOperator:
 
     ``solve`` builds the loads of the point's four correctors (``load``),
     reduces each to the periodic classes and solves it: at rest by K,
-    factored in that call and freed when it returns, with flow from its
-    run's offset and its Lanczos run, both kept with the mesh's stiffness
-    solver (``fem.stiffness_solver``) under the corrector's name.  A run is
-    extended until its residual estimate reaches LANCZOS_TOL for the speed
-    at hand, in rounds with the runs of the other correctors.  Either way
-    each relative residual is checked against ``residual_tol``
-    (``fem.check_residual``), and a failure names the corrector and u3, and
-    a Lanczos failure also its run.
+    factored in that call and freed when it returns (the operator first
+    frees every kept stiffness solver, the mesh's P1 table and its W1
+    forms), with flow from its run's offset and its Lanczos run, both kept
+    with the mesh's stiffness solver (``fem.stiffness_solver``) under the
+    corrector's name.  A run is extended until its residual estimate
+    reaches LANCZOS_TOL for the speed at hand, in rounds with the runs of
+    the other correctors.  Either way each relative residual is checked
+    against ``residual_tol`` (``fem.check_residual``), and a failure names
+    the corrector and u3, and a Lanczos failure also its run.
     """
 
     def __init__(self, flow: FlowField, residual_tol: float = 1e-10):
@@ -231,6 +243,12 @@ class CellOperator:
         self._stiffness = fem.stiffness_matrix(mesh)
         self._shift = props.tau * flow.u3 ** 2 / props.c ** 2
         if flow.u3 == 0.0:
+            # the bordered factorization of ``solve`` is then the one cell
+            # factorization alive, beside no array only a flow point reads; a
+            # flow point after this one builds them again bit for bit
+            fem.drop_stiffness_solver()
+            for name in _REST_RELEASED:
+                release(mesh, name)
             return
         self._advection = unit_advection(mesh)[0]
         rho = props.tau * speed ** 2 / props.c ** 2

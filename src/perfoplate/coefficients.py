@@ -191,20 +191,32 @@ def cell_pipeline(geom: CellGeometry, u3, resolution, properties,
     return mesh, flw, sols, coeffs
 
 
+def rest_speed_last(solve, speeds):
+    """[solve(u3) for u3 in speeds], in that order, from calls made for the
+    flow speeds first, in their order, and for the speeds at rest last: on
+    one mesh a rest point frees the kept stiffness solver, the P1 table and
+    the W1 forms (``cell_problems.CellOperator``), which a flow point after
+    it would build again."""
+    results = [None] * len(speeds)
+    for i in sorted(range(len(speeds)), key=lambda i: speeds[i] == 0.0):
+        results[i] = solve(speeds[i])
+    return results
+
+
 def _sweep_one_angle(args):
     geom, u3_values, resolution, properties, residual_tol = args
     mesh = generate_unit_cell_mesh(geom, resolution)
-    rows = []
-    for u3 in u3_values:
+
+    def point(u3):
         try:
             _, flw, _, coeffs = cell_pipeline(geom, u3, resolution, properties,
                                               residual_tol, mesh=mesh)
             report = verify_symmetries(coeffs, SYMMETRY_TOL, properties,
                                        speed_scale=max(flw.max_speed(), abs(u3)))
-            rows.append((geom.hole_slope_deg, u3, coeffs, report.max_defect, None))
+            return geom.hole_slope_deg, u3, coeffs, report.max_defect, None
         except (MachBoundError, SolverError, FlowError) as exc:  # record, keep sweeping
-            rows.append((geom.hole_slope_deg, u3, None, math.nan, str(exc)))
-    return rows
+            return geom.hole_slope_deg, u3, None, math.nan, str(exc)
+    return rest_speed_last(point, u3_values)
 
 
 def sweep_coefficients(base_geom: CellGeometry, phi_degrees, u3_values,
@@ -212,8 +224,9 @@ def sweep_coefficients(base_geom: CellGeometry, phi_degrees, u3_values,
     """Coefficient table over hole slopes and through-flow speeds.
 
     Returns (rows, failures): rows are CSV-ready lists in deterministic
-    (phi, u3) order; per-point failures are recorded and skipped.  The
-    angles run in min(jobs, angles) worker processes when that exceeds 1.
+    (phi, u3) order; per-point failures are recorded and skipped, in grid
+    order.  Each angle's mesh solves its rest speed last (``rest_speed_last``).
+    The angles run in min(jobs, angles) worker processes when that exceeds 1.
     """
     tasks = []
     for phi in phi_degrees:

@@ -8,6 +8,8 @@ exact for the quadratic integrands that occur here, and are summed from
 sparse per-point factors rather than element blocks.  The solver of the
 stiffness matrix is kept for one mesh at a time: it computes the cell flow
 and preconditions the cell correctors, whose Krylov runs are kept with it.
+At most one cell factorization is alive, kept or bordered: a bordered one
+is made only once the kept solver is freed.
 """
 
 from __future__ import annotations
@@ -373,7 +375,7 @@ def stiffness_solver(mesh):
     """(solver, runs): the zero-mean solver of the mesh's stiffness matrix
     and the dict of the Krylov runs it preconditions, kept until a solver
     for another mesh is built, the kept mesh dies or
-    ``drop_other_stiffness_solver`` frees them."""
+    ``drop_other_stiffness_solver`` or ``drop_stiffness_solver`` frees them."""
     drop_other_stiffness_solver(mesh)  # freed before this mesh's is built
     if mesh not in _kept:
         _kept[mesh] = ZeroMeanSolver(mesh, stiffness_matrix(mesh)), {}
@@ -385,7 +387,14 @@ def drop_other_stiffness_solver(mesh):
     (called before another factorization on ``mesh`` and the matrices it
     needs are built, to hold one cell factorization at a time)."""
     if mesh not in _kept:
-        _kept.clear()  # the map holds at most one mesh
+        drop_stiffness_solver()  # the map holds at most one mesh
+
+
+def drop_stiffness_solver():
+    """Free the kept stiffness solver and its runs, whichever mesh they are
+    for (called before a bordered factorization, which is then the one cell
+    factorization alive)."""
+    _kept.clear()
 
 
 # -- integration -------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cell_mesh import generate_unit_cell_mesh
-from .coefficients import cell_pipeline
+from .coefficients import cell_pipeline, rest_speed_last
 from .flow import solve_macro_potential_flow
 from .geometry import CellGeometry, WaveguideGeometry
 from .duct_mesh import generate_waveguide_mesh
@@ -44,13 +44,16 @@ def build_interface_coefficients(cell_geom: CellGeometry, element_u3,
                                  resolution, properties, quantum=0.25,
                                  residual_tol=1e-10) -> InterfaceCoefficientTable:
     """Solve cell problems for each distinct quantized through-speed, all
-    on one cell mesh."""
+    on one cell mesh, the rest speed last (``rest_speed_last``); ``by_speed``
+    is in ascending speed order."""
     element_u3 = np.asarray(element_u3, dtype=float)
     q = quantize_speeds(element_u3, quantum)
     mesh = generate_unit_cell_mesh(cell_geom, resolution)
-    by_speed = {u3: cell_pipeline(cell_geom, u3, resolution, properties, residual_tol,
-                                  mesh=mesh)[3]
-                for u3 in sorted(set(q.tolist()))}
+
+    def solve(u3):
+        return cell_pipeline(cell_geom, u3, resolution, properties, residual_tol, mesh=mesh)[3]
+    speeds = sorted(set(q.tolist()))
+    by_speed = dict(zip(speeds, rest_speed_last(solve, speeds)))
     coeffs = [by_speed[u3] for u3 in q]
     return InterfaceCoefficientTable(element_u3, coeffs, by_speed)
 

@@ -3,9 +3,10 @@ the speeds u3 at which a cell flow reaches a fraction of c/sqrt(tau), or the
 bound itself; the uniform duct
 flow and analytic coefficients the tests build problems from; the cell
 operator as a matrix and integrals over the cells; a zero-mean solve with
-its residual asserted; a count of the sweeps of the advection factors; and
-perfbench's measure of the distance between
-two coefficient rows.  Every cell flow is built by
+its residual asserted; a count of the sweeps of the advection factors and
+of the P1 tables and zero-mean solvers built; the grid order that
+``coefficients.rest_speed_last`` replaces; and perfbench's measure of the
+distance between two coefficient rows.  Every cell flow is built by
 ``flow.solve_cell_potential_flow``, as in the program."""
 
 import importlib.util
@@ -94,6 +95,35 @@ def counted_factor_sweeps(monkeypatch):
         return real(mesh, velocity)
     monkeypatch.setattr(fem, "_advection_factors", counting)
     return sweeps
+
+
+def counted_cell_builds(monkeypatch):
+    """(what, mesh) for each P1 gradient table ("table"), grounded zero-mean
+    solver ("kept": the kept stiffness solver's, on a cell mesh) and bordered
+    one ("bordered") built from now on, in the order they are built."""
+    builds, edges, solver = [], fem.edge_matrices, fem.ZeroMeanSolver
+
+    def table(mesh):
+        builds.append(("table", mesh))
+        return edges(mesh)
+
+    def factored(mesh, matrix, bordered=False):
+        builds.append(("bordered" if bordered else "kept", mesh))
+        return solver(mesh, matrix, bordered)
+    monkeypatch.setattr(fem, "edge_matrices", table)
+    monkeypatch.setattr(fem, "ZeroMeanSolver", factored)
+    return builds
+
+
+def builds_per_mesh(builds):
+    """The kinds of the ``counted_cell_builds`` of each mesh, in build order."""
+    meshes = {id(mesh): mesh for _, mesh in builds}
+    return [[what for what, m in builds if m is mesh] for mesh in meshes.values()]
+
+
+def grid_order(solve, speeds):
+    """``coefficients.rest_speed_last`` with the calls made in grid order."""
+    return [solve(u3) for u3 in speeds]
 
 
 def uniform_problem(mesh, properties, coeffs, **kwargs):

@@ -444,8 +444,10 @@ def test_one_kept_solver_per_process(props):
     assert kept() is None and basis() is None
     kept = weakref.ref(fem.stiffness_solver(b)[0])
     basis = kept_basis(b, props)
-    assemble_Aw(zero_flow(b, props))                  # ... keeps b's own
-    assert kept() is not None and basis() is not None
+    assemble_Aw(zero_flow(b, props))                  # ... and b's own
+    assert kept() is None and basis() is None
+    kept = weakref.ref(fem.stiffness_solver(b)[0])
+    basis = kept_basis(b, props)
     mesh = weakref.ref(b)
     del b
     assert mesh() is None and kept() is None and basis() is None  # they die with their mesh

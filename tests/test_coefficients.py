@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coefficients_reference
-from fixtures import coef_deviation, empty_cell_coefficients
+from fixtures import (builds_per_mesh, coef_deviation, counted_cell_builds,
+                      empty_cell_coefficients, grid_order)
 from perfoplate import coefficients
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.cell_problems import MachBoundError, solve_cell_problems
@@ -244,6 +245,30 @@ def test_sweep_records_failures_and_continues(props):
     rows, failures = sweep_coefficients(geom, [60.0], [0.0, 50.0], 0.12, props)
     assert len(rows) == 1 and rows[0][1] == 0.0
     assert len(failures) == 1 and failures[0][1] == 50.0
+
+
+@pytest.mark.parametrize("phis, speeds, resolution", [
+    ([0.0, 30.0], [0.0, 1.0, 2.5], 0.15),
+    ([0.0, 30.0], [2.5, 1.0, 0.0], 0.15),
+    ([60.0], np.linspace(0.0, 5.5, 12).tolist(), 0.08),  # 5.5 m/s reaches the bound
+], ids=["ascending", "descending", "60-deg-default-grid"])
+def test_sweep_solves_each_rest_speed_last(phis, speeds, resolution, props, monkeypatch,
+                                           tmp_path):
+    # each angle's mesh builds its P1 table once and factors its kept solver
+    # once, before the bordered rest factorization; the CSV and the failures
+    # are those of solving the points in grid order
+    builds = counted_cell_builds(monkeypatch)
+    rows, failures = sweep_coefficients(CellGeometry(), phis, speeds, resolution, props)
+    assert builds_per_mesh(builds) == [["table", "kept", "bordered"]] * len(phis)
+    monkeypatch.setattr(coefficients, "rest_speed_last", grid_order)
+    ref_rows, ref_failures = sweep_coefficients(CellGeometry(), phis, speeds, resolution,
+                                                props)
+    write_csv(tmp_path / "rest_last.csv", CSV_HEADER, rows)
+    write_csv(tmp_path / "grid_order.csv", CSV_HEADER, ref_rows)
+    assert (tmp_path / "rest_last.csv").read_bytes() == (tmp_path / "grid_order.csv").read_bytes()
+    assert failures == ref_failures
+    assert [(phi, u3) for phi, u3, _ in failures] == (
+        [(60.0, 5.5)] if phis == [60.0] else [])
 
 
 def test_sweep_propagates_programming_errors(props, monkeypatch):

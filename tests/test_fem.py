@@ -123,11 +123,13 @@ def test_mesh_geometry_computed_once_and_read_only(straight_cell_mesh):
 
 def test_flow_mesh_releases_its_gradient_table(props):
     # K, the unit flow and W1, a1 read the table; a rest point builds only K
-    # and leaves the table kept, the first flow point builds the rest and
-    # releases it, and a later read rebuilds it bit for bit
+    # and releases the table once K exists, the first flow point builds the
+    # table again with the rest and releases it, and a later read rebuilds it
+    # bit for bit
     geom = CellGeometry(hole_slope_deg=30.0)
     mesh = generate_unit_cell_mesh(geom, 0.2)
     cell_pipeline(geom, 0.0, 0.2, props, mesh=mesh)
+    assert not any(key[0] == "perfoplate.fem.p1_geometry" for key in mesh._cache)
     grads, vols = fem.p1_geometry(mesh)
     assert fem.p1_geometry(mesh)[0] is grads
     first, kept = grads.tobytes(), weakref.ref(grads)
@@ -308,6 +310,33 @@ def test_bordered_solver_factors_one_copy_of_its_operator(monkeypatch):
     solver = fem.ZeroMeanSolver(mesh, K, bordered=True)
     assert [(shape, len(extra)) for shape, extra in seen] == [((n_red + 1, n_red + 1), 0)]
     np.testing.assert_array_equal(solver.reduced.toarray(), (T.T @ K @ T).toarray())
+
+
+@pytest.mark.parametrize("speeds", [(0.0,), (2.5, 0.0)], ids=["rest", "flow-then-rest"])
+def test_rest_point_factors_alone(speeds, props, monkeypatch):
+    # while a rest point's bordered matrix factors, its mesh holds no P1
+    # table and none of the W1 forms of a flow point before it, and no kept
+    # stiffness solver is alive, neither another mesh's nor the one a flow
+    # point before it kept for this mesh
+    geom = CellGeometry(hole_slope_deg=30.0)
+    mesh = generate_unit_cell_mesh(geom, 0.2)
+    for u3 in speeds[:-1]:
+        cell_pipeline(geom, u3, 0.2, props, mesh=mesh)
+    kept = [weakref.ref(solver) for solver, _ in fem._kept.values()]
+    n_red = fem.periodic_reduction(mesh).shape[1]
+    freed = {"perfoplate.fem.p1_geometry", "perfoplate.cell_problems.unit_advection",
+             "perfoplate.cell_problems.reduced_unit_advection",
+             "perfoplate.cell_problems.in_plane_advection"}
+    seen, real = [], spla.splu
+
+    def inspecting(A, *args, **kwargs):
+        if A.shape == (n_red + 1, n_red + 1):
+            seen.append(([key for key in mesh._cache if key[0] in freed],
+                         len(fem._kept), [ref() is None for ref in kept]))
+        return real(A, *args, **kwargs)
+    monkeypatch.setattr(spla, "splu", inspecting)
+    cell_pipeline(geom, speeds[-1], 0.2, props, mesh=mesh)
+    assert seen == [([], 0, [True] * len(kept))]
 
 
 def face_average_load(mesh, group):

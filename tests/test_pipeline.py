@@ -1,6 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from fixtures import builds_per_mesh, counted_cell_builds, grid_order
+from perfoplate import pipeline
+from perfoplate.cell_problems import MachBoundError
 from perfoplate.fem import FluidProperties, SolverError
 from perfoplate.geometry import CellGeometry, WaveguideGeometry
 from perfoplate.mesh import Mesh
@@ -30,6 +35,45 @@ def test_dedup_bounds_cell_solves(props):
     assert len(table.coefficients) == len(u3)
     for q, co in zip(quantize_speeds(u3, 0.25), table.coefficients):
         assert co is table.by_speed[q]
+
+
+def coefficient_bytes(coeffs):
+    return b"".join(np.asarray(getattr(coeffs, f.name), dtype=float).tobytes()
+                    for f in fields(coeffs))
+
+
+@pytest.mark.parametrize("element_u3", [[0.0, 0.5, 0.5, 1.0, 1.5], [1.5, 1.0, 0.5, 0.0, 0.0]],
+                         ids=["ascending", "descending"])
+def test_interface_coefficients_solve_the_rest_speed_last(element_u3, props, monkeypatch):
+    # the mesh builds its P1 table once and factors its kept solver once,
+    # before the bordered rest factorization; by_speed is in ascending speed
+    # order, with the values of solving the speeds in that order
+    geom = CellGeometry(hole_slope_deg=30.0)
+    builds = counted_cell_builds(monkeypatch)
+    table = build_interface_coefficients(geom, element_u3, 0.15, props)
+    assert builds_per_mesh(builds) == [["table", "kept", "bordered"]]
+    monkeypatch.setattr(pipeline, "rest_speed_last", grid_order)
+    ref = build_interface_coefficients(geom, element_u3, 0.15, props)
+    assert list(table.by_speed) == list(ref.by_speed) == [0.0, 0.5, 1.0, 1.5]
+    assert ([coefficient_bytes(co) for co in table.by_speed.values()]
+            == [coefficient_bytes(co) for co in ref.by_speed.values()])
+    assert table.coefficients == [table.by_speed[u3] for u3 in element_u3]
+
+
+def test_interface_coefficients_raise_the_mach_bound_of_the_grid(props, monkeypatch):
+    # on the 60 degree cell at resolution 0.08, 5.5 m/s reaches the bound:
+    # it stops the flow speeds before the rest speed, with the error that
+    # solving the speeds in ascending order raises
+    geom = CellGeometry(hole_slope_deg=60.0)
+    speeds = np.linspace(0.0, 5.5, 12)
+    builds = counted_cell_builds(monkeypatch)
+    with pytest.raises(MachBoundError) as rest_last:
+        build_interface_coefficients(geom, speeds, 0.08, props, quantum=0.0)
+    assert builds_per_mesh(builds) == [["table", "kept"]]
+    monkeypatch.setattr(pipeline, "rest_speed_last", grid_order)
+    with pytest.raises(MachBoundError) as ascending:
+        build_interface_coefficients(geom, speeds, 0.08, props, quantum=0.0)
+    assert str(rest_last.value) == str(ascending.value)
 
 
 def test_zero_flow_run_uses_single_cell_solve(duct_mesh, props):
