@@ -28,6 +28,7 @@ of them are real, zero-mean and periodic in the in-plane directions.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,42 +48,41 @@ _TANGENTIAL = (("pi", 1), ("pi", 2))
 CORRECTORS = _TANGENTIAL + ("xi", "pi_P")
 
 # The per-mesh results a rest operator frees before its bordered
-# factorization: the P1 table, whose last reader at rest is K, and W1 with
-# what is built from it, which only flow points read.  A mesh solves its rest
-# speed last (``coefficients.rest_speed_last``), after its flow points built
-# these; freeing the W1 forms as well lowers the default sweep's peak RSS
-# from 100.4 to 93.1 MB, far more than the 1.4 MB they hold (one BLAS thread).
-_REST_RELEASED = ("perfoplate.fem.p1_geometry", "perfoplate.cell_problems.unit_advection",
-                  "perfoplate.cell_problems.reduced_unit_advection",
-                  "perfoplate.cell_problems.in_plane_advection")
+# factorization: the P1 table, whose last reader at rest is K, and the W1
+# record (``unit_advection``), which only flow points read.  A mesh solves its
+# rest speed last (``coefficients.rest_speed_last``), after its flow points
+# built these; freeing the W1 record as well lowers the default sweep's peak
+# RSS from 100.4 to 93.1 MB, far more than the 1.4 MB it holds (one BLAS thread).
+_REST_RELEASED = ("perfoplate.fem.p1_geometry", "perfoplate.cell_problems.unit_advection")
 
 
 class MachBoundError(RuntimeError):
     """Advection too fast for the flow-modified operator to stay coercive."""
 
 
+# the advection forms of a mesh's u3 = 1 cell flow (``unit_advection``)
+UnitAdvection = namedtuple("UnitAdvection", "matrix vector reduced in_plane")
+
+
 @per_mesh
 def unit_advection(mesh):
-    """(W1, a1): the advection matrix and advective vector of the mesh's
-    u3 = 1 cell flow (``fem.advection_forms``), read-only; the flow u3 * w1
-    has W = u3^2 * W1 and a = u3 * a1.
+    """The advection forms of the mesh's u3 = 1 cell flow, all from one W1,
+    read-only, as a ``UnitAdvection``.  matrix, vector: W1 and a1
+    (``fem.advection_forms``); the flow u3 * w1 has W = u3^2 * W1 and
+    a = u3 * a1.  reduced: T^T W1 T on the periodic classes, from which the
+    Lanczos runs and the residual checks of the flow correctors take their
+    advection products.  in_plane: W1 y for the in-plane coordinates
+    (``in_plane_stiffness``), the speed-dependent part of the tangential loads.
 
-    They are the last of the mesh's P1 gradient table (``fem.p1_geometry``)
-    to be built from it, after K and the unit flow, so the table is released
-    here; a later read rebuilds it bit for bit.  A rest operator releases
-    the table and these forms once K exists (``CellOperator``)."""
-    forms = fem.advection_forms(mesh, unit_cell_flow(mesh)[0])
+    W1 and a1 are the last of the mesh's P1 gradient table
+    (``fem.p1_geometry``) to be built from it, after K and the unit flow, so
+    the table is released before the other two forms are built; a later read
+    rebuilds it bit for bit.  A rest operator releases the table and this
+    record once K exists (``CellOperator``)."""
+    W1, a1 = fem.advection_forms(mesh, unit_cell_flow(mesh)[0])
     release(mesh, "perfoplate.fem.p1_geometry")
-    return forms
-
-
-@per_mesh
-def reduced_unit_advection(mesh):
-    """T^T W1 T: the mesh's W1 (``unit_advection``) on the periodic classes,
-    read-only; the Lanczos runs and the residual checks of the flow
-    correctors take their advection products from it."""
     T = fem.periodic_reduction(mesh)
-    return (T.T @ unit_advection(mesh)[0] @ T).tocsr()
+    return UnitAdvection(W1, a1, (T.T @ W1 @ T).tocsr(), W1 @ mesh.nodes[:, :2])
 
 
 @per_mesh
@@ -90,13 +90,6 @@ def in_plane_stiffness(mesh):
     """K y for the in-plane coordinates y = (y_1, y_2) of the mesh, one
     column each, read-only: the rest part of the tangential loads."""
     return fem.stiffness_matrix(mesh) @ mesh.nodes[:, :2]
-
-
-@per_mesh
-def in_plane_advection(mesh):
-    """W1 y for the in-plane coordinates (``in_plane_stiffness``) of a flow
-    mesh, read-only: the speed-dependent part of the tangential loads."""
-    return unit_advection(mesh)[0] @ mesh.nodes[:, :2]
 
 
 class LanczosRun:
@@ -217,7 +210,7 @@ class CellOperator:
     reduces each to the periodic classes and solves it: at rest by K,
     factored in that call and freed when it returns (the operator first
     frees every kept stiffness solver, the mesh's P1 table and its W1
-    forms), with flow from its run's offset and its Lanczos run, both kept
+    record), with flow from its run's offset and its Lanczos run, both kept
     with the mesh's stiffness solver (``fem.stiffness_solver``) under the
     corrector's name.  A run is extended until its residual estimate
     reaches LANCZOS_TOL for the speed at hand, in rounds with the runs of
@@ -250,7 +243,7 @@ class CellOperator:
             for name in _REST_RELEASED:
                 release(mesh, name)
             return
-        self._advection = unit_advection(mesh)[0]
+        self._advection = unit_advection(mesh).matrix
         rho = props.tau * speed ** 2 / props.c ** 2
         # twice the CG bound for the energy-norm error at condition number
         # 1/(1 - rho), plus room for the Euclidean residual
@@ -291,7 +284,7 @@ class CellOperator:
             if missing:
                 self._start_runs(missing, solver, runs)
             run_of = {c: runs[CORRECTORS[c]] for c in solved}
-            advection = reduced_unit_advection(self.mesh)
+            advection = unit_advection(self.mesh).reduced
             # the run's step m + 2 (its first is the start) gives alpha_m, beta_m
             cap, pending, broken, estimates = self._max_iter - 1, list(run_of), [], {}
             while pending:
@@ -334,14 +327,15 @@ class CellOperator:
         (I - s M)^-1 (g + s K^+ T^T W1 y) = g + s (I - s M)^-1 K^+ T^T W1 (y + T g)."""
         mesh, T, Tt = self.mesh, solver.reduction, solver.restriction
         offsets = {}
-        starts = {"xi": -(Tt @ face_flux_jump(mesh)), "pi_P": Tt @ unit_advection(mesh)[1]}
+        forms = unit_advection(mesh)
+        starts = {"xi": -(Tt @ face_flux_jump(mesh)), "pi_P": Tt @ forms.vector}
         tangential = [name for name in names if name in _TANGENTIAL]
         if tangential:
             columns = [beta - 1 for _, beta in tangential]
             y = mesh.nodes[:, columns]
             r = -(Tt @ in_plane_stiffness(mesh)[:, columns])
             g = solver.precondition(r - r.mean(axis=0))
-            flow = Tt @ (unit_advection(mesh)[0] @ (y + T @ g))
+            flow = Tt @ (forms.matrix @ (y + T @ g))
             for j, name in enumerate(tangential):
                 offsets[name], starts[name] = g[:, j], flow[:, j]
         started = LanczosRun.start(np.stack([starts[name] for name in names], axis=1),
@@ -375,7 +369,7 @@ class CellOperator:
         stiffness = in_plane_stiffness(self.mesh)[:, name[1] - 1]
         if self.flow.u3 == 0.0:
             return -stiffness
-        return -(stiffness - self._shift * in_plane_advection(self.mesh)[:, name[1] - 1])
+        return -(stiffness - self._shift * unit_advection(self.mesh).in_plane[:, name[1] - 1])
 
     def _coefficient(self, name):
         """The coefficient of the corrector ``name``'s run (``_start_runs``)."""
@@ -403,7 +397,7 @@ def advective_vector(flow):
     is not built), else u3 times the mesh's kept a1 (``unit_advection``)."""
     if flow.u3 == 0.0:
         return np.zeros(flow.mesh.num_nodes)
-    return flow.u3 * unit_advection(flow.mesh)[1]
+    return flow.u3 * unit_advection(flow.mesh).vector
 
 
 @dataclass

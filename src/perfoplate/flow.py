@@ -40,7 +40,7 @@ class FlowField:
         """|u3| times the unit flow's largest nodal speed; 0.0 at rest."""
         if self.u3 == 0.0:
             return 0.0
-        return abs(self.u3) * unit_max_speed(self.mesh)
+        return abs(self.u3) * unit_cell_flow(self.mesh)[2]
 
 
 def _recover_velocity(mesh, potential):
@@ -64,7 +64,7 @@ def face_flux_jump(mesh):
 
 @per_mesh
 def unit_cell_flow(mesh):
-    """The u3 = 1 cell flow of a mesh: (velocity, relative residual).
+    """The u3 = 1 cell flow of a mesh: (velocity, relative residual, largest nodal speed).
 
     The potential solves a pure-Neumann Laplace problem with w.n = +1 on
     I+ and -1 on I- (net upward through-flow) and impermeable plate walls;
@@ -76,13 +76,8 @@ def unit_cell_flow(mesh):
     solver, _ = fem.stiffness_solver(mesh)
     # each caller checks the residual against its own tolerance
     pot, residual = solver.solve(-face_flux_jump(mesh), "cell potential flow")
-    return _recover_velocity(mesh, pot), residual
-
-
-@per_mesh
-def unit_max_speed(mesh):
-    """Largest nodal speed of the mesh's ``unit_cell_flow``."""
-    return float(np.linalg.norm(unit_cell_flow(mesh)[0], axis=1).max())
+    velocity = _recover_velocity(mesh, pot)
+    return velocity, residual, float(np.linalg.norm(velocity, axis=1).max())
 
 
 def solve_cell_potential_flow(mesh, u3, properties, residual_tol=1e-10):

@@ -59,12 +59,12 @@ def build_interface_coefficients(cell_geom: CellGeometry, element_u3,
 
 
 def macro_flow_for_mode(mesh, mode, u_in, properties, residual_tol=1e-10):
-    """Mean-flow field per the configured mode: none or potential."""
+    """Mean-flow field per the configured mode: none or potential, any other a ValueError."""
+    if mode not in ("none", "potential"):
+        raise ValueError(f"unknown flow mode {mode!r}")
     if mode == "none" or u_in == 0.0:
         return None
-    if mode == "potential":
-        return solve_macro_potential_flow(mesh, u_in, properties, residual_tol)
-    raise ValueError(f"unknown flow mode {mode!r}")
+    return solve_macro_potential_flow(mesh, u_in, properties, residual_tol)
 
 
 @dataclass

@@ -98,6 +98,9 @@ class MacroProblem:
             raise MacroAssemblyError(
                 f"amplitude must be finite and nonzero, got {self.amplitude!r}")
         interface_pairs(self.mesh)
+        if len(self.interface_coeffs) != self.index.n_elements:
+            raise MacroAssemblyError(f"need coefficients for {self.index.n_elements} "
+                                     f"interface elements, got {len(self.interface_coeffs)}")
         if self.flow is not None and self.flow.mesh is not self.mesh:
             raise MacroAssemblyError(
                 "the mean flow was solved on another mesh than the problem's")
@@ -133,9 +136,6 @@ class OperatorParts:
     def __init__(self, problem: MacroProblem):
         mesh, props, idx = problem.mesh, problem.properties, problem.index
         coeffs = problem.interface_coeffs
-        if len(coeffs) != idx.n_elements:
-            raise MacroAssemblyError(f"need coefficients for {idx.n_elements} "
-                                     f"interface elements, got {len(coeffs)}")
         terms = [props.c ** 2 * fem.stiffness_matrix(mesh), fem.mass_matrix(mesh)]
         vel = problem.flow.velocity if problem.flow is not None else None
         if problem.outer_advection and vel is not None and np.any(vel):

@@ -11,8 +11,8 @@ from fixtures import (cell_velocity, checked_solve, coef_deviation,
 from perfoplate import fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.cell_problems import (CORRECTORS, LANCZOS_TOL, LanczosRun, MachBoundError,
-                                      advective_vector, assemble_Aw, reduced_unit_advection,
-                                      solve_cell_problems, unit_advection)
+                                      advective_vector, assemble_Aw, solve_cell_problems,
+                                      unit_advection)
 from perfoplate.coefficients import cell_pipeline
 from perfoplate.fem import SolverError
 from perfoplate.flow import FlowField, face_flux_jump, solve_cell_potential_flow
@@ -396,7 +396,7 @@ def test_run_buffer_grows_past_sixteen_steps(props):
     mesh = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=30.0), 0.2)
     assemble_Aw(solve_cell_potential_flow(mesh, 1.0, props)).solve()
     solver, runs = fem.stiffness_solver(mesh)
-    W = reduced_unit_advection(mesh)
+    W = unit_advection(mesh).reduced
     heads = {name: run.basis[:len(run.alpha) + 1].copy() for name, run in runs.items()}
     assert all(len(run.basis) == 16 for run in runs.values())
     for _ in range(16):
@@ -527,16 +527,19 @@ def test_unknown_corrector_load_fails_before_any_solve(slant_cell_mesh, props, m
 
 
 def test_unit_advection_from_one_sweep_per_mesh(props, monkeypatch):
-    # the operator, the pi_P load and the flow coefficients of every speed
-    # read the mesh's u3 = 1 W1 and a1, both from one sweep of the factors
+    # the operator, the loads, the Lanczos runs and the flow coefficients of
+    # every speed read the mesh's u3 = 1 W1 record, all from one sweep of
+    # the factors
     sweeps = counted_factor_sweeps(monkeypatch)
     geom = CellGeometry(hole_slope_deg=30.0)
     mesh = generate_unit_cell_mesh(geom, 0.15)
     for u3 in (0.0, 1.0, -2.5, 4.0, 2.0, 5.0):
         cell_pipeline(geom, u3, 0.15, props, mesh=mesh)
     assert sweeps == [mesh]
-    W1, a1 = unit_advection(mesh)
-    for arr in (W1.data, W1.indices, W1.indptr, a1):
+    forms = unit_advection(mesh)
+    for arr in (forms.matrix.data, forms.matrix.indices, forms.matrix.indptr, forms.vector,
+                forms.reduced.data, forms.reduced.indices, forms.reduced.indptr,
+                forms.in_plane):
         assert not arr.flags.writeable
 
 

@@ -315,7 +315,7 @@ def test_bordered_solver_factors_one_copy_of_its_operator(monkeypatch):
 @pytest.mark.parametrize("speeds", [(0.0,), (2.5, 0.0)], ids=["rest", "flow-then-rest"])
 def test_rest_point_factors_alone(speeds, props, monkeypatch):
     # while a rest point's bordered matrix factors, its mesh holds no P1
-    # table and none of the W1 forms of a flow point before it, and no kept
+    # table and not the W1 record of a flow point before it, and no kept
     # stiffness solver is alive, neither another mesh's nor the one a flow
     # point before it kept for this mesh
     geom = CellGeometry(hole_slope_deg=30.0)
@@ -324,9 +324,7 @@ def test_rest_point_factors_alone(speeds, props, monkeypatch):
         cell_pipeline(geom, u3, 0.2, props, mesh=mesh)
     kept = [weakref.ref(solver) for solver, _ in fem._kept.values()]
     n_red = fem.periodic_reduction(mesh).shape[1]
-    freed = {"perfoplate.fem.p1_geometry", "perfoplate.cell_problems.unit_advection",
-             "perfoplate.cell_problems.reduced_unit_advection",
-             "perfoplate.cell_problems.in_plane_advection"}
+    freed = {"perfoplate.fem.p1_geometry", "perfoplate.cell_problems.unit_advection"}
     seen, real = [], spla.splu
 
     def inspecting(A, *args, **kwargs):

@@ -137,11 +137,14 @@ def test_second_speed_reuses_unit_flow(fresh_cell_mesh, props, splu_calls):
     assert len(splu_calls) == 1
     second = solve_cell_potential_flow(m, -2.5, props)
     assert len(splu_calls) == 1
-    vel, _ = unit_cell_flow(m)
+    vel, _, speed = unit_cell_flow(m)
     np.testing.assert_array_equal(cell_velocity(first), 1.5 * vel)
     np.testing.assert_array_equal(cell_velocity(second), -2.5 * vel)
     # the kept velocity is recovered from the kept solver's potential
     np.testing.assert_array_equal(vel, _recover_velocity(m, unit_potential(m)))
+    # and kept with its largest nodal speed, which each speed's flow scales
+    assert speed == np.linalg.norm(vel, axis=1).max()
+    assert second.max_speed() == 2.5 * speed
     assert len(splu_calls) == 1
     K = fem.stiffness_matrix(m)
     for a in (vel, K.data, K.indices, K.indptr):

@@ -86,10 +86,12 @@ def test_zero_flow_run_uses_single_cell_solve(duct_mesh, props):
     assert not failures and len(rows) == 1
 
 
-def test_unknown_flow_mode_rejected(duct_mesh, props):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("u_in", [0.0, 5.0])
+def test_unknown_flow_mode_rejected(duct_mesh, props, u_in):
+    # at rest too: the mode is checked before u_in = 0 skips the mean flow
+    with pytest.raises(ValueError, match="^unknown flow mode 'bogus'$"):
         setup_waveguide_run(WaveguideGeometry(), CellGeometry(), props,
-                            u_in=5.0, flow_mode="bogus", duct_mesh=duct_mesh)
+                            u_in=u_in, flow_mode="bogus", duct_mesh=duct_mesh)
 
 
 @pytest.mark.parametrize("u_in", [0.0, 10.0])

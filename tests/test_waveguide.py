@@ -14,6 +14,7 @@ from static_reference import (glued_single_duct, solve_single_duct,
                               solve_static_reference, static_transmission_loss)
 from perfoplate import fem, waveguide
 from perfoplate.coefficients import cell_pipeline
+from perfoplate.config import default_config
 from perfoplate.duct_mesh import GROUP_IN, GROUP_OUT
 from perfoplate.fem import FluidProperties, SolverError
 from perfoplate.flow import solve_macro_potential_flow
@@ -205,6 +206,39 @@ def test_energy_conservation_at_rest(duct_mesh, props, slant_coeffs):
         assert abs(driven - e_in - e_out) <= 1e-9 * max(abs(driven), e_in, e_out), freq
 
 
+@pytest.mark.parametrize("corrected", [False, True], ids=["plain", "impedance-corrected"])
+def test_power_balance_of_the_pressure_rows_with_flow(duct_mesh, props, slant_flow_coeffs,
+                                                      corrected):
+    """The flow half of the power balance.  The pressure rows read
+    A_PP P + A_PG G = b_P with A_PP = c^2 K - w^2 M - tau W + i w theta (C - C^T)
+    + i w c (z_in B_in + z_out B_out).  The symmetric -tau W and the skew
+    theta (C - C^T) add no imaginary part to P^H A_PP P, so
+    w c (z_in E_in + z_out E_out) + Im(P^H A_PG G) = Im(P^H b_P),
+    with E a port's boundary energy and z its impedance factor.  A and b are
+    those of a problem that is never factored, in natural column order.
+    """
+    flow = solve_macro_potential_flow(duct_mesh, 25.0, props)
+
+    def problem():
+        return uniform_problem(duct_mesh, props, slant_flow_coeffs, eps0=0.025, flow=flow,
+                               impedance_flow_correction=corrected)
+    solved, natural = problem(), problem()
+    nP = duct_mesh.num_nodes
+    for freq in default_config().frequencies_hz():
+        omega = 2 * math.pi * freq
+        sol = solve_frequency(solved, omega)
+        A, b, _ = assemble_coupled_system(natural, omega)
+        ports = [omega * props.c * z * boundary_energy(duct_mesh, sol.P, group)
+                 for z, group in zip(natural.parts.zfacs, (GROUP_IN, GROUP_OUT))]
+        interface = np.vdot(sol.P, A[:nP, nP:] @ np.concatenate([sol.Gp, sol.Gm])).imag
+        driven = np.vdot(sol.P, b[:nP]).imag
+        terms = [*ports, interface, driven]
+        assert abs(sum(ports) + interface - driven) <= 1e-9 * max(map(abs, terms)), freq
+    # the flow terms are assembled, and the correction moves both ports
+    assert len(natural.parts.plan.terms) == 4 and natural.parts.plan.perm is None
+    assert all((z != 1.0) == corrected for z in natural.parts.zfacs)
+
+
 def _block_max(a):
     """Largest absolute entry of each 2x2 block of an (n, 2, 2) stack."""
     return np.abs(a).max(axis=(1, 2))
@@ -347,10 +381,14 @@ def test_flow_on_another_duct_rejected(duct_mesh, props):
 
 
 def test_missing_elementwise_coefficients_rejected(duct_mesh, props):
-    prob = MacroProblem(duct_mesh, props, [empty_cell_coefficients()] * 3,
-                        eps0=0.025)
-    with pytest.raises(MacroAssemblyError):
-        assemble_coupled_system(prob, OMEGA)
+    # a wrong count is one error when the problem is built, not one failure
+    # row per frequency of a sweep
+    prob = uniform_problem(duct_mesh, props, empty_cell_coefficients(), eps0=0.025)
+    n = prob.index.n_elements
+    for coeffs in (prob.interface_coeffs[:3], prob.interface_coeffs[:-1]):
+        with pytest.raises(MacroAssemblyError, match=f"^need coefficients for {n} "
+                           f"interface elements, got {len(coeffs)}$"):
+            replace(prob, interface_coeffs=coeffs)
 
 
 def _assert_same_solution(got, want):
