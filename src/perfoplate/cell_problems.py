@@ -5,7 +5,8 @@ derivative; all three corrector problems share it.  At rest it is the
 stiffness matrix, factored once per operator.  With flow it is never
 factored.  The cell flow is u3 times the mesh's u3 = 1 flow, so on the
 periodic classes the operator reads K - s W1, with K the stiffness matrix,
-W1 the advection matrix of the unit flow and s = tau u3^2 / c^2, and a
+W1 the advection matrix of the unit flow (kept in its record,
+``flow.unit_cell_flow``) and s = tau u3^2 / c^2, and a
 corrector solves (I - s M) x = K^+ r with M = K^+ W1, which is
 self-adjoint in the K inner product.  A Lanczos run of M in that inner
 product, from the start K^+ r, serves every s through one tridiagonal solve
@@ -28,7 +29,6 @@ of them are real, zero-mean and periodic in the in-plane directions.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,41 +48,17 @@ _TANGENTIAL = (("pi", 1), ("pi", 2))
 CORRECTORS = _TANGENTIAL + ("xi", "pi_P")
 
 # The per-mesh results a rest operator frees before its bordered
-# factorization: the P1 table, whose last reader at rest is K, and the W1
-# record (``unit_advection``), which only flow points read.  A mesh solves its
-# rest speed last (``coefficients.rest_speed_last``), after its flow points
-# built these; freeing the W1 record as well lowers the default sweep's peak
-# RSS from 100.4 to 93.1 MB, far more than the 1.4 MB it holds (one BLAS thread).
-_REST_RELEASED = ("perfoplate.fem.p1_geometry", "perfoplate.cell_problems.unit_advection")
+# factorization: the P1 table, whose last reader at rest is K, and the unit
+# flow with its W1 forms (``flow.unit_cell_flow``), which only flow points
+# read.  A mesh solves its rest speed last (``coefficients.rest_speed_last``),
+# after its flow points built these; freeing the W1 forms as well lowered the
+# default sweep's peak RSS from 100.4 to 93.1 MB, far more than the 1.4 MB
+# they hold (one BLAS thread).
+_REST_RELEASED = ("perfoplate.fem.p1_geometry", "perfoplate.flow.unit_cell_flow")
 
 
 class MachBoundError(RuntimeError):
     """Advection too fast for the flow-modified operator to stay coercive."""
-
-
-# the advection forms of a mesh's u3 = 1 cell flow (``unit_advection``)
-UnitAdvection = namedtuple("UnitAdvection", "matrix vector reduced in_plane")
-
-
-@per_mesh
-def unit_advection(mesh):
-    """The advection forms of the mesh's u3 = 1 cell flow, all from one W1,
-    read-only, as a ``UnitAdvection``.  matrix, vector: W1 and a1
-    (``fem.advection_forms``); the flow u3 * w1 has W = u3^2 * W1 and
-    a = u3 * a1.  reduced: T^T W1 T on the periodic classes, from which the
-    Lanczos runs and the residual checks of the flow correctors take their
-    advection products.  in_plane: W1 y for the in-plane coordinates
-    (``in_plane_stiffness``), the speed-dependent part of the tangential loads.
-
-    W1 and a1 are the last of the mesh's P1 gradient table
-    (``fem.p1_geometry``) to be built from it, after K and the unit flow, so
-    the table is released before the other two forms are built; a later read
-    rebuilds it bit for bit.  A rest operator releases the table and this
-    record once K exists (``CellOperator``)."""
-    W1, a1 = fem.advection_forms(mesh, unit_cell_flow(mesh)[0])
-    release(mesh, "perfoplate.fem.p1_geometry")
-    T = fem.periodic_reduction(mesh)
-    return UnitAdvection(W1, a1, (T.T @ W1 @ T).tocsr(), W1 @ mesh.nodes[:, :2])
 
 
 @per_mesh
@@ -209,7 +185,7 @@ class CellOperator:
     ``solve`` builds the loads of the point's four correctors (``load``),
     reduces each to the periodic classes and solves it: at rest by K,
     factored in that call and freed when it returns (the operator first
-    frees every kept stiffness solver, the mesh's P1 table and its W1
+    frees the kept stiffness solver, the mesh's P1 table and its unit flow
     record), with flow from its run's offset and its Lanczos run, both kept
     with the mesh's stiffness solver (``fem.stiffness_solver``) under the
     corrector's name.  A run is extended until its residual estimate
@@ -229,21 +205,22 @@ class CellOperator:
         self.mesh = mesh = flow.mesh
         self.flow = flow
         self.residual_tol = residual_tol
-        # freed before this mesh's first matrix is built, as that is where
-        # another mesh's kept solver and runs would set the peak
-        fem.drop_other_stiffness_solver(mesh)
+        if flow.u3 == 0.0:
+            # freed before K is built, so that the bordered factorization of
+            # ``solve`` is the one cell factorization alive (at a flow point
+            # ``fem.stiffness_solver`` frees another mesh's before it factors)
+            fem.drop_stiffness_solver()
         # the operator is K - s W1, applied as such and never built
         self._stiffness = fem.stiffness_matrix(mesh)
         self._shift = props.tau * flow.u3 ** 2 / props.c ** 2
         if flow.u3 == 0.0:
-            # the bordered factorization of ``solve`` is then the one cell
-            # factorization alive, beside no array only a flow point reads; a
-            # flow point after this one builds them again bit for bit
-            fem.drop_stiffness_solver()
+            # the bordered factorization then sits beside no array only a
+            # flow point reads; a flow point after this one builds them
+            # again bit for bit
             for name in _REST_RELEASED:
                 release(mesh, name)
             return
-        self._advection = unit_advection(mesh).matrix
+        self._advection = unit_cell_flow(mesh).matrix
         rho = props.tau * speed ** 2 / props.c ** 2
         # twice the CG bound for the energy-norm error at condition number
         # 1/(1 - rho), plus room for the Euclidean residual
@@ -284,7 +261,7 @@ class CellOperator:
             if missing:
                 self._start_runs(missing, solver, runs)
             run_of = {c: runs[CORRECTORS[c]] for c in solved}
-            advection = unit_advection(self.mesh).reduced
+            advection = unit_cell_flow(self.mesh).reduced
             # the run's step m + 2 (its first is the start) gives alpha_m, beta_m
             cap, pending, broken, estimates = self._max_iter - 1, list(run_of), [], {}
             while pending:
@@ -327,7 +304,7 @@ class CellOperator:
         (I - s M)^-1 (g + s K^+ T^T W1 y) = g + s (I - s M)^-1 K^+ T^T W1 (y + T g)."""
         mesh, T, Tt = self.mesh, solver.reduction, solver.restriction
         offsets = {}
-        forms = unit_advection(mesh)
+        forms = unit_cell_flow(mesh)
         starts = {"xi": -(Tt @ face_flux_jump(mesh)), "pi_P": Tt @ forms.vector}
         tangential = [name for name in names if name in _TANGENTIAL]
         if tangential:
@@ -369,7 +346,7 @@ class CellOperator:
         stiffness = in_plane_stiffness(self.mesh)[:, name[1] - 1]
         if self.flow.u3 == 0.0:
             return -stiffness
-        return -(stiffness - self._shift * unit_advection(self.mesh).in_plane[:, name[1] - 1])
+        return -(stiffness - self._shift * unit_cell_flow(self.mesh).in_plane[:, name[1] - 1])
 
     def _coefficient(self, name):
         """The coefficient of the corrector ``name``'s run (``_start_runs``)."""
@@ -394,10 +371,10 @@ def assemble_Aw(flow, residual_tol=1e-10) -> CellOperator:
 
 def advective_vector(flow):
     """a_i = int w . grad phi_i of a cell flow: zero at rest (the mesh's a1
-    is not built), else u3 times the mesh's kept a1 (``unit_advection``)."""
+    is not built), else u3 times the mesh's kept a1 (``unit_cell_flow``)."""
     if flow.u3 == 0.0:
         return np.zeros(flow.mesh.num_nodes)
-    return flow.u3 * unit_advection(flow.mesh).vector
+    return flow.u3 * unit_cell_flow(flow.mesh).vector
 
 
 @dataclass

@@ -195,8 +195,8 @@ def rest_speed_last(solve, speeds):
     """[solve(u3) for u3 in speeds], in that order, from calls made for the
     flow speeds first, in their order, and for the speeds at rest last: on
     one mesh a rest point frees the kept stiffness solver, the P1 table and
-    the W1 forms (``cell_problems.CellOperator``), which a flow point after
-    it would build again."""
+    the unit flow with its W1 forms (``cell_problems.CellOperator``), which
+    a flow point after it would build again."""
     results = [None] * len(speeds)
     for i in sorted(range(len(speeds)), key=lambda i: speeds[i] == 0.0):
         results[i] = solve(speeds[i])

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, replace
 
 from .fem import FluidProperties
 from .geometry import CellGeometry, GeometryError, WaveguideGeometry
+from .pipeline import FLOW_MODES
+from .waveguide import SOURCE_SIDES
 
 
 class ConfigError(ValueError):
@@ -72,7 +74,6 @@ _SCHEMA = {
     },
 }
 
-_VALID_FLOW_MODES = ("none", "potential")
 
 # the configparser getter of each schema type; getboolean takes
 # true/false, yes/no, on/off and 1/0 in any case
@@ -172,9 +173,9 @@ def parse_config(text: str) -> RunConfig:
 def validate(cfg: RunConfig):
     """Reject values no run can use."""
     mode = cfg["flow.mode"]
-    if mode not in _VALID_FLOW_MODES:
-        raise ConfigError(f"flow mode must be one of {_VALID_FLOW_MODES}, got {mode!r}")
-    if cfg["acoustics.source_side"] not in ("in", "out"):
+    if mode not in FLOW_MODES:
+        raise ConfigError(f"flow mode must be one of {FLOW_MODES}, got {mode!r}")
+    if cfg["acoustics.source_side"] not in SOURCE_SIDES:
         raise ConfigError("acoustics source_side must be 'in' or 'out'")
     amplitude = cfg["acoustics.amplitude"]
     if not (math.isfinite(amplitude) and amplitude != 0):

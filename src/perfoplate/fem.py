@@ -6,10 +6,11 @@ constraints.  Element gradients are cell-constant; products with
 nodal velocity fields are integrated with second-order quadrature, which is
 exact for the quadratic integrands that occur here, and are summed from
 sparse per-point factors rather than element blocks.  The solver of the
-stiffness matrix is kept for one mesh at a time: it computes the cell flow
-and preconditions the cell correctors, whose Krylov runs are kept with it.
+stiffness matrix is kept for one mesh at a time (``stiffness_solver`` frees
+another mesh's before it builds one): it computes the cell flow and
+preconditions the cell correctors, whose Krylov runs are kept with it.
 At most one cell factorization is alive, kept or bordered: a bordered one
-is made only once the kept solver is freed.
+is made only once ``drop_stiffness_solver`` has freed the kept one.
 """
 
 from __future__ import annotations
@@ -375,19 +376,11 @@ def stiffness_solver(mesh):
     """(solver, runs): the zero-mean solver of the mesh's stiffness matrix
     and the dict of the Krylov runs it preconditions, kept until a solver
     for another mesh is built, the kept mesh dies or
-    ``drop_other_stiffness_solver`` or ``drop_stiffness_solver`` frees them."""
-    drop_other_stiffness_solver(mesh)  # freed before this mesh's is built
+    ``drop_stiffness_solver`` frees them."""
     if mesh not in _kept:
+        _kept.clear()  # another mesh's, freed before this mesh's K and factor are built
         _kept[mesh] = ZeroMeanSolver(mesh, stiffness_matrix(mesh)), {}
     return _kept[mesh]
-
-
-def drop_other_stiffness_solver(mesh):
-    """Free the kept stiffness solver and its runs unless they are ``mesh``'s
-    (called before another factorization on ``mesh`` and the matrices it
-    needs are built, to hold one cell factorization at a time)."""
-    if mesh not in _kept:
-        drop_stiffness_solver()  # the map holds at most one mesh
 
 
 def drop_stiffness_solver():

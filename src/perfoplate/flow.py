@@ -12,6 +12,7 @@ per cell mesh at u3 = 1 and scaled.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import fem
 from .duct_mesh import GROUP_IN, GROUP_OUT, GROUP_IFACE_PLUS, interface_nodes
 from .fem import FluidProperties
-from .mesh import per_mesh
+from .mesh import per_mesh, release
 
 
 class FlowError(RuntimeError):
@@ -40,7 +41,7 @@ class FlowField:
         """|u3| times the unit flow's largest nodal speed; 0.0 at rest."""
         if self.u3 == 0.0:
             return 0.0
-        return abs(self.u3) * unit_cell_flow(self.mesh)[2]
+        return abs(self.u3) * unit_cell_flow(self.mesh).max_speed
 
 
 def _recover_velocity(mesh, potential):
@@ -62,22 +63,38 @@ def face_flux_jump(mesh):
     return fem.boundary_load_vector(mesh, "I+") - fem.boundary_load_vector(mesh, "I-")
 
 
+# The u3 = 1 cell flow of a mesh and the advection forms built from it
+# (``unit_cell_flow``).
+UnitFlow = namedtuple("UnitFlow", "velocity residual max_speed matrix vector reduced in_plane")
+
+
 @per_mesh
 def unit_cell_flow(mesh):
-    """The u3 = 1 cell flow of a mesh: (velocity, relative residual, largest nodal speed).
+    """The u3 = 1 cell flow of a mesh and its advection forms, read-only, as
+    a ``UnitFlow``; the problem is linear in u3, so every speed scales them.
 
     The potential solves a pure-Neumann Laplace problem with w.n = +1 on
-    I+ and -1 on I- (net upward through-flow) and impermeable plate walls;
-    only the velocity recovered from it is kept.
-    The problem is linear in u3, so every other speed scales this flow.
-    It is solved by the mesh's kept stiffness solver (``fem.stiffness_solver``),
-    which the cell correctors then use as their preconditioner.
+    I+ and -1 on I- (net upward through-flow) and impermeable plate walls,
+    by the mesh's kept stiffness solver (``fem.stiffness_solver``), which the
+    cell correctors then use as their preconditioner.  Kept are the velocity
+    recovered from it, the solve's relative residual and the largest nodal
+    speed; matrix, vector: W1 and a1 (``fem.advection_forms``), so the flow
+    u3 * w1 has W = u3^2 * W1 and a = u3 * a1; reduced: T^T W1 T, the
+    advection product of the flow correctors' Lanczos runs and residual
+    checks; in_plane: W1 y for the in-plane coordinates, the speed-dependent
+    part of the tangential loads.  W1 and a1 are the last of the P1 gradient
+    table (``fem.p1_geometry``) to be built from it, so the table is then
+    released; a later read rebuilds it bit for bit.
     """
     solver, _ = fem.stiffness_solver(mesh)
     # each caller checks the residual against its own tolerance
     pot, residual = solver.solve(-face_flux_jump(mesh), "cell potential flow")
     velocity = _recover_velocity(mesh, pot)
-    return velocity, residual, float(np.linalg.norm(velocity, axis=1).max())
+    W1, a1 = fem.advection_forms(mesh, velocity)
+    release(mesh, "perfoplate.fem.p1_geometry")
+    T = fem.periodic_reduction(mesh)
+    return UnitFlow(velocity, residual, float(np.linalg.norm(velocity, axis=1).max()),
+                    W1, a1, (T.T @ W1 @ T).tocsr(), W1 @ mesh.nodes[:, :2])
 
 
 def solve_cell_potential_flow(mesh, u3, properties, residual_tol=1e-10):
@@ -87,7 +104,7 @@ def solve_cell_potential_flow(mesh, u3, properties, residual_tol=1e-10):
         raise FlowError("u3 must be finite")
     if u3 == 0.0:
         return FlowField(mesh, properties, 0.0)
-    fem.check_residual(unit_cell_flow(mesh)[1], residual_tol, "cell potential flow")
+    fem.check_residual(unit_cell_flow(mesh).residual, residual_tol, "cell potential flow")
     return FlowField(mesh, properties, u3)
 
 

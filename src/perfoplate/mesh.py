@@ -52,12 +52,12 @@ def per_mesh(build):
     return cached
 
 
-def release(mesh, name, *args):
-    """Drop what a ``per_mesh`` build kept on a mesh for these arguments;
-    the build is named by its module and qualified name (as in
+def release(mesh, name):
+    """Drop what a ``per_mesh`` build of the mesh alone kept on it; the
+    build is named by its module and qualified name (as in
     ``"perfoplate.fem.p1_geometry"``), not passed, since a tracer may rebind
     it.  A later call builds the result again."""
-    mesh._cache.pop((name, *args), None)
+    mesh._cache.pop((name,), None)
 
 
 def _read_only(value):

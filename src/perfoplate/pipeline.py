@@ -21,6 +21,10 @@ from .duct_mesh import generate_waveguide_mesh
 from .waveguide import MacroProblem, frequency_sweep, interface_pairs
 
 
+# the mean-flow modes of a run (``macro_flow_for_mode``)
+FLOW_MODES = ("none", "potential")
+
+
 @dataclass
 class InterfaceCoefficientTable:
     """Per-element coefficients plus the distinct cell solves behind them."""
@@ -60,7 +64,7 @@ def build_interface_coefficients(cell_geom: CellGeometry, element_u3,
 
 def macro_flow_for_mode(mesh, mode, u_in, properties, residual_tol=1e-10):
     """Mean-flow field per the configured mode: none or potential, any other a ValueError."""
-    if mode not in ("none", "potential"):
+    if mode not in FLOW_MODES:
         raise ValueError(f"unknown flow mode {mode!r}")
     if mode == "none" or u_in == 0.0:
         return None

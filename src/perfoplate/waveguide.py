@@ -31,6 +31,10 @@ from . import fem
 from .duct_mesh import GROUP_IN, GROUP_OUT, IFACE_PAIRING, interface_nodes
 from .fem import FluidProperties, SolverError
 
+# the duct mouths the incident wave can enter by (``MacroProblem.source_side``):
+# Gamma_in and Gamma_out
+SOURCE_SIDES = ("in", "out")
+
 
 class MacroAssemblyError(ValueError):
     pass
@@ -92,7 +96,7 @@ class MacroProblem:
         if not self.residual_tol > 0:  # also rejects NaN
             raise MacroAssemblyError(
                 f"residual_tol must be > 0, got {self.residual_tol!r}")
-        if self.source_side not in ("in", "out"):
+        if self.source_side not in SOURCE_SIDES:
             raise MacroAssemblyError("source_side must be 'in' or 'out'")
         if not (math.isfinite(self.amplitude) and self.amplitude != 0):
             raise MacroAssemblyError(

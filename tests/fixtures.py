@@ -1,6 +1,7 @@
-"""A uniform velocity for the FEM tests; the nodal velocity of a cell flow;
-the speeds u3 at which a cell flow reaches a fraction of c/sqrt(tau), or the
-bound itself; the uniform duct
+"""A uniform velocity for the FEM tests; the nodal velocity of a cell flow
+and the speeds u3 at which it reaches a fraction of c/sqrt(tau), or the
+bound itself, both read off its mesh's unit flow record
+(``flow.unit_cell_flow``); the uniform duct
 flow and analytic coefficients the tests build problems from; the cell
 operator as a matrix and integrals over the cells; a zero-mean solve with
 its residual asserted; a count of the sweeps of the advection factors and
@@ -33,20 +34,19 @@ def uniform_velocity(mesh, w_vec):
 def cell_velocity(flow):
     """The nodal velocity of a cell flow (``flow.FlowField``, which keeps
     none): u3 times its mesh's unit flow."""
-    return flow.u3 * unit_cell_flow(flow.mesh)[0]
+    return flow.u3 * unit_cell_flow(flow.mesh).velocity
 
 
 def u3_at_mach_fraction(mesh, properties, fraction):
     """u3 whose cell flow has max |w| = fraction * c/sqrt(tau), to rounding."""
-    unit = np.linalg.norm(unit_cell_flow(mesh)[0], axis=1).max()
-    return fraction * properties.mach_speed_limit / unit
+    return fraction * properties.mach_speed_limit / unit_cell_flow(mesh).max_speed
 
 
 def u3_at_mach_bound(mesh, properties):
     """The least u3 whose cell flow has max |w| >= c/sqrt(tau), by ulp steps
     from the estimate; max |w| does not fall as u3 grows, so one ulp less
     stays below the bound."""
-    unit = np.linalg.norm(unit_cell_flow(mesh)[0], axis=1).max()
+    unit = unit_cell_flow(mesh).max_speed
     limit = properties.mach_speed_limit
 
     def speed(u3):  # as FlowField.max_speed of the flow u3 * w1

@@ -11,11 +11,10 @@ from fixtures import (cell_velocity, checked_solve, coef_deviation,
 from perfoplate import fem
 from perfoplate.cell_mesh import generate_unit_cell_mesh
 from perfoplate.cell_problems import (CORRECTORS, LANCZOS_TOL, LanczosRun, MachBoundError,
-                                      advective_vector, assemble_Aw, solve_cell_problems,
-                                      unit_advection)
+                                      advective_vector, assemble_Aw, solve_cell_problems)
 from perfoplate.coefficients import cell_pipeline
 from perfoplate.fem import SolverError
-from perfoplate.flow import FlowField, face_flux_jump, solve_cell_potential_flow
+from perfoplate.flow import FlowField, face_flux_jump, solve_cell_potential_flow, unit_cell_flow
 from perfoplate.geometry import CellGeometry
 
 
@@ -396,7 +395,7 @@ def test_run_buffer_grows_past_sixteen_steps(props):
     mesh = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=30.0), 0.2)
     assemble_Aw(solve_cell_potential_flow(mesh, 1.0, props)).solve()
     solver, runs = fem.stiffness_solver(mesh)
-    W = unit_advection(mesh).reduced
+    W = unit_cell_flow(mesh).reduced
     heads = {name: run.basis[:len(run.alpha) + 1].copy() for name, run in runs.items()}
     assert all(len(run.basis) == 16 for run in runs.values())
     for _ in range(16):
@@ -526,20 +525,28 @@ def test_unknown_corrector_load_fails_before_any_solve(slant_cell_mesh, props, m
         op.load(name)
 
 
-def test_unit_advection_from_one_sweep_per_mesh(props, monkeypatch):
-    # the operator, the loads, the Lanczos runs and the flow coefficients of
-    # every speed read the mesh's u3 = 1 W1 record, all from one sweep of
-    # the factors
+def test_unit_flow_record_from_one_sweep_per_mesh(props, monkeypatch, splu_calls):
+    # the guard, the operator, the loads, the Lanczos runs and the flow
+    # coefficients of every speed of a grid read the mesh's one u3 = 1 flow
+    # record, built once, by one kept stiffness factorization and one sweep
+    # of the factors; a speed the guard rejects builds nothing, and the rest
+    # speed, last, factors only its own bordered matrix
     sweeps = counted_factor_sweeps(monkeypatch)
     geom = CellGeometry(hole_slope_deg=30.0)
     mesh = generate_unit_cell_mesh(geom, 0.15)
-    for u3 in (0.0, 1.0, -2.5, 4.0, 2.0, 5.0):
+    n = fem.periodic_reduction(mesh).shape[1]
+    for u3 in (1.0, -2.5, 4.0, 2.0, 5.0):
         cell_pipeline(geom, u3, 0.15, props, mesh=mesh)
+    record = unit_cell_flow(mesh)
+    with pytest.raises(MachBoundError):
+        cell_pipeline(geom, u3_at_mach_bound(mesh, props), 0.15, props, mesh=mesh)
+    assert unit_cell_flow(mesh) is record
+    cell_pipeline(geom, 0.0, 0.15, props, mesh=mesh)
     assert sweeps == [mesh]
-    forms = unit_advection(mesh)
-    for arr in (forms.matrix.data, forms.matrix.indices, forms.matrix.indptr, forms.vector,
-                forms.reduced.data, forms.reduced.indices, forms.reduced.indptr,
-                forms.in_plane):
+    assert [call.shape for call in splu_calls] == [(n - 1, n - 1), (n + 1, n + 1)]
+    for arr in (record.velocity, record.matrix.data, record.matrix.indices,
+                record.matrix.indptr, record.vector, record.reduced.data,
+                record.reduced.indices, record.reduced.indptr, record.in_plane):
         assert not arr.flags.writeable
 
 

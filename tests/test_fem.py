@@ -218,7 +218,7 @@ def relative_deviation(A, reference):
 def test_advection_forms_match_element_blocks_on_cells(slope):
     # values, not patterns: the program's sparse products drop exact zeros
     mesh = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=slope), 0.1)
-    velocity = unit_cell_flow(mesh)[0]
+    velocity = unit_cell_flow(mesh).velocity
     W_ref, C_ref = advection_reference.advection_matrices(mesh, velocity)
     W, C = fem.advection_matrices(mesh, velocity)
     assert relative_deviation(W, W_ref) <= 1e-15
@@ -241,7 +241,8 @@ def test_advection_assembly_builds_no_element_blocks():
     assembly's traced peak stays under 4 MB, where the dense element blocks
     and their COO triplets took 10.8 MB for W alone (W itself is 0.7 MB)."""
     mesh = generate_unit_cell_mesh(CellGeometry(hole_slope_deg=30.0), 0.08)
-    velocity = unit_cell_flow(mesh)[0]  # builds and caches the P1 geometry
+    velocity = unit_cell_flow(mesh).velocity
+    fem.p1_geometry(mesh)  # built and kept outside the traced section
     tracemalloc.start()
     try:
         fem.advection_forms(mesh, velocity)
@@ -252,7 +253,7 @@ def test_advection_assembly_builds_no_element_blocks():
 
 
 def test_advection_matrices_sweep_the_factors_once(slant_cell_mesh, monkeypatch):
-    velocity = unit_cell_flow(slant_cell_mesh)[0]
+    velocity = unit_cell_flow(slant_cell_mesh).velocity
     sweeps = counted_factor_sweeps(monkeypatch)
     fem.advection_matrices(slant_cell_mesh, velocity)
     assert sweeps == [slant_cell_mesh]
@@ -260,7 +261,7 @@ def test_advection_matrices_sweep_the_factors_once(slant_cell_mesh, monkeypatch)
 
 def test_advection_forms_from_one_sweep(slant_cell_mesh, monkeypatch):
     mesh = slant_cell_mesh
-    velocity = unit_cell_flow(mesh)[0]
+    velocity = unit_cell_flow(mesh).velocity
     W_ref, _ = fem.advection_matrices(mesh, velocity)
     sweeps = counted_factor_sweeps(monkeypatch)
     W, a = fem.advection_forms(mesh, velocity)
@@ -315,7 +316,7 @@ def test_bordered_solver_factors_one_copy_of_its_operator(monkeypatch):
 @pytest.mark.parametrize("speeds", [(0.0,), (2.5, 0.0)], ids=["rest", "flow-then-rest"])
 def test_rest_point_factors_alone(speeds, props, monkeypatch):
     # while a rest point's bordered matrix factors, its mesh holds no P1
-    # table and not the W1 record of a flow point before it, and no kept
+    # table and not the unit flow record of a flow point before it, and no kept
     # stiffness solver is alive, neither another mesh's nor the one a flow
     # point before it kept for this mesh
     geom = CellGeometry(hole_slope_deg=30.0)
@@ -324,7 +325,7 @@ def test_rest_point_factors_alone(speeds, props, monkeypatch):
         cell_pipeline(geom, u3, 0.2, props, mesh=mesh)
     kept = [weakref.ref(solver) for solver, _ in fem._kept.values()]
     n_red = fem.periodic_reduction(mesh).shape[1]
-    freed = {"perfoplate.fem.p1_geometry", "perfoplate.cell_problems.unit_advection"}
+    freed = {"perfoplate.fem.p1_geometry", "perfoplate.flow.unit_cell_flow"}
     seen, real = [], spla.splu
 
     def inspecting(A, *args, **kwargs):

@@ -137,7 +137,8 @@ def test_second_speed_reuses_unit_flow(fresh_cell_mesh, props, splu_calls):
     assert len(splu_calls) == 1
     second = solve_cell_potential_flow(m, -2.5, props)
     assert len(splu_calls) == 1
-    vel, _, speed = unit_cell_flow(m)
+    unit = unit_cell_flow(m)
+    vel, speed = unit.velocity, unit.max_speed
     np.testing.assert_array_equal(cell_velocity(first), 1.5 * vel)
     np.testing.assert_array_equal(cell_velocity(second), -2.5 * vel)
     # the kept velocity is recovered from the kept solver's potential
@@ -167,7 +168,7 @@ def test_cell_flow_is_its_mesh_and_its_speed(fresh_cell_mesh, props):
     assert rest.max_speed() == 0.0
     assert not any(key[0].startswith("perfoplate.flow.unit_") for key in m._cache)
     assert m not in fem._kept
-    unit = np.linalg.norm(unit_cell_flow(m)[0], axis=1).max()
+    unit = np.linalg.norm(unit_cell_flow(m).velocity, axis=1).max()
     for u3 in (2.5, -2.5):
         speed = solve_cell_potential_flow(m, u3, props).max_speed()
         assert speed.hex() == (abs(u3) * unit).hex()
@@ -205,7 +206,7 @@ def test_unrelaxed_stiffness_factor_keeps_fill_and_accuracy(phi, monkeypatch):
     relaxed = fem.ZeroMeanSolver(m, fem.stiffness_matrix(m))
     assert (kept._lu.L.nnz + kept._lu.U.nnz
             == relaxed._lu.L.nnz + relaxed._lu.U.nnz)
-    residual = unit_cell_flow(m)[1]
+    residual = unit_cell_flow(m).residual
     assert residual <= 1e-12
     assert residual <= 1.5 * relaxed.solve(-face_flux_jump(m), "relaxed flow")[1]
 
