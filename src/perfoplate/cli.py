@@ -63,8 +63,8 @@ def cmd_cell(cfg, out: Path):
     mesh, flw, sols, coeffs = cell_pipeline(
         geom, u3, cfg["cell.resolution"], props,
         residual_tol=cfg["run.residual_tol"])
-    fields = mesh.with_fields(pi1=sols.pi1, pi2=sols.pi2, xi=sols.xi, pi_P=sols.pi_P)
-    save_mesh(fields, out / "correctors.msh")
+    save_mesh(mesh, out / "correctors.msh",
+              {"pi1": sols.pi1, "pi2": sols.pi2, "xi": sols.xi, "pi_P": sols.pi_P})
     report = verify_symmetries(coeffs, SYMMETRY_TOL, props,
                                speed_scale=max(flw.max_speed(), abs(u3)))
     rows = [coeffs.as_row(geom.hole_slope_deg, u3, report.max_defect)]
@@ -112,10 +112,9 @@ def cmd_waveguide(cfg, out: Path):
     written = ["tl.csv", "interface_u3.csv"]
     if rows:
         sol = solutions[len(rows) // 2]
-        snap = problem.mesh.with_fields(
-            pressure_re=sol.P.real, pressure_im=sol.P.imag,
-            pressure_abs=np.abs(sol.P))
-        save_mesh(snap, out / "pressure.msh")
+        save_mesh(problem.mesh, out / "pressure.msh",
+                  {"pressure_re": sol.P.real, "pressure_im": sol.P.imag,
+                   "pressure_abs": np.abs(sol.P)})
         written.append("pressure.msh")
     if failures:
         write_csv(out / "failures.csv", "omega_rad_s,error", failures)

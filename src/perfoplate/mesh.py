@@ -1,4 +1,5 @@
-"""Simplex meshes with tagged facet groups, periodic node pairs and field IO.
+"""Simplex meshes with tagged facet groups and periodic node pairs, and
+their file IO with nodal fields.
 
 Meshes are plain containers: nodes, simplex connectivity (triangles in 2D,
 tetrahedra in 3D), named facet groups (node tuples) and per-direction
@@ -8,7 +9,7 @@ geometric transforms return new meshes.
 The on-disk format is plain text (``perfomesh v1``): a header line, a node
 block, a cell block, one ``group`` block per facet group, one ``periodic``
 block per pairing direction, and optional ``field`` blocks carrying nodal
-values.
+values, which ``save_mesh`` takes and ``load_mesh`` returns beside the mesh.
 """
 
 from __future__ import annotations
@@ -150,12 +151,9 @@ class Mesh:
         Named boundary facet sets (edges in 2D, triangles in 3D).
     periodic_pairs : dict[str, (P, 2) int array]
         Per-direction (master, slave) node pairs.
-    fields : dict[str, (N,) array]
-        Optional nodal fields attached to the mesh, one value per node.
     """
 
-    def __init__(self, dim, nodes, cells, facet_groups=None, periodic_pairs=None,
-                 fields=None):
+    def __init__(self, dim, nodes, cells, facet_groups=None, periodic_pairs=None):
         if dim not in (2, 3):
             raise MeshError(f"dim must be 2 or 3, got {dim}")
         self.dim = int(dim)
@@ -170,11 +168,6 @@ class Mesh:
                              for name, f in (facet_groups or {}).items()}
         self.periodic_pairs = {name: _index_rows(f"periodic pairing {name!r}", p, n, "P", 2)
                                for name, p in (periodic_pairs or {}).items()}
-        self.fields = dict(fields or {})
-        for name, values in self.fields.items():
-            if np.shape(values) != (n,):
-                raise MeshError(f"field {name!r} must hold {n} nodal values, "
-                                f"got shape {np.shape(values)}")
         self._cache = {}
 
     # -- basic queries -----------------------------------------------------
@@ -272,12 +265,6 @@ class Mesh:
         hi = self.nodes.max(axis=0)
         return float(np.linalg.norm(hi - lo))
 
-    def with_fields(self, **fields):
-        merged = dict(self.fields)
-        merged.update(fields)
-        return Mesh(self.dim, self.nodes, self.cells, self.facet_groups,
-                    self.periodic_pairs, merged)
-
 
 def detect_periodic_pairs(mesh, group_pairs):
     """Match nodes of opposite lateral faces up to a translation.
@@ -328,47 +315,46 @@ def detect_periodic_pairs(mesh, group_pairs):
 
 # -- plain-text IO ---------------------------------------------------------
 
-def _fmt(x):
-    return format(float(x), ".17g")
+def _block(head, rows, fmt):
+    """A block's header line, then one line per row of the 2D array ``rows``,
+    its values printed by ``fmt`` (``"%.17g"`` or ``"%d"``) in one ``%`` call:
+    ``"%.17g" % v`` prints what ``format(float(v), ".17g")`` prints."""
+    line = " ".join([fmt] * rows.shape[1]) + "\n"
+    return f"{head}\n" + (line * len(rows)) % tuple(rows.ravel().tolist())
 
 
-def save_mesh(mesh, path):
-    """Write a mesh (and attached nodal fields) in perfomesh v1 format; a
-    facet-group, pairing or field name that would not read back (empty,
-    holding whitespace or not ASCII) is a ``MeshError``, raised before the
-    file is opened."""
+def save_mesh(mesh, path, fields=None):
+    """Write a mesh and the nodal ``fields`` (name -> one value per node,
+    real or complex) in perfomesh v1 format; a facet-group, pairing or field
+    name that would not read back (empty, holding whitespace or not ASCII)
+    or a field not of one value per node is a ``MeshError``, raised before
+    the file is opened."""
+    fields = fields or {}
     blocks = {"facet group": mesh.facet_groups, "periodic pairing": mesh.periodic_pairs,
-              "field": mesh.fields}
+              "field": fields}
     for what, named in blocks.items():
         for name in named:
             # the reader splits a block header on whitespace and reads ASCII
             if not (isinstance(name, str) and re.fullmatch(r"[!-~]+", name)):
                 raise MeshError(f"{what} name {name!r} cannot be saved: a name is one or "
                                 "more printable ASCII characters without whitespace")
-    lines = [FORMAT_HEADER]
-    lines.append(f"nodes {mesh.num_nodes}")
-    for row in mesh.nodes:
-        lines.append(" ".join(_fmt(v) for v in row))
-    index_blocks = [("cells", mesh.cells)]
-    index_blocks += [(f"group {name}", mesh.facet_groups[name])
-                     for name in sorted(mesh.facet_groups)]
-    index_blocks += [(f"periodic {name}", mesh.periodic_pairs[name])
-                     for name in sorted(mesh.periodic_pairs)]
-    for head, rows in index_blocks:
-        lines.append(f"{head} {len(rows)}")
-        lines.extend(" ".join(str(int(v)) for v in row) for row in rows)
-    for name in sorted(mesh.fields):
-        values = np.asarray(mesh.fields[name])
+    n = mesh.num_nodes
+    for name, values in fields.items():
+        if np.shape(values) != (n,):
+            raise MeshError(f"field {name!r} must hold {n} nodal values, "
+                            f"got shape {np.shape(values)}")
+    text = [f"{FORMAT_HEADER}\n", _block(f"nodes {n}", mesh.nodes, "%.17g"),
+            _block(f"cells {mesh.num_cells}", mesh.cells, "%d")]
+    for keyword, named in (("group", mesh.facet_groups), ("periodic", mesh.periodic_pairs)):
+        text += [_block(f"{keyword} {name} {len(named[name])}", named[name], "%d")
+                 for name in sorted(named)]
+    for name in sorted(fields):
+        values = np.asarray(fields[name])
         kind = "complex" if np.iscomplexobj(values) else "real"
-        lines.append(f"field {name} {kind} {len(values)}")
-        if kind == "complex":
-            for v in values:
-                lines.append(f"{_fmt(v.real)} {_fmt(v.imag)}")
-        else:
-            for v in values:
-                lines.append(_fmt(v))
+        parts = [values.real, values.imag] if kind == "complex" else [values]
+        text.append(_block(f"field {name} {kind} {n}", np.column_stack(parts), "%.17g"))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(text))
 
 
 class _Reader:
@@ -421,7 +407,9 @@ class _Reader:
 
 
 def load_mesh(path):
-    """Read a perfomesh v1 file back into a Mesh."""
+    """Read a perfomesh v1 file back: ``(mesh, fields)``, the fields a dict of
+    name -> nodal array.  A second block of one kind with the same name is a
+    ``MeshFormatError`` at its header."""
     r = _Reader(path)
     header, ln = r.next("format header")
     if header != FORMAT_HEADER:
@@ -442,34 +430,36 @@ def load_mesh(path):
         return i
 
     cells = r.rows(r.header("cells N")[1], dim + 1, index, "cell")
-    groups, periodic, fields = {}, {}, {}
+    usage = {"group": "group <name> K", "periodic": "periodic <dir> K",
+             "field": "field <name> <kind> N"}
+    blocks = {keyword: {} for keyword in usage}
     while (head := r.peek()) is not None:
         keyword = head.split()[0]
+        if keyword not in usage:
+            raise MeshFormatError(f"unknown block {head!r}", line=r.pos + 1)
+        (name, *kind), count = r.header(usage[keyword])
+        if name in blocks[keyword]:
+            raise MeshFormatError(f"repeated {keyword} block {name!r}", line=r.pos)
         if keyword == "group":
-            (name,), count = r.header("group <name> K")
-            groups[name] = np.array(r.rows(count, dim, index, "facet"),
-                                    dtype=np.int64).reshape(-1, dim)
+            value = np.array(r.rows(count, dim, index, "facet"),
+                             dtype=np.int64).reshape(-1, dim)
         elif keyword == "periodic":
-            (name,), count = r.header("periodic <dir> K")
-            periodic[name] = np.array(r.rows(count, 2, index, "periodic pair"),
-                                      dtype=np.int64).reshape(-1, 2)
-        elif keyword == "field":
-            (name, kind), count = r.header("field <name> <kind> N")
+            value = np.array(r.rows(count, 2, index, "periodic pair"),
+                             dtype=np.int64).reshape(-1, 2)
+        else:
             if count != n_nodes:
                 raise MeshFormatError(f"field {name!r} must hold {n_nodes} nodal "
                                       f"values, got shape ({count},)", line=r.pos)
-            if kind == "complex":
-                vals = [complex(re, im) for re, im in r.rows(count, 2, float, "field value")]
-            elif kind == "real":
-                vals = [v for (v,) in r.rows(count, 1, float, "field value")]
-            else:
-                raise MeshFormatError(f"unknown field kind {kind!r}", line=r.pos)
-            fields[name] = np.array(vals)
-        else:
-            raise MeshFormatError(f"unknown block {head!r}", line=r.pos + 1)
+            if kind[0] not in ("real", "complex"):
+                raise MeshFormatError(f"unknown field kind {kind[0]!r}", line=r.pos)
+            cplx = kind[0] == "complex"  # a row holds the real and imaginary parts
+            vals = np.array(r.rows(count, 1 + cplx, float, "field value"))
+            value = (vals.view(complex) if cplx else vals).ravel()
+        blocks[keyword][name] = value
 
     try:
-        return Mesh(dim, np.array(coords), np.array(cells, dtype=np.int64).reshape(-1, dim + 1),
-                    groups, periodic, fields)
+        mesh = Mesh(dim, np.array(coords), np.array(cells, dtype=np.int64).reshape(-1, dim + 1),
+                    blocks["group"], blocks["periodic"])
     except MeshError as exc:
         raise MeshFormatError(str(exc)) from exc
+    return mesh, blocks["field"]

@@ -203,8 +203,9 @@ def test_mesh_cell_command(tmp_path):
     cfgfile.write_text("[cell]\nresolution = 0.14\n")
     out = tmp_path / "out"
     assert run_cli(["mesh-cell", "--config", str(cfgfile), "--out", str(out)]) == 0
-    mesh = load_mesh(out / "cell.msh")
+    mesh, fields = load_mesh(out / "cell.msh")
     mesh.validate()
+    assert fields == {}
     assert (out / "effective_config.ini").exists()
 
 
@@ -213,8 +214,9 @@ def test_mesh_duct_command(tmp_path):
     cfgfile.write_text("[waveguide]\nresolution = 0.03\n")
     out = tmp_path / "out"
     assert run_cli(["mesh-duct", "--config", str(cfgfile), "--out", str(out)]) == 0
-    mesh = load_mesh(out / "duct.msh")
+    mesh, fields = load_mesh(out / "duct.msh")
     mesh.validate()
+    assert fields == {}
     assert "iface" in mesh.periodic_pairs
 
 
@@ -227,8 +229,8 @@ def test_cell_command_and_determinism(tmp_path):
     for name in ("coefficients.csv", "correctors.msh", "symmetry_report.txt",
                  "effective_config.ini"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    mesh = load_mesh(out1 / "correctors.msh")
-    assert set(mesh.fields) == {"pi1", "pi2", "xi", "pi_P"}
+    _, fields = load_mesh(out1 / "correctors.msh")
+    assert set(fields) == {"pi1", "pi2", "xi", "pi_P"}
 
 
 def test_cell_command_zero_flow_zeroes_flow_coefficients(tmp_path):
@@ -263,8 +265,8 @@ def test_waveguide_command(tmp_path):
     assert len(lines) == 4
     profile = (out / "interface_u3.csv").read_text().splitlines()
     assert profile[0] == "arc_length,U3"
-    snap = load_mesh(out / "pressure.msh")
-    assert "pressure_re" in snap.fields
+    _, fields = load_mesh(out / "pressure.msh")
+    assert "pressure_re" in fields
 
 
 def test_waveguide_command_bit_reproducible(tmp_path):
@@ -416,9 +418,9 @@ def test_waveguide_snapshot_reuses_the_sweep_solution(tmp_path, monkeypatch):
     assert len(solved) == 30 and not (out / "failures.csv").exists()
     problem, omega = solved[15]
     fresh = real(problem, omega).P
-    snap = load_mesh(out / "pressure.msh")
-    assert snap.fields["pressure_re"].tobytes() == fresh.real.tobytes()
-    assert snap.fields["pressure_im"].tobytes() == fresh.imag.tobytes()
+    _, fields = load_mesh(out / "pressure.msh")
+    assert fields["pressure_re"].tobytes() == fresh.real.tobytes()
+    assert fields["pressure_im"].tobytes() == fresh.imag.tobytes()
 
 
 def test_jobs_flag_sweeps_in_parallel(tmp_path, monkeypatch):

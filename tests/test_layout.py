@@ -226,8 +226,9 @@ def scatter_bypasses():
 def test_sums_go_through_bincount_or_scatter():
     """Nodal sums are ``np.bincount`` (``np.add.at`` sums in the same order,
     about three times slower), and the only COO matrix is the one
-    ``fem._scatter`` converts: K, M, the boundary masses and the periodic
-    pair graph; the advection forms are sums of sparse factor products."""
+    ``fem._scatter`` converts: K, M and the boundary masses; the periodic
+    classes come from one label array, and the advection forms are sums of
+    sparse factor products."""
     assert not scatter_bypasses(), scatter_bypasses()
 
 

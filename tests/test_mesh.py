@@ -95,11 +95,11 @@ def test_facet_measures_kept_per_group(dim, straight_cell_mesh):
 
 
 def test_roundtrip(tmp_path, straight_cell_mesh):
-    m = straight_cell_mesh.with_fields(demo=np.arange(straight_cell_mesh.num_nodes,
-                                                      dtype=float))
+    m = straight_cell_mesh
+    demo = np.arange(m.num_nodes, dtype=float)
     path = tmp_path / "cell.msh"
-    save_mesh(m, path)
-    m2 = load_mesh(path)
+    save_mesh(m, path, {"demo": demo})
+    m2, fields = load_mesh(path)
     assert m2.dim == m.dim
     np.testing.assert_array_equal(m2.cells, m.cells)
     np.testing.assert_array_equal(m2.nodes, m.nodes)
@@ -108,7 +108,8 @@ def test_roundtrip(tmp_path, straight_cell_mesh):
         np.testing.assert_array_equal(m2.facet_groups[k], m.facet_groups[k])
     for k in m.periodic_pairs:
         np.testing.assert_array_equal(m2.periodic_pairs[k], m.periodic_pairs[k])
-    np.testing.assert_array_equal(m2.fields["demo"], m.fields["demo"])
+    assert list(fields) == ["demo"]
+    np.testing.assert_array_equal(fields["demo"], demo)
 
 
 @pytest.mark.parametrize("kind, name", [
@@ -123,25 +124,75 @@ def test_save_rejects_names_that_do_not_read_back(tmp_path, kind, name):
     target[name] = target.popitem()[1]
     path = tmp_path / "m.msh"
     with pytest.raises(MeshError, match=re.escape(f"{kind} name {name!r} cannot be saved")):
-        save_mesh(Mesh(2, nodes, cells, groups, pairs, fields), path)
+        save_mesh(Mesh(2, nodes, cells, groups, pairs), path, fields)
     assert not path.exists()
 
 
 def test_names_with_punctuation_round_trip(tmp_path):
-    names = ["I+", "lateral_x0", "a-b.c", "#1"]
+    names = ["I+", "lateral_x0", "a-b.c%d", "#1"]  # a % in a name is not a format
     m = Mesh(2, TRIANGLE_NODES, [[0, 1, 2]], {n: [[0, 1]] for n in names[:2]},
-             {names[2]: [[0, 2]]}, {names[3]: np.arange(3.0)})
-    save_mesh(m, tmp_path / "m.msh")
-    back = load_mesh(tmp_path / "m.msh")
+             {names[2]: [[0, 2]]})
+    save_mesh(m, tmp_path / "m.msh", {names[3]: np.arange(3.0)})
+    back, fields = load_mesh(tmp_path / "m.msh")
     assert list(back.facet_groups) == names[:2] and list(back.periodic_pairs) == [names[2]]
-    np.testing.assert_array_equal(back.fields[names[3]], np.arange(3.0))
+    np.testing.assert_array_equal(fields[names[3]], np.arange(3.0))
 
 
 def test_complex_field_roundtrip(tmp_path):
-    m = box_mesh().with_fields(p=np.arange(8) * (1 + 2j))
-    save_mesh(m, tmp_path / "b.msh")
-    m2 = load_mesh(tmp_path / "b.msh")
-    np.testing.assert_array_equal(m2.fields["p"], m.fields["p"])
+    p = np.arange(8) * (1 + 2j)
+    save_mesh(box_mesh(), tmp_path / "b.msh", {"p": p})
+    _, fields = load_mesh(tmp_path / "b.msh")
+    assert fields["p"].dtype == complex
+    np.testing.assert_array_equal(fields["p"], p)
+
+
+# what save_mesh wrote before it took the fields; every value is printed as
+# format(float(v), ".17g") prints it, the real and imaginary parts of a
+# complex value on one line, and the blocks of each kind in name order
+EXACT_MESH_TEXT = """perfomesh v1
+nodes 3
+0 0
+1 0
+0 1
+cells 1
+0 1 2
+group g 1
+0 1
+periodic d 1
+0 2
+field count real 3
+0
+1
+2
+field signs real 3
+-0
+inf
+-inf
+field third real 3
+0.33333333333333331
+0.66666666666666663
+0.10000000000000001
+field tiny real 3
+nan
+4.9406564584124654e-324
+10000000000000000
+field wave complex 3
+1 2
+-0 -0.33333333333333331
+inf nan
+"""
+
+
+def test_save_writes_the_exact_text(tmp_path):
+    fields = {"signs": np.array([-0.0, np.inf, -np.inf]),
+              "tiny": np.array([np.nan, 5e-324, 1e16]),
+              "third": np.array([1 / 3, 2 / 3, 0.1]),
+              "count": np.arange(3),
+              "wave": np.array([1 + 2j, -0.0 - 1j / 3, complex(np.inf, np.nan)])}
+    path = tmp_path / "m.msh"
+    save_mesh(Mesh(2, TRIANGLE_NODES, [[0, 1, 2]], {"g": [[0, 1]]}, {"d": [[0, 2]]}),
+              path, fields)
+    assert path.read_bytes() == EXACT_MESH_TEXT.encode("ascii")
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -150,7 +201,8 @@ names = st.from_regex(r"[A-Za-z][A-Za-z0-9_+-]{0,6}", fullmatch=True)
 
 @st.composite
 def small_meshes(draw):
-    """Random small meshes with groups, pairs and real and complex fields."""
+    """Random small meshes with groups and pairs, each with real and complex
+    fields: (mesh, fields)."""
     dim = draw(st.sampled_from((2, 3)))
     n = draw(st.integers(dim + 1, 8))
     index = st.integers(0, n - 1)
@@ -169,21 +221,22 @@ def small_meshes(draw):
     fields = {k: np.array(v, dtype=float) for k, v in real.items()}
     fields.update({"c" + k: np.array(v, dtype=complex) for k, v in cplx.items()})
     return Mesh(dim, np.array(nodes), np.array(cells, dtype=np.int64).reshape(-1, dim + 1),
-                groups, periodic, fields)
+                groups, periodic), fields
 
 
 @settings(max_examples=60, deadline=None)
-@given(mesh=small_meshes())
-def test_roundtrip_random_meshes(mesh):
+@given(mesh_and_fields=small_meshes())
+def test_roundtrip_random_meshes(mesh_and_fields):
+    mesh, fields = mesh_and_fields
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.msh"
-        save_mesh(mesh, path)
-        back = load_mesh(path)
+        save_mesh(mesh, path, fields)
+        back, back_fields = load_mesh(path)
     assert back.dim == mesh.dim
     np.testing.assert_array_equal(back.nodes, mesh.nodes)
     np.testing.assert_array_equal(back.cells, mesh.cells)
-    for attr in ("facet_groups", "periodic_pairs", "fields"):
-        got, want = getattr(back, attr), getattr(mesh, attr)
+    for got, want in ((back.facet_groups, mesh.facet_groups),
+                      (back.periodic_pairs, mesh.periodic_pairs), (back_fields, fields)):
         assert set(got) == set(want)
         for k in want:
             np.testing.assert_array_equal(got[k], want[k])
@@ -391,7 +444,7 @@ field f real 3
 def test_malformed_block_reports_line(tmp_path, line, text):
     path = tmp_path / "m.msh"
     path.write_text(SMALL_MESH_TEXT)
-    assert load_mesh(path).periodic_pairs["d"].tolist() == [[0, 2]]
+    assert load_mesh(path)[0].periodic_pairs["d"].tolist() == [[0, 2]]
     lines = SMALL_MESH_TEXT.splitlines()
     lines[line - 1] = text
     path.write_text("\n".join(lines) + "\n")
@@ -402,10 +455,12 @@ def test_malformed_block_reports_line(tmp_path, line, text):
 
 
 @pytest.mark.parametrize("values", [np.zeros(7), np.zeros(2, complex), np.zeros((3, 2)), 1.0])
-def test_mesh_rejects_fields_that_are_not_nodal(values):
+def test_mesh_rejects_fields_that_are_not_nodal(tmp_path, values):
     message = f"field 'q' must hold 3 nodal values, got shape {np.shape(values)}"
+    path = tmp_path / "m.msh"
     with pytest.raises(MeshError, match=re.escape(message)):
-        Mesh(2, TRIANGLE_NODES, [[0, 1, 2]], fields={"q": values})
+        save_mesh(Mesh(2, TRIANGLE_NODES, [[0, 1, 2]]), path, {"q": values})
+    assert not path.exists()
 
 
 def test_load_rejects_a_field_that_is_not_nodal(tmp_path):
@@ -415,6 +470,19 @@ def test_load_rejects_a_field_that_is_not_nodal(tmp_path):
                        match=re.escape("field 'p' must hold 3 nodal values, got shape (2,)")) as err:
         load_mesh(path)
     assert err.value.line == 12  # the block's header
+
+
+@pytest.mark.parametrize("block", ["group g 1\n1 2\n", "periodic d 1\n1 2\n",
+                                   "field f real 3\n3\n4\n5\n"])
+def test_load_rejects_a_repeated_block(tmp_path, block):
+    # the second block replaced the first one without a word
+    path = tmp_path / "m.msh"
+    path.write_text(SMALL_MESH_TEXT + block)
+    keyword, name = block.split()[:2]
+    with pytest.raises(MeshFormatError,
+                       match=re.escape(f"line 16: repeated {keyword} block {name!r}")) as err:
+        load_mesh(path)
+    assert err.value.line == 16  # the second block's header
 
 
 def test_validate_catches_group_overlap():
