@@ -219,7 +219,7 @@ def _first_touch(keys, size):
     return flat[first[flat] == where]
 
 
-def generate_unit_cell_mesh(geom: CellGeometry, resolution: float = 0.08) -> Mesh:
+def generate_unit_cell_mesh(geom: CellGeometry, resolution: float) -> Mesh:
     """Mesh the fluid part of the unit cell with tagged facet groups.
 
     Facet groups: ``I+`` / ``I-`` (top and bottom faces), four lateral

@@ -73,7 +73,7 @@ def cmd_cell(cfg, out: Path):
     return ["correctors.msh", "coefficients.csv", "symmetry_report.txt"]
 
 
-def cmd_sweep(cfg, out: Path, jobs=1):
+def cmd_sweep(cfg, out: Path, jobs):
     props = cfg.fluid_properties()
     rows, failures = sweep_coefficients(
         cfg.cell_geometry(), cfg.sweep_phis(), cfg.sweep_u3(),

@@ -3,6 +3,12 @@
 The effective (fully defaulted) configuration is echoed next to every
 command's outputs and re-parses to an identical run, so outputs are
 reproducible from the echo alone.
+
+Each key's type, default and rule sit on its one ``_SCHEMA`` line (the
+geometry and fluid keys are the fields of the objects they build).  The
+first key, in schema order, whose value breaks its rule raises
+``ConfigError("[section] key must be <text>, got <value!r>")``, the text
+from ``_RULES`` or ``one of <the allowed values>``.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .fem import FluidProperties
 from .geometry import CellGeometry, GeometryError, WaveguideGeometry
@@ -22,56 +28,55 @@ class ConfigError(ValueError):
     pass
 
 
-# key -> (type, default); section order fixed for deterministic echoes
+# the keys of a section that builds ``cls``: its fields, in order, with
+# their defaults
+def _fields_of(cls):
+    return {f.name: (float, f.default) for f in fields(cls)}
+
+
+# key -> (type, default[, rule]); section order fixed for deterministic
+# echoes.  A rule is a name in _RULES or a tuple of the allowed values.
 _SCHEMA = {
-    "cell": {
-        "b1": (float, 1.0),
-        "b2": (float, 1.0),
-        "kappa": (float, 1.0),
-        "plate_thickness": (float, 0.25),
-        "hole_diameter": (float, 0.24),
-        "hole_slope_deg": (float, 0.0),
-        "eps0": (float, 0.025),
-        "resolution": (float, 0.08),
-    },
-    "waveguide": {
-        "l_m": (float, 0.3),
-        "h_m": (float, 0.2),
-        "l_io": (float, 0.2),
-        "h_io": (float, 0.0625),
-        "interface_pos": (float, 0.2),
-        "resolution": (float, 0.0125),
-    },
-    "fluid": {
-        "c": (float, 343.0),
-        "tau": (float, 3.0),
-    },
+    "cell": {**_fields_of(CellGeometry), "resolution": (float, 0.08, "positive")},
+    "waveguide": {**_fields_of(WaveguideGeometry),
+                  # explicit: the library puts a missing interface at h_m
+                  "interface_pos": (float, 0.2),
+                  "resolution": (float, 0.0125, "positive")},
+    "fluid": _fields_of(FluidProperties),
     "flow": {
-        "mode": (str, "potential"),
-        "u_in": (float, 20.0),
-        "u3": (float, 1.0),
-        "u3_quantum": (float, 0.25),
+        "mode": (str, "potential", FLOW_MODES),
+        "u_in": (float, 20.0, "finite"),
+        "u3": (float, 1.0, "finite"),
+        "u3_quantum": (float, 0.25, "nonnegative"),  # 0 keeps exact speeds
     },
     "sweep": {
         "phi_list": (str, "0,30,60"),
-        "u3_start": (float, 0.0),
-        "u3_stop": (float, 5.5),
+        "u3_start": (float, 0.0, "finite"),
+        "u3_stop": (float, 5.5, "finite"),
         "u3_count": (int, 12),
     },
     "frequencies": {
-        "f_min": (float, 100.0),
-        "f_max": (float, 1000.0),
+        "f_min": (float, 100.0, "positive"),
+        "f_max": (float, 1000.0, "positive"),
         "count": (int, 30),
     },
     "acoustics": {
-        "amplitude": (float, 300.0),
+        "amplitude": (float, 300.0, "nonzero"),
         "outer_advection": (bool, True),
         "impedance_flow_correction": (bool, False),
-        "source_side": (str, "in"),
+        "source_side": (str, "in", SOURCE_SIDES),
     },
-    "run": {
-        "residual_tol": (float, 1e-10),
-    },
+    "run": {"residual_tol": (float, 1e-10, "tolerance")},
+}
+
+# rule -> (test a value passes, what its error says the value must be);
+# each test fails NaN
+_RULES = {
+    "finite": (math.isfinite, "finite"),
+    "positive": (lambda x: 0 < x < math.inf, "finite and > 0"),
+    "nonnegative": (lambda x: 0 <= x < math.inf, "finite and >= 0"),
+    "nonzero": (lambda x: math.isfinite(x) and x != 0, "finite and nonzero"),
+    "tolerance": (lambda x: x > 0, "> 0"),
 }
 
 
@@ -88,22 +93,17 @@ class RunConfig:
         section, name = key.split(".", 1)
         return self.values[section][name]
 
+    def _build(self, cls, section):
+        return cls(**{f.name: self.values[section][f.name] for f in fields(cls)})
+
     def cell_geometry(self) -> CellGeometry:
-        c = self.values["cell"]
-        return CellGeometry(b1=c["b1"], b2=c["b2"], kappa=c["kappa"],
-                            plate_thickness=c["plate_thickness"],
-                            hole_diameter=c["hole_diameter"],
-                            hole_slope_deg=c["hole_slope_deg"],
-                            eps0=c["eps0"])
+        return self._build(CellGeometry, "cell")
 
     def waveguide_geometry(self) -> WaveguideGeometry:
-        w = self.values["waveguide"]
-        return WaveguideGeometry(l_m=w["l_m"], h_m=w["h_m"], l_io=w["l_io"],
-                                 h_io=w["h_io"], interface_pos=w["interface_pos"])
+        return self._build(WaveguideGeometry, "waveguide")
 
     def fluid_properties(self) -> FluidProperties:
-        f = self.values["fluid"]
-        return FluidProperties(c=f["c"], tau=f["tau"])
+        return self._build(FluidProperties, "fluid")
 
     def frequencies_hz(self):
         f = self.values["frequencies"]
@@ -138,7 +138,7 @@ def _even_grid(start, stop, n, what):
 
 
 def default_config() -> RunConfig:
-    return RunConfig({s: {k: d for k, (_, d) in keys.items()}
+    return RunConfig({s: {k: row[1] for k, row in keys.items()}
                       for s, keys in _SCHEMA.items()})
 
 
@@ -160,7 +160,7 @@ def parse_config(text: str) -> RunConfig:
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            kind, _ = _SCHEMA[section][key]
+            kind = _SCHEMA[section][key][0]
             try:
                 cfg.values[section][key] = getattr(parser, _GETTERS[kind])(section, key)
             except ValueError:
@@ -171,30 +171,15 @@ def parse_config(text: str) -> RunConfig:
 
 
 def validate(cfg: RunConfig):
-    """Reject values no run can use."""
-    mode = cfg["flow.mode"]
-    if mode not in FLOW_MODES:
-        raise ConfigError(f"flow mode must be one of {FLOW_MODES}, got {mode!r}")
-    if cfg["acoustics.source_side"] not in SOURCE_SIDES:
-        raise ConfigError("acoustics source_side must be 'in' or 'out'")
-    amplitude = cfg["acoustics.amplitude"]
-    if not (math.isfinite(amplitude) and amplitude != 0):
-        raise ConfigError(
-            f"[acoustics] amplitude must be finite and nonzero, got {amplitude!r}")
-    if not cfg["run.residual_tol"] > 0:  # also rejects NaN
-        raise ConfigError(f"[run] residual_tol must be > 0, got {cfg['run.residual_tol']!r}")
-    if not 0 <= cfg["flow.u3_quantum"] < math.inf:  # 0 keeps exact speeds
-        raise ConfigError(
-            f"[flow] u3_quantum must be finite and >= 0, got {cfg['flow.u3_quantum']!r}")
-    for key in ("flow.u_in", "flow.u3", "sweep.u3_start", "sweep.u3_stop"):
-        if not math.isfinite(cfg[key]):
-            section, name = key.split(".")
-            raise ConfigError(f"[{section}] {name} must be finite, got {cfg[key]!r}")
-    for key in ("cell.resolution", "waveguide.resolution", "frequencies.f_min",
-                "frequencies.f_max"):
-        if not 0 < cfg[key] < math.inf:  # also rejects NaN
-            section, name = key.split(".")
-            raise ConfigError(f"[{section}] {name} must be finite and > 0, got {cfg[key]!r}")
+    """Reject values no run can use: the first key, in schema order, whose
+    value breaks its rule, then a bad object, grid or sweep angle."""
+    for section, keys in _SCHEMA.items():
+        for key, (_, _, *rules) in keys.items():
+            value = cfg.values[section][key]
+            for rule in rules:  # none or one
+                test, text = _RULES.get(rule) or (rule.__contains__, f"one of {rule!r}")
+                if not test(value):
+                    raise ConfigError(f"[{section}] {key} must be {text}, got {value!r}")
     cfg.fluid_properties()  # raises ValueError naming a bad c or tau
     # each raises GeometryError naming the bad value, whatever the command
     cell = cfg.cell_geometry()

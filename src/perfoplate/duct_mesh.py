@@ -59,7 +59,7 @@ def _grid_tris(ids):
                      np.stack([n00, n11, n01], axis=-1)], axis=2).reshape(-1, 3)
 
 
-def generate_waveguide_mesh(geom: WaveguideGeometry, resolution: float = 0.0125) -> Mesh:
+def generate_waveguide_mesh(geom: WaveguideGeometry, resolution: float) -> Mesh:
     """Triangle mesh of the waveguide with tagged boundary groups.
 
     Nodes: the inlet grid, the main grid, then the outlet grid, each x-major

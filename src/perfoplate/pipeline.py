@@ -81,7 +81,7 @@ class WaveguideRun:
 
 
 def setup_waveguide_run(duct_geom: WaveguideGeometry, cell_geom: CellGeometry,
-                        properties, u_in=0.0, flow_mode="potential",
+                        properties, u_in, flow_mode="potential",
                         duct_resolution=0.0125, cell_resolution=0.08,
                         quantum=0.25, amplitude=300.0, outer_advection=True,
                         impedance_flow_correction=False, source_side="in",

@@ -48,6 +48,63 @@ def test_config_defaults_roundtrip():
     assert cfg2.values == cfg.values
 
 
+DEFAULT_ECHO = """\
+[cell]
+b1 = 1
+b2 = 1
+kappa = 1
+plate_thickness = 0.25
+hole_diameter = 0.23999999999999999
+hole_slope_deg = 0
+eps0 = 0.025000000000000001
+resolution = 0.080000000000000002
+
+[waveguide]
+l_m = 0.29999999999999999
+h_m = 0.20000000000000001
+l_io = 0.20000000000000001
+h_io = 0.0625
+interface_pos = 0.20000000000000001
+resolution = 0.012500000000000001
+
+[fluid]
+c = 343
+tau = 3
+
+[flow]
+mode = potential
+u_in = 20
+u3 = 1
+u3_quantum = 0.25
+
+[sweep]
+phi_list = 0,30,60
+u3_start = 0
+u3_stop = 5.5
+u3_count = 12
+
+[frequencies]
+f_min = 100
+f_max = 1000
+count = 30
+
+[acoustics]
+amplitude = 300
+outer_advection = true
+impedance_flow_correction = false
+source_side = in
+
+[run]
+residual_tol = 1e-10
+
+"""
+
+
+def test_default_echo_is_pinned():
+    # every section, key, order and default of effective_config.ini
+    assert render_config(default_config()) == DEFAULT_ECHO
+
+
 @pytest.mark.parametrize("text", [
     "[DEFAULT]\nbogus = 1\n",
     "[DEFAULT]\nb1 = 7\n[cell]\nhole_slope_deg = 30\n",
@@ -177,9 +234,28 @@ def test_config_grids():
     ("[sweep]\nu3_start = nan\n", "[sweep] u3_start must be finite, got nan"),
     ("[sweep]\nu3_stop = inf\n", "[sweep] u3_stop must be finite, got inf"),
     ("[flow]\nu3 = nan\n", "[flow] u3 must be finite, got nan"),
-    ("[flow]\nu3 = inf\n", "[flow] u3 must be finite, got inf")],
+    ("[flow]\nu3 = inf\n", "[flow] u3 must be finite, got inf"),
+    ("[flow]\nmode = sideways\n",
+     "[flow] mode must be one of ('none', 'potential'), got 'sideways'"),
+    ("[acoustics]\nsource_side = up\n",
+     "[acoustics] source_side must be one of ('in', 'out'), got 'up'"),
+    ("[acoustics]\namplitude = 0\n",
+     "[acoustics] amplitude must be finite and nonzero, got 0.0"),
+    ("[run]\nresidual_tol = nan\n", "[run] residual_tol must be > 0, got nan"),
+    ("[flow]\nu3_quantum = -0.25\n",
+     "[flow] u3_quantum must be finite and >= 0, got -0.25"),
+    ("[flow]\nu_in = -inf\n", "[flow] u_in must be finite, got -inf"),
+    ("[cell]\nresolution = 0\n", "[cell] resolution must be finite and > 0, got 0.0"),
+    ("[waveguide]\nresolution = nan\n",
+     "[waveguide] resolution must be finite and > 0, got nan"),
+    # the first key to break its rule, in schema order, is the one named
+    ("[run]\nresidual_tol = 0\n[flow]\nmode = sideways\n[cell]\nresolution = -1\n",
+     "[cell] resolution must be finite and > 0, got -1.0")],
     ids=["count", "u3_count", "phi_list", "empty-phi_list", "nan-phi_list",
-         "inf-phi_list", "nan-u3_start", "inf-u3_stop", "nan-u3", "inf-u3"])
+         "inf-phi_list", "nan-u3_start", "inf-u3_stop", "nan-u3", "inf-u3",
+         "mode", "source_side", "zero-amplitude", "nan-residual_tol",
+         "negative-u3_quantum", "-inf-u_in", "zero-cell-resolution",
+         "nan-waveguide-resolution", "schema-order"])
 def test_config_rejects_unusable_grids(text, message):
     # every command rejects them at parse time, before any set-up runs
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):

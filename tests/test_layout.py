@@ -1,7 +1,8 @@
 """Every top-level function and class in ``src/`` has a user in the program,
 every dataclass field in ``src/`` has a reader there, every option of a
-top-level function is set by some call, perfbench's self-test passes, and
-README.md names every module, config key, output file and error class.
+top-level function is set by some call and left at its default by another,
+perfbench's self-test passes, and README.md names every module, config key,
+output file and error class.
 
 A reference is an ``ast.Name`` id or ``ast.Attribute`` attr in
 ``src/perfoplate/*.py`` (``__init__.py`` only re-exports) or
@@ -164,13 +165,10 @@ def test_no_default_fluid():
     assert not defaulted_properties(), f"defaulted fluid: {defaulted_properties()}"
 
 
-def unset_options():
-    """Every defaulted parameter of a top-level function in ``src/`` that no
-    call in ``src/``, ``perfbench/`` or ``tests/`` passes, by name or by
-    position, as ``module:function(parameter)``.  A call is matched to a
-    function by the called name alone; arguments after a ``*args`` and
-    through ``**kwargs`` pass nothing."""
-    options = []  # (module, function, parameter, position or None)
+def defaulted_parameters():
+    """(module, function, parameter, position or None) of every defaulted
+    parameter of a top-level function in ``src/``."""
+    options = []
     for path in PACKAGE:
         for fn in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -182,23 +180,71 @@ def unset_options():
                         for k, arg in enumerate(positional) if k >= first]
             options += [(path.stem, fn.name, arg.arg, None)
                         for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-    passed = set()  # (function, parameter name or position)
+    return options
+
+
+def dict_keywords(scope):
+    """Name -> the keywords of the ``dict(...)`` calls ``scope`` assigns to
+    it (those of all of them, if there are several)."""
+    bound = {}
+    for node in ast.walk(scope):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) == "dict"):
+            keys = {kw.arg for kw in node.value.keywords if kw.arg is not None}
+            bound[node.targets[0].id] = bound.get(node.targets[0].id, keys) & keys
+    return bound
+
+
+def passed_arguments():
+    """Called name -> one set per call in ``src/``, ``perfbench/`` or
+    ``tests/`` of the parameter names and positions it passes.  A call is
+    matched to a function by the called name alone; arguments after a
+    ``*args`` pass nothing, and a ``**name`` passes only the keywords of the
+    ``dict(...)`` its top-level statement binds the name to."""
+    calls = {}
     for path in PACKAGE + BENCH + TESTS:
-        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(call, ast.Call):
-                continue
-            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
-            starred = [isinstance(arg, ast.Starred) for arg in call.args] + [True]
-            passed.update((name, k) for k in range(starred.index(True)))
-            passed.update((name, kw.arg) for kw in call.keywords if kw.arg is not None)
-    return [f"{module}:{fn}({param})" for module, fn, param, k in options
-            if (fn, param) not in passed and (fn, k) not in passed]
+        for scope in ast.parse(path.read_text(encoding="utf-8")).body:
+            bound = dict_keywords(scope)
+            for call in ast.walk(scope):
+                if not isinstance(call, ast.Call):
+                    continue
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                starred = [isinstance(arg, ast.Starred) for arg in call.args] + [True]
+                calls.setdefault(name, []).append(
+                    {*range(starred.index(True)),
+                     *(kw.arg for kw in call.keywords if kw.arg is not None),
+                     *(key for kw in call.keywords if kw.arg is None
+                       for key in bound.get(getattr(kw.value, "id", None), ()))})
+    return calls
+
+
+def unset_options():
+    """Every defaulted parameter of a top-level function in ``src/`` that no
+    call passes, by name or by position, as ``module:function(parameter)``."""
+    calls = passed_arguments()
+    return [f"{module}:{fn}({param})" for module, fn, param, k in defaulted_parameters()
+            if not any(param in passed or k in passed for passed in calls.get(fn, []))]
 
 
 def test_every_option_is_set_somewhere():
     """An option nothing sets is code no run or test takes: each defaulted
     parameter of a top-level function is passed by at least one call."""
     assert not unset_options(), f"options nothing sets: {unset_options()}"
+
+
+def overridden_defaults():
+    """Every defaulted parameter of a top-level function in ``src/`` that
+    each matched call passes, as ``module:function(parameter)``."""
+    calls = passed_arguments()
+    return [f"{module}:{fn}({param})" for module, fn, param, k in defaulted_parameters()
+            if calls.get(fn) and all(param in passed or k in passed for passed in calls[fn])]
+
+
+def test_no_default_that_every_call_overrides():
+    """A default no call takes is a second home of a value the caller (most
+    often a config key) already holds, and can drift from it unseen."""
+    assert not overridden_defaults(), f"defaults every call overrides: {overridden_defaults()}"
 
 
 def scatter_bypasses():
